@@ -64,13 +64,15 @@ type stats = {
   mutable n_refine_checks : int;
   mutable n_refine_removed : int;
   mutable n_incidents : int;
+  mutable n_reused_sources : int;
   mutable solver : Solver.stats;
 }
 
 (* The summed fields of the cross-source merge, as an {!Obs.Agg} fields
    spec: one list drives the merge fold and the registry compatibility
-   view ([engine.*] counters).  [n_sources]/[n_incidents] are not deltas —
-   they are set once per run — so they join only the published view. *)
+   view ([engine.*] counters).  [n_sources]/[n_incidents]/[n_reused_sources]
+   are not deltas — they are set once per run — so they join only the
+   published view. *)
 let merge_fields =
   Obs.Agg.
     [
@@ -119,6 +121,9 @@ let all_fields =
         field "n_incidents"
           (fun s -> s.n_incidents)
           (fun s v -> s.n_incidents <- v);
+        field "n_reused_sources"
+          (fun s -> s.n_reused_sources)
+          (fun s v -> s.n_reused_sources <- v);
       ]
 
 (* Reverse call index: callee name -> (caller function, call statement). *)
@@ -135,13 +140,57 @@ let reverse_calls (prog : Prog.t) : (string, (Func.t * Stmt.t) list) Hashtbl.t =
     (Prog.functions prog);
   tbl
 
+(* ---------- resident per-source results (DESIGN.md §4.13) ---------- *)
+
+(* One stored search: its reports before the cross-source dedup, and its
+   footprint — every function whose SEG it fetched and every function
+   whose caller list it read.  The RV/VF summaries a search consults
+   belong to callees of functions in the SEG footprint, and a caller-closed
+   dirty cone puts those functions in the cone whenever such a summary
+   changes, so the footprint alone decides staleness. *)
+type memo_entry = {
+  stored : Report.t list;
+  seg_footprint : string list;
+  caller_footprint : string list;
+}
+
+type memo = {
+  mutable memo_config : config option;
+      (** the config the results were computed under, deadline removed *)
+  mutable memo_rev : (string, (Func.t * Stmt.t) list) Hashtbl.t option;
+  fn_sources : (string, (Var.t * int) list) Hashtbl.t;
+  results : (string * int * int, memo_entry) Hashtbl.t;
+      (** (function, source sid, source vid) -> stored search *)
+}
+
+let create_memo () =
+  {
+    memo_config = None;
+    memo_rev = None;
+    fn_sources = Hashtbl.create 64;
+    results = Hashtbl.create 256;
+  }
+
+let invalidate_memo m ~dirty ~callee_of_dirty =
+  m.memo_rev <- None;
+  Hashtbl.filter_map_inplace
+    (fun name srcs -> if dirty name then None else Some srcs)
+    m.fn_sources;
+  Hashtbl.filter_map_inplace
+    (fun _ e ->
+      if
+        List.exists dirty e.seg_footprint
+        || List.exists callee_of_dirty e.caller_footprint
+      then None
+      else Some e)
+    m.results
+
 type search_ctx = {
-  prog : Prog.t;
   seg_of : string -> Seg.t option;
   rv : Rv.t;
   vf : Vf.t;
   spec : Checker_spec.t;
-  rev : (string, (Func.t * Stmt.t) list) Hashtbl.t;
+  callers : string -> (Func.t * Stmt.t) list;
   cfg : config;
   stats : stats;
   resilience : Resilience.log option;
@@ -479,7 +528,7 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                           rpath
                       | None -> ())
                     | _ -> ())
-                  (Option.value (Hashtbl.find_opt ctx.rev fname) ~default:[]))
+                  (ctx.callers fname))
           | _ -> ())
         uses;
       (* 5. the buggy value rode in through a parameter (VF3 direction):
@@ -516,7 +565,7 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                     rpath
                 | _ -> ())
               | _ -> ())
-            (Option.value (Hashtbl.find_opt ctx.rev fname) ~default:[])
+            (ctx.callers fname)
       end
   end
 
@@ -537,10 +586,11 @@ let zero_stats () =
     n_refine_checks = 0;
     n_refine_removed = 0;
     n_incidents = 0;
+    n_reused_sources = 0;
     solver = Solver.zero ();
   }
 
-let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
+let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
     ~seg_of ~rv (spec : Checker_spec.t) : Report.t list * stats =
   (* The verdict cache is a process-global table but gated per run: enable
      it for the duration of this run according to the config, restoring
@@ -579,32 +629,94 @@ let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
     | Some vf -> (config, vf)
     | None -> ({ config with use_vf_pruning = false }, Vf.empty ())
   in
-  let rev = reverse_calls prog in
+  (* A resident memo holds results computed under one config: a run under
+     another (deadline aside, which only decides whether a search is
+     stored) starts it afresh.  Fault-injected runs neither read nor fill
+     it — their results reflect the injected faults, not the program. *)
+  let memo = if Resilience.Inject.enabled () then None else memo in
+  Option.iter
+    (fun m ->
+      let key = Some { config with deadline = Metrics.no_deadline } in
+      if m.memo_config <> key then begin
+        Hashtbl.reset m.results;
+        m.memo_config <- key
+      end)
+    memo;
   (* Enumerate sources up front, in program order — this order, not task
      completion order, decides the final report list, cross-source
      deduplication and stats totals, so the output is identical at every
      [--jobs] level. *)
+  let sources_of (f : Func.t) =
+    let enumerate () =
+      match seg_of f.Func.fname with
+      | None -> []
+      | Some seg -> spec.Checker_spec.sources seg
+    in
+    match memo with
+    | None -> enumerate ()
+    | Some m -> (
+      match Hashtbl.find_opt m.fn_sources f.Func.fname with
+      | Some srcs -> srcs
+      | None ->
+        let srcs = enumerate () in
+        Hashtbl.replace m.fn_sources f.Func.fname srcs;
+        srcs)
+  in
   let sources =
     List.concat_map
       (fun (f : Func.t) ->
-        match seg_of f.Func.fname with
-        | None -> []
-        | Some seg ->
-          List.map
-            (fun ((v : Var.t), sid) -> (f, v, sid))
-            (spec.Checker_spec.sources seg))
+        List.map (fun ((v : Var.t), sid) -> (f, v, sid)) (sources_of f))
       (Prog.functions prog)
+  in
+  let src_arr = Array.of_list sources in
+  let memo_key ((f : Func.t), (v : Var.t), sid) = (f.Func.fname, sid, v.Var.vid) in
+  let hits =
+    Array.map
+      (fun s ->
+        match memo with
+        | Some m -> Hashtbl.find_opt m.results (memo_key s)
+        | None -> None)
+      src_arr
+  in
+  let misses =
+    Array.of_list (List.filteri (fun i _ -> Option.is_none hits.(i)) sources)
+  in
+  let rev =
+    match memo with
+    | Some { memo_rev = Some rev; _ } -> rev
+    | _ when Array.length misses = 0 -> Hashtbl.create 1
+    | _ ->
+      let rev = reverse_calls prog in
+      Option.iter (fun m -> m.memo_rev <- Some rev) memo;
+      rev
   in
   (* One task per source, with a task-local context: searches from
      different sources never share search state, so they can run on any
      domain in any order.  The solver counters are domain-local; each task
-     measures its own delta on the domain that ran it. *)
+     measures its own delta on the domain that ran it.  With a memo the
+     task also records its footprint, through the SEG accessor it hands
+     to the search and to the condition builder and through [callers]. *)
   let run_source ((f : Func.t), (v : Var.t), sid) =
     let subject = Printf.sprintf "%s:%d" f.Func.fname sid in
     Obs.span "engine.source"
       ~attrs:
         [ ("source", subject); ("checker", spec.Checker_spec.name) ]
     @@ fun () ->
+    let segs_read = Hashtbl.create 16 and callers_read = Hashtbl.create 4 in
+    let seg_of, callers =
+      let callers_of name =
+        Option.value (Hashtbl.find_opt rev name) ~default:[]
+      in
+      match memo with
+      | None -> (seg_of, callers_of)
+      | Some _ ->
+        ( (fun name ->
+            Hashtbl.replace segs_read name ();
+            seg_of name),
+          fun name ->
+            Hashtbl.replace callers_read name ();
+            callers_of name )
+    in
     let cond =
       if config.check_feasibility then
         Some
@@ -614,12 +726,11 @@ let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
     in
     let ctx =
       {
-        prog;
         seg_of;
         rv;
         vf;
         spec;
-        rev;
+        callers;
         cfg = config;
         stats = zero_stats ();
         resilience;
@@ -636,6 +747,7 @@ let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
       }
     in
     let s0 = Solver.snapshot () in
+    let completed = ref false in
     (* The per-source injection stream is keyed by the source site (not by
        global query order), so the same seed sabotages the same queries at
        every [--jobs] level.  Per-source barrier: a crash while searching
@@ -651,18 +763,38 @@ let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
                 ~expansions:0 ~anchor:(Some sid) ~src_fn:f.Func.fname
                 ~src_sid:sid
                 ~hop:(Vpath.Hsource { fname = f.Func.fname; var = v; sid })
-                []
+                [];
+              completed := true
             with
-            | Stop_search -> ()
+            | Stop_search -> completed := true
             | Metrics.Timeout -> ()));
     (match cond with
     | Some b ->
       ctx.stats.n_prefix_checks <- Vpath.Cond.n_checks b;
       ctx.stats.n_pruned_prefixes <- Vpath.Cond.n_refutations b
     | None -> ());
-    (List.rev ctx.reports, ctx.stats, Solver.diff (Solver.snapshot ()) s0)
+    let reports = List.rev ctx.reports in
+    (* Only a search that ran to its own end on full-strength verdicts is
+       worth replaying: a timed-out, crashed or degraded one reflects this
+       request's conditions, not the program. *)
+    let entry =
+      if
+        Option.is_some memo && !completed
+        && ctx.stats.n_rung_halved + ctx.stats.n_rung_linear
+           + ctx.stats.n_rung_gave_up
+           = 0
+      then
+        let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
+        Some
+          {
+            stored = reports;
+            seg_footprint = keys segs_read;
+            caller_footprint = keys callers_read;
+          }
+      else None
+    in
+    (reports, ctx.stats, Solver.diff (Solver.snapshot ()) s0, entry)
   in
-  let src_arr = Array.of_list sources in
   let m0 = Solver.snapshot () in
   let results =
     match pool with
@@ -671,38 +803,54 @@ let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
          pool task.  Each source still gets its own context, barrier and
          injection stream, and the merge below is positional, so chunking
          is invisible to reports and stats. *)
-      Pinpoint_par.Chunk.parallel_map pool run_source src_arr
-    | _ -> Array.map (fun s -> Some (run_source s)) src_arr
+      Pinpoint_par.Chunk.parallel_map pool run_source misses
+    | _ -> Array.map (fun s -> Some (run_source s)) misses
   in
   let main_delta = Solver.diff (Solver.snapshot ()) m0 in
-  (* Deterministic merge, in source-enumeration order.  Cross-source
-     duplicate suppression happens here (task contexts are independent):
-     the first source to produce a (source line, sink line) key keeps its
-     report, later ones are dropped — the order sequential search would
-     have kept them in. *)
+  (* Deterministic merge, in source-enumeration order, over stored and
+     fresh searches alike.  Cross-source duplicate suppression happens
+     here (task contexts are independent): the first source to produce a
+     (source line, sink line) key keeps its report, later ones are dropped
+     — the order sequential search would have kept them in.  A replayed
+     search adds its reports and nothing to the work counters. *)
   let stats = zero_stats () in
   let dedup = Hashtbl.create 64 in
   let reports = ref [] in
-  Array.iter
-    (function
-      | None -> () (* task lost to a pool-level fault; incident logged *)
-      | Some (rs, (st : stats), delta) ->
-        Obs.Agg.add_into merge_fields ~into:stats st;
-        stats.solver <- Solver.merge stats.solver delta;
-        List.iter
-          (fun (r : Report.t) ->
-            let dk =
-              ( r.Report.source_fn,
-                r.Report.source_loc.Stmt.line,
-                r.Report.sink_fn,
-                r.Report.sink_loc.Stmt.line )
-            in
-            if not (Hashtbl.mem dedup dk) then begin
-              Hashtbl.add dedup dk ();
-              reports := r :: !reports
-            end)
-          rs)
-    results;
+  let add_reports rs =
+    List.iter
+      (fun (r : Report.t) ->
+        let dk =
+          ( r.Report.source_fn,
+            r.Report.source_loc.Stmt.line,
+            r.Report.sink_fn,
+            r.Report.sink_loc.Stmt.line )
+        in
+        if not (Hashtbl.mem dedup dk) then begin
+          Hashtbl.add dedup dk ();
+          reports := r :: !reports
+        end)
+      rs
+  in
+  let next_miss = ref 0 in
+  Array.iteri
+    (fun i hit ->
+      match hit with
+      | Some e ->
+        stats.n_reused_sources <- stats.n_reused_sources + 1;
+        add_reports e.stored
+      | None -> (
+        let r = results.(!next_miss) in
+        incr next_miss;
+        match r with
+        | None -> () (* task lost to a pool-level fault; incident logged *)
+        | Some (rs, (st : stats), delta, entry) ->
+          Obs.Agg.add_into merge_fields ~into:stats st;
+          stats.solver <- Solver.merge stats.solver delta;
+          (match (memo, entry) with
+          | Some m, Some e -> Hashtbl.replace m.results (memo_key src_arr.(i)) e
+          | _ -> ());
+          add_reports rs))
+    hits;
   stats.n_sources <- Array.length src_arr;
   (* Fold the worker domains' solver counters into the calling domain's
      ambient record, so an enclosing measurement (bench, nested runs) sees

@@ -98,15 +98,41 @@ type stats = {
       (** refinement re-checks that came back Unsat — false positives of
           the weak nonlinear theory, downgraded to [Infeasible] *)
   mutable n_incidents : int;    (** incidents recorded during this run *)
+  mutable n_reused_sources : int;
+      (** sources answered from a resident {!memo} without searching; they
+          count in [n_sources] but add nothing to any work counter *)
   mutable solver : Pinpoint_smt.Solver.stats;
       (** solver counters attributable to this run alone *)
 }
+
+(** Resident per-source results for one checker (the analysis server's
+    path, DESIGN.md §4.13).  A memo keeps the reverse-call index, each
+    function's enumerated sources, and each source's reports before the
+    cross-source dedup, keyed by (function, source sid, source vid).
+    Each stored search carries its footprint: the functions whose SEG it
+    fetched and the functions whose caller list it read.  A search is
+    stored only when it ran to its own end with every feasibility query
+    decided at full strength (no timeout, no barrier catch, no halved,
+    linear or gave-up rung); a run with fault injection installed neither
+    reads nor fills the memo. *)
+type memo
+
+val create_memo : unit -> memo
+
+val invalidate_memo :
+  memo -> dirty:(string -> bool) -> callee_of_dirty:(string -> bool) -> unit
+(** Forget what an edit may have changed: the reverse-call index, the
+    [dirty] functions' sources, every stored search whose SEG footprint
+    meets [dirty], and every stored search whose caller-list footprint
+    meets [callee_of_dirty] (the callees of dirty functions, old and new
+    bodies).  [dirty] must be closed under "is a transitive caller of". *)
 
 val run :
   ?config:config ->
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
   ?vf:Pinpoint_summary.Vf.t ->
+  ?memo:memo ->
   Pinpoint_ir.Prog.t ->
   seg_of:(string -> Pinpoint_seg.Seg.t option) ->
   rv:Pinpoint_summary.Rv.t ->
@@ -131,4 +157,12 @@ val run :
     With [vf] the engine uses the given (resident, incrementally
     maintained) VF-summary table instead of generating one — the analysis
     server's path (DESIGN.md §4.13).  The caller is responsible for the
-    table matching [prog]. *)
+    table matching [prog].
+
+    With [memo] a source whose stored search is still valid is not
+    searched again: its stored reports join the deterministic merge in
+    source order, so the report list is the one a memo-less run returns.
+    The memo is tied to the config the results were computed under
+    ([deadline] aside): a run under another config empties it first.
+    The caller keeps the memo in step with [prog] through
+    {!invalidate_memo}, or drops it. *)

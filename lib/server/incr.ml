@@ -55,6 +55,9 @@ type state = {
   mutable rv : Rv.t;
   vfs : (string, Pinpoint.Checker_spec.t * Vf.t) Hashtbl.t;
       (** resident per-checker VF tables, maintained incrementally *)
+  memos : (string, Pinpoint.Engine.memo) Hashtbl.t;
+      (** resident per-checker search results, filled by {!check} and
+          invalidated by footprint on each update *)
   mutable epoch : int;  (** bumped once per applied update *)
   mutable n_updates : int;
   mutable n_full_rebuilds : int;
@@ -139,6 +142,7 @@ let full_build st =
   st.segs <- a.Pinpoint.Analysis.segs;
   st.rv <- a.Pinpoint.Analysis.rv;
   Hashtbl.reset st.vfs;
+  Hashtbl.reset st.memos;
   st.digests <- digest_table fdecls;
   st.structure <- structure_digest fdecls
 
@@ -163,6 +167,7 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
       segs = Hashtbl.create 0;
       rv = Rv.generate (Prog.create ()) (fun _ -> None);
       vfs = Hashtbl.create 8;
+      memos = Hashtbl.create 8;
       epoch = 0;
       n_updates = 0;
       n_full_rebuilds = 0;
@@ -214,21 +219,33 @@ let force_symbols_of (f : Func.t) =
       List.iter (fun v -> ignore (Var.symbol v)) (Pinpoint_ir.Stmt.def s);
       List.iter (fun v -> ignore (Var.symbol v)) (Pinpoint_ir.Stmt.uses s))
 
+(* Callee names of a function's call statements (the connector transform
+   rewrites argument lists, never callee names). *)
+let add_callees tbl (f : Func.t) =
+  Func.iter_stmts f (fun _ s ->
+      match s.Pinpoint_ir.Stmt.kind with
+      | Pinpoint_ir.Stmt.Call c -> Hashtbl.replace tbl c.Pinpoint_ir.Stmt.callee ()
+      | _ -> ())
+
 (* Apply one request's file set.  Parsing and re-lowering happen before
    any state is mutated, so a front-end error (raised to the caller)
    leaves the resident state untouched and the next request unaffected. *)
 let update_impl (st : state) (changed : (string * string) list) : update_stats
     =
-  let changed_parsed = List.map parse_file changed in
+  (* Only a file whose contents differ can hold a changed function. *)
+  let edited =
+    List.filter (fun (n, c) -> List.assoc_opt n st.files <> Some c) changed
+  in
+  let edited_parsed = List.map parse_file edited in
   (* Splice the new per-file ASTs into load order; unknown files append. *)
   let known = List.map fst st.files in
   let fresh =
-    List.filter (fun (n, _) -> not (List.mem n known)) changed_parsed
+    List.filter (fun (n, _) -> not (List.mem n known)) edited_parsed
   in
   let file_fdecls =
     List.map
       (fun (n, fds) ->
-        match List.assoc_opt n changed_parsed with
+        match List.assoc_opt n edited_parsed with
         | Some fds' -> (n, fds')
         | None -> (n, fds))
       st.file_fdecls
@@ -237,9 +254,9 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
   let files =
     List.map
       (fun (n, c) ->
-        match List.assoc_opt n changed with Some c' -> (n, c') | None -> (n, c))
+        match List.assoc_opt n edited with Some c' -> (n, c') | None -> (n, c))
       st.files
-    @ List.filter (fun (n, _) -> not (List.mem n known)) changed
+    @ List.filter (fun (n, _) -> not (List.mem n known)) edited
   in
   let fdecls = List.concat_map snd file_fdecls in
   let structure = structure_digest fdecls in
@@ -260,7 +277,10 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
     }
   end
   else begin
-    let digests = digest_table fdecls in
+    (* An equal structure digest means the same functions in the same
+       order, and an unedited file keeps its ASTs: only the edited files'
+       functions need a fresh body digest. *)
+    let digests = digest_table (List.concat_map snd edited_parsed) in
     let seed = Hashtbl.create 16 in
     Hashtbl.iter
       (fun name d ->
@@ -294,10 +314,17 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
             Hashtbl.replace lowered fd.Ast.fname
               (Lower.lower_fdecl ~groups sigs fd))
         fdecls;
+      (* The callees of the dirty functions, old bodies and new: their
+         caller lists are what the edit can change. *)
+      let callees = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun name () -> Option.iter (add_callees callees) (Prog.find st.prog name))
+        dirty_tbl;
+      Hashtbl.iter (fun _ f -> add_callees callees f) lowered;
       (* Mutation phase: splice the fresh functions into the program … *)
       st.files <- files;
       st.file_fdecls <- file_fdecls;
-      st.digests <- digests;
+      Hashtbl.iter (Hashtbl.replace st.digests) digests;
       st.prog.Prog.funcs <-
         List.map
           (fun (f : Func.t) ->
@@ -307,30 +334,38 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
           st.prog.Prog.funcs;
       Hashtbl.iter (fun name f -> Hashtbl.replace st.prog.Prog.by_name name f)
         lowered;
-      (* … drop their derived state … *)
+      (* … drop their derived state and stored searches … *)
       Hashtbl.iter
         (fun name () ->
-          Transform.remove st.transform name;
           Hashtbl.remove st.segs name;
-          Option.iter (fun store -> Store.remove_fn store name) st.store;
-          Rv.remove st.rv name;
-          Hashtbl.iter (fun _ (_, vf) -> Vf.remove vf name) st.vfs)
+          Option.iter (fun store -> Store.remove_fn store name) st.store)
         dirty_tbl;
+      Hashtbl.iter
+        (fun _ memo ->
+          Pinpoint.Engine.invalidate_memo memo ~dirty
+            ~callee_of_dirty:(Hashtbl.mem callees))
+        st.memos;
       (* … and reprocess the dirty SCCs bottom-up against the retained
-         clean tables, mirroring the batch phase order.  Store mode: the
-         dirty functions' fresh variables were registered by re-lowering;
-         their PTAs stream back to the store and SEGs are spilled as
-         rebuilt, just like batch prepare. *)
+         clean tables, mirroring the batch phase order.  One SCC pass over
+         the spliced program serves every stage.  Store mode: the dirty
+         functions' fresh variables were registered by re-lowering; their
+         PTAs stream back to the store and SEGs are spilled as rebuilt,
+         just like batch prepare. *)
+      let dirty_sccs =
+        List.filter
+          (List.exists (fun (f : Func.t) -> dirty f.Func.fname))
+          (Prog.bottom_up_sccs st.prog)
+      in
       (match st.store with
       | Some store ->
         List.iter
           (fun (f : Func.t) -> if dirty f.Func.fname then Store.register_fn store f)
           (Prog.functions st.prog);
         Transform.update ~resilience:st.resilience
-          ~pta_sink:(Store.put_pta store) st.transform st.prog ~dirty
+          ~pta_sink:(Store.put_pta store) st.transform dirty_sccs
       | None ->
         Transform.update ~resilience:st.resilience ?pool:st.pool st.transform
-          st.prog ~dirty);
+          dirty_sccs);
       let dirty_funcs =
         List.filter (fun (f : Func.t) -> dirty f.Func.fname)
           (Prog.functions st.prog)
@@ -382,7 +417,7 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
               Hashtbl.replace st.segs dirty_arr.(i).Func.fname seg
             | _ -> ())
           built);
-      Rv.update ~resilience:st.resilience st.rv st.prog ~dirty;
+      Rv.update ~resilience:st.resilience st.rv dirty_sccs;
       let seg_of = seg_of st in
       Hashtbl.iter
         (fun cname (spec, vf) ->
@@ -395,9 +430,9 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
               ~fallback_note:"resident VF table dropped, regenerated on demand"
               ~fallback:false
               (fun () ->
-                Vf.update vf st.prog seg_of
+                Vf.update vf seg_of
                   (Pinpoint.Checker_spec.vf_spec spec)
-                  ~dirty;
+                  dirty_sccs;
                 true)
           in
           if not ok then Hashtbl.remove st.vfs cname)
@@ -447,8 +482,16 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
         vf;
       vf
   in
+  let memo =
+    match Hashtbl.find_opt st.memos spec.Pinpoint.Checker_spec.name with
+    | Some m -> m
+    | None ->
+      let m = Pinpoint.Engine.create_memo () in
+      Hashtbl.replace st.memos spec.Pinpoint.Checker_spec.name m;
+      m
+  in
   Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ?vf
-    st.prog ~seg_of ~rv:st.rv spec
+    ~memo st.prog ~seg_of ~rv:st.rv spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

@@ -102,8 +102,9 @@ let literal c word v =
   end
   else fail (Printf.sprintf "bad literal at offset %d" c.i)
 
-(* \uXXXX escapes are decoded to UTF-8 bytes; surrogate pairs are decoded
-   when both halves are present. *)
+(* \uXXXX escapes are decoded to UTF-8 bytes.  A high surrogate must be
+   followed by an escaped low surrogate (the pair decodes to one code
+   point); a lone surrogate of either kind is rejected. *)
 let utf8_of_code buf u =
   if u < 0x80 then Buffer.add_char buf (Char.chr u)
   else if u < 0x800 then begin
@@ -122,11 +123,23 @@ let utf8_of_code buf u =
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
   end
 
+(* Exactly four hex digits: [int_of_string] would also take '_' and raise
+   [Failure] (escaping [parse]) on anything else. *)
 let hex4 c =
   if c.i + 4 > String.length c.s then fail "truncated \\u escape";
-  let v = int_of_string ("0x" ^ String.sub c.s c.i 4) in
+  let digit ch =
+    match ch with
+    | '0' .. '9' -> Char.code ch - Char.code '0'
+    | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+    | _ -> fail (Printf.sprintf "bad \\u escape at offset %d" c.i)
+  in
+  let v = ref 0 in
+  for k = 0 to 3 do
+    v := (!v lsl 4) lor digit c.s.[c.i + k]
+  done;
   c.i <- c.i + 4;
-  v
+  !v
 
 let parse_string_body c =
   let buf = Buffer.create 16 in
@@ -149,14 +162,17 @@ let parse_string_body c =
         c.i <- c.i + 1;
         let u = hex4 c in
         let u =
-          if u >= 0xD800 && u <= 0xDBFF
-             && c.i + 2 <= String.length c.s
-             && c.s.[c.i] = '\\'
-             && c.i + 1 < String.length c.s
-             && c.s.[c.i + 1] = 'u'
-          then begin
-            c.i <- c.i + 2;
+          if u >= 0xDC00 && u <= 0xDFFF then fail "lone low surrogate"
+          else if u >= 0xD800 && u <= 0xDBFF then begin
+            if
+              c.i + 2 <= String.length c.s
+              && c.s.[c.i] = '\\'
+              && c.s.[c.i + 1] = 'u'
+            then c.i <- c.i + 2
+            else fail "high surrogate without a low surrogate";
             let lo = hex4 c in
+            if lo < 0xDC00 || lo > 0xDFFF then
+              fail "high surrogate without a low surrogate";
             0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
           end
           else u

@@ -341,6 +341,7 @@ let stats_json (s : Pinpoint.Engine.stats) =
   Json.Obj
     [
       ("sources", Json.Int s.Pinpoint.Engine.n_sources);
+      ("reused_sources", Json.Int s.Pinpoint.Engine.n_reused_sources);
       ("candidates", Json.Int s.Pinpoint.Engine.n_candidates);
       ("solver_calls", Json.Int s.Pinpoint.Engine.n_solver_calls);
       ("rung_full", Json.Int s.Pinpoint.Engine.n_rung_full);

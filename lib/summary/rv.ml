@@ -188,7 +188,7 @@ let generate ?resilience ?pool ?backend (prog : Prog.t)
 
 (* Incremental regeneration (DESIGN.md §4.13): drop the dirty entries,
    then redo the dirty SCCs bottom-up against the retained clean entries.
-   [dirty] is caller-closed (see {!Pinpoint_transform.Transform.update}),
+   The dirty set is caller-closed (see {!Pinpoint_transform.Transform.update}),
    so a clean function's summary — which depends only on its own SEG and
    its callees' summaries — is exactly what a full regenerate would
    produce, by induction over the bottom-up order. *)
@@ -196,15 +196,9 @@ let remove (t : t) name =
   Hashtbl.remove t.tbl name;
   match t.backend with Some b -> b.forget name | None -> ()
 
-let update ?resilience (t : t) (prog : Prog.t) ~(dirty : string -> bool) =
-  List.iter
-    (fun (f : Func.t) -> if dirty f.Func.fname then remove t f.Func.fname)
-    (Prog.functions prog);
-  List.iter
-    (fun scc ->
-      if List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc then
-        process_scc ?resilience t ~lookup:(find t) ~put:(put_entry t) scc)
-    (Prog.bottom_up_sccs prog)
+let update ?resilience (t : t) (sccs : Func.t list list) =
+  List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
+  List.iter (process_scc ?resilience t ~lookup:(find t) ~put:(put_entry t)) sccs
 
 let pp ppf t =
   Hashtbl.iter

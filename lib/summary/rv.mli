@@ -59,19 +59,16 @@ val generate :
 val update :
   ?resilience:Pinpoint_util.Resilience.log ->
   t ->
-  Pinpoint_ir.Prog.t ->
-  dirty:(string -> bool) ->
+  Pinpoint_ir.Func.t list list ->
   unit
 (** Incremental regeneration for the analysis server (DESIGN.md §4.13):
-    drop the [dirty] functions' entries and redo the dirty SCCs bottom-up
-    against the retained clean entries.  [dirty] must be closed under "is
-    a transitive caller of a dirty function"; the summaries then equal a
-    from-scratch {!generate} over the same program.  The [seg_of] closure
-    given at {!generate} time is consulted again, so it must reflect the
+    [update t sccs] drops the entries of the dirty SCCs' members and
+    redoes those SCCs, in the given bottom-up order, against the retained
+    clean entries.  The dirty set must be closed under "is a transitive
+    caller of a dirty function"; the summaries then equal a from-scratch
+    {!generate} over the same program.  The [seg_of] closure given at
+    {!generate} time is consulted again, so it must reflect the
     {e updated} SEG table (the server's table is mutated in place). *)
-
-val remove : t -> string -> unit
-(** Forget one function's summary (deleted functions). *)
 
 val find : t -> string -> entry option array option
 (** Per return position; [None] entries are non-variable returns. *)

@@ -173,27 +173,20 @@ let generate (prog : Prog.t) (seg_of : string -> Seg.t option) (spec : spec) : t
   t
 
 (* Incremental regeneration (DESIGN.md §4.13): same contract as
-   {!Rv.update} — [dirty] is caller-closed, so every SCC is wholly dirty
-   or wholly clean, and clean summaries (a function of the function's own
-   SEG and its callees' summaries) are already what a full generate would
-   compute. *)
-let update (t : t) (prog : Prog.t) (seg_of : string -> Seg.t option)
-    (spec : spec) ~(dirty : string -> bool) =
+   {!Rv.update} — the dirty set is caller-closed, so every SCC is wholly
+   dirty or wholly clean, and clean summaries (a function of the
+   function's own SEG and its callees' summaries) are already what a full
+   generate would compute. *)
+let update (t : t) (seg_of : string -> Seg.t option) (spec : spec)
+    (sccs : Func.t list list) =
+  List.iter (List.iter (fun (f : Func.t) -> Hashtbl.remove t f.Func.fname)) sccs;
   List.iter
-    (fun (f : Func.t) -> if dirty f.Func.fname then Hashtbl.remove t f.Func.fname)
-    (Prog.functions prog);
-  List.iter
-    (fun scc ->
-      List.iter
-        (fun (f : Func.t) ->
-          if dirty f.Func.fname then
-            match seg_of f.Func.fname with
-            | None -> ()
-            | Some seg -> Hashtbl.replace t f.Func.fname (summarize seg t spec))
-        scc)
-    (Prog.bottom_up_sccs prog)
+    (List.iter (fun (f : Func.t) ->
+         match seg_of f.Func.fname with
+         | None -> ()
+         | Some seg -> Hashtbl.replace t f.Func.fname (summarize seg t spec)))
+    sccs
 
-let remove (t : t) name = Hashtbl.remove t name
 let fold (t : t) ~init ~f = Hashtbl.fold (fun name s acc -> f acc name s) t init
 let add (t : t) name s = Hashtbl.replace t name s
 

@@ -48,18 +48,16 @@ val empty : unit -> t
 
 val update :
   t ->
-  Pinpoint_ir.Prog.t ->
   (string -> Pinpoint_seg.Seg.t option) ->
   spec ->
-  dirty:(string -> bool) ->
+  Pinpoint_ir.Func.t list list ->
   unit
 (** Incremental regeneration for the analysis server (DESIGN.md §4.13):
-    drop the [dirty] functions' summaries and recompute them bottom-up
-    against the retained clean entries.  [dirty] must be closed under "is
-    a transitive caller of a dirty function"; the table then equals a
+    [update t seg_of spec sccs] drops the summaries of the dirty SCCs'
+    members and recomputes them, in the given bottom-up order, against
+    the retained clean entries.  The dirty set must be closed under "is a
+    transitive caller of a dirty function"; the table then equals a
     from-scratch {!generate} over the same program. *)
-
-val remove : t -> string -> unit
 
 val find : t -> string -> fsum option
 

@@ -1,5 +1,6 @@
 open Pinpoint_ir
 module Pta = Pinpoint_pta.Pta
+module Digraph = Pinpoint_util.Digraph
 
 type iface = {
   ref_paths : (int * int * Var.t) list;
@@ -277,50 +278,45 @@ let callee_names (fs : Func.t list) =
    cache; the batch can't depend on a sibling batch member because
    simultaneously-ready components form an antichain), or unknown — the
    locked fallback lookup is only a safety net and never hits. *)
-let run_batched ?resilience pool (prog : Prog.t)
+let run_batched ?resilience pool ((g, units) : Digraph.t * Func.t list array)
     ~(ifaces : (string, iface) Hashtbl.t)
-    ~(put_ptas : (string * Pta.t) list -> unit) ~(skip : Func.t list -> bool) =
-  let g, funcs = Prog.call_graph prog in
-  let weights = Array.map fn_weight funcs in
+    ~(put_ptas : (string * Pta.t) list -> unit) =
+  let weights =
+    Array.map (List.fold_left (fun acc f -> acc + fn_weight f) 0) units
+  in
   let lock = Mutex.create () in
   Pinpoint_par.Sched.run_bottom_up_batched ~weights pool g (fun batch ->
       let sccs =
-        List.filter_map
-          (fun members ->
-            let scc = List.map (fun i -> funcs.(i)) members in
-            if skip scc then None else Some scc)
-          batch
+        List.map (List.concat_map (fun i -> units.(i))) batch
       in
-      if sccs <> [] then begin
-        let overlay : (string, iface) Hashtbl.t = Hashtbl.create 16 in
-        let cache : (string, iface) Hashtbl.t = Hashtbl.create 64 in
-        let names = callee_names (List.concat sccs) in
-        Mutex.protect lock (fun () ->
-            List.iter
-              (fun name ->
-                match Hashtbl.find_opt ifaces name with
-                | Some i -> Hashtbl.replace cache name i
-                | None -> ())
-              names);
-        let batch_ptas = ref [] in
-        List.iter
-          (process_scc ?resilience
-             ~iface_of:(fun name ->
-               match Hashtbl.find_opt overlay name with
+      let overlay : (string, iface) Hashtbl.t = Hashtbl.create 16 in
+      let cache : (string, iface) Hashtbl.t = Hashtbl.create 64 in
+      let names = callee_names (List.concat sccs) in
+      Mutex.protect lock (fun () ->
+          List.iter
+            (fun name ->
+              match Hashtbl.find_opt ifaces name with
+              | Some i -> Hashtbl.replace cache name i
+              | None -> ())
+            names);
+      let batch_ptas = ref [] in
+      List.iter
+        (process_scc ?resilience
+           ~iface_of:(fun name ->
+             match Hashtbl.find_opt overlay name with
+             | Some _ as r -> r
+             | None -> (
+               match Hashtbl.find_opt cache name with
                | Some _ as r -> r
-               | None -> (
-                 match Hashtbl.find_opt cache name with
-                 | Some _ as r -> r
-                 | None ->
-                   Mutex.protect lock (fun () -> Hashtbl.find_opt ifaces name)))
-             ~put_iface:(Hashtbl.replace overlay)
-             ~flush_ifaces:(fun () -> ())
-             ~put_pta:(fun name pta -> batch_ptas := (name, pta) :: !batch_ptas))
-          sccs;
-        Mutex.protect lock (fun () ->
-            Hashtbl.iter (Hashtbl.replace ifaces) overlay;
-            put_ptas !batch_ptas)
-      end)
+               | None ->
+                 Mutex.protect lock (fun () -> Hashtbl.find_opt ifaces name)))
+           ~put_iface:(Hashtbl.replace overlay)
+           ~flush_ifaces:(fun () -> ())
+           ~put_pta:(fun name pta -> batch_ptas := (name, pta) :: !batch_ptas))
+        sccs;
+      Mutex.protect lock (fun () ->
+          Hashtbl.iter (Hashtbl.replace ifaces) overlay;
+          put_ptas !batch_ptas))
 
 let run ?resilience ?pool ?pta_sink (prog : Prog.t) : result =
   let ifaces : (string, iface) Hashtbl.t = Hashtbl.create 64 in
@@ -342,9 +338,11 @@ let run ?resilience ?pool ?pta_sink (prog : Prog.t) : result =
     (* SCC-wave parallel path: a component starts once all its callee
        components are done, so every cross-SCC [iface_of] lookup finds
        exactly what the sequential order would have found. *)
-    run_batched ?resilience pool prog ~ifaces
+    let g, funcs = Prog.call_graph prog in
+    run_batched ?resilience pool
+      (g, Array.map (fun f -> [ f ]) funcs)
+      ~ifaces
       ~put_ptas:(List.iter (fun (name, pta) -> Hashtbl.replace ptas name pta))
-      ~skip:(fun _ -> false)
   | _ ->
     List.iter
       (process_scc ?resilience
@@ -355,34 +353,48 @@ let run ?resilience ?pool ?pta_sink (prog : Prog.t) : result =
       (Prog.bottom_up_sccs prog));
   { ifaces; ptas }
 
-(* Incremental re-transformation (DESIGN.md §4.13).  [dirty] names the
-   functions whose bodies were re-lowered (fresh, untransformed IR) — by
-   construction of the invalidation cone this set is closed under "is a
-   transitive caller of", so every SCC is either entirely dirty or entirely
-   clean.  Dirty entries are dropped first: during reprocessing a
-   same-SCC member not yet reprocessed must look unknown, exactly as it
-   does in a from-scratch bottom-up run — with that, induction over the
-   bottom-up SCC order gives interfaces and points-to results identical to
-   a full [run] on the same program. *)
-let update ?resilience ?pool ?pta_sink (t : result) (prog : Prog.t)
-    ~(dirty : string -> bool) =
-  let stale name =
-    if dirty name then begin
-      Hashtbl.remove t.ifaces name;
-      Hashtbl.remove t.ptas name
-    end
-  in
-  List.iter (fun (f : Func.t) -> stale f.Func.fname) (Prog.functions prog);
+let remove (t : result) name =
+  Hashtbl.remove t.ifaces name;
+  Hashtbl.remove t.ptas name
+
+(* Incremental re-transformation (DESIGN.md §4.13).  [sccs] are the
+   components holding the functions whose bodies were re-lowered (fresh,
+   untransformed IR), callees first — by construction of the invalidation
+   cone the set is closed under "is a transitive caller of", so every SCC
+   is either entirely dirty or entirely clean.  Dirty entries are dropped
+   first: during reprocessing a same-SCC member not yet reprocessed must
+   look unknown, exactly as it does in a from-scratch bottom-up run — with
+   that, induction over the bottom-up SCC order gives interfaces and
+   points-to results identical to a full [run] on the same program. *)
+let update ?resilience ?pool ?pta_sink (t : result) (sccs : Func.t list list)
+    =
+  List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
   match pool with
   | Some pool when pta_sink = None && Pinpoint_par.Pool.jobs pool > 1 ->
-    (* Same batched wave as [run], skipping clean components (their
-       interfaces are retained in [t.ifaces] and visible to the prefetch).
-       Store mode keeps the sequential spill path below. *)
-    run_batched ?resilience pool prog ~ifaces:t.ifaces
+    (* Same batched wave as [run], over the condensation of the dirty
+       components (one node per component, members in their bottom-up
+       order; clean callees are retained in [t.ifaces] and visible to the
+       prefetch).  Store mode keeps the sequential spill path below. *)
+    let units = Array.of_list sccs in
+    let unit_of = Hashtbl.create 64 in
+    Array.iteri
+      (fun k scc ->
+        List.iter (fun (f : Func.t) -> Hashtbl.replace unit_of f.Func.fname k) scc)
+      units;
+    let g = Digraph.create ~initial_capacity:(Array.length units) () in
+    if Array.length units > 0 then Digraph.ensure_node g (Array.length units - 1);
+    Array.iteri
+      (fun k scc ->
+        List.iter
+          (fun name ->
+            match Hashtbl.find_opt unit_of name with
+            | Some j when j <> k -> Digraph.add_edge g k j
+            | _ -> ())
+          (callee_names scc))
+      units;
+    run_batched ?resilience pool (g, units) ~ifaces:t.ifaces
       ~put_ptas:
         (List.iter (fun (name, pta) -> Hashtbl.replace t.ptas name pta))
-      ~skip:(fun scc ->
-        not (List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc))
   | _ ->
     let put_pta =
       match pta_sink with
@@ -390,19 +402,12 @@ let update ?resilience ?pool ?pta_sink (t : result) (prog : Prog.t)
       | None -> Hashtbl.replace t.ptas
     in
     List.iter
-      (fun scc ->
-        if List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc then
-          process_scc ?resilience
-            ~iface_of:(Hashtbl.find_opt t.ifaces)
-            ~put_iface:(Hashtbl.replace t.ifaces)
-            ~flush_ifaces:(fun () -> ())
-            ~put_pta
-            scc)
-      (Prog.bottom_up_sccs prog)
-
-let remove (t : result) name =
-  Hashtbl.remove t.ifaces name;
-  Hashtbl.remove t.ptas name
+      (process_scc ?resilience
+         ~iface_of:(Hashtbl.find_opt t.ifaces)
+         ~put_iface:(Hashtbl.replace t.ifaces)
+         ~flush_ifaces:(fun () -> ())
+         ~put_pta)
+      sccs
 
 let pp_iface ppf i =
   Format.fprintf ppf "refs: %a; mods: %a%s"

@@ -70,25 +70,21 @@ val update :
   ?pool:Pinpoint_par.Pool.t ->
   ?pta_sink:(string -> Pinpoint_pta.Pta.t -> unit) ->
   result ->
-  Pinpoint_ir.Prog.t ->
-  dirty:(string -> bool) ->
+  Pinpoint_ir.Func.t list list ->
   unit
 (** Incremental re-transformation for the analysis server (DESIGN.md
-    §4.13).  [dirty] marks the functions of [prog] whose bodies are fresh
-    (re-lowered, untransformed); the set {b must} be closed under "is a
-    transitive caller of a dirty function" — then every call-graph SCC is
-    entirely dirty or entirely clean.  Dirty table entries are dropped and
-    the dirty SCCs reprocessed bottom-up against the retained clean
-    interfaces, producing interfaces and points-to results identical to a
-    from-scratch {!run} on the same program.  Sequential by default (cones
-    are small); with [pool] (and more than one job) the dirty components
-    run as the same batched bottom-up wave as {!run}, clean components
-    untouched.  With [pta_sink] fresh points-to results go to the sink
-    instead of [result.ptas] (store mode, as in {!run}; the run is then
-    sequential and [pool] is ignored). *)
-
-val remove : result -> string -> unit
-(** Forget one function's interface and points-to entries (deleted
-    functions). *)
+    §4.13).  [update t sccs] takes the call-graph SCCs holding the
+    functions whose bodies are fresh (re-lowered, untransformed), in
+    bottom-up order with members in {!Pinpoint_ir.Prog.bottom_up_sccs}
+    order; the set {b must} be closed under "is a transitive caller of a
+    dirty function" — then every SCC is entirely dirty or entirely clean.
+    Their table entries are dropped and the components reprocessed
+    bottom-up against the retained clean interfaces, producing interfaces
+    and points-to results identical to a from-scratch {!run} on the same
+    program.  Sequential by default (cones are small); with [pool] (and
+    more than one job) the components run as the same batched bottom-up
+    wave as {!run}.  With [pta_sink] fresh points-to results go to the
+    sink instead of [result.ptas] (store mode, as in {!run}; the run is
+    then sequential and [pool] is ignored). *)
 
 val pp_iface : Format.formatter -> iface -> unit

@@ -12,6 +12,7 @@ module Qcache = Pinpoint_smt.Qcache
 module Json = Pinpoint_server.Json
 module Incr = Pinpoint_server.Incr
 module Server = Pinpoint_server.Server
+module Store = Pinpoint_store.Store
 
 (* ---------- subject plumbing ---------- *)
 
@@ -211,6 +212,100 @@ let test_cone_is_partial () =
     true
     (stats.Incr.dirty_cone < total)
 
+(* ---------- resident per-source results ---------- *)
+
+(* A hand-written subject for the memo's footprint rules.  [bound] is the
+   constant edit (a) flips; [h_body] is the body edit (b) replaces. *)
+let memo_subject ~bound ~h_body =
+  Printf.sprintf
+    {|void rel(int *p) { free(p); }
+
+void g(int s) {
+  int *p = malloc();
+  *p = s;
+  rel(p);
+  int *q = malloc();
+  free(q);
+  if (s > 5) {
+    if (s < %d) { print(*p); print(*q); }
+  }
+}
+
+int *mk(int s) {
+  int *p = malloc();
+  *p = s;
+  free(p);
+  return p;
+}
+
+void h(int s) { %s }
+|}
+    bound h_body
+
+(* Two edits no stored search may survive:
+   (a) the caller [g] is edited (a constant flip makes its guarded uses
+       feasible).  [rel]'s freed value flows up into [g]; [g]'s own source
+       keeps its statement and variable ids (the flip adds none), and its
+       search read only [g]'s SEG, so only the SEG footprint drops it;
+   (b) [h] newly calls [mk], so the empty-stack return expansion from
+       [mk]'s source reaches a new caller.  [mk] is untouched and its
+       search never read [h]'s SEG: only the caller-list footprint drops
+       it.
+   After each edit the server must report what batch reports; a plain
+   re-check replays every source. *)
+let run_memo_footprint ?pool ?store () =
+  let v0 = memo_subject ~bound:3 ~h_body:"print(s);" in
+  let v1 = memo_subject ~bound:30 ~h_body:"print(s);" in
+  let v2 = memo_subject ~bound:30 ~h_body:"int *r = mk(s); print(*r);" in
+  let st = Incr.load ?pool ?store [ ("memo.mc", v0) ] in
+  let same step src n_uaf =
+    List.iter
+      (fun (spec : Pinpoint.Checker_spec.t) ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: %s server = batch" step
+             spec.Pinpoint.Checker_spec.name)
+          (batch_renders ?pool [ ("memo.mc", src) ] spec)
+          (server_renders st spec))
+      checkers_under_test;
+    Alcotest.(check int)
+      (step ^ ": use-after-free reports")
+      n_uaf
+      (List.length (server_renders st Pinpoint.Checkers.use_after_free))
+  in
+  same "load" v0 0;
+  List.iter
+    (fun (spec : Pinpoint.Checker_spec.t) ->
+      let _, stats = Incr.check st spec in
+      Alcotest.(check int)
+        (spec.Pinpoint.Checker_spec.name ^ ": re-check reuses every source")
+        stats.Pinpoint.Engine.n_sources stats.Pinpoint.Engine.n_reused_sources)
+    checkers_under_test;
+  let edit step src =
+    let stats = Incr.update st [ ("memo.mc", src) ] in
+    Alcotest.(check bool) (step ^ " is incremental") false stats.Incr.full_rebuild
+  in
+  edit "edit (a)" v1;
+  same "edit (a)" v1 2;
+  edit "edit (b)" v2;
+  same "edit (b)" v2 3
+
+let test_memo_footprint_seq () = run_memo_footprint ()
+
+let test_memo_footprint_jobs4 () =
+  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_memo_footprint ~pool ())
+
+let test_memo_footprint_store () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pinpoint_memo_%d_%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  Unix.mkdir dir 0o755;
+  let store = Store.create ~dir ~max_resident:2 () in
+  Fun.protect
+    ~finally:(fun () -> Store.close store)
+    (fun () -> run_memo_footprint ~store ())
+
 (* ---------- server protocol ---------- *)
 
 let req_of_files ?id ?(checkers = []) ?deadline_s files =
@@ -393,6 +488,7 @@ let test_request_isolation () =
       "not json at all";
       {|{"op":"frobnicate"}|};
       {|{"op":"check","files":[{"name":"srv_0.mc","contents":"void broken( {"}]}|};
+      {|{"op":"check","x":"\uzzzz"}|};
     ];
   let resp, _ =
     Server.handle_line t (req_of_files ~checkers:[ "use-after-free" ] [])
@@ -531,7 +627,24 @@ let test_json_roundtrip () =
       match Json.parse bad with
       | Ok _ -> Alcotest.failf "accepted %S" bad
       | Error _ -> ())
-    [ "{"; "[1,]"; "{\"a\":1} trailing"; "nul"; "\"unterminated" ]
+    [
+      "{";
+      "[1,]";
+      "{\"a\":1} trailing";
+      "nul";
+      "\"unterminated";
+      {|"\uzzzz"|};
+      {|"\u1_23"|};
+      {|"\u12"|};
+      {|"\ud800"|};
+      {|"\ud800x"|};
+      {|"\ud800\u0041"|};
+      {|"\udc00"|};
+    ];
+  match Json.parse {|"\u00fc\ud83d\ude00\u0041"|} with
+  | Ok (Json.String s) ->
+    Alcotest.(check string) "escaped pair" "\xc3\xbc\xf0\x9f\x98\x80A" s
+  | _ -> Alcotest.fail "escaped pair rejected"
 
 (* ---------- live telemetry (DESIGN.md §4.16) ---------- *)
 
@@ -958,6 +1071,12 @@ let suite =
     Alcotest.test_case "incremental identity (seq)" `Quick test_identity_seq;
     Alcotest.test_case "incremental identity (jobs 4)" `Quick test_identity_jobs4;
     Alcotest.test_case "dirty cone is partial" `Quick test_cone_is_partial;
+    Alcotest.test_case "memo follows the footprint (seq)" `Quick
+      test_memo_footprint_seq;
+    Alcotest.test_case "memo follows the footprint (jobs 4)" `Quick
+      test_memo_footprint_jobs4;
+    Alcotest.test_case "memo follows the footprint (store)" `Quick
+      test_memo_footprint_store;
     Alcotest.test_case "request isolation" `Quick test_request_isolation;
     Alcotest.test_case "deadline isolation" `Quick test_deadline_isolation;
     Alcotest.test_case "rss shedding" `Quick test_rss_shedding;
