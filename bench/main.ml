@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
 
    Experiments: fig7 fig8 fig9 fig10 table1 table2 table3 juliet
-   solverstats ablation leaks resilience par prune smt obs serve micro. *)
+   solverstats ablation leaks resilience par smt obs serve micro. *)
 
 module Metrics = Pinpoint_util.Metrics
 module Subjects = Pinpoint_workload.Subjects
@@ -907,555 +907,10 @@ let par () =
   Format.printf "(wrote BENCH_par.json)@."
 
 (* ------------------------------------------------------------------ *)
-(* Solver-work reuse: prefix pruning, whole-formula verdict cache and
-   unsat-core subsumption as a 2x2x2 ablation (DESIGN.md §4.10, §4.17),
-   plus focused legs for the other two §4.17 reuse channels:
-
-   - a *refinement* leg: demand-driven re-checks with derived
-     nonnegativity facts remove exactly the planted nonlinear-trap false
-     positives, recall unchanged;
-   - a *carryover* leg: per-source theory-lemma re-seeding decides the
-     same verdicts with less CDCL work (all caches off, so every query
-     actually runs the solver).
-
-   A grid cell runs a *workload* — a sequence of checks sharing the
-   process-wide caches — with prune, qcache and corecache toggled
-   independently (refinement and carryover off), clearing both caches
-   between cells so configurations cannot contaminate each other:
-
-   - the two fig7 subjects get two consecutive UAF passes (the repeated
-     analysis the verdict cache is designed for; mysql additionally
-     carries disjoint-interval guard families whose candidates are
-     distinct formulas sharing one unsat core — the subsumption cache's
-     target);
-   - the corpus gets one UAF + double-free pass per file
-     (complement_guards.mc feeds the linear prefix prune,
-     shared_core.mc the subsumption cache).
-
-   Verifies the reports are identical in all eight cells, that the
-   default config issues strictly fewer full-solver queries than the
-   fully-ablated baseline with the gap fully accounted for, and that
-   adding corecache on top of qcache strictly lowers full-rung queries
-   on the workloads that share cores.  Dumps BENCH_prune.json, keeping
-   the prior file's numbers under "previous". *)
-
-type prune_cell = {
-  pc_label : string;
-  pc_prune : bool;
-  pc_cache : bool;
-  pc_corecache : bool;
-  pc_wall : float;
-  pc_calls : int;
-  pc_full : int;
-  pc_cached : int;
-  pc_subsume : int;
-  pc_cores : int;  (* cores resident when the cell finished *)
-  pc_pruned_cands : int;
-  pc_checks : int;
-  pc_pruned_prefixes : int;
-  pc_hits : int;
-  pc_misses : int;
-  pc_keys : (string * (string * int * string * int) * Pinpoint.Report.verdict) list;
-}
-
-type refine_leg = {
-  rl_name : string;
-  rl_wall_off : float;
-  rl_wall_on : float;
-  rl_reports_off : int;
-  rl_reports_on : int;
-  rl_checks : int;
-  rl_removed : int;
-  rl_subset : bool;  (* refined report set ⊆ unrefined report set *)
-  rl_truth : (int * int * int * int) option;
-      (* (found_off, fp_off, found_on, fp_on) when ground truth exists *)
-}
-
-type carry_leg = {
-  cl_name : string;
-  cl_identical : bool;
-  cl_props_off : int;
-  cl_props_on : int;
-  cl_conflicts_off : int;
-  cl_conflicts_on : int;
-  cl_stored : int;
-  cl_seeded : int;
-}
-
-let prune () =
-  Format.printf
-    "@.== Solver-work reuse: prune x qcache x corecache (2x2x2 ablation) \
-     ==@.@.";
-  let cells =
-    List.concat_map
-      (fun prune_on ->
-        List.concat_map
-          (fun cache_on ->
-            List.map
-              (fun core_on ->
-                let parts =
-                  List.filter_map Fun.id
-                    [
-                      (if prune_on then Some "prune" else None);
-                      (if cache_on then Some "qcache" else None);
-                      (if core_on then Some "corecache" else None);
-                    ]
-                in
-                let label =
-                  match parts with
-                  | [] -> "baseline (all off)"
-                  | [ _; _; _ ] -> "default (prune+qcache+corecache)"
-                  | l -> String.concat "+" l
-                in
-                (label, prune_on, cache_on, core_on))
-              [ false; true ])
-          [ false; true ])
-      [ false; true ]
-  in
-  (* tasks: (tag, analysis, checker); analyses are prepared once and
-     shared by all four cells, so every cell conditions identical paths *)
-  let subject_tasks name =
-    let info =
-      match Subjects.find name with Some i -> i | None -> assert false
-    in
-    let subject = Subjects.generate info in
-    let analysis = Pinpoint.Analysis.prepare (Gen.compile subject) in
-    ( str "%s (%d LoC, 2 UAF passes)" name subject.Gen.loc,
-      [
-        ("pass1", analysis, Pinpoint.Checkers.use_after_free);
-        ("pass2", analysis, Pinpoint.Checkers.use_after_free);
-      ] )
-  in
-  let corpus_tasks () =
-    let files =
-      Sys.readdir "corpus" |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".mc")
-      |> List.sort compare
-    in
-    let tasks =
-      List.concat_map
-        (fun f ->
-          let a = Pinpoint.Analysis.prepare_file (Filename.concat "corpus" f) in
-          [
-            (f ^ "/uaf", a, Pinpoint.Checkers.use_after_free);
-            (f ^ "/df", a, Pinpoint.Checkers.double_free);
-          ])
-        files
-    in
-    (str "corpus (%d files, UAF + double-free)" (List.length files), tasks)
-  in
-  let run_cell tasks (label, prune_on, cache_on, core_on) =
-    Pinpoint_smt.Qcache.clear ();
-    Pinpoint_smt.Corecache.clear ();
-    let cfg =
-      {
-        Pinpoint.Engine.default_config with
-        prune_prefixes = prune_on;
-        use_qcache = cache_on;
-        use_corecache = core_on;
-        use_refine = false;
-        use_carry = false;
-      }
-    in
-    let acc =
-      ref
-        {
-          pc_label = label;
-          pc_prune = prune_on;
-          pc_cache = cache_on;
-          pc_corecache = core_on;
-          pc_wall = 0.0;
-          pc_calls = 0;
-          pc_full = 0;
-          pc_cached = 0;
-          pc_subsume = 0;
-          pc_cores = 0;
-          pc_pruned_cands = 0;
-          pc_checks = 0;
-          pc_pruned_prefixes = 0;
-          pc_hits = 0;
-          pc_misses = 0;
-          pc_keys = [];
-        }
-    in
-    List.iter
-      (fun (tag, analysis, checker) ->
-        let (reports, st), m =
-          Metrics.measure (fun () ->
-              Pinpoint.Analysis.check ~config:cfg analysis checker)
-        in
-        let sv = st.Pinpoint.Engine.solver in
-        let keys =
-          List.map
-            (fun (r : Pinpoint.Report.t) ->
-              (tag, Pinpoint.Report.key r, r.Pinpoint.Report.verdict))
-            reports
-          |> List.sort compare
-        in
-        acc :=
-          {
-            !acc with
-            pc_wall = !acc.pc_wall +. m.Metrics.wall_s;
-            pc_calls = !acc.pc_calls + st.Pinpoint.Engine.n_solver_calls;
-            pc_full = !acc.pc_full + st.Pinpoint.Engine.n_rung_full;
-            pc_cached = !acc.pc_cached + st.Pinpoint.Engine.n_rung_cached;
-            pc_subsume = !acc.pc_subsume + sv.Pinpoint_smt.Solver.n_subsume_hits;
-            pc_pruned_cands =
-              !acc.pc_pruned_cands + st.Pinpoint.Engine.n_pruned_candidates;
-            pc_checks = !acc.pc_checks + st.Pinpoint.Engine.n_prefix_checks;
-            pc_pruned_prefixes =
-              !acc.pc_pruned_prefixes + st.Pinpoint.Engine.n_pruned_prefixes;
-            pc_hits = !acc.pc_hits + sv.Pinpoint_smt.Solver.n_cache_hits;
-            pc_misses = !acc.pc_misses + sv.Pinpoint_smt.Solver.n_cache_misses;
-            pc_keys = !acc.pc_keys @ keys;
-          })
-      tasks;
-    let cell = { !acc with pc_cores = Pinpoint_smt.Corecache.length () } in
-    Pinpoint_smt.Qcache.clear ();
-    Pinpoint_smt.Corecache.clear ();
-    cell
-  in
-  let measure (wname, tasks) =
-    let runs = List.map (run_cell tasks) cells in
-    let identical =
-      match runs with
-      | base :: rest ->
-        List.for_all
-          (fun c ->
-            if c.pc_keys <> base.pc_keys then
-              Format.printf "  !! %s: reports under %S differ from baseline@."
-                wname c.pc_label;
-            c.pc_keys = base.pc_keys)
-          rest
-      | [] -> true
-    in
-    (wname, tasks, runs, identical)
-  in
-  let results =
-    List.map measure
-      [ subject_tasks "vortex"; subject_tasks "mysql"; corpus_tasks () ]
-  in
-  let find_cell runs ~prune ~cache ~core =
-    List.find
-      (fun c ->
-        c.pc_prune = prune && c.pc_cache = cache && c.pc_corecache = core)
-      runs
-  in
-  let n_core_wins = ref 0 in
-  List.iter
-    (fun (wname, _, runs, identical) ->
-      Format.printf "%s: reports %s across all eight cells@." wname
-        (if identical then "identical" else "DIFFER");
-      let rows =
-        List.map
-          (fun c ->
-            [
-              c.pc_label;
-              str "%a" pp_dur c.pc_wall;
-              string_of_int c.pc_calls;
-              string_of_int c.pc_full;
-              string_of_int c.pc_cached;
-              string_of_int c.pc_subsume;
-              string_of_int c.pc_pruned_cands;
-              str "%d/%d" c.pc_pruned_prefixes c.pc_checks;
-              str "%d/%d" c.pc_hits (c.pc_hits + c.pc_misses);
-            ])
-          runs
-      in
-      Pp.table
-        ~header:
-          [
-            "configuration"; "check time"; "queries"; "full"; "cached";
-            "subsume"; "pruned cands"; "pruned/checks"; "hits/lookups";
-          ]
-        ~rows Format.std_formatter ();
-      (* acceptance 1: the default cell must issue strictly fewer
-         full-solver queries than the fully-ablated baseline, and the gap
-         must be exactly the pruned candidates plus the cache replays
-         (rung "cached" covers both qcache hits and subsumption hits) *)
-      (match (runs, List.rev runs) with
-      | base :: _, dflt :: _ ->
-        let gap = base.pc_full - dflt.pc_full in
-        let explained = dflt.pc_pruned_cands + dflt.pc_cached in
-        Format.printf
-          "full-solver queries: baseline %d vs default %d (%s); gap %d = %d pruned + %d cached%s@."
-          base.pc_full dflt.pc_full
-          (if dflt.pc_full < base.pc_full then "strictly fewer, as required"
-           else "NOT strictly fewer")
-          gap dflt.pc_pruned_cands dflt.pc_cached
-          (if gap = explained then "" else " (MISMATCH)")
-      | _ -> ());
-      (* acceptance 2: adding corecache on top of qcache alone must lower
-         full-rung queries wherever the workload shares cores *)
-      let qc = find_cell runs ~prune:false ~cache:true ~core:false in
-      let qcc = find_cell runs ~prune:false ~cache:true ~core:true in
-      if qcc.pc_full < qc.pc_full then incr n_core_wins;
-      Format.printf
-        "qcache-only %d full vs qcache+corecache %d full (%d subsumption \
-         hits, %d cores filed)@.@."
-        qc.pc_full qcc.pc_full qcc.pc_subsume qcc.pc_cores)
-    results;
-  Format.printf
-    "corecache strictly lowers full-rung queries on %d/%d workloads \
-     (acceptance: >= 2)@.@."
-    !n_core_wins (List.length results);
-  (* ---- refinement leg: seeded FPs removed, recall unchanged ---- *)
-  Format.printf "== Demand-driven refinement (seeded-FP removal) ==@.@.";
-  let refine_leg_of (wname, tasks, truth) =
-    let run use_refine =
-      Pinpoint_smt.Qcache.clear ();
-      Pinpoint_smt.Corecache.clear ();
-      let cfg = { Pinpoint.Engine.default_config with use_refine } in
-      let wall = ref 0.0
-      and checks = ref 0
-      and removed = ref 0
-      and keys = ref []
-      and lines = ref [] in
-      List.iter
-        (fun (tag, analysis, checker) ->
-          let (reports, st), m =
-            Metrics.measure (fun () ->
-                Pinpoint.Analysis.check ~config:cfg analysis checker)
-          in
-          wall := !wall +. m.Metrics.wall_s;
-          checks := !checks + st.Pinpoint.Engine.n_refine_checks;
-          removed := !removed + st.Pinpoint.Engine.n_refine_removed;
-          List.iter
-            (fun (r : Pinpoint.Report.t) ->
-              if Pinpoint.Report.is_reported r then begin
-                keys := (tag, Pinpoint.Report.key r) :: !keys;
-                lines := (r.source_loc.Pinpoint_ir.Stmt.line, 0) :: !lines
-              end)
-            reports)
-        tasks;
-      Pinpoint_smt.Qcache.clear ();
-      Pinpoint_smt.Corecache.clear ();
-      ( !wall,
-        List.sort_uniq compare !keys,
-        List.sort_uniq compare !lines,
-        !checks,
-        !removed )
-    in
-    let w_off, k_off, l_off, _, _ = run false in
-    let w_on, k_on, l_on, checks, removed = run true in
-    let subset = List.for_all (fun k -> List.mem k k_off) k_on in
-    let rl_truth =
-      Option.map
-        (fun planted ->
-          let s_off = Truth.classify ~kind:"use-after-free" planted l_off in
-          let s_on = Truth.classify ~kind:"use-after-free" planted l_on in
-          ( s_off.Truth.n_found,
-            s_off.Truth.n_fp,
-            s_on.Truth.n_found,
-            s_on.Truth.n_fp ))
-        truth
-    in
-    {
-      rl_name = wname;
-      rl_wall_off = w_off;
-      rl_wall_on = w_on;
-      rl_reports_off = List.length k_off;
-      rl_reports_on = List.length k_on;
-      rl_checks = checks;
-      rl_removed = removed;
-      rl_subset = subset;
-      rl_truth;
-    }
-  in
-  let refine_results =
-    let mysql_info =
-      match Subjects.find "mysql" with Some i -> i | None -> assert false
-    in
-    let mysql_subject = Subjects.generate mysql_info in
-    let mysql_analysis =
-      Pinpoint.Analysis.prepare (Gen.compile mysql_subject)
-    in
-    let _, corpus = corpus_tasks () in
-    List.map refine_leg_of
-      [
-        ( "mysql (1 UAF pass)",
-          [ ("uaf", mysql_analysis, Pinpoint.Checkers.use_after_free) ],
-          Some mysql_subject.Gen.truth );
-        ("corpus (UAF + double-free)", corpus, None);
-      ]
-  in
-  List.iter
-    (fun rl ->
-      Format.printf
-        "%s: %d reports refined vs %d unrefined (%d re-checks, %d removed, \
-         refined %s unrefined)@."
-        rl.rl_name rl.rl_reports_on rl.rl_reports_off rl.rl_checks
-        rl.rl_removed
-        (if rl.rl_subset then "subset of" else "NOT a subset of");
-      match rl.rl_truth with
-      | Some (found_off, fp_off, found_on, fp_on) ->
-        Format.printf
-        "  ground truth: recall %d -> %d real bugs (%s), false positives %d \
-         -> %d@."
-          found_off found_on
-          (if found_on = found_off then "unchanged, as required"
-           else "CHANGED")
-          fp_off fp_on
-      | None -> ())
-    refine_results;
-  (* ---- carryover leg: lemma re-seeding, all caches off ---- *)
-  Format.printf "@.== Per-source clause carryover (all caches off) ==@.@.";
-  let carry_leg_of (wname, tasks) =
-    let run use_carry =
-      let cfg =
-        {
-          Pinpoint.Engine.default_config with
-          prune_prefixes = false;
-          use_qcache = false;
-          use_corecache = false;
-          use_refine = false;
-          use_carry;
-        }
-      in
-      let props = ref 0
-      and conflicts = ref 0
-      and stored = ref 0
-      and seeded = ref 0
-      and keys = ref [] in
-      List.iter
-        (fun (tag, analysis, checker) ->
-          let reports, st = Pinpoint.Analysis.check ~config:cfg analysis checker in
-          let sv = st.Pinpoint.Engine.solver in
-          props := !props + sv.Pinpoint_smt.Solver.n_propagations;
-          conflicts := !conflicts + sv.Pinpoint_smt.Solver.n_conflicts;
-          stored := !stored + sv.Pinpoint_smt.Solver.n_carry_stored;
-          seeded := !seeded + sv.Pinpoint_smt.Solver.n_carry_seeded;
-          keys :=
-            !keys
-            @ List.map
-                (fun (r : Pinpoint.Report.t) ->
-                  (tag, Pinpoint.Report.key r, r.Pinpoint.Report.verdict))
-                reports)
-        tasks;
-      (!props, !conflicts, !stored, !seeded, List.sort compare !keys)
-    in
-    let p_off, c_off, _, _, k_off = run false in
-    let p_on, c_on, stored, seeded, k_on = run true in
-    {
-      cl_name = wname;
-      cl_identical = k_off = k_on;
-      cl_props_off = p_off;
-      cl_props_on = p_on;
-      cl_conflicts_off = c_off;
-      cl_conflicts_on = c_on;
-      cl_stored = stored;
-      cl_seeded = seeded;
-    }
-  in
-  let carry_results =
-    List.map (fun (wname, tasks, _, _) -> carry_leg_of (wname, tasks)) results
-  in
-  List.iter
-    (fun cl ->
-      Format.printf
-        "%s: reports %s; propagations %d -> %d (%s), conflicts %d -> %d; %d \
-         lemmas stored, %d re-seeded@."
-        cl.cl_name
-        (if cl.cl_identical then "identical" else "DIFFER")
-        cl.cl_props_off cl.cl_props_on
-        (if cl.cl_props_on < cl.cl_props_off then "strictly fewer"
-         else "not fewer")
-        cl.cl_conflicts_off cl.cl_conflicts_on cl.cl_stored cl.cl_seeded)
-    carry_results;
-  (* Keep the previous file's numbers (sans their own "previous") so the
-     regenerated BENCH_prune.json shows the before/after trajectory. *)
-  let previous =
-    match
-      let ic = open_in "BENCH_prune.json" in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception _ -> None
-    | s -> (
-      match Pinpoint_server.Json.parse s with
-      | Ok (Pinpoint_server.Json.Obj fields) ->
-        Some
-          (Pinpoint_server.Json.to_string
-             (Pinpoint_server.Json.Obj
-                (List.filter (fun (k, _) -> k <> "previous") fields)))
-      | _ -> None)
-  in
-  let oc = open_out "BENCH_prune.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"experiment\": \"prune\",\n  \"corecache_win_workloads\": %d,\n"
-    !n_core_wins;
-  out "  \"workloads\": [\n";
-  List.iteri
-    (fun i (wname, _, runs, identical) ->
-      out "    {\"name\": %S, \"reports_identical\": %b, \"runs\": [\n" wname
-        identical;
-      List.iteri
-        (fun j c ->
-          out
-            "      {\"config\": %S, \"prune\": %b, \"qcache\": %b, \
-             \"corecache\": %b, \"wall_s\": %.6f, \"n_solver_calls\": %d, \
-             \"n_rung_full\": %d, \"n_rung_cached\": %d, \
-             \"n_subsume_hits\": %d, \"n_cores_filed\": %d, \
-             \"n_pruned_candidates\": %d, \"n_prefix_checks\": %d, \
-             \"n_pruned_prefixes\": %d, \"n_cache_hits\": %d, \
-             \"n_cache_misses\": %d}%s\n"
-            c.pc_label c.pc_prune c.pc_cache c.pc_corecache c.pc_wall
-            c.pc_calls c.pc_full c.pc_cached c.pc_subsume c.pc_cores
-            c.pc_pruned_cands c.pc_checks c.pc_pruned_prefixes c.pc_hits
-            c.pc_misses
-            (if j = List.length runs - 1 then "" else ","))
-        runs;
-      out "    ]}%s\n" (if i = List.length results - 1 then "" else ","))
-    results;
-  out "  ],\n  \"refine\": [\n";
-  List.iteri
-    (fun i rl ->
-      out
-        "    {\"name\": %S, \"wall_s_unrefined\": %.6f, \
-         \"wall_s_refined\": %.6f, \"n_reports_unrefined\": %d, \
-         \"n_reports_refined\": %d, \"n_refine_checks\": %d, \
-         \"n_refine_removed\": %d, \"refined_subset_of_unrefined\": %b%s}%s\n"
-        rl.rl_name rl.rl_wall_off rl.rl_wall_on rl.rl_reports_off
-        rl.rl_reports_on rl.rl_checks rl.rl_removed rl.rl_subset
-        (match rl.rl_truth with
-        | Some (found_off, fp_off, found_on, fp_on) ->
-          str
-            ", \"recall_unrefined\": %d, \"fp_unrefined\": %d, \
-             \"recall_refined\": %d, \"fp_refined\": %d"
-            found_off fp_off found_on fp_on
-        | None -> "")
-        (if i = List.length refine_results - 1 then "" else ","))
-    refine_results;
-  out "  ],\n  \"carryover\": [\n";
-  List.iteri
-    (fun i cl ->
-      out
-        "    {\"name\": %S, \"reports_identical\": %b, \
-         \"n_propagations_off\": %d, \"n_propagations_on\": %d, \
-         \"n_conflicts_off\": %d, \"n_conflicts_on\": %d, \
-         \"n_carry_stored\": %d, \"n_carry_seeded\": %d}%s\n"
-        cl.cl_name cl.cl_identical cl.cl_props_off cl.cl_props_on
-        cl.cl_conflicts_off cl.cl_conflicts_on cl.cl_stored cl.cl_seeded
-        (if i = List.length carry_results - 1 then "" else ","))
-    carry_results;
-  out "  ]%s\n"
-    (match previous with
-    | Some _ -> ","
-    | None -> "");
-  (match previous with
-  | Some p -> out "  \"previous\": %s\n" p
-  | None -> ());
-  out "}\n";
-  close_out oc;
-  Format.printf "(wrote BENCH_prune.json)@."
-
-(* ------------------------------------------------------------------ *)
 (* SAT core ablation (DESIGN.md §4.12): CDCL vs the reference
    chronological DPLL (Sat_ref), on generated hard random 3-CNF near the
-   satisfiability phase transition (where a non-learning solver's search
-   tree blows up) and end-to-end on vortex/mysql/corpus, where the
-   contract is "same reports, less work".  Dumps BENCH_smt.json. *)
+   satisfiability phase transition, where a non-learning solver's search
+   tree blows up.  Dumps BENCH_smt.json. *)
 
 type smt_core_run = {
   sc_verdict : string;
@@ -1463,25 +918,11 @@ type smt_core_run = {
   sc_counts : Pinpoint_smt.Sat.counts;
 }
 
-type smt_e2e_run = {
-  se_core : string;
-  se_wall : float;
-  se_queries : int;
-  se_counts : Pinpoint_smt.Sat.counts;
-  se_keys :
-    (string * (string * int * string * int) * Pinpoint.Report.verdict) list;
-}
-
 let smt () =
   Format.printf "@.== SAT core ablation: CDCL vs reference DPLL ==@.@.";
   let module Sat = Pinpoint_smt.Sat in
+  let module Sat_ref = Pinpoint_smt.Sat_ref in
   let module Prng = Pinpoint_util.Prng in
-  let with_impl impl f =
-    let old = Sat.impl () in
-    Sat.set_impl impl;
-    Fun.protect ~finally:(fun () -> Sat.set_impl old) f
-  in
-  let core_name = function Sat.Cdcl -> "cdcl" | Sat.Ref -> "ref" in
   (* --- hard random 3-CNF at clause/variable ratio 4.26 --- *)
   let gen_cnf ~seed ~n_vars =
     let rng = Prng.create seed in
@@ -1497,23 +938,34 @@ let smt () =
         in
         draw [] 3)
   in
-  let solve_cnf impl clauses =
-    with_impl impl @@ fun () ->
+  (* generous conflict cap so the reference core terminates even when its
+     chronological search degenerates *)
+  let budget = 2_000_000 in
+  let timed solve counts =
+    let verdict, m = Metrics.measure solve in
+    { sc_verdict = verdict; sc_wall = m.Metrics.wall_s; sc_counts = counts () }
+  in
+  let solve_cdcl clauses =
     let s = Sat.create () in
     List.iter (Sat.add_clause s) clauses;
-    let r, m =
-      Metrics.measure (fun () ->
-          (* generous conflict cap so the reference core terminates even
-             when its chronological search degenerates *)
-          Sat.solve ~budget:2_000_000 s)
-    in
-    let verdict =
-      match r with
-      | Some (Sat.Sat _) -> "sat"
-      | Some Sat.Unsat -> "unsat"
-      | None -> "budget"
-    in
-    { sc_verdict = verdict; sc_wall = m.Metrics.wall_s; sc_counts = Sat.counts s }
+    timed
+      (fun () ->
+        match Sat.solve ~budget s with
+        | Some (Sat.Sat _) -> "sat"
+        | Some Sat.Unsat -> "unsat"
+        | None -> "budget")
+      (fun () -> Sat.counts s)
+  in
+  let solve_ref clauses =
+    let s = Sat_ref.create () in
+    List.iter (Sat_ref.add_clause s) clauses;
+    timed
+      (fun () ->
+        match Sat_ref.solve ~budget s with
+        | Some (Sat_ref.Sat _) -> "sat"
+        | Some Sat_ref.Unsat -> "unsat"
+        | None -> "budget")
+      (fun () -> Sat_ref.counts s)
   in
   let hard_instances =
     List.map
@@ -1523,8 +975,8 @@ let smt () =
   let hard_results =
     List.map
       (fun (seed, n_vars, clauses) ->
-        let cdcl = solve_cnf Sat.Cdcl clauses in
-        let ref_ = solve_cnf Sat.Ref clauses in
+        let cdcl = solve_cdcl clauses in
+        let ref_ = solve_ref clauses in
         if cdcl.sc_verdict <> ref_.sc_verdict then
           Format.printf "  !! seed %d: verdicts differ (%s vs %s)@." seed
             cdcl.sc_verdict ref_.sc_verdict;
@@ -1564,116 +1016,6 @@ let smt () =
     ref_props
     (if cdcl_props < ref_props then "strictly fewer, as required"
      else "NOT strictly fewer");
-  (* --- end-to-end: same analyses, both cores, reports must agree --- *)
-  let subject_tasks name =
-    let info =
-      match Subjects.find name with Some i -> i | None -> assert false
-    in
-    let subject = Subjects.generate info in
-    let analysis = Pinpoint.Analysis.prepare (Gen.compile subject) in
-    ( str "%s (%d LoC, UAF)" name subject.Gen.loc,
-      [ ("uaf", analysis, Pinpoint.Checkers.use_after_free) ] )
-  in
-  let corpus_tasks () =
-    let files =
-      Sys.readdir "corpus" |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".mc")
-      |> List.sort compare
-    in
-    let tasks =
-      List.concat_map
-        (fun f ->
-          let a = Pinpoint.Analysis.prepare_file (Filename.concat "corpus" f) in
-          [
-            (f ^ "/uaf", a, Pinpoint.Checkers.use_after_free);
-            (f ^ "/df", a, Pinpoint.Checkers.double_free);
-          ])
-        files
-    in
-    (str "corpus (%d files, UAF + double-free)" (List.length files), tasks)
-  in
-  let run_core tasks impl =
-    with_impl impl @@ fun () ->
-    Pinpoint_smt.Qcache.clear ();
-    let wall = ref 0.0 and queries = ref 0 in
-    let props = ref 0 and confl = ref 0 and learn = ref 0 and rst = ref 0 in
-    let keys = ref [] in
-    List.iter
-      (fun (tag, analysis, checker) ->
-        let (reports, st), m =
-          Metrics.measure (fun () -> Pinpoint.Analysis.check analysis checker)
-        in
-        let sv = st.Pinpoint.Engine.solver in
-        wall := !wall +. m.Metrics.wall_s;
-        queries := !queries + sv.Pinpoint_smt.Solver.n_queries;
-        props := !props + sv.Pinpoint_smt.Solver.n_propagations;
-        confl := !confl + sv.Pinpoint_smt.Solver.n_conflicts;
-        learn := !learn + sv.Pinpoint_smt.Solver.n_learned;
-        rst := !rst + sv.Pinpoint_smt.Solver.n_restarts;
-        keys :=
-          !keys
-          @ (List.map
-               (fun (r : Pinpoint.Report.t) ->
-                 (tag, Pinpoint.Report.key r, r.Pinpoint.Report.verdict))
-               reports
-            |> List.sort compare))
-      tasks;
-    Pinpoint_smt.Qcache.clear ();
-    {
-      se_core = core_name impl;
-      se_wall = !wall;
-      se_queries = !queries;
-      se_counts =
-        {
-          Sat.propagations = !props;
-          decisions = 0;
-          conflicts = !confl;
-          learned = !learn;
-          restarts = !rst;
-        };
-      se_keys = !keys;
-    }
-  in
-  let e2e_results =
-    List.map
-      (fun (wname, tasks) ->
-        (* untimed warmup so the first measured core pays no one-time
-           lazy-initialisation costs *)
-        ignore (run_core tasks Sat.Cdcl);
-        let cdcl = run_core tasks Sat.Cdcl in
-        let ref_ = run_core tasks Sat.Ref in
-        let identical = cdcl.se_keys = ref_.se_keys in
-        if not identical then
-          Format.printf "  !! %s: reports differ between cores@." wname;
-        (wname, [ cdcl; ref_ ], identical))
-      [ subject_tasks "vortex"; subject_tasks "mysql"; corpus_tasks () ]
-  in
-  List.iter
-    (fun (wname, runs, identical) ->
-      Format.printf "%s: reports %s across both cores@." wname
-        (if identical then "identical" else "DIFFER");
-      Pp.table
-        ~header:
-          [
-            "core"; "check time"; "queries"; "propagations"; "conflicts";
-            "learned"; "restarts";
-          ]
-        ~rows:
-          (List.map
-             (fun e ->
-               [
-                 e.se_core;
-                 str "%a" pp_dur e.se_wall;
-                 string_of_int e.se_queries;
-                 string_of_int e.se_counts.Sat.propagations;
-                 string_of_int e.se_counts.Sat.conflicts;
-                 string_of_int e.se_counts.Sat.learned;
-                 string_of_int e.se_counts.Sat.restarts;
-               ])
-             runs)
-        Format.std_formatter ();
-      Format.printf "@.")
-    e2e_results;
   let oc = open_out "BENCH_smt.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n  \"experiment\": \"smt\",\n  \"hard_cnf\": {\n    \"instances\": [\n";
@@ -1701,25 +1043,7 @@ let smt () =
      \"cdcl_strictly_fewer\": %b}\n"
     cdcl_props ref_props
     (cdcl_props < ref_props);
-  out "  },\n  \"end_to_end\": [\n";
-  List.iteri
-    (fun i (wname, runs, identical) ->
-      out "    {\"name\": %S, \"reports_identical\": %b, \"runs\": [\n" wname
-        identical;
-      List.iteri
-        (fun j e ->
-          out
-            "      {\"core\": %S, \"wall_s\": %.6f, \"n_queries\": %d, \
-             \"propagations\": %d, \"conflicts\": %d, \"learned\": %d, \
-             \"restarts\": %d}%s\n"
-            e.se_core e.se_wall e.se_queries e.se_counts.Sat.propagations
-            e.se_counts.Sat.conflicts e.se_counts.Sat.learned
-            e.se_counts.Sat.restarts
-            (if j = List.length runs - 1 then "" else ","))
-        runs;
-      out "    ]}%s\n" (if i = List.length e2e_results - 1 then "" else ","))
-    e2e_results;
-  out "  ]\n}\n";
+  out "  }\n}\n";
   close_out oc;
   Format.printf "(wrote BENCH_smt.json)@."
 
@@ -2465,7 +1789,6 @@ let experiments =
     ("leaks", leaks);
     ("resilience", resilience);
     ("par", par);
-    ("prune", prune);
     ("smt", smt);
     ("obs", obs);
     ("serve", serve);

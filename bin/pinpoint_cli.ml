@@ -103,14 +103,6 @@ let inject_seg_rate_arg =
           "Probability that a function's SEG is sabotaged, split evenly over \
            drop / truncate / crash-during-build.")
 
-let no_prune_arg =
-  Arg.(
-    value & flag
-    & info [ "no-prune" ]
-        ~doc:
-          "Disable linear-solver prefix pruning of path conditions (every \
-           candidate gets a full SMT query; the report set is unchanged).")
-
 let no_qcache_arg =
   Arg.(
     value & flag
@@ -118,15 +110,6 @@ let no_qcache_arg =
         ~doc:
           "Disable the shared SMT verdict cache (every query is solved from \
            scratch; the report set is unchanged).")
-
-let no_core_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-core-cache" ]
-        ~doc:
-          "Disable the unsat-core subsumption cache (queries whose conjunct \
-           set contains a previously stored core pay full CDCL again; the \
-           report set is unchanged).")
 
 let no_refine_arg =
   Arg.(
@@ -136,14 +119,6 @@ let no_refine_arg =
           "Disable demand-driven refinement of Sat feasibility verdicts \
            (reports refuted only by derived linear facts — false positives \
            of the weak nonlinear theory — are kept).")
-
-let prune_stride_arg =
-  Arg.(
-    value & opt int Pinpoint.Engine.default_config.Pinpoint.Engine.prune_stride
-    & info [ "prune-stride" ] ~docv:"N"
-        ~doc:
-          "Run the linear prefix check every $(docv) hops of the search \
-           (1 = every hop).")
 
 let jobs_arg =
   Arg.(
@@ -304,9 +279,8 @@ let print_incidents ~verbose (a : Pinpoint.Analysis.t) =
 
 let check_cmd =
   let run files checkers verbose confirm deadline_s budget_s solver_conflicts
-      seed rate seg_rate no_prune no_qcache no_core_cache no_refine
-      prune_stride jobs chunk_size store_dir max_resident rss_cap_mb trace
-      metrics_json obs =
+      seed rate seg_rate no_qcache no_refine jobs chunk_size store_dir
+      max_resident rss_cap_mb trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
     set_obs_level ~trace ~metrics_json ~obs;
     with_jobs ~chunk_size jobs @@ fun pool ->
@@ -336,10 +310,7 @@ let check_cmd =
               deadline = Pinpoint_util.Metrics.deadline_after deadline_s;
               solver_budget_s = budget_s;
               solver_conflict_budget = solver_conflicts;
-              prune_prefixes = not no_prune;
-              prune_stride;
               use_qcache = not no_qcache;
-              use_corecache = not no_core_cache;
               use_refine = not no_refine;
             }
           in
@@ -392,9 +363,7 @@ let check_cmd =
       const run $ files_arg $ checkers_arg $ verbose_arg $ confirm_arg
       $ deadline_arg $ solver_budget_arg $ solver_conflicts_arg
       $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ no_prune_arg $ no_qcache_arg $ no_core_cache_arg
-      $ no_refine_arg $ prune_stride_arg
-      $ jobs_arg $ chunk_size_arg $ store_dir_arg $ max_resident_arg
+      $ inject_seg_rate_arg $ no_qcache_arg $ no_refine_arg $ jobs_arg $ chunk_size_arg $ store_dir_arg $ max_resident_arg
       $ rss_cap_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in
   Cmd.v (Cmd.info "check" ~doc:"Run checkers on MC source file(s)") term

@@ -7,7 +7,6 @@ module Rv = Pinpoint_summary.Rv
 module Metrics = Pinpoint_util.Metrics
 module Resilience = Pinpoint_util.Resilience
 module Qcache = Pinpoint_smt.Qcache
-module Corecache = Pinpoint_smt.Corecache
 module Refine = Pinpoint_pta.Refine
 module Obs = Pinpoint_obs.Obs
 
@@ -18,11 +17,7 @@ type config = {
   max_reports_per_source : int;
   check_feasibility : bool;
   use_vf_pruning : bool;
-  prune_prefixes : bool;
-  prune_stride : int;
   use_qcache : bool;
-  use_corecache : bool;
-  use_carry : bool;
   use_refine : bool;
   deadline : Metrics.deadline;
   solver_budget_s : float;
@@ -37,11 +32,7 @@ let default_config =
     max_reports_per_source = 16;
     check_feasibility = true;
     use_vf_pruning = true;
-    prune_prefixes = true;
-    prune_stride = 4;
     use_qcache = true;
-    use_corecache = true;
-    use_carry = true;
     use_refine = true;
     deadline = Metrics.no_deadline;
     solver_budget_s = infinity;
@@ -58,9 +49,6 @@ type stats = {
   mutable n_rung_linear : int;
   mutable n_rung_gave_up : int;
   mutable n_rung_cached : int;
-  mutable n_prefix_checks : int;
-  mutable n_pruned_prefixes : int;
-  mutable n_pruned_candidates : int;
   mutable n_refine_checks : int;
   mutable n_refine_removed : int;
   mutable n_incidents : int;
@@ -96,15 +84,6 @@ let merge_fields =
       field "n_rung_cached"
         (fun s -> s.n_rung_cached)
         (fun s v -> s.n_rung_cached <- v);
-      field "n_prefix_checks"
-        (fun s -> s.n_prefix_checks)
-        (fun s v -> s.n_prefix_checks <- v);
-      field "n_pruned_prefixes"
-        (fun s -> s.n_pruned_prefixes)
-        (fun s v -> s.n_pruned_prefixes <- v);
-      field "n_pruned_candidates"
-        (fun s -> s.n_pruned_candidates)
-        (fun s v -> s.n_pruned_candidates <- v);
       field "n_refine_checks"
         (fun s -> s.n_refine_checks)
         (fun s v -> s.n_refine_checks <- v);
@@ -194,9 +173,6 @@ type search_ctx = {
   cfg : config;
   stats : stats;
   resilience : Resilience.log option;
-  carry : Solver.Carry.t option;
-      (** per-source lemma pouch (present iff [use_carry]): queries from
-          this source re-seed each other's theory lemmas *)
   cond : Vpath.Cond.t option;
       (** incremental path-condition builder, threaded through [dfs]
           (present iff [check_feasibility]) *)
@@ -225,99 +201,73 @@ let emit ctx (path : Vpath.t) =
       Hashtbl.add ctx.dedup dk ();
       let cond, verdict, hints, rung =
         if ctx.cfg.check_feasibility then begin
-          (* One last linear look at the complete condition before paying
-             for an SMT query: stride-independent and O(conjuncts), so a
-             linearly refutable candidate is pruned at every stride. *)
-          (match ctx.cond with
-          | Some b -> Vpath.Cond.check_now b
-          | None -> ());
-          match ctx.cond with
-          | Some b when Vpath.Cond.refuted b ->
-            (* The linear solver already refuted a prefix of this path;
-               any completion is unsatisfiable (P/N-set monotonicity
-               under ∧), so skip the SMT query entirely.  The recorded
-               rung says who decided.  The skipped query still consumes
-               its injection draw: the per-source fault stream is
-               sequential over candidates, so without this the draws of
-               every later candidate would shift and a pruned run would
-               see different sabotage than an unpruned one. *)
-            if Pinpoint_util.Resilience.Inject.enabled () then
-              ignore (Pinpoint_util.Resilience.Inject.solver_fault ());
-            ctx.stats.n_pruned_candidates <-
-              ctx.stats.n_pruned_candidates + 1;
-            ( Vpath.Cond.formula b,
-              Report.Infeasible,
-              [],
-              Some Solver.Rung_linear )
-          | cond_builder ->
-            let cond =
-              match cond_builder with
-              | Some b -> Vpath.Cond.formula b
-              | None -> Vpath.condition ~seg_of:ctx.seg_of ~rv:ctx.rv path
+          let cond =
+            match ctx.cond with
+            | Some b -> Vpath.Cond.formula b
+            | None -> Vpath.condition ~seg_of:ctx.seg_of ~rv:ctx.rv path
+          in
+          ctx.stats.n_solver_calls <- ctx.stats.n_solver_calls + 1;
+          let subject =
+            Printf.sprintf "%s:%d -> %s:%d" sf source_loc.Stmt.line kf
+              sink_loc.Stmt.line
+          in
+          (* The ladder never raises: a crashed/timed-out query steps down
+             until a rung answers, so one pathological path condition
+             cannot take the checker run down with it. *)
+          let count_rung rung =
+            match rung with
+            | Solver.Rung_full ->
+              ctx.stats.n_rung_full <- ctx.stats.n_rung_full + 1
+            | Solver.Rung_halved ->
+              ctx.stats.n_rung_halved <- ctx.stats.n_rung_halved + 1
+            | Solver.Rung_linear ->
+              ctx.stats.n_rung_linear <- ctx.stats.n_rung_linear + 1
+            | Solver.Rung_gave_up ->
+              ctx.stats.n_rung_gave_up <- ctx.stats.n_rung_gave_up + 1
+            | Solver.Rung_cached ->
+              ctx.stats.n_rung_cached <- ctx.stats.n_rung_cached + 1
+          in
+          let v, model, rung =
+            Solver.check_degrading ~budget_s:ctx.cfg.solver_budget_s
+              ~conflict_budget:ctx.cfg.solver_conflict_budget
+              ~deadline:ctx.cfg.deadline ?log:ctx.resilience ~subject cond
+          in
+          count_rung rung;
+          match v with
+          | Solver.Sat -> (
+            (* Demand-driven refinement (DESIGN.md §4.17): the Sat
+               verdict may be a false positive of the solver's weak
+               nonlinear theory.  Derive the linear facts the path's
+               definitions entail over true integer semantics and
+               re-check the strengthened condition; Unsat downgrades
+               the report to infeasible.  Applied on every Sat verdict
+               — cached replays included — so reports are identical
+               whichever cache answered. *)
+            let facts =
+              if ctx.cfg.use_refine then Refine.facts cond else []
             in
-            ctx.stats.n_solver_calls <- ctx.stats.n_solver_calls + 1;
-            let subject =
-              Printf.sprintf "%s:%d -> %s:%d" sf source_loc.Stmt.line kf
-                sink_loc.Stmt.line
-            in
-            (* The ladder never raises: a crashed/timed-out query steps down
-               until a rung answers, so one pathological path condition
-               cannot take the checker run down with it. *)
-            let count_rung rung =
-              match rung with
-              | Solver.Rung_full ->
-                ctx.stats.n_rung_full <- ctx.stats.n_rung_full + 1
-              | Solver.Rung_halved ->
-                ctx.stats.n_rung_halved <- ctx.stats.n_rung_halved + 1
-              | Solver.Rung_linear ->
-                ctx.stats.n_rung_linear <- ctx.stats.n_rung_linear + 1
-              | Solver.Rung_gave_up ->
-                ctx.stats.n_rung_gave_up <- ctx.stats.n_rung_gave_up + 1
-              | Solver.Rung_cached ->
-                ctx.stats.n_rung_cached <- ctx.stats.n_rung_cached + 1
-            in
-            let v, model, rung =
-              Solver.check_degrading ~budget_s:ctx.cfg.solver_budget_s
-                ~conflict_budget:ctx.cfg.solver_conflict_budget
-                ~deadline:ctx.cfg.deadline ?log:ctx.resilience
-                ?carry:ctx.carry ~subject cond
-            in
-            count_rung rung;
-            match v with
-            | Solver.Sat -> (
-              (* Demand-driven refinement (DESIGN.md §4.17): the Sat
-                 verdict may be a false positive of the solver's weak
-                 nonlinear theory.  Derive the linear facts the path's
-                 definitions entail over true integer semantics and
-                 re-check the strengthened condition; Unsat downgrades
-                 the report to infeasible.  Applied on every Sat verdict
-                 — cached replays included — so reports are identical
-                 whichever cache answered. *)
-              let facts =
-                if ctx.cfg.use_refine then Refine.facts cond else []
+            match facts with
+            | [] -> (cond, Report.Feasible, model, Some rung)
+            | _ -> (
+              ctx.stats.n_refine_checks <- ctx.stats.n_refine_checks + 1;
+              ctx.stats.n_solver_calls <- ctx.stats.n_solver_calls + 1;
+              let v2, _, rung2 =
+                Solver.check_degrading ~budget_s:ctx.cfg.solver_budget_s
+                  ~conflict_budget:ctx.cfg.solver_conflict_budget
+                  ~deadline:ctx.cfg.deadline ?log:ctx.resilience
+                  ~subject:(subject ^ " [refine]")
+                  (E.conj_balanced (cond :: facts))
               in
-              match facts with
-              | [] -> (cond, Report.Feasible, model, Some rung)
-              | _ -> (
-                ctx.stats.n_refine_checks <- ctx.stats.n_refine_checks + 1;
-                ctx.stats.n_solver_calls <- ctx.stats.n_solver_calls + 1;
-                let v2, _, rung2 =
-                  Solver.check_degrading ~budget_s:ctx.cfg.solver_budget_s
-                    ~conflict_budget:ctx.cfg.solver_conflict_budget
-                    ~deadline:ctx.cfg.deadline ?log:ctx.resilience
-                    ?carry:ctx.carry ~subject:(subject ^ " [refine]")
-                    (E.conj_balanced (cond :: facts))
-                in
-                count_rung rung2;
-                match v2 with
-                | Solver.Unsat ->
-                  ctx.stats.n_refine_removed <-
-                    ctx.stats.n_refine_removed + 1;
-                  (cond, Report.Infeasible, [], Some rung2)
-                | Solver.Sat | Solver.Unknown ->
-                  (cond, Report.Feasible, model, Some rung)))
-            | Solver.Unknown -> (cond, Report.Feasible_unknown, [], Some rung)
-            | Solver.Unsat -> (cond, Report.Infeasible, [], Some rung)
+              count_rung rung2;
+              match v2 with
+              | Solver.Unsat ->
+                ctx.stats.n_refine_removed <-
+                  ctx.stats.n_refine_removed + 1;
+                (cond, Report.Infeasible, [], Some rung2)
+              | Solver.Sat | Solver.Unknown ->
+                (cond, Report.Feasible, model, Some rung)))
+          | Solver.Unknown -> (cond, Report.Feasible_unknown, [], Some rung)
+          | Solver.Unsat -> (cond, Report.Infeasible, [], Some rung)
         end
         else (E.tru, Report.Feasible_unknown, [], None)
       in
@@ -580,9 +530,6 @@ let zero_stats () =
     n_rung_linear = 0;
     n_rung_gave_up = 0;
     n_rung_cached = 0;
-    n_prefix_checks = 0;
-    n_pruned_prefixes = 0;
-    n_pruned_candidates = 0;
     n_refine_checks = 0;
     n_refine_removed = 0;
     n_incidents = 0;
@@ -597,12 +544,7 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
      the previous state on the way out (runs can nest via bench). *)
   let qcache_was = Qcache.enabled () in
   Qcache.set_enabled config.use_qcache;
-  let corecache_was = Corecache.enabled () in
-  Corecache.set_enabled config.use_corecache;
-  Fun.protect ~finally:(fun () ->
-      Qcache.set_enabled qcache_was;
-      Corecache.set_enabled corecache_was)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Qcache.set_enabled qcache_was) @@ fun () ->
   let incidents_before =
     match resilience with Some l -> Resilience.count l | None -> 0
   in
@@ -718,10 +660,7 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
             callers_of name )
     in
     let cond =
-      if config.check_feasibility then
-        Some
-          (Vpath.Cond.create ~prune:config.prune_prefixes
-             ~stride:config.prune_stride ~seg_of ~rv ())
+      if config.check_feasibility then Some (Vpath.Cond.create ~seg_of ~rv ())
       else None
     in
     let ctx =
@@ -734,10 +673,6 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
         cfg = config;
         stats = zero_stats ();
         resilience;
-        carry =
-          (if config.use_carry && config.check_feasibility then
-             Some (Solver.Carry.create ())
-           else None);
         cond;
         reports = [];
         found_for_source = 0;
@@ -768,11 +703,6 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
             with
             | Stop_search -> completed := true
             | Metrics.Timeout -> ()));
-    (match cond with
-    | Some b ->
-      ctx.stats.n_prefix_checks <- Vpath.Cond.n_checks b;
-      ctx.stats.n_pruned_prefixes <- Vpath.Cond.n_refutations b
-    | None -> ());
     let reports = List.rev ctx.reports in
     (* Only a search that ran to its own end on full-strength verdicts is
        worth replaying: a timed-out, crashed or degraded one reflects this

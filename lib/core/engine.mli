@@ -28,30 +28,9 @@ type config = {
       (** consult callee VF summaries before descending (§3.3.1(3));
           disabling it descends into every defined callee — the
           demand-driven-ness ablation *)
-  prune_prefixes : bool;
-      (** run the linear-time contradiction solver on the incrementally
-          built condition prefix during the search; a refuted prefix makes
-          every candidate below it [Infeasible] without an SMT query
-          (traversal — and so the report set — is unchanged; default
-          [true], CLI [--no-prune]) *)
-  prune_stride : int;
-      (** hops between linear prefix checks (default 4; 1 = every hop) *)
   use_qcache : bool;
       (** enable the process-wide SMT verdict cache ({!Pinpoint_smt.Qcache})
           for the duration of the run (default [true], CLI [--no-qcache]) *)
-  use_corecache : bool;
-      (** enable the process-wide unsat-core subsumption cache
-          ({!Pinpoint_smt.Corecache}) for the duration of the run: full-rung
-          refutations store their shrunk cores, later queries whose conjunct
-          set contains a stored core are Unsat without running CDCL.  A hit
-          is exchangeable with recomputation, so reports are unchanged
-          (default [true], CLI [--no-core-cache]) *)
-  use_carry : bool;
-      (** per-source solver carryover ({!Pinpoint_smt.Solver.Carry}):
-          re-seed theory lemmas learned by earlier queries from the same
-          source into later ones.  Lemmas are theory-valid, so verdicts —
-          and reports — are unchanged; only propagations drop (default
-          [true]) *)
   use_refine : bool;
       (** demand-driven refinement ({!Pinpoint_pta.Refine}): on a Sat
           feasibility verdict, re-check the condition strengthened with
@@ -86,12 +65,6 @@ type stats = {
   mutable n_rung_cached : int;
       (** … replayed from the verdict cache (schedule-dependent split
           against [n_rung_full] at [--jobs] > 1; their sum is not) *)
-  mutable n_prefix_checks : int;
-      (** linear prefix checks run by the condition builder *)
-  mutable n_pruned_prefixes : int;  (** prefixes the linear solver refuted *)
-  mutable n_pruned_candidates : int;
-      (** candidates marked [Infeasible] without an SMT query because a
-          refuted prefix covered them *)
   mutable n_refine_checks : int;
       (** Sat verdicts that produced refinement facts and were re-checked *)
   mutable n_refine_removed : int;

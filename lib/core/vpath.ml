@@ -196,13 +196,7 @@ let condition ~seg_of ~rv (path : t) : E.t =
    [condition] above rebuilds PC(π) from scratch for every candidate; the
    builder instead threads the condition through the engine's DFS,
    extending it hop by hop and restoring an O(1) checkpoint on backtrack,
-   so the condition is already assembled when a sink is reached.  It also
-   runs the linear-time contradiction solver on the growing prefix (every
-   [stride] hops): conjunction only ever grows the linear solver's P/N
-   atom sets, so a linearly-refuted prefix stays refuted under any
-   extension — the [refuted] flag is sticky along a path and lets the
-   engine skip the SMT query for every candidate below the refutation
-   point.  Backtracking above it un-refutes via checkpoint restore.
+   so the condition is already assembled when a sink is reached.
 
    The frame counter lives in the builder and is restored on backtrack, so
    at any emit point the frame tags are exactly the tags the one-shot
@@ -210,77 +204,37 @@ let condition ~seg_of ~rv (path : t) : E.t =
    (see {!Pinpoint_summary.Clone}) the two build structurally equal
    conditions over the same clone symbols. *)
 module Cond = struct
-  module Linear_solver = Pinpoint_smt.Linear_solver
-
   type checkpoint = {
-    c_acc : E.t;
     c_conjs : E.t list;
     c_frames : frame list;
     c_counter : int;
-    c_since_check : int;
-    c_refuted : bool;
   }
 
   type builder = {
     seg_of : string -> Seg.t option;
     rv : Rv.t;
-    prune : bool;
-    stride : int;
-    mutable acc : E.t;  (** left-fold conjunction, for prefix checks *)
     mutable conjs : E.t list;  (** collected conjuncts, newest first *)
     mutable frames : frame list;
     mutable counter : int;
-    mutable since_check : int;  (** hops since the last prefix check *)
-    mutable refuted : bool;
-    mutable n_checks : int;
-    mutable n_refutations : int;
   }
 
   type nonrec t = builder
 
-  let create ?(prune = true) ?(stride = 4) ~seg_of ~rv () =
-    {
-      seg_of;
-      rv;
-      prune;
-      stride = max 1 stride;
-      acc = E.tru;
-      conjs = [];
-      frames = [];
-      counter = 0;
-      since_check = 0;
-      refuted = false;
-      n_checks = 0;
-      n_refutations = 0;
-    }
+  let create ~seg_of ~rv () = { seg_of; rv; conjs = []; frames = []; counter = 0 }
 
   (* Checkpoints are O(1): the conjunct list and frame stack are
      persistent, and frames mutated after the checkpoint only gain
      idempotent clone-cache entries (bindings happen exclusively on frames
      created after the checkpoint, which restore discards). *)
   let checkpoint b =
-    {
-      c_acc = b.acc;
-      c_conjs = b.conjs;
-      c_frames = b.frames;
-      c_counter = b.counter;
-      c_since_check = b.since_check;
-      c_refuted = b.refuted;
-    }
+    { c_conjs = b.conjs; c_frames = b.frames; c_counter = b.counter }
 
   let restore b cp =
-    b.acc <- cp.c_acc;
     b.conjs <- cp.c_conjs;
     b.frames <- cp.c_frames;
-    b.counter <- cp.c_counter;
-    b.since_check <- cp.c_since_check;
-    b.refuted <- cp.c_refuted
+    b.counter <- cp.c_counter
 
-  let add b e =
-    if not (E.is_true e) then begin
-      b.conjs <- e :: b.conjs;
-      b.acc <- E.and_ b.acc e
-    end
+  let add b e = if not (E.is_true e) then b.conjs <- e :: b.conjs
 
   (* Mirrors [new_frame]: the counter advances even when the function has
      no SEG, so tags stay aligned with the one-shot builder. *)
@@ -307,7 +261,7 @@ module Cond = struct
 
   (* One hop's contribution — a transliteration of the [condition] loop
      body onto the builder's mutable state. *)
-  let apply b hop =
+  let extend b hop =
     match hop with
     | Hsource { fname; sid; _ } -> (
       push b fname;
@@ -401,62 +355,10 @@ module Cond = struct
         add b (closed_in b.rv fr (Seg.dd fr.seg var))
       | None -> ())
 
-  (* Prefix pruning.  A smart-constructor [false] is a free refutation; a
-     linear-solver run happens every [stride] hops.  Refutation is sound
-     to make sticky: conjunction only grows the linear solver's P/N sets
-     (∧ is set union there), so every extension of a linearly-unsat prefix
-     is linearly unsat. *)
-  let recheck b =
-    if b.prune && not b.refuted then
-      if E.is_false b.acc then begin
-        b.refuted <- true;
-        b.n_refutations <- b.n_refutations + 1
-      end
-      else begin
-        b.since_check <- b.since_check + 1;
-        if b.since_check >= b.stride then begin
-          b.since_check <- 0;
-          b.n_checks <- b.n_checks + 1;
-          match Linear_solver.check b.acc with
-          | Linear_solver.Unsat ->
-            b.refuted <- true;
-            b.n_refutations <- b.n_refutations + 1
-          | Linear_solver.Maybe -> ()
-        end
-      end
-
-  let extend b hop =
-    apply b hop;
-    recheck b
-
-  (* Stride-independent check of the accumulated condition, used on a
-     complete candidate just before an SMT query: O(conjuncts) against a
-     query that is orders of magnitude dearer, so always worth forcing. *)
-  let check_now b =
-    if b.prune && not b.refuted then
-      if E.is_false b.acc then begin
-        b.refuted <- true;
-        b.n_refutations <- b.n_refutations + 1
-      end
-      else begin
-        b.since_check <- 0;
-        b.n_checks <- b.n_checks + 1;
-        match Linear_solver.check b.acc with
-        | Linear_solver.Unsat ->
-          b.refuted <- true;
-          b.n_refutations <- b.n_refutations + 1
-        | Linear_solver.Maybe -> ()
-      end
-
-  let refuted b = b.refuted
-
   let formula b = E.conj_balanced b.conjs
 
-  let n_checks b = b.n_checks
-  let n_refutations b = b.n_refutations
-
-  let of_path ?prune ?stride ~seg_of ~rv (path : hop list) =
-    let b = create ?prune ?stride ~seg_of ~rv () in
+  let of_path ~seg_of ~rv (path : hop list) =
+    let b = create ~seg_of ~rv () in
     List.iter (fun h -> extend b h) path;
     b
 end

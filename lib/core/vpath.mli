@@ -66,28 +66,15 @@ val condition :
     Threads [PC(π)] through the engine's DFS: {!Cond.extend} adds one
     hop's conjuncts, {!Cond.checkpoint}/{!Cond.restore} are O(1) and
     bracket each subtree, so the condition is already assembled when a
-    sink is reached instead of being rebuilt per candidate.
-
-    With pruning enabled, the growing prefix is run through the
-    linear-time contradiction solver every [stride] hops.  Conjunction
-    only grows that solver's P/N atom sets, so a refuted prefix stays
-    refuted under every extension — {!Cond.refuted} is sticky along a
-    path (and reverts on {!Cond.restore}), letting the engine skip the
-    SMT query for every candidate in the refuted subtree while keeping
-    traversal — and therefore the report set — identical. *)
+    sink is reached instead of being rebuilt per candidate. *)
 module Cond : sig
   type t
 
   val create :
-    ?prune:bool ->
-    ?stride:int ->
     seg_of:(string -> Pinpoint_seg.Seg.t option) ->
     rv:Pinpoint_summary.Rv.t ->
     unit ->
     t
-  (** [prune] (default [true]) enables prefix refutation; [stride]
-      (default 4, clamped to ≥ 1) is the number of hops between linear
-      prefix checks. *)
 
   val extend : t -> hop -> unit
 
@@ -96,30 +83,12 @@ module Cond : sig
   val checkpoint : t -> checkpoint
   val restore : t -> checkpoint -> unit
 
-  val check_now : t -> unit
-  (** Force a linear check of the accumulated condition regardless of
-      stride (no-op when pruning is off or already refuted).  The engine
-      calls this on complete candidates just before the SMT query, so
-      linearly refutable candidates are pruned at every stride. *)
-
-  val refuted : t -> bool
-  (** The current prefix is definitely unsatisfiable (so is every
-      completion of it). *)
-
   val formula : t -> Pinpoint_smt.Expr.t
   (** The condition of the hops extended so far, assembled with
       {!Pinpoint_smt.Expr.conj_balanced} — equisatisfiable with
       {!condition} on the same path. *)
 
-  val n_checks : t -> int
-  (** Linear prefix checks run (monotone; unaffected by {!restore}). *)
-
-  val n_refutations : t -> int
-  (** Prefixes found unsatisfiable (monotone; unaffected by {!restore}). *)
-
   val of_path :
-    ?prune:bool ->
-    ?stride:int ->
     seg_of:(string -> Pinpoint_seg.Seg.t option) ->
     rv:Pinpoint_summary.Rv.t ->
     hop list ->

@@ -70,7 +70,9 @@ let tokenize ?file:_ src =
       while !i < n && is_digit src.[!i] do
         incr i
       done;
-      emit (INT (int_of_string (String.sub src start (!i - start))))
+      match int_of_string_opt (String.sub src start (!i - start)) with
+      | Some v -> emit (INT v)
+      | None -> raise (Error ("integer literal out of range", !line))
     end
     else if is_ident_start c then begin
       let start = !i in

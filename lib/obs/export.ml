@@ -139,7 +139,6 @@ let query_json (q : Obs.query) =
       ("atoms", string_of_int q.q_atoms);
       ("conflicts", string_of_int q.q_conflicts);
       ("shrinks", string_of_int q.q_shrinks);
-      ("core", string_of_int q.q_core);
       ("latency_s", jfloat q.q_latency_s);
       ("dom", string_of_int q.q_dom);
       ("request", jstr q.q_req);
@@ -339,7 +338,6 @@ let pp_summary ppf () =
           "atoms";
           "conflicts";
           "shrinks";
-          "core";
           "latency";
         ]
       ~rows:
@@ -352,7 +350,6 @@ let pp_summary ppf () =
                string_of_int q.q_atoms;
                string_of_int q.q_conflicts;
                string_of_int q.q_shrinks;
-               string_of_int q.q_core;
                Pp.to_string Metrics.pp_duration q.q_latency_s;
              ])
            (top_slowest qs))

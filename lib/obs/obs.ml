@@ -58,7 +58,6 @@ type query = {
   q_atoms : int;
   q_conflicts : int;
   q_shrinks : int;
-  q_core : int;
   q_latency_s : float;
   q_dom : int;
   q_req : string;
@@ -154,7 +153,7 @@ let span ?attrs name f =
   end
 
 let record_query ~subject ~rung ~verdict ~atoms ~conflicts ?(shrinks = 0)
-    ?(core = 0) ~latency_s () =
+    ~latency_s () =
   if metrics_on () then begin
     let b = buf () in
     b.b_queries <-
@@ -165,7 +164,6 @@ let record_query ~subject ~rung ~verdict ~atoms ~conflicts ?(shrinks = 0)
         q_atoms = atoms;
         q_conflicts = conflicts;
         q_shrinks = shrinks;
-        q_core = core;
         q_latency_s = latency_s;
         q_dom = b.b_dom;
         q_req = Domain.DLS.get req_key;

@@ -182,11 +182,8 @@ type query = {
   q_atoms : int;  (** atom count of the queried formula *)
   q_conflicts : int;  (** CDCL conflicts spent on this query *)
   q_shrinks : int;
-      (** unsat-core deletion sub-checks spent shrinking this query's core
-          for the subsumption cache (0 when no core was stored) *)
-  q_core : int;
-      (** size (conjunct count) of the stored shrunk core; 0 when the
-          verdict produced none *)
+      (** theory-core deletion-shrink passes the lazy-SMT loop ran while
+          refuting this query's propositional models *)
   q_latency_s : float;
   q_dom : int;
   q_req : string;  (** request id active at record time; [""] when none *)
@@ -199,7 +196,6 @@ val record_query :
   atoms:int ->
   conflicts:int ->
   ?shrinks:int ->
-  ?core:int ->
   latency_s:float ->
   unit ->
   unit

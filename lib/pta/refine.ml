@@ -31,10 +31,6 @@
 module E = Pinpoint_smt.Expr
 module Symbol = Pinpoint_smt.Symbol
 
-(* Reuse the corecache's ∧-spine flattening: refinement works at the same
-   top-level-conjunct granularity as the subsumption cache. *)
-let conjuncts = Pinpoint_smt.Corecache.conjuncts
-
 (* The definition map: hash-cons id of a [Var] node -> the unique rhs it
    is equated to by a top-level conjunct.  A second, different binding for
    the same variable loses the strong update (both equalities hold
@@ -87,7 +83,7 @@ let nonneg (defs : (int, E.t) Hashtbl.t) : E.t -> bool =
   go
 
 let facts (cond : E.t) : E.t list =
-  let conjs = conjuncts cond in
+  let conjs = E.conjuncts cond in
   let defs = build_defs conjs in
   if Hashtbl.length defs = 0 then []
   else begin

@@ -1,173 +1,1 @@
-(* Unsat-core subsumption cache (DESIGN.md §4.17).
-
-   The verdict cache ({!Qcache}) only replays *exact* formulas: two
-   candidates from the same source share most of their conjuncts, yet a
-   single differing sink conjunct makes them distinct hash-cons nodes and
-   the cache misses.  This cache works at the granularity the engine
-   actually assembles conditions at — the top-level conjunct set of the
-   path condition's ∧-spine.  When the full solver proves a conjunction
-   Unsat, the solver shrinks the conjunct set by deletion to a still-Unsat
-   subset (the core) and stores it here as a sorted hash-cons-id set.  A
-   later query whose conjunct set is a *superset* of any stored core is
-   Unsat without touching CDCL: a conjunction containing an unsatisfiable
-   subset is unsatisfiable, whatever else it conjoins.
-
-   Soundness is one-directional by construction — a subsumption hit only
-   ever answers Unsat, and only when the query provably contains a core —
-   so a hit is exchangeable with recomputation and reports stay identical
-   at every [--jobs] level, exactly like {!Qcache} hits.
-
-   Indexing: a core is filed under its minimum conjunct id.  A probe walks
-   the query's sorted conjunct-id set and, for each id, subset-tests the
-   cores filed under it (a core ⊆ query implies the core's minimum is one
-   of the query's ids), so lookup is O(conjuncts · cores-per-bucket) with
-   a two-pointer merge per test.  Shards bound contention the same way
-   {!Qcache}'s do.
-
-   Bounding: each shard holds at most [shard_cap] cores; inserts into a
-   full shard are dropped (forgetting a core only costs a future
-   recomputation).  {!clear} resets everything between bench cells. *)
-
-module Obs = Pinpoint_obs.Obs
-
-let n_shards = 16
-let shard_cap = 1024
-
-type shard = {
-  lock : Mutex.t;
-  tbl : (int, int array list) Hashtbl.t;  (** min conjunct id -> cores *)
-  mutable count : int;
-}
-
-let shards =
-  Array.init n_shards (fun _ ->
-      { lock = Mutex.create (); tbl = Hashtbl.create 64; count = 0 })
-
-(* Off by default, like {!Qcache}: the engine enables it per run (config
-   [use_corecache], CLI [--no-core-cache]). *)
-let enabled_flag = Atomic.make false
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
-(* Lifetime counters (process-wide). *)
-let n_probes = Atomic.make 0
-let n_hits = Atomic.make 0
-let n_stores = Atomic.make 0
-let n_shrink_checks = Atomic.make 0
-
-let note_shrink_check () =
-  Atomic.incr n_shrink_checks;
-  if Obs.metrics_on () then Obs.add (Obs.counter "corecache.n_shrink_check") 1
-
-let shard_of_id id = shards.((id land max_int) mod n_shards)
-
-(* The top-level conjunct set: flatten the ∧-spine recursively and
-   deduplicate by hash-cons id.  [Expr.conj_balanced] dedups the list it
-   is given, but engine conditions nest pre-built conjunctions (DD/CD
-   closures), so the flattened spine can still repeat a conjunct. *)
-let conjuncts (e : Expr.t) : Expr.t list =
-  let seen = Hashtbl.create 32 in
-  let acc = ref [] in
-  let rec go (e : Expr.t) =
-    match e.Expr.node with
-    | Expr.And (a, b) ->
-      go a;
-      go b
-    | _ ->
-      if not (Hashtbl.mem seen e.Expr.id) then begin
-        Hashtbl.add seen e.Expr.id ();
-        acc := e :: !acc
-      end
-  in
-  go e;
-  List.rev !acc
-
-let ids_of conjs =
-  let a = Array.of_list (List.map (fun (c : Expr.t) -> c.Expr.id) conjs) in
-  Array.sort compare a;
-  a
-
-(* core ⊆ query, both sorted ascending: two-pointer merge. *)
-let subset (core : int array) (query : int array) =
-  let nc = Array.length core and nq = Array.length query in
-  let rec go i j =
-    if i >= nc then true
-    else if j >= nq then false
-    else if core.(i) = query.(j) then go (i + 1) (j + 1)
-    else if core.(i) > query.(j) then go i (j + 1)
-    else false
-  in
-  nc <= nq && go 0 0
-
-let probe (e : Expr.t) : bool =
-  enabled ()
-  && begin
-       Atomic.incr n_probes;
-       if Obs.metrics_on () then Obs.add (Obs.counter "corecache.n_probe") 1;
-       let query = ids_of (conjuncts e) in
-       let n = Array.length query in
-       let hit = ref false in
-       let i = ref 0 in
-       while (not !hit) && !i < n do
-         let id = query.(!i) in
-         let s = shard_of_id id in
-         let cores =
-           Mutex.protect s.lock (fun () ->
-               Option.value (Hashtbl.find_opt s.tbl id) ~default:[])
-         in
-         if List.exists (fun core -> subset core query) cores then hit := true;
-         incr i
-       done;
-       if !hit then begin
-         Atomic.incr n_hits;
-         if Obs.metrics_on () then
-           Obs.add (Obs.counter "corecache.n_subsume_hit") 1
-       end;
-       !hit
-     end
-
-let store (core_conjs : Expr.t list) : unit =
-  if enabled () && core_conjs <> [] then begin
-    let ids = ids_of core_conjs in
-    let min_id = ids.(0) in
-    let s = shard_of_id min_id in
-    Mutex.protect s.lock (fun () ->
-        let cur = Option.value (Hashtbl.find_opt s.tbl min_id) ~default:[] in
-        if s.count < shard_cap && not (List.exists (fun c -> c = ids) cur) then begin
-          Hashtbl.replace s.tbl min_id (ids :: cur);
-          s.count <- s.count + 1;
-          Atomic.incr n_stores;
-          if Obs.metrics_on () then Obs.add (Obs.counter "corecache.n_store") 1
-        end)
-  end
-
-let clear () =
-  Array.iter
-    (fun s ->
-      Mutex.protect s.lock (fun () ->
-          Hashtbl.reset s.tbl;
-          s.count <- 0))
-    shards
-
-let length () =
-  Array.fold_left
-    (fun acc s -> acc + Mutex.protect s.lock (fun () -> s.count))
-    0 shards
-
-type stats = {
-  entries : int;
-  probes : int;
-  hits : int;
-  stores : int;
-  shrink_checks : int;
-}
-
-let stats () =
-  {
-    entries = length ();
-    probes = Atomic.get n_probes;
-    hits = Atomic.get n_hits;
-    stores = Atomic.get n_stores;
-    shrink_checks = Atomic.get n_shrink_checks;
-  }
+let clear () = ()

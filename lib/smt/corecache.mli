@@ -1,52 +1,9 @@
-(** Unsat-core subsumption cache (DESIGN.md §4.17).
+(** A no-op kept for one external caller.
 
-    Stores the shrunk unsat cores of refuted path conditions as sorted
-    sets of top-level-conjunct hash-cons ids.  A later query whose
-    conjunct set contains any stored core is Unsat without running the
-    full solver — sound because a conjunction containing an unsatisfiable
-    subset is unsatisfiable.  Complements {!Qcache}, which only replays
-    structurally identical formulas: candidates from the same source
-    differ in a sink conjunct or two but share the refuted prefix, and
-    this cache recovers exactly those near misses.
-
-    Like {!Qcache}, the cache is process-global but off by default; the
-    engine gates it per run (config [use_corecache], CLI
-    [--no-core-cache]).  A hit is exchangeable with recomputation, so
-    reports are identical at every [--jobs] level and with the cache on
-    or off. *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-
-val conjuncts : Expr.t -> Expr.t list
-(** The top-level conjunct set of a formula's ∧-spine, flattened
-    recursively and deduplicated by hash-cons id, in first-occurrence
-    order.  This is the granularity cores are stored and probed at. *)
-
-val probe : Expr.t -> bool
-(** [probe e] is [true] iff the cache is enabled and [e]'s conjunct set
-    contains a stored core — in which case [e] is Unsat. *)
-
-val store : Expr.t list -> unit
-(** Store a conjunct set known to be jointly unsatisfiable (a core).  The
-    caller (the solver) is responsible for only passing genuinely
-    unsatisfiable sets — typically the deletion-shrunk conjuncts of a
-    full-rung Unsat verdict.  No-op when disabled or the shard is full. *)
-
-val note_shrink_check : unit -> unit
-(** Count one core-shrink sub-check (bumped by the solver's deletion
-    loop; surfaces as the [corecache.n_shrink_check] counter). *)
+    The benchmark harness under [perfbench/] empties the process-wide
+    solver caches before each traced pass and still calls
+    [Corecache.clear ()].  The unsat-core subsumption cache behind it no
+    longer exists (DESIGN.md §4.17), so this function does nothing.  Code
+    in [lib/], [bin/] and [test/] must not call it. *)
 
 val clear : unit -> unit
-val length : unit -> int
-
-type stats = {
-  entries : int;
-  probes : int;
-  hits : int;
-  stores : int;
-  shrink_checks : int;
-}
-
-val stats : unit -> stats
-(** Process-lifetime counters (not per-run deltas). *)

@@ -309,6 +309,26 @@ let atoms e =
   go e;
   List.rev !acc
 
+(* [conj_balanced] dedups the list it is given, but engine conditions nest
+   pre-built conjunctions (DD/CD closures), so the flattened spine can
+   still repeat a conjunct. *)
+let conjuncts e =
+  let seen = Hashtbl.create 32 in
+  let acc = ref [] in
+  let rec go e =
+    match e.node with
+    | And (a, b) ->
+      go a;
+      go b
+    | _ ->
+      if not (Hashtbl.mem seen e.id) then begin
+        Hashtbl.add seen e.id ();
+        acc := e :: !acc
+      end
+  in
+  go e;
+  List.rev !acc
+
 let vars e =
   let seen = Hashtbl.create 64 in
   let vs = Hashtbl.create 16 in

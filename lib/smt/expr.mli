@@ -104,6 +104,11 @@ val atoms : t -> t list
     the paper's footnote 3: an atomic constraint is a bool-typed expression
     without logical operators.) *)
 
+val conjuncts : t -> t list
+(** The top-level conjunct set of a formula's ∧-spine, flattened
+    recursively and deduplicated by hash-cons id, in first-occurrence
+    order. *)
+
 val vars : t -> Symbol.t list
 (** All variables occurring in the expression, deduplicated. *)
 

@@ -110,7 +110,7 @@ let note_probe (e : Expr.t) =
            multiset was seen before, whether under this id (a plain miss
            that a structural key would not improve) or a different one.
            Only the distinct-id case counts — that is the reuse a
-           coarser-grained key (or the {!Corecache}) could recover. *)
+           coarser-grained key could recover. *)
         if not (List.mem e.Expr.id r.nm_ids) then begin
           Obs.add (Obs.counter "qcache.n_near_miss") 1;
           if List.length r.nm_ids < nm_max_ids then

@@ -25,15 +25,14 @@
    propagation loop at points where the watch lists are consistent, so a
    Timeout escape leaves the instance reusable.
 
-   The pre-CDCL chronological DPLL survives as {!Sat_ref}; set
-   [PINPOINT_SAT=ref] (or call [set_impl Ref]) to route this module's
-   interface to it for ablations and differential testing. *)
+   The pre-CDCL chronological DPLL survives as {!Sat_ref}, the oracle the
+   tests cross-check this core against. *)
 
 module Metrics = Pinpoint_util.Metrics
 
 type result = Sat of bool array | Unsat
 
-type counts = Sat_ref.counts = {
+type counts = {
   propagations : int;
   decisions : int;
   conflicts : int;
@@ -41,24 +40,6 @@ type counts = Sat_ref.counts = {
   restarts : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Implementation selection                                            *)
-(* ------------------------------------------------------------------ *)
-
-type impl = Cdcl | Ref
-
-let impl_of_env () =
-  match Sys.getenv_opt "PINPOINT_SAT" with
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "ref" | "dpll" -> Ref
-    | _ -> Cdcl)
-  | None -> Cdcl
-
-let selected = ref (impl_of_env ())
-let impl () = !selected
-let set_impl i = selected := i
-let impl_name () = match !selected with Cdcl -> "cdcl" | Ref -> "ref"
 let default_budget = 200_000
 
 (* ------------------------------------------------------------------ *)
@@ -90,7 +71,7 @@ let ipush v x =
    the implied literal is at position 0 (conflict analysis relies on
    this). *)
 
-type cdcl = {
+type t = {
   mutable n_vars : int;
   mutable cap : int; (* variable capacity arrays are sized for *)
   mutable ca : int array; (* clause arena *)
@@ -124,7 +105,7 @@ type cdcl = {
 
 let widx lit = (2 * abs lit) + if lit < 0 then 1 else 0
 
-let cdcl_create () =
+let create () =
   {
     n_vars = 0;
     cap = 0;
@@ -247,16 +228,16 @@ let grow_vars t want =
     t.cap <- cap
   end
 
-let cdcl_new_var t =
+let new_var t =
   let v = t.n_vars + 1 in
   grow_vars t v;
   t.n_vars <- v;
   heap_insert t v;
   v
 
-let cdcl_ensure_vars t n =
+let ensure_vars t n =
   while t.n_vars < n do
-    ignore (cdcl_new_var t)
+    ignore (new_var t)
   done
 
 (* -- Trail --------------------------------------------------------- *)
@@ -310,11 +291,11 @@ let attach_clause t c =
    level-0 assignment: satisfied clauses and tautologies are dropped,
    false literals removed, units enqueued (propagated lazily by the next
    [solve], which rewinds [qhead]). *)
-let cdcl_add_clause t lits =
+let add_clause t lits =
   if t.ok then begin
     cancel_until t 0;
     t.qhead <- 0;
-    List.iter (fun l -> cdcl_ensure_vars t (abs l)) lits;
+    List.iter (fun l -> ensure_vars t (abs l)) lits;
     let kept = ref [] and n_kept = ref 0 in
     let satisfied = ref false in
     List.iter
@@ -628,12 +609,12 @@ let search t ~budget ~assumps ~deadline =
   done;
   Option.get !out
 
-let cdcl_solve ?(budget = default_budget) ?(assumptions = [])
+let solve ?(budget = default_budget) ?(assumptions = [])
     ?(deadline = Metrics.no_deadline) t =
   if not t.ok then Some Unsat
   else begin
     Metrics.check deadline;
-    List.iter (fun l -> cdcl_ensure_vars t (abs l)) assumptions;
+    List.iter (fun l -> ensure_vars t (abs l)) assumptions;
     (* assumption dummy levels can push the level count past n_vars;
        make sure the level-indexed scratch arrays cover them *)
     grow_vars t (t.n_vars + List.length assumptions + 1);
@@ -652,7 +633,7 @@ let cdcl_solve ?(budget = default_budget) ?(assumptions = [])
       None
   end
 
-let cdcl_counts t =
+let counts t =
   {
     propagations = t.s_propagations;
     decisions = t.s_decisions;
@@ -660,31 +641,3 @@ let cdcl_counts t =
     learned = t.s_learned;
     restarts = t.s_restarts;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Public interface: dispatch between CDCL and the reference DPLL      *)
-(* ------------------------------------------------------------------ *)
-
-type t = C of cdcl | R of Sat_ref.t
-
-let create () =
-  match !selected with Cdcl -> C (cdcl_create ()) | Ref -> R (Sat_ref.create ())
-
-let new_var = function C s -> cdcl_new_var s | R s -> Sat_ref.new_var s
-
-let ensure_vars t n =
-  match t with C s -> cdcl_ensure_vars s n | R s -> Sat_ref.ensure_vars s n
-
-let add_clause t lits =
-  match t with C s -> cdcl_add_clause s lits | R s -> Sat_ref.add_clause s lits
-
-let counts = function C s -> cdcl_counts s | R s -> Sat_ref.counts s
-
-let solve ?budget ?assumptions ?deadline t =
-  match t with
-  | C s -> cdcl_solve ?budget ?assumptions ?deadline s
-  | R s -> (
-    match Sat_ref.solve ?budget ?assumptions ?deadline s with
-    | Some (Sat_ref.Sat m) -> Some (Sat m)
-    | Some Sat_ref.Unsat -> Some Unsat
-    | None -> None)

@@ -12,25 +12,10 @@
     assumption literals, which the lazy DPLL(T) loop uses to re-run the
     degradation ladder's rungs on the same solver state.
 
-    The pre-CDCL chronological DPLL is kept as {!Sat_ref}; setting
-    [PINPOINT_SAT=ref] in the environment (or calling {!set_impl}) routes
-    this interface to it for ablations and differential testing. *)
+    The pre-CDCL chronological DPLL is kept as {!Sat_ref}, the oracle
+    the tests cross-check this core against. *)
 
 type t
-
-(** Which core backs new instances created by {!create}. *)
-type impl = Cdcl | Ref
-
-val impl : unit -> impl
-(** Current core selection (initialised from [PINPOINT_SAT]; [ref] or
-    [dpll] select the reference core, anything else CDCL). *)
-
-val set_impl : impl -> unit
-(** Override the core selection for subsequently created instances (used
-    by the [bench smt] ablation; existing instances are unaffected). *)
-
-val impl_name : unit -> string
-(** ["cdcl"] or ["ref"]. *)
 
 val create : unit -> t
 
@@ -50,7 +35,7 @@ type result =
       (** [model.(v)] is the value of variable [v]; index 0 is unused. *)
   | Unsat
 
-type counts = Sat_ref.counts = {
+type counts = {
   propagations : int;  (** literals assigned by unit propagation *)
   decisions : int;     (** branching decisions *)
   conflicts : int;     (** conflicts hit (the budget unit) *)

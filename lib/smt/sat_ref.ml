@@ -38,17 +38,9 @@ let add_clause t lits =
 
 type result = Sat of bool array | Unsat
 
-type counts = {
-  propagations : int;
-  decisions : int;
-  conflicts : int;
-  learned : int;
-  restarts : int;
-}
-
 let counts t =
   {
-    propagations = t.c_propagations;
+    Sat.propagations = t.c_propagations;
     decisions = t.c_decisions;
     conflicts = t.c_conflicts;
     learned = 0;

@@ -2,11 +2,9 @@
 
     This is the pre-CDCL solver: unit propagation by scanning every clause,
     chronological backtracking, no learning, no decision heuristic.  It is
-    retained for differential testing ({!Sat} cross-checks CDCL verdicts and
-    models against it), for the [PINPOINT_SAT=ref] ablation (CI diffs corpus
-    reports byte-for-byte between the two cores) and for the [bench smt]
-    old-vs-new comparison.  Production code should go through {!Sat}, which
-    dispatches to this module only when explicitly asked to. *)
+    retained for differential testing (the tests cross-check {!Sat}'s CDCL
+    verdicts and models against it) and for the [bench smt] old-vs-new
+    comparison on hard random CNF.  Production code goes through {!Sat}. *)
 
 type t
 
@@ -27,17 +25,10 @@ type result =
       (** [model.(v)] is the value of variable [v]; index 0 is unused. *)
   | Unsat
 
-type counts = {
-  propagations : int;  (** literals assigned by unit propagation *)
-  decisions : int;     (** branching variable assignments *)
-  conflicts : int;     (** falsified clauses hit during search *)
-  learned : int;       (** always 0 here: this core does not learn *)
-  restarts : int;      (** always 0 here: this core never restarts *)
-}
-
-val counts : t -> counts
+val counts : t -> Sat.counts
 (** Cumulative search-effort counters for this instance (monotonic across
-    [solve] calls; shared field layout with {!Sat.counts}). *)
+    [solve] calls).  [learned] and [restarts] are always 0: this core
+    neither learns nor restarts. *)
 
 val solve :
   ?budget:int ->

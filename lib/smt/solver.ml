@@ -31,15 +31,12 @@ type stats = {
   mutable n_degraded : int;
   mutable n_cache_hits : int;
   mutable n_cache_misses : int;
-  mutable n_subsume_hits : int;
   mutable n_core_shrink_calls : int;
   mutable n_propagations : int;
   mutable n_conflicts : int;
   mutable n_learned : int;
   mutable n_restarts : int;
   mutable n_ne_dropped : int;
-  mutable n_carry_stored : int;
-  mutable n_carry_seeded : int;
 }
 
 let zero () =
@@ -53,15 +50,12 @@ let zero () =
     n_degraded = 0;
     n_cache_hits = 0;
     n_cache_misses = 0;
-    n_subsume_hits = 0;
     n_core_shrink_calls = 0;
     n_propagations = 0;
     n_conflicts = 0;
     n_learned = 0;
     n_restarts = 0;
     n_ne_dropped = 0;
-    n_carry_stored = 0;
-    n_carry_seeded = 0;
   }
 
 (* Counters are domain-local: each worker accumulates into its own record
@@ -93,9 +87,6 @@ let fields =
       field "n_cache_misses"
         (fun s -> s.n_cache_misses)
         (fun s v -> s.n_cache_misses <- v);
-      field "n_subsume_hits"
-        (fun s -> s.n_subsume_hits)
-        (fun s v -> s.n_subsume_hits <- v);
       field "n_core_shrink_calls"
         (fun s -> s.n_core_shrink_calls)
         (fun s v -> s.n_core_shrink_calls <- v);
@@ -108,12 +99,6 @@ let fields =
       field "n_ne_dropped"
         (fun s -> s.n_ne_dropped)
         (fun s v -> s.n_ne_dropped <- v);
-      field "n_carry_stored"
-        (fun s -> s.n_carry_stored)
-        (fun s v -> s.n_carry_stored <- v);
-      field "n_carry_seeded"
-        (fun s -> s.n_carry_seeded)
-        (fun s v -> s.n_carry_seeded <- v);
     ]
 
 let reset_stats () = Obs.Agg.copy_into fields ~into:(stats ()) (zero ())
@@ -149,12 +134,7 @@ let obs_publish s =
     Obs.set_gauge (Obs.gauge "qcache.evictions")
       (float_of_int q.Qcache.evictions);
     Obs.set_gauge (Obs.gauge "qcache.inserts") (float_of_int q.Qcache.inserts);
-    Obs.set_gauge (Obs.gauge "qcache.probes") (float_of_int q.Qcache.probes);
-    let c = Corecache.stats () in
-    Obs.set_gauge (Obs.gauge "corecache.entries")
-      (float_of_int c.Corecache.entries);
-    Obs.set_gauge (Obs.gauge "corecache.probes") (float_of_int c.Corecache.probes);
-    Obs.set_gauge (Obs.gauge "corecache.hits") (float_of_int c.Corecache.hits)
+    Obs.set_gauge (Obs.gauge "qcache.probes") (float_of_int q.Qcache.probes)
   end
 
 let sat_or_unknown = function Sat | Unknown -> true | Unsat -> false
@@ -218,10 +198,6 @@ type query = {
   q_root : int;
   q_atom_vars : (int, int) Hashtbl.t; (* atom expr id -> SAT var *)
   q_var_atom : (int, Expr.t) Hashtbl.t; (* SAT var -> atom expr *)
-  mutable q_lemmas : (Expr.t * bool) list list;
-      (* theory blocking cores learned while solving this query, newest
-         first: each is an atom/polarity assignment the theory refuted, so
-         its negation (the blocking clause) is valid in every query *)
 }
 
 let make_query (e : Expr.t) : query =
@@ -242,73 +218,7 @@ let make_query (e : Expr.t) : query =
     q_root = root;
     q_atom_vars = atom_vars;
     q_var_atom = var_atom;
-    q_lemmas = [];
   }
-
-(* ------------------------------------------------------------------ *)
-(* Per-source solver carryover (DESIGN.md §4.17).
-
-   Queries from one source share a prefix: candidate k+1's condition is
-   candidate k's plus a sink conjunct or two.  The theory blocking
-   clauses the lazy loop learns while refuting propositional models are
-   {e theory lemmas} — "this atom assignment is arithmetically
-   inconsistent" — valid for any formula over the same atoms, not just
-   the query that learned them.  A [Carry.t] keeps a bounded pouch of
-   them per source; when the next query from that source is encoded, any
-   lemma whose atoms all occur in the new query is re-seeded as a clause
-   before the first SAT call, so the solver never revisits the refuted
-   assignment (strictly fewer propagations, measured by the bench's
-   carryover leg).  Seeding a valid clause cannot change a verdict, so
-   reports are identical with carryover on or off. *)
-
-module Carry = struct
-  type t = { mutable lemmas : (Expr.t * bool) list list }
-
-  let max_lemmas = 32
-  let max_lits = 12
-
-  let create () = { lemmas = [] }
-
-  let truncate n l =
-    let rec go n = function
-      | x :: tl when n > 0 -> x :: go (n - 1) tl
-      | _ -> []
-    in
-    go n l
-
-  (* Harvest the blocking cores a finished query learned. *)
-  let store (c : t) (q : query) =
-    let st = stats () in
-    List.iter
-      (fun lemma ->
-        if List.length lemma <= max_lits then begin
-          c.lemmas <- lemma :: c.lemmas;
-          st.n_carry_stored <- st.n_carry_stored + 1
-        end)
-      (List.rev q.q_lemmas);
-    c.lemmas <- truncate max_lemmas c.lemmas
-
-  (* Re-seed every applicable lemma into a freshly encoded query: the
-     lemma's atoms must all be atoms of the new query (mapped through its
-     own Tseitin variables). *)
-  let seed (c : t) (q : query) =
-    let st = stats () in
-    List.iter
-      (fun lemma ->
-        let vars =
-          List.map
-            (fun ((atom : Expr.t), b) ->
-              match Hashtbl.find_opt q.q_atom_vars atom.Expr.id with
-              | Some v -> Some (if b then -v else v)
-              | None -> None)
-            lemma
-        in
-        if List.for_all Option.is_some vars then begin
-          Sat.add_clause q.q_sat (List.filter_map Fun.id vars);
-          st.n_carry_seeded <- st.n_carry_seeded + 1
-        end)
-      c.lemmas
-end
 
 (* Both wrappers below fold the callee's effort counters into the
    domain-local stats even when the call escapes by [Metrics.Timeout]:
@@ -431,62 +341,14 @@ let check_raw ~max_iters ~conflicts ~deadline ?query (e : Expr.t) :
               else begin
                 (* The blocking clause persists in the instance: later
                    iterations — and later rungs resuming this query —
-                   never revisit the refuted propositional model.  The
-                   refuted core is also kept on the query record, so
-                   per-source carryover can re-seed it into the next
-                   query over the same atoms. *)
+                   never revisit the refuted propositional model. *)
                 Sat.add_clause q.q_sat blocking;
-                q.q_lemmas <- !core :: q.q_lemmas;
                 loop (iter + 1)
               end)
         end
       in
       let v = loop 0 in
       (v, if v = Sat then !sat_model else [])
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Unsat-core subsumption (DESIGN.md §4.17): after a full-rung Unsat,
-   shrink the formula's top-level conjunct set by deletion to a
-   still-Unsat subset and store it in {!Corecache}.  Each deletion step
-   re-checks the remainder — linear fast path first, then (for small
-   cores) a tightly budgeted full check — so the invariant "the current
-   core is Unsat" holds at every step, and an abort (deadline) just
-   stores the larger, still-valid core.  Returns the stored core size
-   (0 = nothing stored), surfaced in the profiler row. *)
-
-let corecache_max_conjuncts = 128
-let corecache_full_shrink_max = 24
-
-let corecache_store ~deadline (e : Expr.t) : int =
-  if not (Corecache.enabled ()) then 0
-  else begin
-    let conjs = Corecache.conjuncts e in
-    let n = List.length conjs in
-    if n < 2 || n > corecache_max_conjuncts then 0
-    else begin
-      let d = Metrics.min_deadline deadline (Metrics.deadline_after 0.5) in
-      let still_unsat f =
-        Corecache.note_shrink_check ();
-        match Linear_solver.check f with
-        | Linear_solver.Unsat -> true
-        | Linear_solver.Maybe ->
-          n <= corecache_full_shrink_max
-          && fst (check_raw ~max_iters:8 ~conflicts:128 ~deadline:d f) = Unsat
-      in
-      let core = ref conjs in
-      (try
-         List.iter
-           (fun c ->
-             if List.length !core > 1 then begin
-               let without = List.filter (fun x -> not (x == c)) !core in
-               if still_unsat (Expr.conj_balanced without) then core := without
-             end)
-           conjs
-       with Metrics.Timeout -> ());
-      Corecache.store !core;
-      List.length !core
-    end
   end
 
 let record_verdict v =
@@ -521,20 +383,10 @@ let check_with_model ?(max_iters = 400) ?(conflict_budget = Sat.default_budget)
     (v, m)
   | None ->
     if Qcache.enabled () then st.n_cache_misses <- st.n_cache_misses + 1;
-    if Corecache.probe e then begin
-      (* The conjunct set contains a stored unsat core: Unsat without
-         running CDCL (a conjunction containing an unsat core is unsat). *)
-      st.n_subsume_hits <- st.n_subsume_hits + 1;
-      record_verdict Unsat;
-      (Unsat, [])
-    end
-    else begin
-      let v, m = check_raw ~max_iters ~conflicts:conflict_budget ~deadline e in
-      record_verdict v;
-      cache_store e v m;
-      if v = Unsat then ignore (corecache_store ~deadline e);
-      (v, m)
-    end
+    let v, m = check_raw ~max_iters ~conflicts:conflict_budget ~deadline e in
+    record_verdict v;
+    cache_store e v m;
+    (v, m)
 
 let check ?max_iters ?conflict_budget ?deadline e =
   fst (check_with_model ?max_iters ?conflict_budget ?deadline e)
@@ -554,7 +406,7 @@ let check ?max_iters ?conflict_budget ?deadline e =
    histogram is looked up by name each time (not cached in a [lazy]):
    [Obs.reset] replaces the registry's entries, and a cached handle would
    go on feeding an orphan. *)
-let profile_query ~subject ~qt0 ~conf0 ~shrink0 ~core_size e
+let profile_query ~subject ~qt0 ~conf0 ~shrink0 e
     ((v, _, rung) as result) =
   let flight = Flight.enabled () in
   if Obs.metrics_on () || flight then begin
@@ -570,7 +422,7 @@ let profile_query ~subject ~qt0 ~conf0 ~shrink0 ~core_size e
       let conflicts = (stats ()).n_conflicts - conf0 in
       let shrinks = (stats ()).n_core_shrink_calls - shrink0 in
       Obs.record_query ~subject ~rung:rung_s ~verdict:verdict_s ~atoms
-        ~conflicts ~shrinks ~core:!core_size ~latency_s ();
+        ~conflicts ~shrinks ~latency_s ();
       Obs.observe (Obs.histogram "smt.query.latency_s") latency_s;
       if Obs.tracing_on () then
         Obs.end_span
@@ -588,7 +440,7 @@ let profile_query ~subject ~qt0 ~conf0 ~shrink0 ~core_size e
 
 let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
     ?(conflict_budget = Sat.default_budget) ?(deadline = Metrics.no_deadline)
-    ?log ?carry ?(subject = "query") (e : Expr.t) :
+    ?log ?(subject = "query") (e : Expr.t) :
     verdict * (Expr.t * bool) list * rung =
   let qt0 = Metrics.now_mono () in
   if Obs.tracing_on () then Obs.begin_span "smt.query";
@@ -596,7 +448,6 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
   st.n_queries <- st.n_queries + 1;
   let conf0 = st.n_conflicts in
   let shrink0 = st.n_core_shrink_calls in
-  let core_size = ref 0 in
   let t0 = Metrics.now () in
   let incident detail fallback =
     match log with
@@ -624,11 +475,6 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
     | Some q -> q
     | None ->
       let q = make_query e in
-      (* Re-seed theory lemmas learned on earlier queries from the same
-         source whose atoms all recur here (Carry).  The lemmas are
-         theory-valid, so seeding can only prune the search — verdicts
-         are unchanged, propagation counts drop. *)
-      (match carry with Some c -> Carry.seed c q | None -> ());
       memo_query := Some q;
       q
   in
@@ -670,13 +516,7 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
          answers may be weaker than what the full solver would say.
          (Crash/Hang sabotage never reaches [Ok] on the first rung, so the
          guard is for documentation as much as safety.) *)
-      if sabotage = None then begin
-        cache_store e v m;
-        (* A full-rung refutation also yields a reusable unsat core:
-           shrink the conjunct set by deletion and file it for
-           subsumption probes by later, similar queries. *)
-        if v = Unsat then core_size := corecache_store ~deadline e
-      end;
+      if sabotage = None then cache_store e v m;
       finish Rung_full v m
     | Error detail1 -> (
       incident detail1 "resume with halved budgets";
@@ -719,21 +559,6 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
         (v, m, Rung_cached)
       | None ->
         if Qcache.enabled () then st.n_cache_misses <- st.n_cache_misses + 1;
-        (* Subsumption probe: if the conjunct set contains a stored unsat
-           core, the query is Unsat without launching CDCL.  The probe sits
-           after the fault draw (draw-first) so a hit consumes exactly the
-           same injection draw as a full solve would — incident
-           fingerprints stay aligned with the cache on or off. *)
-        if Corecache.probe e then begin
-          st.n_subsume_hits <- st.n_subsume_hits + 1;
-          record_verdict Unsat;
-          (Unsat, [], Rung_cached)
-        end
-        else run_ladder None)
+        run_ladder None)
   in
-  (* Harvest whatever theory lemmas this query learned into the caller's
-     per-source pouch (if any) for re-seeding into the next query. *)
-  (match (carry, !memo_query) with
-  | Some c, Some q -> Carry.store c q
-  | _ -> ());
-  profile_query ~subject ~qt0 ~conf0 ~shrink0 ~core_size e result
+  profile_query ~subject ~qt0 ~conf0 ~shrink0 e result

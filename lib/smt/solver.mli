@@ -85,33 +85,12 @@ type rung =
 val rung_name : rung -> string
 val pp_rung : Format.formatter -> rung -> unit
 
-(** {1 Per-source solver carryover}
-
-    Queries emitted while checking one source share most of their atoms:
-    the path-condition prefix is common, only sink conjuncts differ.  A
-    [Carry.t] pouch collects the theory blocking cores (lemmas) learned
-    while solving each query; on the next query from the same source every
-    lemma whose atoms all recur is re-seeded as a clause before solving.
-    Lemmas are theory-valid (the theory refuted that atom assignment), so
-    seeding never changes a verdict — it only prunes the CDCL search,
-    which {!stats} proves as strictly fewer propagations. *)
-module Carry : sig
-  type t
-
-  val create : unit -> t
-  (** An empty pouch.  Engine code creates one per source task, so the
-      lemma stream is sequential and deterministic at every [--jobs]
-      level.  Harvesting and seeding happen inside {!check_degrading}
-      when the pouch is passed as [?carry]. *)
-end
-
 val check_degrading :
   ?max_iters:int ->
   ?budget_s:float ->
   ?conflict_budget:int ->
   ?deadline:Pinpoint_util.Metrics.deadline ->
   ?log:Pinpoint_util.Resilience.log ->
-  ?carry:Carry.t ->
   ?subject:string ->
   Expr.t ->
   verdict * (Expr.t * bool) list * rung
@@ -133,16 +112,7 @@ val check_degrading :
     cache entirely (no read, no write).  Unsabotaged queries replay a hit
     as [Rung_cached] (not counted as degraded) and store full-rung
     [Sat]/[Unsat] verdicts back; halved/linear/gave-up verdicts are never
-    cached.
-
-    {!Corecache} interaction: on a {!Qcache} miss the query's conjunct
-    set is probed for a stored unsat core — a subsumption hit answers
-    [Unsat] as [Rung_cached] without launching CDCL (counted in
-    [n_subsume_hits]).  An unsabotaged full-rung [Unsat] deletion-shrinks
-    its conjunct set and stores the core.  [carry], if given, is the
-    per-source lemma pouch: applicable lemmas are seeded into the freshly
-    encoded instance and this query's learned blocking cores are
-    harvested back into it. *)
+    cached. *)
 
 type stats = {
   mutable n_queries : int;
@@ -156,8 +126,6 @@ type stats = {
   mutable n_cache_misses : int;    (** cache-enabled queries that ran the
                                        solver (disabled cache counts
                                        neither hits nor misses) *)
-  mutable n_subsume_hits : int;    (** {!Qcache} misses answered [Unsat] by
-                                       a {!Corecache} subsumption probe *)
   mutable n_core_shrink_calls : int;
       (** unsat-core deletion-shrink passes run by the lazy-SMT loop *)
   mutable n_propagations : int;  (** CDCL unit propagations *)
@@ -167,10 +135,6 @@ type stats = {
   mutable n_ne_dropped : int;
       (** disequalities dropped past {!Theory.max_ne_splits} — each one an
           explicit over-approximation of satisfiability *)
-  mutable n_carry_stored : int;
-      (** theory lemmas harvested into per-source {!Carry} pouches *)
-  mutable n_carry_seeded : int;
-      (** carried lemmas re-seeded into a later query's CDCL instance *)
 }
 
 val stats : unit -> stats

@@ -469,9 +469,8 @@ let taint_hard_trap g ~unit_tag ~(checker : [ `Path | `Trans ]) =
    guard pair (s < 3 ∧ s > 5 — jointly unsat over ℤ, invisible to the
    P/N-complement linear solver), followed by several uses under distinct
    guards.  Every candidate is a distinct formula (a verdict-cache miss)
-   but shares the refuted guard-pair core, so the first full-rung Unsat
-   seeds the subsumption cache and the remaining candidates are answered
-   by it without CDCL. *)
+   sharing the refuted guard-pair core, so each pays its own full-rung
+   solve. *)
 let shared_core_trap g ~unit_tag =
   let base = fresh_name g (unit_tag ^ "_score") in
   ignore (E.linef g.em "void %s(int *p) {" base);

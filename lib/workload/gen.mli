@@ -32,8 +32,8 @@ type params = {
   n_shared_core : int;
       (** disjoint-interval guard families: several infeasible candidates
           per function sharing one unsat core the linear solver cannot see
-          — distinct formulas (verdict-cache misses) answered by the
-          subsumption cache after the first full refutation *)
+          — distinct formulas (verdict-cache misses), each paying a full
+          solve *)
   n_use_before_free : int; (** safe order patterns (SVF-only FPs) *)
   n_taint_real : int;      (** real taint flows (per taint checker) *)
   n_taint_traps : int;     (** infeasible taint flows *)

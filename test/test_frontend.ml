@@ -24,6 +24,14 @@ let test_lexer_comments () =
     (Lexer.Error ("unterminated block comment", 2)) (fun () ->
       ignore (tokens "/* \n oops"))
 
+let test_lexer_int_range () =
+  (match tokens (string_of_int max_int) with
+  | [ Lexer.INT n; Lexer.EOF ] when n = max_int -> ()
+  | _ -> Alcotest.fail "max_int literal");
+  Alcotest.check_raises "literal past max_int"
+    (Lexer.Error ("integer literal out of range", 2)) (fun () ->
+      ignore (tokens "x\n99999999999999999999"))
+
 let test_lexer_lines () =
   let toks = Lexer.tokenize "int x;\nint y;" in
   let y_tok =
@@ -222,6 +230,7 @@ let suite =
   [
     Alcotest.test_case "lexer basic" `Quick test_lexer_basic;
     Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
+    Alcotest.test_case "lexer int range" `Quick test_lexer_int_range;
     Alcotest.test_case "lexer lines" `Quick test_lexer_lines;
     Alcotest.test_case "lexer keywords" `Quick test_lexer_keywords;
     Alcotest.test_case "parser function" `Quick test_parser_function;

@@ -159,11 +159,9 @@ let corpus_files () =
 (* For every path the engine ever conditioned (feasible AND infeasible
    candidates, over the whole corpus and every checker), the builder's
    incrementally-assembled formula must get the same solver verdict as the
-   one-shot [Vpath.condition] oracle; and whenever the pruning builder
-   declares the path refuted, the oracle condition must really be unsat
-   (refutation soundness). *)
+   one-shot [Vpath.condition] oracle. *)
 let test_builder_matches_oracle () =
-  let n_paths = ref 0 and n_refuted = ref 0 in
+  let n_paths = ref 0 in
   List.iter
     (fun file ->
       let a = Pinpoint.Analysis.prepare_file file in
@@ -177,27 +175,14 @@ let test_builder_matches_oracle () =
               incr n_paths;
               let path = r.Pinpoint.Report.path in
               let oracle = Pinpoint.Vpath.condition ~seg_of ~rv path in
-              let built =
-                Cond.formula (Cond.of_path ~prune:false ~seg_of ~rv path)
-              in
+              let built = Cond.formula (Cond.of_path ~seg_of ~rv path) in
               if Solver.check built <> Solver.check oracle then
                 Alcotest.failf "%s/%s: builder verdict differs from oracle"
-                  file spec.Pinpoint.Checker_spec.name;
-              let pruning = Cond.of_path ~prune:true ~stride:1 ~seg_of ~rv path in
-              if Cond.refuted pruning then begin
-                incr n_refuted;
-                if Solver.check oracle <> Solver.Unsat then
-                  Alcotest.failf "%s/%s: pruner refuted a satisfiable path"
-                    file spec.Pinpoint.Checker_spec.name
-              end)
+                  file spec.Pinpoint.Checker_spec.name)
             reports)
         Pinpoint.Checkers.all)
     (corpus_files ());
-  Alcotest.(check bool) "oracle saw paths" true (!n_paths > 0);
-  (* the corpus contains linearly-refutable candidates (complement_guards.mc
-     carries literal complement atoms), so the pruning side must have fired
-     somewhere *)
-  Alcotest.(check bool) "pruner refuted something" true (!n_refuted > 0)
+  Alcotest.(check bool) "oracle saw paths" true (!n_paths > 0)
 
 let report_sig reports =
   List.map
@@ -207,10 +192,9 @@ let report_sig reports =
 
 let cfg = Pinpoint.Engine.default_config
 
-(* Pruning and the verdict cache are pure optimisations: every corpus
-   program yields the same (key, verdict) report list with them on, off,
-   at stride 1 and in every combination. *)
-let test_prune_cache_report_identity () =
+(* The verdict cache is a pure optimisation: every corpus program yields
+   the same (key, verdict) report list with it on or off. *)
+let test_qcache_report_identity () =
   List.iter
     (fun file ->
       let a = Pinpoint.Analysis.prepare_file file in
@@ -219,67 +203,11 @@ let test_prune_cache_report_identity () =
           let run config =
             report_sig (fst (Pinpoint.Analysis.check ~config a spec))
           in
-          let base =
-            run { cfg with prune_prefixes = false; use_qcache = false }
-          in
-          let check name sig_ =
-            if sig_ <> base then
-              Alcotest.failf "%s/%s: %s changed the report set" file
-                spec.Pinpoint.Checker_spec.name name
-          in
-          check "defaults (prune+cache)" (run cfg);
-          check "stride 1" (run { cfg with prune_stride = 1 });
-          check "prune only" (run { cfg with use_qcache = false });
-          check "cache only" (run { cfg with prune_prefixes = false }))
+          if run cfg <> run { cfg with use_qcache = false } then
+            Alcotest.failf "%s/%s: the verdict cache changed the report set"
+              file spec.Pinpoint.Checker_spec.name)
         [ Pinpoint.Checkers.use_after_free; Pinpoint.Checkers.double_free ])
     (corpus_files ())
-
-(* Per-candidate accounting: with identical traversal, every candidate
-   the pruner short-circuits is exactly one SMT query the baseline run
-   issued — n_solver_calls(prune) + n_pruned_candidates = n_solver_calls
-   (no prune). *)
-let test_prune_query_accounting () =
-  let a = Pinpoint.Analysis.prepare_source ~file:"fig2" fig2_src in
-  let trap =
-    Pinpoint.Analysis.prepare_file
-      (Filename.concat (Test_corpus.corpus_dir ()) "correlated_trap.mc")
-  in
-  let compl_ =
-    Pinpoint.Analysis.prepare_file
-      (Filename.concat (Test_corpus.corpus_dir ()) "complement_guards.mc")
-  in
-  List.iter
-    (fun an ->
-      let _, pruned =
-        Pinpoint.Analysis.check
-          ~config:{ cfg with prune_stride = 1; use_qcache = false }
-          an Pinpoint.Checkers.use_after_free
-      in
-      let _, plain =
-        Pinpoint.Analysis.check
-          ~config:{ cfg with prune_prefixes = false; use_qcache = false }
-          an Pinpoint.Checkers.use_after_free
-      in
-      Alcotest.(check int) "candidates identical"
-        plain.Pinpoint.Engine.n_candidates pruned.Pinpoint.Engine.n_candidates;
-      Alcotest.(check int) "pruned + issued = baseline queries"
-        plain.Pinpoint.Engine.n_solver_calls
-        (pruned.Pinpoint.Engine.n_solver_calls
-        + pruned.Pinpoint.Engine.n_pruned_candidates);
-      Alcotest.(check bool) "prefix checks ran" true
-        (pruned.Pinpoint.Engine.n_prefix_checks > 0))
-    [ a; trap; compl_ ];
-  (* complement_guards carries (0 < s) /\ (s <= 0) as literal atoms — the
-     exact complement shape the linear solver refutes — so pruning must
-     fire there.  (correlated_trap's contradiction hides behind boolean
-     definition equalities, which the linear solver cannot see.) *)
-  let _, st =
-    Pinpoint.Analysis.check
-      ~config:{ cfg with prune_stride = 1; use_qcache = false }
-      compl_ Pinpoint.Checkers.use_after_free
-  in
-  Alcotest.(check bool) "pruned a candidate" true
-    (st.Pinpoint.Engine.n_pruned_candidates > 0)
 
 (* Clone interning makes path conditions deterministic functions of path
    structure, so a second run over the same program replays every verdict
@@ -297,9 +225,9 @@ let test_qcache_across_runs () =
     (report_sig r1 = report_sig r2);
   Pinpoint_smt.Qcache.clear ()
 
-(* jobs=4 with pruning+cache off must equal the sequential default — the
-   optimisation toggles commute with the parallel merge. *)
-let test_prune_cache_jobs_identity () =
+(* jobs=4 with the cache off must equal the sequential default — the
+   cache toggle commutes with the parallel merge. *)
+let test_qcache_jobs_identity () =
   let seq = Pinpoint.Analysis.prepare_source ~file:"fig2" fig2_src in
   let base = report_sig (fst (Pinpoint.Analysis.check seq Pinpoint.Checkers.use_after_free)) in
   Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool ->
@@ -312,18 +240,18 @@ let test_prune_cache_jobs_identity () =
         report_sig
           (fst
              (Pinpoint.Analysis.check
-                ~config:{ cfg with prune_prefixes = false; use_qcache = false }
+                ~config:{ cfg with use_qcache = false }
                 par Pinpoint.Checkers.use_after_free))
       in
       Alcotest.(check bool) "jobs 4, defaults = sequential" true (on = base);
       Alcotest.(check bool) "jobs 4, ablated = sequential" true (off = base))
 
-(* Fault injection draws once per candidate — before the cache is
-   consulted, and even for pruned candidates — so the sabotage pattern,
-   and with it the report set, is identical with prune/cache on or off.
-   A sabotaged query also bypasses the cache both ways, so a poisoned
-   verdict can never be stored or replayed. *)
-let test_injection_prune_cache_identity () =
+(* Fault injection draws once per candidate, before the cache is
+   consulted, so the sabotage pattern, and with it the report set, is
+   identical with the cache on or off.  A sabotaged query also bypasses
+   the cache both ways, so a poisoned verdict can never be stored or
+   replayed. *)
+let test_injection_qcache_identity () =
   let module Inject = Pinpoint_util.Resilience.Inject in
   let with_inject f =
     Inject.install
@@ -343,15 +271,9 @@ let test_injection_prune_cache_identity () =
             report_sig (fst (Pinpoint.Analysis.check ~config a
                                Pinpoint.Checkers.use_after_free)))
       in
-      let base = run { icfg with prune_prefixes = false; use_qcache = false } in
-      let check name sig_ =
-        if sig_ <> base then
-          Alcotest.failf "%s: %s changed reports under injection" file name
-      in
-      check "defaults" (run icfg);
-      check "stride 1" (run { icfg with prune_stride = 1 });
-      check "prune only" (run { icfg with use_qcache = false });
-      check "cache only" (run { icfg with prune_prefixes = false });
+      if run icfg <> run { icfg with use_qcache = false } then
+        Alcotest.failf "%s: the verdict cache changed reports under injection"
+          file;
       Pinpoint_smt.Qcache.clear ())
     [ "complement_guards.mc"; "correlated_trap.mc"; "double_free.mc" ]
 
@@ -365,13 +287,11 @@ let suite =
     Alcotest.test_case "builder matches one-shot oracle" `Quick
       test_builder_matches_oracle;
     Alcotest.test_case "prune/cache: corpus report identity" `Quick
-      test_prune_cache_report_identity;
-    Alcotest.test_case "prune: query accounting" `Quick
-      test_prune_query_accounting;
+      test_qcache_report_identity;
     Alcotest.test_case "qcache: second run fully cached" `Quick
       test_qcache_across_runs;
     Alcotest.test_case "prune/cache: jobs identity" `Quick
-      test_prune_cache_jobs_identity;
+      test_qcache_jobs_identity;
     Alcotest.test_case "prune/cache: injection identity" `Quick
-      test_injection_prune_cache_identity;
+      test_injection_qcache_identity;
   ]

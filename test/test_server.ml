@@ -480,14 +480,22 @@ let test_request_isolation () =
     (fun bad ->
       let resp, action = Server.handle_line t bad in
       Alcotest.(check bool) "continues" true (action = `Continue);
+      let j = parse_response resp in
       Alcotest.(check bool)
         (Printf.sprintf "rejected: %s" bad)
+        false (response_ok j);
+      (* bad input gets a structured error, never an escaped exception *)
+      Alcotest.(check bool)
+        (Printf.sprintf "structured error: %s" bad)
         false
-        (response_ok (parse_response resp)))
+        (String.starts_with ~prefix:"internal error"
+           (Option.value ~default:""
+              (Option.bind (Json.member "error" j) Json.string_opt))))
     [
       "not json at all";
       {|{"op":"frobnicate"}|};
       {|{"op":"check","files":[{"name":"srv_0.mc","contents":"void broken( {"}]}|};
+      {|{"op":"check","files":[{"name":"srv_0.mc","contents":"void f() { int x = 99999999999999999999; }"}]}|};
       {|{"op":"check","x":"\uzzzz"}|};
     ];
   let resp, _ =

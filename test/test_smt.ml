@@ -612,7 +612,7 @@ let test_qcache_near_miss () =
   (* Two formulas sharing an atom multiset but not a hash-cons id: the
      second probe lands in the first probe's atom-signature group and
      bumps the near-miss diagnostic — the bound on what a
-     structure-normalising cache key (or the core cache) could recover. *)
+     structure-normalising cache key could recover. *)
   let module Obs = Pinpoint_obs.Obs in
   Obs.reset ();
   Obs.set_level Obs.Metrics_only;
@@ -641,138 +641,6 @@ let test_qcache_near_miss () =
   (* a repeat probe of an id already in the group is not recounted *)
   ignore (Solver.check f2);
   Alcotest.(check int) "repeat probe does not recount" 1 (near_misses ())
-
-(* --- the unsat-core subsumption cache --- *)
-
-module R = Pinpoint_util.Resilience
-
-(* Enable the (process-global, default-off) core cache for one test,
-   restoring a clean disabled+empty state however the test exits. *)
-let with_corecache f =
-  Corecache.clear ();
-  Corecache.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Corecache.set_enabled false;
-      Corecache.clear ())
-    f
-
-(* x < 3 ∧ 5 < x: jointly unsatisfiable over the integers but not a
-   canonical complement pair, so the linear fast path cannot refute it —
-   the full rung must run, which is what files a core. *)
-let test_corecache_subsume () =
-  with_corecache @@ fun () ->
-  Solver.reset_stats ();
-  let x = ivar "cc_x" in
-  let lo = E.lt x (E.int 3) in
-  let hi = E.lt (E.int 5) x in
-  let f1 = E.conj_balanced [ lo; hi ] in
-  let v1, _, r1 = Solver.check_degrading f1 in
-  Alcotest.(check bool) "refuted" true (v1 = Solver.Unsat);
-  Alcotest.(check string) "first pays full CDCL" "full" (Solver.rung_name r1);
-  Alcotest.(check bool) "core filed" true (Corecache.length () > 0);
-  (* a distinct superset formula — the verdict cache would miss — is
-     answered by subsumption without launching CDCL *)
-  let f2 = E.conj_balanced [ lo; hi; E.le (E.int 0) x ] in
-  let v2, _, r2 = Solver.check_degrading f2 in
-  Alcotest.(check bool) "superset refuted" true (v2 = Solver.Unsat);
-  Alcotest.(check string) "answered by subsumption" "cached"
-    (Solver.rung_name r2);
-  let st = Solver.stats () in
-  Alcotest.(check int) "one subsumption hit" 1 st.Solver.n_subsume_hits;
-  Alcotest.(check int) "subsumption replay is not a degradation" 0
-    st.Solver.n_degraded;
-  (* a query sharing only part of the core is untouched *)
-  let g = E.conj_balanced [ lo; E.le (E.int 0) x ] in
-  Alcotest.(check bool) "non-superset solved normally" true
-    (Solver.check g = Solver.Sat)
-
-let corecache_subsumption_sound =
-  (* Satellite 3: any query whose conjunct set contains a stored core is
-     Unsat — and the genuine solver agrees — under both SAT backends
-     (PINPOINT_SAT=cdcl and =ref). *)
-  let x = ivar "ccs_x" in
-  let y = ivar "ccs_y" in
-  let core = [ E.lt x (E.int 3); E.lt (E.int 5) x ] in
-  let extras =
-    [|
-      E.le (E.int 0) y;
-      E.lt y (E.int 7);
-      E.eq y (E.int 3);
-      E.lt (E.int 2) y;
-      E.le y (E.int 100);
-    |]
-  in
-  Helpers.qtest ~count:60
-    "corecache: stored-core supersets are unsat (both SAT impls)"
-    QCheck.(pair (int_bound ((1 lsl Array.length extras) - 1)) bool)
-    (fun (mask, use_ref) ->
-      let impl0 = Sat.impl () in
-      Sat.set_impl (if use_ref then Sat.Ref else Sat.Cdcl);
-      Fun.protect ~finally:(fun () -> Sat.set_impl impl0) @@ fun () ->
-      let extra =
-        List.filteri
-          (fun i _ -> mask land (1 lsl i) <> 0)
-          (Array.to_list extras)
-      in
-      let q = E.conj_balanced (core @ extra) in
-      (* with the cache primed, the stored core subsumes the query *)
-      let hit =
-        with_corecache @@ fun () ->
-        Corecache.store core;
-        let probed = Corecache.probe q in
-        let v, _, _ = Solver.check_degrading q in
-        probed && v = Solver.Unsat
-      in
-      (* without the cache, a genuine solve agrees *)
-      let v, _, _ = Solver.check_degrading q in
-      hit && v = Solver.Unsat)
-
-let test_corecache_draw_alignment () =
-  (* The fault-injection draw is consumed before the subsumption probe
-     (draw-first), so turning the core cache on changes neither verdicts
-     nor incident fingerprints for a fixed seed — even though cache hits
-     skip the solver entirely. *)
-  let x = ivar "cda_x" in
-  let lo = E.lt x (E.int 3) in
-  let hi = E.lt (E.int 5) x in
-  let queries =
-    List.init 6 (fun i -> E.conj_balanced [ lo; hi; E.le (E.int i) x ])
-  in
-  let run ~cache =
-    Corecache.clear ();
-    Corecache.set_enabled cache;
-    R.Inject.install
-      { R.Inject.default with seed = 11; solver_fault_rate = 0.5 };
-    Fun.protect
-      ~finally:(fun () ->
-        R.Inject.clear ();
-        Corecache.set_enabled false;
-        Corecache.clear ())
-    @@ fun () ->
-    let log = R.create () in
-    let verdicts =
-      R.Inject.with_solver_stream "cda" @@ fun () ->
-      List.map
-        (fun q ->
-          let v, _, _ =
-            Solver.check_degrading ~budget_s:0.05 ~log ~subject:"cda" q
-          in
-          v)
-        queries
-    in
-    let fingerprints =
-      List.map
-        (fun i -> (R.phase_name i.R.phase, i.R.subject, i.R.detail))
-        (R.incidents log)
-    in
-    (verdicts, fingerprints)
-  in
-  let v_on, f_on = run ~cache:true in
-  let v_off, f_off = run ~cache:false in
-  Alcotest.(check bool) "verdicts identical with cache on/off" true
-    (v_on = v_off);
-  Alcotest.(check bool) "incident fingerprints identical" true (f_on = f_off)
 
 (* --- theory: dropped disequalities are counted, not silent --- *)
 
@@ -872,9 +740,4 @@ let suite =
       test_qcache_shard_safety;
     Alcotest.test_case "qcache: near-miss diagnostic" `Quick
       test_qcache_near_miss;
-    Alcotest.test_case "corecache: subsumption answers supersets" `Quick
-      test_corecache_subsume;
-    corecache_subsumption_sound;
-    Alcotest.test_case "corecache: injection draws stay aligned" `Quick
-      test_corecache_draw_alignment;
   ]
