@@ -23,6 +23,7 @@ type t = {
   store : Store.t option;
       (* disk-resident artifact store; when present [segs] stays empty
          and lookups fault artifacts back in through the LRU *)
+  vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
 }
 
 let seg_of t name =
@@ -81,9 +82,11 @@ let build_seg log f pta =
 
 (* Force every variable's SMT symbol in program order.  [Var.symbol] is
    lazy and the symbol registry assigns ids in creation order; forcing
-   them here — sequentially, after the transform has added its conduit
-   variables — pins the id assignment to program order so the parallel
-   phases that follow only ever read existing symbols. *)
+   them sequentially pins the id assignment to program order, so the
+   parallel phases that follow only ever read existing symbols.  Run
+   once before the transform (its points-to analysis reads branch
+   conditions, in SCC waves at [--jobs] > 1) and once after, for the
+   conduit variables it adds. *)
 let force_symbols (prog : Pinpoint_ir.Prog.t) =
   List.iter
     (fun (f : Pinpoint_ir.Func.t) ->
@@ -118,6 +121,7 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
   let transform, tm =
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "transform" (fun () ->
+            force_symbols prog;
             match store with
             | Some st ->
               (* Spill mode: points-to results stream to the store per
@@ -133,8 +137,9 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "seg.build.all" @@ fun () ->
         (* Sequential prologue pinning allocation-ordered ids to program
-           order (symbols, abstract heap addresses) — after this, SEG
-           builds are order-independent and can fan out. *)
+           order (the conduit variables' symbols, abstract heap
+           addresses) — after this, SEG builds are order-independent and
+           can fan out. *)
         force_symbols prog;
         let funcs = Array.of_list (Pinpoint_ir.Prog.functions prog) in
         Seg.reserve_addresses (Array.to_list funcs);
@@ -227,6 +232,7 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
     resilience;
     pool;
     store;
+    vfs = Hashtbl.create 8;
   }
 
 let zero_m =
@@ -277,64 +283,55 @@ let seg_size t =
 
 module Vf = Pinpoint_summary.Vf
 
-(* Generate one checker's VF summary table under the exact barrier and
-   span the engine uses when it generates one itself, so incidents and
-   traces are indistinguishable between the resident and store paths. *)
-let generate_vf t (spec : Checker_spec.t) =
-  Resilience.protect ~log:t.resilience ~phase:Resilience.Vf_summary
-    ~subject:spec.Checker_spec.name
-    ~fallback_note:"empty VF summaries; VF pruning disabled" ~fallback:None
-    (fun () ->
-      Obs.span "summary.vf"
-        ~attrs:[ ("checker", spec.Checker_spec.name) ]
-        (fun () -> Some (Vf.generate t.prog (seg_of t) (Checker_spec.vf_spec spec))))
+let summarise_vf ~resilience prog seg_of vfs (specs : Checker_spec.t list) =
+  let name (s : Checker_spec.t) = s.Checker_spec.name in
+  let missing =
+    List.fold_left
+      (fun acc s ->
+        if Hashtbl.mem vfs (name s) || List.exists (fun m -> name m = name s) acc
+        then acc
+        else acc @ [ s ])
+      [] (specs @ Checkers.all)
+  in
+  if missing <> [] then begin
+    let names = String.concat "," (List.map name missing) in
+    (* One barrier over the pass: a crash leaves every checker of the pass
+       without a table, so each runs without VF pruning, and the next
+       check tries again. *)
+    Resilience.protect ~log:resilience ~phase:Resilience.Vf_summary
+      ~subject:names ~fallback_note:"empty VF summaries; VF pruning disabled"
+      ~fallback:()
+      (fun () ->
+        Obs.span "summary.vf" ~attrs:[ ("checkers", names) ] (fun () ->
+            List.iter2
+              (fun s vf -> Hashtbl.replace vfs (name s) (s, vf))
+              missing
+              (Vf.generate prog seg_of (List.map Checker_spec.vf_spec missing))))
+  end
+
+let summarise t specs =
+  summarise_vf ~resilience:t.resilience t.prog (seg_of t) t.vfs specs
 
 let seal_store t specs =
   match t.store with
-  | None -> ()
-  | Some st ->
+  | Some st when not (Store.is_sealed st) ->
+    summarise t specs;
     List.iter
       (fun (spec : Checker_spec.t) ->
-        match Store.vf_of st spec.Checker_spec.name with
-        | Some _ -> ()
-        | None -> (
-          match generate_vf t spec with
-          | Some vf -> Store.put_vf st spec.Checker_spec.name vf
-          | None -> ()))
+        let name = spec.Checker_spec.name in
+        Option.iter
+          (fun (_, vf) -> Store.put_vf st name vf)
+          (Hashtbl.find_opt t.vfs name))
       specs;
     Store.seal st
+  | _ -> ()
 
-let check ?config t spec =
-  match t.store with
-  | None ->
-    Engine.run ?config ~resilience:t.resilience ?pool:t.pool t.prog
-      ~seg_of:(seg_of t) ~rv:t.rv spec
-  | Some st ->
-    (* The VF table lives in the store in store mode: fault it in if a
-       prior check (or {!seal_store}) persisted it, generate-and-persist
-       otherwise.  On a generation crash, mirror the engine's fallback —
-       empty table, pruning off — so reports match a store-off run. *)
-    let vf =
-      match Store.vf_of st spec.Checker_spec.name with
-      | Some _ as r -> r
-      | None -> (
-        match generate_vf t spec with
-        | Some vf as r ->
-          if not (Store.is_sealed st) then
-            Store.put_vf st spec.Checker_spec.name vf;
-          r
-        | None -> None)
-    in
-    let config =
-      match config with Some c -> c | None -> Engine.default_config
-    in
-    let config, vf =
-      match vf with
-      | Some vf -> (config, vf)
-      | None -> ({ config with Engine.use_vf_pruning = false }, Vf.empty ())
-    in
-    Engine.run ~config ~resilience:t.resilience ?pool:t.pool t.prog
-      ~seg_of:(seg_of t) ~rv:t.rv ~vf spec
+let check ?config t (spec : Checker_spec.t) =
+  summarise t [ spec ];
+  Engine.run ?config ~resilience:t.resilience ?pool:t.pool t.prog
+    ~seg_of:(seg_of t) ~rv:t.rv
+    ~vf:(Option.map snd (Hashtbl.find_opt t.vfs spec.Checker_spec.name))
+    spec
 
 let check_all ?config t specs =
   List.map

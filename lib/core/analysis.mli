@@ -32,6 +32,9 @@ type t = {
       (** disk-resident artifact store (DESIGN.md §4.14); when present
           [segs] stays empty and {!seg_of} faults SEGs back in through
           the store's LRU *)
+  vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
+      (** VF-summary tables by checker name, filled by {!check} and
+          {!seal_store} through {!summarise_vf} *)
 }
 
 val seg_of : t -> string -> Pinpoint_seg.Seg.t option
@@ -97,19 +100,33 @@ val prepare_files :
 val seg_size : t -> int * int
 (** Total (vertices, edges) over all SEGs — the Figure 7/8 size metric. *)
 
+val summarise_vf :
+  resilience:Pinpoint_util.Resilience.log ->
+  Pinpoint_ir.Prog.t ->
+  (string -> Pinpoint_seg.Seg.t option) ->
+  (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t ->
+  Checker_spec.t list ->
+  unit
+(** [summarise_vf ~resilience prog seg_of vfs specs] adds to [vfs] the
+    VF tables of [specs] and of every registered checker ({!Checkers.all})
+    that it lacks, all in one {!Pinpoint_summary.Vf.generate} pass under
+    one [summary.vf] span.  The pass runs behind one [Vf_summary]
+    barrier: on a crash none of its tables is added, those checkers run
+    without VF pruning, and the next call tries again.  Shared by
+    {!check} and the analysis server. *)
+
 val seal_store : t -> Checker_spec.t list -> unit
-(** Store mode only (no-op otherwise): generate and persist the VF
-    summary table for each given checker, then seal the store — index,
-    checksummed trailer, rename to the epoch file — switching reads to
-    the mmap path.  Later {!check} calls fault their VF tables back from
-    the sealed blob instead of regenerating them. *)
+(** Store mode only (no-op otherwise, or once sealed): summarise the
+    given checkers ({!summarise_vf}), persist their VF tables, then seal
+    the store — index, checksummed trailer, rename to the epoch file —
+    switching reads to the mmap path. *)
 
 val check :
   ?config:Engine.config -> t -> Checker_spec.t -> Report.t list * Engine.stats
-(** Run one checker.  In store mode the VF summary table is faulted from
-    the store (or generated and persisted on first use); on a generation
-    crash the engine's fallback is mirrored — empty table, VF pruning
-    disabled — so reports match a store-off run. *)
+(** Run one checker.  Its VF table comes from {!t.vfs}; the first call
+    (or {!seal_store}) summarises every registered checker plus this one
+    in one pass.  A checker whose summarisation crashed runs without VF
+    pruning. *)
 
 val check_all :
   ?config:Engine.config ->

@@ -5,7 +5,7 @@ type t = {
   name : string;
   description : string;
   follow_operands : bool;
-  sources : Seg.t -> (Var.t * int) list;
+  sources : Func.t -> (Var.t * int) list;
   is_sink : Seg.t -> Seg.use -> bool;
   exclude_same_sid : bool;
 }
@@ -17,16 +17,16 @@ let vf_spec t =
     is_sink_use = t.is_sink;
   }
 
-let recvs_of_calls seg names =
-  Func.fold_stmts (Seg.func seg) ~init:[] ~f:(fun acc _ s ->
+let recvs_of_calls f names =
+  Func.fold_stmts f ~init:[] ~f:(fun acc _ s ->
       match s.Stmt.kind with
       | Stmt.Call c when List.mem c.Stmt.callee names -> (
         match c.Stmt.recvs with r :: _ -> (r, s.Stmt.sid) :: acc | [] -> acc)
       | _ -> acc)
   |> List.rev
 
-let args_of_calls seg callee idx =
-  Func.fold_stmts (Seg.func seg) ~init:[] ~f:(fun acc _ s ->
+let args_of_calls f callee idx =
+  Func.fold_stmts f ~init:[] ~f:(fun acc _ s ->
       match s.Stmt.kind with
       | Stmt.Call c when c.Stmt.callee = callee -> (
         match List.nth_opt c.Stmt.args idx with

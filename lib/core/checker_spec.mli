@@ -9,8 +9,9 @@ type t = {
   name : string;
   description : string;
   follow_operands : bool;
-  sources : Pinpoint_seg.Seg.t -> (Pinpoint_ir.Var.t * int) list;
-      (** (variable carrying the source value, sid of the source event) *)
+  sources : Pinpoint_ir.Func.t -> (Pinpoint_ir.Var.t * int) list;
+      (** (variable carrying the source value, sid of the source event),
+          read off the function's IR *)
   is_sink : Pinpoint_seg.Seg.t -> Pinpoint_seg.Seg.use -> bool;
   exclude_same_sid : bool;
       (** the sink event must be a different statement than the source
@@ -22,11 +23,11 @@ val vf_spec : t -> Pinpoint_summary.Vf.spec
 (** The reachability-summary view of the checker. *)
 
 val recvs_of_calls :
-  Pinpoint_seg.Seg.t -> string list -> (Pinpoint_ir.Var.t * int) list
+  Pinpoint_ir.Func.t -> string list -> (Pinpoint_ir.Var.t * int) list
 (** Receivers of calls to any of the given intrinsics — the generative
     sources (tainted input, secrets). *)
 
 val args_of_calls :
-  Pinpoint_seg.Seg.t -> string -> int -> (Pinpoint_ir.Var.t * int) list
+  Pinpoint_ir.Func.t -> string -> int -> (Pinpoint_ir.Var.t * int) list
 (** Variables passed as the given argument of calls to an intrinsic —
     consumptive sources ([free]). *)

@@ -13,7 +13,7 @@ let use_after_free =
     Checker_spec.name = "use-after-free";
     description = "freed pointer value is dereferenced";
     follow_operands = false;
-    sources = (fun seg -> Checker_spec.args_of_calls seg "free" 0);
+    sources = (fun f -> Checker_spec.args_of_calls f "free" 0);
     is_sink = deref_sink;
     exclude_same_sid = true;
   }
@@ -23,7 +23,7 @@ let double_free =
     Checker_spec.name = "double-free";
     description = "freed pointer value reaches free() again";
     follow_operands = false;
-    sources = (fun seg -> Checker_spec.args_of_calls seg "free" 0);
+    sources = (fun f -> Checker_spec.args_of_calls f "free" 0);
     is_sink = call_arg_sink "free" 0;
     exclude_same_sid = true;
   }
@@ -33,13 +33,13 @@ let path_traversal =
     Checker_spec.name = "path-traversal";
     description = "tainted input reaches fopen() (CWE-23)";
     follow_operands = true;
-    sources = (fun seg -> Checker_spec.recvs_of_calls seg [ "fgetc"; "input" ]);
+    sources = (fun f -> Checker_spec.recvs_of_calls f [ "fgetc"; "input" ]);
     is_sink = call_arg_sink "fopen" 0;
     exclude_same_sid = false;
   }
 
-let null_sources seg =
-  Pinpoint_ir.Func.fold_stmts (Seg.func seg) ~init:[] ~f:(fun acc _ s ->
+let null_sources f =
+  Pinpoint_ir.Func.fold_stmts f ~init:[] ~f:(fun acc _ s ->
       match s.Pinpoint_ir.Stmt.kind with
       | Pinpoint_ir.Stmt.Assign (v, Pinpoint_ir.Stmt.Onull) ->
         (v, s.Pinpoint_ir.Stmt.sid) :: acc
@@ -61,7 +61,7 @@ let data_transmission =
     Checker_spec.name = "data-transmission";
     description = "sensitive data reaches sendto() (CWE-402)";
     follow_operands = true;
-    sources = (fun seg -> Checker_spec.recvs_of_calls seg [ "getpass" ]);
+    sources = (fun f -> Checker_spec.recvs_of_calls f [ "getpass" ]);
     is_sink = call_arg_sink "sendto" 0;
     exclude_same_sid = false;
   }

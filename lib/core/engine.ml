@@ -537,8 +537,8 @@ let zero_stats () =
     solver = Solver.zero ();
   }
 
-let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
-    ~seg_of ~rv (spec : Checker_spec.t) : Report.t list * stats =
+let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
+    ~seg_of ~rv ~vf (spec : Checker_spec.t) : Report.t list * stats =
   (* The verdict cache is a process-global table but gated per run: enable
      it for the duration of this run according to the config, restoring
      the previous state on the way out (runs can nest via bench). *)
@@ -548,24 +548,8 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
   let incidents_before =
     match resilience with Some l -> Resilience.count l | None -> 0
   in
-  (* VF-summary generation runs behind its own barrier: if it crashes, the
-     engine falls back to an empty summary table and disables VF pruning —
-     it descends into every defined callee, slower but soundy.  A resident
-     caller (the analysis server) passes its incrementally-maintained
-     table via [vf] and skips generation entirely. *)
-  let vf =
-    match vf with
-    | Some _ -> vf
-    | None ->
-      Resilience.protect ?log:resilience ~phase:Resilience.Vf_summary
-        ~subject:spec.Checker_spec.name
-        ~fallback_note:"empty VF summaries; VF pruning disabled" ~fallback:None
-        (fun () ->
-          Obs.span "summary.vf"
-            ~attrs:[ ("checker", spec.Checker_spec.name) ]
-            (fun () ->
-              Some (Vf.generate prog seg_of (Checker_spec.vf_spec spec))))
-  in
+  (* Without a VF table (its generation crashed) the engine descends into
+     every defined callee — slower but soundy. *)
   let config, vf =
     match vf with
     | Some vf -> (config, vf)
@@ -589,10 +573,12 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?memo (prog : Prog.t)
      deduplication and stats totals, so the output is identical at every
      [--jobs] level. *)
   let sources_of (f : Func.t) =
+    (* Sources are read off the IR; only a function that has some is
+       asked for its SEG, and one without a SEG contributes none. *)
     let enumerate () =
-      match seg_of f.Func.fname with
-      | None -> []
-      | Some seg -> spec.Checker_spec.sources seg
+      match spec.Checker_spec.sources f with
+      | [] -> []
+      | srcs -> if Option.is_some (seg_of f.Func.fname) then srcs else []
     in
     match memo with
     | None -> enumerate ()

@@ -104,11 +104,11 @@ val run :
   ?config:config ->
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
-  ?vf:Pinpoint_summary.Vf.t ->
   ?memo:memo ->
   Pinpoint_ir.Prog.t ->
   seg_of:(string -> Pinpoint_seg.Seg.t option) ->
   rv:Pinpoint_summary.Rv.t ->
+  vf:Pinpoint_summary.Vf.t option ->
   Checker_spec.t ->
   Report.t list * stats
 (** Run one checker over the whole program.  Reports are deduplicated by
@@ -116,21 +116,23 @@ val run :
     (marked [Infeasible]) so precision can be measured, but
     [Report.is_reported] is false for them.
 
-    Fault isolation: VF-summary generation and each per-source search run
-    inside exception barriers — a crash records an incident on
-    [resilience] (when given) and skips only that unit.  Feasibility
-    queries go through the solver degradation ladder, so a run always
-    terminates with a report list.
+    [vf] is the checker's VF-summary table, generated by the caller
+    ({!Analysis.check} or the analysis server) and matching [prog];
+    [None] — its generation crashed — turns VF pruning off, so the engine
+    descends into every defined callee.  Sources are enumerated from the
+    IR ({!Checker_spec.t.sources}); a function is asked for its SEG only
+    when it has sources, and one without a SEG contributes none.
+
+    Fault isolation: each per-source search runs inside an exception
+    barrier — a crash records an incident on [resilience] (when given)
+    and skips only that source.  Feasibility queries go through the
+    solver degradation ladder, so a run always terminates with a report
+    list.
 
     With [pool] (and more than one job) the per-source searches fan out
     over the pool.  Searches are independent (task-local contexts, keyed
     injection streams) and the merge is in source-enumeration order, so
     the report list and stats are identical at every [--jobs] level.
-
-    With [vf] the engine uses the given (resident, incrementally
-    maintained) VF-summary table instead of generating one — the analysis
-    server's path (DESIGN.md §4.13).  The caller is responsible for the
-    table matching [prog].
 
     With [memo] a source whose stored search is still valid is not
     searched again: its stored reports join the deterministic merge in

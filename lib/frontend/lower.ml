@@ -406,16 +406,17 @@ let lower_fdecl ?(groups = Hashtbl.create 0) sigs (fd : Ast.fdecl) : Func.t =
   Gating.run f;
   f
 
+(* Record a function's signature; a second definition of one name is a
+   lowering error at the second body. *)
+let add_sig sigs (fd : Ast.fdecl) =
+  if Hashtbl.mem sigs fd.Ast.fname then
+    err fd.Ast.floc "duplicate definition of function %s" fd.Ast.fname;
+  Hashtbl.replace sigs fd.Ast.fname
+    { Ty_sig.ret = fd.Ast.ret; params = Some (List.map fst fd.Ast.params) }
+
 let func_sigs (p : Ast.program) =
   let sigs : (string, Ty_sig.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (fd : Ast.fdecl) ->
-      Hashtbl.replace sigs fd.Ast.fname
-        {
-          Ty_sig.ret = fd.Ast.ret;
-          params = Some (List.map fst fd.Ast.params);
-        })
-    p.Ast.funcs;
+  List.iter (add_sig sigs) p.Ast.funcs;
   sigs
 
 let method_groups (p : Ast.program) =
@@ -453,11 +454,7 @@ let compile_streams streams =
   List.iter
     (fun stm ->
       Parser.iter_fdecls stm (fun (fd : Ast.fdecl) ->
-          Hashtbl.replace sigs fd.Ast.fname
-            {
-              Ty_sig.ret = fd.Ast.ret;
-              params = Some (List.map fst fd.Ast.params);
-            };
+          add_sig sigs fd;
           match fd.Ast.group with
           | Some g ->
             let cur = Option.value (Hashtbl.find_opt groups g) ~default:[] in

@@ -16,7 +16,9 @@
 exception Error of string * Ast.loc
 
 val func_sigs : Ast.program -> (string, Ty_sig.t) Hashtbl.t
-(** Signatures of all functions declared in the program. *)
+(** Signatures of all functions declared in the program.  Raises {!Error}
+    ["duplicate definition of function f"] at the second of two bodies
+    with one name; every compile entry point checks this first. *)
 
 val method_groups : Ast.program -> (string, string list) Hashtbl.t
 (** Method-group table for virtual dispatch (group -> member functions). *)

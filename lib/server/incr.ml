@@ -54,7 +54,9 @@ type state = {
   mutable segs : (string, Seg.t) Hashtbl.t;
   mutable rv : Rv.t;
   vfs : (string, Pinpoint.Checker_spec.t * Vf.t) Hashtbl.t;
-      (** resident per-checker VF tables, maintained incrementally *)
+      (** resident VF tables by checker name, generated together
+          ({!Pinpoint.Analysis.summarise_vf}) and refreshed by one
+          {!Vf.update} per edit *)
   memos : (string, Pinpoint.Engine.memo) Hashtbl.t;
       (** resident per-checker search results, filled by {!check} and
           invalidated by footprint on each update *)
@@ -104,8 +106,6 @@ let structure_digest (fdecls : Ast.fdecl list) =
 let parse_file (name, contents) =
   (name, (Parser.parse_string ~file:name contents).Ast.funcs)
 
-let all_fdecls st = List.concat_map snd st.file_fdecls
-
 let digest_table fdecls =
   let t = Hashtbl.create 64 in
   List.iter
@@ -118,10 +118,13 @@ let digest_table fdecls =
 (* Shares the batch pipeline verbatim (Analysis.prepare), with the
    server's long-lived incident log threaded through, so a freshly
    rebuilt state is the batch analysis of the current files by
-   construction. *)
-let full_build st =
-  let fdecls = all_fdecls st in
+   construction.  The new file set is lowered before any resident field
+   changes: a front-end error leaves the state as it was. *)
+let full_build st ~files ~file_fdecls =
+  let fdecls = List.concat_map snd file_fdecls in
   let prog = Lower.compile { Ast.funcs = fdecls } in
+  st.files <- files;
+  st.file_fdecls <- file_fdecls;
   (* Store mode: the previous program's artifacts are stale (functions
      were re-lowered, so their variables are fresh objects) — drop them
      before the rebuild re-spills everything.  Dead blob bytes are not
@@ -174,7 +177,7 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
       n_funcs_relowered = 0;
     }
   in
-  full_build st;
+  full_build st ~files ~file_fdecls;
   st
 
 (* ---------- incremental update ---------- *)
@@ -264,9 +267,7 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
   if not (Digest.equal structure st.structure) then begin
     (* Function set / signatures / order changed: call resolution may
        shift anywhere — rebuild the resident state from scratch. *)
-    st.files <- files;
-    st.file_fdecls <- file_fdecls;
-    full_build st;
+    full_build st ~files ~file_fdecls;
     st.epoch <- st.epoch + 1;
     st.n_full_rebuilds <- st.n_full_rebuilds + 1;
     {
@@ -418,25 +419,33 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
             | _ -> ())
           built);
       Rv.update ~resilience:st.resilience st.rv dirty_sccs;
-      let seg_of = seg_of st in
-      Hashtbl.iter
-        (fun cname (spec, vf) ->
-          (* A crash while refreshing a resident VF table drops the table;
-             the next check regenerates it (or the engine degrades to
-             no-VF-pruning) instead of serving a stale one. *)
-          let ok =
-            Resilience.protect ~log:st.resilience ~phase:Resilience.Vf_summary
-              ~subject:cname
-              ~fallback_note:"resident VF table dropped, regenerated on demand"
-              ~fallback:false
-              (fun () ->
-                Vf.update vf seg_of
-                  (Pinpoint.Checker_spec.vf_spec spec)
-                  dirty_sccs;
-                true)
-          in
-          if not ok then Hashtbl.remove st.vfs cname)
-        (Hashtbl.copy st.vfs);
+      let specs, tables =
+        List.split (Hashtbl.fold (fun _ entry acc -> entry :: acc) st.vfs [])
+      in
+      if specs <> [] then begin
+        let names =
+          String.concat ","
+            (List.map
+               (fun (s : Pinpoint.Checker_spec.t) -> s.Pinpoint.Checker_spec.name)
+               specs)
+        in
+        (* One refresh for the whole table set.  A crash drops every
+           table; the next check regenerates them (or the engine degrades
+           to no VF pruning) instead of serving stale ones. *)
+        let ok =
+          Resilience.protect ~log:st.resilience ~phase:Resilience.Vf_summary
+            ~subject:names
+            ~fallback_note:"resident VF tables dropped, regenerated on demand"
+            ~fallback:false
+            (fun () ->
+              Obs.span "summary.vf" ~attrs:[ ("checkers", names) ] (fun () ->
+                  Vf.update tables (seg_of st)
+                    (List.map Pinpoint.Checker_spec.vf_spec specs)
+                    dirty_sccs);
+              true)
+        in
+        if not ok then Hashtbl.reset st.vfs
+      end;
       st.epoch <- st.epoch + 1;
       let cone = Hashtbl.length dirty_tbl in
       st.n_funcs_relowered <- st.n_funcs_relowered + cone;
@@ -463,24 +472,10 @@ let update (st : state) (changed : (string * string) list) : update_stats =
 let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =
   let seg_of = seg_of st in
+  Pinpoint.Analysis.summarise_vf ~resilience:st.resilience st.prog seg_of
+    st.vfs [ spec ];
   let vf =
-    match Hashtbl.find_opt st.vfs spec.Pinpoint.Checker_spec.name with
-    | Some (_, vf) -> Some vf
-    | None ->
-      let vf =
-        Resilience.protect ~log:st.resilience ~phase:Resilience.Vf_summary
-          ~subject:spec.Pinpoint.Checker_spec.name
-          ~fallback_note:"engine runs without VF pruning" ~fallback:None
-          (fun () ->
-            Some
-              (Vf.generate st.prog seg_of
-                 (Pinpoint.Checker_spec.vf_spec spec)))
-      in
-      Option.iter
-        (fun vf ->
-          Hashtbl.replace st.vfs spec.Pinpoint.Checker_spec.name (spec, vf))
-        vf;
-      vf
+    Option.map snd (Hashtbl.find_opt st.vfs spec.Pinpoint.Checker_spec.name)
   in
   let memo =
     match Hashtbl.find_opt st.memos spec.Pinpoint.Checker_spec.name with
@@ -490,8 +485,8 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
       Hashtbl.replace st.memos spec.Pinpoint.Checker_spec.name m;
       m
   in
-  Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ?vf
-    ~memo st.prog ~seg_of ~rv:st.rv spec
+  Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ~memo
+    st.prog ~seg_of ~rv:st.rv ~vf spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

@@ -52,16 +52,20 @@ val load :
 
 val update : state -> (string * string) list -> update_stats
 (** Apply changed files (replacing known names, appending new ones).
-    Parsing and re-lowering run before any mutation, so a raised
-    front-end error leaves the resident state exactly as it was. *)
+    Parsing and re-lowering run before any mutation — also when the
+    function set changes and the state is rebuilt from scratch — so a
+    raised front-end error leaves the resident state exactly as it
+    was. *)
 
 val check :
   ?config:Pinpoint.Engine.config ->
   state ->
   Pinpoint.Checker_spec.t ->
   Pinpoint.Report.t list * Pinpoint.Engine.stats
-(** Run one checker against the resident state, reusing (and lazily
-    creating) the resident VF table for that checker. *)
+(** Run one checker against the resident state.  The first check
+    summarises every registered checker plus this one in one VF pass
+    ({!Pinpoint.Analysis.summarise_vf}); later checks and updates reuse
+    and refresh that one table set. *)
 
 val epoch : state -> int
 (** Number of updates applied since load. *)

@@ -14,11 +14,18 @@ val fresh : string -> sort -> t
 (** Register a new symbol.  The name is for printing only; distinct symbols
     may share a name. *)
 
+val clone : t -> string -> t
+(** [clone base tag] registers a fresh symbol of [base]'s sort standing
+    for [base] in the substitution context [tag]
+    ({!Pinpoint_summary.Clone}).  It is named [name base ^ "@" ^ tag]. *)
+
 val name : t -> string
 val sort : t -> sort
 val count : unit -> int
 
 val pp : Format.formatter -> t -> unit
-(** Prints ["name#id"]. *)
+(** Prints ["name#id"]; a clone prints as its base's printed form, ["@"]
+    and its tag — no id of its own, since clone ids depend on the order
+    frames are reached in. *)
 
 val pp_sort : Format.formatter -> sort -> unit

@@ -26,9 +26,7 @@ let clone_sym tag sym =
       match Hashtbl.find_opt interned key with
       | Some c -> c
       | None ->
-        let c =
-          Sym.fresh (Printf.sprintf "%s@%s" (Sym.name sym) tag) (Sym.sort sym)
-        in
+        let c = Sym.clone sym tag in
         Hashtbl.add interned key c;
         c)
 

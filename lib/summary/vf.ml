@@ -3,7 +3,7 @@ module Seg = Pinpoint_seg.Seg
 
 type spec = {
   follow_operands : bool;
-  source_vars : Seg.t -> (Var.t * int) list;
+  source_vars : Func.t -> (Var.t * int) list;
   is_sink_use : Seg.t -> Seg.use -> bool;
 }
 
@@ -19,173 +19,229 @@ type t = (string, fsum) Hashtbl.t
 let empty () : t = Hashtbl.create 1
 let find t name = Hashtbl.find_opt t name
 
-(* Forward reachability from a set of variables over the SEG value-flow
-   edges, extended across call sites using already-computed callee
-   summaries (VF1 continues the flow at the receiver). *)
-let reach_from (seg : Seg.t) (t : t) (spec : spec) (starts : Var.t list) :
-    Var.Set.t =
+(* One function's view for the pass: its SEG, its call statements by sid,
+   and a visited set over its dense variable ids — a slot holding the
+   current stamp is visited, so bumping the stamp empties the set. *)
+type fctx = {
+  seg : Seg.t;
+  calls : (int, Stmt.call) Hashtbl.t;
+  seen : int array;
+  mutable stamp : int;
+}
+
+let fctx seg =
   let f = Seg.func seg in
-  let stmt_by_sid = Hashtbl.create 16 in
-  Func.iter_stmts f (fun _ s -> Hashtbl.replace stmt_by_sid s.Stmt.sid s);
-  let visited = ref Var.Set.empty in
+  let calls = Hashtbl.create 16 in
+  Func.iter_stmts f (fun _ s ->
+      match s.Stmt.kind with
+      | Stmt.Call c -> Hashtbl.replace calls s.Stmt.sid c
+      | _ -> ());
+  let n_vars = Pinpoint_util.Id_gen.peek f.Func.vgen in
+  { seg; calls; seen = Array.make n_vars 0; stamp = 0 }
+
+(* Mark [v] visited; false if it already was. *)
+let visit cx (v : Var.t) =
+  let i = v.Var.vid in
+  if cx.seen.(i) = cx.stamp then false
+  else begin
+    cx.seen.(i) <- cx.stamp;
+    true
+  end
+
+(* Forward reachability from a set of variables over the SEG value-flow
+   edges, extended across call sites using already-computed callee VF1
+   ([vf1_of], continuing the flow at the receiver).  Returns the reached
+   variables, starts included. *)
+let reach cx ~follow ~vf1_of starts =
+  cx.stamp <- cx.stamp + 1;
+  let reached = ref [] in
   let q = Queue.create () in
-  List.iter
-    (fun v ->
-      if not (Var.Set.mem v !visited) then begin
-        visited := Var.Set.add v !visited;
-        Queue.add v q
-      end)
-    starts;
+  let push v =
+    if visit cx v then begin
+      reached := v :: !reached;
+      Queue.add v q
+    end
+  in
+  List.iter push starts;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    let push w =
-      if not (Var.Set.mem w !visited) then begin
-        visited := Var.Set.add w !visited;
-        Queue.add w q
-      end
-    in
     List.iter
       (fun (e : Seg.edge) ->
         match e.Seg.kind with
         | Seg.Copy -> push e.Seg.dst
-        | Seg.Operand -> if spec.follow_operands then push e.Seg.dst)
-      (Seg.succs seg v);
-    (* Cross-call continuation via callee VF1. *)
+        | Seg.Operand -> if follow then push e.Seg.dst)
+      (Seg.succs cx.seg v);
     List.iter
       (fun (u : Seg.use) ->
         match u.Seg.ukind with
         | Seg.Call_arg { callee; arg_index } -> (
-          match Hashtbl.find_opt t callee with
-          | None -> ()
-          | Some callee_sum -> (
-            match Hashtbl.find_opt stmt_by_sid u.Seg.sid with
-            | Some { Stmt.kind = Stmt.Call c; _ } ->
-              List.iter
-                (fun (i, j) ->
-                  if i = arg_index + 1 then
-                    match List.nth_opt c.Stmt.recvs j with
-                    | Some r -> push r
-                    | None -> ())
-                callee_sum.vf1
-            | _ -> ()))
+          match (vf1_of callee, Hashtbl.find_opt cx.calls u.Seg.sid) with
+          | Some vf1, Some c ->
+            List.iter
+              (fun (i, j) ->
+                if i = arg_index + 1 then
+                  match List.nth_opt c.Stmt.recvs j with
+                  | Some r -> push r
+                  | None -> ())
+              vf1
+          | _ -> ())
         | _ -> ())
-      (Seg.uses_of seg v)
+      (Seg.uses_of cx.seg v)
   done;
-  !visited
+  !reached
 
-let summarize (seg : Seg.t) (t : t) (spec : spec) : fsum =
+let ret_positions seg v =
+  List.filter_map
+    (fun (u : Seg.use) ->
+      match u.Seg.ukind with
+      | Seg.Ret_op j when Var.equal u.Seg.uvar v -> Some j
+      | _ -> None)
+    (Seg.uses_of seg v)
+
+let vid_set vars =
+  let s = Hashtbl.create 16 in
+  List.iter (fun (v : Var.t) -> Hashtbl.replace s v.Var.vid ()) vars;
+  s
+
+(* Summarise one function for every spec.  VF1 and the per-parameter
+   reach sets depend only on [follow_operands]: by induction over the
+   bottom-up order, every table of one mode holds the same VF1 facts for
+   the same callees, so the reach sets are computed once per mode against
+   the first table of that mode.  VF2–VF4 then read each spec's own
+   sources, sinks and callee facts. *)
+let summarise seg (specs : spec array) (tables : t array) : fsum array =
   let f = Seg.func seg in
-  let stmt_by_sid = Hashtbl.create 16 in
-  Func.iter_stmts f (fun _ s -> Hashtbl.replace stmt_by_sid s.Stmt.sid s);
-  (* Source variables: the checker's own sources plus receivers that are
-     buggy after a call (callee VF2) — actuals buggy after a call (callee
-     VF3) are handled as sources too. *)
-  let call_sources =
-    Func.fold_stmts f ~init:[] ~f:(fun acc _ s ->
-        match s.Stmt.kind with
-        | Stmt.Call c -> (
-          match Hashtbl.find_opt t c.Stmt.callee with
-          | None -> acc
-          | Some cs ->
-            let from_vf2 =
-              List.filter_map (fun j -> List.nth_opt c.Stmt.recvs j) cs.vf2
-            in
-            let from_vf3 =
-              List.filter_map
-                (fun i ->
-                  match List.nth_opt c.Stmt.args (i - 1) with
-                  | Some (Stmt.Ovar u) -> Some u
-                  | _ -> None)
-                cs.vf3
-            in
-            from_vf2 @ from_vf3 @ acc)
-        | _ -> acc)
+  let cx = fctx seg in
+  let params = Array.of_list f.Func.params in
+  let modes = Hashtbl.create 2 in
+  let for_mode k follow =
+    match Hashtbl.find_opt modes follow with
+    | Some m -> m
+    | None ->
+      (* [k] is the first spec of this mode *)
+      let vf1_of callee =
+        Option.map (fun s -> s.vf1) (Hashtbl.find_opt tables.(k) callee)
+      in
+      let param_reach =
+        Array.map (fun p -> reach cx ~follow ~vf1_of [ p ]) params
+      in
+      let vf1 =
+        Array.to_list param_reach
+        |> List.mapi (fun i0 vars ->
+               List.concat_map
+                 (fun v -> List.map (fun j -> (i0 + 1, j)) (ret_positions seg v))
+                 vars)
+        |> List.concat |> List.sort_uniq compare
+      in
+      let m = (vf1_of, param_reach, vf1) in
+      Hashtbl.replace modes follow m;
+      m
   in
-  let own_sources = List.map fst (spec.source_vars seg) in
-  let sources = own_sources @ call_sources in
-  (* Sink-consuming variables: the checker's sinks plus actuals whose
-     callee has VF4 on that parameter. *)
-  let sink_vars =
-    List.filter_map
-      (fun (u : Seg.use) ->
-        if spec.is_sink_use seg u then Some u.Seg.uvar
-        else
-          match u.Seg.ukind with
-          | Seg.Call_arg { callee; arg_index } -> (
-            match Hashtbl.find_opt t callee with
-            | Some cs when List.mem (arg_index + 1) cs.vf4 -> Some u.Seg.uvar
-            | _ -> None)
-          | _ -> None)
-      (Seg.uses seg)
-    |> List.fold_left (fun acc v -> Var.Set.add v acc) Var.Set.empty
-  in
-  (* Return positions per variable. *)
-  let ret_positions v =
-    List.filter_map
-      (fun (u : Seg.use) ->
-        match u.Seg.ukind with
-        | Seg.Ret_op j when Var.equal u.Seg.uvar v -> Some j
-        | _ -> None)
-      (Seg.uses_of seg v)
-  in
-  (* Per-parameter reachability. *)
-  let vf1 = ref [] and vf3 = ref [] and vf4 = ref [] in
-  let source_set =
-    List.fold_left (fun acc v -> Var.Set.add v acc) Var.Set.empty sources
-  in
-  List.iteri
-    (fun idx0 (p : Var.t) ->
-      let i = idx0 + 1 in
-      let reach = reach_from seg t spec [ p ] in
-      Var.Set.iter
-        (fun v ->
-          List.iter (fun j -> if not (List.mem (i, j) !vf1) then vf1 := (i, j) :: !vf1)
-            (ret_positions v);
-          if Var.Set.mem v source_set && not (List.mem i !vf3) then vf3 := i :: !vf3;
-          if Var.Set.mem v sink_vars && not (List.mem i !vf4) then vf4 := i :: !vf4)
-        reach)
-    f.Func.params;
-  (* VF2: sources reaching return positions. *)
-  let vf2 =
-    let reach = reach_from seg t spec sources in
-    Var.Set.fold (fun v acc -> ret_positions v @ acc) reach []
-    |> List.sort_uniq compare
-  in
-  {
-    vf1 = List.sort compare !vf1;
-    vf2;
-    vf3 = List.sort compare !vf3;
-    vf4 = List.sort compare !vf4;
-  }
+  Array.mapi
+    (fun k (spec : spec) ->
+      let table = tables.(k) in
+      let follow = spec.follow_operands in
+      let vf1_of, param_reach, vf1 = for_mode k follow in
+      (* Source variables: the checker's own sources plus receivers that
+         are buggy after a call (callee VF2) and actuals buggy after a
+         call (callee VF3). *)
+      let call_sources =
+        Hashtbl.fold
+          (fun _ (c : Stmt.call) acc ->
+            match Hashtbl.find_opt table c.Stmt.callee with
+            | None -> acc
+            | Some cs ->
+              let from_vf2 =
+                List.filter_map (fun j -> List.nth_opt c.Stmt.recvs j) cs.vf2
+              in
+              let from_vf3 =
+                List.filter_map
+                  (fun i ->
+                    match List.nth_opt c.Stmt.args (i - 1) with
+                    | Some (Stmt.Ovar u) -> Some u
+                    | _ -> None)
+                  cs.vf3
+              in
+              from_vf2 @ from_vf3 @ acc)
+          cx.calls []
+      in
+      let sources = List.map fst (spec.source_vars f) @ call_sources in
+      (* Sink-consuming variables: the checker's sinks plus actuals whose
+         callee has VF4 on that parameter. *)
+      let sinks =
+        List.filter_map
+          (fun (u : Seg.use) ->
+            if spec.is_sink_use seg u then Some u.Seg.uvar
+            else
+              match u.Seg.ukind with
+              | Seg.Call_arg { callee; arg_index } -> (
+                match Hashtbl.find_opt table callee with
+                | Some cs when List.mem (arg_index + 1) cs.vf4 ->
+                  Some u.Seg.uvar
+                | _ -> None)
+              | _ -> None)
+          (Seg.uses seg)
+        |> vid_set
+      in
+      let source_set = vid_set sources in
+      let params_meeting set =
+        List.filter_map
+          (fun i0 ->
+            if
+              List.exists
+                (fun (v : Var.t) -> Hashtbl.mem set v.Var.vid)
+                param_reach.(i0)
+            then Some (i0 + 1)
+            else None)
+          (List.init (Array.length params) Fun.id)
+      in
+      (* VF2: sources reaching return positions. *)
+      let vf2 =
+        match sources with
+        | [] -> []
+        | _ ->
+          reach cx ~follow ~vf1_of sources
+          |> List.concat_map (ret_positions seg)
+          |> List.sort_uniq compare
+      in
+      { vf1; vf2; vf3 = params_meeting source_set; vf4 = params_meeting sinks })
+    specs
 
-let generate (prog : Prog.t) (seg_of : string -> Seg.t option) (spec : spec) : t
-    =
-  let t : t = Hashtbl.create 64 in
+(* Summarise the given functions in order, for every spec at once: each
+   function's SEG is fetched once and its summaries land in every table
+   before the next function is visited, so SCC members see exactly the
+   callee entries a per-spec pass would. *)
+let summarise_all seg_of specs tables (funcs : Func.t list) =
+  let specs = Array.of_list specs and tables = Array.of_list tables in
   List.iter
-    (fun scc ->
-      List.iter
-        (fun (f : Func.t) ->
-          match seg_of f.Func.fname with
-          | None -> ()
-          | Some seg -> Hashtbl.replace t f.Func.fname (summarize seg t spec))
-        scc)
-    (Prog.bottom_up_sccs prog);
-  t
+    (fun (f : Func.t) ->
+      match seg_of f.Func.fname with
+      | None -> ()
+      | Some seg ->
+        Array.iteri
+          (fun k s -> Hashtbl.replace tables.(k) f.Func.fname s)
+          (summarise seg specs tables))
+    funcs
+
+let generate (prog : Prog.t) (seg_of : string -> Seg.t option)
+    (specs : spec list) : t list =
+  let tables = List.map (fun _ -> Hashtbl.create 64) specs in
+  summarise_all seg_of specs tables (List.concat (Prog.bottom_up_sccs prog));
+  tables
 
 (* Incremental regeneration (DESIGN.md §4.13): same contract as
    {!Rv.update} — the dirty set is caller-closed, so every SCC is wholly
    dirty or wholly clean, and clean summaries (a function of the
    function's own SEG and its callees' summaries) are already what a full
    generate would compute. *)
-let update (t : t) (seg_of : string -> Seg.t option) (spec : spec)
-    (sccs : Func.t list list) =
-  List.iter (List.iter (fun (f : Func.t) -> Hashtbl.remove t f.Func.fname)) sccs;
+let update (tables : t list) (seg_of : string -> Seg.t option)
+    (specs : spec list) (sccs : Func.t list list) =
+  let funcs = List.concat sccs in
   List.iter
-    (List.iter (fun (f : Func.t) ->
-         match seg_of f.Func.fname with
-         | None -> ()
-         | Some seg -> Hashtbl.replace t f.Func.fname (summarize seg t spec)))
-    sccs
+    (fun (t : t) ->
+      List.iter (fun (f : Func.t) -> Hashtbl.remove t f.Func.fname) funcs)
+    tables;
+  summarise_all seg_of specs tables funcs
 
 let fold (t : t) ~init ~f = Hashtbl.fold (fun name s acc -> f acc name s) t init
 let add (t : t) name s = Hashtbl.replace t name s

@@ -18,13 +18,19 @@
     keeps summary generation cheap.  Generated bottom-up; recursion is cut
     once.  Parameter and return indices refer to the {e extended}
     (post-transformation) interface, so value flows through memory
-    side-effects ride the connector variables. *)
+    side-effects ride the connector variables.
+
+    One pass summarises every checker: each function's SEG is fetched
+    once and its per-parameter forward reachability runs once per
+    [follow_operands] mode.  VF1 and those reach sets depend on nothing
+    else, so they are shared; only VF2–VF4 read a checker's sources and
+    sinks. *)
 
 type spec = {
   follow_operands : bool;
       (** follow operator edges too (taint) or only value-preserving
           copies (use-after-free) *)
-  source_vars : Pinpoint_seg.Seg.t -> (Pinpoint_ir.Var.t * int) list;
+  source_vars : Pinpoint_ir.Func.t -> (Pinpoint_ir.Var.t * int) list;
       (** variables that carry a source value from statement [sid] on *)
   is_sink_use : Pinpoint_seg.Seg.t -> Pinpoint_seg.Seg.use -> bool;
 }
@@ -39,25 +45,26 @@ type fsum = {
 type t
 
 val generate :
-  Pinpoint_ir.Prog.t -> (string -> Pinpoint_seg.Seg.t option) -> spec -> t
+  Pinpoint_ir.Prog.t -> (string -> Pinpoint_seg.Seg.t option) -> spec list -> t list
+(** [generate prog seg_of specs] is one table per spec, in order, filled
+    in one bottom-up pass.  A function without a SEG gets no entry. *)
 
 val empty : unit -> t
-(** A summary table with no entries.  Used as the fallback when summary
-    generation crashes: with no VF1/VF4 facts the engine must disable VF
-    pruning (descend everywhere) to stay soundy. *)
+(** A summary table with no entries. *)
 
 val update :
-  t ->
+  t list ->
   (string -> Pinpoint_seg.Seg.t option) ->
-  spec ->
+  spec list ->
   Pinpoint_ir.Func.t list list ->
   unit
 (** Incremental regeneration for the analysis server (DESIGN.md §4.13):
-    [update t seg_of spec sccs] drops the summaries of the dirty SCCs'
-    members and recomputes them, in the given bottom-up order, against
-    the retained clean entries.  The dirty set must be closed under "is a
-    transitive caller of a dirty function"; the table then equals a
-    from-scratch {!generate} over the same program. *)
+    [update tables seg_of specs sccs] drops the dirty SCCs' members from
+    every table and recomputes them, in the given bottom-up order, against
+    the retained clean entries.  [tables] and [specs] correspond
+    positionally.  The dirty set must be closed under "is a transitive
+    caller of a dirty function"; each table then equals a from-scratch
+    {!generate} over the same program. *)
 
 val find : t -> string -> fsum option
 

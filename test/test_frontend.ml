@@ -180,6 +180,36 @@ let test_lower_errors () =
   expect_error "int f() { return; }" (* non-void returns nothing *);
   expect_error "void f(int *p) { free(p, p); }" (* arity *)
 
+(* A second body for one name is a lowering error at that body — from
+   one source, from an AST, and across files. *)
+let test_lower_duplicate_function () =
+  let expect what ~file ~line compile =
+    match compile () with
+    | exception Lower.Error (msg, loc) ->
+      Alcotest.(check string)
+        (what ^ ": message") "duplicate definition of function f" msg;
+      Alcotest.(check (pair string int))
+        (what ^ ": at the second body") (file, line)
+        (loc.Pinpoint_ir.Stmt.file, loc.Pinpoint_ir.Stmt.line)
+    | _ -> Alcotest.failf "%s: duplicate definition accepted" what
+  in
+  let src = "int f() { return 1; }\nint g() { return 2; }\nint f() { return 3; }" in
+  expect "source" ~file:"d.mc" ~line:3 (fun () ->
+      Lower.compile_string ~file:"d.mc" src);
+  expect "ast" ~file:"d.mc" ~line:3 (fun () ->
+      Lower.compile (Parser.parse_string ~file:"d.mc" src));
+  let write name contents =
+    let path = Filename.temp_file name ".mc" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  let a = write "dup_a" "int f() { return 1; }"
+  and b = write "dup_b" "void h() { }\n\nint f() { return 3; }" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ a; b ])
+    (fun () ->
+      expect "files" ~file:b ~line:3 (fun () -> Lower.compile_files [ a; b ]))
+
 let test_lower_scoping () =
   (* shadowing in nested blocks is allowed *)
   let prog =
@@ -245,6 +275,8 @@ let suite =
     Alcotest.test_case "lower cond desugar" `Quick test_lower_cond_desugar;
     Alcotest.test_case "lower dead code" `Quick test_lower_dead_code;
     Alcotest.test_case "lower errors" `Quick test_lower_errors;
+    Alcotest.test_case "lower duplicate function" `Quick
+      test_lower_duplicate_function;
     Alcotest.test_case "lower scoping" `Quick test_lower_scoping;
     Alcotest.test_case "lower intrinsics" `Quick test_lower_memcpy_like_calls;
     Alcotest.test_case "phi gates filled" `Quick test_lower_phi_gates_filled;

@@ -367,6 +367,58 @@ let test_chunk_size_determinism () =
   in
   Alcotest.(check bool) "chunk size 7: jobs 1 = jobs 4" true (seq = par)
 
+(* The verbose render — value-flow path and trigger hint, with its
+   symbols — is schedule-independent too: clone symbols print by their
+   interning key, program symbols by ids pinned in program order.  Symbol
+   ids are process-wide, so each run's ids are rebased on the registry
+   size before it. *)
+let verbose_render pool src =
+  let base = Pinpoint_smt.Symbol.count () in
+  let a = Pinpoint.Analysis.prepare_source ?pool ~file:"taint.mc" src in
+  let render =
+    String.concat ""
+      (List.concat_map
+         (fun spec ->
+           let reports, _ = Pinpoint.Analysis.check a spec in
+           List.map
+             (Format.asprintf "%a" Pinpoint.Report.pp)
+             (List.filter Pinpoint.Report.is_reported reports))
+         Pinpoint.Checkers.all)
+  in
+  let buf = Buffer.create (String.length render) in
+  let n = String.length render in
+  let rec go i =
+    if i < n then
+      if render.[i] = '#' then begin
+        let j = ref (i + 1) in
+        while !j < n && render.[!j] >= '0' && render.[!j] <= '9' do incr j done;
+        Buffer.add_char buf '#';
+        if !j > i + 1 then
+          Buffer.add_string buf
+            (string_of_int (int_of_string (String.sub render (i + 1) (!j - i - 1)) - base));
+        go !j
+      end
+      else begin
+        Buffer.add_char buf render.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents buf
+
+let test_verbose_determinism () =
+  List.iter
+    (fun (name, src) ->
+      let seq = verbose_render None src in
+      let par = Pool.with_pool ~jobs:4 (fun p -> verbose_render (Some p) src) in
+      Alcotest.(check bool) (name ^ ": trigger hints rendered") true
+        (Test_resilience.contains seq "trigger when");
+      Alcotest.(check string) (name ^ " -v: jobs 1 = jobs 4") seq par)
+    [
+      ("taint.mc", read_file (Filename.concat (Test_corpus.corpus_dir ()) "taint.mc"));
+      ("ragged", (Lazy.force ragged_subject).Gen.source);
+    ]
+
 (* --- domain-safety debug assertions (satellite: global-state audit) --- *)
 
 let test_owner_checks_clean () =
@@ -442,6 +494,8 @@ let suite =
       (check_ragged_determinism ~jobs:8);
     Alcotest.test_case "determinism: chunk-size override" `Quick
       test_chunk_size_determinism;
+    Alcotest.test_case "determinism: -v render jobs 4" `Quick
+      test_verbose_determinism;
     Alcotest.test_case "owner checks stay silent" `Quick
       test_owner_checks_clean;
     Alcotest.test_case "metrics: clamped + pooled alloc" `Quick

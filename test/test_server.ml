@@ -470,40 +470,74 @@ let test_rss_shedding () =
   Alcotest.(check bool) "server continues" true (action = `Continue)
 
 (* A malformed request (bad JSON, bad MC) is an error response, not a
-   crash, and the resident state survives. *)
+   crash, and the resident state survives — also when the request would
+   have changed the function set, which takes the full-rebuild path. *)
 let test_request_isolation () =
   let chunks = split_subject 1 (subject ~seed:61 ~loc:150 ()) in
   let t = Server.create () in
   Server.load_files t (contents_of chunks);
   let before = batch_renders (contents_of chunks) Pinpoint.Checkers.use_after_free in
+  let defined = (List.hd (snd chunks.(0))).Ast.fname in
+  let new_file name contents =
+    req_of_files ~checkers:[ "use-after-free" ] [ (name, contents) ]
+  in
+  let error_of bad =
+    let resp, action = Server.handle_line t bad in
+    Alcotest.(check bool) "continues" true (action = `Continue);
+    let j = parse_response resp in
+    Alcotest.(check bool)
+      (Printf.sprintf "rejected: %s" bad)
+      false (response_ok j);
+    Option.value ~default:"" (Option.bind (Json.member "error" j) Json.string_opt)
+  in
   List.iter
     (fun bad ->
-      let resp, action = Server.handle_line t bad in
-      Alcotest.(check bool) "continues" true (action = `Continue);
-      let j = parse_response resp in
-      Alcotest.(check bool)
-        (Printf.sprintf "rejected: %s" bad)
-        false (response_ok j);
       (* bad input gets a structured error, never an escaped exception *)
       Alcotest.(check bool)
         (Printf.sprintf "structured error: %s" bad)
         false
-        (String.starts_with ~prefix:"internal error"
-           (Option.value ~default:""
-              (Option.bind (Json.member "error" j) Json.string_opt))))
+        (String.starts_with ~prefix:"internal error" (error_of bad)))
     [
       "not json at all";
       {|{"op":"frobnicate"}|};
       {|{"op":"check","files":[{"name":"srv_0.mc","contents":"void broken( {"}]}|};
       {|{"op":"check","files":[{"name":"srv_0.mc","contents":"void f() { int x = 99999999999999999999; }"}]}|};
       {|{"op":"check","x":"\uzzzz"}|};
+      new_file "c.mc" "void wedge_h(int *p) { free(p, p); }";
+    ];
+  List.iter
+    (fun (bad, expected) ->
+      Alcotest.(check string) "duplicate definition" expected (error_of bad))
+    [
+      ( new_file "dup.mc" "int dupf() { return 1; }\nint dupf() { return 2; }",
+        "dup.mc:2: duplicate definition of function dupf" );
+      ( new_file "dup.mc" (Printf.sprintf "void %s() { }" defined),
+        Printf.sprintf "dup.mc:1: duplicate definition of function %s" defined );
     ];
   let resp, _ =
     Server.handle_line t (req_of_files ~checkers:[ "use-after-free" ] [])
   in
   Alcotest.(check (list string))
     "state survived bad requests" before
-    (response_renders (parse_response resp))
+    (response_renders (parse_response resp));
+  let status, _ =
+    Server.handle_line t (Json.to_string (Json.Obj [ ("op", Json.String "status") ]))
+  in
+  Alcotest.(check (option int))
+    "rejected files not resident" (Some 1)
+    (Option.bind (Json.member "files" (parse_response status)) Json.int_opt);
+  ignore (bump_nth_function chunks ~chunk:0 ~i:0);
+  let name, fds = chunks.(0) in
+  let resp, _ =
+    Server.handle_line t
+      (req_of_files ~checkers:[ "use-after-free" ] [ (name, emit_fdecls fds) ])
+  in
+  let j = parse_response resp in
+  Alcotest.(check bool) "next edit ok" true (response_ok j);
+  Alcotest.(check (list string))
+    "next edit matches batch"
+    (batch_renders (contents_of chunks) Pinpoint.Checkers.use_after_free)
+    (response_renders j)
 
 (* (d) warm restart: a fresh server recovering from the epoch snapshot +
    journal answers exactly like the one that wrote them. *)

@@ -192,9 +192,10 @@ let test_vf_roundtrip () =
   let a = Pinpoint.Analysis.prepare_source ~file:path (read_file path) in
   let spec = List.hd Pinpoint.Checkers.all in
   let vf =
-    Vf.generate a.Pinpoint.Analysis.prog
-      (Pinpoint.Analysis.seg_of a)
-      (Pinpoint.Checker_spec.vf_spec spec)
+    List.hd
+      (Vf.generate a.Pinpoint.Analysis.prog
+         (Pinpoint.Analysis.seg_of a)
+         [ Pinpoint.Checker_spec.vf_spec spec ])
   in
   let st = Store.create ~dir:(tmp_dir ()) () in
   Store.register_program st a.Pinpoint.Analysis.prog;
@@ -320,6 +321,43 @@ let test_seg_size_store_mode () =
     (Pinpoint.Analysis.seg_size a);
   Store.close st
 
+(* ---------- one VF pass, sources from the IR ---------- *)
+
+(* Summarising all five checkers is one pass: sealing at max_resident 1
+   faults each function's PTA and SEG at most once.  Sources come from
+   the IR: a checker whose sources occur nowhere faults nothing. *)
+let test_vf_pass_faults () =
+  let src =
+    (Gen.generate ~name:"store-sub"
+       {
+         Gen.default_params with
+         Gen.seed = 25;
+         target_loc = 400;
+         n_taint_real = 0;
+         n_taint_traps = 0;
+       })
+      .Gen.source
+  in
+  Alcotest.(check bool)
+    "subject has no data-transmission source" false
+    (Test_resilience.contains src "getpass");
+  let st = Store.create ~dir:(tmp_dir ()) ~max_resident:1 () in
+  let a = Pinpoint.Analysis.prepare_source ~store:st src in
+  let n = List.length (Pinpoint_ir.Prog.functions a.Pinpoint.Analysis.prog) in
+  let faults () = (Store.stats st).Store.faults in
+  let f0 = faults () in
+  Pinpoint.Analysis.seal_store a Pinpoint.Checkers.all;
+  let sealing = faults () - f0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "seal: %d PTA+SEG faults for %d functions" sealing n)
+    true
+    (sealing > 0 && sealing <= 2 * n);
+  let f1 = faults () in
+  let _, stats = Pinpoint.Analysis.check a Pinpoint.Checkers.data_transmission in
+  Alcotest.(check int) "no sources" 0 stats.Pinpoint.Engine.n_sources;
+  Alcotest.(check int) "no-source check faults nothing" 0 (faults () - f1);
+  Store.close st
+
 (* ---------- server incremental mode on a store ---------- *)
 
 let test_server_store_incremental () =
@@ -376,6 +414,7 @@ let suite =
     Alcotest.test_case "dedup determinism" `Quick test_dedup_determinism;
     Alcotest.test_case "seg_size in store mode" `Quick
       test_seg_size_store_mode;
+    Alcotest.test_case "one VF pass faults" `Quick test_vf_pass_faults;
     Alcotest.test_case "server incremental on store" `Quick
       test_server_store_incremental;
   ]

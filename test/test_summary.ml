@@ -61,7 +61,10 @@ let test_clone_binding () =
 let vf_of src spec =
   let a = Helpers.prepare src in
   let prog = a.Pinpoint.Analysis.prog in
-  (Vf.generate prog (Pinpoint.Analysis.seg_of a) (Pinpoint.Checker_spec.vf_spec spec), a)
+  ( List.hd
+      (Vf.generate prog (Pinpoint.Analysis.seg_of a)
+         [ Pinpoint.Checker_spec.vf_spec spec ]),
+    a )
 
 let test_vf1_passthrough () =
   let vf, _ = vf_of "int* pass(int *p) { return p; }" Helpers.uaf in
@@ -130,6 +133,270 @@ let test_vf_connector_riding () =
       (List.exists (fun (i, _) -> i = 2) s.Vf.vf1)
   | None -> Alcotest.fail "no summary"
 
+(* --- the one-pass tables against a per-checker oracle --- *)
+
+(* The per-checker summariser the one pass replaced: one bottom-up pass
+   per checker, fetching every SEG and re-deriving VF1 and the
+   per-parameter reach sets each time. *)
+module Oracle = struct
+  type t = (string, Vf.fsum) Hashtbl.t
+
+  let reach_from (seg : Seg.t) (t : t) (spec : Vf.spec) (starts : Var.t list) =
+    let f = Seg.func seg in
+    let stmt_by_sid = Hashtbl.create 16 in
+    Func.iter_stmts f (fun _ s -> Hashtbl.replace stmt_by_sid s.Stmt.sid s);
+    let visited = ref Var.Set.empty in
+    let q = Queue.create () in
+    let push w =
+      if not (Var.Set.mem w !visited) then begin
+        visited := Var.Set.add w !visited;
+        Queue.add w q
+      end
+    in
+    List.iter push starts;
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      List.iter
+        (fun (e : Seg.edge) ->
+          match e.Seg.kind with
+          | Seg.Copy -> push e.Seg.dst
+          | Seg.Operand -> if spec.Vf.follow_operands then push e.Seg.dst)
+        (Seg.succs seg v);
+      List.iter
+        (fun (u : Seg.use) ->
+          match u.Seg.ukind with
+          | Seg.Call_arg { callee; arg_index } -> (
+            match Hashtbl.find_opt t callee with
+            | None -> ()
+            | Some callee_sum -> (
+              match Hashtbl.find_opt stmt_by_sid u.Seg.sid with
+              | Some { Stmt.kind = Stmt.Call c; _ } ->
+                List.iter
+                  (fun (i, j) ->
+                    if i = arg_index + 1 then
+                      match List.nth_opt c.Stmt.recvs j with
+                      | Some r -> push r
+                      | None -> ())
+                  callee_sum.Vf.vf1
+              | _ -> ()))
+          | _ -> ())
+        (Seg.uses_of seg v)
+    done;
+    !visited
+
+  let summarize (seg : Seg.t) (t : t) (spec : Vf.spec) : Vf.fsum =
+    let f = Seg.func seg in
+    let call_sources =
+      Func.fold_stmts f ~init:[] ~f:(fun acc _ s ->
+          match s.Stmt.kind with
+          | Stmt.Call c -> (
+            match Hashtbl.find_opt t c.Stmt.callee with
+            | None -> acc
+            | Some cs ->
+              List.filter_map (fun j -> List.nth_opt c.Stmt.recvs j) cs.Vf.vf2
+              @ List.filter_map
+                  (fun i ->
+                    match List.nth_opt c.Stmt.args (i - 1) with
+                    | Some (Stmt.Ovar u) -> Some u
+                    | _ -> None)
+                  cs.Vf.vf3
+              @ acc)
+          | _ -> acc)
+    in
+    let sources = List.map fst (spec.Vf.source_vars f) @ call_sources in
+    let sink_vars =
+      List.filter_map
+        (fun (u : Seg.use) ->
+          if spec.Vf.is_sink_use seg u then Some u.Seg.uvar
+          else
+            match u.Seg.ukind with
+            | Seg.Call_arg { callee; arg_index } -> (
+              match Hashtbl.find_opt t callee with
+              | Some cs when List.mem (arg_index + 1) cs.Vf.vf4 -> Some u.Seg.uvar
+              | _ -> None)
+            | _ -> None)
+        (Seg.uses seg)
+      |> Var.Set.of_list
+    in
+    let ret_positions v =
+      List.filter_map
+        (fun (u : Seg.use) ->
+          match u.Seg.ukind with
+          | Seg.Ret_op j when Var.equal u.Seg.uvar v -> Some j
+          | _ -> None)
+        (Seg.uses_of seg v)
+    in
+    let source_set = Var.Set.of_list sources in
+    let vf1 = ref [] and vf3 = ref [] and vf4 = ref [] in
+    List.iteri
+      (fun idx0 p ->
+        let i = idx0 + 1 in
+        Var.Set.iter
+          (fun v ->
+            List.iter (fun j -> vf1 := (i, j) :: !vf1) (ret_positions v);
+            if Var.Set.mem v source_set then vf3 := i :: !vf3;
+            if Var.Set.mem v sink_vars then vf4 := i :: !vf4)
+          (reach_from seg t spec [ p ]))
+      f.Func.params;
+    let vf2 =
+      Var.Set.fold
+        (fun v acc -> ret_positions v @ acc)
+        (reach_from seg t spec sources) []
+    in
+    {
+      Vf.vf1 = List.sort_uniq compare !vf1;
+      vf2 = List.sort_uniq compare vf2;
+      vf3 = List.sort_uniq compare !vf3;
+      vf4 = List.sort_uniq compare !vf4;
+    }
+
+  let generate prog seg_of spec : t =
+    let t = Hashtbl.create 64 in
+    List.iter
+      (List.iter (fun (f : Func.t) ->
+           Option.iter
+             (fun seg -> Hashtbl.replace t f.Func.fname (summarize seg t spec))
+             (seg_of f.Func.fname)))
+      (Prog.bottom_up_sccs prog);
+    t
+
+  let dump (t : t) = Hashtbl.fold (fun n s acc -> (n, s) :: acc) t [] |> List.sort compare
+end
+
+let dump_vf vf =
+  Vf.fold vf ~init:[] ~f:(fun acc n s -> (n, s) :: acc) |> List.sort compare
+
+let specs = List.map Pinpoint.Checker_spec.vf_spec Pinpoint.Checkers.all
+
+let check_against_oracle what (a : Pinpoint.Analysis.t) tables =
+  List.iter2
+    (fun (c : Pinpoint.Checker_spec.t) vf ->
+      let expected =
+        Oracle.dump
+          (Oracle.generate a.Pinpoint.Analysis.prog (Pinpoint.Analysis.seg_of a)
+             (Pinpoint.Checker_spec.vf_spec c))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s table = oracle" what c.Pinpoint.Checker_spec.name)
+        true
+        (dump_vf vf = expected))
+    Pinpoint.Checkers.all tables
+
+let one_pass (a : Pinpoint.Analysis.t) =
+  Vf.generate a.Pinpoint.Analysis.prog (Pinpoint.Analysis.seg_of a) specs
+
+let gen_subjects =
+  [
+    ("scaled", Pinpoint_workload.Gen.scaled ~seed:5 ~mloc:0.0015 ());
+    ( "traps",
+      {
+        Pinpoint_workload.Gen.default_params with
+        Pinpoint_workload.Gen.seed = 9;
+        target_loc = 800;
+        n_uaf_traps = 6;
+        n_hard_traps = 4;
+        n_shared_core = 3;
+        n_taint_traps = 4;
+      } );
+    ( "cross-unit",
+      {
+        Pinpoint_workload.Gen.default_params with
+        Pinpoint_workload.Gen.seed = 13;
+        target_loc = 1_000;
+        n_units = 3;
+        cross_unit = true;
+      } );
+  ]
+
+let gen_source (name, params) =
+  (Pinpoint_workload.Gen.generate ~name params).Pinpoint_workload.Gen.source
+
+let test_one_pass_corpus () =
+  List.iter
+    (fun path ->
+      let a =
+        Pinpoint.Analysis.prepare_source ~file:path (Test_store.read_file path)
+      in
+      check_against_oracle (Filename.basename path) a (one_pass a))
+    (Test_store.corpus_files ())
+
+let test_one_pass_generated () =
+  List.iter
+    (fun ((name, _) as subject) ->
+      let a = Helpers.prepare (gen_source subject) in
+      check_against_oracle name a (one_pass a))
+    gen_subjects
+
+(* A scripted edit: [free(p)] appended to the [k]-th function that has a
+   pointer parameter, before its trailing return — a new VF3 fact for the
+   free-based checkers, and for every transitive caller. *)
+let add_free (fds : Pinpoint_frontend.Ast.fdecl list) k =
+  let module A = Pinpoint_frontend.Ast in
+  let ptr_param (fd : A.fdecl) =
+    List.find_map
+      (fun (ty, x) -> match ty with Ty.Ptr _ -> Some x | _ -> None)
+      fd.A.params
+  in
+  let candidates = List.filter (fun fd -> ptr_param fd <> None) fds in
+  let target = List.nth candidates (k mod List.length candidates) in
+  let p = Option.get (ptr_param target) in
+  let free_p =
+    let e n = { A.eloc = target.A.floc; enode = n } in
+    { A.sloc = target.A.floc; snode = A.Sexpr (e (A.Ecall ("free", [ e (A.Evar p) ]))) }
+  in
+  let body =
+    match target.A.body.A.snode with
+    | A.Sblock ss -> (
+      match List.rev ss with
+      | ({ A.snode = A.Sreturn _; _ } as r) :: rest ->
+        A.Sblock (List.rev (r :: free_p :: rest))
+      | _ -> A.Sblock (ss @ [ free_p ]))
+    | _ -> A.Sblock [ target.A.body; free_p ]
+  in
+  ( target.A.fname,
+    List.map
+      (fun (fd : A.fdecl) ->
+        if fd == target then { fd with A.body = { fd.A.body with A.snode = body } }
+        else fd)
+      fds )
+
+(* Transitive callers of [name], itself included, as bottom-up SCCs. *)
+let dirty_sccs prog name =
+  let g, funcs = Prog.call_graph prog in
+  let dirty = Hashtbl.create 16 in
+  let rec visit i =
+    let n = funcs.(i).Func.fname in
+    if not (Hashtbl.mem dirty n) then begin
+      Hashtbl.replace dirty n ();
+      List.iter visit (Pinpoint_util.Digraph.preds g i)
+    end
+  in
+  Array.iteri (fun i (f : Func.t) -> if f.Func.fname = name then visit i) funcs;
+  List.filter
+    (List.exists (fun (f : Func.t) -> Hashtbl.mem dirty f.Func.fname))
+    (Prog.bottom_up_sccs prog)
+
+(* Tables kept through [Vf.update] across scripted edits equal the
+   oracle over each edited program. *)
+let test_one_pass_update () =
+  List.iter
+    (fun ((name, _) as subject) ->
+      let module A = Pinpoint_frontend.Ast in
+      let fds =
+        ref (Pinpoint_frontend.Parser.parse_string ~file:"<gen>" (gen_source subject)).A.funcs
+      in
+      let prepare () = Helpers.prepare (Format.asprintf "%a" A.pp_program { A.funcs = !fds }) in
+      let tables = one_pass (prepare ()) in
+      for k = 1 to 3 do
+        let edited, fds' = add_free !fds (7 * k) in
+        fds := fds';
+        let a = prepare () in
+        let prog = a.Pinpoint.Analysis.prog in
+        Vf.update tables (Pinpoint.Analysis.seg_of a) specs (dirty_sccs prog edited);
+        check_against_oracle (Printf.sprintf "%s edit %d (%s)" name k edited) a tables
+      done)
+    gen_subjects
+
 let suite =
   [
     Alcotest.test_case "rv: identity" `Quick test_rv_identity;
@@ -144,4 +411,9 @@ let suite =
     Alcotest.test_case "vf: transitive" `Quick test_vf_transitive;
     Alcotest.test_case "vf: operand mode" `Quick test_vf_operand_mode;
     Alcotest.test_case "vf: connector riding" `Quick test_vf_connector_riding;
+    Alcotest.test_case "vf: one pass = oracle (corpus)" `Quick test_one_pass_corpus;
+    Alcotest.test_case "vf: one pass = oracle (generated)" `Quick
+      test_one_pass_generated;
+    Alcotest.test_case "vf: update = oracle after edits" `Quick
+      test_one_pass_update;
   ]
