@@ -130,16 +130,6 @@ let jobs_arg =
            only add GC-barrier overhead).  Reports, stats and injected \
            faults are identical at every level.")
 
-let chunk_size_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "chunk-size" ] ~docv:"N"
-        ~doc:
-          "Force parallel task batches of exactly $(docv) work items \
-           (functions) each.  Default 0 = automatic: about four \
-           weight-balanced chunks per worker.  A tuning knob for \
-           $(b,--jobs); reports and stats are identical at every value.")
-
 (* Artifact-store flags (DESIGN.md §4.14), shared by check and serve. *)
 
 let store_dir_arg =
@@ -246,9 +236,7 @@ let export_obs ?pool ~trace ~metrics_json ~obs () =
 
 (* [--jobs 1] must be the plain sequential pipeline — no pool, no domains —
    so it stays byte-for-byte the historical code path. *)
-let with_jobs ?(chunk_size = 0) jobs f =
-  Pinpoint_par.Chunk.set_override
-    (if chunk_size > 0 then Some chunk_size else None);
+let with_jobs jobs f =
   let jobs = Pinpoint_par.Pool.effective_jobs jobs in
   if jobs <= 1 then f None
   else Pinpoint_par.Pool.with_pool ~jobs (fun p -> f (Some p))
@@ -279,11 +267,11 @@ let print_incidents ~verbose (a : Pinpoint.Analysis.t) =
 
 let check_cmd =
   let run files checkers verbose confirm deadline_s budget_s solver_conflicts
-      seed rate seg_rate no_qcache no_refine jobs chunk_size store_dir
+      seed rate seg_rate no_qcache no_refine jobs store_dir
       max_resident rss_cap_mb trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
     set_obs_level ~trace ~metrics_json ~obs;
-    with_jobs ~chunk_size jobs @@ fun pool ->
+    with_jobs jobs @@ fun pool ->
     with_store ~store_dir ~max_resident @@ fun store ->
     match Pinpoint.Analysis.prepare_files ?pool ?store files with
     | exception Pinpoint_frontend.Parser.Error (msg, line) ->
@@ -363,7 +351,7 @@ let check_cmd =
       const run $ files_arg $ checkers_arg $ verbose_arg $ confirm_arg
       $ deadline_arg $ solver_budget_arg $ solver_conflicts_arg
       $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ no_qcache_arg $ no_refine_arg $ jobs_arg $ chunk_size_arg $ store_dir_arg $ max_resident_arg
+      $ inject_seg_rate_arg $ no_qcache_arg $ no_refine_arg $ jobs_arg $ store_dir_arg $ max_resident_arg
       $ rss_cap_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in
   Cmd.v (Cmd.info "check" ~doc:"Run checkers on MC source file(s)") term
@@ -441,9 +429,9 @@ let baseline_cmd =
   Cmd.v (Cmd.info "baseline" ~doc:"Run a baseline tool on an MC source file") term
 
 let leaks_cmd =
-  let run file seed rate seg_rate jobs chunk_size =
+  let run file seed rate seg_rate jobs =
     install_injection ~seed ~rate ~seg_rate;
-    with_jobs ~chunk_size jobs @@ fun pool ->
+    with_jobs jobs @@ fun pool ->
     let a = Pinpoint.Analysis.prepare_file ?pool file in
     let reports =
       Pinpoint.Leak.check ~resilience:a.Pinpoint.Analysis.resilience
@@ -458,14 +446,14 @@ let leaks_cmd =
   let term =
     Term.(
       const run $ file_arg $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ jobs_arg $ chunk_size_arg)
+      $ inject_seg_rate_arg $ jobs_arg)
   in
   Cmd.v (Cmd.info "leaks" ~doc:"Run the memory-leak checker") term
 
 let stats_cmd =
-  let run file jobs chunk_size trace metrics_json obs =
+  let run file jobs trace metrics_json obs =
     set_obs_level ~trace ~metrics_json ~obs;
-    with_jobs ~chunk_size jobs @@ fun pool ->
+    with_jobs jobs @@ fun pool ->
     let a = Pinpoint.Analysis.prepare_file ?pool file in
     let v, e = Pinpoint.Analysis.seg_size a in
     let prog = a.Pinpoint.Analysis.prog in
@@ -509,7 +497,7 @@ let stats_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ jobs_arg $ chunk_size_arg $ trace_arg
+      const run $ file_arg $ jobs_arg $ trace_arg
       $ metrics_json_arg $ obs_arg)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Per-function analysis statistics") term
@@ -612,11 +600,11 @@ let no_flight_arg =
 let serve_cmd =
   let run files socket queue_depth max_rss_mb snapshot_dir snapshot_every
       qcache_cap incident_cap deadline_s budget_s solver_conflicts seed rate
-      seg_rate jobs chunk_size store_dir max_resident prom_file prom_every
+      seg_rate jobs store_dir max_resident prom_file prom_every
       flight_file no_flight trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
     set_obs_level ~trace ~metrics_json ~obs;
-    with_jobs ~chunk_size jobs @@ fun pool ->
+    with_jobs jobs @@ fun pool ->
     with_store ~store_dir ~max_resident @@ fun store ->
     let config =
       {
@@ -673,7 +661,7 @@ let serve_cmd =
       $ snapshot_dir_arg $ snapshot_every_arg $ qcache_cap_arg
       $ incident_cap_arg $ deadline_arg $ solver_budget_arg
       $ solver_conflicts_arg $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ jobs_arg $ chunk_size_arg $ store_dir_arg
+      $ inject_seg_rate_arg $ jobs_arg $ store_dir_arg
       $ max_resident_arg $ prom_file_arg $ prom_every_arg $ flight_file_arg
       $ no_flight_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in

@@ -83,7 +83,7 @@ let total_pts_size t =
   done;
   !s
 
-let run ?(deadline = Metrics.no_deadline) ?pool ?diff (prog : Prog.t) : t =
+let run ?(deadline = Metrics.no_deadline) (prog : Prog.t) : t =
   let t =
     {
       var_node = Hashtbl.create 1024;
@@ -226,10 +226,7 @@ let run ?(deadline = Metrics.no_deadline) ?pool ?diff (prog : Prog.t) : t =
       | None -> ())
     entry_like;
   (* Solve: hand the generated constraints to the wavefront solver
-     (DESIGN.md §4.15) — sequential difference propagation by default,
-     textbook full-set re-union with [~diff:false], SCC-partitioned
-     parallel waves with [pool].  All modes reach the same least
-     fixpoint, so the baseline's points-to sets are unchanged. *)
+     (DESIGN.md §4.15). *)
   let sys =
     {
       Wavefront.n_nodes = t.n_nodes;
@@ -240,7 +237,7 @@ let run ?(deadline = Metrics.no_deadline) ?pool ?diff (prog : Prog.t) : t =
       init = ((t.obj_mem.(u), u) :: List.rev !init_pts);
     }
   in
-  let r = Wavefront.solve ~deadline ?pool ?diff sys in
+  let r = Wavefront.solve ~deadline sys in
   t.pts <- r.Wavefront.pts;
   t.iterations <- r.Wavefront.iterations;
   t.timed_out <- r.Wavefront.timed_out;

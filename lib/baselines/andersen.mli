@@ -9,10 +9,8 @@
     edges.
 
     Constraint generation lives here; solving is delegated to
-    {!Pinpoint_pta.Wavefront} (difference propagation by default, the
-    textbook full-set worklist with [~diff:false], SCC-partitioned
-    parallel waves with [?pool]) — every mode reaches the same least
-    fixpoint.  Multi-level accesses are lowered into chains of synthetic
+    {!Pinpoint_pta.Wavefront} (sequential difference propagation).
+    Multi-level accesses are lowered into chains of synthetic
     nodes.  Unknown values (parameters of entry functions, returns of
     external functions) point to a universal object [U] whose content
     points back to [U]. *)
@@ -21,12 +19,7 @@ module ISet : Set.S with type elt = int
 
 type t
 
-val run :
-  ?deadline:Pinpoint_util.Metrics.deadline ->
-  ?pool:Pinpoint_par.Pool.t ->
-  ?diff:bool ->
-  Pinpoint_ir.Prog.t ->
-  t
+val run : ?deadline:Pinpoint_util.Metrics.deadline -> Pinpoint_ir.Prog.t -> t
 (** On deadline expiry the result is marked {!timed_out} instead of
     raising. *)
 

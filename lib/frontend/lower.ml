@@ -385,8 +385,11 @@ let lower_fdecl ?(groups = Hashtbl.create 0) sigs (fd : Ast.fdecl) : Func.t =
     }
   in
   push_scope env;
+  let params = List.hd env.scopes in
   List.iter
-    (fun ((_, name), v) -> Hashtbl.add (List.hd env.scopes) name v)
+    (fun ((_, name), v) ->
+      if Hashtbl.mem params name then err fd.Ast.floc "duplicate parameter %s" name;
+      Hashtbl.add params name v)
     (List.combine fd.Ast.params param_vars);
   push_scope env;
   (match fd.Ast.body.Ast.snode with

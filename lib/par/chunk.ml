@@ -1,92 +1,60 @@
-module R = Pinpoint_util.Resilience
-module Metrics = Pinpoint_util.Metrics
-module Obs = Pinpoint_obs.Obs
-
 (* Task batching (DESIGN.md §4.15).
 
-   A per-function task costs one closure allocation, one queue/deque
-   round-trip and one wake-up — a fixed overhead that dwarfs the work
-   when functions are small and [--jobs] is high.  This layer groups the
-   positional items of a {!Pool.parallel_map} into contiguous chunks so
-   the fixed cost amortizes, while keeping everything observable about
-   the map identical: slots stay positional, per-item exceptions still
-   yield [None] for exactly that slot (recorded as a [Par_task] incident),
-   and [jobs <= 1] bypasses chunking entirely.
+   A per-function task costs one closure allocation, one queue round-trip
+   and one wake-up — a fixed overhead that dwarfs the work when functions
+   are small and [--jobs] is high.  This layer groups the positional items
+   of a {!Pool.parallel_map} into contiguous chunks so the fixed cost
+   amortizes, while keeping everything observable about the map
+   identical: slots stay positional, per-item exceptions still yield
+   [None] for exactly that slot (recorded as a [Par_task] incident), and
+   [jobs <= 1] bypasses chunking entirely.
 
    Sizing heuristic: overpartition by [overpartition = 4] chunks per lane
-   — enough slack that a lane finishing early finds more chunks (or
-   steals them) instead of idling, but coarse enough that per-task
-   overhead is amortized over ~n/(4*jobs) items.  When item weights are
-   known (function statement counts), chunk boundaries are placed by
+   — enough slack that a lane finishing early finds more chunks on the
+   queue instead of idling, but coarse enough that per-task overhead is
+   amortized over ~n/(4*jobs) items.  When item weights are known
+   (function statement counts), chunk boundaries are placed by
    cumulative weight rather than item count, so one giant function does
-   not ride in a chunk with fifty others.  [set_override] (CLI
-   [--chunk-size]) forces a fixed item count per chunk instead. *)
+   not ride in a chunk with fifty others. *)
 
 let overpartition = 4
 
-(* CLI override: [Some c] forces chunks of [c] items.  A plain ref —
-   written once at startup by the CLI, read by every [plan] call. *)
-let override : int option ref = ref None
-let set_override c = override := c
+let set_override (_ : int option) = ()
 
 let plan ~jobs ?weights n =
   if n <= 0 then []
   else begin
-    match !override with
-    | Some c ->
-      let c = max 1 c in
-      let rec cut start acc =
-        if start >= n then List.rev acc
-        else
-          let len = min c (n - start) in
-          cut (start + len) ((start, len) :: acc)
-      in
-      cut 0 []
+    let target_chunks = max 1 (min n (max 1 jobs * overpartition)) in
+    match weights with
     | None ->
-      let target_chunks = max 1 (min n (max 1 jobs * overpartition)) in
-      (match weights with
-      | None ->
-        (* Equal item counts: ceil-split into [target_chunks] pieces. *)
-        let base = n / target_chunks and extra = n mod target_chunks in
-        let rec cut i start acc =
-          if i >= target_chunks || start >= n then List.rev acc
-          else
-            let len = base + if i < extra then 1 else 0 in
-            if len = 0 then cut (i + 1) start acc
-            else cut (i + 1) (start + len) ((start, len) :: acc)
-        in
-        cut 0 0 []
-      | Some w ->
-        let total = Array.fold_left ( + ) 0 w in
-        let per = max 1 (total / target_chunks) in
-        let cuts = ref [] in
-        let start = ref 0 and acc = ref 0 in
-        for i = 0 to n - 1 do
-          acc := !acc + w.(i);
-          (* Cut after item [i] once the chunk reached its weight share,
-             unless it would leave an empty tail. *)
-          if !acc >= per && i < n - 1 then begin
-            cuts := (!start, i - !start + 1) :: !cuts;
-            start := i + 1;
-            acc := 0
-          end
-        done;
-        cuts := (!start, n - !start) :: !cuts;
-        List.rev !cuts)
+      (* Equal item counts: ceil-split into [target_chunks] pieces. *)
+      let base = n / target_chunks and extra = n mod target_chunks in
+      let rec cut i start acc =
+        if i >= target_chunks || start >= n then List.rev acc
+        else
+          let len = base + if i < extra then 1 else 0 in
+          if len = 0 then cut (i + 1) start acc
+          else cut (i + 1) (start + len) ((start, len) :: acc)
+      in
+      cut 0 0 []
+    | Some w ->
+      let total = Array.fold_left ( + ) 0 w in
+      let per = max 1 (total / target_chunks) in
+      let cuts = ref [] in
+      let start = ref 0 and acc = ref 0 in
+      for i = 0 to n - 1 do
+        acc := !acc + w.(i);
+        (* Cut after item [i] once the chunk reached its weight share,
+           unless it would leave an empty tail. *)
+        if !acc >= per && i < n - 1 then begin
+          cuts := (!start, i - !start + 1) :: !cuts;
+          start := i + 1;
+          acc := 0
+        end
+      done;
+      cuts := (!start, n - !start) :: !cuts;
+      List.rev !cuts
   end
-
-let note pool ~t0 exn =
-  match Pool.incident_log pool with
-  | None -> ()
-  | Some log ->
-    R.record log
-      {
-        R.phase = R.Par_task;
-        subject = "pool-task";
-        detail = Printexc.to_string exn;
-        fallback = "task result dropped";
-        elapsed_s = Metrics.now () -. t0;
-      }
 
 let parallel_map (type a b) ?weights pool (f : a -> b) (arr : a array) :
     b option array =
@@ -103,14 +71,11 @@ let parallel_map (type a b) ?weights pool (f : a -> b) (arr : a array) :
          the reads below. *)
       let run_chunk (start, len) =
         for i = start to start + len - 1 do
-          let t0 = Metrics.now () in
-          try res.(i) <- Some (f arr.(i)) with exn -> note pool ~t0 exn
+          let t0 = Pinpoint_util.Metrics.now () in
+          try res.(i) <- Some (f arr.(i)) with exn -> Pool.note pool ~t0 exn
         done
       in
       ignore (Pool.parallel_map pool run_chunk chunks);
       res
     end
   end
-
-let iter ?weights pool (f : 'a -> unit) (arr : 'a array) : unit =
-  ignore (parallel_map ?weights pool f arr)

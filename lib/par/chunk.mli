@@ -13,11 +13,12 @@ val overpartition : int
 (** Chunks per lane the planner aims for (4): slack for load balancing
     without per-item overhead. *)
 
-val override : int option ref
-(** [Some c] forces every chunk to [c] items ([--chunk-size c]); [None]
-    (the default) uses the weight-balanced heuristic. *)
-
 val set_override : int option -> unit
+(** A no-op kept for one external caller.  The benchmark harness under
+    [perfbench/] still resets the fixed-size chunk override before each
+    pass; the override (and [--chunk-size]) no longer exists, since chunk
+    geometry never reached the output (DESIGN.md §4.15).  Code in [lib/],
+    [bin/] and [test/] must not call it. *)
 
 val plan : jobs:int -> ?weights:int array -> int -> (int * int) list
 (** [plan ~jobs n] partitions indices [0 .. n-1] into contiguous
@@ -25,12 +26,9 @@ val plan : jobs:int -> ?weights:int array -> int -> (int * int) list
     once.  Aims for [jobs * overpartition] chunks; with [weights] (one
     non-negative weight per item, e.g. statement counts) boundaries are
     placed by cumulative weight so heavy items don't share a chunk with
-    many light ones.  Respects {!override}. *)
+    many light ones. *)
 
 val parallel_map :
   ?weights:int array -> Pool.t -> ('a -> 'b) -> 'a array -> 'b option array
 (** Drop-in replacement for {!Pool.parallel_map} that submits one pool
     task per chunk instead of one per item. *)
-
-val iter : ?weights:int array -> Pool.t -> ('a -> unit) -> 'a array -> unit
-(** {!parallel_map} with the results discarded. *)

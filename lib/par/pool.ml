@@ -2,46 +2,22 @@ module R = Pinpoint_util.Resilience
 module Metrics = Pinpoint_util.Metrics
 module Obs = Pinpoint_obs.Obs
 
-(* Work-stealing pool (DESIGN.md §4.15).
+(* One shared FIFO queue under the pool mutex (DESIGN.md §4.15).
 
-   Each worker domain owns a deque: tasks submitted from a worker (the
-   cascade launches of {!Sched}, chunk subtasks) go to the back of its own
-   deque and are popped LIFO by the owner — the common case is then an
-   uncontended push/pop on the owner's lock with no global traffic.  Tasks
-   submitted from outside the pool (the coordinator) land on a shared
-   inject queue.  A worker that runs dry takes from the inject queue, then
-   steals from a sibling: it drains the {e front} (oldest, coarsest) half
-   of the victim's deque in one lock acquisition, runs one task and keeps
-   the rest on its own deque — steal-half amortizes the steal cost over
-   ragged waves where one worker inherits a long cascade.
-
-   Locking protocol: a deque lock may be held while taking the global
-   [m], never the reverse, and no two deque locks are ever held at once
-   (a steal drains the victim under its lock, releases, then pushes the
-   surplus under the thief's own lock).  [queued] counts tasks that sit
-   in some queue, claimed tasks are counted by [active]; a task is
-   accounted [active] {e before} it stops being [queued], so the idle
-   predicate [queued = 0 && active = 0] never observes a task in flight
-   as already finished. *)
-
-type deque = {
-  dm : Mutex.t;
-  mutable buf : (unit -> unit) array;
-  mutable head : int;  (* index of the oldest task *)
-  mutable len : int;
-}
+   Workers and helping callers pop from the same queue.  A task is
+   counted in [active] from the moment it is popped (under [m], in the
+   same critical section) until it finishes, so the idle predicate
+   [Queue.is_empty q && active = 0] never observes a task in flight as
+   already finished. *)
 
 type t = {
   jobs : int;
-  uid : int;
   mutable log : R.log option;
-  inject : (unit -> unit) Queue.t;  (* submissions from non-worker domains *)
-  deques : deque array;  (* one per worker domain *)
+  q : (unit -> unit) Queue.t;
   m : Mutex.t;
   nonempty : Condition.t;  (* a task was enqueued, or [stop] was set *)
-  idle : Condition.t;      (* every queue drained and no task is running *)
-  queued : int Atomic.t;   (* tasks resting in the inject queue or a deque *)
-  mutable active : int;    (* tasks currently executing on workers/helpers *)
+  idle : Condition.t;      (* the queue is empty and no task is running *)
+  mutable active : int;    (* tasks popped and still running *)
   mutable stop : bool;
   mutable domains : unit Domain.t array;
   alloc : float array;
@@ -52,23 +28,11 @@ type t = {
          snapshot, which is all the metrics layer needs. *)
   busy : float array;  (* per-lane busy seconds; last slot = helpers *)
   ran : int array;     (* per-lane executed-task counts; last slot = helpers *)
-  n_steals : int Atomic.t;  (* successful steal operations *)
-  n_stolen : int Atomic.t;  (* tasks that changed lanes via a steal *)
-  pub : Mutex.t;  (* serialises publish_obs' read-delta-write *)
-  mutable pub_steals : int;  (* par.* amounts already folded into Obs *)
-  mutable pub_stolen : int;
-  mutable pub_tasks : int;
+  mutable pub_tasks : int;  (* par.tasks already folded into Obs *)
 }
-
-let pool_uids = Atomic.make 0
-
-(* Which pool the current domain is a worker of, and its lane.  Workers
-   of a pool submit to their own deque; every other domain injects. *)
-let dls_wid : (int * int) Domain.DLS.key = Domain.DLS.new_key (fun () -> (-1, -1))
 
 let jobs t = t.jobs
 let set_log t log = t.log <- log
-let incident_log t = t.log
 
 let note t ~t0 exn =
   match t.log with
@@ -91,7 +55,7 @@ let note t ~t0 exn =
 
    The submitter's ambient request id is captured here (wrap time) and
    re-installed on whichever domain ends up running the task, so spans
-   and profiler rows recorded inside stolen work still attribute to the
+   and profiler rows recorded inside pooled work still attribute to the
    originating server request. *)
 let guard t task =
   let req = Obs.request_id () in
@@ -101,201 +65,47 @@ let guard t task =
     let t0 = Metrics.now () in
     try run () with exn -> note t ~t0 exn
 
-(* ---- deque primitives (caller holds [d.dm]) ---- *)
-
-let dq_grow d =
-  let cap = Array.length d.buf in
-  let buf' = Array.make (2 * cap) (fun () -> ()) in
-  for i = 0 to d.len - 1 do
-    buf'.(i) <- d.buf.((d.head + i) mod cap)
-  done;
-  d.buf <- buf';
-  d.head <- 0
-
-let dq_push_back d task =
-  let cap = Array.length d.buf in
-  if d.len = cap then dq_grow d;
-  let cap = Array.length d.buf in
-  d.buf.((d.head + d.len) mod cap) <- task;
-  d.len <- d.len + 1
-
-let dq_pop_back d =
-  if d.len = 0 then None
-  else begin
-    let cap = Array.length d.buf in
-    let i = (d.head + d.len - 1) mod cap in
-    let task = d.buf.(i) in
-    d.buf.(i) <- (fun () -> ());
-    d.len <- d.len - 1;
-    Some task
-  end
-
-(* Take [k] tasks from the front (oldest end), front-most first. *)
-let dq_take_front d k =
-  let cap = Array.length d.buf in
-  let taken = ref [] in
-  for _ = 1 to k do
-    if d.len > 0 then begin
-      taken := d.buf.(d.head) :: !taken;
-      d.buf.(d.head) <- (fun () -> ());
-      d.head <- (d.head + 1) mod cap;
-      d.len <- d.len - 1
-    end
-  done;
-  List.rev !taken
-
-(* ---- submission ---- *)
-
-let wake t =
-  Mutex.lock t.m;
-  Condition.signal t.nonempty;
-  Mutex.unlock t.m
-
-let push_inject t task =
+let enqueue t task =
   Mutex.lock t.m;
   if t.stop then begin
     Mutex.unlock t.m;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  Queue.push task t.inject;
-  Atomic.incr t.queued;
+  Queue.push task t.q;
   Condition.signal t.nonempty;
   Mutex.unlock t.m
 
-let push_worker t wid task =
-  let d = t.deques.(wid) in
-  Mutex.lock d.dm;
-  dq_push_back d task;
-  Atomic.incr t.queued;
-  Mutex.unlock d.dm;
-  wake t
-
-let enqueue t task =
-  let puid, wid = Domain.DLS.get dls_wid in
-  if puid = t.uid && wid >= 0 then push_worker t wid task else push_inject t task
-
-(* ---- claiming: flip a task from queued to active ----
-
-   Ordered so observers never see it as neither: [active] is bumped while
-   the task is still counted in [queued], then [queued] is released. *)
-
-let claim t =
-  Mutex.lock t.m;
+(* Pop one task and count it [active]; the caller holds [t.m]. *)
+let pop_locked t =
+  let task = Queue.pop t.q in
   t.active <- t.active + 1;
-  Mutex.unlock t.m;
-  Atomic.decr t.queued
-
-let finish_one t =
-  Mutex.lock t.m;
-  t.active <- t.active - 1;
-  if t.active = 0 && Atomic.get t.queued = 0 then Condition.broadcast t.idle;
-  Mutex.unlock t.m
-
-(* ---- taking work ---- *)
-
-let take_own t wid =
-  let d = t.deques.(wid) in
-  Mutex.lock d.dm;
-  match dq_pop_back d with
-  | Some task ->
-    claim t;
-    Mutex.unlock d.dm;
-    Some task
-  | None ->
-    Mutex.unlock d.dm;
-    None
-
-let take_inject t =
-  Mutex.lock t.m;
-  if Queue.is_empty t.inject then begin
-    Mutex.unlock t.m;
-    None
-  end
-  else begin
-    let task = Queue.pop t.inject in
-    t.active <- t.active + 1;
-    Mutex.unlock t.m;
-    Atomic.decr t.queued;
-    Some task
-  end
-
-(* Steal from some sibling deque, round-robin from [thief + 1].  Takes the
-   oldest [ceil (len / 2)] tasks in one victim-lock acquisition; the first
-   is claimed and returned to run now, the surplus is re-queued — onto the
-   thief's own deque when the thief is a worker, back via the inject queue
-   for a helping external domain (which owns no deque). *)
-let steal t ~thief =
-  let nw = Array.length t.deques in
-  let rec go tried =
-    if tried >= nw then None
-    else begin
-      let v = (thief + 1 + tried) mod nw in
-      if v = thief then go (tried + 1)
-      else begin
-        let d = t.deques.(v) in
-        Mutex.lock d.dm;
-        let k = (d.len + 1) / 2 in
-        let taken = if k = 0 then [] else dq_take_front d k in
-        Mutex.unlock d.dm;
-        match taken with
-        | [] -> go (tried + 1)
-        | task :: surplus ->
-          Atomic.incr t.n_steals;
-          ignore (Atomic.fetch_and_add t.n_stolen (List.length taken));
-          (if surplus <> [] then
-             if thief >= 0 then begin
-               let own = t.deques.(thief) in
-               Mutex.lock own.dm;
-               List.iter (dq_push_back own) surplus;
-               Mutex.unlock own.dm;
-               wake t
-             end
-             else begin
-               (* external helper: hand the surplus back for anyone *)
-               Mutex.lock t.m;
-               List.iter (fun task -> Queue.push task t.inject) surplus;
-               Condition.broadcast t.nonempty;
-               Mutex.unlock t.m
-             end);
-          claim t;
-          Some task
-      end
-    end
-  in
-  if nw = 0 then None else go 0
-
-let find_task t wid =
-  match take_own t wid with
-  | Some _ as r -> r
-  | None -> (
-    match take_inject t with
-    | Some _ as r -> r
-    | None -> steal t ~thief:wid)
-
-(* ---- execution lanes ---- *)
+  task
 
 let run_task t lane task =
   let t0 = Metrics.now () in
   task ();
-  t.busy.(lane) <- t.busy.(lane) +. (Metrics.now () -. t0);
+  let dt = Metrics.now () -. t0 in
+  Mutex.lock t.m;
+  t.busy.(lane) <- t.busy.(lane) +. dt;
   t.ran.(lane) <- t.ran.(lane) + 1;
-  finish_one t
+  t.active <- t.active - 1;
+  if t.active = 0 && Queue.is_empty t.q then Condition.broadcast t.idle;
+  Mutex.unlock t.m
 
 let rec worker t wid =
-  match find_task t wid with
-  | Some task ->
+  Mutex.lock t.m;
+  while Queue.is_empty t.q && not t.stop do
+    Condition.wait t.nonempty t.m
+  done;
+  if Queue.is_empty t.q then Mutex.unlock t.m (* stopped and drained *)
+  else begin
+    let task = pop_locked t in
+    Mutex.unlock t.m;
     let a0 = Gc.allocated_bytes () in
     run_task t wid task;
     t.alloc.(wid) <- t.alloc.(wid) +. (Gc.allocated_bytes () -. a0);
     worker t wid
-  | None ->
-    Mutex.lock t.m;
-    while Atomic.get t.queued = 0 && not t.stop do
-      Condition.wait t.nonempty t.m
-    done;
-    let quit = t.stop && Atomic.get t.queued = 0 in
-    Mutex.unlock t.m;
-    if not quit then worker t wid
+  end
 
 let effective_jobs jobs =
   max 1 (min jobs (Domain.recommended_domain_count ()))
@@ -306,56 +116,41 @@ let create ?log ~jobs () =
   let t =
     {
       jobs;
-      uid = Atomic.fetch_and_add pool_uids 1;
       log;
-      inject = Queue.create ();
-      deques =
-        Array.init n_workers (fun _ ->
-            { dm = Mutex.create (); buf = Array.make 32 (fun () -> ()); head = 0; len = 0 });
+      q = Queue.create ();
       m = Mutex.create ();
       nonempty = Condition.create ();
       idle = Condition.create ();
-      queued = Atomic.make 0;
       active = 0;
       stop = false;
       domains = [||];
       alloc = Array.make (max 1 n_workers) 0.0;
-      busy = Array.make (n_workers + 1) 0.0;
-      ran = Array.make (n_workers + 1) 0;
-      n_steals = Atomic.make 0;
-      n_stolen = Atomic.make 0;
-      pub = Mutex.create ();
-      pub_steals = 0;
-      pub_stolen = 0;
+      busy = Array.make jobs 0.0;
+      ran = Array.make jobs 0;
       pub_tasks = 0;
     }
   in
-  t.domains <-
-    Array.init n_workers (fun wid ->
-        Domain.spawn (fun () ->
-            Domain.DLS.set dls_wid (t.uid, wid);
-            worker t wid));
+  t.domains <- Array.init n_workers (fun wid -> Domain.spawn (fun () -> worker t wid));
   t
 
 let submit t task =
   let task = guard t task in
   if t.jobs <= 1 then task () else enqueue t task
 
-(* The helper lane (the submitting domain lending itself): takes from the
-   inject queue first, then steals.  Used by {!parallel_map} and by the
-   {!Sched} drive loop. *)
+(* The helper lane (a domain outside the pool lending itself), used by
+   {!parallel_map} and by the {!Sched} drive loop. *)
 let try_run_one t =
-  let lane = Array.length t.deques in
-  match take_inject t with
-  | Some task ->
-    run_task t lane task;
+  Mutex.lock t.m;
+  if Queue.is_empty t.q then begin
+    Mutex.unlock t.m;
+    false
+  end
+  else begin
+    let task = pop_locked t in
+    Mutex.unlock t.m;
+    run_task t (t.jobs - 1) task;
     true
-  | None -> (
-    match steal t ~thief:(-1) with
-    | Some task ->
-      run_task t lane task;
-      true
-    | None -> false)
+  end
 
 let parallel_map (type a b) t (f : a -> b) (arr : a array) : b option array =
   let n = Array.length arr in
@@ -387,7 +182,7 @@ let parallel_map (type a b) t (f : a -> b) (arr : a array) : b option array =
       Mutex.unlock m
     in
     for i = 0 to n - 1 do enqueue t (run i) done;
-    (* The caller is one of the [jobs] lanes: help drain the queues, then
+    (* The caller is one of the [jobs] lanes: help drain the queue, then
        wait for stragglers still running on workers. *)
     while try_run_one t do () done;
     Mutex.lock m;
@@ -399,40 +194,25 @@ let parallel_map (type a b) t (f : a -> b) (arr : a array) : b option array =
 let wait_idle t =
   if t.jobs > 1 then begin
     Mutex.lock t.m;
-    while not (Atomic.get t.queued = 0 && t.active = 0) do
+    while not (Queue.is_empty t.q && t.active = 0) do
       Condition.wait t.idle t.m
     done;
     Mutex.unlock t.m
   end
 
-type steal_stats = { steals : int; stolen_tasks : int; helper_tasks : int }
-
-let steal_stats t =
-  {
-    steals = Atomic.get t.n_steals;
-    stolen_tasks = Atomic.get t.n_stolen;
-    helper_tasks = t.ran.(Array.length t.deques);
-  }
-
 (* Scheduling observability (DESIGN.md §4.15): lifetime counters, folded
    into the registry so [--metrics-json] and the server's live window
-   report how the run was load-balanced.  Delta-republishing: each call
-   adds only what accumulated since the last publish, so a long-lived
-   server can refresh par.* on every [status]/[metrics] op and the
-   registry counters stay equal to the pool's lifetime totals — and a
-   second publish with no new work adds exactly 0 (idempotence).
+   report how busy the pool was.  Delta-republishing under the pool
+   mutex: each call adds only what accumulated since the last publish, so
+   a long-lived server can refresh par.* on every [status]/[metrics] op
+   and the registry counter stays equal to the pool's lifetime total —
+   and a second publish with no new work adds exactly 0 (idempotence).
    Purely observational — never read by the analysis. *)
 let publish_obs t =
   if Obs.metrics_on () then
-    Mutex.protect t.pub (fun () ->
-        let steals = Atomic.get t.n_steals in
-        let stolen = Atomic.get t.n_stolen in
+    Mutex.protect t.m (fun () ->
         let tasks = Array.fold_left ( + ) 0 t.ran in
-        Obs.add (Obs.counter "par.steals") (steals - t.pub_steals);
-        Obs.add (Obs.counter "par.stolen_tasks") (stolen - t.pub_stolen);
         Obs.add (Obs.counter "par.tasks") (tasks - t.pub_tasks);
-        t.pub_steals <- steals;
-        t.pub_stolen <- stolen;
         t.pub_tasks <- tasks;
         Obs.set_gauge (Obs.gauge "par.busy_s") (Obs.Agg.sum_f t.busy))
 

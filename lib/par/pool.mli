@@ -1,4 +1,4 @@
-(** A fixed-size, work-stealing pool of worker domains.
+(** A fixed-size pool of worker domains sharing one task queue.
 
     The parallel runtime of the analysis (DESIGN.md §4.9, §4.15):
     [Analysis], [Transform], [Rv] and [Engine] hand their per-chunk /
@@ -11,14 +11,12 @@
       the task on the calling domain immediately.  The sequential pipeline
       is therefore exactly the code path exercised by a 1-core run, and
       [--jobs 1] is byte-for-byte the historical behaviour.
-    - {b work stealing}: each worker owns a deque; tasks submitted from a
-      worker go to its own deque (uncontended in the common case) and a
-      dry worker steals the oldest half of a sibling's deque in one lock
-      acquisition.  External submissions land on a shared inject queue.
-      Stealing only changes {e which lane} runs a task, never the result:
-      all stages that use the pool merge in deterministic (positional or
-      program) order, so reports and stats are byte-identical at any
-      [--jobs] level regardless of the steal schedule.
+    - {b one FIFO queue}: every submission, from any domain, goes to one
+      queue under the pool mutex; workers and helping callers pop from
+      it.  The schedule only changes {e which lane} runs a task, never the
+      result: all stages that use the pool merge in deterministic
+      (positional or program) order, so reports and stats are
+      byte-identical at every [--jobs] level.
     - {b exception capture}: a task that escapes its own barriers never
       kills a worker.  The exception is recorded as a [Par_task] incident
       on the pool's {!Pinpoint_util.Resilience.log} (when one is attached
@@ -50,9 +48,10 @@ val effective_jobs : int -> int
 val set_log : t -> Pinpoint_util.Resilience.log option -> unit
 (** Attach (or detach) the incident log that receives [Par_task] records. *)
 
-val incident_log : t -> Pinpoint_util.Resilience.log option
-(** The currently attached log, if any — {!Chunk} records its per-item
-    failures on the same log. *)
+val note : t -> t0:float -> exn -> unit
+(** [note t ~t0 exn] records [exn] as a [Par_task] incident on the
+    attached log (if any), timed from [t0] ({!Pinpoint_util.Metrics.now}).
+    {!Chunk} records its per-item failures through it. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** Enqueue a fire-and-forget task.  Exceptions it raises are captured and
@@ -85,19 +84,8 @@ val allocated_bytes : t -> float
 (** Total bytes allocated by the worker domains so far (excluding the
     submitting domain, which [Gc.allocated_bytes] already covers). *)
 
-type steal_stats = {
-  steals : int;  (** successful steal operations (victim deque non-empty) *)
-  stolen_tasks : int;  (** tasks that changed lanes via a steal *)
-  helper_tasks : int;  (** tasks executed by helping external domains *)
-}
-
-val steal_stats : t -> steal_stats
-(** Lifetime load-balancing counters.  Observational only: the steal
-    schedule never affects analysis results.  Also published to the
-    [par.*] Obs counters at {!shutdown} when metrics are on. *)
-
 val publish_obs : t -> unit
-(** Fold the [par.*] counters and [par.busy_s] gauge into the Obs
+(** Fold the [par.tasks] counter and [par.busy_s] gauge into the Obs
     registry now (no-op when metrics are off).  Delta-republishing: each
     call adds only what accumulated since the previous one, so the
     registry always equals the pool's lifetime totals however often it

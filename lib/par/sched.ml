@@ -15,15 +15,14 @@ module Digraph = Pinpoint_util.Digraph
    therefore be partitioned into batches that one task processes
    back-to-back: per-function task overhead and per-component table
    locking amortize over the batch, and {!Chunk.plan} sizes the batches by
-   component weight so a ragged wave still overpartitions enough for the
-   pool's work stealing to balance it. *)
+   component weight so a ragged wave still overpartitions enough to keep
+   every lane busy. *)
 
-(* Shared core: run the condensation DAG, releasing simultaneously-ready
-   components through [batches_of] (identity-per-component for the classic
-   entry point).  [f] receives one batch of component member-lists. *)
-let run_dag pool (g : Digraph.t) ~(batches_of : int array -> int list -> int list list)
+(* Run the condensation DAG on [pool], releasing simultaneously-ready
+   components in weight-balanced batches.  [f] receives one batch of
+   component member-lists. *)
+let run_dag ?weights pool (g : Digraph.t) (comps : int list array)
     (f : int list list -> unit) =
-  let comps = Array.of_list (Digraph.sccs g) in
   let nc = Array.length comps in
   if nc > 0 then begin
     let comp_of = Array.make (Digraph.n_nodes g) (-1) in
@@ -43,7 +42,22 @@ let run_dag pool (g : Digraph.t) ~(batches_of : int array -> int list -> int lis
           pending.(cu) <- pending.(cu) + 1;
           dependents.(cv) <- cu :: dependents.(cv)
         end);
-    let sizes = Array.map List.length comps in
+    (* Per-component weight: member count, or the summed node weights
+       (statement counts) when the caller knows them. *)
+    let comp_weight ci =
+      match weights with
+      | None -> List.length comps.(ci)
+      | Some w -> List.fold_left (fun acc v -> acc + w.(v)) 0 comps.(ci)
+    in
+    let batches_of = function
+      | [] -> []
+      | [ ci ] -> [ [ ci ] ]
+      | ready ->
+        let arr = Array.of_list ready in
+        Chunk.plan ~jobs:(Pool.jobs pool) ~weights:(Array.map comp_weight arr)
+          (Array.length arr)
+        |> List.map (fun (start, len) -> Array.to_list (Array.sub arr start len))
+    in
     let m = Mutex.create () in
     let progress = Condition.create () in
     let completed = ref 0 in
@@ -67,7 +81,7 @@ let run_dag pool (g : Digraph.t) ~(batches_of : int array -> int list -> int lis
       Condition.broadcast progress;
       Mutex.unlock m;
       (* Launch outside the lock: submit may run the task inline. *)
-      List.iter launch (batches_of sizes (List.sort compare !ready))
+      List.iter launch (batches_of (List.sort compare !ready))
     in
     (* Snapshot the leaves BEFORE submitting anything: once the first
        task is enqueued, workers start completing components and
@@ -80,7 +94,7 @@ let run_dag pool (g : Digraph.t) ~(batches_of : int array -> int list -> int lis
     for ci = nc - 1 downto 0 do
       if pending.(ci) = 0 then leaves := ci :: !leaves
     done;
-    List.iter launch (batches_of sizes !leaves);
+    List.iter launch (batches_of !leaves);
     (* Drive: the caller helps execute queued components; when the queue
        is empty it blocks until some in-flight component completes (which
        may release new ones). *)
@@ -101,39 +115,7 @@ let run_dag pool (g : Digraph.t) ~(batches_of : int array -> int list -> int lis
     drive ()
   end
 
-let run_bottom_up pool (g : Digraph.t) (f : int list -> unit) =
-  let comps = Digraph.sccs g in
-  if Pool.jobs pool <= 1 then List.iter f comps
-  else
-    run_dag pool g
-      ~batches_of:(fun _sizes ready -> List.map (fun ci -> [ ci ]) ready)
-      (fun batch -> List.iter f batch)
-
-let run_bottom_up_batched ?weights pool (g : Digraph.t)
-    (f : int list list -> unit) =
+let run_bottom_up ?weights pool (g : Digraph.t) (f : int list list -> unit) =
   let comps = Digraph.sccs g in
   if Pool.jobs pool <= 1 then List.iter (fun c -> f [ c ]) comps
-  else begin
-    (* Per-component weight: member count, or the summed node weights
-       (statement counts) when the caller knows them. *)
-    let comp_weight sizes members ci =
-      match weights with
-      | None -> sizes.(ci)
-      | Some w -> List.fold_left (fun acc v -> acc + w.(v)) 0 members
-    in
-    let comps_arr = Array.of_list comps in
-    run_dag pool g
-      ~batches_of:(fun sizes ready ->
-        match ready with
-        | [] -> []
-        | [ ci ] -> [ [ ci ] ]
-        | _ ->
-          let arr = Array.of_list ready in
-          let ws =
-            Array.map (fun ci -> comp_weight sizes comps_arr.(ci) ci) arr
-          in
-          Chunk.plan ~jobs:(Pool.jobs pool) ~weights:ws (Array.length arr)
-          |> List.map (fun (start, len) ->
-                 Array.to_list (Array.sub arr start len)))
-      f
-  end
+  else run_dag ?weights pool g (Array.of_list comps) f

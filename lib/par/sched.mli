@@ -9,29 +9,26 @@
     lock-step levels. *)
 
 val run_bottom_up :
-  Pool.t -> Pinpoint_util.Digraph.t -> (int list -> unit) -> unit
-(** [run_bottom_up pool g f] calls [f members] once per strongly-connected
-    component of [g] (members as produced by
-    {!Pinpoint_util.Digraph.sccs}), guaranteeing that all components
-    reachable from a component via edges ([caller -> callee]) complete
-    before it starts.  With [Pool.jobs pool <= 1] this degenerates to
-    [List.iter f (Digraph.sccs g)] — the exact sequential order.  [f] runs
-    on worker domains (or the calling domain, which helps); it must do its
-    own locking around shared tables and must not raise (wrap the body in
-    {!Pinpoint_util.Resilience.protect}). *)
-
-val run_bottom_up_batched :
   ?weights:int array ->
   Pool.t ->
   Pinpoint_util.Digraph.t ->
   (int list list -> unit) ->
   unit
-(** Like {!run_bottom_up}, but components released at the same instant —
-    which are mutually independent by the [pending]-count argument in the
-    implementation — are handed to [f] as one batch, sized by
-    {!Chunk.plan} over per-component weights ([weights] gives a weight per
-    {e graph node}, e.g. statement counts; member count is the default).
-    One batch = one pool task, so per-task overhead and per-component
-    table locking amortize.  With [Pool.jobs pool <= 1] this is
+(** [run_bottom_up pool g f] calls [f batch] on batches of the
+    strongly-connected components of [g] (each component's members as
+    produced by {!Pinpoint_util.Digraph.sccs}), covering every component
+    exactly once and guaranteeing that all components reachable from a
+    component via edges ([caller -> callee]) complete before its batch
+    starts.  Components released at the same instant — which are mutually
+    independent by the [pending]-count argument in the implementation —
+    share a batch, sized by {!Chunk.plan} over per-component weights
+    ([weights] gives a weight per {e graph node}, e.g. statement counts;
+    member count is the default).  One batch = one pool task, so per-task
+    overhead and per-component table locking amortize.
+
+    With [Pool.jobs pool <= 1] this is
     [List.iter (fun c -> f [c]) (Digraph.sccs g)] — the exact sequential
-    order in singleton batches. *)
+    order in singleton batches.  Otherwise [f] runs on worker domains (or
+    the calling domain, which helps); it must do its own locking around
+    shared tables and must not raise (wrap the body in
+    {!Pinpoint_util.Resilience.protect}). *)

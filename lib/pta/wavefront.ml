@@ -1,7 +1,4 @@
 module Metrics = Pinpoint_util.Metrics
-module D = Pinpoint_util.Digraph
-module Pool = Pinpoint_par.Pool
-module Chunk = Pinpoint_par.Chunk
 module ISet = Set.Make (Int)
 
 (* Whole-program inclusion-constraint (Andersen-style) wavefront solver
@@ -11,31 +8,16 @@ module ISet = Set.Make (Int)
    memberships [o ∈ pts(n)], copy edges [pts(src) ⊆ pts(dst)], and
    field-insensitive loads/stores that grow the copy graph on the fly as
    points-to sets are discovered.  Its solution is the least fixpoint of a
-   monotone function on a finite lattice, so {e any} processing schedule —
-   sequential, chunked, parallel, with or without difference propagation —
+   monotone function on a finite lattice, so any processing schedule
    converges to identical points-to sets; only the work count differs.
-   That is what makes the parallel mode below safe by construction.
 
-   Two levers over the textbook loop:
-
-   - {b difference propagation}: each node carries a [delta] (members not
-     yet pushed to its successors) next to its full set.  Processing a
-     node pushes only the delta — the full set is re-sent solely across a
-     freshly discovered load/store edge, which must see everything.  The
-     textbook loop re-unions full sets on every revisit, quadratic on
-     deep copy chains; with deltas every membership crosses every edge
-     once.
-
-   - {b SCC-partitioned waves}: nodes are partitioned by slicing the
-     static copy graph's condensation, in topological order, into
-     [jobs * Chunk.overpartition] contiguous partitions — most copy edges
-     then stay inside a partition or point forward.  A wave solves every
-     dirty partition in parallel; each task touches only state owned by
-     its partition and accumulates cross-partition effects (deltas, new
-     dynamic edges) in a private outbox.  At the wave barrier the outboxes
-     are drained in partition order and difference-propagated, which
-     seeds the next wave's dirty set.  Rounds repeat until no partition
-     is dirty. *)
+   Difference propagation: each node carries a [delta] (members not yet
+   pushed to its successors) next to its full set.  Processing a node
+   pushes only the delta — the full set is re-sent solely across a
+   freshly discovered load/store edge, which must see everything.  The
+   textbook loop (the test oracle) re-unions full sets on every revisit,
+   quadratic on deep copy chains; with deltas every membership crosses
+   every edge once. *)
 
 type sys = {
   n_nodes : int;
@@ -49,89 +31,10 @@ type sys = {
 type result = {
   pts : ISet.t array;
   iterations : int;  (** node processings *)
-  rounds : int;  (** wave barriers (parallel mode; 0 sequentially) *)
   timed_out : bool;
 }
 
-(* ---- reference (textbook full-set) solver: the oracle the unit tests
-   compare difference propagation against ---- *)
-
-let solve_full ?(deadline = Metrics.no_deadline) (sys : sys) : result =
-  let pts = Array.make sys.n_nodes ISet.empty in
-  let copy = Array.copy sys.copy in
-  let iterations = ref 0 in
-  let timed_out = ref false in
-  let work = Queue.create () in
-  let dirty = Hashtbl.create 1024 in
-  let enqueue n =
-    if not (Hashtbl.mem dirty n) then begin
-      Hashtbl.add dirty n ();
-      Queue.add n work
-    end
-  in
-  List.iter
-    (fun (n, o) ->
-      if not (ISet.mem o pts.(n)) then begin
-        pts.(n) <- ISet.add o pts.(n);
-        enqueue n
-      end)
-    sys.init;
-  (try
-     while not (Queue.is_empty work) do
-       Metrics.check deadline;
-       let n = Queue.pop work in
-       Hashtbl.remove dirty n;
-       incr iterations;
-       let pn = pts.(n) in
-       List.iter
-         (fun dst ->
-           ISet.iter
-             (fun o ->
-               let m = sys.obj_mem.(o) in
-               if not (ISet.mem dst copy.(m)) then begin
-                 copy.(m) <- ISet.add dst copy.(m);
-                 if not (ISet.is_empty pts.(m)) then enqueue m
-               end)
-             pn)
-         sys.loads.(n);
-       List.iter
-         (fun src ->
-           ISet.iter
-             (fun o ->
-               let m = sys.obj_mem.(o) in
-               if not (ISet.mem m copy.(src)) then begin
-                 copy.(src) <- ISet.add m copy.(src);
-                 if not (ISet.is_empty pts.(src)) then enqueue src
-               end)
-             pn)
-         sys.stores.(n);
-       ISet.iter
-         (fun m ->
-           let before = pts.(m) in
-           let after = ISet.union before pn in
-           if not (ISet.equal before after) then begin
-             pts.(m) <- after;
-             enqueue m
-           end)
-         copy.(n)
-     done
-   with Metrics.Timeout -> timed_out := true);
-  { pts; iterations = !iterations; rounds = 0; timed_out = !timed_out }
-
-(* ---- difference-propagating solver ----
-
-   Shared helper: merge [d] into node [tgt], returning the genuinely new
-   members (which become [tgt]'s pending delta). *)
-
-let inject pts delta tgt d =
-  let fresh = ISet.diff d pts.(tgt) in
-  if not (ISet.is_empty fresh) then begin
-    pts.(tgt) <- ISet.union pts.(tgt) fresh;
-    delta.(tgt) <- ISet.union delta.(tgt) fresh
-  end;
-  not (ISet.is_empty fresh)
-
-let solve_diff ?(deadline = Metrics.no_deadline) (sys : sys) : result =
+let solve ?(deadline = Metrics.no_deadline) (sys : sys) : result =
   let pts = Array.make sys.n_nodes ISet.empty in
   let delta = Array.make sys.n_nodes ISet.empty in
   let copy = Array.copy sys.copy in
@@ -145,7 +48,16 @@ let solve_diff ?(deadline = Metrics.no_deadline) (sys : sys) : result =
       Queue.add n work
     end
   in
-  let push tgt d = if inject pts delta tgt d then enqueue tgt in
+  (* Merge [d] into node [tgt]; the genuinely new members become [tgt]'s
+     pending delta. *)
+  let push tgt d =
+    let fresh = ISet.diff d pts.(tgt) in
+    if not (ISet.is_empty fresh) then begin
+      pts.(tgt) <- ISet.union pts.(tgt) fresh;
+      delta.(tgt) <- ISet.union delta.(tgt) fresh;
+      enqueue tgt
+    end
+  in
   List.iter (fun (n, o) -> push n (ISet.singleton o)) sys.init;
   (try
      while not (Queue.is_empty work) do
@@ -184,163 +96,4 @@ let solve_diff ?(deadline = Metrics.no_deadline) (sys : sys) : result =
        end
      done
    with Metrics.Timeout -> timed_out := true);
-  { pts; iterations = !iterations; rounds = 0; timed_out = !timed_out }
-
-(* ---- SCC-partitioned parallel waves ---- *)
-
-(* Cross-partition effect, accumulated in a task-private outbox and
-   applied at the wave barrier. *)
-type effect_ =
-  | Delta of int * ISet.t  (* push these members into this node *)
-  | Edge of int * int  (* add copy edge src -> dst, then send pts(src) *)
-
-let partition_nodes (sys : sys) ~jobs =
-  (* Condensation of the static copy graph, in topological order, sliced
-     into [jobs * Chunk.overpartition] contiguous pieces weighted by
-     component size — component members never straddle a partition. *)
-  let g = D.create ~initial_capacity:(max 1 sys.n_nodes) () in
-  D.ensure_node g (sys.n_nodes - 1);
-  Array.iteri (fun src dsts -> ISet.iter (fun dst -> D.add_edge g src dst) dsts) sys.copy;
-  let comps = Array.of_list (D.sccs g) in
-  let weights = Array.map List.length comps in
-  let part_of = Array.make sys.n_nodes 0 in
-  let plan = Chunk.plan ~jobs ~weights (Array.length comps) in
-  let n_parts = List.length plan in
-  List.iteri
-    (fun pid (start, len) ->
-      for ci = start to start + len - 1 do
-        List.iter (fun node -> part_of.(node) <- pid) comps.(ci)
-      done)
-    plan;
-  (part_of, n_parts)
-
-let solve_waves ?(deadline = Metrics.no_deadline) pool (sys : sys) : result =
-  let jobs = Pool.jobs pool in
-  let pts = Array.make sys.n_nodes ISet.empty in
-  let delta = Array.make sys.n_nodes ISet.empty in
-  let copy = Array.copy sys.copy in
-  let part_of, n_parts = partition_nodes sys ~jobs in
-  let iterations = Atomic.make 0 in
-  let timed_out = Atomic.make false in
-  let rounds = ref 0 in
-  (* Per-partition dirty worklists, owned by the barrier code between
-     waves and by exactly one task during a wave. *)
-  let dirty : int list array = Array.make n_parts [] in
-  let on_list = Array.make sys.n_nodes false in
-  let mark tgt =
-    if not on_list.(tgt) then begin
-      on_list.(tgt) <- true;
-      let p = part_of.(tgt) in
-      dirty.(p) <- tgt :: dirty.(p)
-    end
-  in
-  let push_barrier tgt d = if inject pts delta tgt d then mark tgt in
-  List.iter (fun (n, o) -> push_barrier n (ISet.singleton o)) sys.init;
-  (* One partition's local solve: processes only nodes of partition [pid],
-     touching only their pts/delta/copy rows; anything aimed at another
-     partition goes to the outbox. *)
-  let run_partition pid =
-    let outbox = ref [] in
-    let local = Queue.create () in
-    let seed = dirty.(pid) in
-    dirty.(pid) <- [];
-    List.iter
-      (fun n ->
-        on_list.(n) <- false;
-        Queue.add n local)
-      seed;
-    let push tgt d =
-      if part_of.(tgt) = pid then begin
-        if inject pts delta tgt d then Queue.add tgt local
-      end
-      else outbox := Delta (tgt, d) :: !outbox
-    in
-    let n_iter = ref 0 in
-    (try
-       while not (Queue.is_empty local) do
-         Metrics.check deadline;
-         let n = Queue.pop local in
-         let d = delta.(n) in
-         delta.(n) <- ISet.empty;
-         if not (ISet.is_empty d) then begin
-           incr n_iter;
-           List.iter
-             (fun dst ->
-               ISet.iter
-                 (fun o ->
-                   let m = sys.obj_mem.(o) in
-                   if part_of.(m) = pid then begin
-                     if not (ISet.mem dst copy.(m)) then begin
-                       copy.(m) <- ISet.add dst copy.(m);
-                       push dst pts.(m)
-                     end
-                   end
-                   else outbox := Edge (m, dst) :: !outbox)
-                 d)
-             sys.loads.(n);
-           List.iter
-             (fun src ->
-               ISet.iter
-                 (fun o ->
-                   let m = sys.obj_mem.(o) in
-                   if part_of.(src) = pid then begin
-                     if not (ISet.mem m copy.(src)) then begin
-                       copy.(src) <- ISet.add m copy.(src);
-                       push m pts.(src)
-                     end
-                   end
-                   else outbox := Edge (src, m) :: !outbox)
-                 d)
-             sys.stores.(n);
-           ISet.iter (fun m -> push m d) copy.(n)
-         end
-       done
-     with Metrics.Timeout -> Atomic.set timed_out true);
-    ignore (Atomic.fetch_and_add iterations !n_iter);
-    List.rev !outbox
-  in
-  let any_dirty () = Array.exists (fun l -> l <> []) dirty in
-  (try
-     while any_dirty () && not (Atomic.get timed_out) do
-       Metrics.check deadline;
-       incr rounds;
-       let wave =
-         Array.of_list
-           (List.filter (fun pid -> dirty.(pid) <> [])
-              (List.init n_parts (fun pid -> pid)))
-       in
-       let outboxes = Chunk.parallel_map pool run_partition wave in
-       (* Barrier: apply cross-partition effects in partition order.  The
-          order only affects work counts, never the fixpoint. *)
-       Array.iter
-         (function
-           | None -> () (* task lost to a pool fault; its deltas are lost
-                           too — matches the pool's degrade-not-crash
-                           contract, and the run is marked incident *)
-           | Some effects ->
-             List.iter
-               (function
-                 | Delta (tgt, d) -> push_barrier tgt d
-                 | Edge (src, dst) ->
-                   if not (ISet.mem dst copy.(src)) then begin
-                     copy.(src) <- ISet.add dst copy.(src);
-                     push_barrier dst pts.(src)
-                   end)
-               effects)
-         outboxes
-     done
-   with Metrics.Timeout -> Atomic.set timed_out true);
-  {
-    pts;
-    iterations = Atomic.get iterations;
-    rounds = !rounds;
-    timed_out = Atomic.get timed_out;
-  }
-
-let solve ?deadline ?pool ?(diff = true) (sys : sys) : result =
-  if sys.n_nodes = 0 then
-    { pts = [||]; iterations = 0; rounds = 0; timed_out = false }
-  else
-    match pool with
-    | Some pool when Pool.jobs pool > 1 -> solve_waves ?deadline pool sys
-    | _ -> if diff then solve_diff ?deadline sys else solve_full ?deadline sys
+  { pts; iterations = !iterations; timed_out = !timed_out }

@@ -1,13 +1,10 @@
 (** Whole-program inclusion-constraint (Andersen-style) wavefront solver
-    with difference propagation and SCC-partitioned parallel waves
-    (DESIGN.md §4.15).
+    with difference propagation (DESIGN.md §4.15).
 
     The constraint system's solution is the least fixpoint of a monotone
-    function on a finite lattice, so every solving mode — the textbook
-    full-set worklist, sequential difference propagation, or parallel
-    SCC-partitioned waves at any [--jobs] — produces {e identical}
-    points-to sets; only the amount of work differs.  {!solve_full} is
-    kept as the oracle the unit tests compare the other modes against.
+    function on a finite lattice, so any processing order reaches the
+    same points-to sets.  The unit tests compare {!solve} against the
+    textbook full-set worklist, kept in [test/test_pta.ml] as the oracle.
     {!Pinpoint_baselines.Andersen} generates its constraints into a {!sys}
     and delegates solving here. *)
 
@@ -27,19 +24,12 @@ type sys = {
 
 type result = {
   pts : ISet.t array;  (** the least fixpoint (per node, object ids) *)
-  iterations : int;  (** node processings (work metric, mode-dependent) *)
-  rounds : int;  (** wave barriers (parallel mode; 0 sequentially) *)
+  iterations : int;  (** node processings that had a non-empty delta *)
   timed_out : bool;
       (** deadline hit: [pts] is then a partial under-approximation *)
 }
 
-val solve :
-  ?deadline:Pinpoint_util.Metrics.deadline ->
-  ?pool:Pinpoint_par.Pool.t ->
-  ?diff:bool ->
-  sys ->
-  result
-(** Solve to the least fixpoint.  With [pool] (and more than one job):
-    SCC-partitioned parallel waves with per-task delta outboxes exchanged
-    at wave barriers.  Otherwise sequential: difference propagation by
-    default, or the textbook full-set worklist with [~diff:false]. *)
+val solve : ?deadline:Pinpoint_util.Metrics.deadline -> sys -> result
+(** Solve to the least fixpoint by sequential difference propagation:
+    each membership crosses each edge once, and a newly discovered
+    load/store edge carries its source's full set once. *)

@@ -786,6 +786,17 @@ let maintain t =
      with Sys_error _ -> ())
   | _ -> ()
 
+(* A request line is a JSON object whose [op], when present, is a
+   string; a request without an op is a check. *)
+let request_op req =
+  match req with
+  | Json.Obj kvs -> (
+    match List.assoc_opt "op" kvs with
+    | None -> Ok "check"
+    | Some (Json.String op) -> Ok op
+    | Some _ -> Error "op must be a string")
+  | _ -> Error "request must be a JSON object"
+
 (* One request line -> one response line, plus a continue/stop signal.
    The whole handler runs inside an exception barrier: whatever a request
    does to itself, the server (and the resident state, whose mutation
@@ -826,20 +837,19 @@ let handle_line t line : string * [ `Continue | `Stop ] =
     in
     (resp, action)
   in
+  let bad_request ?id ~detail msg =
+    t.n_errors <- t.n_errors + 1;
+    if Flight.enabled () then Flight.record ~req:rid ~kind:"request" ~detail "?";
+    finish ~op:"?"
+      (error_response ?id (Printf.sprintf "bad request: %s" msg), `Continue)
+  in
   Obs.with_request rid (fun () ->
-      match Json.parse line with
-      | Error msg ->
-        t.n_errors <- t.n_errors + 1;
-        if Flight.enabled () then
-          Flight.record ~req:rid ~kind:"request" ~detail:"unparseable" "?";
-        finish ~op:"?"
-          (error_response (Printf.sprintf "bad request: %s" msg), `Continue)
-      | Ok req ->
+      match Result.map (fun req -> (req, request_op req)) (Json.parse line) with
+      | Error msg -> bad_request ~detail:"unparseable" msg
+      | Ok (req, Error msg) ->
+        bad_request ?id:(Json.member "id" req) ~detail:"malformed" msg
+      | Ok (req, Ok op) ->
         let id = Json.member "id" req in
-        let op =
-          Option.value ~default:"check"
-            (Option.bind (Json.member "op" req) Json.string_opt)
-        in
         if Flight.enabled () then Flight.record ~req:rid ~kind:"request" op;
         let known =
           List.mem op [ "check"; "status"; "metrics"; "dump"; "shutdown" ]

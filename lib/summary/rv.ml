@@ -163,7 +163,7 @@ let generate ?resilience ?pool ?backend (prog : Prog.t)
         funcs
     in
     let lock = Mutex.create () in
-    Pinpoint_par.Sched.run_bottom_up_batched ~weights pool g (fun batch ->
+    Pinpoint_par.Sched.run_bottom_up ~weights pool g (fun batch ->
         let overlay = Hashtbl.create 16 in
         let lookup name =
           match Hashtbl.find_opt overlay name with

@@ -285,7 +285,7 @@ let run_batched ?resilience pool ((g, units) : Digraph.t * Func.t list array)
     Array.map (List.fold_left (fun acc f -> acc + fn_weight f) 0) units
   in
   let lock = Mutex.create () in
-  Pinpoint_par.Sched.run_bottom_up_batched ~weights pool g (fun batch ->
+  Pinpoint_par.Sched.run_bottom_up ~weights pool g (fun batch ->
       let sccs =
         List.map (List.concat_map (fun i -> units.(i))) batch
       in

@@ -210,6 +210,17 @@ let test_lower_duplicate_function () =
     (fun () ->
       expect "files" ~file:b ~line:3 (fun () -> Lower.compile_files [ a; b ]))
 
+(* C rejects two parameters with one name; binding the last one would
+   silently misattribute every use of the name. *)
+let test_lower_duplicate_parameter () =
+  match Lower.compile_string ~file:"p.mc" "void h() { }\nvoid f(int *a, int *a) { free(a); }" with
+  | exception Lower.Error (msg, loc) ->
+    Alcotest.(check string) "message" "duplicate parameter a" msg;
+    Alcotest.(check (pair string int))
+      "at the function" ("p.mc", 2)
+      (loc.Pinpoint_ir.Stmt.file, loc.Pinpoint_ir.Stmt.line)
+  | _ -> Alcotest.fail "duplicate parameter accepted"
+
 let test_lower_scoping () =
   (* shadowing in nested blocks is allowed *)
   let prog =
@@ -277,6 +288,8 @@ let suite =
     Alcotest.test_case "lower errors" `Quick test_lower_errors;
     Alcotest.test_case "lower duplicate function" `Quick
       test_lower_duplicate_function;
+    Alcotest.test_case "lower duplicate parameter" `Quick
+      test_lower_duplicate_parameter;
     Alcotest.test_case "lower scoping" `Quick test_lower_scoping;
     Alcotest.test_case "lower intrinsics" `Quick test_lower_memcpy_like_calls;
     Alcotest.test_case "phi gates filled" `Quick test_lower_phi_gates_filled;

@@ -56,15 +56,10 @@ let test_pool_submit_wait () =
       Pool.wait_idle p;
       Alcotest.(check int) "all tasks ran" 50 (Atomic.get hits))
 
-(* --- work stealing --- *)
-
-(* Deterministically force a steal: one worker claims the outer task,
-   pushes subtasks onto its own deque and then blocks until some other
-   lane has run one.  With the producer pinned, only a sibling's steal
-   (or the helper lane) can make progress — if stealing were broken the
-   producer would sit out the full timeout and run its own backlog,
-   failing the steal-count check rather than hanging. *)
-let test_steal_forced () =
+(* A task that submits [k] subtasks from a worker: [wait_idle] must
+   cover the nested submissions too, and [par.tasks] must count the outer
+   task and every subtask exactly once however often it is published. *)
+let test_nested_submit () =
   let module Obs = Pinpoint_obs.Obs in
   Obs.reset ();
   Obs.set_level Obs.Metrics_only;
@@ -73,37 +68,25 @@ let test_steal_forced () =
       Obs.set_level Obs.Off;
       Obs.reset ())
   @@ fun () ->
+  let k = 8 in
+  let ran = Atomic.make 0 in
   Pool.with_pool ~jobs:3 (fun p ->
-      let ran = Atomic.make 0 in
-      let k = 8 in
       Pool.submit p (fun () ->
           for _ = 1 to k do
             Pool.submit p (fun () -> Atomic.incr ran)
-          done;
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while Atomic.get ran = 0 && Unix.gettimeofday () < deadline do
-            Domain.cpu_relax ()
           done);
       Pool.wait_idle p;
       Alcotest.(check int) "all subtasks ran" k (Atomic.get ran);
-      let s = Pool.steal_stats p in
-      Alcotest.(check bool) "at least one steal" true (s.Pool.steals >= 1);
-      Alcotest.(check bool)
-        "stolen tasks counted" true
-        (s.Pool.stolen_tasks >= 1);
       (* publish before shutdown (the CLI's --metrics-json path); the
          shutdown call must then be a no-op, not a double count *)
       Pool.publish_obs p;
-      Pool.publish_obs p;
-      let counter name =
-        match List.assoc_opt name (Obs.snapshot ()) with
-        | Some (Obs.Snapshot.Counter n) -> n
-        | _ -> 0
-      in
-      Alcotest.(check int) "par.tasks published once" (k + 1) (counter "par.tasks");
-      Alcotest.(check bool)
-        "par.steals published" true
-        (counter "par.steals" = s.Pool.steals))
+      Pool.publish_obs p);
+  let counter name =
+    match List.assoc_opt name (Obs.snapshot ()) with
+    | Some (Obs.Snapshot.Counter n) -> n
+    | _ -> 0
+  in
+  Alcotest.(check int) "par.tasks published once" (k + 1) (counter "par.tasks")
 
 (* --- chunk planning --- *)
 
@@ -144,18 +127,6 @@ let test_chunk_plan_weighted () =
   | [] -> Alcotest.fail "empty plan");
   Alcotest.(check bool) "several chunks" true (List.length plan >= 2)
 
-let test_chunk_plan_override () =
-  Chunk.set_override (Some 5);
-  Fun.protect
-    ~finally:(fun () -> Chunk.set_override None)
-    (fun () ->
-      let plan = Chunk.plan ~jobs:4 23 in
-      check_plan_partitions 23 plan;
-      Alcotest.(check (list (pair int int)))
-        "fixed-size chunks"
-        [ (0, 5); (5, 5); (10, 5); (15, 5); (20, 3) ]
-        plan)
-
 (* --- scheduler --- *)
 
 (* Call graph: 0 -> {1,2} cycle -> 3; 0 -> 4; 5 isolated.  Edges are
@@ -182,7 +153,7 @@ let test_sched_order () =
       let m = Mutex.create () in
       let finished = Hashtbl.create 8 in
       let violations = ref 0 in
-      Sched.run_bottom_up p g (fun members ->
+      Sched.run_bottom_up p g @@ List.iter (fun members ->
           let ci = comp_of.(List.hd members) in
           (* every cross-component callee must already be done *)
           List.iter
@@ -219,7 +190,7 @@ let test_sched_exactly_once () =
     let runs = Array.make (Array.length comps) 0 in
     let m = Mutex.create () in
     Pool.with_pool ~jobs:4 (fun p ->
-        Sched.run_bottom_up p g (fun members ->
+        Sched.run_bottom_up p g @@ List.iter (fun members ->
             let node = List.hd members in
             let ci = ref (-1) in
             Array.iteri
@@ -237,7 +208,7 @@ let test_sched_sequential_is_sccs () =
   let g = little_call_graph () in
   Pool.with_pool ~jobs:1 (fun p ->
       let seen = ref [] in
-      Sched.run_bottom_up p g (fun members -> seen := members :: !seen);
+      Sched.run_bottom_up p g (List.iter (fun members -> seen := members :: !seen));
       Alcotest.(check (list (list int)))
         "jobs=1 is exactly Digraph.sccs order" (Digraph.sccs g)
         (List.rev !seen))
@@ -324,10 +295,9 @@ let check_jobs_determinism_injected ~jobs () =
 (* --- ragged waves: a workload subject with skewed function sizes --- *)
 
 (* A multi-unit generated subject has call-graph waves mixing heavy and
-   trivial functions, so at fine chunking some worker finishes early and
-   must steal to stay busy.  The guarantee under test is identity: the
-   steal schedule (and any chunk size) must never leak into reports,
-   stats or incidents. *)
+   trivial functions, so some lanes finish their chunks early and pick up
+   whatever is left on the queue.  The guarantee under test is identity:
+   the schedule must never leak into reports, stats or incidents. *)
 let ragged_subject =
   lazy
     (Gen.generate ~name:"ragged"
@@ -342,30 +312,10 @@ let ragged_subject =
 let check_ragged_determinism ~jobs () =
   let src = (Lazy.force ragged_subject).Gen.source in
   let seq = analysis_fingerprint None src in
-  Chunk.set_override (Some 1);
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Chunk.set_override None)
-      (fun () ->
-        Pool.with_pool ~jobs (fun p -> analysis_fingerprint (Some p) src))
-  in
+  let par = Pool.with_pool ~jobs (fun p -> analysis_fingerprint (Some p) src) in
   Alcotest.(check bool)
-    (Printf.sprintf "ragged subject: jobs 1 = jobs %d (chunk size 1)" jobs)
+    (Printf.sprintf "ragged subject: jobs 1 = jobs %d" jobs)
     true (seq = par)
-
-let test_chunk_size_determinism () =
-  (* coarse override on the corpus: chunk geometry is invisible too *)
-  let dir = Test_corpus.corpus_dir () in
-  let src = read_file (Filename.concat dir "motivating.mc") in
-  let seq = analysis_fingerprint None src in
-  Chunk.set_override (Some 7);
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Chunk.set_override None)
-      (fun () ->
-        Pool.with_pool ~jobs:4 (fun p -> analysis_fingerprint (Some p) src))
-  in
-  Alcotest.(check bool) "chunk size 7: jobs 1 = jobs 4" true (seq = par)
 
 (* The verbose render — value-flow path and trigger hint, with its
    symbols — is schedule-independent too: clone symbols print by their
@@ -471,15 +421,16 @@ let suite =
     Alcotest.test_case "pool: exception capture" `Quick
       test_pool_exception_capture;
     Alcotest.test_case "pool: submit + wait_idle" `Quick test_pool_submit_wait;
-    Alcotest.test_case "pool: forced steal" `Quick test_steal_forced;
+    Alcotest.test_case "pool: nested submit" `Quick test_nested_submit;
     Alcotest.test_case "chunk: plan partitions" `Quick test_chunk_plan;
     Alcotest.test_case "chunk: weighted plan" `Quick test_chunk_plan_weighted;
-    Alcotest.test_case "chunk: override" `Quick test_chunk_plan_override;
     Alcotest.test_case "sched: callees first" `Quick test_sched_order;
     Alcotest.test_case "sched: exactly-once launch" `Quick
       test_sched_exactly_once;
     Alcotest.test_case "sched: jobs=1 is sccs order" `Quick
       test_sched_sequential_is_sccs;
+    Alcotest.test_case "determinism: jobs 2" `Quick
+      (check_jobs_determinism ~jobs:2);
     Alcotest.test_case "determinism: jobs 4" `Quick
       (check_jobs_determinism ~jobs:4);
     Alcotest.test_case "determinism: jobs 8" `Quick
@@ -492,8 +443,6 @@ let suite =
       (check_ragged_determinism ~jobs:4);
     Alcotest.test_case "determinism: ragged waves jobs 8" `Quick
       (check_ragged_determinism ~jobs:8);
-    Alcotest.test_case "determinism: chunk-size override" `Quick
-      test_chunk_size_determinism;
     Alcotest.test_case "determinism: -v render jobs 4" `Quick
       test_verbose_determinism;
     Alcotest.test_case "owner checks stay silent" `Quick

@@ -5,8 +5,6 @@ module Pta = Pinpoint_pta.Pta
 module Cell = Pinpoint_pta.Cell
 module E = Pinpoint_smt.Expr
 module Wavefront = Pinpoint_pta.Wavefront
-module Andersen = Pinpoint_baselines.Andersen
-module Pool = Pinpoint_par.Pool
 
 let var_named f name =
   let found = ref None in
@@ -229,7 +227,7 @@ let test_incoming_naming () =
   Alcotest.(check int) "two incomings" 2 (List.length pta.Pta.incomings);
   Alcotest.(check (list (pair int int))) "refs" [ (1, 1); (1, 2) ] pta.Pta.refs
 
-(* --- wavefront solver: every mode reaches the same least fixpoint --- *)
+(* --- wavefront solver: difference propagation = the full-set oracle --- *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -237,14 +235,78 @@ let read_file path =
   close_in ic;
   src
 
+module ISet = Wavefront.ISet
+
+(* The textbook full-set worklist: every processing re-unions a node's
+   whole set into its successors.  Quadratic on deep copy chains but
+   plainly right, so it is the oracle [Wavefront.solve] must agree with:
+   both compute the least fixpoint of the same monotone system. *)
+let solve_full (sys : Wavefront.sys) =
+  let pts = Array.make sys.n_nodes ISet.empty in
+  let copy = Array.copy sys.copy in
+  let work = Queue.create () in
+  let dirty = Hashtbl.create 64 in
+  let enqueue n =
+    if not (Hashtbl.mem dirty n) then begin
+      Hashtbl.add dirty n ();
+      Queue.add n work
+    end
+  in
+  List.iter
+    (fun (n, o) ->
+      if not (ISet.mem o pts.(n)) then begin
+        pts.(n) <- ISet.add o pts.(n);
+        enqueue n
+      end)
+    sys.init;
+  while not (Queue.is_empty work) do
+    let n = Queue.pop work in
+    Hashtbl.remove dirty n;
+    let pn = pts.(n) in
+    List.iter
+      (fun dst ->
+        ISet.iter
+          (fun o ->
+            let m = sys.obj_mem.(o) in
+            if not (ISet.mem dst copy.(m)) then begin
+              copy.(m) <- ISet.add dst copy.(m);
+              if not (ISet.is_empty pts.(m)) then enqueue m
+            end)
+          pn)
+      sys.loads.(n);
+    List.iter
+      (fun src ->
+        ISet.iter
+          (fun o ->
+            let m = sys.obj_mem.(o) in
+            if not (ISet.mem m copy.(src)) then begin
+              copy.(src) <- ISet.add m copy.(src);
+              if not (ISet.is_empty pts.(src)) then enqueue src
+            end)
+          pn)
+      sys.stores.(n);
+    ISet.iter
+      (fun m ->
+        let before = pts.(m) in
+        let after = ISet.union before pn in
+        if not (ISet.equal before after) then begin
+          pts.(m) <- after;
+          enqueue m
+        end)
+      copy.(n)
+  done;
+  pts
+
+let solve_elements sys = Array.map ISet.elements (Wavefront.solve sys).Wavefront.pts
+
 (* Tiny constraint system exercising copy, load, store and init:
    nodes 0..3 are variables x y p q, 4/5 the content cells of objects
    o0/o1.  x ∋ o0, p ∋ o1, x ⊆ y, *p ⊇ y, q ⊇ *p — so the store routes
    o0 into mem(o1) and the load reads it back into q, both via dynamic
    edges discovered mid-solve. *)
 let test_wavefront_modes_synthetic () =
-  let copy = Array.make 6 Wavefront.ISet.empty in
-  copy.(0) <- Wavefront.ISet.singleton 1;
+  let copy = Array.make 6 ISet.empty in
+  copy.(0) <- ISet.singleton 1;
   let loads = Array.make 6 [] in
   loads.(2) <- [ 3 ];
   let stores = Array.make 6 [] in
@@ -259,49 +321,70 @@ let test_wavefront_modes_synthetic () =
       init = [ (0, 0); (2, 1) ];
     }
   in
-  let fp (r : Wavefront.result) =
-    Alcotest.(check bool) "not timed out" false r.Wavefront.timed_out;
-    Array.map Wavefront.ISet.elements r.Wavefront.pts
-  in
-  let full = fp (Wavefront.solve ~diff:false sys) in
-  let diff = fp (Wavefront.solve sys) in
-  let par =
-    fp (Pool.with_pool ~jobs:4 (fun p -> Wavefront.solve ~pool:p sys))
-  in
-  Alcotest.(check bool) "diff = full" true (diff = full);
-  Alcotest.(check bool) "parallel = full" true (par = full);
+  let full = Array.map ISet.elements (solve_full sys) in
+  Alcotest.(check bool) "solve = full-set oracle" true (solve_elements sys = full);
   Alcotest.(check (list int)) "store routed o0 into mem(o1)" [ 0 ] full.(5);
   Alcotest.(check (list int)) "load read it back into q" [ 0 ] full.(3)
 
-let andersen_fingerprint t =
-  List.init (Andersen.n_nodes t) (fun n ->
-      Andersen.ISet.elements (Andersen.pts t n))
-
-let test_wavefront_modes_corpus () =
-  let dir = Test_corpus.corpus_dir () in
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".mc")
-    |> List.sort compare
+(* Random systems of up to 40 nodes and 8 objects, with random copy,
+   load, store and init entries.  Content cells are arbitrary nodes, so
+   objects may share a cell or alias a variable node. *)
+let random_sys =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 40 >>= fun n ->
+    int_range 1 8 >>= fun n_obj ->
+    let node = int_bound (n - 1) in
+    let entries k = list_size (int_bound k) (pair node node) in
+    array_repeat n_obj node >>= fun obj_mem ->
+    entries (2 * n) >>= fun copies ->
+    entries n >>= fun loads ->
+    entries n >>= fun stores ->
+    list_size (int_range 1 n) (pair node (int_bound (n_obj - 1))) >>= fun init ->
+    let copy = Array.make n ISet.empty in
+    List.iter (fun (src, dst) -> copy.(src) <- ISet.add dst copy.(src)) copies;
+    let table pairs =
+      let a = Array.make n [] in
+      List.iter (fun (p, x) -> a.(p) <- x :: a.(p)) pairs;
+      a
+    in
+    return
+      {
+        Wavefront.n_nodes = n;
+        obj_mem;
+        copy;
+        loads = table loads;
+        stores = table stores;
+        init;
+      }
   in
-  List.iter
-    (fun file ->
-      let prog = Helpers.compile (read_file (Filename.concat dir file)) in
-      let full = Andersen.run ~diff:false prog in
-      let diff = Andersen.run prog in
-      let par =
-        Pool.with_pool ~jobs:4 (fun p -> Andersen.run ~pool:p prog)
-      in
-      let f0 = andersen_fingerprint full in
-      Alcotest.(check bool)
-        (file ^ ": difference propagation = full wavefront")
-        true
-        (andersen_fingerprint diff = f0);
-      Alcotest.(check bool)
-        (file ^ ": parallel waves = full wavefront")
-        true
-        (andersen_fingerprint par = f0))
-    files
+  let print (sys : Wavefront.sys) =
+    let pairs name a =
+      Printf.sprintf "%s=[%s]" name
+        (String.concat ";"
+           (List.concat
+              (List.mapi
+                 (fun p xs -> List.map (fun x -> Printf.sprintf "%d>%d" p x) xs)
+                 (Array.to_list a))))
+    in
+    String.concat " "
+      [
+        Printf.sprintf "n=%d" sys.n_nodes;
+        Printf.sprintf "mem=[%s]"
+          (String.concat ";" (Array.to_list (Array.map string_of_int sys.obj_mem)));
+        pairs "copy" (Array.map ISet.elements sys.copy);
+        pairs "load" sys.loads;
+        pairs "store" sys.stores;
+        Printf.sprintf "init=[%s]"
+          (String.concat ";"
+             (List.map (fun (n, o) -> Printf.sprintf "%d:%d" n o) sys.init));
+      ]
+  in
+  QCheck.make gen ~print
+
+let wavefront_vs_oracle =
+  Helpers.qtest ~count:500 "wavefront: solve = full-set oracle" random_sys
+    (fun sys -> solve_elements sys = Array.map ISet.elements (solve_full sys))
 
 (* --- row-level difference propagation: memo on/off is invisible --- *)
 
@@ -360,8 +443,7 @@ let suite =
     Alcotest.test_case "incoming materialisation" `Quick test_incoming_naming;
     Alcotest.test_case "wavefront: synthetic modes agree" `Quick
       test_wavefront_modes_synthetic;
-    Alcotest.test_case "wavefront: corpus fixpoint equality" `Quick
-      test_wavefront_modes_corpus;
+    wavefront_vs_oracle;
     Alcotest.test_case "row memo on/off identity" `Quick
       test_row_memo_identity;
   ]

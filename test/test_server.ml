@@ -513,7 +513,29 @@ let test_request_isolation () =
         "dup.mc:2: duplicate definition of function dupf" );
       ( new_file "dup.mc" (Printf.sprintf "void %s() { }" defined),
         Printf.sprintf "dup.mc:1: duplicate definition of function %s" defined );
+      ( new_file "dp.mc" "void dupp(int *a, int *a) { free(a); }",
+        "dp.mc:1: duplicate parameter a" );
     ];
+  (* a line that is not an object, or whose op is not a string, runs
+     nothing: the check counter must not move *)
+  let checks () =
+    let status, _ =
+      Server.handle_line t (Json.to_string (Json.Obj [ ("op", Json.String "status") ]))
+    in
+    Option.bind (Json.member "ops" (parse_response status)) (fun ops ->
+        Option.bind (Json.member "check" ops) Json.int_opt)
+  in
+  let checks_before = checks () in
+  Alcotest.(check bool) "status counts checks" true (checks_before <> None);
+  List.iter
+    (fun (bad, expected) -> Alcotest.(check string) bad expected (error_of bad))
+    [
+      ("[1,2,3]", "bad request: request must be a JSON object");
+      ({|"str"|}, "bad request: request must be a JSON object");
+      ("null", "bad request: request must be a JSON object");
+      ({|{"op":42}|}, "bad request: op must be a string");
+    ];
+  Alcotest.(check (option int)) "no check ran" checks_before (checks ());
   let resp, _ =
     Server.handle_line t (req_of_files ~checkers:[ "use-after-free" ] [])
   in
