@@ -739,8 +739,7 @@ type par_run = {
   pr_prep_s : float;
   pr_transform_s : float;  (* transform + PTA phase wall time *)
   pr_pta_busy_s : float;  (* busy seconds inside Pta.run, summed over domains *)
-  pr_seg_s : float;
-  pr_summary_s : float;
+  pr_summary_s : float;  (* the sweep: SEG builds + RV/VF summaries *)
   pr_check_s : float;
 }
 
@@ -810,7 +809,6 @@ let par () =
                 pr_prep_s = prep_m.Metrics.wall_s;
                 pr_transform_s = m.Pinpoint.Analysis.transform.Metrics.wall_s;
                 pr_pta_busy_s = pta_busy;
-                pr_seg_s = m.Pinpoint.Analysis.seg_build.Metrics.wall_s;
                 pr_summary_s = m.Pinpoint.Analysis.summaries.Metrics.wall_s;
                 pr_check_s = check_m.Metrics.wall_s;
               },
@@ -852,7 +850,6 @@ let par () =
               str "%a" pp_dur r.pr_prep_s;
               str "%a" pp_dur r.pr_transform_s;
               str "%a" pp_dur r.pr_pta_busy_s;
-              str "%a" pp_dur r.pr_seg_s;
               str "%a" pp_dur r.pr_summary_s;
               str "%a" pp_dur r.pr_check_s;
               str "%a" pp_dur (total r);
@@ -863,8 +860,8 @@ let par () =
       Pp.table
         ~header:
           [
-            "jobs"; "chunk"; "prepare"; "transform"; "pta busy"; "seg";
-            "summary"; "check"; "total"; "speedup";
+            "jobs"; "chunk"; "prepare"; "transform"; "pta busy";
+            "seg+summary"; "check"; "total"; "speedup";
           ]
         ~rows Format.std_formatter ();
       Format.printf
@@ -885,11 +882,11 @@ let par () =
         (fun j r ->
           out
             "      {\"jobs\": %d, \"chunk_size\": %d, \"prepare_s\": %.6f, \
-             \"transform_s\": %.6f, \"pta_busy_s\": %.6f, \"seg_s\": %.6f, \
+             \"transform_s\": %.6f, \"pta_busy_s\": %.6f, \
              \"summary_s\": %.6f, \"check_s\": %.6f, \"total_s\": %.6f, \
              \"speedup\": %.3f}%s\n"
             r.pr_jobs r.pr_chunk r.pr_prep_s r.pr_transform_s r.pr_pta_busy_s
-            r.pr_seg_s r.pr_summary_s r.pr_check_s (total r)
+            r.pr_summary_s r.pr_check_s (total r)
             (if total r > 0.0 then base /. total r else 1.0)
             (if j = List.length runs - 1 then "" else ","))
         runs;

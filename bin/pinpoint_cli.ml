@@ -462,10 +462,9 @@ let stats_cmd =
       (Pinpoint_ir.Prog.n_stmts prog)
       v e;
     let m = a.Pinpoint.Analysis.metrics in
-    Format.printf "phases: frontend %a | transform+PTA %a | SEG %a | summaries %a@."
+    Format.printf "phases: frontend %a | transform+PTA %a | SEG+summaries %a@."
       Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.frontend.wall_s
       Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.transform.wall_s
-      Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.seg_build.wall_s
       Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.summaries.wall_s;
     Format.printf "@.%-24s %6s %6s %8s %8s  %s@." "function" "stmts" "blocks"
       "SEG |V|" "SEG |E|" "interface";

@@ -1,21 +1,25 @@
 module Metrics = Pinpoint_util.Metrics
 module Resilience = Pinpoint_util.Resilience
+module Func = Pinpoint_ir.Func
+module Prog = Pinpoint_ir.Prog
 module Seg = Pinpoint_seg.Seg
+module Transform = Pinpoint_transform.Transform
+module Rv = Pinpoint_summary.Rv
+module Vf = Pinpoint_summary.Vf
 module Obs = Pinpoint_obs.Obs
 module Store = Pinpoint_store.Store
 
 type phase_metrics = {
   frontend : Metrics.measurement;
   transform : Metrics.measurement;
-  seg_build : Metrics.measurement;
   summaries : Metrics.measurement;
 }
 
 type t = {
-  prog : Pinpoint_ir.Prog.t;
-  transform : Pinpoint_transform.Transform.result;
+  prog : Prog.t;
+  transform : Transform.result;
   segs : (string, Seg.t) Hashtbl.t;
-  rv : Pinpoint_summary.Rv.t;
+  rv : Rv.t;
   metrics : phase_metrics;
   resilience : Resilience.log;
   pool : Pinpoint_par.Pool.t option;
@@ -23,7 +27,7 @@ type t = {
   store : Store.t option;
       (* disk-resident artifact store; when present [segs] stays empty
          and lookups fault artifacts back in through the LRU *)
-  vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
+  vfs : (string, Checker_spec.t * Vf.t) Hashtbl.t;
 }
 
 let seg_of t name =
@@ -34,51 +38,51 @@ let seg_of t name =
 let store t = t.store
 let incidents t = Resilience.incidents t.resilience
 
-(* Build one function's SEG behind an exception barrier, consulting the
-   fault injector: a dropped SEG is skipped outright, a truncated one keeps
-   only half of each vertex's out-edges, a crash is raised inside the
-   barrier so it lands in the incident log like any organic crash. *)
-let build_seg log (f : Pinpoint_ir.Func.t) pta : Seg.t option =
-  let fname = f.Pinpoint_ir.Func.fname in
-  let fault =
-    if Resilience.Inject.enabled () then Resilience.Inject.seg_fault fname
-    else None
-  in
-  match fault with
-  | Some Resilience.Inject.Seg_drop ->
-    Resilience.record log
-      {
-        Resilience.phase = Resilience.Seg_build;
-        subject = fname;
-        detail = "injected: seg-drop";
-        fallback = "function gets no SEG";
-        elapsed_s = 0.0;
-      };
-    None
-  | _ ->
-    Resilience.protect ~log ~phase:Resilience.Seg_build ~subject:fname
-      ~fallback_note:"function gets no SEG" ~fallback:None
-      (fun () ->
-        if fault = Some Resilience.Inject.Seg_crash then
-          raise Resilience.Injected_crash;
-        let seg = Seg.build f pta in
-        match fault with
-        | Some Resilience.Inject.Seg_truncate ->
-          Resilience.record log
-            {
-              Resilience.phase = Resilience.Seg_build;
-              subject = fname;
-              detail = "injected: seg-truncate";
-              fallback = "SEG truncated to half of its out-edges";
-              elapsed_s = 0.0;
-            };
-          Some (Seg.truncate seg ~keep:0.5)
-        | _ -> Some seg)
+(* Build one function's SEG from its PTA behind an exception barrier,
+   consulting the fault injector: a dropped SEG is skipped outright, a
+   truncated one keeps only half of each vertex's out-edges, a crash is
+   raised inside the barrier so it lands in the incident log like any
+   organic crash.  [pta_of] runs inside the barrier too: in store mode it
+   decodes. *)
+let build_seg log pta_of (f : Func.t) : Seg.t option =
+  let fname = f.Func.fname in
+  Resilience.protect ~log ~phase:Resilience.Seg_build ~subject:fname
+    ~fallback_note:"function gets no SEG" ~fallback:None
+  @@ fun () ->
+  match pta_of fname with
+  | None -> None
+  | Some pta -> (
+    let incident detail fallback =
+      Resilience.record log
+        {
+          Resilience.phase = Resilience.Seg_build;
+          subject = fname;
+          detail;
+          fallback;
+          elapsed_s = 0.0;
+        }
+    in
+    match
+      if Resilience.Inject.enabled () then Resilience.Inject.seg_fault fname
+      else None
+    with
+    | Some Resilience.Inject.Seg_drop ->
+      incident "injected: seg-drop" "function gets no SEG";
+      None
+    | Some Resilience.Inject.Seg_crash -> raise Resilience.Injected_crash
+    | fault -> (
+      let seg = Seg.build f pta in
+      match fault with
+      | Some Resilience.Inject.Seg_truncate ->
+        incident "injected: seg-truncate"
+          "SEG truncated to half of its out-edges";
+        Some (Seg.truncate seg ~keep:0.5)
+      | _ -> Some seg))
 
-let build_seg log f pta =
+let build_seg log pta_of f =
   Obs.span "seg.build"
-    ~attrs:[ ("fn", f.Pinpoint_ir.Func.fname) ]
-    (fun () -> build_seg log f pta)
+    ~attrs:[ ("fn", f.Func.fname) ]
+    (fun () -> build_seg log pta_of f)
 
 (* Force every variable's SMT symbol in program order.  [Var.symbol] is
    lazy and the symbol registry assigns ids in creation order; forcing
@@ -87,23 +91,141 @@ let build_seg log f pta =
    once before the transform (its points-to analysis reads branch
    conditions, in SCC waves at [--jobs] > 1) and once after, for the
    conduit variables it adds. *)
-let force_symbols (prog : Pinpoint_ir.Prog.t) =
+let force_symbols (funcs : Func.t list) =
+  let force v = ignore (Pinpoint_ir.Var.symbol v) in
   List.iter
-    (fun (f : Pinpoint_ir.Func.t) ->
-      List.iter
-        (fun v -> ignore (Pinpoint_ir.Var.symbol v))
-        f.Pinpoint_ir.Func.params;
-      Pinpoint_ir.Func.iter_stmts f (fun _ s ->
-          List.iter
-            (fun v -> ignore (Pinpoint_ir.Var.symbol v))
-            (Pinpoint_ir.Stmt.def s);
-          List.iter
-            (fun v -> ignore (Pinpoint_ir.Var.symbol v))
-            (Pinpoint_ir.Stmt.uses s)))
-    (Pinpoint_ir.Prog.functions prog)
+    (fun (f : Func.t) ->
+      List.iter force f.Func.params;
+      Func.iter_stmts f (fun _ s ->
+          List.iter force (Pinpoint_ir.Stmt.def s);
+          List.iter force (Pinpoint_ir.Stmt.uses s)))
+    funcs
 
-let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
-    : t =
+let empty_vfs () =
+  let vfs = Hashtbl.create 8 in
+  List.iter
+    (fun (c : Checker_spec.t) ->
+      Hashtbl.replace vfs c.Checker_spec.name (c, Vf.empty ()))
+    Checkers.all;
+  vfs
+
+(* The bottom-up sweep (DESIGN.md §4.5).  Per SCC: build the members'
+   SEGs from their PTAs, then their RV entries in member order, then their
+   VF entries for every registered checker in member order — each member
+   publishing before the next runs — and only then hand the SEGs over
+   ([put_seg]; in store mode, a spill).  A function's summaries need only
+   its own SEG, just built, and its callees' summaries, so summarising
+   reads no SEG back.  The swept functions' old entries are dropped first,
+   so a same-SCC member not yet swept looks unknown, as in a from-scratch
+   run.
+
+   Each batch of SCCs ({!Pinpoint_par.Sched.run_sccs}; one SCC without a
+   pool) keeps its RV and VF entries in overlays, reads everything else
+   from the shared tables under one lock, and publishes its entries and
+   SEGs in one locked flush.  Store mode runs without the pool: one SCC's
+   SEGs in flight keep the heap bounded by the store's LRU. *)
+let sweep_sccs ~resilience ?pool ?store (transform : Transform.result) segs
+    rv vfs sccs =
+  let checkers = Array.of_list Checkers.all in
+  let specs = Array.map Checker_spec.vf_spec checkers in
+  let tables =
+    Array.map
+      (fun (c : Checker_spec.t) -> snd (Hashtbl.find vfs c.Checker_spec.name))
+      checkers
+  in
+  let pool, pta_of, put_seg =
+    match store with
+    | Some st -> (None, Store.pta_of st, Store.put_seg st)
+    | None ->
+      (pool, Hashtbl.find_opt transform.Transform.ptas, Hashtbl.replace segs)
+  in
+  List.iter
+    (List.iter (fun (f : Func.t) ->
+         let name = f.Func.fname in
+         Hashtbl.remove segs name;
+         Rv.remove rv name;
+         Array.iter (fun vf -> Vf.remove vf name) tables))
+    sccs;
+  let lock = Mutex.create () in
+  Pinpoint_par.Sched.run_sccs ?pool ~weight:Func.n_stmts
+    ~name:(fun (f : Func.t) -> f.Func.fname)
+    ~callees:Prog.callees sccs
+  @@ fun batch ->
+  let rv_overlay = Hashtbl.create 16 and vf_overlay = Hashtbl.create 16 in
+  let shared find name = Mutex.protect lock (fun () -> find name) in
+  let rv_lookup name =
+    match Hashtbl.find_opt rv_overlay name with
+    | Some _ as r -> r
+    | None -> shared (Rv.find rv) name
+  in
+  let vf_find k name =
+    match Hashtbl.find_opt vf_overlay name with
+    | Some sums -> Some sums.(k)
+    | None -> shared (Vf.find tables.(k)) name
+  in
+  let sweep_scc scc =
+    let built =
+      List.filter_map
+        (fun (f : Func.t) ->
+          Option.map (fun seg -> (f, seg)) (build_seg resilience pta_of f))
+        scc
+    in
+    (* Per-function barriers: a crash leaves that one function without an
+       entry — its receivers stay free (RV), and the engine descends into
+       it unpruned (VF). *)
+    let each phase fallback_note step =
+      List.iter
+        (fun ((f : Func.t), seg) ->
+          Resilience.protect ~log:resilience ~phase ~subject:f.Func.fname
+            ~fallback_note ~fallback:()
+            (fun () -> step f.Func.fname seg))
+        built
+    in
+    each Resilience.Rv_summary "no RV summary (receivers stay free)"
+      (fun name seg ->
+        Hashtbl.replace rv_overlay name (Rv.summarise rv ~lookup:rv_lookup seg));
+    each Resilience.Vf_summary "no VF summary (searched unpruned)"
+      (fun name seg ->
+        Obs.span "summary.vf"
+          ~attrs:[ ("fn", name) ]
+          (fun () ->
+            Hashtbl.replace vf_overlay name
+              (Vf.summarise specs ~find:vf_find seg)));
+    built
+  in
+  let built = List.concat_map sweep_scc batch in
+  Mutex.protect lock (fun () ->
+      List.iter
+        (fun ((f : Func.t), seg) ->
+          let name = f.Func.fname in
+          Option.iter (Rv.publish rv name) (Hashtbl.find_opt rv_overlay name);
+          Option.iter
+            (Array.iteri (fun k s -> Vf.add tables.(k) name s))
+            (Hashtbl.find_opt vf_overlay name);
+          put_seg name seg)
+        built)
+
+let sweep ~resilience ?pool ?store prog transform ~segs rv ~vfs sccs =
+  let swept = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun (f : Func.t) -> Hashtbl.replace swept f.Func.fname ()))
+    sccs;
+  Obs.span "seg.build.all" (fun () ->
+      (* Sequential prologue pinning allocation-ordered ids to program
+         order (the conduit variables' symbols, abstract heap addresses)
+         — after this, SEG builds are order-independent and can run in
+         any schedule. *)
+      let funcs =
+        List.filter
+          (fun (f : Func.t) -> Hashtbl.mem swept f.Func.fname)
+          (Prog.functions prog)
+      in
+      force_symbols funcs;
+      Seg.reserve_addresses funcs);
+  Obs.span "summary" (fun () ->
+      sweep_sccs ~resilience ?pool ?store transform segs rv vfs sccs)
+
+let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
   let resilience =
     match resilience with Some r -> r | None -> Resilience.create ()
   in
@@ -121,94 +243,20 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
   let transform, tm =
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "transform" (fun () ->
-            force_symbols prog;
-            match store with
-            | Some st ->
-              (* Spill mode: points-to results stream to the store per
-                 SCC instead of accumulating; [transform.ptas] stays
-                 empty.  Sequential — the id/symbol order is the one the
-                 sequential path produces, so artifacts decode to the
-                 exact objects a store-off run would hold. *)
-              Pinpoint_transform.Transform.run ~resilience
-                ~pta_sink:(Store.put_pta st) prog
-            | None -> Pinpoint_transform.Transform.run ~resilience ?pool prog))
+            force_symbols (Prog.functions prog);
+            (* Store mode streams points-to results to the store per SCC,
+               sequentially; [transform.ptas] stays empty. *)
+            Transform.run ~resilience ?pool
+              ?pta_sink:(Option.map Store.put_pta store)
+              prog))
   in
-  let segs, sm =
+  let segs = Hashtbl.create 64 in
+  let rv = Rv.create ?backend:(Option.map Store.rv_backend store) prog in
+  let vfs = empty_vfs () in
+  let (), sm =
     Metrics.measure ~extra_alloc (fun () ->
-        Obs.span "seg.build.all" @@ fun () ->
-        (* Sequential prologue pinning allocation-ordered ids to program
-           order (the conduit variables' symbols, abstract heap
-           addresses) — after this, SEG builds are order-independent and
-           can fan out. *)
-        force_symbols prog;
-        let funcs = Array.of_list (Pinpoint_ir.Prog.functions prog) in
-        Seg.reserve_addresses (Array.to_list funcs);
-        match store with
-        | Some st ->
-          (* Sequential build-and-spill: fault each function's PTA back
-             in (bounded by the store LRU), build its SEG, spill it.
-             Peak heap is one function plus the LRU, not the program. *)
-          Array.iter
-            (fun (f : Pinpoint_ir.Func.t) ->
-              let fname = f.Pinpoint_ir.Func.fname in
-              Resilience.protect ~log:resilience ~phase:Resilience.Seg_build
-                ~subject:fname ~fallback_note:"function gets no SEG"
-                ~fallback:()
-                (fun () ->
-                  match Store.pta_of st fname with
-                  | None -> ()
-                  | Some pta -> (
-                    match build_seg resilience f pta with
-                    | Some seg -> Store.put_seg st fname seg
-                    | None -> ())))
-            funcs;
-          Hashtbl.create 1
-        | None ->
-          let build (f : Pinpoint_ir.Func.t) =
-            match
-              Hashtbl.find_opt transform.Pinpoint_transform.Transform.ptas
-                f.Pinpoint_ir.Func.fname
-            with
-            | Some pta -> build_seg resilience f pta
-            | None -> None
-          in
-          let built =
-            match pool with
-            | Some p when Pinpoint_par.Pool.jobs p > 1 ->
-              (* One pool task per statement-weighted chunk of functions
-                 (DESIGN.md §4.15), not one per function. *)
-              let weights =
-                Array.map
-                  (fun (f : Pinpoint_ir.Func.t) ->
-                    let n = ref 0 in
-                    Pinpoint_ir.Func.iter_blocks f (fun blk ->
-                        n := !n + List.length blk.Pinpoint_ir.Func.stmts);
-                    !n)
-                  funcs
-              in
-              Pinpoint_par.Chunk.parallel_map ~weights p build funcs
-            | _ -> Array.map (fun f -> Some (build f)) funcs
-          in
-          let segs = Hashtbl.create 64 in
-          Array.iteri
-            (fun i r ->
-              match r with
-              | Some (Some seg) ->
-                Hashtbl.replace segs funcs.(i).Pinpoint_ir.Func.fname seg
-              | _ -> ())
-            built;
-          segs)
-  in
-  let rv, rm =
-    Metrics.measure ~extra_alloc (fun () ->
-        Obs.span "summary" (fun () ->
-            match store with
-            | Some st ->
-              Pinpoint_summary.Rv.generate ~resilience
-                ~backend:(Store.rv_backend st) prog (Store.seg_of st)
-            | None ->
-              Pinpoint_summary.Rv.generate ~resilience ?pool prog
-                (Hashtbl.find_opt segs)))
+        sweep ~resilience ?pool ?store prog transform ~segs rv ~vfs
+          (Prog.bottom_up_sccs prog))
   in
   if Obs.metrics_on () then begin
     let publish name (m : Metrics.measurement) =
@@ -219,20 +267,18 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
     in
     publish "frontend" frontend_m;
     publish "transform" tm;
-    publish "seg_build" sm;
-    publish "summaries" rm
+    publish "summaries" sm
   end;
   {
     prog;
     transform;
     segs;
     rv;
-    metrics =
-      { frontend = frontend_m; transform = tm; seg_build = sm; summaries = rm };
+    metrics = { frontend = frontend_m; transform = tm; summaries = sm };
     resilience;
     pool;
     store;
-    vfs = Hashtbl.create 8;
+    vfs;
   }
 
 let zero_m =
@@ -281,41 +327,9 @@ let seg_size t =
       (fun _ seg (v, e) -> (v + Seg.n_vertices seg, e + Seg.n_edges seg))
       t.segs (0, 0)
 
-module Vf = Pinpoint_summary.Vf
-
-let summarise_vf ~resilience prog seg_of vfs (specs : Checker_spec.t list) =
-  let name (s : Checker_spec.t) = s.Checker_spec.name in
-  let missing =
-    List.fold_left
-      (fun acc s ->
-        if Hashtbl.mem vfs (name s) || List.exists (fun m -> name m = name s) acc
-        then acc
-        else acc @ [ s ])
-      [] (specs @ Checkers.all)
-  in
-  if missing <> [] then begin
-    let names = String.concat "," (List.map name missing) in
-    (* One barrier over the pass: a crash leaves every checker of the pass
-       without a table, so each runs without VF pruning, and the next
-       check tries again. *)
-    Resilience.protect ~log:resilience ~phase:Resilience.Vf_summary
-      ~subject:names ~fallback_note:"empty VF summaries; VF pruning disabled"
-      ~fallback:()
-      (fun () ->
-        Obs.span "summary.vf" ~attrs:[ ("checkers", names) ] (fun () ->
-            List.iter2
-              (fun s vf -> Hashtbl.replace vfs (name s) (s, vf))
-              missing
-              (Vf.generate prog seg_of (List.map Checker_spec.vf_spec missing))))
-  end
-
-let summarise t specs =
-  summarise_vf ~resilience:t.resilience t.prog (seg_of t) t.vfs specs
-
 let seal_store t specs =
   match t.store with
   | Some st when not (Store.is_sealed st) ->
-    summarise t specs;
     List.iter
       (fun (spec : Checker_spec.t) ->
         let name = spec.Checker_spec.name in
@@ -327,7 +341,6 @@ let seal_store t specs =
   | _ -> ()
 
 let check ?config t (spec : Checker_spec.t) =
-  summarise t [ spec ];
   Engine.run ?config ~resilience:t.resilience ?pool:t.pool t.prog
     ~seg_of:(seg_of t) ~rv:t.rv
     ~vf:(Option.map snd (Hashtbl.find_opt t.vfs spec.Checker_spec.name))

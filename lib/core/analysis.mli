@@ -1,8 +1,9 @@
 (** The end-to-end Pinpoint pipeline (paper Figure 6):
 
     MC source → IR (SSA, gated) → call-site rewriting + Mod/Ref → connector
-    transformation → SEG per function → RV summaries → demand-driven
-    checking with SMT feasibility.
+    transformation → one bottom-up sweep building each function's SEG, RV
+    summary and VF summaries → demand-driven checking with SMT
+    feasibility.
 
     Phase timings and allocation are captured for the benchmark harness
     (Figures 7–10). *)
@@ -10,8 +11,8 @@
 type phase_metrics = {
   frontend : Pinpoint_util.Metrics.measurement;
   transform : Pinpoint_util.Metrics.measurement;  (** PTA + connectors *)
-  seg_build : Pinpoint_util.Metrics.measurement;
   summaries : Pinpoint_util.Metrics.measurement;
+      (** the sweep: SEG builds and RV/VF summaries, interleaved *)
 }
 
 type t = {
@@ -33,8 +34,8 @@ type t = {
           [segs] stays empty and {!seg_of} faults SEGs back in through
           the store's LRU *)
   vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
-      (** VF-summary tables by checker name, filled by {!check} and
-          {!seal_store} through {!summarise_vf} *)
+      (** VF-summary tables by checker name, one per registered checker
+          ({!Checkers.all}), filled by the sweep *)
 }
 
 val seg_of : t -> string -> Pinpoint_seg.Seg.t option
@@ -44,17 +45,6 @@ val store : t -> Pinpoint_store.Store.t option
 val incidents : t -> Pinpoint_util.Resilience.incident list
 (** Incidents accumulated so far, oldest first. *)
 
-val build_seg :
-  Pinpoint_util.Resilience.log ->
-  Pinpoint_ir.Func.t ->
-  Pinpoint_pta.Pta.t ->
-  Pinpoint_seg.Seg.t option
-(** Build one function's SEG behind the standard exception barrier,
-    consulting the fault injector (drop / truncate / crash faults land in
-    the incident log exactly as during {!prepare}).  Exposed for the
-    analysis server's partial rebuilds (DESIGN.md §4.13) so incremental
-    SEG construction shares the batch pipeline's fault envelope. *)
-
 val prepare :
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
@@ -62,20 +52,48 @@ val prepare :
   Pinpoint_ir.Prog.t ->
   t
 (** Run every phase up to (and including) summary generation on an
-    already-compiled program.  With [pool] (and more than one job) the
-    transform and RV phases run as bottom-up SCC waves and SEG builds fan
-    out per function; the result — SEGs, summaries, reports — is identical
-    to a sequential run (DESIGN.md §4.9).  The pool's incident log is
-    pointed at this analysis's {!t.resilience}.  With [resilience] the
-    given log is used instead of a fresh one — the analysis server passes
-    its long-lived capacity-capped log so incidents from successive
-    (re)builds accumulate in one place.
+    already-compiled program: the transform, then one bottom-up sweep
+    ({!sweep}) that builds every SEG and every RV and VF summary.  With
+    [pool] (and more than one job) both run as bottom-up SCC waves; the
+    result — SEGs, summaries, reports — is identical to a sequential run
+    (DESIGN.md §4.9).  The pool's incident log is pointed at this
+    analysis's {!t.resilience}.  With [resilience] the given log is used
+    instead of a fresh one — the analysis server passes its long-lived
+    capacity-capped log so incidents from successive (re)builds
+    accumulate in one place.
 
     With [store] the preparation phases spill every per-function artifact
     (PTA, SEG, RV summary) to the store as it is produced instead of
     keeping it resident, bounding peak heap to the store's LRU plus the
-    IR; preparation is sequential ([pool] still accelerates {!check}).
-    Reports are byte-identical to a store-off run. *)
+    IR; preparation is sequential ([pool] still accelerates {!check}) and
+    decodes no SEG.  Reports are byte-identical to a store-off run. *)
+
+val sweep :
+  resilience:Pinpoint_util.Resilience.log ->
+  ?pool:Pinpoint_par.Pool.t ->
+  ?store:Pinpoint_store.Store.t ->
+  Pinpoint_ir.Prog.t ->
+  Pinpoint_transform.Transform.result ->
+  segs:(string, Pinpoint_seg.Seg.t) Hashtbl.t ->
+  Pinpoint_summary.Rv.t ->
+  vfs:(string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t ->
+  Pinpoint_ir.Func.t list list ->
+  unit
+(** [sweep ~resilience prog transform ~segs rv ~vfs sccs] (re)builds the
+    SEGs, RV entries and VF entries (every registered checker's table in
+    [vfs]) of the functions in [sccs]: call-graph components in bottom-up
+    order, all of them or a set closed under "is a transitive caller of".
+    Their old entries are dropped first; everything else is read as
+    retained, so the result equals a from-scratch sweep (DESIGN.md §4.5,
+    §4.13).  A sequential prologue ([seg.build.all]) pins the swept
+    functions' symbol ids and heap addresses to program order; then, per
+    SCC, the members' SEGs are built from their PTAs ([seg.build] each),
+    their RV entries computed in member order, their VF entries in member
+    order ([summary.vf] each), and only then are the SEGs put in [segs] —
+    or, with [store], spilled, reading PTAs from the store too.  SEG, RV
+    and VF work each sit behind a per-function barrier.  With [pool] (no
+    store) the SCCs run as a batched bottom-up wave.  Shared by {!prepare}
+    and the analysis server's incremental update. *)
 
 val prepare_source :
   ?pool:Pinpoint_par.Pool.t ->
@@ -100,33 +118,18 @@ val prepare_files :
 val seg_size : t -> int * int
 (** Total (vertices, edges) over all SEGs — the Figure 7/8 size metric. *)
 
-val summarise_vf :
-  resilience:Pinpoint_util.Resilience.log ->
-  Pinpoint_ir.Prog.t ->
-  (string -> Pinpoint_seg.Seg.t option) ->
-  (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t ->
-  Checker_spec.t list ->
-  unit
-(** [summarise_vf ~resilience prog seg_of vfs specs] adds to [vfs] the
-    VF tables of [specs] and of every registered checker ({!Checkers.all})
-    that it lacks, all in one {!Pinpoint_summary.Vf.generate} pass under
-    one [summary.vf] span.  The pass runs behind one [Vf_summary]
-    barrier: on a crash none of its tables is added, those checkers run
-    without VF pruning, and the next call tries again.  Shared by
-    {!check} and the analysis server. *)
-
 val seal_store : t -> Checker_spec.t list -> unit
-(** Store mode only (no-op otherwise, or once sealed): summarise the
-    given checkers ({!summarise_vf}), persist their VF tables, then seal
-    the store — index, checksummed trailer, rename to the epoch file —
-    switching reads to the mmap path. *)
+(** Store mode only (no-op otherwise, or once sealed): persist the given
+    checkers' VF tables, then seal the store — index, checksummed
+    trailer, rename to the epoch file — switching reads to the mmap
+    path. *)
 
 val check :
   ?config:Engine.config -> t -> Checker_spec.t -> Report.t list * Engine.stats
-(** Run one checker.  Its VF table comes from {!t.vfs}; the first call
-    (or {!seal_store}) summarises every registered checker plus this one
-    in one pass.  A checker whose summarisation crashed runs without VF
-    pruning. *)
+(** Run one checker with its VF table from {!t.vfs}.  A checker with no
+    table there (not registered in {!Checkers.all}) runs without VF
+    pruning, as does the search inside a function whose VF summary
+    crashed. *)
 
 val check_all :
   ?config:Engine.config ->

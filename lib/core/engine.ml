@@ -387,13 +387,20 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
           (fun (u : Seg.use) ->
             match u.Seg.ukind with
             | Seg.Call_arg { callee; arg_index } -> (
-              match (ctx.seg_of callee, Vf.find ctx.vf callee) with
-              | Some callee_seg, Some vfsum ->
+              match ctx.seg_of callee with
+              | Some callee_seg ->
+                (* Without pruning, or without the callee's VF entry (its
+                   summary crashed, or the run has no table), every
+                   defined callee is searched. *)
                 let i1 = arg_index + 1 in
                 let wanted =
                   (not ctx.cfg.use_vf_pruning)
-                  || List.exists (fun (i, _) -> i = i1) vfsum.Vf.vf1
-                  || List.mem i1 vfsum.Vf.vf4
+                  ||
+                  match Vf.find ctx.vf callee with
+                  | None -> true
+                  | Some vfsum ->
+                    List.exists (fun (i, _) -> i = i1) vfsum.Vf.vf1
+                    || List.mem i1 vfsum.Vf.vf4
                 in
                 if wanted && after_anchor u.Seg.sid then begin
                   match Func.find_stmt f u.Seg.sid with
@@ -420,7 +427,7 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                     | None -> ())
                   | _ -> ()
                 end
-              | _ -> ())
+              | None -> ())
             | _ -> ())
           uses;
       (* 4. flow out through the return *)
@@ -548,8 +555,8 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
   let incidents_before =
     match resilience with Some l -> Resilience.count l | None -> 0
   in
-  (* Without a VF table (its generation crashed) the engine descends into
-     every defined callee — slower but soundy. *)
+  (* Without a VF table (a checker the sweep did not summarise) the engine
+     descends into every defined callee — slower but soundy. *)
   let config, vf =
     match vf with
     | Some vf -> (config, vf)

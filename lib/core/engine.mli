@@ -116,10 +116,11 @@ val run :
     (marked [Infeasible]) so precision can be measured, but
     [Report.is_reported] is false for them.
 
-    [vf] is the checker's VF-summary table, generated by the caller
-    ({!Analysis.check} or the analysis server) and matching [prog];
-    [None] — its generation crashed — turns VF pruning off, so the engine
-    descends into every defined callee.  Sources are enumerated from the
+    [vf] is the checker's VF-summary table, built by the caller's sweep
+    ({!Analysis.sweep}) and matching [prog]; [None] — a checker the sweep
+    did not summarise — turns VF pruning off, so the engine descends into
+    every defined callee.  A callee without an entry in the table (its
+    summary crashed) is descended into the same way.  Sources are enumerated from the
     IR ({!Checker_spec.t.sources}); a function is asked for its SEG only
     when it has sources, and one without a SEG contributes none.
 

@@ -55,6 +55,17 @@ let bottom_up_sccs t =
     Pinpoint_util.Digraph.sccs g
     |> List.map (fun comp -> List.map (fun i -> funcs.(i)) comp)
 
+let callees (fs : Func.t list) =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      Func.iter_stmts f (fun _ s ->
+          match s.Stmt.kind with
+          | Stmt.Call c -> Hashtbl.replace seen c.Stmt.callee ()
+          | _ -> ()))
+    fs;
+  Hashtbl.fold (fun k () acc -> k :: acc) seen []
+
 let n_stmts t = List.fold_left (fun acc f -> acc + Func.n_stmts f) 0 t.funcs
 
 let loc_estimate t =

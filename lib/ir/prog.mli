@@ -39,6 +39,10 @@ val bottom_up_sccs : t -> Func.t list list
     order for Mod/Ref, the connector transformation and summary
     generation. *)
 
+val callees : Func.t list -> string list
+(** Distinct callee names of the functions' call statements, defined or
+    not. *)
+
 val n_stmts : t -> int
 
 val loc_estimate : t -> int

@@ -119,3 +119,33 @@ let run_bottom_up ?weights pool (g : Digraph.t) (f : int list list -> unit) =
   let comps = Digraph.sccs g in
   if Pool.jobs pool <= 1 then List.iter (fun c -> f [ c ]) comps
   else run_dag ?weights pool g (Array.of_list comps) f
+
+(* The dependency DAG over a listed set of components: one node per
+   component, an edge to each other listed component it calls into.  Its
+   own components are singletons, so each batch member maps back to one
+   listed SCC. *)
+let run_sccs ?pool ~weight ~name ~callees sccs f =
+  match pool with
+  | Some pool when Pool.jobs pool > 1 ->
+    let units = Array.of_list sccs in
+    let unit_of = Hashtbl.create 64 in
+    Array.iteri
+      (fun k scc -> List.iter (fun x -> Hashtbl.replace unit_of (name x) k) scc)
+      units;
+    let g = Digraph.create ~initial_capacity:(Array.length units) () in
+    if Array.length units > 0 then Digraph.ensure_node g (Array.length units - 1);
+    Array.iteri
+      (fun k scc ->
+        List.iter
+          (fun callee ->
+            match Hashtbl.find_opt unit_of callee with
+            | Some j when j <> k -> Digraph.add_edge g k j
+            | _ -> ())
+          (callees scc))
+      units;
+    let weights =
+      Array.map (List.fold_left (fun acc x -> acc + weight x) 0) units
+    in
+    run_bottom_up ~weights pool g (fun batch ->
+        f (List.concat_map (List.map (Array.get units)) batch))
+  | _ -> List.iter (fun c -> f [ c ]) sccs

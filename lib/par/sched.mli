@@ -32,3 +32,22 @@ val run_bottom_up :
     the calling domain, which helps); it must do its own locking around
     shared tables and must not raise (wrap the body in
     {!Pinpoint_util.Resilience.protect}). *)
+
+val run_sccs :
+  ?pool:Pool.t ->
+  weight:('a -> int) ->
+  name:('a -> string) ->
+  callees:('a list -> string list) ->
+  'a list list ->
+  ('a list list -> unit) ->
+  unit
+(** [run_sccs ?pool ~weight ~name ~callees sccs f] runs one bottom-up pass
+    over [sccs]: call-graph components in bottom-up order, the whole
+    program's or a subset closed under "is a transitive caller of".
+    Component [c] depends on every other listed component holding one of
+    [callees c] (matched by [name]); a callee outside the list counts as
+    done.  With a pool of more than one job the components run as the
+    batched wave of {!run_bottom_up} over that dependency DAG, batches
+    sized by the summed [weight] of their members; without one this is
+    [List.iter (fun c -> f [c]) sccs].  The same contract on [f] as
+    {!run_bottom_up}. *)

@@ -257,11 +257,7 @@ let is_conduit_store value =
   | Stmt.Ovar v -> ( match v.Var.kind with Var.Aux_formal _ -> true | _ -> false)
   | _ -> false
 
-let is_conduit_load (v : Var.t) =
-  match v.Var.kind with Var.Aux_return _ -> true | _ -> false
-
-let run ?(discover = true) (f : Func.t) : t =
-  ignore discover;
+let run (f : Func.t) : t =
   let ctx =
     {
       f;
@@ -398,7 +394,6 @@ let run ?(discover = true) (f : Func.t) : t =
             (* REF logging for formal-rooted cells happens inside
                materialisation; loads of locally-stored cells do not read
                incoming state. *)
-            ignore (is_conduit_load v);
             if Ty.is_pointer v.Var.ty then
               set_pts v
                 (List.concat_map
@@ -548,13 +543,13 @@ let cum_wall_s = ref 0.0
 let cumulative_wall_s () = Mutex.protect cum_lock (fun () -> !cum_wall_s)
 let reset_cumulative_wall () = Mutex.protect cum_lock (fun () -> cum_wall_s := 0.0)
 
-let run ?discover f =
+let run f =
   let t0 = Pinpoint_util.Metrics.now () in
   Fun.protect
     ~finally:(fun () ->
       let dt = Pinpoint_util.Metrics.now () -. t0 in
       Mutex.protect cum_lock (fun () -> cum_wall_s := !cum_wall_s +. dt))
-    (fun () -> run ?discover f)
+    (fun () -> run f)
 
 let pts_of (t : t) v =
   match Var.Tbl.find_opt t.pts v with Some p -> p | None -> []

@@ -62,12 +62,11 @@ val pts_of : t -> Pinpoint_ir.Var.t -> (Cell.t * Pinpoint_smt.Expr.t) list
 val pts_of_operand :
   t -> Pinpoint_ir.Stmt.operand -> (Cell.t * Pinpoint_smt.Expr.t) list
 
-val run : ?discover:bool -> Pinpoint_ir.Func.t -> t
-(** Analyse one function.  With [~discover:true] (the Mod/Ref pass) the
-    analysis materialises incoming values for any outside-rooted cell and
-    logs REF/MOD paths; with [false] (the post-transformation pass) cells
-    seeded by conduit statements resolve naturally and REF/MOD are still
-    reported but the conduit seeds take precedence. *)
+val run : Pinpoint_ir.Func.t -> t
+(** Analyse one function.  The same analysis serves the Mod/Ref pass and
+    the post-transformation pass: it materialises incoming values for any
+    outside-rooted cell and logs REF/MOD paths, and on a transformed body
+    the cells seeded by conduit statements resolve naturally. *)
 
 val stats_sat_conditions : unit -> int * int
 (** [(kept, pruned)] — how many conditional points-to entries were kept vs

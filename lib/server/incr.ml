@@ -28,14 +28,11 @@ module Obs = Pinpoint_obs.Obs
 module Resilience = Pinpoint_util.Resilience
 module Prog = Pinpoint_ir.Prog
 module Func = Pinpoint_ir.Func
-module Var = Pinpoint_ir.Var
 module Seg = Pinpoint_seg.Seg
 module Transform = Pinpoint_transform.Transform
 module Rv = Pinpoint_summary.Rv
 module Vf = Pinpoint_summary.Vf
 module Store = Pinpoint_store.Store
-module Pool = Pinpoint_par.Pool
-module Chunk = Pinpoint_par.Chunk
 
 type state = {
   resilience : Resilience.log;
@@ -53,10 +50,9 @@ type state = {
   mutable transform : Transform.result;
   mutable segs : (string, Seg.t) Hashtbl.t;
   mutable rv : Rv.t;
-  vfs : (string, Pinpoint.Checker_spec.t * Vf.t) Hashtbl.t;
-      (** resident VF tables by checker name, generated together
-          ({!Pinpoint.Analysis.summarise_vf}) and refreshed by one
-          {!Vf.update} per edit *)
+  mutable vfs : (string, Pinpoint.Checker_spec.t * Vf.t) Hashtbl.t;
+      (** resident VF tables by checker name, one per registered checker:
+          built by the load's sweep and refreshed by each update's *)
   memos : (string, Pinpoint.Engine.memo) Hashtbl.t;
       (** resident per-checker search results, filled by {!check} and
           invalidated by footprint on each update *)
@@ -144,7 +140,7 @@ let full_build st ~files ~file_fdecls =
   st.transform <- a.Pinpoint.Analysis.transform;
   st.segs <- a.Pinpoint.Analysis.segs;
   st.rv <- a.Pinpoint.Analysis.rv;
-  Hashtbl.reset st.vfs;
+  st.vfs <- a.Pinpoint.Analysis.vfs;
   Hashtbl.reset st.memos;
   st.digests <- digest_table fdecls;
   st.structure <- structure_digest fdecls
@@ -168,8 +164,8 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
       prog = Prog.create ();
       transform = { Transform.ifaces = Hashtbl.create 0; ptas = Hashtbl.create 0 };
       segs = Hashtbl.create 0;
-      rv = Rv.generate (Prog.create ()) (fun _ -> None);
-      vfs = Hashtbl.create 8;
+      rv = Rv.create (Prog.create ());
+      vfs = Hashtbl.create 0;
       memos = Hashtbl.create 8;
       epoch = 0;
       n_updates = 0;
@@ -215,12 +211,6 @@ let caller_closure (prog : Prog.t) (seed : (string, unit) Hashtbl.t) :
       (Pinpoint_util.Digraph.preds g i)
   done;
   dirty
-
-let force_symbols_of (f : Func.t) =
-  List.iter (fun v -> ignore (Var.symbol v)) f.Func.params;
-  Func.iter_stmts f (fun _ s ->
-      List.iter (fun v -> ignore (Var.symbol v)) (Pinpoint_ir.Stmt.def s);
-      List.iter (fun v -> ignore (Var.symbol v)) (Pinpoint_ir.Stmt.uses s))
 
 (* Callee names of a function's call statements (the connector transform
    rewrites argument lists, never callee names). *)
@@ -335,117 +325,35 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
           st.prog.Prog.funcs;
       Hashtbl.iter (fun name f -> Hashtbl.replace st.prog.Prog.by_name name f)
         lowered;
-      (* … drop their derived state and stored searches … *)
-      Hashtbl.iter
-        (fun name () ->
-          Hashtbl.remove st.segs name;
-          Option.iter (fun store -> Store.remove_fn store name) st.store)
-        dirty_tbl;
+      (* … drop their stored artifacts, registering the fresh functions
+         with the store for decoding, and their stored searches … *)
+      Option.iter
+        (fun store ->
+          Hashtbl.iter (fun name () -> Store.remove_fn store name) dirty_tbl;
+          Hashtbl.iter (fun _ f -> Store.register_fn store f) lowered)
+        st.store;
       Hashtbl.iter
         (fun _ memo ->
           Pinpoint.Engine.invalidate_memo memo ~dirty
             ~callee_of_dirty:(Hashtbl.mem callees))
         st.memos;
       (* … and reprocess the dirty SCCs bottom-up against the retained
-         clean tables, mirroring the batch phase order.  One SCC pass over
-         the spliced program serves every stage.  Store mode: the dirty
-         functions' fresh variables were registered by re-lowering; their
-         PTAs stream back to the store and SEGs are spilled as rebuilt,
+         clean tables with the batch pipeline's two passes: the
+         transform, then the sweep that rebuilds their SEGs, RV and VF
+         entries.  One SCC pass over the spliced program serves both.
+         Store mode: their PTAs, SEGs and RV entries go back to the store,
          just like batch prepare. *)
       let dirty_sccs =
         List.filter
           (List.exists (fun (f : Func.t) -> dirty f.Func.fname))
           (Prog.bottom_up_sccs st.prog)
       in
-      (match st.store with
-      | Some store ->
-        List.iter
-          (fun (f : Func.t) -> if dirty f.Func.fname then Store.register_fn store f)
-          (Prog.functions st.prog);
-        Transform.update ~resilience:st.resilience
-          ~pta_sink:(Store.put_pta store) st.transform dirty_sccs
-      | None ->
-        Transform.update ~resilience:st.resilience ?pool:st.pool st.transform
-          dirty_sccs);
-      let dirty_funcs =
-        List.filter (fun (f : Func.t) -> dirty f.Func.fname)
-          (Prog.functions st.prog)
-      in
-      List.iter force_symbols_of dirty_funcs;
-      Seg.reserve_addresses dirty_funcs;
-      (* Rebuild the dirty SEGs, mirroring batch prepare: streaming in
-         store mode (artifact puts are sequential), chunked over the pool
-         otherwise — builds are per-function pure, the table writes below
-         happen positionally on this thread, so results are identical at
-         any [--jobs]. *)
-      (match st.store with
-      | Some store ->
-        List.iter
-          (fun (f : Func.t) ->
-            match Store.pta_of store f.Func.fname with
-            | Some pta -> (
-              match Pinpoint.Analysis.build_seg st.resilience f pta with
-              | Some seg -> Store.put_seg store f.Func.fname seg
-              | None -> ())
-            | None -> ())
-          dirty_funcs
-      | None ->
-        let dirty_arr = Array.of_list dirty_funcs in
-        let build (f : Func.t) =
-          match Hashtbl.find_opt st.transform.Transform.ptas f.Func.fname with
-          | Some pta -> Pinpoint.Analysis.build_seg st.resilience f pta
-          | None -> None
-        in
-        let built =
-          match st.pool with
-          | Some p when Pool.jobs p > 1 ->
-            let weights =
-              Array.map
-                (fun (f : Func.t) ->
-                  let n = ref 0 in
-                  Func.iter_blocks f (fun blk ->
-                      n := !n + List.length blk.Func.stmts);
-                  !n)
-                dirty_arr
-            in
-            Chunk.parallel_map ~weights p build dirty_arr
-          | _ -> Array.map (fun f -> Some (build f)) dirty_arr
-        in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Some (Some seg) ->
-              Hashtbl.replace st.segs dirty_arr.(i).Func.fname seg
-            | _ -> ())
-          built);
-      Rv.update ~resilience:st.resilience st.rv dirty_sccs;
-      let specs, tables =
-        List.split (Hashtbl.fold (fun _ entry acc -> entry :: acc) st.vfs [])
-      in
-      if specs <> [] then begin
-        let names =
-          String.concat ","
-            (List.map
-               (fun (s : Pinpoint.Checker_spec.t) -> s.Pinpoint.Checker_spec.name)
-               specs)
-        in
-        (* One refresh for the whole table set.  A crash drops every
-           table; the next check regenerates them (or the engine degrades
-           to no VF pruning) instead of serving stale ones. *)
-        let ok =
-          Resilience.protect ~log:st.resilience ~phase:Resilience.Vf_summary
-            ~subject:names
-            ~fallback_note:"resident VF tables dropped, regenerated on demand"
-            ~fallback:false
-            (fun () ->
-              Obs.span "summary.vf" ~attrs:[ ("checkers", names) ] (fun () ->
-                  Vf.update tables (seg_of st)
-                    (List.map Pinpoint.Checker_spec.vf_spec specs)
-                    dirty_sccs);
-              true)
-        in
-        if not ok then Hashtbl.reset st.vfs
-      end;
+      Transform.update ~resilience:st.resilience ?pool:st.pool
+        ?pta_sink:(Option.map Store.put_pta st.store)
+        st.transform dirty_sccs;
+      Pinpoint.Analysis.sweep ~resilience:st.resilience ?pool:st.pool
+        ?store:st.store st.prog st.transform ~segs:st.segs st.rv ~vfs:st.vfs
+        dirty_sccs;
       st.epoch <- st.epoch + 1;
       let cone = Hashtbl.length dirty_tbl in
       st.n_funcs_relowered <- st.n_funcs_relowered + cone;
@@ -471,9 +379,6 @@ let update (st : state) (changed : (string * string) list) : update_stats =
 
 let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =
-  let seg_of = seg_of st in
-  Pinpoint.Analysis.summarise_vf ~resilience:st.resilience st.prog seg_of
-    st.vfs [ spec ];
   let vf =
     Option.map snd (Hashtbl.find_opt st.vfs spec.Pinpoint.Checker_spec.name)
   in
@@ -486,7 +391,7 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
       m
   in
   Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ~memo
-    st.prog ~seg_of ~rv:st.rv ~vf spec
+    st.prog ~seg_of:(seg_of st) ~rv:st.rv ~vf spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

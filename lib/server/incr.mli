@@ -62,10 +62,8 @@ val check :
   state ->
   Pinpoint.Checker_spec.t ->
   Pinpoint.Report.t list * Pinpoint.Engine.stats
-(** Run one checker against the resident state.  The first check
-    summarises every registered checker plus this one in one VF pass
-    ({!Pinpoint.Analysis.summarise_vf}); later checks and updates reuse
-    and refresh that one table set. *)
+(** Run one checker against the resident state, with the VF table the
+    load's sweep built and each update's sweep refreshed. *)
 
 val epoch : state -> int
 (** Number of updates applied since load. *)

@@ -7,6 +7,7 @@ module Vf = Pinpoint_summary.Vf
 type stats = {
   spills : int;
   faults : int;
+  seg_faults : int;
   evictions : int;
   resident : int;
   file_bytes : int;
@@ -28,6 +29,7 @@ type t = {
   sizes : (string, int * int) Hashtbl.t; (* fname -> (n_vertices, n_edges) *)
   mutable spills : int;
   mutable faults : int;
+  mutable seg_faults : int;
   mutable evictions : int;
   mutable pub_spills : int; (* last published counter values *)
   mutable pub_faults : int;
@@ -56,6 +58,7 @@ let create ~dir ?(max_resident = 64) () =
     sizes = Hashtbl.create 1024;
     spills = 0;
     faults = 0;
+    seg_faults = 0;
     evictions = 0;
     pub_spills = 0;
     pub_faults = 0;
@@ -116,6 +119,7 @@ let seg_of_ t fname =
     match artifact t ("s/" ^ fname) with
     | None -> None
     | Some b -> (
+      t.seg_faults <- t.seg_faults + 1;
       match pta_of_ t fname with
       | None -> None (* a SEG without its PTA: treat as absent *)
       | Some pta ->
@@ -228,6 +232,7 @@ let stats t =
       {
         spills = t.spills;
         faults = t.faults;
+        seg_faults = t.seg_faults;
         evictions = t.evictions;
         resident = resident_ t;
         file_bytes = Blob.size t.blob;

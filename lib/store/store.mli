@@ -67,7 +67,8 @@ val drop_resident : t -> unit
 
 type stats = {
   spills : int;       (** artifacts encoded and appended *)
-  faults : int;       (** artifacts decoded back in *)
+  faults : int;       (** artifacts decoded back in, every kind *)
+  seg_faults : int;   (** of those, SEGs *)
   evictions : int;    (** resident entries dropped by the LRUs *)
   resident : int;     (** currently decoded functions (all kinds) *)
   file_bytes : int;

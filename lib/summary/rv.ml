@@ -18,29 +18,35 @@ type backend = {
 
 type t = {
   tbl : (string, entry option array) Hashtbl.t;
-  seg_of : string -> Seg.t option;
+  prog : Prog.t;  (* callee formals are read off its IR *)
   backend : backend option;
 }
 
-let max_close_depth = ref 6
-let max_summary_size = ref 4000
+let max_close_depth = 6
+let max_summary_size = 4000
+let create ?backend prog = { tbl = Hashtbl.create 64; prog; backend }
 
 let find t name =
   match Hashtbl.find_opt t.tbl name with
   | Some _ as r -> r
   | None -> ( match t.backend with Some b -> b.fetch name | None -> None)
 
-let put_entry t name entries =
+let publish t name entries =
   match t.backend with
   | Some b -> b.persist name entries
   | None -> Hashtbl.replace t.tbl name entries
 
+let remove t name =
+  Hashtbl.remove t.tbl name;
+  match t.backend with Some b -> b.forget name | None -> ()
+
 (* Close a constraint: resolve its receiver dependences with callee RV
    summaries, cloning callee symbols and binding callee formals to actual
    terms; recursively pull in the data dependence of those actuals.
-   [lookup] abstracts the summary table: during parallel generation it
-   routes through a per-SCC overlay + locked shared table, at engine time
-   it is a plain (read-only) [Hashtbl.find_opt]. *)
+   [lookup] abstracts the summary table: during the bottom-up sweep it
+   routes through a per-batch overlay + locked shared table, at engine
+   time it is {!find}.  Callee formals come from the IR, so closing never
+   needs a callee's SEG. *)
 let rec close_cres t ~lookup (seg : Seg.t) depth (cres : Seg.cres) :
     E.t * Var.Set.t =
   if depth <= 0 then (cres.Seg.f, cres.Seg.params)
@@ -60,9 +66,8 @@ let rec close_cres t ~lookup (seg : Seg.t) depth (cres : Seg.cres) :
             (* ① the receiver equals the returned value *)
             Clone.bind frame (Var.symbol sum.var) (Var.term r.Seg.rvar);
             (* ③ callee formals are the actual terms *)
-            (match t.seg_of r.Seg.callee with
-            | Some callee_seg ->
-              let callee_params = (Seg.func callee_seg).Func.params in
+            (match Prog.find t.prog r.Seg.callee with
+            | Some callee ->
               List.iteri
                 (fun i (p : Var.t) ->
                   if Var.Set.mem p sum.params then
@@ -79,126 +84,37 @@ let rec close_cres t ~lookup (seg : Seg.t) depth (cres : Seg.cres) :
                         acc_p := Var.Set.union !acc_p p'
                       | _ -> ())
                     | None -> ())
-                callee_params
+                callee.Func.params
             | None -> ());
             (* ② the callee's closed range constraint, cloned *)
             acc_f := E.and_ !acc_f (Clone.subst frame sum.closed)
           | None -> ())
         | _ -> () (* unknown callee / SCC-internal: receiver stays free *))
       cres.Seg.recvs;
-    if E.size !acc_f > !max_summary_size then (cres.Seg.f, cres.Seg.params)
+    if E.size !acc_f > max_summary_size then (cres.Seg.f, cres.Seg.params)
     else (!acc_f, !acc_p)
   end
 
-let close t seg ?(depth = !max_close_depth) cres =
+let close t seg ?(depth = max_close_depth) cres =
   close_cres t ~lookup:(find t) seg depth cres
 
-module R = Pinpoint_util.Resilience
-
-(* One unit of bottom-up work: the RV entries of every member of one SCC.
-   [lookup]/[put] abstract the summary table (direct in the sequential
-   order; overlay + locked shared table on the pool) — the member order is
-   the same either way, so so are the generated summaries. *)
-let process_scc ?resilience t ~lookup ~put (scc : Func.t list) =
-  List.iter
-    (fun (f : Func.t) ->
-      match t.seg_of f.Func.fname with
-      | None -> ()
-      | Some seg ->
-        (* Per-function barrier: a crash while closing one function's
-           summary leaves it without an RV entry (its receivers stay
-           unconstrained — soundy) instead of aborting the phase. *)
-        let entries =
-          R.protect ?log:resilience ~phase:R.Rv_summary ~subject:f.Func.fname
-            ~fallback_note:"no RV summary (receivers stay free)" ~fallback:None
-            (fun () ->
-              match Func.return_stmt f with
-              | Some { Stmt.kind = Stmt.Return ops; _ } ->
-                Some
-                  (Array.of_list
-                     (List.map
-                        (function
-                          | Stmt.Ovar v ->
-                            let cres = Seg.dd seg v in
-                            let closed, params =
-                              close_cres t ~lookup seg !max_close_depth cres
-                            in
-                            let closed =
-                              if E.size closed > !max_summary_size then E.tru
-                              else closed
-                            in
-                            Some { var = v; closed; params }
-                          | _ -> None)
-                        ops))
-              | _ -> Some [||])
-        in
-        Option.iter (put f.Func.fname) entries)
-    scc
-
-let generate ?resilience ?pool ?backend (prog : Prog.t)
-    (seg_of : string -> Seg.t option) : t =
-  let t = { tbl = Hashtbl.create 64; seg_of; backend } in
-  (match pool with
-  | _ when backend <> None ->
-    (* Backend (store) mode is sequential by design: entries spill as
-       they are produced, so there is no shared table to overlay. *)
-    List.iter
-      (process_scc ?resilience t ~lookup:(find t) ~put:(put_entry t))
-      (Prog.bottom_up_sccs prog)
-  | Some pool when Pinpoint_par.Pool.jobs pool > 1 ->
-    (* Batched SCC wave (DESIGN.md §4.15): simultaneously-ready components
-       are mutually independent, so one task processes a whole batch
-       against a single batch-local overlay and publishes it with one lock
-       acquisition instead of one per component.  Summary closure chases
-       callee entries transitively (unlike the transform's one-level
-       interface lookups), so reads keep the locked fallback — the
-       overlay still absorbs every same-batch lookup. *)
-    let g, funcs = Prog.call_graph prog in
-    let weights =
-      Array.map
-        (fun (f : Func.t) ->
-          let n = ref 0 in
-          Func.iter_blocks f (fun blk -> n := !n + List.length blk.Func.stmts);
-          !n)
-        funcs
-    in
-    let lock = Mutex.create () in
-    Pinpoint_par.Sched.run_bottom_up ~weights pool g (fun batch ->
-        let overlay = Hashtbl.create 16 in
-        let lookup name =
-          match Hashtbl.find_opt overlay name with
-          | Some _ as r -> r
-          | None -> Mutex.protect lock (fun () -> Hashtbl.find_opt t.tbl name)
-        in
-        List.iter
-          (fun members ->
-            let scc = List.map (fun i -> funcs.(i)) members in
-            process_scc ?resilience t ~lookup ~put:(Hashtbl.replace overlay)
-              scc)
-          batch;
-        Mutex.protect lock (fun () ->
-            Hashtbl.iter (Hashtbl.replace t.tbl) overlay))
-  | _ ->
-    List.iter
-      (process_scc ?resilience t
-         ~lookup:(Hashtbl.find_opt t.tbl)
-         ~put:(Hashtbl.replace t.tbl))
-      (Prog.bottom_up_sccs prog));
-  t
-
-(* Incremental regeneration (DESIGN.md §4.13): drop the dirty entries,
-   then redo the dirty SCCs bottom-up against the retained clean entries.
-   The dirty set is caller-closed (see {!Pinpoint_transform.Transform.update}),
-   so a clean function's summary — which depends only on its own SEG and
-   its callees' summaries — is exactly what a full regenerate would
-   produce, by induction over the bottom-up order. *)
-let remove (t : t) name =
-  Hashtbl.remove t.tbl name;
-  match t.backend with Some b -> b.forget name | None -> ()
-
-let update ?resilience (t : t) (sccs : Func.t list list) =
-  List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
-  List.iter (process_scc ?resilience t ~lookup:(find t) ~put:(put_entry t)) sccs
+let summarise t ~lookup seg =
+  match Func.return_stmt (Seg.func seg) with
+  | Some { Stmt.kind = Stmt.Return ops; _ } ->
+    Array.of_list
+      (List.map
+         (function
+           | Stmt.Ovar v ->
+             let closed, params =
+               close_cres t ~lookup seg max_close_depth (Seg.dd seg v)
+             in
+             let closed =
+               if E.size closed > max_summary_size then E.tru else closed
+             in
+             Some { var = v; closed; params }
+           | _ -> None)
+         ops)
+  | _ -> [||]
 
 let pp ppf t =
   Hashtbl.iter

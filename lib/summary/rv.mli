@@ -6,9 +6,10 @@
     function's own callees — and the subset [P] of formal parameters the
     constraint still depends on.
 
-    Summaries are generated bottom-up over call-graph SCCs; calls into the
-    same SCC are left unresolved (their receivers stay unconstrained —
-    recursion unrolled once, §4.2).  Closing substitutes callee summaries
+    Summaries are generated bottom-up over call-graph SCCs, one function
+    at a time right after its SEG is built; calls into the same SCC are
+    left unresolved (their receivers stay unconstrained — recursion
+    unrolled once, §4.2).  Closing substitutes callee summaries
     with cloned symbols and binds callee formals to the caller's actual
     terms (the bold parts of Equation 2). *)
 
@@ -21,7 +22,7 @@ type entry = {
 type t
 
 (** A disk-resident home for summaries (the artifact store).  With a
-    backend installed, generated entries go to [persist] instead of the
+    backend installed, published entries go to [persist] instead of the
     in-heap table and reads fall back to [fetch] (the backend does its
     own decode caching), so resident memory stays bounded by the
     backend's LRU rather than the program's function count. *)
@@ -31,44 +32,36 @@ type backend = {
   forget : string -> unit;
 }
 
-val max_close_depth : int ref
-(** Call-chain depth budget when closing constraints (default 6 — the
-    paper's "six levels of calls"). *)
+val max_close_depth : int
+(** Call-chain depth budget when closing constraints: 6, the paper's "six
+    levels of calls". *)
 
-val max_summary_size : int ref
-(** Constraint size cap; larger summaries degrade to [true] (soundy:
-    under-constraining keeps reports). *)
+val max_summary_size : int
+(** Constraint size cap (4000); larger summaries degrade to [true]
+    (soundy: under-constraining keeps reports). *)
 
-val generate :
-  ?resilience:Pinpoint_util.Resilience.log ->
-  ?pool:Pinpoint_par.Pool.t ->
-  ?backend:backend ->
-  Pinpoint_ir.Prog.t ->
-  (string -> Pinpoint_seg.Seg.t option) ->
-  t
-(** Generate summaries for every function of the program.  Each
-    per-function unit runs inside an exception barrier: a crash records
-    an incident on [resilience] (when given) and leaves that function
-    without a summary — its receivers stay unconstrained (soundy) —
-    instead of aborting the phase.  With [pool] (and more than one job)
-    call-graph SCCs are processed as a bottom-up wave on the pool,
-    producing the same summaries as the sequential order.  With
-    [backend] the generation runs sequentially (entries spill as they
-    are produced) and [pool] is ignored. *)
+val create : ?backend:backend -> Pinpoint_ir.Prog.t -> t
+(** An empty table for [prog].  Closing reads callee formals off [prog]'s
+    IR, never a callee's SEG.  With [backend] published entries spill to
+    it instead of the in-heap table. *)
 
-val update :
-  ?resilience:Pinpoint_util.Resilience.log ->
+val summarise :
   t ->
-  Pinpoint_ir.Func.t list list ->
-  unit
-(** Incremental regeneration for the analysis server (DESIGN.md §4.13):
-    [update t sccs] drops the entries of the dirty SCCs' members and
-    redoes those SCCs, in the given bottom-up order, against the retained
-    clean entries.  The dirty set must be closed under "is a transitive
-    caller of a dirty function"; the summaries then equal a from-scratch
-    {!generate} over the same program.  The [seg_of] closure given at
-    {!generate} time is consulted again, so it must reflect the
-    {e updated} SEG table (the server's table is mutated in place). *)
+  lookup:(string -> entry option array option) ->
+  Pinpoint_seg.Seg.t ->
+  entry option array
+(** [summarise t ~lookup seg] is the entries of [seg]'s function, one per
+    (extended) return position, closed against the callee entries
+    [lookup] finds.  The bottom-up sweep ({!Pinpoint.Analysis.prepare})
+    calls it once per function, callees first, and publishes each result
+    before the next member of the SCC runs; a same-SCC callee not yet
+    summarised is unknown to [lookup], so its receivers stay free. *)
+
+val publish : t -> string -> entry option array -> unit
+(** Store one function's entries (in the backend, if any). *)
+
+val remove : t -> string -> unit
+(** Drop one function's entries (server incremental update). *)
 
 val find : t -> string -> entry option array option
 (** Per return position; [None] entries are non-variable returns. *)

@@ -16,7 +16,7 @@ type fsum = {
 
 type t = (string, fsum) Hashtbl.t
 
-let empty () : t = Hashtbl.create 1
+let empty () : t = Hashtbl.create 64
 let find t name = Hashtbl.find_opt t name
 
 (* One function's view for the pass: its SEG, its call statements by sid,
@@ -103,13 +103,14 @@ let vid_set vars =
   List.iter (fun (v : Var.t) -> Hashtbl.replace s v.Var.vid ()) vars;
   s
 
-(* Summarise one function for every spec.  VF1 and the per-parameter
-   reach sets depend only on [follow_operands]: by induction over the
-   bottom-up order, every table of one mode holds the same VF1 facts for
-   the same callees, so the reach sets are computed once per mode against
-   the first table of that mode.  VF2–VF4 then read each spec's own
-   sources, sinks and callee facts. *)
-let summarise seg (specs : spec array) (tables : t array) : fsum array =
+(* Summarise one function for every spec; [find k callee] is the callee's
+   entry for spec [k].  VF1 and the per-parameter reach sets depend only
+   on [follow_operands]: by induction over the bottom-up order, every
+   table of one mode holds the same VF1 facts for the same callees, so the
+   reach sets are computed once per mode against the first spec of that
+   mode.  VF2–VF4 then read each spec's own sources, sinks and callee
+   facts. *)
+let summarise (specs : spec array) ~find seg : fsum array =
   let f = Seg.func seg in
   let cx = fctx seg in
   let params = Array.of_list f.Func.params in
@@ -119,9 +120,7 @@ let summarise seg (specs : spec array) (tables : t array) : fsum array =
     | Some m -> m
     | None ->
       (* [k] is the first spec of this mode *)
-      let vf1_of callee =
-        Option.map (fun s -> s.vf1) (Hashtbl.find_opt tables.(k) callee)
-      in
+      let vf1_of callee = Option.map (fun s -> s.vf1) (find k callee) in
       let param_reach =
         Array.map (fun p -> reach cx ~follow ~vf1_of [ p ]) params
       in
@@ -139,7 +138,6 @@ let summarise seg (specs : spec array) (tables : t array) : fsum array =
   in
   Array.mapi
     (fun k (spec : spec) ->
-      let table = tables.(k) in
       let follow = spec.follow_operands in
       let vf1_of, param_reach, vf1 = for_mode k follow in
       (* Source variables: the checker's own sources plus receivers that
@@ -148,7 +146,7 @@ let summarise seg (specs : spec array) (tables : t array) : fsum array =
       let call_sources =
         Hashtbl.fold
           (fun _ (c : Stmt.call) acc ->
-            match Hashtbl.find_opt table c.Stmt.callee with
+            match find k c.Stmt.callee with
             | None -> acc
             | Some cs ->
               let from_vf2 =
@@ -175,7 +173,7 @@ let summarise seg (specs : spec array) (tables : t array) : fsum array =
             else
               match u.Seg.ukind with
               | Seg.Call_arg { callee; arg_index } -> (
-                match Hashtbl.find_opt table callee with
+                match find k callee with
                 | Some cs when List.mem (arg_index + 1) cs.vf4 ->
                   Some u.Seg.uvar
                 | _ -> None)
@@ -207,44 +205,9 @@ let summarise seg (specs : spec array) (tables : t array) : fsum array =
       { vf1; vf2; vf3 = params_meeting source_set; vf4 = params_meeting sinks })
     specs
 
-(* Summarise the given functions in order, for every spec at once: each
-   function's SEG is fetched once and its summaries land in every table
-   before the next function is visited, so SCC members see exactly the
-   callee entries a per-spec pass would. *)
-let summarise_all seg_of specs tables (funcs : Func.t list) =
-  let specs = Array.of_list specs and tables = Array.of_list tables in
-  List.iter
-    (fun (f : Func.t) ->
-      match seg_of f.Func.fname with
-      | None -> ()
-      | Some seg ->
-        Array.iteri
-          (fun k s -> Hashtbl.replace tables.(k) f.Func.fname s)
-          (summarise seg specs tables))
-    funcs
-
-let generate (prog : Prog.t) (seg_of : string -> Seg.t option)
-    (specs : spec list) : t list =
-  let tables = List.map (fun _ -> Hashtbl.create 64) specs in
-  summarise_all seg_of specs tables (List.concat (Prog.bottom_up_sccs prog));
-  tables
-
-(* Incremental regeneration (DESIGN.md §4.13): same contract as
-   {!Rv.update} — the dirty set is caller-closed, so every SCC is wholly
-   dirty or wholly clean, and clean summaries (a function of the
-   function's own SEG and its callees' summaries) are already what a full
-   generate would compute. *)
-let update (tables : t list) (seg_of : string -> Seg.t option)
-    (specs : spec list) (sccs : Func.t list list) =
-  let funcs = List.concat sccs in
-  List.iter
-    (fun (t : t) ->
-      List.iter (fun (f : Func.t) -> Hashtbl.remove t f.Func.fname) funcs)
-    tables;
-  summarise_all seg_of specs tables funcs
-
 let fold (t : t) ~init ~f = Hashtbl.fold (fun name s acc -> f acc name s) t init
 let add (t : t) name s = Hashtbl.replace t name s
+let remove (t : t) name = Hashtbl.remove t name
 
 let pp ppf (t : t) =
   Hashtbl.iter

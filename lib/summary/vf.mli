@@ -15,16 +15,16 @@
 
     Summaries are reachability-only; the precise conditions are recovered
     on demand during path-condition computation (§3.3.1), which is what
-    keeps summary generation cheap.  Generated bottom-up; recursion is cut
-    once.  Parameter and return indices refer to the {e extended}
-    (post-transformation) interface, so value flows through memory
-    side-effects ride the connector variables.
+    keeps summary generation cheap.  Generated bottom-up, in the same
+    sweep as the SEGs and RV summaries; recursion is cut once.  Parameter
+    and return indices refer to the {e extended} (post-transformation)
+    interface, so value flows through memory side-effects ride the
+    connector variables.
 
-    One pass summarises every checker: each function's SEG is fetched
-    once and its per-parameter forward reachability runs once per
-    [follow_operands] mode.  VF1 and those reach sets depend on nothing
-    else, so they are shared; only VF2–VF4 read a checker's sources and
-    sinks. *)
+    One call summarises a function for every checker: its per-parameter
+    forward reachability runs once per [follow_operands] mode.  VF1 and
+    those reach sets depend on nothing else, so they are shared; only
+    VF2–VF4 read a checker's sources and sinks. *)
 
 type spec = {
   follow_operands : bool;
@@ -44,27 +44,20 @@ type fsum = {
 
 type t
 
-val generate :
-  Pinpoint_ir.Prog.t -> (string -> Pinpoint_seg.Seg.t option) -> spec list -> t list
-(** [generate prog seg_of specs] is one table per spec, in order, filled
-    in one bottom-up pass.  A function without a SEG gets no entry. *)
+val summarise :
+  spec array ->
+  find:(int -> string -> fsum option) ->
+  Pinpoint_seg.Seg.t ->
+  fsum array
+(** [summarise specs ~find seg] is the entries of [seg]'s function, one
+    per spec, against the callee entries [find k callee] gives for spec
+    [k].  The bottom-up sweep ({!Pinpoint.Analysis.prepare}) calls it once
+    per function, callees first, right after the function's RV entries,
+    and publishes each result before the next member of the SCC runs; a
+    same-SCC callee not yet summarised is unknown to [find]. *)
 
 val empty : unit -> t
 (** A summary table with no entries. *)
-
-val update :
-  t list ->
-  (string -> Pinpoint_seg.Seg.t option) ->
-  spec list ->
-  Pinpoint_ir.Func.t list list ->
-  unit
-(** Incremental regeneration for the analysis server (DESIGN.md §4.13):
-    [update tables seg_of specs sccs] drops the dirty SCCs' members from
-    every table and recomputes them, in the given bottom-up order, against
-    the retained clean entries.  [tables] and [specs] correspond
-    positionally.  The dirty set must be closed under "is a transitive
-    caller of a dirty function"; each table then equals a from-scratch
-    {!generate} over the same program. *)
 
 val find : t -> string -> fsum option
 
@@ -72,6 +65,9 @@ val fold : t -> init:'a -> f:('a -> string -> fsum -> 'a) -> 'a
 (** Iterate all entries (the artifact store's encode path). *)
 
 val add : t -> string -> fsum -> unit
-(** Insert one entry (the artifact store's decode path). *)
+(** Insert one entry (the sweep, and the artifact store's decode path). *)
+
+val remove : t -> string -> unit
+(** Drop one entry (server incremental update). *)
 
 val pp : Format.formatter -> t -> unit

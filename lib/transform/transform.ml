@@ -1,6 +1,5 @@
 open Pinpoint_ir
 module Pta = Pinpoint_pta.Pta
-module Digraph = Pinpoint_util.Digraph
 
 type iface = {
   ref_paths : (int * int * Var.t) list;
@@ -204,15 +203,13 @@ module R = Pinpoint_util.Resilience
 (* One unit of bottom-up work: both stages for every member of one SCC.
    Within an SCC, a member processed earlier publishes its interface for
    later members (mutual recursion keeps only the not-yet-seen calls
-   un-rewritten); [iface_of]/[put_iface]/[flush_ifaces]/[put_pta] abstract
-   whether publication goes straight to the result tables (sequential) or
-   through a task-local overlay merged under a lock (parallel) — the
-   within-SCC processing order, and thus every id and formula, is the same
-   either way.  Each per-function unit runs inside an exception barrier: a
-   crash leaves that function without an interface (callers treat it as
-   unknown, soundy) instead of killing the whole pipeline. *)
-let process_scc ?resilience ~iface_of ~put_iface ~flush_ifaces ~put_pta
-    (scc : Func.t list) =
+   un-rewritten); [iface_of]/[put_iface]/[put_pta] route publication
+   through the batch's overlay, so the within-SCC processing order, and
+   thus every id and formula, is the same at every [--jobs] level.  Each
+   per-function unit runs inside an exception barrier: a crash leaves that
+   function without an interface (callers treat it as unknown, soundy)
+   instead of killing the whole pipeline. *)
+let process_scc ?resilience ~iface_of ~put_iface ~put_pta (scc : Func.t list) =
   List.iter
     (fun (f : Func.t) ->
       R.protect ?log:resilience ~phase:R.Transform ~subject:f.Func.fname
@@ -223,12 +220,11 @@ let process_scc ?resilience ~iface_of ~put_iface ~flush_ifaces ~put_pta
           let pta1 =
             Pinpoint_obs.Obs.span "pta"
               ~attrs:[ ("fn", f.Func.fname); ("stage", "discover") ]
-              (fun () -> Pta.run ~discover:true f)
+              (fun () -> Pta.run f)
           in
           let iface = expose_side_effects f pta1 in
           put_iface f.Func.fname iface))
     scc;
-  flush_ifaces ();
   (* Second stage per SCC member: final PTA on the transformed body. *)
   List.iter
     (fun (f : Func.t) ->
@@ -239,63 +235,58 @@ let process_scc ?resilience ~iface_of ~put_iface ~flush_ifaces ~put_pta
           let pta2 =
             Pinpoint_obs.Obs.span "pta"
               ~attrs:[ ("fn", f.Func.fname); ("stage", "final") ]
-              (fun () -> Pta.run ~discover:false f)
+              (fun () -> Pta.run f)
           in
           put_pta f.Func.fname pta2))
     scc
 
-let fn_weight (f : Func.t) =
-  let n = ref 0 in
-  Func.iter_blocks f (fun blk -> n := !n + List.length blk.Func.stmts);
-  !n
+let remove (t : result) name =
+  Hashtbl.remove t.ifaces name;
+  Hashtbl.remove t.ptas name
 
-(* Distinct callee names of a set of functions — computed {e before} any
-   rewriting, which neither renames callees nor adds call statements, so
-   the scan is a complete upper bound on what [iface_of] will ask for. *)
-let callee_names (fs : Func.t list) =
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      Func.iter_blocks f (fun blk ->
-          List.iter
-            (fun (s : Stmt.t) ->
-              match s.Stmt.kind with
-              | Stmt.Call c ->
-                if not (Hashtbl.mem seen c.Stmt.callee) then
-                  Hashtbl.add seen c.Stmt.callee ()
-              | _ -> ())
-            blk.Func.stmts))
-    fs;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []
+(* Incremental re-transformation (DESIGN.md §4.13), and with every SCC
+   the whole-program run.  [sccs] are the components holding the
+   functions whose bodies are fresh (re-lowered, untransformed IR),
+   callees first — by construction of the invalidation cone the set is
+   closed under "is a transitive caller of", so every SCC is either
+   entirely dirty or entirely clean.  Dirty entries are dropped first:
+   during reprocessing a same-SCC member not yet reprocessed must look
+   unknown, exactly as it does in a from-scratch bottom-up run — with
+   that, induction over the bottom-up SCC order gives interfaces and
+   points-to results identical to a full [run] on the same program.
 
-(* Parallel bottom-up driver shared by [run] and [update] (DESIGN.md
-   §4.15): one pool task per batch of simultaneously-ready (hence mutually
-   independent) components.  The batch keeps a local interface overlay,
-   prefetches the already-published cross-batch callee interfaces in a
-   single lock acquisition, and flushes its interfaces and points-to
-   results in one more — per-component locking is gone.  A callee is
-   either in the same SCC (overlay), in a completed component (prefetch
-   cache; the batch can't depend on a sibling batch member because
-   simultaneously-ready components form an antichain), or unknown — the
-   locked fallback lookup is only a safety net and never hits. *)
-let run_batched ?resilience pool ((g, units) : Digraph.t * Func.t list array)
-    ~(ifaces : (string, iface) Hashtbl.t)
-    ~(put_ptas : (string * Pta.t) list -> unit) =
-  let weights =
-    Array.map (List.fold_left (fun acc f -> acc + fn_weight f) 0) units
+   One batch of simultaneously-ready (hence mutually independent)
+   components at a time (DESIGN.md §4.15): the batch keeps a local
+   interface overlay, prefetches the already-published cross-batch callee
+   interfaces in a single lock acquisition, and flushes its interfaces and
+   points-to results in one more.  A callee is either in the same SCC
+   (overlay), in a completed component (prefetch cache; the batch can't
+   depend on a sibling batch member because simultaneously-ready
+   components form an antichain), or unknown — the locked fallback lookup
+   is only a safety net and never hits.  Without a pool every batch is one
+   SCC.  Store mode ([pta_sink]) streams each SCC's points-to results to
+   the sink as it finishes, so it runs without the pool: resident memory
+   stays one SCC's worth. *)
+let update ?resilience ?pool ?pta_sink (t : result) (sccs : Func.t list list)
+    =
+  List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
+  let pool, put_pta =
+    match pta_sink with
+    | Some sink -> (None, sink)
+    | None -> (pool, Hashtbl.replace t.ptas)
   in
   let lock = Mutex.create () in
-  Pinpoint_par.Sched.run_bottom_up ~weights pool g (fun batch ->
-      let sccs =
-        List.map (List.concat_map (fun i -> units.(i))) batch
-      in
+  Pinpoint_par.Sched.run_sccs ?pool ~weight:Func.n_stmts
+    ~name:(fun (f : Func.t) -> f.Func.fname)
+    ~callees:Prog.callees sccs
+    (fun sccs ->
       let overlay : (string, iface) Hashtbl.t = Hashtbl.create 16 in
       let cache : (string, iface) Hashtbl.t = Hashtbl.create 64 in
-      let names = callee_names (List.concat sccs) in
+      let names = Prog.callees (List.concat sccs) in
       Mutex.protect lock (fun () ->
           List.iter
             (fun name ->
-              match Hashtbl.find_opt ifaces name with
+              match Hashtbl.find_opt t.ifaces name with
               | Some i -> Hashtbl.replace cache name i
               | None -> ())
             names);
@@ -309,105 +300,18 @@ let run_batched ?resilience pool ((g, units) : Digraph.t * Func.t list array)
                match Hashtbl.find_opt cache name with
                | Some _ as r -> r
                | None ->
-                 Mutex.protect lock (fun () -> Hashtbl.find_opt ifaces name)))
+                 Mutex.protect lock (fun () -> Hashtbl.find_opt t.ifaces name)))
            ~put_iface:(Hashtbl.replace overlay)
-           ~flush_ifaces:(fun () -> ())
            ~put_pta:(fun name pta -> batch_ptas := (name, pta) :: !batch_ptas))
         sccs;
       Mutex.protect lock (fun () ->
-          Hashtbl.iter (Hashtbl.replace ifaces) overlay;
-          put_ptas !batch_ptas))
+          Hashtbl.iter (Hashtbl.replace t.ifaces) overlay;
+          List.iter (fun (name, pta) -> put_pta name pta) (List.rev !batch_ptas)))
 
 let run ?resilience ?pool ?pta_sink (prog : Prog.t) : result =
-  let ifaces : (string, iface) Hashtbl.t = Hashtbl.create 64 in
-  let ptas : (string, Pta.t) Hashtbl.t = Hashtbl.create 64 in
-  (match pool with
-  | _ when pta_sink <> None ->
-    (* Spill mode (the artifact store): points-to results stream to the
-       sink as each SCC finishes instead of accumulating in [ptas], so
-       resident memory is one SCC's worth.  Sequential by design. *)
-    let sink = Option.get pta_sink in
-    List.iter
-      (process_scc ?resilience
-         ~iface_of:(Hashtbl.find_opt ifaces)
-         ~put_iface:(Hashtbl.replace ifaces)
-         ~flush_ifaces:(fun () -> ())
-         ~put_pta:sink)
-      (Prog.bottom_up_sccs prog)
-  | Some pool when Pinpoint_par.Pool.jobs pool > 1 ->
-    (* SCC-wave parallel path: a component starts once all its callee
-       components are done, so every cross-SCC [iface_of] lookup finds
-       exactly what the sequential order would have found. *)
-    let g, funcs = Prog.call_graph prog in
-    run_batched ?resilience pool
-      (g, Array.map (fun f -> [ f ]) funcs)
-      ~ifaces
-      ~put_ptas:(List.iter (fun (name, pta) -> Hashtbl.replace ptas name pta))
-  | _ ->
-    List.iter
-      (process_scc ?resilience
-         ~iface_of:(Hashtbl.find_opt ifaces)
-         ~put_iface:(Hashtbl.replace ifaces)
-         ~flush_ifaces:(fun () -> ())
-         ~put_pta:(Hashtbl.replace ptas))
-      (Prog.bottom_up_sccs prog));
-  { ifaces; ptas }
-
-let remove (t : result) name =
-  Hashtbl.remove t.ifaces name;
-  Hashtbl.remove t.ptas name
-
-(* Incremental re-transformation (DESIGN.md §4.13).  [sccs] are the
-   components holding the functions whose bodies were re-lowered (fresh,
-   untransformed IR), callees first — by construction of the invalidation
-   cone the set is closed under "is a transitive caller of", so every SCC
-   is either entirely dirty or entirely clean.  Dirty entries are dropped
-   first: during reprocessing a same-SCC member not yet reprocessed must
-   look unknown, exactly as it does in a from-scratch bottom-up run — with
-   that, induction over the bottom-up SCC order gives interfaces and
-   points-to results identical to a full [run] on the same program. *)
-let update ?resilience ?pool ?pta_sink (t : result) (sccs : Func.t list list)
-    =
-  List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
-  match pool with
-  | Some pool when pta_sink = None && Pinpoint_par.Pool.jobs pool > 1 ->
-    (* Same batched wave as [run], over the condensation of the dirty
-       components (one node per component, members in their bottom-up
-       order; clean callees are retained in [t.ifaces] and visible to the
-       prefetch).  Store mode keeps the sequential spill path below. *)
-    let units = Array.of_list sccs in
-    let unit_of = Hashtbl.create 64 in
-    Array.iteri
-      (fun k scc ->
-        List.iter (fun (f : Func.t) -> Hashtbl.replace unit_of f.Func.fname k) scc)
-      units;
-    let g = Digraph.create ~initial_capacity:(Array.length units) () in
-    if Array.length units > 0 then Digraph.ensure_node g (Array.length units - 1);
-    Array.iteri
-      (fun k scc ->
-        List.iter
-          (fun name ->
-            match Hashtbl.find_opt unit_of name with
-            | Some j when j <> k -> Digraph.add_edge g k j
-            | _ -> ())
-          (callee_names scc))
-      units;
-    run_batched ?resilience pool (g, units) ~ifaces:t.ifaces
-      ~put_ptas:
-        (List.iter (fun (name, pta) -> Hashtbl.replace t.ptas name pta))
-  | _ ->
-    let put_pta =
-      match pta_sink with
-      | Some sink -> sink
-      | None -> Hashtbl.replace t.ptas
-    in
-    List.iter
-      (process_scc ?resilience
-         ~iface_of:(Hashtbl.find_opt t.ifaces)
-         ~put_iface:(Hashtbl.replace t.ifaces)
-         ~flush_ifaces:(fun () -> ())
-         ~put_pta)
-      sccs
+  let t = { ifaces = Hashtbl.create 64; ptas = Hashtbl.create 64 } in
+  update ?resilience ?pool ?pta_sink t (Prog.bottom_up_sccs prog);
+  t
 
 let pp_iface ppf i =
   Format.fprintf ppf "refs: %a; mods: %a%s"

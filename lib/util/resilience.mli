@@ -20,7 +20,7 @@ type phase =
   | Transform     (** connector transformation + points-to, per function *)
   | Seg_build     (** SEG construction, per function *)
   | Rv_summary    (** RV summary generation, per function *)
-  | Vf_summary    (** VF summary generation, per checker run *)
+  | Vf_summary    (** VF summary generation, per function *)
   | Engine_source (** one per-source demand-driven search *)
   | Solver_query  (** one feasibility query at the bug-detection stage *)
   | Par_task      (** a pool task that escaped its own barriers *)

@@ -288,6 +288,36 @@ void top(int s) { int *q = malloc(); *q = s; free(q); f4(q); }
   Alcotest.(check int) "found at depth 6" 1 (n deep);
   Alcotest.(check int) "lost at depth 2" 0 (n shallow)
 
+(* Without a VF table the engine searches every defined callee: VF
+   pruning only skips callees that cannot complete a bug, so on every
+   corpus file each checker reports what the pruned run reports. *)
+let test_no_vf_table () =
+  List.iter
+    (fun path ->
+      let a =
+        Pinpoint.Analysis.prepare_source ~file:path (Test_store.read_file path)
+      in
+      List.iter
+        (fun (spec : Pinpoint.Checker_spec.t) ->
+          let reports vf =
+            fst
+              (Pinpoint.Engine.run a.Pinpoint.Analysis.prog
+                 ~seg_of:(Pinpoint.Analysis.seg_of a)
+                 ~rv:a.Pinpoint.Analysis.rv ~vf spec)
+            |> List.filter Pinpoint.Report.is_reported
+            |> List.map Pinpoint.Report.one_line
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: %s" (Filename.basename path)
+               spec.Pinpoint.Checker_spec.name)
+            (reports
+               (Option.map snd
+                  (Hashtbl.find_opt a.Pinpoint.Analysis.vfs
+                     spec.Pinpoint.Checker_spec.name)))
+            (reports None))
+        Pinpoint.Checkers.all)
+    (Test_store.corpus_files ())
+
 let suite =
   [
     Alcotest.test_case "intra uaf" `Quick test_intra_uaf;
@@ -314,4 +344,6 @@ let suite =
     Alcotest.test_case "engine budgets" `Quick test_budgets;
     Alcotest.test_case "cooperative deadline" `Quick test_deadline_cooperative;
     Alcotest.test_case "call depth budget" `Quick test_call_depth_budget;
+    Alcotest.test_case "no VF table: reports unchanged (corpus)" `Quick
+      test_no_vf_table;
   ]

@@ -58,13 +58,9 @@ let test_clone_binding () =
 
 (* --- VF summaries --- *)
 
-let vf_of src spec =
+let vf_of src (spec : Pinpoint.Checker_spec.t) =
   let a = Helpers.prepare src in
-  let prog = a.Pinpoint.Analysis.prog in
-  ( List.hd
-      (Vf.generate prog (Pinpoint.Analysis.seg_of a)
-         [ Pinpoint.Checker_spec.vf_spec spec ]),
-    a )
+  (snd (Hashtbl.find a.Pinpoint.Analysis.vfs spec.Pinpoint.Checker_spec.name), a)
 
 let test_vf1_passthrough () =
   let vf, _ = vf_of "int* pass(int *p) { return p; }" Helpers.uaf in
@@ -133,11 +129,11 @@ let test_vf_connector_riding () =
       (List.exists (fun (i, _) -> i = 2) s.Vf.vf1)
   | None -> Alcotest.fail "no summary"
 
-(* --- the one-pass tables against a per-checker oracle --- *)
+(* --- the sweep's tables against a per-checker oracle --- *)
 
-(* The per-checker summariser the one pass replaced: one bottom-up pass
-   per checker, fetching every SEG and re-deriving VF1 and the
-   per-parameter reach sets each time. *)
+(* The per-checker summariser the sweep replaced: one bottom-up pass per
+   checker, fetching every SEG and re-deriving VF1 and the per-parameter
+   reach sets each time. *)
 module Oracle = struct
   type t = (string, Vf.fsum) Hashtbl.t
 
@@ -266,11 +262,12 @@ end
 let dump_vf vf =
   Vf.fold vf ~init:[] ~f:(fun acc n s -> (n, s) :: acc) |> List.sort compare
 
-let specs = List.map Pinpoint.Checker_spec.vf_spec Pinpoint.Checkers.all
-
-let check_against_oracle what (a : Pinpoint.Analysis.t) tables =
-  List.iter2
-    (fun (c : Pinpoint.Checker_spec.t) vf ->
+(* Every registered checker's table in [vfs] equals the per-checker
+   oracle over [a]'s program and SEGs. *)
+let check_against_oracle what (a : Pinpoint.Analysis.t) vfs =
+  List.iter
+    (fun (c : Pinpoint.Checker_spec.t) ->
+      let _, vf = Hashtbl.find vfs c.Pinpoint.Checker_spec.name in
       let expected =
         Oracle.dump
           (Oracle.generate a.Pinpoint.Analysis.prog (Pinpoint.Analysis.seg_of a)
@@ -280,10 +277,7 @@ let check_against_oracle what (a : Pinpoint.Analysis.t) tables =
         (Printf.sprintf "%s: %s table = oracle" what c.Pinpoint.Checker_spec.name)
         true
         (dump_vf vf = expected))
-    Pinpoint.Checkers.all tables
-
-let one_pass (a : Pinpoint.Analysis.t) =
-  Vf.generate a.Pinpoint.Analysis.prog (Pinpoint.Analysis.seg_of a) specs
+    Pinpoint.Checkers.all
 
 let gen_subjects =
   [
@@ -317,14 +311,14 @@ let test_one_pass_corpus () =
       let a =
         Pinpoint.Analysis.prepare_source ~file:path (Test_store.read_file path)
       in
-      check_against_oracle (Filename.basename path) a (one_pass a))
+      check_against_oracle (Filename.basename path) a a.Pinpoint.Analysis.vfs)
     (Test_store.corpus_files ())
 
 let test_one_pass_generated () =
   List.iter
     (fun ((name, _) as subject) ->
       let a = Helpers.prepare (gen_source subject) in
-      check_against_oracle name a (one_pass a))
+      check_against_oracle name a a.Pinpoint.Analysis.vfs)
     gen_subjects
 
 (* A scripted edit: [free(p)] appended to the [k]-th function that has a
@@ -376,26 +370,69 @@ let dirty_sccs prog name =
     (List.exists (fun (f : Func.t) -> Hashtbl.mem dirty f.Func.fname))
     (Prog.bottom_up_sccs prog)
 
-(* Tables kept through [Vf.update] across scripted edits equal the
-   oracle over each edited program. *)
-let test_one_pass_update () =
+(* Recursive SCCs whose members each carry a fact the other reads — one
+   dereferences [p] and one frees it; both return a value closed over the
+   other's: whichever member is swept first must see the other as
+   unknown, not as its entry from before the sweep. *)
+let mutual_recursion =
+  {|void f(int *p, int n) { if (n > 0) { g(p, n - 1); } print(*p); }
+void g(int *p, int n) { if (n > 0) { f(p, n - 1); } free(p); }
+int h(int *p, int n) { int r = 0; if (n > 0) { r = k(p, n - 1); } return r + 1; }
+int k(int *p, int n) { int r = 0; if (n > 0) { r = h(p, n - 1); } return r + 2; }
+|}
+
+(* Every function's RV entries, compared physically: formulas are
+   hash-consed and clone symbols interned per call site, so a rebuilt
+   entry equals the one it replaces exactly when it closes the same
+   constraint. *)
+let rv_entries (a : Pinpoint.Analysis.t) =
+  List.map
+    (fun (f : Func.t) -> (f.Func.fname, Rv.find a.Pinpoint.Analysis.rv f.Func.fname))
+    (Prog.functions a.Pinpoint.Analysis.prog)
+
+let same_rv x y =
+  let same (e1 : Rv.entry) (e2 : Rv.entry) =
+    Var.equal e1.Rv.var e2.Rv.var && E.equal e1.Rv.closed e2.Rv.closed
+    && Var.Set.equal e1.Rv.params e2.Rv.params
+  in
+  match (x, y) with
+  | None, None -> true
+  | Some x, Some y ->
+    Array.length x = Array.length y && Array.for_all2 (Option.equal same) x y
+  | _ -> false
+
+(* VF tables carried across scripted edits, each edit applied by an
+   incremental sweep over the dirty SCCs of the edited program, equal the
+   oracle over each edited program: the sweep drops the dirty entries and
+   recomputes them against the retained clean ones.  The RV entries the
+   sweep rebuilds equal the from-scratch ones it replaced. *)
+let test_sweep_update () =
   List.iter
-    (fun ((name, _) as subject) ->
+    (fun (name, src) ->
       let module A = Pinpoint_frontend.Ast in
-      let fds =
-        ref (Pinpoint_frontend.Parser.parse_string ~file:"<gen>" (gen_source subject)).A.funcs
-      in
+      let fds = ref (Pinpoint_frontend.Parser.parse_string ~file:"<gen>" src).A.funcs in
       let prepare () = Helpers.prepare (Format.asprintf "%a" A.pp_program { A.funcs = !fds }) in
-      let tables = one_pass (prepare ()) in
+      let vfs = (prepare ()).Pinpoint.Analysis.vfs in
       for k = 1 to 3 do
         let edited, fds' = add_free !fds (7 * k) in
         fds := fds';
         let a = prepare () in
         let prog = a.Pinpoint.Analysis.prog in
-        Vf.update tables (Pinpoint.Analysis.seg_of a) specs (dirty_sccs prog edited);
-        check_against_oracle (Printf.sprintf "%s edit %d (%s)" name k edited) a tables
+        let what = Printf.sprintf "%s edit %d (%s)" name k edited in
+        let rv = rv_entries a in
+        Pinpoint.Analysis.sweep ~resilience:a.Pinpoint.Analysis.resilience prog
+          a.Pinpoint.Analysis.transform ~segs:a.Pinpoint.Analysis.segs
+          a.Pinpoint.Analysis.rv ~vfs (dirty_sccs prog edited);
+        check_against_oracle what a vfs;
+        List.iter2
+          (fun (fn, before) (_, after) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s RV entries = from scratch" what fn)
+              true (same_rv before after))
+          rv (rv_entries a)
       done)
-    gen_subjects
+    (("mutual recursion", mutual_recursion)
+    :: List.map (fun ((name, _) as subject) -> (name, gen_source subject)) gen_subjects)
 
 let suite =
   [
@@ -414,6 +451,5 @@ let suite =
     Alcotest.test_case "vf: one pass = oracle (corpus)" `Quick test_one_pass_corpus;
     Alcotest.test_case "vf: one pass = oracle (generated)" `Quick
       test_one_pass_generated;
-    Alcotest.test_case "vf: update = oracle after edits" `Quick
-      test_one_pass_update;
+    Alcotest.test_case "vf: update = oracle after edits" `Quick test_sweep_update;
   ]
