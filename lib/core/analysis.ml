@@ -2,6 +2,7 @@ module Metrics = Pinpoint_util.Metrics
 module Resilience = Pinpoint_util.Resilience
 module Func = Pinpoint_ir.Func
 module Prog = Pinpoint_ir.Prog
+module Callgraph = Pinpoint_ir.Callgraph
 module Seg = Pinpoint_seg.Seg
 module Transform = Pinpoint_transform.Transform
 module Rv = Pinpoint_summary.Rv
@@ -17,6 +18,7 @@ type phase_metrics = {
 
 type t = {
   prog : Prog.t;
+  graph : Callgraph.t;
   transform : Transform.result;
   segs : (string, Seg.t) Hashtbl.t;
   rv : Rv.t;
@@ -109,23 +111,36 @@ let empty_vfs () =
     Checkers.all;
   vfs
 
-(* The bottom-up sweep (DESIGN.md §4.5).  Per SCC: build the members'
-   SEGs from their PTAs, then their RV entries in member order, then their
-   VF entries for every registered checker in member order — each member
-   publishing before the next runs — and only then hand the SEGs over
-   ([put_seg]; in store mode, a spill).  A function's summaries need only
-   its own SEG, just built, and its callees' summaries, so summarising
-   reads no SEG back.  The swept functions' old entries are dropped first,
-   so a same-SCC member not yet swept looks unknown, as in a from-scratch
-   run.
+type swept = { resummarised : int; summaries_changed : string list }
+
+(* The bottom-up sweep (DESIGN.md §4.5, §4.13).  Per SCC: build the
+   members' SEGs from their PTAs, then their RV entries in member order,
+   then their VF entries for every registered checker in member order —
+   each member publishing before the next runs — and only then hand the
+   SEGs over ([put_seg]; in store mode, a spill).  A function's summaries
+   need only its own SEG, just built, and its callees' summaries, so
+   summarising reads no SEG back.  An SCC's old entries are dropped just
+   before it is redone, so a same-SCC member not yet swept looks unknown,
+   as in a from-scratch run.
+
+   With [retransformed] (the server's incremental update) an SCC is
+   rebuilt that way only when the transform redid it; it is re-summarised
+   — RV and VF from the members' retained SEGs, no SEG build — when a
+   callee outside it changed its RV or VF entries earlier in this sweep,
+   and skipped otherwise.  Each redone member's new entries are compared
+   with its old ones (RV modulo fresh ids, {!Rv.equal_entries}; VF
+   structurally) to mark what changed for its callers.  Decisions read
+   only callee marks, and callees finish first, so they are the same at
+   every [--jobs].
 
    Each batch of SCCs ({!Pinpoint_par.Sched.run_sccs}; one SCC without a
-   pool) keeps its RV and VF entries in overlays, reads everything else
-   from the shared tables under one lock, and publishes its entries and
+   pool) plans its SCCs and drops their old entries under one lock, keeps
+   its RV and VF entries in overlays, reads everything else from the
+   shared tables under the lock, and publishes its entries, marks and
    SEGs in one locked flush.  Store mode runs without the pool: one SCC's
    SEGs in flight keep the heap bounded by the store's LRU. *)
-let sweep_sccs ~resilience ?pool ?store (transform : Transform.result) segs
-    rv vfs sccs =
+let sweep_sccs ~resilience ?pool ?store graph (transform : Transform.result)
+    segs rv vfs ~retransformed sccs =
   let checkers = Array.of_list Checkers.all in
   let specs = Array.map Checker_spec.vf_spec checkers in
   let tables =
@@ -133,97 +148,187 @@ let sweep_sccs ~resilience ?pool ?store (transform : Transform.result) segs
       (fun (c : Checker_spec.t) -> snd (Hashtbl.find vfs c.Checker_spec.name))
       checkers
   in
-  let pool, pta_of, put_seg =
+  let pool, pta_of, put_seg, seg_of =
     match store with
-    | Some st -> (None, Store.pta_of st, Store.put_seg st)
+    | Some st -> (None, Store.pta_of st, Store.put_seg st, Store.seg_of st)
     | None ->
-      (pool, Hashtbl.find_opt transform.Transform.ptas, Hashtbl.replace segs)
+      ( pool,
+        Hashtbl.find_opt transform.Transform.ptas,
+        Hashtbl.replace segs,
+        Hashtbl.find_opt segs )
   in
-  List.iter
-    (List.iter (fun (f : Func.t) ->
-         let name = f.Func.fname in
-         Hashtbl.remove segs name;
-         Rv.remove rv name;
-         Array.iter (fun vf -> Vf.remove vf name) tables))
-    sccs;
+  let rebuilt (f : Func.t) =
+    match retransformed with
+    | None -> true
+    | Some before -> Hashtbl.mem before f.Func.fname
+  in
   let lock = Mutex.create () in
+  let changed = Hashtbl.create 16 and resummarised = ref 0 in
   Pinpoint_par.Sched.run_sccs ?pool ~weight:Func.n_stmts
     ~name:(fun (f : Func.t) -> f.Func.fname)
-    ~callees:Prog.callees sccs
-  @@ fun batch ->
-  let rv_overlay = Hashtbl.create 16 and vf_overlay = Hashtbl.create 16 in
-  let shared find name = Mutex.protect lock (fun () -> find name) in
-  let rv_lookup name =
-    match Hashtbl.find_opt rv_overlay name with
-    | Some _ as r -> r
-    | None -> shared (Rv.find rv) name
-  in
-  let vf_find k name =
-    match Hashtbl.find_opt vf_overlay name with
-    | Some sums -> Some sums.(k)
-    | None -> shared (Vf.find tables.(k)) name
-  in
-  let sweep_scc scc =
-    let built =
-      List.filter_map
-        (fun (f : Func.t) ->
-          Option.map (fun seg -> (f, seg)) (build_seg resilience pta_of f))
-        scc
-    in
-    (* Per-function barriers: a crash leaves that one function without an
-       entry — its receivers stay free (RV), and the engine descends into
-       it unpruned (VF). *)
-    let each phase fallback_note step =
-      List.iter
-        (fun ((f : Func.t), seg) ->
-          Resilience.protect ~log:resilience ~phase ~subject:f.Func.fname
-            ~fallback_note ~fallback:()
-            (fun () -> step f.Func.fname seg))
-        built
-    in
-    each Resilience.Rv_summary "no RV summary (receivers stay free)"
-      (fun name seg ->
-        Hashtbl.replace rv_overlay name (Rv.summarise rv ~lookup:rv_lookup seg));
-    each Resilience.Vf_summary "no VF summary (searched unpruned)"
-      (fun name seg ->
-        Obs.span "summary.vf"
-          ~attrs:[ ("fn", name) ]
-          (fun () ->
-            Hashtbl.replace vf_overlay name
-              (Vf.summarise specs ~find:vf_find seg)));
-    built
-  in
-  let built = List.concat_map sweep_scc batch in
-  Mutex.protect lock (fun () ->
-      List.iter
-        (fun ((f : Func.t), seg) ->
+    ~callees:(Callgraph.callees graph) sccs
+    (fun batch ->
+      let rv_overlay = Hashtbl.create 16 and vf_overlay = Hashtbl.create 16 in
+      let shared find name = Mutex.protect lock (fun () -> find name) in
+      let rv_lookup name =
+        match Hashtbl.find_opt rv_overlay name with
+        | Some _ as r -> r
+        | None -> shared (Rv.find rv) name
+      in
+      let vf_find k name =
+        match Hashtbl.find_opt vf_overlay name with
+        | Some sums -> Some sums.(k)
+        | None -> shared (Vf.find tables.(k)) name
+      in
+      (* In the incremental sweep: a member's function, RV entries and VF
+         entries from before the edit. *)
+      let before_of (f : Func.t) =
+        Option.map
+          (fun before ->
+            let name = f.Func.fname in
+            let was_f, was_rv =
+              match Hashtbl.find_opt before name with
+              | Some was -> was
+              | None -> (f, Rv.find rv name)
+            in
+            (was_f, was_rv, Array.map (fun vf -> Vf.find vf name) tables))
+          retransformed
+      in
+      (* Plan: each SCC to redo, whether it is rebuilt, and its members
+         with their entries from before — read, then dropped. *)
+      let plans =
+        Mutex.protect lock (fun () ->
+            List.filter_map
+              (fun (scc : Func.t list) ->
+                let inside name =
+                  List.exists (fun (f : Func.t) -> f.Func.fname = name) scc
+                in
+                let rebuild = List.exists rebuilt scc in
+                if
+                  rebuild
+                  || List.exists
+                       (fun c -> (not (inside c)) && Hashtbl.mem changed c)
+                       (Callgraph.callees graph scc)
+                then
+                  Some
+                    ( rebuild,
+                      List.map
+                        (fun (f : Func.t) ->
+                          let name = f.Func.fname and was = before_of f in
+                          if rebuild then Hashtbl.remove segs name;
+                          Rv.remove rv name;
+                          Array.iter (fun vf -> Vf.remove vf name) tables;
+                          (f, was))
+                        scc )
+                else None)
+              batch)
+      in
+      let redo (rebuild, members) =
+        let built =
+          List.filter_map
+            (fun ((f : Func.t), _) ->
+              Option.map
+                (fun seg -> (f, seg))
+                (if rebuild then build_seg resilience pta_of f
+                 else shared seg_of f.Func.fname))
+            members
+        in
+        (* Per-function barriers: a crash leaves that one function without
+           an entry — its receivers stay free (RV), and the engine descends
+           into it unpruned (VF). *)
+        let each phase fallback_note step =
+          List.iter
+            (fun ((f : Func.t), seg) ->
+              Resilience.protect ~log:resilience ~phase ~subject:f.Func.fname
+                ~fallback_note ~fallback:()
+                (fun () -> step f.Func.fname seg))
+            built
+        in
+        each Resilience.Rv_summary "no RV summary (receivers stay free)"
+          (fun name seg ->
+            Hashtbl.replace rv_overlay name (Rv.summarise rv ~lookup:rv_lookup seg));
+        each Resilience.Vf_summary "no VF summary (searched unpruned)"
+          (fun name seg ->
+            Obs.span "summary.vf"
+              ~attrs:[ ("fn", name) ]
+              (fun () ->
+                Hashtbl.replace vf_overlay name
+                  (Vf.summarise specs ~find:vf_find seg)));
+        if rebuild then built else []
+      in
+      let built = List.concat_map redo plans in
+      let differs ((f : Func.t), was) =
+        match was with
+        | None -> false
+        | Some (was_f, was_rv, was_vf) ->
           let name = f.Func.fname in
-          Option.iter (Rv.publish rv name) (Hashtbl.find_opt rv_overlay name);
-          Option.iter
-            (Array.iteri (fun k s -> Vf.add tables.(k) name s))
-            (Hashtbl.find_opt vf_overlay name);
-          put_seg name seg)
-        built)
+          let vf =
+            match Hashtbl.find_opt vf_overlay name with
+            | Some sums -> Array.map Option.some sums
+            | None -> Array.map (fun _ -> None) tables
+          in
+          (not
+             (Option.equal
+                (fun a b -> Rv.equal_entries (was_f, a) (f, b))
+                was_rv
+                (Hashtbl.find_opt rv_overlay name)))
+          || vf <> was_vf
+      in
+      let marks =
+        List.concat_map
+          (fun (_, members) ->
+            List.filter_map
+              (fun (((f : Func.t), _) as m) ->
+                if differs m then Some f.Func.fname else None)
+              members)
+          plans
+      in
+      Mutex.protect lock (fun () ->
+          List.iter
+            (fun (rebuild, members) ->
+              if not rebuild then
+                resummarised := !resummarised + List.length members;
+              List.iter
+                (fun ((f : Func.t), _) ->
+                  let name = f.Func.fname in
+                  Option.iter (Rv.publish rv name) (Hashtbl.find_opt rv_overlay name);
+                  Option.iter
+                    (Array.iteri (fun k s -> Vf.add tables.(k) name s))
+                    (Hashtbl.find_opt vf_overlay name))
+                members)
+            plans;
+          List.iter (fun name -> Hashtbl.replace changed name ()) marks;
+          List.iter (fun ((f : Func.t), seg) -> put_seg f.Func.fname seg) built));
+  {
+    resummarised = !resummarised;
+    summaries_changed = Hashtbl.fold (fun name () acc -> name :: acc) changed [];
+  }
 
-let sweep ~resilience ?pool ?store prog transform ~segs rv ~vfs sccs =
-  let swept = Hashtbl.create 64 in
-  List.iter
-    (List.iter (fun (f : Func.t) -> Hashtbl.replace swept f.Func.fname ()))
-    sccs;
+let sweep ~resilience ?pool ?store graph transform ~segs rv ~vfs
+    ?retransformed sccs =
   Obs.span "seg.build.all" (fun () ->
       (* Sequential prologue pinning allocation-ordered ids to program
          order (the conduit variables' symbols, abstract heap addresses)
-         — after this, SEG builds are order-independent and can run in
-         any schedule. *)
+         for the functions whose SEGs are rebuilt — after this, SEG builds
+         are order-independent and can run in any schedule. *)
+      let rebuilt = Hashtbl.create 64 in
+      (match retransformed with
+      | Some before ->
+        Hashtbl.iter (fun name _ -> Hashtbl.replace rebuilt name ()) before
+      | None ->
+        List.iter
+          (List.iter (fun (f : Func.t) -> Hashtbl.replace rebuilt f.Func.fname ()))
+          sccs);
       let funcs =
         List.filter
-          (fun (f : Func.t) -> Hashtbl.mem swept f.Func.fname)
-          (Prog.functions prog)
+          (fun (f : Func.t) -> Hashtbl.mem rebuilt f.Func.fname)
+          (Callgraph.functions graph)
       in
       force_symbols funcs;
       Seg.reserve_addresses funcs);
   Obs.span "summary" (fun () ->
-      sweep_sccs ~resilience ?pool ?store transform segs rv vfs sccs)
+      sweep_sccs ~resilience ?pool ?store graph transform segs rv vfs
+        ~retransformed sccs)
 
 let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
   let resilience =
@@ -240,6 +345,7 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
     | Some p -> fun () -> Pinpoint_par.Pool.allocated_bytes p
     | None -> fun () -> 0.0
   in
+  let graph = Callgraph.build prog in
   let transform, tm =
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "transform" (fun () ->
@@ -248,15 +354,16 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
                sequentially; [transform.ptas] stays empty. *)
             Transform.run ~resilience ?pool
               ?pta_sink:(Option.map Store.put_pta store)
-              prog))
+              graph))
   in
   let segs = Hashtbl.create 64 in
   let rv = Rv.create ?backend:(Option.map Store.rv_backend store) prog in
   let vfs = empty_vfs () in
   let (), sm =
     Metrics.measure ~extra_alloc (fun () ->
-        sweep ~resilience ?pool ?store prog transform ~segs rv ~vfs
-          (Prog.bottom_up_sccs prog))
+        ignore
+          (sweep ~resilience ?pool ?store graph transform ~segs rv ~vfs
+             (Callgraph.sccs graph)))
   in
   if Obs.metrics_on () then begin
     let publish name (m : Metrics.measurement) =
@@ -271,6 +378,7 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
   end;
   {
     prog;
+    graph;
     transform;
     segs;
     rv;
@@ -341,7 +449,7 @@ let seal_store t specs =
   | _ -> ()
 
 let check ?config t (spec : Checker_spec.t) =
-  Engine.run ?config ~resilience:t.resilience ?pool:t.pool t.prog
+  Engine.run ?config ~resilience:t.resilience ?pool:t.pool t.prog ~graph:t.graph
     ~seg_of:(seg_of t) ~rv:t.rv
     ~vf:(Option.map snd (Hashtbl.find_opt t.vfs spec.Checker_spec.name))
     spec

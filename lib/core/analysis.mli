@@ -17,6 +17,9 @@ type phase_metrics = {
 
 type t = {
   prog : Pinpoint_ir.Prog.t;
+  graph : Pinpoint_ir.Callgraph.t;
+      (** [prog]'s call graph, built once: the transform and the sweep
+          walk its SCCs and {!check} reads its caller lists *)
   transform : Pinpoint_transform.Transform.result;
   segs : (string, Pinpoint_seg.Seg.t) Hashtbl.t;
   rv : Pinpoint_summary.Rv.t;
@@ -68,32 +71,54 @@ val prepare :
     IR; preparation is sequential ([pool] still accelerates {!check}) and
     decodes no SEG.  Reports are byte-identical to a store-off run. *)
 
+type swept = {
+  resummarised : int;
+      (** functions whose RV and VF entries were recomputed from their
+          retained SEGs, with no SEG build *)
+  summaries_changed : string list;
+      (** redone functions whose RV or VF entries differ from before *)
+}
+
 val sweep :
   resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
   ?store:Pinpoint_store.Store.t ->
-  Pinpoint_ir.Prog.t ->
+  Pinpoint_ir.Callgraph.t ->
   Pinpoint_transform.Transform.result ->
   segs:(string, Pinpoint_seg.Seg.t) Hashtbl.t ->
   Pinpoint_summary.Rv.t ->
   vfs:(string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t ->
+  ?retransformed:
+    ( string,
+      Pinpoint_ir.Func.t * Pinpoint_summary.Rv.entry option array option )
+    Hashtbl.t ->
   Pinpoint_ir.Func.t list list ->
-  unit
-(** [sweep ~resilience prog transform ~segs rv ~vfs sccs] (re)builds the
+  swept
+(** [sweep ~resilience graph transform ~segs rv ~vfs sccs] (re)builds the
     SEGs, RV entries and VF entries (every registered checker's table in
-    [vfs]) of the functions in [sccs]: call-graph components in bottom-up
-    order, all of them or a set closed under "is a transitive caller of".
-    Their old entries are dropped first; everything else is read as
-    retained, so the result equals a from-scratch sweep (DESIGN.md §4.5,
-    §4.13).  A sequential prologue ([seg.build.all]) pins the swept
-    functions' symbol ids and heap addresses to program order; then, per
-    SCC, the members' SEGs are built from their PTAs ([seg.build] each),
-    their RV entries computed in member order, their VF entries in member
-    order ([summary.vf] each), and only then are the SEGs put in [segs] —
-    or, with [store], spilled, reading PTAs from the store too.  SEG, RV
-    and VF work each sit behind a per-function barrier.  With [pool] (no
-    store) the SCCs run as a batched bottom-up wave.  Shared by {!prepare}
-    and the analysis server's incremental update. *)
+    [vfs]) of the functions in [sccs]: components of [graph] in bottom-up
+    order.  An SCC's old entries are dropped just before it is
+    redone; everything else is read as retained, so the result equals a
+    from-scratch sweep (DESIGN.md §4.5, §4.13).  A sequential prologue
+    ([seg.build.all]) pins the rebuilt functions' symbol ids and heap
+    addresses to [graph]'s definition order; then, per SCC, the members' SEGs are
+    built from their PTAs ([seg.build] each), their RV entries computed
+    in member order, their VF entries in member order ([summary.vf]
+    each), and only then are the SEGs put in [segs] — or, with [store],
+    spilled, reading PTAs from the store too.  SEG, RV and VF work each
+    sit behind a per-function barrier.  With [pool] (no store) the SCCs
+    run as a batched bottom-up wave.
+
+    Without [retransformed] every listed SCC is rebuilt and nothing is
+    compared ({!prepare}).  With it (the analysis server) the sweep cuts
+    off early: [retransformed] maps each function the transform re-lowered
+    to its function and RV entries from before the edit.  An SCC holding
+    one is rebuilt; an SCC with a callee outside it whose RV or VF
+    entries changed earlier in the sweep is re-summarised from its
+    retained SEGs; every other SCC is skipped.  Each redone member's
+    entries are compared with its old ones — RV modulo fresh ids
+    ({!Pinpoint_summary.Rv.equal_entries}), VF structurally — and the
+    result names those that changed. *)
 
 val prepare_source :
   ?pool:Pinpoint_par.Pool.t ->

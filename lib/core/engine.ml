@@ -105,28 +105,16 @@ let all_fields =
           (fun s v -> s.n_reused_sources <- v);
       ]
 
-(* Reverse call index: callee name -> (caller function, call statement). *)
-let reverse_calls (prog : Prog.t) : (string, (Func.t * Stmt.t) list) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Func.t) ->
-      Func.iter_stmts f (fun _ s ->
-          match s.Stmt.kind with
-          | Stmt.Call c when Prog.is_defined prog c.Stmt.callee ->
-            let cur = Option.value (Hashtbl.find_opt tbl c.Stmt.callee) ~default:[] in
-            Hashtbl.replace tbl c.Stmt.callee ((f, s) :: cur)
-          | _ -> ()))
-    (Prog.functions prog);
-  tbl
-
 (* ---------- resident per-source results (DESIGN.md §4.13) ---------- *)
 
 (* One stored search: its reports before the cross-source dedup, and its
    footprint — every function whose SEG it fetched and every function
-   whose caller list it read.  The RV/VF summaries a search consults
-   belong to callees of functions in the SEG footprint, and a caller-closed
-   dirty cone puts those functions in the cone whenever such a summary
-   changes, so the footprint alone decides staleness. *)
+   whose caller list it read.  A search that visited a function's SEG
+   read only the RV and VF entries of that function's direct callees
+   ([Rv.close] closing its constraints, step 3's VF look-up), so the SEG
+   footprint also covers every summary the search read: the server drops
+   a stored search when a function in it was re-lowered or is a caller of
+   a function whose RV or VF entries changed. *)
 type memo_entry = {
   stored : Report.t list;
   seg_footprint : string list;
@@ -136,30 +124,21 @@ type memo_entry = {
 type memo = {
   mutable memo_config : config option;
       (** the config the results were computed under, deadline removed *)
-  mutable memo_rev : (string, (Func.t * Stmt.t) list) Hashtbl.t option;
   fn_sources : (string, (Var.t * int) list) Hashtbl.t;
   results : (string * int * int, memo_entry) Hashtbl.t;
       (** (function, source sid, source vid) -> stored search *)
 }
 
 let create_memo () =
-  {
-    memo_config = None;
-    memo_rev = None;
-    fn_sources = Hashtbl.create 64;
-    results = Hashtbl.create 256;
-  }
+  { memo_config = None; fn_sources = Hashtbl.create 64; results = Hashtbl.create 256 }
 
-let invalidate_memo m ~dirty ~callee_of_dirty =
-  m.memo_rev <- None;
+let invalidate_memo m ~relowered ~segs ~callers =
   Hashtbl.filter_map_inplace
-    (fun name srcs -> if dirty name then None else Some srcs)
+    (fun name srcs -> if relowered name then None else Some srcs)
     m.fn_sources;
   Hashtbl.filter_map_inplace
     (fun _ e ->
-      if
-        List.exists dirty e.seg_footprint
-        || List.exists callee_of_dirty e.caller_footprint
+      if List.exists segs e.seg_footprint || List.exists callers e.caller_footprint
       then None
       else Some e)
     m.results
@@ -545,7 +524,7 @@ let zero_stats () =
   }
 
 let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
-    ~seg_of ~rv ~vf (spec : Checker_spec.t) : Report.t list * stats =
+    ~graph ~seg_of ~rv ~vf (spec : Checker_spec.t) : Report.t list * stats =
   (* The verdict cache is a process-global table but gated per run: enable
      it for the duration of this run according to the config, restoring
      the previous state on the way out (runs can nest via bench). *)
@@ -616,15 +595,6 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
   let misses =
     Array.of_list (List.filteri (fun i _ -> Option.is_none hits.(i)) sources)
   in
-  let rev =
-    match memo with
-    | Some { memo_rev = Some rev; _ } -> rev
-    | _ when Array.length misses = 0 -> Hashtbl.create 1
-    | _ ->
-      let rev = reverse_calls prog in
-      Option.iter (fun m -> m.memo_rev <- Some rev) memo;
-      rev
-  in
   (* One task per source, with a task-local context: searches from
      different sources never share search state, so they can run on any
      domain in any order.  The solver counters are domain-local; each task
@@ -639,9 +609,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
     @@ fun () ->
     let segs_read = Hashtbl.create 16 and callers_read = Hashtbl.create 4 in
     let seg_of, callers =
-      let callers_of name =
-        Option.value (Hashtbl.find_opt rev name) ~default:[]
-      in
+      let callers_of = Callgraph.callers graph in
       match memo with
       | None -> (seg_of, callers_of)
       | Some _ ->

@@ -79,26 +79,33 @@ type stats = {
 }
 
 (** Resident per-source results for one checker (the analysis server's
-    path, DESIGN.md §4.13).  A memo keeps the reverse-call index, each
-    function's enumerated sources, and each source's reports before the
-    cross-source dedup, keyed by (function, source sid, source vid).
-    Each stored search carries its footprint: the functions whose SEG it
-    fetched and the functions whose caller list it read.  A search is
-    stored only when it ran to its own end with every feasibility query
-    decided at full strength (no timeout, no barrier catch, no halved,
-    linear or gave-up rung); a run with fault injection installed neither
-    reads nor fills the memo. *)
+    path, DESIGN.md §4.13).  A memo keeps each function's enumerated
+    sources and each source's reports before the cross-source dedup,
+    keyed by (function, source sid, source vid).  Each stored search
+    carries its footprint: the functions whose SEG it fetched and the
+    functions whose caller list it read.  A search is stored only when it
+    ran to its own end with every feasibility query decided at full
+    strength (no timeout, no barrier catch, no halved, linear or gave-up
+    rung); a run with fault injection installed neither reads nor fills
+    the memo. *)
 type memo
 
 val create_memo : unit -> memo
 
 val invalidate_memo :
-  memo -> dirty:(string -> bool) -> callee_of_dirty:(string -> bool) -> unit
-(** Forget what an edit may have changed: the reverse-call index, the
-    [dirty] functions' sources, every stored search whose SEG footprint
-    meets [dirty], and every stored search whose caller-list footprint
-    meets [callee_of_dirty] (the callees of dirty functions, old and new
-    bodies).  [dirty] must be closed under "is a transitive caller of". *)
+  memo ->
+  relowered:(string -> bool) ->
+  segs:(string -> bool) ->
+  callers:(string -> bool) ->
+  unit
+(** Forget what an edit may have changed: the [relowered] functions'
+    sources, every stored search whose SEG footprint meets [segs] and
+    every stored search whose caller-list footprint meets [callers].  A
+    search that visited a function's SEG read only the RV and VF entries
+    of that function's direct callees, so [segs] must hold the re-lowered
+    functions and every caller of a function whose RV or VF entries
+    changed; [callers] must hold the callees of the re-lowered functions,
+    old and new bodies. *)
 
 val run :
   ?config:config ->
@@ -106,6 +113,7 @@ val run :
   ?pool:Pinpoint_par.Pool.t ->
   ?memo:memo ->
   Pinpoint_ir.Prog.t ->
+  graph:Pinpoint_ir.Callgraph.t ->
   seg_of:(string -> Pinpoint_seg.Seg.t option) ->
   rv:Pinpoint_summary.Rv.t ->
   vf:Pinpoint_summary.Vf.t option ->
@@ -116,8 +124,10 @@ val run :
     (marked [Infeasible]) so precision can be measured, but
     [Report.is_reported] is false for them.
 
-    [vf] is the checker's VF-summary table, built by the caller's sweep
-    ({!Analysis.sweep}) and matching [prog]; [None] — a checker the sweep
+    [graph] is [prog]'s call graph: bottom-up caller expansion reads each
+    function's call sites from it.  [vf] is the checker's VF-summary
+    table, built by the caller's sweep ({!Analysis.sweep}) and matching
+    [prog]; [None] — a checker the sweep
     did not summarise — turns VF pruning off, so the engine descends into
     every defined callee.  A callee without an entry in the table (its
     summary crashed) is descended into the same way.  Sources are enumerated from the

@@ -37,11 +37,8 @@ val call_graph : t -> Pinpoint_util.Digraph.t * Func.t array
 val bottom_up_sccs : t -> Func.t list list
 (** Call-graph SCCs in bottom-up (callees-first) order — the processing
     order for Mod/Ref, the connector transformation and summary
-    generation. *)
-
-val callees : Func.t list -> string list
-(** Distinct callee names of the functions' call statements, defined or
-    not. *)
+    generation.  The pipeline walks them through {!Callgraph}, built
+    once; this from-scratch scan is its reference. *)
 
 val n_stmts : t -> int
 

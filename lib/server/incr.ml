@@ -1,22 +1,27 @@
 (* Resident analysis state with incremental re-analysis (DESIGN.md §4.13).
 
    The server keeps one subject loaded: source files, their parsed ASTs,
-   the compiled (and transformed, in-place) program, the per-function
-   SEG / RV tables and per-checker VF tables.  A request replaces some
-   files; only the functions whose bodies actually changed — plus their
-   transitive callers, whose summaries embed callee summaries — are
-   re-lowered and re-analysed.
+   the compiled (and transformed, in-place) program, its call graph, the
+   per-function SEG / RV tables and per-checker VF tables.  A request
+   replaces some files; the functions whose bodies actually changed are
+   re-lowered, and the edit propagates bottom-up by artifact kind with an
+   early cutoff: a caller sees a callee only through its connector
+   interface and its RV and VF entries, so a caller is redone only when
+   one of those came out different.
 
-   Correctness of the partial rebuild rests on two facts:
+   - The transform walk re-transforms an SCC (re-lowering every member)
+     when a member's body changed, when its SCC differs from the one in
+     the graph before the edit, or when a callee outside it changed its
+     interface shape.  Every other SCC keeps its transformed IR, PTA and
+     SEG.
+   - The sweep rebuilds the re-transformed SCCs' SEGs and summaries,
+     re-summarises an SCC from its retained SEGs when a callee outside it
+     changed its RV or VF entries, and skips the rest.
 
-   - the dirty set is closed under "is a transitive caller of a dirty
-     function", so every call-graph SCC is wholly dirty or wholly clean,
-     and the bottom-up reprocessing of dirty SCCs (with dirty table
-     entries dropped first) sees exactly the state a from-scratch
-     bottom-up run would see at that point;
-   - per-function lowering is deterministic and clean functions keep
-     their (already transformed) [Func.t] — their interfaces, SEGs and
-     summaries are untouched and already equal the batch result.
+   Both walks decide from callee marks only, and callees finish first, so
+   the frontier is the same at every [--jobs], store on or off.  A kept
+   entry equals what a from-scratch run computes modulo fresh ids, which
+   is all the engine can observe.
 
    Structural changes — a function added, removed, re-ordered, its
    signature, unit or method group changed — invalidate call resolution
@@ -27,6 +32,7 @@ open Pinpoint_frontend
 module Obs = Pinpoint_obs.Obs
 module Resilience = Pinpoint_util.Resilience
 module Prog = Pinpoint_ir.Prog
+module Callgraph = Pinpoint_ir.Callgraph
 module Func = Pinpoint_ir.Func
 module Seg = Pinpoint_seg.Seg
 module Transform = Pinpoint_transform.Transform
@@ -43,10 +49,8 @@ type state = {
           sealed while serving, so incremental updates keep appending *)
   mutable files : (string * string) list;  (** (name, contents), load order *)
   mutable file_fdecls : (string * Ast.fdecl list) list;  (** same order *)
-  mutable digests : (string, Digest.t) Hashtbl.t;  (** fname -> body digest *)
-  mutable structure : Digest.t;
-      (** names + signatures + groups + units + definition order *)
   mutable prog : Prog.t;
+  mutable graph : Callgraph.t;  (** [prog]'s, patched by each update *)
   mutable transform : Transform.result;
   mutable segs : (string, Seg.t) Hashtbl.t;
   mutable rv : Rv.t;
@@ -57,20 +61,21 @@ type state = {
       (** resident per-checker search results, filled by {!check} and
           invalidated by footprint on each update *)
   mutable epoch : int;  (** bumped once per applied update *)
-  mutable n_updates : int;
-  mutable n_full_rebuilds : int;
-  mutable n_funcs_relowered : int;  (** cumulative dirty-cone size *)
 }
 
 type update_stats = {
   changed_files : int;
-  changed_funcs : int;  (** functions whose body digest changed *)
-  dirty_cone : int;     (** … plus transitive callers: re-analysed *)
+  changed_funcs : int;  (** functions whose AST changed *)
+  retransformed : int;
+  resummarised : int;
+  dirty_cone : int;  (** [retransformed + resummarised] *)
   full_rebuild : bool;
 }
 
 let epoch st = st.epoch
 let files st = st.files
+let program st = st.prog
+let graph st = st.graph
 let resilience st = st.resilience
 let n_functions st = List.length (Prog.functions st.prog)
 
@@ -79,35 +84,23 @@ let seg_of st =
   | Some store -> Store.seg_of store
   | None -> Hashtbl.find_opt st.segs
 
-(* ---------- hashing ---------- *)
+(* ---------- change detection ---------- *)
 
-(* [Hashtbl.hash] samples a bounded number of nodes — useless as a change
-   detector on ASTs.  Marshal the fdecl (plain data, no closures) and
-   digest the bytes: any body, location or header change flips it. *)
-let fdecl_digest (fd : Ast.fdecl) = Digest.string (Marshal.to_string fd [])
-
-let structure_digest (fdecls : Ast.fdecl list) =
-  Digest.string
-    (Marshal.to_string
-       (List.map
-          (fun (fd : Ast.fdecl) ->
-            ( fd.Ast.fname,
-              List.map fst fd.Ast.params,
-              fd.Ast.ret,
-              fd.Ast.group,
-              fd.Ast.unit_name ))
-          fdecls)
-       [])
+(* Every function's header, in definition order: name, parameter and
+   return types, method group and unit.  Equal headers keep call
+   resolution as it was, so an edit can propagate incrementally. *)
+let structure (fdecls : Ast.fdecl list) =
+  List.map
+    (fun (fd : Ast.fdecl) ->
+      ( fd.Ast.fname,
+        List.map fst fd.Ast.params,
+        fd.Ast.ret,
+        fd.Ast.group,
+        fd.Ast.unit_name ))
+    fdecls
 
 let parse_file (name, contents) =
   (name, (Parser.parse_string ~file:name contents).Ast.funcs)
-
-let digest_table fdecls =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun (fd : Ast.fdecl) -> Hashtbl.replace t fd.Ast.fname (fdecl_digest fd))
-    fdecls;
-  t
 
 (* ---------- full (re)build ---------- *)
 
@@ -137,13 +130,12 @@ let full_build st ~files ~file_fdecls =
       ?store:st.store prog
   in
   st.prog <- a.Pinpoint.Analysis.prog;
+  st.graph <- a.Pinpoint.Analysis.graph;
   st.transform <- a.Pinpoint.Analysis.transform;
   st.segs <- a.Pinpoint.Analysis.segs;
   st.rv <- a.Pinpoint.Analysis.rv;
   st.vfs <- a.Pinpoint.Analysis.vfs;
-  Hashtbl.reset st.memos;
-  st.digests <- digest_table fdecls;
-  st.structure <- structure_digest fdecls
+  Hashtbl.reset st.memos
 
 let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
   let resilience =
@@ -159,18 +151,14 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
       store;
       files;
       file_fdecls;
-      digests = Hashtbl.create 64;
-      structure = Digest.string "";
       prog = Prog.create ();
+      graph = Callgraph.build (Prog.create ());
       transform = { Transform.ifaces = Hashtbl.create 0; ptas = Hashtbl.create 0 };
       segs = Hashtbl.create 0;
       rv = Rv.create (Prog.create ());
       vfs = Hashtbl.create 0;
       memos = Hashtbl.create 8;
       epoch = 0;
-      n_updates = 0;
-      n_full_rebuilds = 0;
-      n_funcs_relowered = 0;
     }
   in
   full_build st ~files ~file_fdecls;
@@ -178,51 +166,108 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
 
 (* ---------- incremental update ---------- *)
 
-(* Transitive callers of the seed set over the current call graph.  Clean
-   functions' call edges are unchanged by definition (an edge changes only
-   if the caller's body changed, which puts the caller in the seed), so
-   the resident — transformed — program's graph is the right one: the
-   connector transformation rewrites call-site argument lists but never
-   callee names. *)
-let caller_closure (prog : Prog.t) (seed : (string, unit) Hashtbl.t) :
-    (string, unit) Hashtbl.t =
-  let g, funcs = Prog.call_graph prog in
-  let index = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (f : Func.t) -> Hashtbl.replace index f.Func.fname i)
-    funcs;
-  let dirty = Hashtbl.copy seed in
-  let q = Queue.create () in
-  Hashtbl.iter
-    (fun name () ->
-      match Hashtbl.find_opt index name with
-      | Some i -> Queue.add i q
-      | None -> ())
-    seed;
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    List.iter
-      (fun caller ->
-        let name = funcs.(caller).Func.fname in
-        if not (Hashtbl.mem dirty name) then begin
-          Hashtbl.replace dirty name ();
-          Queue.add caller q
+(* Propagate a body edit bottom-up with early cutoff (DESIGN.md §4.13):
+   [edited] are the freshly lowered functions whose AST changed.
+   Returns the number of functions re-transformed and re-summarised. *)
+let propagate st ~fdecls ~lower (edited : Func.t list) =
+  (* Install a re-lowered function: remember the function it replaces
+     and that one's RV entries (read before the store re-registers the
+     name, so they decode against the old variables), drop its stored
+     artifacts and splice it into the program. *)
+  let before = Hashtbl.create 16 in
+  let install (f : Func.t) =
+    let name = f.Func.fname in
+    Hashtbl.replace before name
+      (Option.get (Prog.find st.prog name), Rv.find st.rv name);
+    Option.iter
+      (fun store ->
+        Store.remove_fn store name;
+        Store.register_fn store f)
+      st.store;
+    Hashtbl.replace st.prog.Prog.by_name name f
+  in
+  let old_callees =
+    Callgraph.callees st.graph
+      (List.map
+         (fun (f : Func.t) -> Option.get (Prog.find st.prog f.Func.fname))
+         edited)
+  in
+  List.iter install edited;
+  (* An edited function's SCC, and every SCC the edit made or broke a
+     cycle in, is re-transformed whatever its callees do. *)
+  let stale = Hashtbl.create 16 in
+  List.iter
+    (fun name -> Hashtbl.replace stale name ())
+    (List.map (fun (f : Func.t) -> f.Func.fname) edited
+    @ Callgraph.replace st.graph edited);
+  let roots = Hashtbl.fold (fun name () acc -> name :: acc) stale [] in
+  (* Callers re-transformed because a callee's interface changed are
+     lowered mid-walk, possibly on a worker domain. *)
+  let fdecl_of = Hashtbl.create 64 in
+  List.iter (fun (fd : Ast.fdecl) -> Hashtbl.replace fdecl_of fd.Ast.fname fd) fdecls;
+  let lock = Mutex.create () and later = ref [] in
+  let relower (f : Func.t) =
+    Mutex.protect lock (fun () ->
+        if Hashtbl.mem before f.Func.fname then f
+        else begin
+          let f' = lower (Hashtbl.find fdecl_of f.Func.fname) in
+          install f';
+          later := f' :: !later;
+          f'
         end)
-      (Pinpoint_util.Digraph.preds g i)
-  done;
-  dirty
+  in
+  (* The transform walk, then the sweep, both over the SCCs the edit can
+     reach: those holding an edited or moved function or a transitive
+     caller of one.  Store mode: fresh PTAs, SEGs and RV entries go back
+     to the store, just like batch prepare. *)
+  let redone =
+    Transform.update ~resilience:st.resilience ?pool:st.pool
+      ?pta_sink:(Option.map Store.put_pta st.store)
+      st.transform st.graph
+      ~stale:(List.exists (fun (f : Func.t) -> Hashtbl.mem stale f.Func.fname))
+      ~relower
+      (Callgraph.upward st.graph roots)
+  in
+  if !later <> [] then ignore (Callgraph.replace st.graph !later);
+  st.prog.Prog.funcs <-
+    List.map
+      (fun (f : Func.t) -> Hashtbl.find st.prog.Prog.by_name f.Func.fname)
+      st.prog.Prog.funcs;
+  let swept =
+    Pinpoint.Analysis.sweep ~resilience:st.resilience ?pool:st.pool
+      ?store:st.store st.graph st.transform ~segs:st.segs st.rv
+      ~vfs:st.vfs ~retransformed:before
+      (Callgraph.upward st.graph roots)
+  in
+  (* Drop the stored searches the edit may have changed: those that
+     visited the SEG of a re-lowered function or of a caller of a
+     function whose RV or VF entries changed — a search reads summaries
+     only of the callees of the SEGs it visits — and those that read the
+     caller list of a re-lowered function's callee, old body or new. *)
+  let segs = Hashtbl.create 16 and callers = Hashtbl.create 16 in
+  Hashtbl.iter (fun name _ -> Hashtbl.replace segs name ()) before;
+  List.iter
+    (fun name ->
+      List.iter
+        (fun ((caller : Func.t), _) -> Hashtbl.replace segs caller.Func.fname ())
+        (Callgraph.callers st.graph name))
+    swept.Pinpoint.Analysis.summaries_changed;
+  List.iter
+    (fun name -> Hashtbl.replace callers name ())
+    (old_callees @ Callgraph.callees st.graph redone);
+  Hashtbl.iter
+    (fun _ memo ->
+      Pinpoint.Engine.invalidate_memo memo ~relowered:(Hashtbl.mem before)
+        ~segs:(Hashtbl.mem segs) ~callers:(Hashtbl.mem callers))
+    st.memos;
+  (List.length redone, swept.Pinpoint.Analysis.resummarised)
 
-(* Callee names of a function's call statements (the connector transform
-   rewrites argument lists, never callee names). *)
-let add_callees tbl (f : Func.t) =
-  Func.iter_stmts f (fun _ s ->
-      match s.Pinpoint_ir.Stmt.kind with
-      | Pinpoint_ir.Stmt.Call c -> Hashtbl.replace tbl c.Pinpoint_ir.Stmt.callee ()
-      | _ -> ())
-
-(* Apply one request's file set.  Parsing and re-lowering happen before
-   any state is mutated, so a front-end error (raised to the caller)
-   leaves the resident state untouched and the next request unaffected. *)
+(* Apply one request's file set.  Parsing and lowering the edited
+   functions happen before any state is mutated, so a front-end error
+   (raised to the caller) leaves the resident state untouched and the
+   next request unaffected.  Callers re-transformed because a callee's
+   interface changed are lowered mid-walk, from fdecls and a signature
+   table that lowered once already, so that cannot raise. *)
 let update_impl (st : state) (changed : (string * string) list) : update_stats
     =
   (* Only a file whose contents differ can hold a changed function. *)
@@ -252,117 +297,63 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
     @ List.filter (fun (n, _) -> not (List.mem n known)) edited
   in
   let fdecls = List.concat_map snd file_fdecls in
-  let structure = structure_digest fdecls in
-  st.n_updates <- st.n_updates + 1;
-  if not (Digest.equal structure st.structure) then begin
+  let stats ~changed_funcs ~retransformed ~resummarised ~full_rebuild =
+    {
+      changed_files = List.length changed;
+      changed_funcs;
+      retransformed;
+      resummarised;
+      dirty_cone = retransformed + resummarised;
+      full_rebuild;
+    }
+  in
+  if structure fdecls <> structure (List.concat_map snd st.file_fdecls) then begin
     (* Function set / signatures / order changed: call resolution may
        shift anywhere — rebuild the resident state from scratch. *)
     full_build st ~files ~file_fdecls;
     st.epoch <- st.epoch + 1;
-    st.n_full_rebuilds <- st.n_full_rebuilds + 1;
-    {
-      changed_files = List.length changed;
-      changed_funcs = -1;
-      dirty_cone = n_functions st;
-      full_rebuild = true;
-    }
+    stats ~changed_funcs:(-1) ~retransformed:(n_functions st) ~resummarised:0
+      ~full_rebuild:true
   end
   else begin
-    (* An equal structure digest means the same functions in the same
-       order, and an unedited file keeps its ASTs: only the edited files'
-       functions need a fresh body digest. *)
-    let digests = digest_table (List.concat_map snd edited_parsed) in
-    let seed = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun name d ->
-        match Hashtbl.find_opt st.digests name with
-        | Some d0 when Digest.equal d d0 -> ()
-        | _ -> Hashtbl.replace seed name ())
-      digests;
-    let changed_funcs = Hashtbl.length seed in
-    if changed_funcs = 0 then begin
+    (* Equal headers mean the same functions in the same order, and an
+       unedited file keeps its ASTs: a changed function is one of the
+       edited files' whose AST, locations included, differs from the
+       resident one. *)
+    let resident = Hashtbl.create 64 in
+    List.iter
+      (fun (n, _) ->
+        List.iter
+          (fun (fd : Ast.fdecl) -> Hashtbl.replace resident fd.Ast.fname fd)
+          (Option.value ~default:[] (List.assoc_opt n st.file_fdecls)))
+      edited_parsed;
+    let seed =
+      List.concat_map
+        (fun (_, fds) ->
+          List.filter
+            (fun (fd : Ast.fdecl) -> Hashtbl.find_opt resident fd.Ast.fname <> Some fd)
+            fds)
+        edited_parsed
+    in
+    if seed = [] then begin
       st.files <- files;
       st.file_fdecls <- file_fdecls;
       st.epoch <- st.epoch + 1;
-      {
-        changed_files = List.length changed;
-        changed_funcs = 0;
-        dirty_cone = 0;
-        full_rebuild = false;
-      }
+      stats ~changed_funcs:0 ~retransformed:0 ~resummarised:0
+        ~full_rebuild:false
     end
     else begin
-      let dirty_tbl = caller_closure st.prog seed in
-      let dirty name = Hashtbl.mem dirty_tbl name in
-      (* Re-lower every dirty function from its fresh AST first — still
-         pure w.r.t. resident state. *)
       let sigs = Lower.func_sigs { Ast.funcs = fdecls } in
       let groups = Lower.method_groups { Ast.funcs = fdecls } in
-      let lowered = Hashtbl.create 16 in
-      List.iter
-        (fun (fd : Ast.fdecl) ->
-          if dirty fd.Ast.fname then
-            Hashtbl.replace lowered fd.Ast.fname
-              (Lower.lower_fdecl ~groups sigs fd))
-        fdecls;
-      (* The callees of the dirty functions, old bodies and new: their
-         caller lists are what the edit can change. *)
-      let callees = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun name () -> Option.iter (add_callees callees) (Prog.find st.prog name))
-        dirty_tbl;
-      Hashtbl.iter (fun _ f -> add_callees callees f) lowered;
-      (* Mutation phase: splice the fresh functions into the program … *)
+      let lower fd = Lower.lower_fdecl ~groups sigs fd in
+      let edited_fns = List.map lower seed in
+      (* Mutation phase. *)
       st.files <- files;
       st.file_fdecls <- file_fdecls;
-      Hashtbl.iter (Hashtbl.replace st.digests) digests;
-      st.prog.Prog.funcs <-
-        List.map
-          (fun (f : Func.t) ->
-            match Hashtbl.find_opt lowered f.Func.fname with
-            | Some f' -> f'
-            | None -> f)
-          st.prog.Prog.funcs;
-      Hashtbl.iter (fun name f -> Hashtbl.replace st.prog.Prog.by_name name f)
-        lowered;
-      (* … drop their stored artifacts, registering the fresh functions
-         with the store for decoding, and their stored searches … *)
-      Option.iter
-        (fun store ->
-          Hashtbl.iter (fun name () -> Store.remove_fn store name) dirty_tbl;
-          Hashtbl.iter (fun _ f -> Store.register_fn store f) lowered)
-        st.store;
-      Hashtbl.iter
-        (fun _ memo ->
-          Pinpoint.Engine.invalidate_memo memo ~dirty
-            ~callee_of_dirty:(Hashtbl.mem callees))
-        st.memos;
-      (* … and reprocess the dirty SCCs bottom-up against the retained
-         clean tables with the batch pipeline's two passes: the
-         transform, then the sweep that rebuilds their SEGs, RV and VF
-         entries.  One SCC pass over the spliced program serves both.
-         Store mode: their PTAs, SEGs and RV entries go back to the store,
-         just like batch prepare. *)
-      let dirty_sccs =
-        List.filter
-          (List.exists (fun (f : Func.t) -> dirty f.Func.fname))
-          (Prog.bottom_up_sccs st.prog)
-      in
-      Transform.update ~resilience:st.resilience ?pool:st.pool
-        ?pta_sink:(Option.map Store.put_pta st.store)
-        st.transform dirty_sccs;
-      Pinpoint.Analysis.sweep ~resilience:st.resilience ?pool:st.pool
-        ?store:st.store st.prog st.transform ~segs:st.segs st.rv ~vfs:st.vfs
-        dirty_sccs;
+      let retransformed, resummarised = propagate st ~fdecls ~lower edited_fns in
       st.epoch <- st.epoch + 1;
-      let cone = Hashtbl.length dirty_tbl in
-      st.n_funcs_relowered <- st.n_funcs_relowered + cone;
-      {
-        changed_files = List.length changed;
-        changed_funcs;
-        dirty_cone = cone;
-        full_rebuild = false;
-      }
+      stats ~changed_funcs:(List.length seed) ~retransformed ~resummarised
+        ~full_rebuild:false
     end
   end
 
@@ -391,7 +382,7 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
       m
   in
   Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ~memo
-    st.prog ~seg_of:(seg_of st) ~rv:st.rv ~vf spec
+    st.prog ~graph:st.graph ~seg_of:(seg_of st) ~rv:st.rv ~vf spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

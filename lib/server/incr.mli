@@ -2,14 +2,15 @@
     server's core (DESIGN.md §4.13).
 
     A {!state} holds one subject: the source files, their ASTs, the
-    compiled program and every derived table (interfaces, points-to,
-    SEGs, RV summaries, per-checker VF summaries).  {!update} applies a
-    request's changed files by re-lowering and re-analysing only the
-    functions whose body digest changed plus their transitive callers
-    (whose summaries embed callee summaries); everything else stays
-    resident, which is also what keeps the shared SMT verdict cache hot
-    across requests (clean functions keep their variables, hence their
-    symbols, hence their hash-consed formulas).
+    compiled program, its call graph and every derived table
+    (interfaces, points-to, SEGs, RV summaries, per-checker VF
+    summaries).  {!update} applies a request's changed files by
+    re-lowering the functions whose AST changed (locations included) and
+    propagating the edit bottom-up with an early cutoff: a caller is
+    re-transformed only when its SCC changed or a callee changed its
+    interface shape, and re-summarised from its retained SEG only when a
+    callee changed its RV or VF entries.  Everything else stays resident,
+    and the call graph is patched, not rebuilt.
 
     Structural edits — functions added / removed / re-ordered, signature,
     unit or method-group changes — fall back to a transparent full
@@ -25,11 +26,15 @@ type state
 type update_stats = {
   changed_files : int;
   changed_funcs : int;
-      (** functions whose body digest changed ([-1] on a structural
+      (** functions whose AST changed ([-1] on a structural
           change, where per-function attribution is meaningless) *)
-  dirty_cone : int;
-      (** functions re-lowered and re-analysed (changed + transitive
-          callers; the whole program on a full rebuild) *)
+  retransformed : int;
+      (** functions re-lowered and re-analysed from scratch: transform,
+          SEG, RV and VF (the whole program on a full rebuild) *)
+  resummarised : int;
+      (** functions whose RV and VF entries were recomputed from their
+          retained SEGs *)
+  dirty_cone : int;  (** [retransformed + resummarised] *)
   full_rebuild : bool;
 }
 
@@ -45,17 +50,20 @@ val load :
     ({!Pinpoint_util.Resilience.create}).  With [store] per-function
     artifacts (PTAs, SEGs, RV summaries) live in the disk-resident
     artifact store instead of the resident tables; updates drop the
-    dirty functions' artifacts and re-spill them, and the store is never
-    sealed while serving.  Raises
+    re-lowered functions' artifacts and re-spill them, re-summarised
+    functions' RV entries too, and the store is never sealed while
+    serving.  Raises
     {!Pinpoint_frontend.Parser.Error} / {!Pinpoint_frontend.Lower.Error}
     on malformed input. *)
 
 val update : state -> (string * string) list -> update_stats
 (** Apply changed files (replacing known names, appending new ones).
-    Parsing and re-lowering run before any mutation — also when the
-    function set changes and the state is rebuilt from scratch — so a
-    raised front-end error leaves the resident state exactly as it
-    was. *)
+    Parsing, and lowering the functions whose bodies changed, run before
+    any mutation — also when the function set changes and the state is
+    rebuilt from scratch — so a raised front-end error leaves the
+    resident state exactly as it was.  Callers re-transformed because a
+    callee's interface changed are lowered later, mid-walk; their ASTs
+    and the signature table lowered once already, so that cannot raise. *)
 
 val check :
   ?config:Pinpoint.Engine.config ->
@@ -70,6 +78,12 @@ val epoch : state -> int
 
 val files : state -> (string * string) list
 (** Current file contents, load order — the epoch-snapshot payload. *)
+
+val program : state -> Pinpoint_ir.Prog.t
+(** The resident program, transformed in place. *)
+
+val graph : state -> Pinpoint_ir.Callgraph.t
+(** The resident call graph, patched by each update. *)
 
 val resilience : state -> Pinpoint_util.Resilience.log
 val n_functions : state -> int

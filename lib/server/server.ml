@@ -145,10 +145,12 @@ let files_json files =
          Json.Obj [ ("name", Json.String n); ("contents", Json.String c) ])
        files)
 
+(* A request's file list: [{name, contents}] objects, each name at most
+   once — a file named twice has no single contents to apply. *)
 let files_of_json j =
   match Json.list_opt j with
-  | None -> None
-  | Some entries ->
+  | None -> Error "files must be [{name, contents}]"
+  | Some entries -> (
     let parse entry =
       match
         ( Option.bind (Json.member "name" entry) Json.string_opt,
@@ -158,7 +160,16 @@ let files_of_json j =
       | _ -> None
     in
     let files = List.filter_map parse entries in
-    if List.length files = List.length entries then Some files else None
+    if List.length files <> List.length entries then
+      Error "files must be [{name, contents}]"
+    else
+      let rec first_dup = function
+        | [] -> None
+        | n :: rest -> if List.mem n rest then Some n else first_dup rest
+      in
+      match first_dup (List.map fst files) with
+      | Some n -> Error (Printf.sprintf "bad request: duplicate file %s" n)
+      | None -> Ok files)
 
 let abs_epoch t =
   match t.st with None -> 0 | Some st -> t.epoch_base + Incr.epoch st
@@ -268,9 +279,9 @@ let recover t =
     match Json.parse (String.trim (read_all (snapshot_path dir))) with
     | Error _ -> false
     | Ok snap -> (
-      match Option.bind (Json.member "files" snap) files_of_json with
-      | None -> false
-      | Some files ->
+      match Option.map files_of_json (Json.member "files" snap) with
+      | None | Some (Error _) -> false
+      | Some (Ok files) ->
         let epoch =
           Option.value ~default:0
             (Option.bind (Json.member "epoch" snap) Json.int_opt)
@@ -290,9 +301,9 @@ let recover t =
                  match Json.parse line with
                  | Error _ -> raise Exit
                  | Ok j -> (
-                   match Option.bind (Json.member "files" j) files_of_json with
-                   | None -> raise Exit
-                   | Some changed -> ignore (Incr.update st changed))
+                   match Option.map files_of_json (Json.member "files" j) with
+                   | None | Some (Error _) -> raise Exit
+                   | Some (Ok changed) -> ignore (Incr.update st changed))
              done
            with End_of_file | Exit -> ());
           close_in_noerr ic
@@ -670,31 +681,36 @@ let handle_check t ?id req =
   in
   let changed =
     match Json.member "files" req with
-    | None -> Some []
+    | None -> Ok []
     | Some j -> files_of_json j
   in
   match changed with
-  | None -> error_response ?id "files must be [{name, contents}]"
-  | Some changed -> (
+  | Error msg -> error_response ?id msg
+  | Ok changed -> (
     let update_result =
       match (t.st, changed) with
       | None, [] -> Error "no subject loaded: first request must carry files"
       | None, files ->
         load_files t files;
         Ok
-          {
-            Incr.changed_files = List.length files;
-            changed_funcs = -1;
-            dirty_cone = Incr.n_functions (Option.get t.st);
-            full_rebuild = true;
-          }
+          (let n = Incr.n_functions (Option.get t.st) in
+           {
+             Incr.changed_files = List.length files;
+             changed_funcs = -1;
+             retransformed = n;
+             resummarised = 0;
+             dirty_cone = n;
+             full_rebuild = true;
+           })
       | Some _, [] ->
         (* Plain re-check of the resident state: not an update, so the
-           epoch is untouched and no digest pass runs. *)
+           epoch is untouched and no file is compared. *)
         Ok
           {
             Incr.changed_files = 0;
             changed_funcs = 0;
+            retransformed = 0;
+            resummarised = 0;
             dirty_cone = 0;
             full_rebuild = false;
           }
@@ -710,10 +726,13 @@ let handle_check t ?id req =
     match update_result with
     | Error msg -> error_response ?id msg
     | Ok ustats -> (
-      if Obs.metrics_on () then
+      if Obs.metrics_on () then begin
         Obs.observe
           (Obs.histogram ~buckets:cone_buckets "server.dirty_cone")
           (float_of_int ustats.Incr.dirty_cone);
+        Obs.add (Obs.counter "incr.retransformed") ustats.Incr.retransformed;
+        Obs.add (Obs.counter "incr.resummarised") ustats.Incr.resummarised
+      end;
       match checkers_of req with
       | Error msg -> error_response ?id msg
       | Ok checkers ->
@@ -753,6 +772,8 @@ let handle_check t ?id req =
                      [
                        ("changed_files", Json.Int ustats.Incr.changed_files);
                        ("changed_funcs", Json.Int ustats.Incr.changed_funcs);
+                       ("retransformed", Json.Int ustats.Incr.retransformed);
+                       ("resummarised", Json.Int ustats.Incr.resummarised);
                        ("dirty_cone", Json.Int ustats.Incr.dirty_cone);
                        ("full_rebuild", Json.Bool ustats.Incr.full_rebuild);
                      ] );

@@ -116,6 +116,68 @@ let summarise t ~lookup seg =
          ops)
   | _ -> [||]
 
+(* Equality modulo fresh ids (DESIGN.md §4.13).  A re-lowered function
+   has fresh symbols, and distinct symbols may share a name, so entries
+   compare under one symbol bijection for the whole array: seeded with the
+   formals by position and with each entry's [var], extended at every
+   symbol pair the walk meets, and requiring equal names and sorts.  The
+   walk goes over both formulas in lockstep, memoised on node pairs:
+   formulas are hash-consed DAGs, and a tree walk could blow up. *)
+let equal_entries ((f : Func.t), (a : entry option array))
+    ((g : Func.t), (b : entry option array)) =
+  let fwd = Hashtbl.create 64 and bwd = Hashtbl.create 64 in
+  let pair x y =
+    match (Hashtbl.find_opt fwd x, Hashtbl.find_opt bwd y) with
+    | Some y', _ -> y' = y
+    | None, Some _ -> false
+    | None, None ->
+      Pinpoint_smt.Symbol.name x = Pinpoint_smt.Symbol.name y
+      && Pinpoint_smt.Symbol.sort x = Pinpoint_smt.Symbol.sort y
+      && begin
+           Hashtbl.add fwd x y;
+           Hashtbl.add bwd y x;
+           true
+         end
+  in
+  let var (v : Var.t) (w : Var.t) = pair (Var.symbol v) (Var.symbol w) in
+  let walked = Hashtbl.create 256 in
+  let rec expr (x : E.t) (y : E.t) =
+    Hashtbl.mem walked (x.E.id, y.E.id)
+    || (match (x.E.node, y.E.node) with
+       | E.True, E.True | E.False, E.False -> true
+       | E.Int n, E.Int m -> n = m
+       | E.Var s, E.Var t -> pair s t
+       | E.Not x1, E.Not y1 | E.Neg x1, E.Neg y1 -> expr x1 y1
+       | E.And (x1, x2), E.And (y1, y2)
+       | E.Or (x1, x2), E.Or (y1, y2)
+       | E.Eq (x1, x2), E.Eq (y1, y2)
+       | E.Ne (x1, x2), E.Ne (y1, y2)
+       | E.Lt (x1, x2), E.Lt (y1, y2)
+       | E.Le (x1, x2), E.Le (y1, y2)
+       | E.Add (x1, x2), E.Add (y1, y2)
+       | E.Sub (x1, x2), E.Sub (y1, y2)
+       | E.Mul (x1, x2), E.Mul (y1, y2) ->
+         expr x1 y1 && expr x2 y2
+       | _ -> false)
+       && begin
+            Hashtbl.add walked (x.E.id, y.E.id) ();
+            true
+          end
+  in
+  let positions (h : Func.t) set =
+    List.concat
+      (List.mapi (fun i p -> if Var.Set.mem p set then [ i ] else []) h.Func.params)
+  in
+  let entry (x : entry) (y : entry) =
+    var x.var y.var
+    && positions f x.params = positions g y.params
+    && expr x.closed y.closed
+  in
+  Array.length a = Array.length b
+  && List.compare_lengths f.Func.params g.Func.params = 0
+  && List.for_all2 var f.Func.params g.Func.params
+  && Array.for_all2 (Option.equal entry) a b
+
 let pp ppf t =
   Hashtbl.iter
     (fun name entries ->

@@ -77,4 +77,16 @@ val close :
     parameter set it still depends on.  Also used by the path-condition
     computation at bug-detection time. *)
 
+val equal_entries :
+  Pinpoint_ir.Func.t * entry option array ->
+  Pinpoint_ir.Func.t * entry option array ->
+  bool
+(** [equal_entries (f, a) (g, b)]: the entries [a] of [f] and [b] of [g]
+    (one function before and after an edit) are equal modulo fresh ids.
+    One bijection between their symbols covers the whole array: seeded
+    with [f]'s and [g]'s formals by position and with each entry's [var],
+    extended wherever the formulas meet, and admitting only pairs with the
+    same name and sort.  [params] compare as formal positions.  The
+    formulas are walked as DAGs, memoised on node pairs. *)
+
 val pp : Format.formatter -> t -> unit

@@ -244,73 +244,129 @@ let remove (t : result) name =
   Hashtbl.remove t.ifaces name;
   Hashtbl.remove t.ptas name
 
-(* Incremental re-transformation (DESIGN.md §4.13), and with every SCC
-   the whole-program run.  [sccs] are the components holding the
-   functions whose bodies are fresh (re-lowered, untransformed IR),
-   callees first — by construction of the invalidation cone the set is
-   closed under "is a transitive caller of", so every SCC is either
-   entirely dirty or entirely clean.  Dirty entries are dropped first:
-   during reprocessing a same-SCC member not yet reprocessed must look
-   unknown, exactly as it does in a from-scratch bottom-up run — with
-   that, induction over the bottom-up SCC order gives interfaces and
-   points-to results identical to a full [run] on the same program.
+(* All [rewrite_calls] reads of an interface: a caller's transformed IR
+   depends on its callees' interfaces only through this shape. *)
+let same_shape (a : iface) (b : iface) =
+  List.equal (fun (j, k, _) (j', k', _) -> j = j' && k = k') a.ref_paths b.ref_paths
+  && List.equal
+       (fun (q, r, (v : Var.t)) (q', r', (v' : Var.t)) ->
+         q = q' && r = r' && Ty.equal v.Var.ty v'.Var.ty)
+       a.mod_paths b.mod_paths
+  && a.has_orig_ret = b.has_orig_ret
+
+(* The bottom-up transform walk (DESIGN.md §4.13), the whole-program run
+   and the analysis server's incremental one alike.  An SCC is
+   (re)transformed when [stale] says so or when a callee outside it
+   changed its interface shape earlier in this walk; [relower] then gives
+   each member fresh, untransformed IR, the members' old entries are
+   dropped, and the SCC is processed.  Every other SCC keeps its
+   transformed IR and entries.  Dropping an SCC's entries before
+   processing it makes a same-SCC member not yet processed look unknown,
+   exactly as in a from-scratch run; with that, induction over the
+   bottom-up order gives interfaces and points-to results identical to a
+   full [run] on the same program.
 
    One batch of simultaneously-ready (hence mutually independent)
-   components at a time (DESIGN.md §4.15): the batch keeps a local
-   interface overlay, prefetches the already-published cross-batch callee
-   interfaces in a single lock acquisition, and flushes its interfaces and
-   points-to results in one more.  A callee is either in the same SCC
-   (overlay), in a completed component (prefetch cache; the batch can't
-   depend on a sibling batch member because simultaneously-ready
-   components form an antichain), or unknown — the locked fallback lookup
-   is only a safety net and never hits.  Without a pool every batch is one
-   SCC.  Store mode ([pta_sink]) streams each SCC's points-to results to
-   the sink as it finishes, so it runs without the pool: resident memory
-   stays one SCC's worth. *)
-let update ?resilience ?pool ?pta_sink (t : result) (sccs : Func.t list list)
-    =
-  List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
+   components at a time (DESIGN.md §4.15): under one lock the batch
+   decides each SCC, drops the entries of those it redoes and prefetches
+   the published interfaces and shape marks of its callees; it then works
+   on a local interface overlay and flushes its interfaces, points-to
+   results and marks under the lock again.  A callee is either in the
+   same SCC (overlay), in a completed component (prefetch cache; the
+   batch can't depend on a sibling batch member because
+   simultaneously-ready components form an antichain), or unknown — the
+   locked fallback lookup is only a safety net and never hits.  Without a
+   pool every batch is one SCC, so decisions read only callee marks and
+   come out the same at every [--jobs].  Store mode ([pta_sink]) streams
+   each SCC's points-to results to the sink as it finishes, so it runs
+   without the pool: resident memory stays one SCC's worth. *)
+let update ?resilience ?pool ?pta_sink (t : result) (graph : Callgraph.t)
+    ~stale ~relower (sccs : Func.t list list) =
+  let callees = Callgraph.callees graph in
   let pool, put_pta =
     match pta_sink with
     | Some sink -> (None, sink)
     | None -> (pool, Hashtbl.replace t.ptas)
   in
   let lock = Mutex.create () in
+  let reshaped = Hashtbl.create 16 and redone = ref [] in
   Pinpoint_par.Sched.run_sccs ?pool ~weight:Func.n_stmts
     ~name:(fun (f : Func.t) -> f.Func.fname)
-    ~callees:Prog.callees sccs
-    (fun sccs ->
+    ~callees sccs
+    (fun batch ->
       let overlay : (string, iface) Hashtbl.t = Hashtbl.create 16 in
       let cache : (string, iface) Hashtbl.t = Hashtbl.create 64 in
-      let names = Prog.callees (List.concat sccs) in
+      let plans =
+        Mutex.protect lock (fun () ->
+            let plans =
+              List.filter_map
+                (fun (scc : Func.t list) ->
+                  let inside name =
+                    List.exists (fun (f : Func.t) -> f.Func.fname = name) scc
+                  in
+                  if
+                    stale scc
+                    || List.exists
+                         (fun c -> (not (inside c)) && Hashtbl.mem reshaped c)
+                         (callees scc)
+                  then
+                    Some
+                      (List.map
+                         (fun (f : Func.t) ->
+                           let old = Hashtbl.find_opt t.ifaces f.Func.fname in
+                           remove t f.Func.fname;
+                           (f, old))
+                         scc)
+                  else None)
+                batch
+            in
+            List.iter
+              (fun name ->
+                Option.iter (Hashtbl.replace cache name)
+                  (Hashtbl.find_opt t.ifaces name))
+              (callees (List.concat_map (List.map fst) plans));
+            plans)
+      in
+      let batch_ptas = ref [] and batch_redone = ref [] in
+      List.iter
+        (fun plan ->
+          let fresh = List.map (fun (f, _) -> relower f) plan in
+          process_scc ?resilience
+            ~iface_of:(fun name ->
+              match Hashtbl.find_opt overlay name with
+              | Some _ as r -> r
+              | None -> (
+                match Hashtbl.find_opt cache name with
+                | Some _ as r -> r
+                | None ->
+                  Mutex.protect lock (fun () -> Hashtbl.find_opt t.ifaces name)))
+            ~put_iface:(Hashtbl.replace overlay)
+            ~put_pta:(fun name pta -> batch_ptas := (name, pta) :: !batch_ptas)
+            fresh;
+          batch_redone := List.rev_append fresh !batch_redone)
+        plans;
+      let same name old =
+        match (old, Hashtbl.find_opt overlay name) with
+        | Some a, Some b -> same_shape a b
+        | None, None -> true
+        | _ -> false
+      in
       Mutex.protect lock (fun () ->
           List.iter
-            (fun name ->
-              match Hashtbl.find_opt t.ifaces name with
-              | Some i -> Hashtbl.replace cache name i
-              | None -> ())
-            names);
-      let batch_ptas = ref [] in
-      List.iter
-        (process_scc ?resilience
-           ~iface_of:(fun name ->
-             match Hashtbl.find_opt overlay name with
-             | Some _ as r -> r
-             | None -> (
-               match Hashtbl.find_opt cache name with
-               | Some _ as r -> r
-               | None ->
-                 Mutex.protect lock (fun () -> Hashtbl.find_opt t.ifaces name)))
-           ~put_iface:(Hashtbl.replace overlay)
-           ~put_pta:(fun name pta -> batch_ptas := (name, pta) :: !batch_ptas))
-        sccs;
-      Mutex.protect lock (fun () ->
+            (List.iter (fun ((f : Func.t), old) ->
+                 if not (same f.Func.fname old) then
+                   Hashtbl.replace reshaped f.Func.fname ()))
+            plans;
           Hashtbl.iter (Hashtbl.replace t.ifaces) overlay;
-          List.iter (fun (name, pta) -> put_pta name pta) (List.rev !batch_ptas)))
+          List.iter (fun (name, pta) -> put_pta name pta) (List.rev !batch_ptas);
+          redone := List.rev_append !batch_redone !redone));
+  !redone
 
-let run ?resilience ?pool ?pta_sink (prog : Prog.t) : result =
+let run ?resilience ?pool ?pta_sink (graph : Callgraph.t) : result =
   let t = { ifaces = Hashtbl.create 64; ptas = Hashtbl.create 64 } in
-  update ?resilience ?pool ?pta_sink t (Prog.bottom_up_sccs prog);
+  ignore
+    (update ?resilience ?pool ?pta_sink t graph ~stale:(fun _ -> true)
+       ~relower:Fun.id (Callgraph.sccs graph));
   t
 
 let pp_iface ppf i =

@@ -46,13 +46,14 @@ val run :
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
   ?pta_sink:(string -> Pinpoint_pta.Pta.t -> unit) ->
-  Pinpoint_ir.Prog.t ->
+  Pinpoint_ir.Callgraph.t ->
   result
-(** Transform the whole program in place and return the interface and
-    points-to tables.  Each per-function unit of work runs inside an
-    exception barrier: a crash in one function records an incident on
-    [resilience] (when given) and leaves that function without an
-    interface / points-to result, instead of aborting the pipeline.
+(** Transform the whole program the call graph describes, in place, and
+    return the interface and points-to tables.  Each per-function unit of
+    work runs inside an exception barrier: a crash in one function
+    records an incident on [resilience] (when given) and leaves that
+    function without an interface / points-to result, instead of aborting
+    the pipeline.
 
     With [pool] (and more than one job) call-graph SCCs are processed as a
     bottom-up wave on the pool — a component starts once its callee
@@ -70,21 +71,29 @@ val update :
   ?pool:Pinpoint_par.Pool.t ->
   ?pta_sink:(string -> Pinpoint_pta.Pta.t -> unit) ->
   result ->
+  Pinpoint_ir.Callgraph.t ->
+  stale:(Pinpoint_ir.Func.t list -> bool) ->
+  relower:(Pinpoint_ir.Func.t -> Pinpoint_ir.Func.t) ->
   Pinpoint_ir.Func.t list list ->
-  unit
-(** Incremental re-transformation for the analysis server (DESIGN.md
-    §4.13).  [update t sccs] takes the call-graph SCCs holding the
-    functions whose bodies are fresh (re-lowered, untransformed), in
-    bottom-up order with members in {!Pinpoint_ir.Prog.bottom_up_sccs}
-    order; the set {b must} be closed under "is a transitive caller of a
-    dirty function" — then every SCC is entirely dirty or entirely clean.
-    Their table entries are dropped and the components reprocessed
-    bottom-up against the retained clean interfaces, producing interfaces
-    and points-to results identical to a from-scratch {!run} on the same
-    program.  Sequential by default (cones are small); with [pool] (and
-    more than one job) the components run as the same batched bottom-up
-    wave as {!run}.  With [pta_sink] fresh points-to results go to the
-    sink instead of [result.ptas] (store mode, as in {!run}; the run is
-    then sequential and [pool] is ignored). *)
+  Pinpoint_ir.Func.t list
+(** The bottom-up transform walk with early cutoff (DESIGN.md §4.13),
+    shared by {!run} and the analysis server.  [update t graph ~stale
+    ~relower sccs] walks [sccs], components of [graph] in bottom-up order
+    with members in {!Pinpoint_ir.Callgraph.sccs} order, reading each
+    SCC's callees from [graph].  An SCC is transformed when [stale scc]
+    holds or a callee outside it changed its interface shape — the
+    [(j,k)] REF paths, the [(q,r,ty)] MOD paths and [has_orig_ret] —
+    earlier in the walk.  Its members are then replaced by [relower]
+    (fresh, untransformed IR for the same function; called once per
+    member, from a worker domain with a pool), their table entries are
+    dropped and the component is reprocessed against the retained
+    interfaces, producing interfaces and points-to results identical to
+    a from-scratch {!run} on the same program.  Every other SCC is left
+    as it is.  Returns the functions [relower] produced.  Sequential by
+    default; with [pool] (and more than one job) the components run as
+    the same batched bottom-up wave as {!run}, with the same decisions.
+    With [pta_sink] fresh points-to results go to the sink instead of
+    [result.ptas] (store mode, as in {!run}; the run is then sequential
+    and [pool] is ignored). *)
 
 val pp_iface : Format.formatter -> iface -> unit

@@ -302,7 +302,7 @@ let test_no_vf_table () =
           let reports vf =
             fst
               (Pinpoint.Engine.run a.Pinpoint.Analysis.prog
-                 ~seg_of:(Pinpoint.Analysis.seg_of a)
+                 ~graph:a.Pinpoint.Analysis.graph ~seg_of:(Pinpoint.Analysis.seg_of a)
                  ~rv:a.Pinpoint.Analysis.rv ~vf spec)
             |> List.filter Pinpoint.Report.is_reported
             |> List.map Pinpoint.Report.one_line

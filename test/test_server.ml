@@ -13,6 +13,8 @@ module Json = Pinpoint_server.Json
 module Incr = Pinpoint_server.Incr
 module Server = Pinpoint_server.Server
 module Store = Pinpoint_store.Store
+module Prog = Pinpoint_ir.Prog
+module Callgraph = Pinpoint_ir.Callgraph
 
 (* ---------- subject plumbing ---------- *)
 
@@ -294,7 +296,7 @@ let test_memo_footprint_seq () = run_memo_footprint ()
 let test_memo_footprint_jobs4 () =
   Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_memo_footprint ~pool ())
 
-let test_memo_footprint_store () =
+let with_store f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -302,9 +304,256 @@ let test_memo_footprint_store () =
   in
   Unix.mkdir dir 0o755;
   let store = Store.create ~dir ~max_resident:2 () in
-  Fun.protect
-    ~finally:(fun () -> Store.close store)
-    (fun () -> run_memo_footprint ~store ())
+  Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
+
+let test_memo_footprint_store () =
+  with_store (fun store -> run_memo_footprint ~store ())
+
+(* ---------- early cutoff ---------- *)
+
+(* The resident call graph after an update equals a from-scratch build on
+   the spliced program: the SCC order of [Prog.bottom_up_sccs], and every
+   function's call sites in the order a statement scan produces them —
+   callers in reverse definition order, each caller's calls in reverse
+   statement order.  Call statements keep their sids through the
+   connector transform, so (caller, sid) pairs identify them. *)
+let check_graph what st files =
+  let prog =
+    Lower.compile
+      {
+        Ast.funcs =
+          List.concat_map
+            (fun (n, c) -> (Parser.parse_string ~file:n c).Ast.funcs)
+            files;
+      }
+  in
+  let names =
+    List.map (List.map (fun (f : Pinpoint_ir.Func.t) -> f.Pinpoint_ir.Func.fname))
+  in
+  let g = Incr.graph st in
+  Alcotest.(check (list (list string)))
+    (what ^ ": resident SCCs = from scratch")
+    (names (Prog.bottom_up_sccs prog))
+    (names (Callgraph.sccs g));
+  (* the graph holds the resident functions themselves, re-lowered ones
+     included *)
+  let resident (f : Pinpoint_ir.Func.t) =
+    match Prog.find (Incr.program st) f.Pinpoint_ir.Func.fname with
+    | Some r -> r == f
+    | None -> false
+  in
+  Alcotest.(check bool)
+    (what ^ ": graph nodes are the resident functions")
+    true
+    (List.for_all (List.for_all resident) (Callgraph.sccs g)
+    && List.for_all
+         (fun (f : Pinpoint_ir.Func.t) ->
+           List.for_all
+             (fun (c, _) -> resident c)
+             (Callgraph.callers g f.Pinpoint_ir.Func.fname))
+         (Prog.functions (Incr.program st)));
+  let scanned = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Pinpoint_ir.Func.t) ->
+      Pinpoint_ir.Func.iter_stmts f (fun _ s ->
+          match s.Pinpoint_ir.Stmt.kind with
+          | Pinpoint_ir.Stmt.Call c
+            when Prog.is_defined prog c.Pinpoint_ir.Stmt.callee ->
+            let callee = c.Pinpoint_ir.Stmt.callee in
+            Hashtbl.replace scanned callee
+              ((f.Pinpoint_ir.Func.fname, s.Pinpoint_ir.Stmt.sid)
+              :: Option.value ~default:[] (Hashtbl.find_opt scanned callee))
+          | _ -> ()))
+    (Prog.functions prog);
+  List.iter
+    (fun (f : Pinpoint_ir.Func.t) ->
+      let name = f.Pinpoint_ir.Func.fname in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%s: call sites of %s = from scratch" what name)
+        (Option.value ~default:[] (Hashtbl.find_opt scanned name))
+        (List.map
+           (fun ((c : Pinpoint_ir.Func.t), (s : Pinpoint_ir.Stmt.t)) ->
+             (c.Pinpoint_ir.Func.fname, s.Pinpoint_ir.Stmt.sid))
+           (Callgraph.callers g name)))
+    (Prog.functions prog)
+
+let same_as_batch ?pool what st files =
+  List.iter
+    (fun (spec : Pinpoint.Checker_spec.t) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: %s server = batch" what spec.Pinpoint.Checker_spec.name)
+        (batch_renders ?pool files spec)
+        (server_renders st spec))
+    checkers_under_test
+
+(* Edit shapes the cutoff must get right, each followed by served =
+   batch and resident graph = from scratch:
+   - a line inserted at the top of a file: a function's AST carries its
+     locations, so every function of that file is re-lowered, but their
+     interfaces and summaries are unchanged, so no caller is redone;
+   - an edit that creates a recursion cycle, and one that breaks it.
+     [f] calls [g], which stores a freed pointer through [f]'s cell; in
+     the cycle {f, g}, [f] is processed first and its call to [g] stays
+     un-rewritten, so the use-after-free in [f] is only found once the
+     cycle is broken — [f]'s body and [g]'s interface are the same
+     either way, so only the SCC rule re-transforms [f]. *)
+let cycle_subject ~cycle =
+  Printf.sprintf
+    {|void f(int n) {
+  int **ptr = malloc();
+  int *a = malloc();
+  *ptr = a;
+  g(ptr, n);
+  int *x = *ptr;
+  print(*x);
+}
+
+void g(int **q, int n) {
+  int *c = malloc();
+  *q = c;
+  free(c);
+  %s
+}
+|}
+    (if cycle then "if (n > 0) { f(n - 1); }" else "print(n);")
+
+let run_edit_shapes ?pool ?store () =
+  let chunks = split_subject 3 (subject ~seed:23 ~loc:450 ()) in
+  let st = Incr.load ?pool ?store (contents_of chunks) in
+  let files () = contents_of chunks in
+  same_as_batch ?pool "load" st (files ());
+  let name, _ = chunks.(1) in
+  let shifted = "\n" ^ List.assoc name (files ()) in
+  let stats = Incr.update st [ (name, shifted) ] in
+  let in_file = List.length (snd chunks.(1)) in
+  Alcotest.(check (pair int int))
+    "line on top: the file's functions re-lowered, no caller redone"
+    (in_file, 0) (stats.Incr.retransformed, stats.Incr.resummarised);
+  let files_now =
+    List.map (fun (n, c) -> if n = name then (n, shifted) else (n, c)) (files ())
+  in
+  same_as_batch ?pool "line on top" st files_now;
+  check_graph "line on top" st files_now;
+  let cyc = Incr.load ?pool ?store [ ("cyc.mc", cycle_subject ~cycle:false) ] in
+  same_as_batch ?pool "acyclic" cyc [ ("cyc.mc", cycle_subject ~cycle:false) ];
+  List.iter
+    (fun (what, cycle, n_uaf) ->
+      let files = [ ("cyc.mc", cycle_subject ~cycle) ] in
+      let stats = Incr.update cyc files in
+      Alcotest.(check bool) (what ^ " is incremental") false stats.Incr.full_rebuild;
+      same_as_batch ?pool what cyc files;
+      Alcotest.(check int)
+        (what ^ ": use-after-free reports")
+        n_uaf
+        (List.length (server_renders cyc Pinpoint.Checkers.use_after_free));
+      check_graph what cyc files)
+    [ ("cycle made", true, 0); ("cycle broken", false, 1) ]
+
+let test_edit_shapes_seq () = run_edit_shapes ()
+
+let test_edit_shapes_jobs4 () =
+  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_edit_shapes ~pool ())
+
+let test_edit_shapes_store () = with_store (fun store -> run_edit_shapes ~store ())
+
+(* h -> f -> g, with one knob per propagation rule, each edit to [g]
+   alone:
+   - [store]: g stores a freed pointer through its first parameter — an
+     interface change, so f is re-transformed (and, its own interface
+     changing too, h); h then dereferences the freed pointer;
+   - [ret]: g's result decides a guard in h on f's result — an RV change
+     that reaches h only through f's entry;
+   - [free]: g newly frees its second parameter — a VF change (VF3/VF4)
+     with the same interface and RV entries, so f's VF entry changes and
+     h's double free through f is found only if f is re-summarised;
+   - [ret]: besides constants, g's result can be decided by a guard on
+     its parameter [a] — a control dependence, so no value flows from a
+     parameter to the return and g's VF entries stay empty;
+   - [swap]: g's last two parameters then swap names — printed, g's RV
+     entry is the same, but its guard now reads the other position: only
+     equality modulo fresh ids, formals seeded by position, sees the
+     change.
+   A check runs after every edit, so a search stored then — h's guarded
+   use-after-free, which read f's RV entry — must be re-run after the
+   next RV edit. *)
+let rules_subject ~store ~ret ~free ~swap =
+  Printf.sprintf
+    {|int g(int **q, int *p, %s) {
+  %s
+  %s
+  %s
+  return r;
+}
+
+int f(int **q, int *p, int s) {
+  int r = g(q, p, s, 10);
+  return r;
+}
+
+void h(int n) {
+  int **ptr = malloc();
+  int *a = malloc();
+  *ptr = a;
+  int *p = malloc();
+  free(p);
+  int r = f(ptr, p, 1);
+  int *x = *ptr;
+  print(*x);
+  int *m = malloc();
+  free(m);
+  if (r > 5) { print(*m); }
+}
+|}
+    (if swap then "int b, int a" else "int a, int b")
+    (if store then "int *c = malloc(); *q = c; free(c);" else "")
+    (if free then "free(p);" else "")
+    ret
+
+let run_cutoff_rules ?pool ?store () =
+  let file ~store ~ret ~free ~swap =
+    [ ("rules.mc", rules_subject ~store ~ret ~free ~swap) ]
+  in
+  let const n = Printf.sprintf "int r = %d;" n in
+  let guarded = "int r = 0; if (a > 5) { r = 10; }" in
+  let v0 = file ~store:false ~ret:(const 3) ~free:false ~swap:false in
+  let st = Incr.load ?pool ?store v0 in
+  same_as_batch ?pool "load" st v0;
+  List.iter
+    (fun (what, files, (retransformed, resummarised), (n_uaf, n_df)) ->
+      let stats = Incr.update st files in
+      same_as_batch ?pool what st files;
+      Alcotest.(check (pair int int))
+        (what ^ ": (use-after-free, double-free) reports")
+        (n_uaf, n_df)
+        ( List.length (server_renders st Pinpoint.Checkers.use_after_free),
+          List.length (server_renders st Pinpoint.Checkers.double_free) );
+      Alcotest.(check (pair int int))
+        (what ^ ": (retransformed, resummarised)")
+        (retransformed, resummarised)
+        (stats.Incr.retransformed, stats.Incr.resummarised))
+    [
+      ( "interface",
+        file ~store:true ~ret:(const 3) ~free:false ~swap:false,
+        (3, 0),
+        (1, 0) );
+      ("RV", file ~store:true ~ret:(const 30) ~free:false ~swap:false, (1, 2), (2, 0));
+      ("VF", file ~store:true ~ret:(const 30) ~free:true ~swap:false, (1, 2), (2, 1));
+      ( "RV by guard",
+        file ~store:true ~ret:guarded ~free:true ~swap:false,
+        (1, 2),
+        (1, 1) );
+      ( "renamed formals",
+        file ~store:true ~ret:guarded ~free:true ~swap:true,
+        (1, 2),
+        (2, 1) );
+    ]
+
+let test_cutoff_rules_seq () = run_cutoff_rules ()
+
+let test_cutoff_rules_jobs4 () =
+  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_cutoff_rules ~pool ())
+
+let test_cutoff_rules_store () = with_store (fun store -> run_cutoff_rules ~store ())
 
 (* ---------- server protocol ---------- *)
 
@@ -490,6 +739,18 @@ let test_request_isolation () =
       false (response_ok j);
     Option.value ~default:"" (Option.bind (Json.member "error" j) Json.string_opt)
   in
+  let status path =
+    let status, _ =
+      Server.handle_line t (Json.to_string (Json.Obj [ ("op", Json.String "status") ]))
+    in
+    Option.bind
+      (List.fold_left
+         (fun j k -> Option.bind j (Json.member k))
+         (Some (parse_response status)) path)
+      Json.int_opt
+  in
+  let epoch_before = status [ "epoch" ] in
+  Alcotest.(check bool) "status reports the epoch" true (epoch_before <> None);
   List.iter
     (fun bad ->
       (* bad input gets a structured error, never an escaped exception *)
@@ -505,6 +766,31 @@ let test_request_isolation () =
       {|{"op":"check","x":"\uzzzz"}|};
       new_file "c.mc" "void wedge_h(int *p) { free(p, p); }";
     ];
+  (* one file named twice has no single contents to apply: refused
+     before any state changes *)
+  let edited i =
+    let copy = Array.copy chunks in
+    ignore (bump_nth_function copy ~chunk:0 ~i);
+    emit_fdecls (snd copy.(0))
+  in
+  Alcotest.(check string)
+    "duplicate file" "bad request: duplicate file srv_0.mc"
+    (error_of
+       (req_of_files ~checkers:[ "use-after-free" ]
+          [ ("srv_0.mc", edited 0); ("srv_0.mc", edited 1) ]));
+  (* a body that fails to lower behind unchanged headers: refused after
+     the header check, still before any state changes *)
+  let undeclared =
+    let src = emit_fdecls (snd chunks.(0)) in
+    let i = String.index src '{' + 1 in
+    String.sub src 0 i ^ " print(srv_undeclared);"
+    ^ String.sub src i (String.length src - i)
+  in
+  Alcotest.(check bool)
+    "undeclared variable" true
+    (Pinpoint_util.Pp.contains
+       (error_of (new_file "srv_0.mc" undeclared))
+       "undeclared variable srv_undeclared");
   List.iter
     (fun (bad, expected) ->
       Alcotest.(check string) "duplicate definition" expected (error_of bad))
@@ -518,13 +804,7 @@ let test_request_isolation () =
     ];
   (* a line that is not an object, or whose op is not a string, runs
      nothing: the check counter must not move *)
-  let checks () =
-    let status, _ =
-      Server.handle_line t (Json.to_string (Json.Obj [ ("op", Json.String "status") ]))
-    in
-    Option.bind (Json.member "ops" (parse_response status)) (fun ops ->
-        Option.bind (Json.member "check" ops) Json.int_opt)
-  in
+  let checks () = status [ "ops"; "check" ] in
   let checks_before = checks () in
   Alcotest.(check bool) "status counts checks" true (checks_before <> None);
   List.iter
@@ -542,12 +822,8 @@ let test_request_isolation () =
   Alcotest.(check (list string))
     "state survived bad requests" before
     (response_renders (parse_response resp));
-  let status, _ =
-    Server.handle_line t (Json.to_string (Json.Obj [ ("op", Json.String "status") ]))
-  in
-  Alcotest.(check (option int))
-    "rejected files not resident" (Some 1)
-    (Option.bind (Json.member "files" (parse_response status)) Json.int_opt);
+  Alcotest.(check (option int)) "rejected files not resident" (Some 1) (status [ "files" ]);
+  Alcotest.(check (option int)) "epoch unchanged" epoch_before (status [ "epoch" ]);
   ignore (bump_nth_function chunks ~chunk:0 ~i:0);
   let name, fds = chunks.(0) in
   let resp, _ =
@@ -556,6 +832,9 @@ let test_request_isolation () =
   in
   let j = parse_response resp in
   Alcotest.(check bool) "next edit ok" true (response_ok j);
+  Alcotest.(check (option int))
+    "next edit bumps the epoch"
+    (Option.map succ epoch_before) (status [ "epoch" ]);
   Alcotest.(check (list string))
     "next edit matches batch"
     (batch_renders (contents_of chunks) Pinpoint.Checkers.use_after_free)
@@ -932,6 +1211,46 @@ let test_metrics_op_quantiles () =
         "pinpoint_server_uptime_s";
       ]
 
+(* The incr.* counters add up the incremental counts of every answered
+   response, the first request's load included. *)
+let test_incr_counters () =
+  with_obs Obs.Metrics_only @@ fun () ->
+  let chunks = split_subject 1 (subject ~seed:73 ~loc:250 ()) in
+  let t = Server.create () in
+  let fields = [ "retransformed"; "resummarised" ] in
+  let sums = Hashtbl.create 2 in
+  let send () =
+    let resp, _ =
+      Server.handle_line t
+        (req_of_files ~checkers:[ "use-after-free" ] (contents_of chunks))
+    in
+    let j = parse_response resp in
+    Alcotest.(check bool) "request ok" true (response_ok j);
+    List.iter
+      (fun field ->
+        match Option.bind (member_path [ "incremental"; field ] j) Json.int_opt with
+        | Some n ->
+          Hashtbl.replace sums field
+            (n + Option.value ~default:0 (Hashtbl.find_opt sums field))
+        | None -> Alcotest.failf "response missing incremental.%s" field)
+      fields
+  in
+  send ();
+  for i = 1 to 4 do
+    ignore (bump_nth_function chunks ~chunk:0 ~i);
+    send ()
+  done;
+  let resp, _ = Server.handle_line t (op_req "metrics") in
+  let j = parse_response resp in
+  List.iter
+    (fun field ->
+      Alcotest.(check (option int))
+        ("incr." ^ field) (Hashtbl.find_opt sums field)
+        (Option.bind
+           (member_path [ "totals"; "counters"; "incr." ^ field ] j)
+           Json.int_opt))
+    fields
+
 (* dump op: flight-recorder dump to the configured path, and a
    per-request Chrome trace slice. *)
 let test_dump_op () =
@@ -1141,6 +1460,12 @@ let suite =
       test_memo_footprint_jobs4;
     Alcotest.test_case "memo follows the footprint (store)" `Quick
       test_memo_footprint_store;
+    Alcotest.test_case "edit shapes (seq)" `Quick test_edit_shapes_seq;
+    Alcotest.test_case "edit shapes (jobs 4)" `Quick test_edit_shapes_jobs4;
+    Alcotest.test_case "edit shapes (store)" `Quick test_edit_shapes_store;
+    Alcotest.test_case "each cutoff rule (seq)" `Quick test_cutoff_rules_seq;
+    Alcotest.test_case "each cutoff rule (jobs 4)" `Quick test_cutoff_rules_jobs4;
+    Alcotest.test_case "each cutoff rule (store)" `Quick test_cutoff_rules_store;
     Alcotest.test_case "request isolation" `Quick test_request_isolation;
     Alcotest.test_case "deadline isolation" `Quick test_deadline_isolation;
     Alcotest.test_case "rss shedding" `Quick test_rss_shedding;
@@ -1151,6 +1476,7 @@ let suite =
       test_request_spans_jobs4;
     Alcotest.test_case "status telemetry" `Quick test_status_telemetry;
     Alcotest.test_case "metrics op quantiles" `Quick test_metrics_op_quantiles;
+    Alcotest.test_case "incremental counters" `Quick test_incr_counters;
     Alcotest.test_case "dump op (flight + trace slice)" `Quick test_dump_op;
     Alcotest.test_case "flight dump on crash" `Quick test_flight_crash_dump;
     Alcotest.test_case "flight dump on rss shed" `Quick test_flight_shed_dump;

@@ -420,9 +420,11 @@ let test_sweep_update () =
         let prog = a.Pinpoint.Analysis.prog in
         let what = Printf.sprintf "%s edit %d (%s)" name k edited in
         let rv = rv_entries a in
-        Pinpoint.Analysis.sweep ~resilience:a.Pinpoint.Analysis.resilience prog
-          a.Pinpoint.Analysis.transform ~segs:a.Pinpoint.Analysis.segs
-          a.Pinpoint.Analysis.rv ~vfs (dirty_sccs prog edited);
+        ignore
+          (Pinpoint.Analysis.sweep ~resilience:a.Pinpoint.Analysis.resilience
+             a.Pinpoint.Analysis.graph a.Pinpoint.Analysis.transform
+             ~segs:a.Pinpoint.Analysis.segs a.Pinpoint.Analysis.rv ~vfs
+             (dirty_sccs prog edited));
         check_against_oracle what a vfs;
         List.iter2
           (fun (fn, before) (_, after) ->

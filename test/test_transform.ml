@@ -21,7 +21,7 @@ void foo(int *a) {
 
 let test_aux_formal_inserted () =
   let prog = Helpers.compile fig2_src in
-  let res = T.run prog in
+  let res = T.run (Callgraph.build prog) in
   let bar = Helpers.func prog "bar" in
   let iface = Hashtbl.find res.T.ifaces "bar" in
   (* bar reads and writes *(q,1): one F, one R *)
@@ -45,7 +45,7 @@ let test_aux_formal_inserted () =
 
 let test_call_site_rewritten () =
   let prog = Helpers.compile fig2_src in
-  let _ = T.run prog in
+  let _ = T.run (Callgraph.build prog) in
   let foo = Helpers.func prog "foo" in
   (* the call to bar now passes an extra actual (loaded before) and
      receives an extra value (stored after) *)
@@ -71,7 +71,7 @@ let test_call_site_rewritten () =
 
 let test_ssa_preserved () =
   let prog = Helpers.compile fig2_src in
-  let _ = T.run prog in
+  let _ = T.run (Callgraph.build prog) in
   List.iter
     (fun f ->
       Alcotest.(check bool) ("ssa " ^ f.Func.fname) true (Ssa.is_ssa f);
@@ -90,7 +90,7 @@ void h(int **p, int *v) { g(p, v); }
 void top(int *v) { int **h0 = malloc(); h(h0, v); int *r = *h0; print(*r); }
 |}
   in
-  let res = T.run prog in
+  let res = T.run (Callgraph.build prog) in
   let g_iface = Hashtbl.find res.T.ifaces "g" in
   let h_iface = Hashtbl.find res.T.ifaces "h" in
   Alcotest.(check int) "g mods" 1 (List.length g_iface.T.mod_paths);
@@ -125,7 +125,7 @@ void rec1(int **p, int n) { if (n > 0) { rec2(p, n - 1); } *p = malloc(); }
 void rec2(int **p, int n) { if (n > 0) { rec1(p, n - 1); } }
 |}
   in
-  let res = T.run prog in
+  let res = T.run (Callgraph.build prog) in
   (* both get interfaces; intra-SCC calls stay unrewired but nothing
      crashes and SSA holds *)
   Alcotest.(check bool) "rec1 iface" true (Hashtbl.mem res.T.ifaces "rec1");
@@ -143,7 +143,7 @@ int* mk(int x) { int *p = malloc(); *p = x; return p; }
 void use(int x) { int *p = mk(x); int y = *p; print(y); }
 |}
   in
-  let res = T.run prog in
+  let res = T.run (Callgraph.build prog) in
   let mk_iface = Hashtbl.find res.T.ifaces "mk" in
   Alcotest.(check bool) "ret-rooted mod" true
     (List.exists (fun (q, r, _) -> q = 0 && r = 1) mk_iface.T.mod_paths);
@@ -167,7 +167,7 @@ let test_conduit_cap () =
     Helpers.compile
       "void f(int **a, int **b) { int *x = *a; int *y = *b; print(*x); print(*y); }"
   in
-  let res = T.run prog in
+  let res = T.run (Callgraph.build prog) in
   let iface = Hashtbl.find res.T.ifaces "f" in
   Alcotest.(check bool) "capped" true (List.length iface.T.ref_paths <= 1);
   T.max_conduits := old
