@@ -103,14 +103,6 @@ let inject_seg_rate_arg =
           "Probability that a function's SEG is sabotaged, split evenly over \
            drop / truncate / crash-during-build.")
 
-let no_qcache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-qcache" ]
-        ~doc:
-          "Disable the shared SMT verdict cache (every query is solved from \
-           scratch; the report set is unchanged).")
-
 let no_refine_arg =
   Arg.(
     value & flag
@@ -267,7 +259,7 @@ let print_incidents ~verbose (a : Pinpoint.Analysis.t) =
 
 let check_cmd =
   let run files checkers verbose confirm deadline_s budget_s solver_conflicts
-      seed rate seg_rate no_qcache no_refine jobs store_dir
+      seed rate seg_rate no_refine jobs store_dir
       max_resident rss_cap_mb trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
     set_obs_level ~trace ~metrics_json ~obs;
@@ -298,7 +290,6 @@ let check_cmd =
               deadline = Pinpoint_util.Metrics.deadline_after deadline_s;
               solver_budget_s = budget_s;
               solver_conflict_budget = solver_conflicts;
-              use_qcache = not no_qcache;
               use_refine = not no_refine;
             }
           in
@@ -351,7 +342,7 @@ let check_cmd =
       const run $ files_arg $ checkers_arg $ verbose_arg $ confirm_arg
       $ deadline_arg $ solver_budget_arg $ solver_conflicts_arg
       $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ no_qcache_arg $ no_refine_arg $ jobs_arg $ store_dir_arg $ max_resident_arg
+      $ inject_seg_rate_arg $ no_refine_arg $ jobs_arg $ store_dir_arg $ max_resident_arg
       $ rss_cap_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in
   Cmd.v (Cmd.info "check" ~doc:"Run checkers on MC source file(s)") term
@@ -541,14 +532,6 @@ let snapshot_every_arg =
     & info [ "snapshot-every" ] ~docv:"N"
         ~doc:"Full snapshot (and journal truncation) every $(docv) updates.")
 
-let qcache_cap_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "qcache-cap" ] ~docv:"N"
-        ~doc:
-          "Cap the shared SMT verdict cache at $(docv) entries with \
-           clock/LRU eviction (0 = unbounded).")
-
 let incident_cap_arg =
   Arg.(
     value & opt int Pinpoint_server.Server.default_config.incident_cap
@@ -598,7 +581,7 @@ let no_flight_arg =
 
 let serve_cmd =
   let run files socket queue_depth max_rss_mb snapshot_dir snapshot_every
-      qcache_cap incident_cap deadline_s budget_s solver_conflicts seed rate
+      incident_cap deadline_s budget_s solver_conflicts seed rate
       seg_rate jobs store_dir max_resident prom_file prom_every
       flight_file no_flight trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
@@ -612,7 +595,6 @@ let serve_cmd =
         snapshot_dir;
         snapshot_every;
         incident_cap;
-        qcache_cap = (if qcache_cap > 0 then Some qcache_cap else None);
         default_deadline_s = deadline_s;
         solver_budget_s = budget_s;
         solver_conflicts;
@@ -657,8 +639,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ serve_files_arg $ socket_arg $ queue_depth_arg $ max_rss_arg
-      $ snapshot_dir_arg $ snapshot_every_arg $ qcache_cap_arg
-      $ incident_cap_arg $ deadline_arg $ solver_budget_arg
+      $ snapshot_dir_arg $ snapshot_every_arg $ incident_cap_arg $ deadline_arg $ solver_budget_arg
       $ solver_conflicts_arg $ inject_seed_arg $ inject_rate_arg
       $ inject_seg_rate_arg $ jobs_arg $ store_dir_arg
       $ max_resident_arg $ prom_file_arg $ prom_every_arg $ flight_file_arg

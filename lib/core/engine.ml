@@ -6,7 +6,6 @@ module Vf = Pinpoint_summary.Vf
 module Rv = Pinpoint_summary.Rv
 module Metrics = Pinpoint_util.Metrics
 module Resilience = Pinpoint_util.Resilience
-module Qcache = Pinpoint_smt.Qcache
 module Refine = Pinpoint_pta.Refine
 module Obs = Pinpoint_obs.Obs
 
@@ -17,7 +16,6 @@ type config = {
   max_reports_per_source : int;
   check_feasibility : bool;
   use_vf_pruning : bool;
-  use_qcache : bool;
   use_refine : bool;
   deadline : Metrics.deadline;
   solver_budget_s : float;
@@ -32,7 +30,6 @@ let default_config =
     max_reports_per_source = 16;
     check_feasibility = true;
     use_vf_pruning = true;
-    use_qcache = true;
     use_refine = true;
     deadline = Metrics.no_deadline;
     solver_budget_s = infinity;
@@ -48,17 +45,15 @@ type stats = {
   mutable n_rung_halved : int;
   mutable n_rung_linear : int;
   mutable n_rung_gave_up : int;
-  mutable n_rung_cached : int;
   mutable n_refine_checks : int;
   mutable n_refine_removed : int;
   mutable n_incidents : int;
   mutable n_reused_sources : int;
-  mutable solver : Solver.stats;
 }
 
 (* The summed fields of the cross-source merge, as an {!Obs.Agg} fields
-   spec: one list drives the merge fold and the registry compatibility
-   view ([engine.*] counters).  [n_sources]/[n_incidents]/[n_reused_sources]
+   spec: one list drives the merge fold and the registry view
+   ([engine.*] counters).  [n_sources]/[n_incidents]/[n_reused_sources]
    are not deltas — they are set once per run — so they join only the
    published view. *)
 let merge_fields =
@@ -81,9 +76,6 @@ let merge_fields =
       field "n_rung_gave_up"
         (fun s -> s.n_rung_gave_up)
         (fun s v -> s.n_rung_gave_up <- v);
-      field "n_rung_cached"
-        (fun s -> s.n_rung_cached)
-        (fun s v -> s.n_rung_cached <- v);
       field "n_refine_checks"
         (fun s -> s.n_refine_checks)
         (fun s v -> s.n_refine_checks <- v);
@@ -203,8 +195,6 @@ let emit ctx (path : Vpath.t) =
               ctx.stats.n_rung_linear <- ctx.stats.n_rung_linear + 1
             | Solver.Rung_gave_up ->
               ctx.stats.n_rung_gave_up <- ctx.stats.n_rung_gave_up + 1
-            | Solver.Rung_cached ->
-              ctx.stats.n_rung_cached <- ctx.stats.n_rung_cached + 1
           in
           let v, model, rung =
             Solver.check_degrading ~budget_s:ctx.cfg.solver_budget_s
@@ -219,9 +209,7 @@ let emit ctx (path : Vpath.t) =
                nonlinear theory.  Derive the linear facts the path's
                definitions entail over true integer semantics and
                re-check the strengthened condition; Unsat downgrades
-               the report to infeasible.  Applied on every Sat verdict
-               — cached replays included — so reports are identical
-               whichever cache answered. *)
+               the report to infeasible. *)
             let facts =
               if ctx.cfg.use_refine then Refine.facts cond else []
             in
@@ -515,22 +503,14 @@ let zero_stats () =
     n_rung_halved = 0;
     n_rung_linear = 0;
     n_rung_gave_up = 0;
-    n_rung_cached = 0;
     n_refine_checks = 0;
     n_refine_removed = 0;
     n_incidents = 0;
     n_reused_sources = 0;
-    solver = Solver.zero ();
   }
 
 let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
     ~graph ~seg_of ~rv ~vf (spec : Checker_spec.t) : Report.t list * stats =
-  (* The verdict cache is a process-global table but gated per run: enable
-     it for the duration of this run according to the config, restoring
-     the previous state on the way out (runs can nest via bench). *)
-  let qcache_was = Qcache.enabled () in
-  Qcache.set_enabled config.use_qcache;
-  Fun.protect ~finally:(fun () -> Qcache.set_enabled qcache_was) @@ fun () ->
   let incidents_before =
     match resilience with Some l -> Resilience.count l | None -> 0
   in
@@ -597,10 +577,9 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
   in
   (* One task per source, with a task-local context: searches from
      different sources never share search state, so they can run on any
-     domain in any order.  The solver counters are domain-local; each task
-     measures its own delta on the domain that ran it.  With a memo the
-     task also records its footprint, through the SEG accessor it hands
-     to the search and to the condition builder and through [callers]. *)
+     domain in any order.  With a memo the task also records its
+     footprint, through the SEG accessor it hands to the search and to the
+     condition builder and through [callers]. *)
   let run_source ((f : Func.t), (v : Var.t), sid) =
     let subject = Printf.sprintf "%s:%d" f.Func.fname sid in
     Obs.span "engine.source"
@@ -642,7 +621,6 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
         dedup = Hashtbl.create 16;
       }
     in
-    let s0 = Solver.snapshot () in
     let completed = ref false in
     (* The per-source injection stream is keyed by the source site (not by
        global query order), so the same seed sabotages the same queries at
@@ -684,9 +662,8 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
           }
       else None
     in
-    (reports, ctx.stats, Solver.diff (Solver.snapshot ()) s0, entry)
+    (reports, ctx.stats, entry)
   in
-  let m0 = Solver.snapshot () in
   let results =
     match pool with
     | Some pool when Pinpoint_par.Pool.jobs pool > 1 ->
@@ -697,7 +674,6 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
       Pinpoint_par.Chunk.parallel_map pool run_source misses
     | _ -> Array.map (fun s -> Some (run_source s)) misses
   in
-  let main_delta = Solver.diff (Solver.snapshot ()) m0 in
   (* Deterministic merge, in source-enumeration order, over stored and
      fresh searches alike.  Cross-source duplicate suppression happens
      here (task contexts are independent): the first source to produce a
@@ -734,31 +710,19 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
         incr next_miss;
         match r with
         | None -> () (* task lost to a pool-level fault; incident logged *)
-        | Some (rs, (st : stats), delta, entry) ->
+        | Some (rs, (st : stats), entry) ->
           Obs.Agg.add_into merge_fields ~into:stats st;
-          stats.solver <- Solver.merge stats.solver delta;
           (match (memo, entry) with
           | Some m, Some e -> Hashtbl.replace m.results (memo_key src_arr.(i)) e
           | _ -> ());
           add_reports rs))
     hits;
   stats.n_sources <- Array.length src_arr;
-  (* Fold the worker domains' solver counters into the calling domain's
-     ambient record, so an enclosing measurement (bench, nested runs) sees
-     the same totals as a sequential run would have accumulated.  The
-     calling domain's own share ([main_delta], including tasks it helped
-     run) is already there — add only the remainder. *)
-  Solver.restore
-    (Solver.merge (Solver.snapshot ()) (Solver.diff stats.solver main_delta));
   stats.n_incidents <-
     (match resilience with
     | Some l -> Resilience.count l - incidents_before
     | None -> 0);
-  (* Compatibility view: the legacy counter records, republished as
-     registry counters so [--metrics-json] / [stats --obs] see them
-     without a second bookkeeping path. *)
-  if Obs.metrics_on () then begin
-    Obs.Agg.publish ~prefix:"engine." all_fields stats;
-    Solver.obs_publish stats.solver
-  end;
+  (* The run's result record, published as [engine.*] registry counters
+     so [--metrics-json] and the server's rolling window see it. *)
+  Obs.Agg.publish ~prefix:"engine." all_fields stats;
   (List.rev !reports, stats)

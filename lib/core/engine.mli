@@ -28,9 +28,6 @@ type config = {
       (** consult callee VF summaries before descending (§3.3.1(3));
           disabling it descends into every defined callee — the
           demand-driven-ness ablation *)
-  use_qcache : bool;
-      (** enable the process-wide SMT verdict cache ({!Pinpoint_smt.Qcache})
-          for the duration of the run (default [true], CLI [--no-qcache]) *)
   use_refine : bool;
       (** demand-driven refinement ({!Pinpoint_pta.Refine}): on a Sat
           feasibility verdict, re-check the condition strengthened with
@@ -62,9 +59,6 @@ type stats = {
   mutable n_rung_halved : int;  (** … by the halved-budget retry *)
   mutable n_rung_linear : int;  (** … by the linear contradiction solver *)
   mutable n_rung_gave_up : int; (** … kept as [Unknown] (ladder exhausted) *)
-  mutable n_rung_cached : int;
-      (** … replayed from the verdict cache (schedule-dependent split
-          against [n_rung_full] at [--jobs] > 1; their sum is not) *)
   mutable n_refine_checks : int;
       (** Sat verdicts that produced refinement facts and were re-checked *)
   mutable n_refine_removed : int;
@@ -74,9 +68,12 @@ type stats = {
   mutable n_reused_sources : int;
       (** sources answered from a resident {!memo} without searching; they
           count in [n_sources] but add nothing to any work counter *)
-  mutable solver : Pinpoint_smt.Solver.stats;
-      (** solver counters attributable to this run alone *)
 }
+(** One run's result, printed by the CLI's per-checker header and every
+    server check response at every obs level.  When metrics are on, each
+    field is also added to the registry counter [engine.<field>]; the
+    solver's work is counted only there, in the [solver.*] counters
+    ({!Pinpoint_smt.Solver}). *)
 
 (** Resident per-source results for one checker (the analysis server's
     path, DESIGN.md §4.13).  A memo keeps each function's enumerated

@@ -17,10 +17,7 @@ let is_reported r = r.verdict <> Infeasible
 
 let is_degraded r =
   match r.rung with
-  (* A cached verdict is a replayed full-rung answer, not a degradation. *)
-  | Some (Pinpoint_smt.Solver.Rung_full | Pinpoint_smt.Solver.Rung_cached)
-  | None ->
-    false
+  | Some Pinpoint_smt.Solver.Rung_full | None -> false
   | Some _ -> true
 
 let key r =

@@ -198,13 +198,12 @@ let metrics_json ?top_k () =
       ]
   in
   jobj
-    ([
-       ("counters", jobj counters);
-       ("gauges", jobj gauges);
-       ("histograms", jobj histograms);
-       ("smt", smt);
-     ]
-    @ Obs.json_sections ())
+    [
+      ("counters", jobj counters);
+      ("gauges", jobj gauges);
+      ("histograms", jobj histograms);
+      ("smt", smt);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition (version 0.0.4: the `# TYPE` + samples

@@ -321,8 +321,8 @@ module Snapshot = struct
   (* [diff newer older]: counters and histograms subtract (clamped at
      zero — a concurrent reset can only shrink a window, never corrupt
      it), gauges keep the newer reading.  Names only in [newer] are kept
-     verbatim; names only in [older] (a reset dropped them) vanish.  The
-     key algebraic fact the rolling window relies on:
+     verbatim; names only in [older] vanish.  The key algebraic fact the
+     rolling window relies on:
        merge (diff b a) (diff c b) = diff c a
      whenever the registry grew monotonically between the snapshots. *)
   let rec diff newer older =
@@ -385,22 +385,6 @@ let snapshot () : Snapshot.t =
                    }) ))
 
 (* ------------------------------------------------------------------ *)
-(* Extra JSON sections: lower layers (e.g. the SMT verdict cache) register
-   a producer here so the metrics export can include subsystem-specific
-   structured data without this library depending on them. *)
-
-let sections_lock = Mutex.create ()
-let sections : (string * (unit -> string)) list ref = ref []
-
-let register_json_section name f =
-  Mutex.protect sections_lock (fun () ->
-      sections := (name, f) :: List.remove_assoc name !sections)
-
-let json_sections () =
-  let fs = Mutex.protect sections_lock (fun () -> List.rev !sections) in
-  List.map (fun (n, f) -> (n, f ())) fs
-
-(* ------------------------------------------------------------------ *)
 (* Fieldwise aggregation *)
 
 module Agg = struct
@@ -412,16 +396,10 @@ module Agg = struct
 
   let field af_name af_get af_set = { af_name; af_get; af_set }
 
-  let map2_into op fields ~into src =
+  let add_into fields ~into src =
     List.iter
-      (fun f -> f.af_set into (op (f.af_get into) (f.af_get src)))
+      (fun f -> f.af_set into (f.af_get into + f.af_get src))
       fields
-
-  let add_into fields ~into src = map2_into ( + ) fields ~into src
-  let sub_into fields ~into src = map2_into ( - ) fields ~into src
-
-  let copy_into fields ~into src =
-    List.iter (fun f -> f.af_set into (f.af_get src)) fields
 
   let publish ~prefix fields r =
     if metrics_on () then
@@ -434,8 +412,23 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Zero every metric in place rather than empty the table: modules
+   create their handles once, when they load (the solver's and the
+   store's counters), and a handle must keep feeding the metric a
+   snapshot reads. *)
 let reset () =
-  Mutex.protect reg_lock (fun () -> Hashtbl.reset registry);
+  Mutex.protect reg_lock (fun () ->
+      Hashtbl.iter
+        (fun _ m ->
+          match m with
+          | C c -> Atomic.set c.c 0
+          | G g -> g.g <- 0.0
+          | H h ->
+            Mutex.protect h.h_lock (fun () ->
+                Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
+                h.h_sum <- 0.0;
+                h.h_n <- 0))
+        registry);
   let bs = Mutex.protect bufs_lock (fun () -> !bufs) in
   (* Buffers belonging to other (live) domains are only ever appended to
      at their head fields; resetting them from here races benignly in

@@ -4,11 +4,11 @@
     granularity the paper's evaluation needs: nestable {e spans} over the
     pipeline phases (frontend lowering, PTA, connector transform, SEG
     build, summaries, per-source engine searches, individual SMT
-    queries), a {e registry} of named counters / gauges / histograms that
-    absorbs the scattered [Engine.stats] / [Solver.stats] counters, and a
-    per-query {e SMT profiler}.  Exporters ({!Export}) turn the collected
-    data into Chrome [trace_event] JSON (per-domain tracks, loadable in
-    Perfetto) and a flat metrics JSON / human summary.
+    queries), a {e registry} of named counters / gauges / histograms
+    (where the solver, the engine, the store and the pool count their
+    work), and a per-query {e SMT profiler}.  Exporters ({!Export}) turn
+    the collected data into Chrome [trace_event] JSON (per-domain tracks,
+    loadable in Perfetto) and a flat metrics JSON / human summary.
 
     Everything is {b off by default}: each hook is a load of one atomic
     int and a branch, so an uninstrumented run pays nothing measurable
@@ -161,23 +161,11 @@ end
 
 val snapshot : unit -> Snapshot.t
 
-(** {1 Extra JSON sections} *)
-
-val register_json_section : string -> (unit -> string) -> unit
-(** [register_json_section name f] makes the metrics JSON export include a
-    top-level field [name] whose value is the raw JSON produced by [f ()]
-    at export time.  Lets lower layers (e.g. the SMT verdict cache)
-    contribute structured data without this library depending on them.
-    Re-registering a name replaces the previous producer. *)
-
-val json_sections : unit -> (string * string) list
-(** Evaluate every registered producer, in registration order. *)
-
 (** {1 SMT query profiler} *)
 
 type query = {
   q_subject : string;  (** source/sink attribution, e.g. "f:3 -> g:9" *)
-  q_rung : string;  (** full / halved / linear / gave-up / cached *)
+  q_rung : string;  (** full / halved / linear / gave-up *)
   q_verdict : string;  (** sat / unsat / unknown *)
   q_atoms : int;  (** atom count of the queried formula *)
   q_conflicts : int;  (** CDCL conflicts spent on this query *)
@@ -205,29 +193,30 @@ val queries : unit -> query list
 
 (** {1 Fieldwise aggregation}
 
-    The one copy of the record-fold machinery that [Solver.stats] /
-    [Engine.stats] merging and the pool's allocation accounting used to
-    hand-roll: describe a mutable record's int fields once as lenses and
-    derive add/sub/copy — and the registry compatibility view
-    ({!Agg.publish}) — from that single description. *)
+    The record-fold machinery behind [Engine.stats], the per-run result
+    record, and the pool's allocation accounting: describe a mutable
+    record's int fields once as lenses and derive the merge — and the
+    registry view ({!Agg.publish}) — from that single description. *)
 
 module Agg : sig
   type 'r field
 
   val field : string -> ('r -> int) -> ('r -> int -> unit) -> 'r field
+
   val add_into : 'r field list -> into:'r -> 'r -> unit
-  val sub_into : 'r field list -> into:'r -> 'r -> unit
-  val copy_into : 'r field list -> into:'r -> 'r -> unit
+  (** Field-wise [into += src]. *)
 
   val publish : prefix:string -> 'r field list -> 'r -> unit
-  (** Bump registry counter [prefix ^ field name] by each field's value —
-      the compatibility view that makes legacy stats records visible to
-      the metrics exporters.  No-op when the level is [Off]. *)
+  (** Bump registry counter [prefix ^ field name] by each field's value,
+      so the exporters see the record.  No-op when the level is [Off]. *)
 
   val sum_f : float array -> float
   (** Pointwise float-array sum (per-worker accounting slots). *)
 end
 
 val reset : unit -> unit
-(** Clear spans, queries and the registry (not the level).  Test and
-    bench hook; a CLI run never needs it. *)
+(** Clear spans and queries and zero every registered metric in place
+    (not the level).  Names stay registered, so a handle created before
+    the reset — modules create theirs once, when they load — keeps
+    feeding the metric every later snapshot reads.  Test and bench hook;
+    a CLI run never needs it. *)

@@ -32,13 +32,11 @@ let n_pruned = Atomic.make 0
    functions for the ubiquitous gate shapes), and [Lin.check] is a pure
    function of the hash-consed formula, so a row whose condition id was
    seen before needs no linear solve at all — only {e changed} rows are
-   reprocessed.  The memo is sharded like the qcache so parallel transform
-   tasks don't contend; hash-cons ids are never reused (even under the
-   weak table's eviction) so a cached verdict can never be wrong, and the
-   kept/pruned counters are bumped on hits exactly as on misses — stats
-   stay byte-identical with the memo on or off, at any [--jobs]. *)
-let diff_propagation = ref true
-
+   reprocessed.  The memo is sharded so parallel transform tasks don't
+   contend; hash-cons ids are never reused (even under the weak table's
+   eviction) so a cached verdict can never be wrong, and the kept/pruned
+   counters are bumped on hits exactly as on misses — stats stay
+   byte-identical whether a row hits or misses, at any [--jobs]. *)
 let memo_shards = 16
 
 let memo : (int, bool) Hashtbl.t array =
@@ -59,26 +57,20 @@ let reset_stats () =
 
 (* [Lin.check cond = Maybe], through the verdict memo. *)
 let lin_feasible cond =
-  if not !diff_propagation then
-    match Lin.check cond with Lin.Unsat -> false | Lin.Maybe -> true
-  else begin
-    let id = cond.E.id in
-    let s = (id land max_int) mod memo_shards in
-    let cached =
-      Mutex.protect memo_locks.(s) (fun () -> Hashtbl.find_opt memo.(s) id)
-    in
-    match cached with
-    | Some b ->
-      Atomic.incr n_row_hits;
-      b
-    | None ->
-      Atomic.incr n_row_misses;
-      let b =
-        match Lin.check cond with Lin.Unsat -> false | Lin.Maybe -> true
-      in
-      Mutex.protect memo_locks.(s) (fun () -> Hashtbl.replace memo.(s) id b);
-      b
-  end
+  let id = cond.E.id in
+  let s = (id land max_int) mod memo_shards in
+  let cached =
+    Mutex.protect memo_locks.(s) (fun () -> Hashtbl.find_opt memo.(s) id)
+  in
+  match cached with
+  | Some b ->
+    Atomic.incr n_row_hits;
+    b
+  | None ->
+    Atomic.incr n_row_misses;
+    let b = match Lin.check cond with Lin.Unsat -> false | Lin.Maybe -> true in
+    Mutex.protect memo_locks.(s) (fun () -> Hashtbl.replace memo.(s) id b);
+    b
 
 let feasible cond =
   if E.is_false cond then begin

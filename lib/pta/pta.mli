@@ -73,17 +73,14 @@ val stats_sat_conditions : unit -> int * int
     pruned as infeasible by the linear solver (the paper reports ~70% of
     PTA-stage conditions satisfiable). *)
 
-val diff_propagation : bool ref
-(** Row-level difference propagation (DESIGN.md §4.15; default true): the
-    linear-solver verdict for a row's condition is memoized by hash-cons
-    id, so only rows whose condition was never classified before pay a
-    linear solve.  Verdicts are pure functions of the formula and the
-    kept/pruned counters are bumped identically on hits, so flipping this
-    changes no analysis output — only time.  Set to [false] for the
-    ablation leg of [bench par] and the identity test. *)
-
 val stats_rows : unit -> int * int
-(** [(hits, misses)] of the difference-propagation verdict memo. *)
+(** [(hits, misses)] of the row-verdict memo (row-level difference
+    propagation, DESIGN.md §4.15): the linear-solver verdict for a row's
+    condition is memoized by hash-cons id, so only rows whose condition
+    was never classified before pay a linear solve.  Verdicts are pure
+    functions of the formula and the kept/pruned counters are bumped
+    identically on hits, so a hit changes no analysis output — only
+    time. *)
 
 val cumulative_wall_s : unit -> float
 (** Busy seconds spent inside {!run} since the last

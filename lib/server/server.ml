@@ -32,7 +32,6 @@ type config = {
   snapshot_dir : string option;
   snapshot_every : int;     (** updates between epoch snapshots *)
   incident_cap : int;       (** retained-incident cap for the shared log *)
-  qcache_cap : int option;  (** SMT verdict-cache entry cap *)
   default_deadline_s : float;  (** per-checker deadline when not overridden *)
   solver_budget_s : float;
   solver_conflicts : int;
@@ -59,7 +58,6 @@ let default_config =
     snapshot_dir = None;
     snapshot_every = 32;
     incident_cap = 1024;
-    qcache_cap = None;
     default_deadline_s = infinity;
     solver_budget_s = infinity;
     solver_conflicts = Pinpoint_smt.Sat.default_budget;
@@ -78,7 +76,6 @@ type rungs = {
   mutable halved : int;
   mutable linear : int;
   mutable gave_up : int;
-  mutable cached : int;
 }
 
 type ops = {
@@ -149,7 +146,7 @@ let files_json files =
    once — a file named twice has no single contents to apply. *)
 let files_of_json j =
   match Json.list_opt j with
-  | None -> Error "files must be [{name, contents}]"
+  | None -> Error "bad request: files must be [{name, contents}]"
   | Some entries -> (
     let parse entry =
       match
@@ -161,7 +158,7 @@ let files_of_json j =
     in
     let files = List.filter_map parse entries in
     if List.length files <> List.length entries then
-      Error "files must be [{name, contents}]"
+      Error "bad request: files must be [{name, contents}]"
     else
       let rec first_dup = function
         | [] -> None
@@ -223,14 +220,13 @@ let journal_update t changed =
     flush oc
 
 let create ?(config = default_config) () =
-  Option.iter (fun c -> Pinpoint_smt.Qcache.set_capacity (Some c)) config.qcache_cap;
   if config.flight then Flight.set_enabled true;
   {
     cfg = config;
     st = None;
     epoch_base = 0;
     started_at = Metrics.now ();
-    rungs = { full = 0; halved = 0; linear = 0; gave_up = 0; cached = 0 };
+    rungs = { full = 0; halved = 0; linear = 0; gave_up = 0 };
     ops =
       {
         op_check = 0;
@@ -359,35 +355,20 @@ let stats_json (s : Pinpoint.Engine.stats) =
       ("rung_halved", Json.Int s.Pinpoint.Engine.n_rung_halved);
       ("rung_linear", Json.Int s.Pinpoint.Engine.n_rung_linear);
       ("rung_gave_up", Json.Int s.Pinpoint.Engine.n_rung_gave_up);
-      ("rung_cached", Json.Int s.Pinpoint.Engine.n_rung_cached);
       ("incidents", Json.Int s.Pinpoint.Engine.n_incidents);
     ]
 
+(* Lifetime rung totals for the status op, which answers at every obs
+   level.  The registry already has them when metrics are on: every
+   [Engine.run] publishes its [engine.n_rung_*] counters, and the rolling
+   window diffs those. *)
 let accumulate_rungs t (s : Pinpoint.Engine.stats) =
   t.rungs.full <- t.rungs.full + s.Pinpoint.Engine.n_rung_full;
   t.rungs.halved <- t.rungs.halved + s.Pinpoint.Engine.n_rung_halved;
   t.rungs.linear <- t.rungs.linear + s.Pinpoint.Engine.n_rung_linear;
-  t.rungs.gave_up <- t.rungs.gave_up + s.Pinpoint.Engine.n_rung_gave_up;
-  t.rungs.cached <- t.rungs.cached + s.Pinpoint.Engine.n_rung_cached;
-  (* Mirror into the registry so the rolling window sees per-interval
-     rung rates, not just lifetime totals. *)
-  if Obs.metrics_on () then begin
-    Obs.add (Obs.counter "server.rungs.full") s.Pinpoint.Engine.n_rung_full;
-    Obs.add (Obs.counter "server.rungs.halved") s.Pinpoint.Engine.n_rung_halved;
-    Obs.add (Obs.counter "server.rungs.linear") s.Pinpoint.Engine.n_rung_linear;
-    Obs.add (Obs.counter "server.rungs.gave_up")
-      s.Pinpoint.Engine.n_rung_gave_up;
-    Obs.add (Obs.counter "server.rungs.cached") s.Pinpoint.Engine.n_rung_cached
-  end
+  t.rungs.gave_up <- t.rungs.gave_up + s.Pinpoint.Engine.n_rung_gave_up
 
 (* ---------- the status view ---------- *)
-
-let solver_hit_rate t =
-  let total =
-    t.rungs.full + t.rungs.halved + t.rungs.linear + t.rungs.gave_up
-    + t.rungs.cached
-  in
-  if total = 0 then 0.0 else float_of_int t.rungs.cached /. float_of_int total
 
 (* Force-publish every registry contributor so the gauges and the
    par.* / store.* counters a status/metrics reader sees are fresh at
@@ -402,8 +383,7 @@ let refresh_obs t =
     Obs.set_gauge (Obs.gauge "server.rss_mb") (rss_mb ());
     Obs.set_gauge (Obs.gauge "server.requests") (float_of_int t.n_requests);
     Obs.set_gauge (Obs.gauge "server.overloaded")
-      (float_of_int (t.n_overloaded + t.n_shed_rss));
-    Obs.set_gauge (Obs.gauge "server.qcache_hit_rate") (solver_hit_rate t)
+      (float_of_int (t.n_overloaded + t.n_shed_rss))
   end
 
 let ops_json t =
@@ -428,8 +408,6 @@ let window_info_json t =
 
 let status_json t =
   refresh_obs t;
-  let qstats = Pinpoint_smt.Qcache.stats () in
-  let hit_rate = solver_hit_rate t in
   let incidents =
     match t.st with
     | None -> []
@@ -475,18 +453,6 @@ let status_json t =
        ("overloaded", Json.Int t.n_overloaded);
        ("shed_rss", Json.Int t.n_shed_rss);
        ("rss_mb", Json.Float (rss_mb ()));
-       ( "qcache",
-         Json.Obj
-           [
-             ("entries", Json.Int qstats.Pinpoint_smt.Qcache.entries);
-             ( "capacity",
-               match qstats.Pinpoint_smt.Qcache.cap with
-               | Some c -> Json.Int c
-               | None -> Json.Null );
-             ("evictions", Json.Int qstats.Pinpoint_smt.Qcache.evictions);
-             ("inserts", Json.Int qstats.Pinpoint_smt.Qcache.inserts);
-             ("hit_rate", Json.Float hit_rate);
-           ] );
        ( "rungs",
          Json.Obj
            [
@@ -494,7 +460,6 @@ let status_json t =
              ("halved", Json.Int t.rungs.halved);
              ("linear", Json.Int t.rungs.linear);
              ("gave_up", Json.Int t.rungs.gave_up);
-             ("cached", Json.Int t.rungs.cached);
            ] );
      ]
     @ state @ incidents)
@@ -543,14 +508,10 @@ let snapshot_fields (snap : Obs.Snapshot.t) =
   ]
 
 let metrics_response t ?id req =
-  refresh_obs t;
   let base = match id with Some id -> [ ("id", id) ] | None -> [] in
-  let format =
-    Option.value ~default:"json"
-      (Option.bind (Json.member "format" req) Json.string_opt)
-  in
-  match format with
-  | "prometheus" ->
+  match Json.member "format" req with
+  | Some (Json.String "prometheus") ->
+    refresh_obs t;
     Json.to_string
       (Json.Obj
          (base
@@ -559,7 +520,8 @@ let metrics_response t ?id req =
              ("format", Json.String "prometheus");
              ("prometheus", Json.String (Export.prometheus ()));
            ]))
-  | _ ->
+  | None | Some (Json.String "json") ->
+    refresh_obs t;
     let current = Obs.snapshot () in
     let windowed = Window.view t.window ~current in
     let info =
@@ -575,6 +537,8 @@ let metrics_response t ?id req =
              ("totals", Json.Obj (snapshot_fields current));
              ("ops", ops_json t);
            ]))
+  | Some _ ->
+    error_response ?id {|bad request: format must be "json" or "prometheus"|}
 
 (* ---------- the dump view (flight recorder / per-request traces) ---------- *)
 
@@ -629,39 +593,55 @@ let dump_response t ?id req =
 
 (* ---------- request handling ---------- *)
 
+(* The request's optional fields: an absent one keeps its default, a
+   present one of the wrong type refuses the request before any state
+   changes. *)
+let field req key conv ~expected ~default =
+  match Json.member key req with
+  | None -> Ok default
+  | Some j -> (
+    match conv j with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "bad request: %s must be %s" key expected))
+
 let engine_config t req =
-  let num key default =
-    Option.value ~default
-      (Option.bind (Json.member key req) Json.number_opt)
+  let ( let* ) = Result.bind in
+  let number key default =
+    field req key Json.number_opt ~expected:"a number" ~default
   in
-  let deadline_s = num "deadline_s" t.cfg.default_deadline_s in
-  let solver_budget_s = num "solver_budget_s" t.cfg.solver_budget_s in
-  let solver_conflicts =
-    Option.value ~default:t.cfg.solver_conflicts
-      (Option.bind (Json.member "solver_conflicts" req) Json.int_opt)
+  let* deadline_s = number "deadline_s" t.cfg.default_deadline_s in
+  let* solver_budget_s = number "solver_budget_s" t.cfg.solver_budget_s in
+  let* solver_conflicts =
+    field req "solver_conflicts" Json.int_opt ~expected:"an integer"
+      ~default:t.cfg.solver_conflicts
   in
-  fun () ->
-    (* A fresh deadline per checker, matching the batch CLI. *)
-    {
-      Pinpoint.Engine.default_config with
-      Pinpoint.Engine.deadline = Metrics.deadline_after deadline_s;
-      solver_budget_s;
-      solver_conflict_budget = solver_conflicts;
-    }
+  Ok
+    (fun () ->
+      (* A fresh deadline per checker, matching the batch CLI. *)
+      {
+        Pinpoint.Engine.default_config with
+        Pinpoint.Engine.deadline = Metrics.deadline_after deadline_s;
+        solver_budget_s;
+        solver_conflict_budget = solver_conflicts;
+      })
 
 let checkers_of req =
-  match Option.bind (Json.member "checkers" req) Json.list_opt with
-  | None | Some [] -> Ok Pinpoint.Checkers.all
-  | Some names ->
+  match
+    field req "checkers" Json.list_opt ~expected:"a list of checker names"
+      ~default:[]
+  with
+  | Error _ as e -> e
+  | Ok [] -> Ok Pinpoint.Checkers.all
+  | Ok names ->
     let rec resolve acc = function
       | [] -> Ok (List.rev acc)
       | j :: rest -> (
         match Json.string_opt j with
-        | None -> Error "checkers must be strings"
+        | None -> Error "bad request: checkers must be strings"
         | Some n -> (
           match Pinpoint.Checkers.by_name n with
           | Some c -> resolve (c :: acc) rest
-          | None -> Error (Printf.sprintf "unknown checker %S" n)))
+          | None -> Error (Printf.sprintf "bad request: unknown checker %S" n)))
     in
     resolve [] names
 
@@ -679,14 +659,20 @@ let handle_check t ?id req =
   let incidents_before =
     match t.st with Some st -> Resilience.count (Incr.resilience st) | None -> 0
   in
-  let changed =
-    match Json.member "files" req with
-    | None -> Ok []
-    | Some j -> files_of_json j
+  let request =
+    let ( let* ) = Result.bind in
+    let* changed =
+      match Json.member "files" req with
+      | None -> Ok []
+      | Some j -> files_of_json j
+    in
+    let* checkers = checkers_of req in
+    let* mk_config = engine_config t req in
+    Ok (changed, checkers, mk_config)
   in
-  match changed with
+  match request with
   | Error msg -> error_response ?id msg
-  | Ok changed -> (
+  | Ok (changed, checkers, mk_config) -> (
     let update_result =
       match (t.st, changed) with
       | None, [] -> Error "no subject loaded: first request must carry files"
@@ -733,60 +719,52 @@ let handle_check t ?id req =
         Obs.add (Obs.counter "incr.retransformed") ustats.Incr.retransformed;
         Obs.add (Obs.counter "incr.resummarised") ustats.Incr.resummarised
       end;
-      match checkers_of req with
-      | Error msg -> error_response ?id msg
-      | Ok checkers ->
-        let st = Option.get t.st in
-        let mk_config = engine_config t req in
-        let checker_results =
-          List.map
-            (fun (spec : Pinpoint.Checker_spec.t) ->
-              t.n_checks <- t.n_checks + 1;
-              let reports, stats =
-                Incr.check ~config:(mk_config ()) st spec
-              in
-              accumulate_rungs t stats;
-              let reported =
-                List.filter Pinpoint.Report.is_reported reports
-              in
-              Json.Obj
-                [
-                  ("checker", Json.String spec.Pinpoint.Checker_spec.name);
-                  ("reports", Json.List (List.map report_json reported));
-                  ( "n_infeasible",
-                    Json.Int (List.length reports - List.length reported) );
-                  ("stats", stats_json stats);
-                ])
-            checkers
-        in
-        let log = Incr.resilience st in
-        let base = match id with Some id -> [ ("id", id) ] | None -> [] in
-        Json.to_string
-          (Json.Obj
-             (base
-             @ [
-                 ("ok", Json.Bool true);
-                 ("epoch", Json.Int (abs_epoch t));
-                 ( "incremental",
-                   Json.Obj
-                     [
-                       ("changed_files", Json.Int ustats.Incr.changed_files);
-                       ("changed_funcs", Json.Int ustats.Incr.changed_funcs);
-                       ("retransformed", Json.Int ustats.Incr.retransformed);
-                       ("resummarised", Json.Int ustats.Incr.resummarised);
-                       ("dirty_cone", Json.Int ustats.Incr.dirty_cone);
-                       ("full_rebuild", Json.Bool ustats.Incr.full_rebuild);
-                     ] );
-                 ("checkers", Json.List checker_results);
-                 ( "incidents",
-                   Json.Obj
-                     [
-                       ( "new",
-                         Json.Int (Resilience.count log - incidents_before) );
-                       ("total", Json.Int (Resilience.count log));
-                       ("dropped", Json.Int (Resilience.dropped log));
-                     ] );
-               ]))))
+      let st = Option.get t.st in
+      let checker_results =
+        List.map
+          (fun (spec : Pinpoint.Checker_spec.t) ->
+            t.n_checks <- t.n_checks + 1;
+            let reports, stats = Incr.check ~config:(mk_config ()) st spec in
+            accumulate_rungs t stats;
+            let reported = List.filter Pinpoint.Report.is_reported reports in
+            Json.Obj
+              [
+                ("checker", Json.String spec.Pinpoint.Checker_spec.name);
+                ("reports", Json.List (List.map report_json reported));
+                ( "n_infeasible",
+                  Json.Int (List.length reports - List.length reported) );
+                ("stats", stats_json stats);
+              ])
+          checkers
+      in
+      let log = Incr.resilience st in
+      let base = match id with Some id -> [ ("id", id) ] | None -> [] in
+      Json.to_string
+        (Json.Obj
+           (base
+           @ [
+               ("ok", Json.Bool true);
+               ("epoch", Json.Int (abs_epoch t));
+               ( "incremental",
+                 Json.Obj
+                   [
+                     ("changed_files", Json.Int ustats.Incr.changed_files);
+                     ("changed_funcs", Json.Int ustats.Incr.changed_funcs);
+                     ("retransformed", Json.Int ustats.Incr.retransformed);
+                     ("resummarised", Json.Int ustats.Incr.resummarised);
+                     ("dirty_cone", Json.Int ustats.Incr.dirty_cone);
+                     ("full_rebuild", Json.Bool ustats.Incr.full_rebuild);
+                   ] );
+               ("checkers", Json.List checker_results);
+               ( "incidents",
+                 Json.Obj
+                   [
+                     ( "new",
+                       Json.Int (Resilience.count log - incidents_before) );
+                     ("total", Json.Int (Resilience.count log));
+                     ("dropped", Json.Int (Resilience.dropped log));
+                   ] );
+             ]))))
 
 (* Request-time maintenance: roll the metrics window and refresh the
    Prometheus file.  Both are cheap on the common path — the window tick

@@ -15,7 +15,6 @@ type config = {
   snapshot_dir : string option;  (** where snapshot.json / journal.jsonl live *)
   snapshot_every : int;  (** updates between full snapshots *)
   incident_cap : int;  (** retained-incident cap of the shared log *)
-  qcache_cap : int option;  (** SMT verdict-cache entry cap *)
   default_deadline_s : float;  (** per-checker deadline unless overridden *)
   solver_budget_s : float;
   solver_conflicts : int;
@@ -42,7 +41,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-(** Also applies [qcache_cap] to the process-wide verdict cache. *)
 
 val load_files : t -> (string * string) list -> unit
 (** Load the initial subject (e.g. from [pinpoint serve FILE...]) and
@@ -68,7 +66,11 @@ val handle_line : t -> string -> string * [ `Continue | `Stop ]
     (live rolling-window + lifetime snapshot; ["format":"prometheus"]
     for text exposition), [dump] (flight-recorder dump, or
     ["what":"trace"] + ["request_id"] for a per-request Chrome trace
-    slice), [shutdown]. *)
+    slice), [shutdown].  An optional request field of the wrong type
+    (a [check]'s [checkers], [deadline_s], [solver_budget_s] or
+    [solver_conflicts]; a [metrics] [format] other than ["json"] or
+    ["prometheus"]) is refused with a ["bad request: …"] error before
+    any state changes; an absent one keeps its default. *)
 
 val rss_mb : unit -> float
 (** Resident set size via /proc/self/statm (major-heap size as the

@@ -1,91 +1,9 @@
-(** Shared SMT verdict cache (DESIGN.md §4.10).
+(** A no-op kept for one external caller.
 
-    A process-wide, sharded (mutex-per-shard) map from hash-consed formulas
-    to definitive solver verdicts.  {!Solver.check_with_model} and
-    {!Solver.check_degrading} consult it before running any solver work and
-    store full-strength [Sat]/[Unsat] results back; [Unknown] and verdicts
-    decided below the full rung are never cached.  Because satisfiability
-    is a pure function of the (hash-consed) formula, a hit is
-    indistinguishable from recomputation — [--jobs N] report determinism is
-    preserved regardless of which domain populated an entry.
-
-    Interaction with fault injection: {!Solver.check_degrading} draws its
-    injection fault {e before} consulting the cache, and a sabotaged query
-    bypasses the cache entirely (no read, no write) — see the solver
-    documentation. *)
-
-type entry =
-  | Cached_sat of (Expr.t * bool) list
-      (** satisfiable, with the propositional model of its atoms (the
-          trigger hints a report would carry) *)
-  | Cached_unsat
-
-val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-(** Globally enable/disable the cache (default: disabled, so direct solver
-    clients keep their historical behaviour).  {!Pinpoint.Engine.run}
-    enables it for the duration of a run when its config asks for it; the
-    CLI exposes [--no-qcache]. *)
-
-val find : Expr.t -> entry option
-(** [None] when disabled or absent.  Thread-safe. *)
-
-val add : Expr.t -> entry -> unit
-(** No-op when disabled.  Callers must only store verdicts produced by the
-    full-strength solver.  Thread-safe; a racing double-insert stores the
-    same pure value. *)
+    The benchmark harness under [perfbench/] empties the process-wide
+    solver caches before each traced pass and still calls
+    [Qcache.clear ()].  The SMT verdict cache behind it no longer exists
+    (DESIGN.md §4.10), so this function does nothing.  Code in [lib/],
+    [bin/] and [test/] must not call it. *)
 
 val clear : unit -> unit
-(** Drop every entry (all shards).  Benchmarks call this between measured
-    runs so hit rates reflect a single cold run. *)
-
-val length : unit -> int
-(** Total number of cached verdicts across shards. *)
-
-val set_capacity : int option -> unit
-(** [set_capacity (Some n)] bounds the cache at ~[n] entries (split evenly
-    over the shards, at least one per shard): each shard keeps its entries
-    in a clock ring — a hit sets a reference bit, an insert into a full
-    shard sweeps the hand, clearing bits, and evicts the first cold slot
-    (second-chance LRU).  Eviction only forgets verdicts, so a cap never
-    changes reports — a batch run is oblivious to it, a resident server
-    needs it to bound RSS (DESIGN.md §4.13).  [None] (the default)
-    restores unbounded growth.  Changing the capacity resets the cache. *)
-
-val capacity : unit -> int option
-(** The configured total entry cap, if any. *)
-
-type stats = {
-  entries : int;        (** live entries across shards *)
-  cap : int option;     (** configured capacity *)
-  evictions : int;      (** clock evictions since process start *)
-  inserts : int;        (** inserts since process start *)
-  probes : int;         (** [find] calls while enabled, process-wide *)
-}
-
-val stats : unit -> stats
-(** Lifetime cache statistics (process-wide; the counters are monotonic
-    and survive {!clear}).  Published as [qcache.*] gauges by
-    {!Solver.obs_publish}; when metrics are on, every probe/insert also
-    bumps the [qcache.n_probe] / [qcache.n_insert] Obs counters. *)
-
-(** {1 Near misses}
-
-    The cache key is the hash-cons id, so two formulas over the same
-    comparison atoms but with different boolean structure never hit each
-    other.  When metrics are on, probes are additionally grouped by the
-    multiset of their atom ids; groups holding two or more distinct
-    formula ids are {e near misses} — an upper bound on what a
-    structure-normalising cache key could additionally recover.  Exported
-    as the [qcache_near_misses] section of [--metrics-json]. *)
-
-type near_miss = {
-  signature : int;  (** hash of the sorted atom-id multiset *)
-  atoms : int;      (** size of the multiset *)
-  ids : int list;   (** distinct formula ids probed, ascending (capped) *)
-  probes : int;     (** probes landing in this group *)
-}
-
-val near_misses : ?top_k:int -> unit -> near_miss list
-(** Top groups with ≥ 2 distinct ids, by descending probe count. *)

@@ -10,132 +10,34 @@ let verdict_name = function
   | Unsat -> "unsat"
   | Unknown -> "unknown"
 
-type rung = Rung_full | Rung_halved | Rung_linear | Rung_gave_up | Rung_cached
+type rung = Rung_full | Rung_halved | Rung_linear | Rung_gave_up
 
 let rung_name = function
   | Rung_full -> "full"
   | Rung_halved -> "halved"
   | Rung_linear -> "linear"
   | Rung_gave_up -> "gave-up"
-  | Rung_cached -> "cached"
 
 let pp_rung ppf r = Format.pp_print_string ppf (rung_name r)
 
-type stats = {
-  mutable n_queries : int;
-  mutable n_sat : int;
-  mutable n_unsat : int;
-  mutable n_unknown : int;
-  mutable n_theory_calls : int;
-  mutable n_deadline_abort : int;
-  mutable n_degraded : int;
-  mutable n_cache_hits : int;
-  mutable n_cache_misses : int;
-  mutable n_core_shrink_calls : int;
-  mutable n_propagations : int;
-  mutable n_conflicts : int;
-  mutable n_learned : int;
-  mutable n_restarts : int;
-  mutable n_ne_dropped : int;
-}
-
-let zero () =
-  {
-    n_queries = 0;
-    n_sat = 0;
-    n_unsat = 0;
-    n_unknown = 0;
-    n_theory_calls = 0;
-    n_deadline_abort = 0;
-    n_degraded = 0;
-    n_cache_hits = 0;
-    n_cache_misses = 0;
-    n_core_shrink_calls = 0;
-    n_propagations = 0;
-    n_conflicts = 0;
-    n_learned = 0;
-    n_restarts = 0;
-    n_ne_dropped = 0;
-  }
-
-(* Counters are domain-local: each worker accumulates into its own record
-   (no contention, no torn updates), and a parallel client measures a task
-   by [snapshot]/[diff] on the domain that ran it, then [merge]s the
-   deltas in a deterministic order. *)
-let stats_key : stats Domain.DLS.key = Domain.DLS.new_key zero
-let stats () = Domain.DLS.get stats_key
-
-(* The one enumeration of the record's fields; merge/diff/restore and the
-   registry compatibility view all derive from it (Obs.Agg). *)
-let fields =
-  Obs.Agg.
-    [
-      field "n_queries" (fun s -> s.n_queries) (fun s v -> s.n_queries <- v);
-      field "n_sat" (fun s -> s.n_sat) (fun s v -> s.n_sat <- v);
-      field "n_unsat" (fun s -> s.n_unsat) (fun s v -> s.n_unsat <- v);
-      field "n_unknown" (fun s -> s.n_unknown) (fun s v -> s.n_unknown <- v);
-      field "n_theory_calls"
-        (fun s -> s.n_theory_calls)
-        (fun s v -> s.n_theory_calls <- v);
-      field "n_deadline_abort"
-        (fun s -> s.n_deadline_abort)
-        (fun s v -> s.n_deadline_abort <- v);
-      field "n_degraded" (fun s -> s.n_degraded) (fun s v -> s.n_degraded <- v);
-      field "n_cache_hits"
-        (fun s -> s.n_cache_hits)
-        (fun s v -> s.n_cache_hits <- v);
-      field "n_cache_misses"
-        (fun s -> s.n_cache_misses)
-        (fun s v -> s.n_cache_misses <- v);
-      field "n_core_shrink_calls"
-        (fun s -> s.n_core_shrink_calls)
-        (fun s v -> s.n_core_shrink_calls <- v);
-      field "n_propagations"
-        (fun s -> s.n_propagations)
-        (fun s v -> s.n_propagations <- v);
-      field "n_conflicts" (fun s -> s.n_conflicts) (fun s v -> s.n_conflicts <- v);
-      field "n_learned" (fun s -> s.n_learned) (fun s v -> s.n_learned <- v);
-      field "n_restarts" (fun s -> s.n_restarts) (fun s v -> s.n_restarts <- v);
-      field "n_ne_dropped"
-        (fun s -> s.n_ne_dropped)
-        (fun s v -> s.n_ne_dropped <- v);
-    ]
-
-let reset_stats () = Obs.Agg.copy_into fields ~into:(stats ()) (zero ())
-
-let snapshot () =
-  let s = stats () in
-  { s with n_queries = s.n_queries }
-
-let restore s' = Obs.Agg.copy_into fields ~into:(stats ()) s'
-
-let merge a b =
-  let r = zero () in
-  Obs.Agg.add_into fields ~into:r a;
-  Obs.Agg.add_into fields ~into:r b;
-  r
-
-let diff a b =
-  let r = zero () in
-  Obs.Agg.add_into fields ~into:r a;
-  Obs.Agg.sub_into fields ~into:r b;
-  r
-
-let obs_publish s =
-  Obs.Agg.publish ~prefix:"solver." fields s;
-  (* The verdict cache's lifetime state (process-wide, not per-run deltas):
-     entry count, capacity and clock evictions — the gauges a resident
-     server's RSS bound is judged by. *)
-  if Obs.metrics_on () then begin
-    let q = Qcache.stats () in
-    Obs.set_gauge (Obs.gauge "qcache.entries") (float_of_int q.Qcache.entries);
-    Obs.set_gauge (Obs.gauge "qcache.capacity")
-      (match q.Qcache.cap with Some c -> float_of_int c | None -> -1.0);
-    Obs.set_gauge (Obs.gauge "qcache.evictions")
-      (float_of_int q.Qcache.evictions);
-    Obs.set_gauge (Obs.gauge "qcache.inserts") (float_of_int q.Qcache.inserts);
-    Obs.set_gauge (Obs.gauge "qcache.probes") (float_of_int q.Qcache.probes)
-  end
+(* The solver's work counters (DESIGN.md §4.11), created once when the
+   module loads and added to where the work happens.  Registry counters
+   are atomic sums, so a run's totals are the same at every [--jobs];
+   like every registry counter they count only while metrics are on. *)
+let c_queries = Obs.counter "solver.n_queries"
+let c_sat = Obs.counter "solver.n_sat"
+let c_unsat = Obs.counter "solver.n_unsat"
+let c_unknown = Obs.counter "solver.n_unknown"
+let c_theory_calls = Obs.counter "solver.n_theory_calls"
+let c_deadline_abort = Obs.counter "solver.n_deadline_abort"
+let c_degraded = Obs.counter "solver.n_degraded"
+let c_core_shrink_calls = Obs.counter "solver.n_core_shrink_calls"
+let c_propagations = Obs.counter "solver.n_propagations"
+let c_conflicts = Obs.counter "solver.n_conflicts"
+let c_learned = Obs.counter "solver.n_learned"
+let c_restarts = Obs.counter "solver.n_restarts"
+let c_ne_dropped = Obs.counter "solver.n_ne_dropped"
+let h_latency = Obs.histogram "smt.query.latency_s"
 
 let sat_or_unknown = function Sat | Unknown -> true | Unsat -> false
 
@@ -192,12 +94,15 @@ let encode sat atom_vars (e : Expr.t) : int =
    and the root literal is passed to {!Sat.solve} as an *assumption*, not
    a unit clause, so the degradation ladder can re-enter the same
    instance (keeping learned clauses, saved phases and theory blocking
-   clauses) with a different budget instead of rebuilding the CNF. *)
+   clauses) with a different budget instead of rebuilding the CNF.  The
+   query's own effort (the instance's [Sat.counts] and [q_shrinks]) is
+   what the profiler row reports. *)
 type query = {
   q_sat : Sat.t;
   q_root : int;
   q_atom_vars : (int, int) Hashtbl.t; (* atom expr id -> SAT var *)
   q_var_atom : (int, Expr.t) Hashtbl.t; (* SAT var -> atom expr *)
+  mutable q_shrinks : int; (* unsat-core deletion-shrink passes *)
 }
 
 let make_query (e : Expr.t) : query =
@@ -218,43 +123,31 @@ let make_query (e : Expr.t) : query =
     q_root = root;
     q_atom_vars = atom_vars;
     q_var_atom = var_atom;
+    q_shrinks = 0;
   }
 
-(* Both wrappers below fold the callee's effort counters into the
-   domain-local stats even when the call escapes by [Metrics.Timeout]:
-   a deadline abort must not make the work it burned disappear from the
-   profile. *)
+(* Both wrappers below add the callee's effort to the registry even
+   when the call escapes by [Metrics.Timeout]: a deadline abort must not
+   make the work it burned disappear from the profile. *)
 
 let solve_counted ~budget ~deadline q =
-  let st = stats () in
-  let c0 = Sat.counts q.q_sat in
-  let fin () =
-    let c1 = Sat.counts q.q_sat in
-    st.n_propagations <-
-      st.n_propagations + (c1.Sat.propagations - c0.Sat.propagations);
-    st.n_conflicts <- st.n_conflicts + (c1.Sat.conflicts - c0.Sat.conflicts);
-    st.n_learned <- st.n_learned + (c1.Sat.learned - c0.Sat.learned);
-    st.n_restarts <- st.n_restarts + (c1.Sat.restarts - c0.Sat.restarts)
-  in
-  match Sat.solve ~budget ~assumptions:[ q.q_root ] ~deadline q.q_sat with
-  | r ->
-    fin ();
-    r
-  | exception exn ->
-    fin ();
-    raise exn
+  let solve () = Sat.solve ~budget ~assumptions:[ q.q_root ] ~deadline q.q_sat in
+  if not (Obs.metrics_on ()) then solve ()
+  else begin
+    let c0 = Sat.counts q.q_sat in
+    Fun.protect solve ~finally:(fun () ->
+        let c1 = Sat.counts q.q_sat in
+        Obs.add c_propagations (c1.Sat.propagations - c0.Sat.propagations);
+        Obs.add c_conflicts (c1.Sat.conflicts - c0.Sat.conflicts);
+        Obs.add c_learned (c1.Sat.learned - c0.Sat.learned);
+        Obs.add c_restarts (c1.Sat.restarts - c0.Sat.restarts))
+  end
 
 let theory_check ~deadline literals =
-  let st = stats () in
   let d0 = Theory.n_dropped () in
-  let fin () = st.n_ne_dropped <- st.n_ne_dropped + (Theory.n_dropped () - d0) in
-  match Theory.check ~deadline literals with
-  | r ->
-    fin ();
-    r
-  | exception exn ->
-    fin ();
-    raise exn
+  Fun.protect
+    (fun () -> Theory.check ~deadline literals)
+    ~finally:(fun () -> Obs.add c_ne_dropped (Theory.n_dropped () - d0))
 
 (* The lazy-SMT core, verdict-stats-free so the degradation ladder can run
    it more than once per query.  Raises [Metrics.Timeout] when the deadline
@@ -289,8 +182,7 @@ let check_raw ~max_iters ~conflicts ~deadline ?query (e : Expr.t) :
                 (fun v atom acc -> (atom, model.(v)) :: acc)
                 q.q_var_atom []
             in
-            let st = stats () in
-            st.n_theory_calls <- st.n_theory_calls + 1;
+            Obs.add c_theory_calls 1;
             match theory_check ~deadline literals with
             | Theory.Sat ->
               sat_model := literals;
@@ -307,8 +199,8 @@ let check_raw ~max_iters ~conflicts ~deadline ?query (e : Expr.t) :
                     | _ -> false)
                   literals
               in
-              let st = stats () in
-              st.n_core_shrink_calls <- st.n_core_shrink_calls + 1;
+              q.q_shrinks <- q.q_shrinks + 1;
+              Obs.add c_core_shrink_calls 1;
               (* Deletion filter: one pass per candidate, flagging whether
                  it was actually present instead of recomputing two list
                  lengths (candidates already deleted in earlier rounds are
@@ -351,42 +243,18 @@ let check_raw ~max_iters ~conflicts ~deadline ?query (e : Expr.t) :
       (v, if v = Sat then !sat_model else [])
   end
 
-let record_verdict v =
-  let st = stats () in
-  match v with
-  | Sat -> st.n_sat <- st.n_sat + 1
-  | Unsat -> st.n_unsat <- st.n_unsat + 1
-  | Unknown -> st.n_unknown <- st.n_unknown + 1
-
-let cached_verdict = function
-  | Qcache.Cached_sat m -> (Sat, m)
-  | Qcache.Cached_unsat -> (Unsat, [])
-
-(* Only definitive full-strength verdicts go in: [Unknown] is a budget
-   artefact of this particular call, not a property of the formula. *)
-let cache_store e v m =
-  match v with
-  | Sat -> Qcache.add e (Qcache.Cached_sat m)
-  | Unsat -> Qcache.add e Qcache.Cached_unsat
-  | Unknown -> ()
+let record_verdict = function
+  | Sat -> Obs.add c_sat 1
+  | Unsat -> Obs.add c_unsat 1
+  | Unknown -> Obs.add c_unknown 1
 
 let check_with_model ?(max_iters = 400) ?(conflict_budget = Sat.default_budget)
     ?(deadline = Metrics.no_deadline) (e : Expr.t) :
     verdict * (Expr.t * bool) list =
-  let st = stats () in
-  st.n_queries <- st.n_queries + 1;
-  match Qcache.find e with
-  | Some entry ->
-    st.n_cache_hits <- st.n_cache_hits + 1;
-    let v, m = cached_verdict entry in
-    record_verdict v;
-    (v, m)
-  | None ->
-    if Qcache.enabled () then st.n_cache_misses <- st.n_cache_misses + 1;
-    let v, m = check_raw ~max_iters ~conflicts:conflict_budget ~deadline e in
-    record_verdict v;
-    cache_store e v m;
-    (v, m)
+  Obs.add c_queries 1;
+  let v, m = check_raw ~max_iters ~conflicts:conflict_budget ~deadline e in
+  record_verdict v;
+  (v, m)
 
 let check ?max_iters ?conflict_budget ?deadline e =
   fst (check_with_model ?max_iters ?conflict_budget ?deadline e)
@@ -403,11 +271,9 @@ let check ?max_iters ?conflict_budget ?deadline e =
    the query with its source/sink subject, rung and atom count, and (when
    tracing) an "smt.query" span on the running domain's track.  When obs
    is off this is two monotonic-clock reads and three branches.  The
-   histogram is looked up by name each time (not cached in a [lazy]):
-   [Obs.reset] replaces the registry's entries, and a cached handle would
-   go on feeding an orphan. *)
-let profile_query ~subject ~qt0 ~conf0 ~shrink0 e
-    ((v, _, rung) as result) =
+   row's conflicts and shrinks are the query's own: those of its encoded
+   instance, if a rung built one. *)
+let profile_query ~subject ~qt0 ~query e ((v, _, rung) as result) =
   let flight = Flight.enabled () in
   if Obs.metrics_on () || flight then begin
     let rung_s = rung_name rung and verdict_s = verdict_name v in
@@ -419,11 +285,14 @@ let profile_query ~subject ~qt0 ~conf0 ~shrink0 e
     if Obs.metrics_on () then begin
       let latency_s = Metrics.now_mono () -. qt0 in
       let atoms = List.length (Expr.atoms e) in
-      let conflicts = (stats ()).n_conflicts - conf0 in
-      let shrinks = (stats ()).n_core_shrink_calls - shrink0 in
+      let conflicts, shrinks =
+        match query with
+        | Some q -> ((Sat.counts q.q_sat).Sat.conflicts, q.q_shrinks)
+        | None -> (0, 0)
+      in
       Obs.record_query ~subject ~rung:rung_s ~verdict:verdict_s ~atoms
         ~conflicts ~shrinks ~latency_s ();
-      Obs.observe (Obs.histogram "smt.query.latency_s") latency_s;
+      Obs.observe h_latency latency_s;
       if Obs.tracing_on () then
         Obs.end_span
           ~attrs:
@@ -444,10 +313,7 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
     verdict * (Expr.t * bool) list * rung =
   let qt0 = Metrics.now_mono () in
   if Obs.tracing_on () then Obs.begin_span "smt.query";
-  let st = stats () in
-  st.n_queries <- st.n_queries + 1;
-  let conf0 = st.n_conflicts in
-  let shrink0 = st.n_core_shrink_calls in
+  Obs.add c_queries 1;
   let t0 = Metrics.now () in
   let incident detail fallback =
     match log with
@@ -493,7 +359,7 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
     with
     | v, m -> Ok (v, m)
     | exception Metrics.Timeout ->
-      st.n_deadline_abort <- st.n_deadline_abort + 1;
+      Obs.add c_deadline_abort 1;
       Error
         (match sabotage with
         | Some Resilience.Inject.Hang -> "injected: hang (deadline exhausted)"
@@ -502,7 +368,7 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
     | exception exn -> Error (Printexc.to_string exn)
   in
   let finish rung v m =
-    if rung <> Rung_full then st.n_degraded <- st.n_degraded + 1;
+    if rung <> Rung_full then Obs.add c_degraded 1;
     record_verdict v;
     (v, m, rung)
   in
@@ -511,13 +377,7 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
       try_rung ~iters:max_iters ~conflicts:conflict_budget ~budget:budget_s
         ~sabotage
     with
-    | Ok (v, m) ->
-      (* Only an unsabotaged full-rung verdict is cacheable; degraded-rung
-         answers may be weaker than what the full solver would say.
-         (Crash/Hang sabotage never reaches [Ok] on the first rung, so the
-         guard is for documentation as much as safety.) *)
-      if sabotage = None then cache_store e v m;
-      finish Rung_full v m
+    | Ok (v, m) -> finish Rung_full v m
     | Error detail1 -> (
       incident detail1 "resume with halved budgets";
       (* The halved rung halves every budget axis consistently — loop
@@ -537,28 +397,11 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
         | Linear_solver.Unsat -> finish Rung_linear Unsat []
         | Linear_solver.Maybe -> finish Rung_gave_up Unknown []))
   in
-  (* The fault is drawn before the cache is consulted (draw-first), and a
-     sabotaged query bypasses the cache entirely — no read, no write.  This
-     keeps the per-subject injection stream aligned with the query sequence
-     (one draw per query, hit or miss), so incident fingerprints stay
-     identical across [--jobs] levels even though which domain populates a
-     given cache entry is racy. *)
   let result =
     match fault with
     | Some Resilience.Inject.Unknown_verdict ->
       incident "injected: unknown-verdict" "kept the report (Unknown)";
       finish Rung_gave_up Unknown []
-    | Some (Resilience.Inject.Crash | Resilience.Inject.Hang) ->
-      run_ladder fault
-    | None -> (
-      match Qcache.find e with
-      | Some entry ->
-        st.n_cache_hits <- st.n_cache_hits + 1;
-        let v, m = cached_verdict entry in
-        record_verdict v;
-        (v, m, Rung_cached)
-      | None ->
-        if Qcache.enabled () then st.n_cache_misses <- st.n_cache_misses + 1;
-        run_ladder None)
+    | sabotage -> run_ladder sabotage
   in
-  profile_query ~subject ~qt0 ~conf0 ~shrink0 e result
+  profile_query ~subject ~qt0 ~query:!memo_query e result

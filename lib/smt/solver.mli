@@ -51,12 +51,7 @@ val check_with_model :
 (** Like {!check}, but on [Sat] also returns the propositional model of
     the formula's atoms (atom expression, assigned polarity) — the branch
     outcomes that make a bug path feasible, used as trigger hints in
-    reports.  The list is empty for [Unsat]/[Unknown].
-
-    When {!Qcache} is enabled, the cache is consulted first (a hit skips
-    the solver entirely and replays the stored verdict and model) and
-    definitive [Sat]/[Unsat] results are stored back.  [Unknown] is never
-    cached. *)
+    reports.  The list is empty for [Unsat]/[Unknown]. *)
 
 val sat_or_unknown : verdict -> bool
 (** The soundy reading used by checkers: keep the report unless the path
@@ -78,9 +73,6 @@ type rung =
   | Rung_halved   (** decided on retry with halved budgets *)
   | Rung_linear   (** refuted by the linear-time contradiction solver *)
   | Rung_gave_up  (** every rung exhausted: [Unknown], report kept *)
-  | Rung_cached   (** replayed from {!Qcache} — a previous full-rung
-                      verdict for the same (hash-consed) formula; as
-                      strong as [Rung_full], not a degradation *)
 
 val rung_name : rung -> string
 val pp_rung : Format.formatter -> rung -> unit
@@ -103,70 +95,22 @@ val check_degrading :
     encoded instance under assumptions, keeping learned and blocking
     clauses).  [deadline] is the enclosing (checker-run) deadline — the
     effective rung deadline is the earlier of the two.  Consults
-    {!Pinpoint_util.Resilience.Inject} for seeded fault injection.
+    {!Pinpoint_util.Resilience.Inject} for seeded fault injection: one
+    draw per query, so the per-subject fault stream stays aligned with the
+    query sequence at every [--jobs] level. *)
 
-    Cache interaction (when {!Qcache} is enabled): the injection fault is
-    drawn {e before} the cache is consulted — one draw per query whether it
-    hits or misses, so the per-subject fault stream stays aligned with the
-    query sequence at every [--jobs] level.  A sabotaged query bypasses the
-    cache entirely (no read, no write).  Unsabotaged queries replay a hit
-    as [Rung_cached] (not counted as degraded) and store full-rung
-    [Sat]/[Unsat] verdicts back; halved/linear/gave-up verdicts are never
-    cached. *)
+(** {1 Counters}
 
-type stats = {
-  mutable n_queries : int;
-  mutable n_sat : int;
-  mutable n_unsat : int;
-  mutable n_unknown : int;
-  mutable n_theory_calls : int;
-  mutable n_deadline_abort : int;  (** rungs aborted by deadline expiry *)
-  mutable n_degraded : int;        (** queries decided below the full rung *)
-  mutable n_cache_hits : int;      (** queries replayed from {!Qcache} *)
-  mutable n_cache_misses : int;    (** cache-enabled queries that ran the
-                                       solver (disabled cache counts
-                                       neither hits nor misses) *)
-  mutable n_core_shrink_calls : int;
-      (** unsat-core deletion-shrink passes run by the lazy-SMT loop *)
-  mutable n_propagations : int;  (** CDCL unit propagations *)
-  mutable n_conflicts : int;     (** CDCL conflicts (the budget unit) *)
-  mutable n_learned : int;       (** clauses learned by conflict analysis *)
-  mutable n_restarts : int;      (** CDCL restarts *)
-  mutable n_ne_dropped : int;
-      (** disequalities dropped past {!Theory.max_ne_splits} — each one an
-          explicit over-approximation of satisfiability *)
-}
-
-val stats : unit -> stats
-(** The calling domain's counter record.  Counters are {e domain-local}
-    (one record per domain, via [Domain.DLS]): workers accumulate without
-    contention and a parallel client measures each task with
-    {!snapshot}/{!diff} on the domain that ran it, then {!merge}s the
-    deltas in a deterministic order. *)
-
-val reset_stats : unit -> unit
-(** Zero the calling domain's counters. *)
-
-val zero : unit -> stats
-(** A fresh all-zero counter record. *)
-
-val snapshot : unit -> stats
-(** An independent copy of the calling domain's current counters. *)
-
-val restore : stats -> unit
-(** Overwrite the calling domain's counters with the given values.
-    Together with {!snapshot} and {!merge} this lets {!Pinpoint.Engine.run}
-    keep per-run counts without corrupting an enclosing measurement. *)
-
-val merge : stats -> stats -> stats
-(** Field-wise sum. *)
-
-val diff : stats -> stats -> stats
-(** [diff a b] is the field-wise difference [a - b] — the delta between
-    two snapshots taken on the same domain. *)
-
-val obs_publish : stats -> unit
-(** Add every field of [stats] to the {!Pinpoint_obs.Obs} registry under
-    the ["solver."] prefix — the compatibility view of the legacy counter
-    record (includes the {!Qcache} hit/miss counters).  No-op unless the
-    observability level is at least [Metrics_only]. *)
+    Both entry points add their work straight to {!Pinpoint_obs.Obs}
+    registry counters, created once when this module loads:
+    [solver.n_queries], [n_sat], [n_unsat], [n_unknown],
+    [n_theory_calls], [n_deadline_abort] (rungs aborted by deadline
+    expiry), [n_degraded] (queries decided below the full rung),
+    [n_core_shrink_calls] (unsat-core deletion-shrink passes),
+    [n_propagations], [n_conflicts], [n_learned], [n_restarts] (CDCL
+    effort) and [n_ne_dropped] (disequalities dropped past
+    {!Theory.max_ne_splits}, each an explicit over-approximation of
+    satisfiability).  The counters are atomic sums, so a run's totals are
+    the same at every [--jobs].  Like every registry counter they count
+    only while metrics are on; a client measures a run by the difference
+    of two {!Pinpoint_obs.Obs.snapshot}s (DESIGN.md §4.11). *)

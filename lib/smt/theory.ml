@@ -5,7 +5,7 @@ let max_derived = 4000
 
 (* Disequalities dropped past [max_ne_splits] silently over-approximate
    satisfiability; this domain-local counter makes the loss observable
-   ({!Solver} folds the delta into its [n_ne_dropped] stat). *)
+   ({!Solver} adds the delta to its [solver.n_ne_dropped] counter). *)
 let dropped_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let n_dropped () = !(Domain.DLS.get dropped_key)
 

@@ -29,7 +29,7 @@ val n_dropped : unit -> int
 (** Cumulative count (per domain) of disequalities dropped because a
     conjunction exceeded {!max_ne_splits}.  Each drop over-approximates
     satisfiability; {!Solver} reads deltas around its theory calls and
-    surfaces them as the [n_ne_dropped] stat. *)
+    adds them to its [solver.n_ne_dropped] counter. *)
 
 val check :
   ?deadline:Pinpoint_util.Metrics.deadline ->

@@ -27,3 +27,19 @@ let taint_trans = Pinpoint.Checkers.data_transmission
 (* qcheck wrapper *)
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* Run [f] with metrics on and return its result together with the
+   registry's change over the call: the solver and the engine count their
+   work only in the registry, and only while metrics are on. *)
+let with_counters f =
+  let module Obs = Pinpoint_obs.Obs in
+  let level = Obs.level () and before = Obs.snapshot () in
+  Obs.set_level Obs.Metrics_only;
+  let r = Fun.protect ~finally:(fun () -> Obs.set_level level) f in
+  (r, Obs.Snapshot.diff (Obs.snapshot ()) before)
+
+(* A counter's value in a snapshot; 0 when absent. *)
+let counter snap name =
+  match List.assoc_opt name snap with
+  | Some (Pinpoint_obs.Obs.Snapshot.Counter n) -> n
+  | _ -> 0

@@ -207,6 +207,35 @@ let test_counters_off_by_default () =
     (List.length (Obs.span "x" (fun () -> Obs.spans ())));
   Obs.reset ()
 
+(* [Obs.reset] zeroes every metric in place: a handle created before it
+   (the store creates its counters once, when its module loads) still
+   feeds the metric a later snapshot reads. *)
+let test_reset_keeps_handles () =
+  with_level Obs.Metrics_only @@ fun () ->
+  let module Store = Pinpoint_store.Store in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pinpoint_obs_reset_%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let store = Store.create ~dir ~max_resident:2 () in
+  let chain =
+    {|
+void c0(int *p) { free(p); }
+void c1(int *p) { c0(p); }
+void c2(int *p) { c1(p); }
+void c3(int s) { int *q = malloc(); *q = s; c2(q); print(*q); }
+|}
+  in
+  ignore (Pinpoint.Analysis.prepare_source ~store ~file:"<obs-reset>" chain);
+  Store.publish_obs store;
+  let spills = (Store.stats store).Store.spills in
+  Store.close store;
+  Alcotest.(check bool) "the store spilled" true (spills > 0);
+  Alcotest.(check int) "store.spills = Store.stats spills" spills
+    (Helpers.counter (Obs.snapshot ()) "store.spills")
+
 (* Snapshot.diff: the window algebra.  merge (diff b a) (diff c b) must
    equal diff c a on monotone snapshot chains — that identity is what
    makes the rolling window's per-slot deltas recombine correctly. *)
@@ -707,6 +736,8 @@ let suite =
       test_registry_counters;
     Alcotest.test_case "hooks are no-ops when off" `Quick
       test_counters_off_by_default;
+    Alcotest.test_case "reset keeps load-time handles" `Quick
+      test_reset_keeps_handles;
     Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;
     Alcotest.test_case "trace JSON golden" `Quick test_trace_json_golden;
     Alcotest.test_case "metrics JSON golden" `Quick test_metrics_json_golden;

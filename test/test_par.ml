@@ -81,12 +81,8 @@ let test_nested_submit () =
          shutdown call must then be a no-op, not a double count *)
       Pool.publish_obs p;
       Pool.publish_obs p);
-  let counter name =
-    match List.assoc_opt name (Obs.snapshot ()) with
-    | Some (Obs.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  Alcotest.(check int) "par.tasks published once" (k + 1) (counter "par.tasks")
+  Alcotest.(check int) "par.tasks published once" (k + 1)
+    (Helpers.counter (Obs.snapshot ()) "par.tasks")
 
 (* --- chunk planning --- *)
 
@@ -226,9 +222,10 @@ let read_file path =
   close_in ic;
   src
 
-(* (reports per checker, incident kinds).  Incidents are compared as a
-   sorted multiset of (phase, subject, detail): the kinds and counts are
-   deterministic, the chronological interleaving is not. *)
+(* (reports with their verdicts and the whole stats record per checker,
+   incident kinds).  Incidents are compared as a sorted multiset of
+   (phase, subject, detail): the kinds and counts are deterministic, the
+   chronological interleaving is not. *)
 let analysis_fingerprint pool src =
   let a = Pinpoint.Analysis.prepare_source ?pool ~file:"<det>" src in
   let per_checker =
@@ -236,10 +233,10 @@ let analysis_fingerprint pool src =
       (fun (spec : Pinpoint.Checker_spec.t) ->
         let reports, stats = Pinpoint.Analysis.check a spec in
         ( spec.Pinpoint.Checker_spec.name,
-          List.map Pinpoint.Report.key reports,
-          ( stats.Pinpoint.Engine.n_sources,
-            stats.Pinpoint.Engine.n_candidates,
-            stats.Pinpoint.Engine.n_solver_calls ) ))
+          List.map
+            (fun r -> (Pinpoint.Report.key r, r.Pinpoint.Report.verdict))
+            reports,
+          stats ))
       Pinpoint.Checkers.all
   in
   let incident_kinds =
@@ -291,6 +288,48 @@ let check_jobs_determinism_injected ~jobs () =
         (Printf.sprintf "%s: injected jobs 1 = jobs %d" f jobs)
         true (seq = par))
     det_files
+
+(* The solver and the engine count their work in registry counters,
+   which are atomic sums: a check's [solver.*] and [engine.*] deltas are
+   the same at every [--jobs], and the profiler rows' conflicts add up to
+   [solver.n_conflicts]. *)
+let test_registry_counters_jobs () =
+  let src = read_file (Filename.concat (Test_corpus.corpus_dir ()) "motivating.mc") in
+  let counted pool =
+    let a = Pinpoint.Analysis.prepare_source ?pool ~file:"<det>" src in
+    let module Obs = Pinpoint_obs.Obs in
+    Obs.reset ();
+    let (), delta =
+      Helpers.with_counters (fun () ->
+          List.iter
+            (fun spec -> ignore (Pinpoint.Analysis.check a spec))
+            Pinpoint.Checkers.all)
+    in
+    let rows = Obs.queries () in
+    Obs.reset ();
+    let layer =
+      List.filter
+        (fun (name, _) ->
+          String.starts_with ~prefix:"solver." name
+          || String.starts_with ~prefix:"engine." name)
+        delta
+    in
+    let row_conflicts =
+      List.fold_left (fun acc (q : Obs.query) -> acc + q.Obs.q_conflicts) 0 rows
+    in
+    (layer, row_conflicts, Helpers.counter delta "solver.n_conflicts")
+  in
+  let seq, seq_rows, seq_conflicts = counted None in
+  let par, par_rows, par_conflicts =
+    Pool.with_pool ~jobs:4 (fun p -> counted (Some p))
+  in
+  Alcotest.(check bool) "queries counted" true
+    (Helpers.counter seq "solver.n_queries" > 0);
+  Alcotest.(check bool) "solver.* and engine.*: jobs 1 = jobs 4" true (seq = par);
+  Alcotest.(check int) "jobs 1: rows' conflicts = solver.n_conflicts"
+    seq_conflicts seq_rows;
+  Alcotest.(check int) "jobs 4: rows' conflicts = solver.n_conflicts"
+    par_conflicts par_rows
 
 (* --- ragged waves: a workload subject with skewed function sizes --- *)
 
@@ -445,6 +484,8 @@ let suite =
       (check_ragged_determinism ~jobs:8);
     Alcotest.test_case "determinism: -v render jobs 4" `Quick
       test_verbose_determinism;
+    Alcotest.test_case "determinism: registry counters jobs 4" `Quick
+      test_registry_counters_jobs;
     Alcotest.test_case "owner checks stay silent" `Quick
       test_owner_checks_clean;
     Alcotest.test_case "metrics: clamped + pooled alloc" `Quick

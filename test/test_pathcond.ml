@@ -184,99 +184,6 @@ let test_builder_matches_oracle () =
     (corpus_files ());
   Alcotest.(check bool) "oracle saw paths" true (!n_paths > 0)
 
-let report_sig reports =
-  List.map
-    (fun (r : Pinpoint.Report.t) ->
-      (Pinpoint.Report.key r, r.Pinpoint.Report.verdict))
-    reports
-
-let cfg = Pinpoint.Engine.default_config
-
-(* The verdict cache is a pure optimisation: every corpus program yields
-   the same (key, verdict) report list with it on or off. *)
-let test_qcache_report_identity () =
-  List.iter
-    (fun file ->
-      let a = Pinpoint.Analysis.prepare_file file in
-      List.iter
-        (fun spec ->
-          let run config =
-            report_sig (fst (Pinpoint.Analysis.check ~config a spec))
-          in
-          if run cfg <> run { cfg with use_qcache = false } then
-            Alcotest.failf "%s/%s: the verdict cache changed the report set"
-              file spec.Pinpoint.Checker_spec.name)
-        [ Pinpoint.Checkers.use_after_free; Pinpoint.Checkers.double_free ])
-    (corpus_files ())
-
-(* Clone interning makes path conditions deterministic functions of path
-   structure, so a second run over the same program replays every verdict
-   from the cache — and reports are unchanged. *)
-let test_qcache_across_runs () =
-  Pinpoint_smt.Qcache.clear ();
-  let a = Pinpoint.Analysis.prepare_source ~file:"fig2" fig2_src in
-  let r1, st1 = Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free in
-  let r2, st2 = Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free in
-  Alcotest.(check bool) "some queries issued" true
-    (st1.Pinpoint.Engine.n_solver_calls > 0);
-  Alcotest.(check int) "second run fully cached"
-    st2.Pinpoint.Engine.n_solver_calls st2.Pinpoint.Engine.n_rung_cached;
-  Alcotest.(check bool) "reports unchanged" true
-    (report_sig r1 = report_sig r2);
-  Pinpoint_smt.Qcache.clear ()
-
-(* jobs=4 with the cache off must equal the sequential default — the
-   cache toggle commutes with the parallel merge. *)
-let test_qcache_jobs_identity () =
-  let seq = Pinpoint.Analysis.prepare_source ~file:"fig2" fig2_src in
-  let base = report_sig (fst (Pinpoint.Analysis.check seq Pinpoint.Checkers.use_after_free)) in
-  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool ->
-      let par = Pinpoint.Analysis.prepare_source ~pool ~file:"fig2" fig2_src in
-      let on =
-        report_sig
-          (fst (Pinpoint.Analysis.check par Pinpoint.Checkers.use_after_free))
-      in
-      let off =
-        report_sig
-          (fst
-             (Pinpoint.Analysis.check
-                ~config:{ cfg with use_qcache = false }
-                par Pinpoint.Checkers.use_after_free))
-      in
-      Alcotest.(check bool) "jobs 4, defaults = sequential" true (on = base);
-      Alcotest.(check bool) "jobs 4, ablated = sequential" true (off = base))
-
-(* Fault injection draws once per candidate, before the cache is
-   consulted, so the sabotage pattern, and with it the report set, is
-   identical with the cache on or off.  A sabotaged query also bypasses
-   the cache both ways, so a poisoned verdict can never be stored or
-   replayed. *)
-let test_injection_qcache_identity () =
-  let module Inject = Pinpoint_util.Resilience.Inject in
-  let with_inject f =
-    Inject.install
-      { Inject.default with seed = 5; solver_fault_rate = 0.5 };
-    Fun.protect ~finally:Inject.clear f
-  in
-  let icfg = { cfg with solver_budget_s = 0.05 } in
-  List.iter
-    (fun file ->
-      let a =
-        Pinpoint.Analysis.prepare_file
-          (Filename.concat (Test_corpus.corpus_dir ()) file)
-      in
-      let run config =
-        Pinpoint_smt.Qcache.clear ();
-        with_inject (fun () ->
-            report_sig (fst (Pinpoint.Analysis.check ~config a
-                               Pinpoint.Checkers.use_after_free)))
-      in
-      if run icfg <> run { icfg with use_qcache = false } then
-        Alcotest.failf "%s: the verdict cache changed reports under injection"
-          file;
-      Pinpoint_smt.Qcache.clear ())
-    [ "complement_guards.mc"; "correlated_trap.mc"; "double_free.mc" ]
-
 let suite =
   [
     Alcotest.test_case "pc satisfiable" `Quick test_pc_satisfiable;
@@ -286,12 +193,4 @@ let suite =
     Alcotest.test_case "context cloning" `Quick test_pc_context_cloning;
     Alcotest.test_case "builder matches one-shot oracle" `Quick
       test_builder_matches_oracle;
-    Alcotest.test_case "prune/cache: corpus report identity" `Quick
-      test_qcache_report_identity;
-    Alcotest.test_case "qcache: second run fully cached" `Quick
-      test_qcache_across_runs;
-    Alcotest.test_case "prune/cache: jobs identity" `Quick
-      test_qcache_jobs_identity;
-    Alcotest.test_case "prune/cache: injection identity" `Quick
-      test_injection_qcache_identity;
   ]

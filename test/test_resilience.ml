@@ -136,13 +136,15 @@ let test_conflict_budget_ladder () =
   (* Exhausting the conflict budget is the full rung answering its normal
      budgeted Unknown — an Ok verdict, not a crash — so the ladder must
      NOT step down and the report survives. *)
-  let st = Solver.stats () in
-  let deg0 = st.Solver.n_degraded in
-  let v, m, r = Solver.check_degrading ~conflict_budget:0 (php_formula ()) in
+  let (v, m, r), delta =
+    Helpers.with_counters (fun () ->
+        Solver.check_degrading ~conflict_budget:0 (php_formula ()))
+  in
   Alcotest.check verdict "budgeted unknown" Solver.Unknown v;
   Alcotest.check rung "still the full rung" Solver.Rung_full r;
   Alcotest.(check bool) "no model" true (m = []);
-  Alcotest.(check int) "not counted as degraded" deg0 st.Solver.n_degraded;
+  Alcotest.(check int) "not counted as degraded" 0
+    (Helpers.counter delta "solver.n_degraded");
   (* with the default budget the same pigeonhole is refuted outright *)
   let v2, _, r2 = Solver.check_degrading (php_formula ()) in
   Alcotest.check verdict "unsat" Solver.Unsat v2;
@@ -151,16 +153,16 @@ let test_conflict_budget_ladder () =
 let test_deadline_linear_rung () =
   (* Expired deadline: full and halved rungs abort before touching the
      formula; the linear contradiction check still refutes. *)
-  let before = (Solver.snapshot ()).Solver.n_deadline_abort in
   let log = R.create () in
-  let v, _, r =
-    Solver.check_degrading ~deadline:Metrics.immediate ~log ~subject:"lc"
-      (linear_contradiction ())
+  let (v, _, r), delta =
+    Helpers.with_counters (fun () ->
+        Solver.check_degrading ~deadline:Metrics.immediate ~log ~subject:"lc"
+          (linear_contradiction ()))
   in
   Alcotest.check verdict "linear refutation" Solver.Unsat v;
   Alcotest.check rung "linear rung" Solver.Rung_linear r;
-  Alcotest.(check int) "two deadline aborts" (before + 2)
-    (Solver.snapshot ()).Solver.n_deadline_abort;
+  Alcotest.(check int) "two deadline aborts" 2
+    (Helpers.counter delta "solver.n_deadline_abort");
   Alcotest.(check int) "two incidents" 2 (R.count log)
 
 let test_deadline_gave_up () =
@@ -239,21 +241,6 @@ let test_inject_unknown_verdict () =
            (fun i -> i.R.detail = "injected: unknown-verdict")
            (R.incidents log)))
 
-(* --- solver stats snapshot/restore --- *)
-
-let test_stats_snapshot_restore () =
-  let saved = Solver.snapshot () in
-  Solver.reset_stats ();
-  ignore (Solver.check (sat_formula ()));
-  let mine = Solver.snapshot () in
-  Alcotest.(check int) "one query after reset" 1 mine.Solver.n_queries;
-  let merged = Solver.merge saved mine in
-  Alcotest.(check int) "merge adds" (saved.Solver.n_queries + 1)
-    merged.Solver.n_queries;
-  Solver.restore merged;
-  Alcotest.(check int) "restore overwrites" merged.Solver.n_queries
-    (Solver.snapshot ()).Solver.n_queries
-
 let multi_uaf_src =
   {|
 void f(int s) { int *p = malloc(); *p = s; free(p); print(*p); }
@@ -270,10 +257,12 @@ void g(int s) {
 
 let test_engine_per_run_stats () =
   let a = Helpers.prepare multi_uaf_src in
-  let _, stats = Pinpoint.Analysis.check a Helpers.uaf in
-  Alcotest.(check int) "per-run solver stats attributed"
+  let (_, stats), delta =
+    Helpers.with_counters (fun () -> Pinpoint.Analysis.check a Helpers.uaf)
+  in
+  Alcotest.(check int) "one solver query per solver call"
     stats.Pinpoint.Engine.n_solver_calls
-    stats.Pinpoint.Engine.solver.Solver.n_queries;
+    (Helpers.counter delta "solver.n_queries");
   Alcotest.(check int) "every query decided at some rung"
     stats.Pinpoint.Engine.n_solver_calls
     (stats.Pinpoint.Engine.n_rung_full + stats.Pinpoint.Engine.n_rung_halved
@@ -517,8 +506,6 @@ let suite =
       test_inject_hang_waits_for_deadline;
     Alcotest.test_case "injected unknown verdict" `Quick
       test_inject_unknown_verdict;
-    Alcotest.test_case "stats snapshot/restore" `Quick
-      test_stats_snapshot_restore;
     Alcotest.test_case "engine per-run stats" `Quick test_engine_per_run_stats;
     Alcotest.test_case "seg crash isolated" `Quick test_seg_crash_isolated;
     Alcotest.test_case "seg drop" `Quick test_seg_drop;

@@ -1,14 +1,13 @@
 (* Tests for the analysis server (DESIGN.md §4.13): incremental
    re-analysis identity against batch runs, fault-injected soak,
    deadline isolation, warm restart from epoch snapshots, and the
-   resource caps (qcache entries, incident log) the server relies on. *)
+   incident-log cap the server relies on. *)
 
 module Ast = Pinpoint_frontend.Ast
 module Parser = Pinpoint_frontend.Parser
 module Lower = Pinpoint_frontend.Lower
 module Gen = Pinpoint_workload.Gen
 module Resilience = Pinpoint_util.Resilience
-module Qcache = Pinpoint_smt.Qcache
 module Json = Pinpoint_server.Json
 module Incr = Pinpoint_server.Incr
 module Server = Pinpoint_server.Server
@@ -607,26 +606,15 @@ let response_renders j =
       cs
 
 (* (b) fault-injected soak: 200 requests at 20% injection, every request
-   answered, state alive throughout, caches and incident log bounded.
+   answered, state alive throughout, incident log bounded.
    Also run with a jobs-4 pool so the chunked dirty-cone rebuild path
    soaks under the same fault rates. *)
 let test_soak ?pool () =
   let chunks = split_subject 1 (subject ~seed:47 ~loc:250 ()) in
-  let config =
-    {
-      Server.default_config with
-      Server.qcache_cap = Some 256;
-      incident_cap = 100;
-      pool;
-    }
-  in
+  let config = { Server.default_config with Server.incident_cap = 100; pool } in
   let t = Server.create ~config () in
   Server.load_files t (contents_of chunks);
-  Fun.protect
-    ~finally:(fun () ->
-      Resilience.Inject.clear ();
-      Qcache.set_capacity None)
-    (fun () ->
+  Fun.protect ~finally:Resilience.Inject.clear (fun () ->
       Resilience.Inject.(
         install
           {
@@ -672,10 +660,7 @@ let test_soak ?pool () =
         (stat [ "incidents"; "total" ] > 0);
       Alcotest.(check bool)
         "incident log bounded" true
-        (stat [ "incidents"; "retained" ] <= 100);
-      Alcotest.(check bool)
-        "qcache bounded" true
-        (stat [ "qcache"; "entries" ] <= 256))
+        (stat [ "incidents"; "retained" ] <= 100))
 
 (* (c) a deadline-blown request degrades its own verdicts and leaves the
    next request untouched. *)
@@ -816,6 +801,49 @@ let test_request_isolation () =
       ({|{"op":42}|}, "bad request: op must be a string");
     ];
   Alcotest.(check (option int)) "no check ran" checks_before (checks ());
+  (* an optional field of the wrong type is refused, not read as absent,
+     before any state changes — also when the request carries an edit *)
+  let edit_with field value =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "check");
+           ( "files",
+             Json.List
+               [
+                 Json.Obj
+                   [
+                     ("name", Json.String "srv_0.mc");
+                     ("contents", Json.String (edited 0));
+                   ];
+               ] );
+           (field, value);
+         ])
+  in
+  let bad_format = {|bad request: format must be "json" or "prometheus"|} in
+  List.iter
+    (fun (bad, expected) -> Alcotest.(check string) bad expected (error_of bad))
+    [
+      ( {|{"op":"check","checkers":"use-after-free"}|},
+        "bad request: checkers must be a list of checker names" );
+      ( {|{"op":"check","deadline_s":"0.000000001"}|},
+        "bad request: deadline_s must be a number" );
+      ( {|{"op":"check","solver_budget_s":true}|},
+        "bad request: solver_budget_s must be a number" );
+      ( {|{"op":"check","solver_conflicts":1.5}|},
+        "bad request: solver_conflicts must be an integer" );
+      ( edit_with "checkers" (Json.String "use-after-free"),
+        "bad request: checkers must be a list of checker names" );
+      ( edit_with "deadline_s" (Json.String "1"),
+        "bad request: deadline_s must be a number" );
+      ({|{"op":"metrics","format":"xml"}|}, bad_format);
+      ({|{"op":"metrics","format":42}|}, bad_format);
+    ];
+  let metrics_json, _ =
+    Server.handle_line t {|{"op":"metrics","format":"json"}|}
+  in
+  Alcotest.(check bool) "format json accepted" true
+    (response_ok (parse_response metrics_json));
   let resp, _ =
     Server.handle_line t (req_of_files ~checkers:[ "use-after-free" ] [])
   in
@@ -889,34 +917,6 @@ let test_warm_restart () =
   Alcotest.(check (list string)) "torn tail ignored" expected (final t3)
 
 (* ---------- satellite caps ---------- *)
-
-let test_qcache_cap () =
-  Fun.protect
-    ~finally:(fun () ->
-      Qcache.set_enabled false;
-      Qcache.set_capacity None)
-    (fun () ->
-      Qcache.set_capacity (Some 32);
-      Qcache.set_enabled true;
-      let evictions0 = (Qcache.stats ()).Qcache.evictions in
-      (* Distinct live formulas: [eq (int i) (int 0)] would constant-fold
-         to one shared expression. *)
-      let x =
-        Pinpoint_smt.Expr.var
-          (Pinpoint_smt.Symbol.fresh "qcache_test" Pinpoint_smt.Symbol.Int)
-      in
-      for i = 1 to 200 do
-        Qcache.add
-          (Pinpoint_smt.Expr.eq x (Pinpoint_smt.Expr.int i))
-          Qcache.Cached_unsat
-      done;
-      let st = Qcache.stats () in
-      Alcotest.(check bool)
-        (Printf.sprintf "bounded: %d <= 32" st.Qcache.entries)
-        true (st.Qcache.entries <= 32);
-      Alcotest.(check bool) "evictions counted" true
-        (st.Qcache.evictions > evictions0);
-      Alcotest.(check (option int)) "capacity visible" (Some 32) st.Qcache.cap)
 
 let test_incident_rotation () =
   let log = Resilience.create ~capacity:5 () in
@@ -1470,7 +1470,6 @@ let suite =
     Alcotest.test_case "deadline isolation" `Quick test_deadline_isolation;
     Alcotest.test_case "rss shedding" `Quick test_rss_shedding;
     Alcotest.test_case "warm restart" `Quick test_warm_restart;
-    Alcotest.test_case "qcache cap" `Quick test_qcache_cap;
     Alcotest.test_case "incident rotation" `Quick test_incident_rotation;
     Alcotest.test_case "request span trees (jobs 4)" `Quick
       test_request_spans_jobs4;

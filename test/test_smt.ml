@@ -499,149 +499,6 @@ let balanced_order_independent =
     (QCheck.make conjunct_list_gen) (fun l ->
       E.equal (E.conj_balanced l) (E.conj_balanced (List.rev l)))
 
-(* --- the shared verdict cache --- *)
-
-(* Enable the (process-global, default-off) cache for one test, restoring
-   a clean disabled+empty state however the test exits. *)
-let with_qcache f =
-  Qcache.clear ();
-  Qcache.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Qcache.set_enabled false;
-      Qcache.clear ())
-    f
-
-let test_qcache_hit_miss () =
-  with_qcache @@ fun () ->
-  Solver.reset_stats ();
-  let x = ivar "qc_x" in
-  let f = E.conj [ E.lt (E.int 0) x; E.lt x (E.int 10) ] in
-  let v1, m1 = Solver.check_with_model f in
-  let st = Solver.stats () in
-  Alcotest.(check int) "one miss" 1 st.Solver.n_cache_misses;
-  Alcotest.(check int) "no hits yet" 0 st.Solver.n_cache_hits;
-  let v2, m2 = Solver.check_with_model f in
-  let st = Solver.stats () in
-  Alcotest.(check int) "still one miss" 1 st.Solver.n_cache_misses;
-  Alcotest.(check int) "one hit" 1 st.Solver.n_cache_hits;
-  Alcotest.(check bool) "sat" true (v1 = Solver.Sat);
-  Alcotest.(check bool) "same verdict" true (v1 = v2);
-  Alcotest.(check bool) "model replayed" true (m1 = m2);
-  (* unsat verdicts are cached too *)
-  let g = E.conj [ E.lt (E.int 0) x; E.not_ (E.lt (E.int 0) x) ] in
-  Alcotest.(check bool) "unsat" true (Solver.check g = Solver.Unsat);
-  Alcotest.(check bool) "unsat cached" true (Solver.check g = Solver.Unsat);
-  let st = Solver.stats () in
-  Alcotest.(check int) "two misses total" 2 st.Solver.n_cache_misses;
-  Alcotest.(check int) "two hits total" 2 st.Solver.n_cache_hits
-
-let test_qcache_rung_cached () =
-  with_qcache @@ fun () ->
-  Solver.reset_stats ();
-  let x = ivar "qr_x" in
-  let f = E.conj [ E.lt (E.int 0) x; E.lt x (E.int 10) ] in
-  let _, _, r1 = Solver.check_degrading f in
-  let _, _, r2 = Solver.check_degrading f in
-  Alcotest.(check string) "first from the solver" "full" (Solver.rung_name r1);
-  Alcotest.(check string) "second replayed" "cached" (Solver.rung_name r2);
-  let st = Solver.stats () in
-  Alcotest.(check int) "replay is not a degradation" 0 st.Solver.n_degraded;
-  Alcotest.(check int) "both counted as queries" 2 st.Solver.n_queries
-
-let test_qcache_never_stores_unknown () =
-  with_qcache @@ fun () ->
-  Solver.reset_stats ();
-  let x = ivar "qu_x" in
-  (* needs a theory round to decide, so max_iters:0 forces Unknown *)
-  let f = E.conj [ E.lt (E.int 0) x; E.lt x (E.int 10) ] in
-  Alcotest.(check bool) "unknown" true
-    (Solver.check ~max_iters:0 f = Solver.Unknown);
-  Alcotest.(check int) "nothing cached" 0 (Qcache.length ());
-  Alcotest.(check bool) "still unknown" true
-    (Solver.check ~max_iters:0 f = Solver.Unknown);
-  let st = Solver.stats () in
-  Alcotest.(check int) "no hit: unknown is never cached" 0 st.Solver.n_cache_hits;
-  Alcotest.(check int) "two misses" 2 st.Solver.n_cache_misses;
-  (* a later full-budget call decides and caches *)
-  Alcotest.(check bool) "decided" true (Solver.check f = Solver.Sat);
-  Alcotest.(check int) "now cached" 1 (Qcache.length ())
-
-let test_qcache_disabled_is_invisible () =
-  Qcache.clear ();
-  Alcotest.(check bool) "disabled by default" false (Qcache.enabled ());
-  Solver.reset_stats ();
-  let x = ivar "qd_x" in
-  let f = E.conj [ E.lt (E.int 0) x; E.lt x (E.int 10) ] in
-  Alcotest.(check bool) "sat" true (Solver.check f = Solver.Sat);
-  Alcotest.(check bool) "sat again" true (Solver.check f = Solver.Sat);
-  let st = Solver.stats () in
-  Alcotest.(check int) "no hits" 0 st.Solver.n_cache_hits;
-  Alcotest.(check int) "no misses counted while disabled" 0
-    st.Solver.n_cache_misses;
-  Alcotest.(check int) "no entries" 0 (Qcache.length ())
-
-let test_qcache_shard_safety () =
-  with_qcache @@ fun () ->
-  (* 8 domains hammer one hot key (every iteration) plus 64 spread keys
-     that cover all shards, half of them walking the list in reverse so
-     writes race on both the hot shard and the cold ones *)
-  let x = ivar "qs_hot" in
-  let hot = E.conj [ E.lt (E.int 0) x; E.lt x (E.int 10) ] in
-  let spread =
-    List.init 64 (fun i ->
-        E.lt (E.var (Symbol.fresh (Printf.sprintf "qs_%d" i) Symbol.Int))
-          (E.int (i mod 7)))
-  in
-  let worker d () =
-    let keys = if d mod 2 = 0 then spread else List.rev spread in
-    for _ = 1 to 50 do
-      if Solver.check hot <> Solver.Sat then failwith "hot verdict corrupted";
-      List.iter
-        (fun k -> if Solver.check k <> Solver.Sat then failwith "spread verdict corrupted")
-        keys
-    done
-  in
-  let domains = List.init 8 (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "every key cached exactly once" 65 (Qcache.length ());
-  Alcotest.(check bool) "hot entry still correct" true
-    (Solver.check hot = Solver.Sat)
-
-let test_qcache_near_miss () =
-  (* Two formulas sharing an atom multiset but not a hash-cons id: the
-     second probe lands in the first probe's atom-signature group and
-     bumps the near-miss diagnostic — the bound on what a
-     structure-normalising cache key could recover. *)
-  let module Obs = Pinpoint_obs.Obs in
-  Obs.reset ();
-  Obs.set_level Obs.Metrics_only;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_level Obs.Off;
-      Obs.reset ())
-  @@ fun () ->
-  with_qcache @@ fun () ->
-  let x = ivar "nm_x" in
-  let pa = E.lt (E.int 0) x in
-  let pb = E.lt x (E.int 10) in
-  let pc = E.lt (E.int 5) x in
-  let f1 = E.and_ pa (E.or_ pb pc) in
-  let f2 = E.and_ pb (E.or_ pa pc) in
-  Alcotest.(check bool) "distinct formulas" false (E.equal f1 f2);
-  let near_misses () =
-    match List.assoc_opt "qcache.n_near_miss" (Obs.snapshot ()) with
-    | Some (Obs.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  ignore (Solver.check f1);
-  Alcotest.(check int) "first probe seeds the group" 0 (near_misses ());
-  ignore (Solver.check f2);
-  Alcotest.(check int) "mirror formula is a near miss" 1 (near_misses ());
-  (* a repeat probe of an id already in the group is not recounted *)
-  ignore (Solver.check f2);
-  Alcotest.(check int) "repeat probe does not recount" 1 (near_misses ())
-
 (* --- theory: dropped disequalities are counted, not silent --- *)
 
 let test_theory_ne_dropped_counted () =
@@ -667,27 +524,25 @@ let test_solver_ne_dropped_stat () =
       E.tru
       (List.init (Theory.max_ne_splits + 2) Fun.id)
   in
-  let st = Solver.stats () in
-  let d0 = st.Solver.n_ne_dropped in
-  Alcotest.(check bool) "sat by over-approximation" true
-    (Solver.check e = Solver.Sat);
-  Alcotest.(check bool) "n_ne_dropped surfaced in Solver.stats" true
-    (st.Solver.n_ne_dropped - d0 >= Theory.max_ne_splits + 2)
+  let v, delta = Helpers.with_counters (fun () -> Solver.check e) in
+  Alcotest.(check bool) "sat by over-approximation" true (v = Solver.Sat);
+  Alcotest.(check bool) "solver.n_ne_dropped counted" true
+    (Helpers.counter delta "solver.n_ne_dropped" >= Theory.max_ne_splits + 2)
 
-(* --- solver: CDCL effort counters flow into Solver.stats --- *)
+(* --- solver: CDCL effort counters flow into the registry --- *)
 
 let test_solver_effort_counters () =
-  let st = Solver.stats () in
-  let p0 = st.Solver.n_propagations in
   let x = ivar "eff_x" in
   let e =
     E.and_
       (E.or_ (E.lt x (E.int 5)) (E.lt (E.int 7) x))
       (E.or_ (E.le (E.int 0) x) (E.eq x (E.int 9)))
   in
-  Alcotest.(check bool) "query decided" true (Solver.check e <> Solver.Unsat);
+  let v, delta = Helpers.with_counters (fun () -> Solver.check e) in
+  Alcotest.(check bool) "query decided" true (v <> Solver.Unsat);
+  Alcotest.(check int) "one query" 1 (Helpers.counter delta "solver.n_queries");
   Alcotest.(check bool) "propagations recorded" true
-    (st.Solver.n_propagations > p0)
+    (Helpers.counter delta "solver.n_propagations" > 0)
 
 let suite =
   [
@@ -730,14 +585,4 @@ let suite =
     Alcotest.test_case "solver: mixed theory" `Quick test_solver_mixed;
     balanced_equisat;
     balanced_order_independent;
-    Alcotest.test_case "qcache: hit/miss accounting" `Quick test_qcache_hit_miss;
-    Alcotest.test_case "qcache: replay rung" `Quick test_qcache_rung_cached;
-    Alcotest.test_case "qcache: unknown never cached" `Quick
-      test_qcache_never_stores_unknown;
-    Alcotest.test_case "qcache: disabled is invisible" `Quick
-      test_qcache_disabled_is_invisible;
-    Alcotest.test_case "qcache: 8-domain shard hammering" `Quick
-      test_qcache_shard_safety;
-    Alcotest.test_case "qcache: near-miss diagnostic" `Quick
-      test_qcache_near_miss;
   ]
