@@ -309,20 +309,15 @@ let sweep ~resilience ?pool ?store graph transform ~segs rv ~vfs
   Obs.span "seg.build.all" (fun () ->
       (* Sequential prologue pinning allocation-ordered ids to program
          order (the conduit variables' symbols, abstract heap addresses)
-         for the functions whose SEGs are rebuilt — after this, SEG builds
-         are order-independent and can run in any schedule. *)
-      let rebuilt = Hashtbl.create 64 in
-      (match retransformed with
-      | Some before ->
-        Hashtbl.iter (fun name _ -> Hashtbl.replace rebuilt name ()) before
-      | None ->
-        List.iter
-          (List.iter (fun (f : Func.t) -> Hashtbl.replace rebuilt f.Func.fname ()))
-          sccs);
+         for the functions whose SEGs are rebuilt, and only those, in
+         definition order — after this, SEG builds are order-independent
+         and can run in any schedule. *)
       let funcs =
-        List.filter
-          (fun (f : Func.t) -> Hashtbl.mem rebuilt f.Func.fname)
-          (Callgraph.functions graph)
+        Callgraph.in_order graph
+          (match retransformed with
+          | Some before -> Hashtbl.fold (fun name _ acc -> name :: acc) before []
+          | None ->
+            List.concat_map (List.map (fun (f : Func.t) -> f.Func.fname)) sccs)
       in
       force_symbols funcs;
       Seg.reserve_addresses funcs);
@@ -449,7 +444,7 @@ let seal_store t specs =
   | _ -> ()
 
 let check ?config t (spec : Checker_spec.t) =
-  Engine.run ?config ~resilience:t.resilience ?pool:t.pool t.prog ~graph:t.graph
+  Engine.run ?config ~resilience:t.resilience ?pool:t.pool ~graph:t.graph
     ~seg_of:(seg_of t) ~rv:t.rv
     ~vf:(Option.map snd (Hashtbl.find_opt t.vfs spec.Checker_spec.name))
     spec

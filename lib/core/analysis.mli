@@ -101,7 +101,8 @@ val sweep :
     redone; everything else is read as retained, so the result equals a
     from-scratch sweep (DESIGN.md §4.5, §4.13).  A sequential prologue
     ([seg.build.all]) pins the rebuilt functions' symbol ids and heap
-    addresses to [graph]'s definition order; then, per SCC, the members' SEGs are
+    addresses to [graph]'s definition order, visiting only those
+    functions; then, per SCC, the members' SEGs are
     built from their PTAs ([seg.build] each), their RV entries computed
     in member order, their VF entries in member order ([summary.vf]
     each), and only then are the SEGs put in [segs] — or, with [store],

@@ -113,27 +113,79 @@ type memo_entry = {
   caller_footprint : string list;
 }
 
+type memo_key = string * int * int
+(** (function, source sid, source vid) *)
+
 type memo = {
   mutable memo_config : config option;
       (** the config the results were computed under, deadline removed *)
   fn_sources : (string, (Var.t * int) list) Hashtbl.t;
-  results : (string * int * int, memo_entry) Hashtbl.t;
-      (** (function, source sid, source vid) -> stored search *)
+  results : (memo_key, memo_entry) Hashtbl.t;
+  by_seg : (string, (memo_key, unit) Hashtbl.t) Hashtbl.t;
+      (** footprint index: function -> the stored searches that fetched
+          its SEG *)
+  by_caller : (string, (memo_key, unit) Hashtbl.t) Hashtbl.t;
+      (** function -> the stored searches that read its caller list *)
 }
 
 let create_memo () =
-  { memo_config = None; fn_sources = Hashtbl.create 64; results = Hashtbl.create 256 }
+  {
+    memo_config = None;
+    fn_sources = Hashtbl.create 64;
+    results = Hashtbl.create 256;
+    by_seg = Hashtbl.create 64;
+    by_caller = Hashtbl.create 64;
+  }
+
+let index_add idx key name =
+  match Hashtbl.find_opt idx name with
+  | Some keys -> Hashtbl.replace keys key ()
+  | None ->
+    let keys = Hashtbl.create 4 in
+    Hashtbl.replace keys key ();
+    Hashtbl.replace idx name keys
+
+let index_remove idx key name =
+  match Hashtbl.find_opt idx name with
+  | Some keys ->
+    Hashtbl.remove keys key;
+    if Hashtbl.length keys = 0 then Hashtbl.remove idx name
+  | None -> ()
+
+(* A search leaves the memo together with its index entries, so the index
+   names only stored searches and cannot outgrow them. *)
+let forget m key =
+  match Hashtbl.find_opt m.results key with
+  | Some e ->
+    Hashtbl.remove m.results key;
+    List.iter (index_remove m.by_seg key) e.seg_footprint;
+    List.iter (index_remove m.by_caller key) e.caller_footprint
+  | None -> ()
+
+let remember m key e =
+  forget m key;
+  Hashtbl.replace m.results key e;
+  List.iter (index_add m.by_seg key) e.seg_footprint;
+  List.iter (index_add m.by_caller key) e.caller_footprint
 
 let invalidate_memo m ~relowered ~segs ~callers =
-  Hashtbl.filter_map_inplace
-    (fun name srcs -> if relowered name then None else Some srcs)
-    m.fn_sources;
-  Hashtbl.filter_map_inplace
-    (fun _ e ->
-      if List.exists segs e.seg_footprint || List.exists callers e.caller_footprint
-      then None
-      else Some e)
-    m.results
+  List.iter (Hashtbl.remove m.fn_sources) relowered;
+  let drop idx name =
+    Option.iter
+      (fun keys ->
+        List.iter (forget m) (Hashtbl.fold (fun k () acc -> k :: acc) keys []))
+      (Hashtbl.find_opt idx name)
+  in
+  List.iter (drop m.by_seg) segs;
+  List.iter (drop m.by_caller) callers
+
+let memo_sizes m =
+  let pairs idx = Hashtbl.fold (fun _ keys n -> n + Hashtbl.length keys) idx 0 in
+  [
+    ("sources", Hashtbl.length m.fn_sources);
+    ("searches", Hashtbl.length m.results);
+    ("index", pairs m.by_seg + pairs m.by_caller);
+  ]
 
 type search_ctx = {
   seg_of : string -> Seg.t option;
@@ -509,8 +561,8 @@ let zero_stats () =
     n_reused_sources = 0;
   }
 
-let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
-    ~graph ~seg_of ~rv ~vf (spec : Checker_spec.t) : Report.t list * stats =
+let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
+    ~vf (spec : Checker_spec.t) : Report.t list * stats =
   let incidents_before =
     match resilience with Some l -> Resilience.count l | None -> 0
   in
@@ -531,6 +583,8 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
       let key = Some { config with deadline = Metrics.no_deadline } in
       if m.memo_config <> key then begin
         Hashtbl.reset m.results;
+        Hashtbl.reset m.by_seg;
+        Hashtbl.reset m.by_caller;
         m.memo_config <- key
       end)
     memo;
@@ -560,7 +614,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
     List.concat_map
       (fun (f : Func.t) ->
         List.map (fun ((v : Var.t), sid) -> (f, v, sid)) (sources_of f))
-      (Prog.functions prog)
+      (Callgraph.functions graph)
   in
   let src_arr = Array.of_list sources in
   let memo_key ((f : Func.t), (v : Var.t), sid) = (f.Func.fname, sid, v.Var.vid) in
@@ -713,7 +767,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo (prog : Prog.t)
         | Some (rs, (st : stats), entry) ->
           Obs.Agg.add_into merge_fields ~into:stats st;
           (match (memo, entry) with
-          | Some m, Some e -> Hashtbl.replace m.results (memo_key src_arr.(i)) e
+          | Some m, Some e -> remember m (memo_key src_arr.(i)) e
           | _ -> ());
           add_reports rs))
     hits;

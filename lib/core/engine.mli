@@ -84,32 +84,39 @@ type stats = {
     ran to its own end with every feasibility query decided at full
     strength (no timeout, no barrier catch, no halved, linear or gave-up
     rung); a run with fault injection installed neither reads nor fills
-    the memo. *)
+    the memo.  An index from each footprint function to the stored
+    searches that name it lets {!invalidate_memo} read only the searches
+    an edit reaches. *)
 type memo
 
 val create_memo : unit -> memo
 
 val invalidate_memo :
   memo ->
-  relowered:(string -> bool) ->
-  segs:(string -> bool) ->
-  callers:(string -> bool) ->
+  relowered:string list ->
+  segs:string list ->
+  callers:string list ->
   unit
 (** Forget what an edit may have changed: the [relowered] functions'
-    sources, every stored search whose SEG footprint meets [segs] and
-    every stored search whose caller-list footprint meets [callers].  A
-    search that visited a function's SEG read only the RV and VF entries
-    of that function's direct callees, so [segs] must hold the re-lowered
-    functions and every caller of a function whose RV or VF entries
-    changed; [callers] must hold the callees of the re-lowered functions,
-    old and new bodies. *)
+    sources, every stored search whose SEG footprint names a function in
+    [segs] and every stored search whose caller-list footprint names one
+    in [callers].  A search that visited a function's SEG read only the
+    RV and VF entries of that function's direct callees, so [segs] must
+    hold the re-lowered functions and every caller of a function whose
+    RV or VF entries changed; [callers] must hold the callees of the
+    re-lowered functions, old and new bodies.  Costs the searches
+    dropped, found through the footprint index, not the memo's size;
+    a dropped search leaves the index too. *)
+
+val memo_sizes : memo -> (string * int) list
+(** Entry counts: functions with enumerated sources, stored searches,
+    and (function, search) pairs in the footprint index. *)
 
 val run :
   ?config:config ->
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
   ?memo:memo ->
-  Pinpoint_ir.Prog.t ->
   graph:Pinpoint_ir.Callgraph.t ->
   seg_of:(string -> Pinpoint_seg.Seg.t option) ->
   rv:Pinpoint_summary.Rv.t ->
@@ -121,10 +128,11 @@ val run :
     (marked [Infeasible]) so precision can be measured, but
     [Report.is_reported] is false for them.
 
-    [graph] is [prog]'s call graph: bottom-up caller expansion reads each
-    function's call sites from it.  [vf] is the checker's VF-summary
-    table, built by the caller's sweep ({!Analysis.sweep}) and matching
-    [prog]; [None] — a checker the sweep
+    [graph] is the program's call graph: sources are enumerated from
+    its functions in definition order, and bottom-up caller expansion
+    reads each function's call sites from it.  [vf] is the checker's
+    VF-summary table, built by the caller's sweep ({!Analysis.sweep}) and
+    matching [graph]; [None] — a checker the sweep
     did not summarise — turns VF pruning off, so the engine descends into
     every defined callee.  A callee without an entry in the table (its
     summary crashed) is descended into the same way.  Sources are enumerated from the

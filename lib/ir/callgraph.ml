@@ -51,6 +51,12 @@ let build (prog : Prog.t) =
   g
 
 let functions g = Array.to_list g.funcs
+
+let in_order g names =
+  List.filter_map (Hashtbl.find_opt g.index) names
+  |> List.sort_uniq Int.compare
+  |> List.map (Array.get g.funcs)
+
 let members g c = List.map (Array.get g.funcs) g.comps.(c)
 let sccs g = List.init (Array.length g.comps) (members g)
 
@@ -71,11 +77,11 @@ let callees g (fs : Func.t list) =
   Hashtbl.fold (fun name () acc -> name :: acc) seen []
 
 let upward g names =
-  let marked = Array.make (Array.length g.comps) false in
+  let marked = Hashtbl.create 16 in
   let rec visit i =
     let c = g.comp_of.(i) in
-    if not marked.(c) then begin
-      marked.(c) <- true;
+    if not (Hashtbl.mem marked c) then begin
+      Hashtbl.replace marked c ();
       List.iter
         (fun k ->
           List.iter
@@ -85,50 +91,87 @@ let upward g names =
     end
   in
   List.iter (fun name -> Option.iter visit (Hashtbl.find_opt g.index name)) names;
-  List.filteri (fun c _ -> marked.(c)) (sccs g)
+  List.sort Int.compare (Hashtbl.fold (fun c () acc -> c :: acc) marked [])
 
-(* A callee's caller list, rebuilt from its callers' call lists in the
-   order [build] produces: callers in reverse definition order, each
-   caller's calls in reverse statement order.  [extra] are callers the
-   current list may not name yet. *)
-let rebuild_callers g j extra =
-  let nodes =
-    List.map (fun ((f : Func.t), _) -> Hashtbl.find g.index f.Func.fname) g.callers.(j)
-    @ extra
-    |> List.sort_uniq (fun a b -> Int.compare b a)
+(* Node [i]'s entries in callee [j]'s caller list: its calls to [j], in
+   reverse statement order. *)
+let entries g i j =
+  List.fold_left
+    (fun acc (k, s) -> if k = j then (g.funcs.(i), s) :: acc else acc)
+    [] g.calls.(i)
+
+(* Patch callee [j]'s caller list for the replaced nodes [nodes], in
+   descending order, each given with the function it replaced and
+   whether that one called [j].  A node's old entries form one block,
+   found by that function, and give way to its new entries; a node
+   whose old body did not call [j] goes where definition order puts it,
+   which costs an index look-up per entry passed.  The tail after the
+   last patched block is kept as it is. *)
+let patch_callers g j nodes =
+  let rec go nodes l =
+    match (nodes, l) with
+    | [], _ -> l
+    | (i, _, _) :: rest, [] -> entries g i j @ go rest []
+    | ((i, old, had) :: rest as nodes), ((((f : Func.t), _) as e) :: tl as l) ->
+      if f == old then
+        let rec past = function
+          | ((f' : Func.t), _) :: tl when f' == old -> past tl
+          | tl -> tl
+        in
+        entries g i j @ go rest (past tl)
+      else if had || Hashtbl.find g.index f.Func.fname > i then e :: go nodes tl
+      else entries g i j @ go rest l
   in
-  g.callers.(j) <-
-    List.concat_map
-      (fun i ->
-        List.rev
-          (List.filter_map
-             (fun (k, s) -> if k = j then Some (g.funcs.(i), s) else None)
-             g.calls.(i)))
-      nodes
+  g.callers.(j) <- go nodes g.callers.(j)
+
+let same_callees a b = List.equal (fun (j, _) (k, _) -> j = k) a b
 
 let replace g (fs : Func.t list) =
-  let old_comps = g.comps and old_comp_of = g.comp_of in
-  (* The callees of the old bodies and the new: their caller lists are
-     the ones the edit can change. *)
-  let touched = Hashtbl.create 16 in
-  let touch i = List.iter (fun (j, _) -> Hashtbl.replace touched j ()) g.calls.(i) in
-  let nodes =
+  let replaced =
     List.map
       (fun (f : Func.t) ->
         let i = Hashtbl.find g.index f.Func.fname in
-        touch i;
+        let old = (g.funcs.(i), g.calls.(i)) in
         g.funcs.(i) <- f;
         g.calls.(i) <- scan g.index f;
-        touch i;
-        i)
+        (i, old))
       fs
   in
-  Hashtbl.iter (fun j () -> rebuild_callers g j nodes) touched;
-  solve g;
-  let moved = ref [] in
-  Array.iteri
-    (fun i (f : Func.t) ->
-      if old_comps.(old_comp_of.(i)) <> g.comps.(g.comp_of.(i)) then
-        moved := f.Func.fname :: !moved)
-    g.funcs;
-  List.rev !moved
+  (* The callees of the old bodies and the new: their caller lists are
+     the ones the edit can change. *)
+  let touched = Hashtbl.create 16 in
+  List.iter
+    (fun (i, (old_f, old_calls)) ->
+      let touch (j, _) =
+        let nodes = Option.value ~default:[] (Hashtbl.find_opt touched j) in
+        if not (List.exists (fun (k, _, _) -> k = i) nodes) then
+          Hashtbl.replace touched j
+            ((i, old_f, List.exists (fun (k, _) -> k = j) old_calls) :: nodes)
+      in
+      List.iter touch old_calls;
+      List.iter touch g.calls.(i))
+    replaced;
+  Hashtbl.iter
+    (fun j nodes ->
+      patch_callers g j
+        (List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a) nodes))
+    touched;
+  (* Equal callee sequences leave the integer edges, added in the same
+     order, exactly as they were: Tarjan would return the same SCCs in
+     the same order. *)
+  if
+    List.for_all
+      (fun (i, (_, old_calls)) -> same_callees old_calls g.calls.(i))
+      replaced
+  then []
+  else begin
+    let old_comps = g.comps and old_comp_of = g.comp_of in
+    solve g;
+    let moved = ref [] in
+    Array.iteri
+      (fun i (f : Func.t) ->
+        if old_comps.(old_comp_of.(i)) <> g.comps.(g.comp_of.(i)) then
+          moved := f.Func.fname :: !moved)
+      g.funcs;
+    List.rev !moved
+  end

@@ -20,6 +20,10 @@ val build : Prog.t -> t
 val functions : t -> Func.t list
 (** The nodes, in definition order. *)
 
+val in_order : t -> string list -> Func.t list
+(** The named functions in definition order, each once; unknown names are
+    skipped.  Costs the names given, not the program. *)
+
 val sccs : t -> Func.t list list
 (** The SCCs in bottom-up (callees-first) order, exactly
     {!Prog.bottom_up_sccs} of the program the graph describes. *)
@@ -32,13 +36,29 @@ val callers : t -> string -> (Func.t * Stmt.t) list
 val callees : t -> Func.t list -> string list
 (** The distinct defined callees of the given functions' calls. *)
 
-val upward : t -> string list -> Func.t list list
+val upward : t -> string list -> int list
 (** The SCCs holding one of the named functions or a transitive caller of
-    one, in bottom-up order. *)
+    one, as positions in {!sccs}, in bottom-up order.  Marking costs the
+    components found and their callers' call sites, not the program.  A
+    position stays valid until a {!replace} that changes call edges. *)
+
+val members : t -> int -> Func.t list
+(** The current members of the SCC at a position in {!sccs}: a function
+    {!replace}d since the position was read shows as its replacement. *)
 
 val replace : t -> Func.t list -> string list
-(** [replace g fs] installs re-lowered functions (each replacing the
-    function of the same name): it rescans only their statements, patches
-    the caller lists their old and new calls touch, and re-runs Tarjan
-    over the integer edges.  Returns the functions whose SCC, members or
-    member order, differs from before. *)
+(** [replace g fs] installs re-lowered functions, each replacing the
+    function of the same name (names distinct), and returns the functions
+    whose SCC, members or member order, differs from before.  The result
+    equals {!build} of the program with [fs] installed: the same SCCs in
+    the same order, the same caller lists in the same order, and nodes
+    that are the current functions.
+
+    It rescans only the statements of [fs].  In each callee's caller
+    list, old body or new, it replaces only the blocks of entries of
+    [fs]; a caller that newly calls a callee is placed by definition
+    order.  When every function in [fs] calls the same callee nodes in
+    the same statement order as the one it replaces, the integer edges
+    are unchanged, so Tarjan would return the same SCCs in the same order:
+    it is not re-run and the result is [[]].  Otherwise Tarjan re-runs
+    over all the integer edges, with no statement scan. *)

@@ -23,10 +23,19 @@
    entry equals what a from-scratch run computes modulo fresh ids, which
    is all the engine can observe.
 
-   Structural changes — a function added, removed, re-ordered, its
-   signature, unit or method group changed — invalidate call resolution
-   everywhere; those fall back to a full rebuild of the resident state
-   (counted in [update_stats.full_rebuild]). *)
+   Structural changes — a function added, removed, re-ordered, moved to
+   another file, its signature, unit or method group changed — invalidate
+   call resolution everywhere; those fall back to a full rebuild of the
+   resident state (counted in [update_stats.full_rebuild]).
+
+   A body edit costs the edited files, the dirty cone and a skip
+   decision per transitive caller, not the program: the header check
+   compares only the edited files' headers with theirs, lowering reads
+   the signatures and method groups the last full build left resident,
+   the call graph patches only the re-lowered functions' call sites (and
+   re-runs Tarjan only when their callees changed), the SCCs to walk are
+   marked once, and the memos find the searches to drop through their
+   footprint index. *)
 
 open Pinpoint_frontend
 module Obs = Pinpoint_obs.Obs
@@ -49,7 +58,15 @@ type state = {
           sealed while serving, so incremental updates keep appending *)
   mutable files : (string * string) list;  (** (name, contents), load order *)
   mutable file_fdecls : (string * Ast.fdecl list) list;  (** same order *)
+  mutable sigs : (string, Ty_sig.t) Hashtbl.t;
+  mutable groups : (string, string list) Hashtbl.t;
+      (** the header facts lowering reads: signatures and method groups,
+          built by a full build and kept while headers stay equal *)
+  mutable fdecl_of : (string, Ast.fdecl) Hashtbl.t;
+      (** each function's current AST *)
   mutable prog : Prog.t;
+      (** its [by_name] table holds the current functions; its function
+          list is refreshed from [graph] only when {!program} is read *)
   mutable graph : Callgraph.t;  (** [prog]'s, patched by each update *)
   mutable transform : Transform.result;
   mutable segs : (string, Seg.t) Hashtbl.t;
@@ -74,10 +91,38 @@ type update_stats = {
 
 let epoch st = st.epoch
 let files st = st.files
-let program st = st.prog
+
+let program st =
+  st.prog.Prog.funcs <- Callgraph.functions st.graph;
+  st.prog
+
 let graph st = st.graph
 let resilience st = st.resilience
 let n_functions st = List.length (Prog.functions st.prog)
+
+let table_sizes st =
+  [
+    ("files", List.length st.files);
+    ("fdecls", Hashtbl.length st.fdecl_of);
+    ("sigs", Hashtbl.length st.sigs);
+    ("groups", Hashtbl.length st.groups);
+    ("ifaces", Hashtbl.length st.transform.Transform.ifaces);
+    ("ptas", Hashtbl.length st.transform.Transform.ptas);
+    ("segs", Hashtbl.length st.segs);
+    ("rv", Rv.n_resident st.rv);
+  ]
+  @ Hashtbl.fold
+      (fun name (_, vf) acc ->
+        ("vf." ^ name, Vf.fold vf ~init:0 ~f:(fun n _ _ -> n + 1)) :: acc)
+      st.vfs []
+  @ Hashtbl.fold
+      (fun name memo acc ->
+        List.map
+          (fun (k, n) -> (Printf.sprintf "memo.%s.%s" name k, n))
+          (Pinpoint.Engine.memo_sizes memo)
+        @ acc)
+      st.memos []
+  |> List.sort compare
 
 let seg_of st =
   match st.store with
@@ -110,10 +155,16 @@ let parse_file (name, contents) =
    construction.  The new file set is lowered before any resident field
    changes: a front-end error leaves the state as it was. *)
 let full_build st ~files ~file_fdecls =
-  let fdecls = List.concat_map snd file_fdecls in
-  let prog = Lower.compile { Ast.funcs = fdecls } in
+  let program = { Ast.funcs = List.concat_map snd file_fdecls } in
+  let prog = Lower.compile program in
   st.files <- files;
   st.file_fdecls <- file_fdecls;
+  st.sigs <- Lower.func_sigs program;
+  st.groups <- Lower.method_groups program;
+  st.fdecl_of <- Hashtbl.create 64;
+  List.iter
+    (fun (fd : Ast.fdecl) -> Hashtbl.replace st.fdecl_of fd.Ast.fname fd)
+    program.Ast.funcs;
   (* Store mode: the previous program's artifacts are stale (functions
      were re-lowered, so their variables are fresh objects) — drop them
      before the rebuild re-spills everything.  Dead blob bytes are not
@@ -151,6 +202,9 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
       store;
       files;
       file_fdecls;
+      sigs = Hashtbl.create 0;
+      groups = Hashtbl.create 0;
+      fdecl_of = Hashtbl.create 0;
       prog = Prog.create ();
       graph = Callgraph.build (Prog.create ());
       transform = { Transform.ifaces = Hashtbl.create 0; ptas = Hashtbl.create 0 };
@@ -169,7 +223,7 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
 (* Propagate a body edit bottom-up with early cutoff (DESIGN.md §4.13):
    [edited] are the freshly lowered functions whose AST changed.
    Returns the number of functions re-transformed and re-summarised. *)
-let propagate st ~fdecls ~lower (edited : Func.t list) =
+let propagate st ~lower (edited : Func.t list) =
   (* Install a re-lowered function: remember the function it replaces
      and that one's RV entries (read before the store re-registers the
      name, so they decode against the old variables), drop its stored
@@ -203,14 +257,12 @@ let propagate st ~fdecls ~lower (edited : Func.t list) =
   let roots = Hashtbl.fold (fun name () acc -> name :: acc) stale [] in
   (* Callers re-transformed because a callee's interface changed are
      lowered mid-walk, possibly on a worker domain. *)
-  let fdecl_of = Hashtbl.create 64 in
-  List.iter (fun (fd : Ast.fdecl) -> Hashtbl.replace fdecl_of fd.Ast.fname fd) fdecls;
   let lock = Mutex.create () and later = ref [] in
   let relower (f : Func.t) =
     Mutex.protect lock (fun () ->
         if Hashtbl.mem before f.Func.fname then f
         else begin
-          let f' = lower (Hashtbl.find fdecl_of f.Func.fname) in
+          let f' = lower (Hashtbl.find st.fdecl_of f.Func.fname) in
           install f';
           later := f' :: !later;
           f'
@@ -218,47 +270,46 @@ let propagate st ~fdecls ~lower (edited : Func.t list) =
   in
   (* The transform walk, then the sweep, both over the SCCs the edit can
      reach: those holding an edited or moved function or a transitive
-     caller of one.  Store mode: fresh PTAs, SEGs and RV entries go back
-     to the store, just like batch prepare. *)
+     caller of one, marked once.  Each walk reads the members when it
+     starts, so the sweep sees the callers lowered mid-walk.  Store mode:
+     fresh PTAs, SEGs and RV entries go back to the store, just like
+     batch prepare. *)
+  let cone = Callgraph.upward st.graph roots in
+  let sccs () = List.map (Callgraph.members st.graph) cone in
   let redone =
     Transform.update ~resilience:st.resilience ?pool:st.pool
       ?pta_sink:(Option.map Store.put_pta st.store)
       st.transform st.graph
       ~stale:(List.exists (fun (f : Func.t) -> Hashtbl.mem stale f.Func.fname))
-      ~relower
-      (Callgraph.upward st.graph roots)
+      ~relower (sccs ())
   in
+  (* A function lowered again from the same AST and header facts makes
+     the same calls, so this leaves the SCCs, and [cone], as they were. *)
   if !later <> [] then ignore (Callgraph.replace st.graph !later);
-  st.prog.Prog.funcs <-
-    List.map
-      (fun (f : Func.t) -> Hashtbl.find st.prog.Prog.by_name f.Func.fname)
-      st.prog.Prog.funcs;
   let swept =
     Pinpoint.Analysis.sweep ~resilience:st.resilience ?pool:st.pool
       ?store:st.store st.graph st.transform ~segs:st.segs st.rv
-      ~vfs:st.vfs ~retransformed:before
-      (Callgraph.upward st.graph roots)
+      ~vfs:st.vfs ~retransformed:before (sccs ())
   in
   (* Drop the stored searches the edit may have changed: those that
      visited the SEG of a re-lowered function or of a caller of a
      function whose RV or VF entries changed — a search reads summaries
      only of the callees of the SEGs it visits — and those that read the
      caller list of a re-lowered function's callee, old body or new. *)
-  let segs = Hashtbl.create 16 and callers = Hashtbl.create 16 in
-  Hashtbl.iter (fun name _ -> Hashtbl.replace segs name ()) before;
-  List.iter
-    (fun name ->
-      List.iter
-        (fun ((caller : Func.t), _) -> Hashtbl.replace segs caller.Func.fname ())
-        (Callgraph.callers st.graph name))
-    swept.Pinpoint.Analysis.summaries_changed;
-  List.iter
-    (fun name -> Hashtbl.replace callers name ())
-    (old_callees @ Callgraph.callees st.graph redone);
+  let relowered = Hashtbl.fold (fun name _ acc -> name :: acc) before [] in
+  let segs =
+    relowered
+    @ List.concat_map
+        (fun name ->
+          List.map
+            (fun ((caller : Func.t), _) -> caller.Func.fname)
+            (Callgraph.callers st.graph name))
+        swept.Pinpoint.Analysis.summaries_changed
+  in
+  let callers = old_callees @ Callgraph.callees st.graph redone in
   Hashtbl.iter
     (fun _ memo ->
-      Pinpoint.Engine.invalidate_memo memo ~relowered:(Hashtbl.mem before)
-        ~segs:(Hashtbl.mem segs) ~callers:(Hashtbl.mem callers))
+      Pinpoint.Engine.invalidate_memo memo ~relowered ~segs ~callers)
     st.memos;
   (List.length redone, swept.Pinpoint.Analysis.resummarised)
 
@@ -275,28 +326,28 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
     List.filter (fun (n, c) -> List.assoc_opt n st.files <> Some c) changed
   in
   let edited_parsed = List.map parse_file edited in
-  (* Splice the new per-file ASTs into load order; unknown files append. *)
-  let known = List.map fst st.files in
-  let fresh =
-    List.filter (fun (n, _) -> not (List.mem n known)) edited_parsed
-  in
-  let file_fdecls =
+  (* Replace known files in load order; unknown files append. *)
+  let splice resident updates =
     List.map
-      (fun (n, fds) ->
-        match List.assoc_opt n edited_parsed with
-        | Some fds' -> (n, fds')
-        | None -> (n, fds))
-      st.file_fdecls
-    @ fresh
+      (fun (n, x) ->
+        match List.assoc_opt n updates with Some x' -> (n, x') | None -> (n, x))
+      resident
+    @ List.filter (fun (n, _) -> not (List.mem_assoc n resident)) updates
   in
-  let files =
-    List.map
-      (fun (n, c) ->
-        match List.assoc_opt n edited with Some c' -> (n, c') | None -> (n, c))
-      st.files
-    @ List.filter (fun (n, _) -> not (List.mem n known)) edited
+  let file_fdecls = splice st.file_fdecls edited_parsed in
+  let files = splice st.files edited in
+  (* A file's resident headers; [] for a file the server has not seen. *)
+  let resident_of n = Option.value ~default:[] (List.assoc_opt n st.file_fdecls) in
+  let record () =
+    st.files <- files;
+    st.file_fdecls <- file_fdecls;
+    List.iter
+      (fun (_, fds) ->
+        List.iter
+          (fun (fd : Ast.fdecl) -> Hashtbl.replace st.fdecl_of fd.Ast.fname fd)
+          fds)
+      edited_parsed
   in
-  let fdecls = List.concat_map snd file_fdecls in
   let stats ~changed_funcs ~retransformed ~resummarised ~full_rebuild =
     {
       changed_files = List.length changed;
@@ -307,7 +358,11 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
       full_rebuild;
     }
   in
-  if structure fdecls <> structure (List.concat_map snd st.file_fdecls) then begin
+  if
+    List.exists
+      (fun (n, fds) -> structure fds <> structure (resident_of n))
+      edited_parsed
+  then begin
     (* Function set / signatures / order changed: call resolution may
        shift anywhere — rebuild the resident state from scratch. *)
     full_build st ~files ~file_fdecls;
@@ -325,7 +380,7 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
       (fun (n, _) ->
         List.iter
           (fun (fd : Ast.fdecl) -> Hashtbl.replace resident fd.Ast.fname fd)
-          (Option.value ~default:[] (List.assoc_opt n st.file_fdecls)))
+          (resident_of n))
       edited_parsed;
     let seed =
       List.concat_map
@@ -336,21 +391,19 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
         edited_parsed
     in
     if seed = [] then begin
-      st.files <- files;
-      st.file_fdecls <- file_fdecls;
+      record ();
       st.epoch <- st.epoch + 1;
       stats ~changed_funcs:0 ~retransformed:0 ~resummarised:0
         ~full_rebuild:false
     end
     else begin
-      let sigs = Lower.func_sigs { Ast.funcs = fdecls } in
-      let groups = Lower.method_groups { Ast.funcs = fdecls } in
-      let lower fd = Lower.lower_fdecl ~groups sigs fd in
+      (* Equal headers leave the resident signatures and method groups
+         as they are. *)
+      let lower fd = Lower.lower_fdecl ~groups:st.groups st.sigs fd in
       let edited_fns = List.map lower seed in
       (* Mutation phase. *)
-      st.files <- files;
-      st.file_fdecls <- file_fdecls;
-      let retransformed, resummarised = propagate st ~fdecls ~lower edited_fns in
+      record ();
+      let retransformed, resummarised = propagate st ~lower edited_fns in
       st.epoch <- st.epoch + 1;
       stats ~changed_funcs:(List.length seed) ~retransformed ~resummarised
         ~full_rebuild:false
@@ -382,7 +435,7 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
       m
   in
   Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ~memo
-    st.prog ~graph:st.graph ~seg_of:(seg_of st) ~rv:st.rv ~vf spec
+    ~graph:st.graph ~seg_of:(seg_of st) ~rv:st.rv ~vf spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

@@ -12,9 +12,15 @@
     callee changed its RV or VF entries.  Everything else stays resident,
     and the call graph is patched, not rebuilt.
 
-    Structural edits — functions added / removed / re-ordered, signature,
-    unit or method-group changes — fall back to a transparent full
-    rebuild of the resident state.
+    A body edit — every edited file's headers (names, parameter and
+    return types, method groups and units, in order) equal to that file's
+    resident ones — costs the edited files, the dirty cone and a skip
+    decision per transitive caller of an edited function, not the
+    program: signatures, method groups and each function's AST stay
+    resident from the last full build, and no step walks every function.
+    Structural edits — functions added / removed / re-ordered / moved to
+    another file, signature, unit or method-group changes — fall back to
+    a transparent full rebuild of the resident state.
 
     Reports from {!check} after any sequence of updates match a batch
     [pinpoint check] over the same file contents at the rendered-line
@@ -80,10 +86,19 @@ val files : state -> (string * string) list
 (** Current file contents, load order — the epoch-snapshot payload. *)
 
 val program : state -> Pinpoint_ir.Prog.t
-(** The resident program, transformed in place. *)
+(** The resident program, transformed in place.  Updates keep only its
+    [by_name] table current; this call refreshes its function list from
+    {!graph}, in definition order. *)
 
 val graph : state -> Pinpoint_ir.Callgraph.t
 (** The resident call graph, patched by each update. *)
+
+val table_sizes : state -> (string * int) list
+(** Entry counts of the resident tables, sorted by name: files, ASTs,
+    signatures and method groups; interfaces, points-to results, SEGs,
+    RV entries and each checker's VF entries; and each checker's memo
+    ({!Pinpoint.Engine.memo_sizes}).  In store mode the artifacts live
+    in the store and are not counted. *)
 
 val resilience : state -> Pinpoint_util.Resilience.log
 val n_functions : state -> int

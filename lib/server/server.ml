@@ -540,21 +540,43 @@ let metrics_response t ?id req =
   | Some _ ->
     error_response ?id {|bad request: format must be "json" or "prometheus"|}
 
+(* The request's optional fields: an absent one keeps its default, a
+   present one of the wrong type refuses the request before any state
+   changes. *)
+let field req key conv ~expected ~default =
+  match Json.member key req with
+  | None -> Ok default
+  | Some j -> (
+    match conv j with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "bad request: %s must be %s" key expected))
+
 (* ---------- the dump view (flight recorder / per-request traces) ---------- *)
 
 let dump_response t ?id req =
   let base = match id with Some id -> [ ("id", id) ] | None -> [] in
-  let what =
-    Option.value ~default:"flight"
-      (Option.bind (Json.member "what" req) Json.string_opt)
+  let fields =
+    let ( let* ) = Result.bind in
+    let string key default =
+      field req key Json.string_opt ~expected:"a string" ~default
+    in
+    let* what = string "what" "flight" in
+    let* request_id =
+      field req "request_id"
+        (fun j -> Option.map Option.some (Json.string_opt j))
+        ~expected:"a string" ~default:None
+    in
+    let* path = string "path" t.cfg.flight_file in
+    let* inline =
+      field req "inline" Json.bool_opt ~expected:"a boolean" ~default:false
+    in
+    Ok (what, request_id, path, inline)
   in
-  match what with
-  | "trace" ->
+  match fields with
+  | Error msg -> error_response ?id msg
+  | Ok ("trace", request_id, _, _) ->
     (* Per-request Chrome trace slice: every span recorded under the
        given request id, loadable in Perfetto as-is.  Needs --trace. *)
-    let request_id =
-      Option.bind (Json.member "request_id" req) Json.string_opt
-    in
     Json.to_string
       (Json.Obj
          (base
@@ -564,18 +586,13 @@ let dump_response t ?id req =
              ("level", Json.String (level_name ()));
              ("trace", Json.String (Export.trace_json ?request_id ()));
            ]))
-  | "flight" ->
-    let path =
-      Option.value ~default:t.cfg.flight_file
-        (Option.bind (Json.member "path" req) Json.string_opt)
-    in
+  | Ok ("flight", _, path, inline) ->
     let n_events = List.length (Flight.events ()) in
     let written = Flight.dump ~reason:"dump op" path in
     let inline =
-      match Json.member "inline" req with
-      | Some (Json.Bool true) ->
+      if inline then
         [ ("flight", Json.String (Flight.to_json ~reason:"dump op" ())) ]
-      | _ -> []
+      else []
     in
     Json.to_string
       (Json.Obj
@@ -589,20 +606,10 @@ let dump_response t ?id req =
              ("events", Json.Int n_events);
            ]
          @ inline))
-  | what -> error_response ?id (Printf.sprintf "unknown dump target %S" what)
+  | Ok (what, _, _, _) ->
+    error_response ?id (Printf.sprintf "unknown dump target %S" what)
 
 (* ---------- request handling ---------- *)
-
-(* The request's optional fields: an absent one keeps its default, a
-   present one of the wrong type refuses the request before any state
-   changes. *)
-let field req key conv ~expected ~default =
-  match Json.member key req with
-  | None -> Ok default
-  | Some j -> (
-    match conv j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad request: %s must be %s" key expected))
 
 let engine_config t req =
   let ( let* ) = Result.bind in

@@ -12,11 +12,13 @@ let bind t sym e = Hashtbl.replace t.tbl sym e
    call site reached from different paths, or a rebuilt path-condition
    frame — mint the same clone symbol instead of gensym-fresh ones.  This
    makes closed summaries and path conditions deterministic functions of
-   the path structure, so structurally equal conditions hash-cons to the
-   same node (and the shared verdict cache can recognise them).  Sound
+   the path structure, so they are structurally identical across runs,
+   across [--jobs] levels, and between served and batch runs.  Sound
    because a tag is never shared by two distinct substitution contexts
    (summary frames embed the call-site id; path-condition frames embed a
-   per-condition counter), and [bind]ings stay per-frame, never interned. *)
+   per-condition counter), and [bind]ings stay per-frame, never interned.
+   The table never shrinks: a re-lowered function's fresh symbols add
+   fresh entries, and the old ones stay. *)
 let intern_lock = Mutex.create ()
 let interned : (Sym.t * string, Sym.t) Hashtbl.t = Hashtbl.create 256
 

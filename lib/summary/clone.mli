@@ -10,11 +10,13 @@
     Unbound-fallback clones are additionally interned process-wide by
     (base symbol, frame tag): frames created with the same tag mint the
     same clone symbols, making closed summaries and path conditions
-    deterministic functions of path structure — a prerequisite for the
-    hash-cons sharing the shared SMT verdict cache relies on.  Tags must
-    therefore uniquely identify a substitution context (the engine embeds
-    call-site ids / per-condition counters in them); explicit {!bind}ings
-    remain per-frame and are never interned. *)
+    deterministic functions of path structure.  So a condition or summary
+    is structurally the same formula on every run, at every [--jobs]
+    level, and in a served run as in a batch one.  Tags must therefore
+    uniquely identify a substitution context (the engine embeds call-site
+    ids / per-condition counters in them); explicit {!bind}ings remain
+    per-frame and are never interned.  The intern table never shrinks:
+    it holds one entry per (base symbol, tag) pair ever cloned. *)
 
 type t
 

@@ -36,6 +36,8 @@ let publish t name entries =
   | Some b -> b.persist name entries
   | None -> Hashtbl.replace t.tbl name entries
 
+let n_resident t = Hashtbl.length t.tbl
+
 let remove t name =
   Hashtbl.remove t.tbl name;
   match t.backend with Some b -> b.forget name | None -> ()

@@ -63,6 +63,9 @@ val publish : t -> string -> entry option array -> unit
 val remove : t -> string -> unit
 (** Drop one function's entries (server incremental update). *)
 
+val n_resident : t -> int
+(** Entries held in memory; a backend's are not counted. *)
+
 val find : t -> string -> entry option array option
 (** Per return position; [None] entries are non-variable returns. *)
 

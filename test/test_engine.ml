@@ -301,9 +301,9 @@ let test_no_vf_table () =
         (fun (spec : Pinpoint.Checker_spec.t) ->
           let reports vf =
             fst
-              (Pinpoint.Engine.run a.Pinpoint.Analysis.prog
-                 ~graph:a.Pinpoint.Analysis.graph ~seg_of:(Pinpoint.Analysis.seg_of a)
-                 ~rv:a.Pinpoint.Analysis.rv ~vf spec)
+              (Pinpoint.Engine.run ~graph:a.Pinpoint.Analysis.graph
+                 ~seg_of:(Pinpoint.Analysis.seg_of a) ~rv:a.Pinpoint.Analysis.rv
+                 ~vf spec)
             |> List.filter Pinpoint.Report.is_reported
             |> List.map Pinpoint.Report.one_line
           in

@@ -191,33 +191,46 @@ let differential_generated =
             List.exists (fun (sf, kf) -> sf = e.I.fname || kf = e.I.fname) lines)
         events)
 
-let juliet_dynamic_confirmation =
-  Helpers.qtest ~count:20 "juliet cases trigger dynamically and are reported"
-    QCheck.(int_range 0 1420)
-    (fun idx ->
-      let case = List.nth (Pinpoint_workload.Juliet.cases ()) idx in
+(* Every Juliet case triggers its event at run time within 12 seeds
+   (guarded variants need a lucky input), and the static checker reports
+   a path whose sink is the event's: same function, same line. *)
+let juliet_dynamic_confirmation () =
+  List.iter
+    (fun (case : Pinpoint_workload.Juliet.case) ->
+      let id = case.Pinpoint_workload.Juliet.id in
+      let want =
+        match case.Pinpoint_workload.Juliet.kind with
+        | "use-after-free" -> I.Use_after_free
+        | _ -> I.Double_free
+      in
       let prog = Pinpoint_workload.Juliet.compile case in
-      (* try several seeds; guarded variants need a lucky input *)
-      let triggered = ref false in
-      let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ] in
-      List.iter
-        (fun seed ->
-          if not !triggered then begin
-            let o = I.run_function ~seed prog "driver" in
-            let want =
-              match case.Pinpoint_workload.Juliet.kind with
-              | "use-after-free" -> I.Use_after_free
-              | _ -> I.Double_free
-            in
-            if List.exists (fun (e : I.event) -> e.I.kind = want) o.I.events then
-              triggered := true
-          end)
-        seeds;
-      (* either it triggered dynamically (usual case) or the guard was
-         unlucky; when it triggers, the static side must agree — which we
-         already assert suite-wide in test_workload *)
-      ignore !triggered;
-      true)
+      let event =
+        List.find_map
+          (fun seed ->
+            List.find_opt
+              (fun (e : I.event) -> e.I.kind = want)
+              (I.run_function ~seed prog "driver").I.events)
+          [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
+      in
+      match event with
+      | None -> Alcotest.failf "%s: no %s event within 12 seeds" id case.kind
+      | Some e ->
+        let spec = Option.get (Pinpoint.Checkers.by_name case.kind) in
+        let a = Pinpoint.Analysis.prepare (Pinpoint_workload.Juliet.compile case) in
+        let reports, _ = Pinpoint.Analysis.check a spec in
+        if
+          not
+            (List.exists
+               (fun (r : Pinpoint.Report.t) ->
+                 Pinpoint.Report.is_reported r
+                 && r.Pinpoint.Report.sink_fn = e.I.fname
+                 && r.Pinpoint.Report.sink_loc.Pinpoint_ir.Stmt.line
+                    = e.I.loc.Pinpoint_ir.Stmt.line)
+               reports)
+        then
+          Alcotest.failf "%s: no %s report with sink %s:%d" id case.kind
+            e.I.fname e.I.loc.Pinpoint_ir.Stmt.line)
+    (Pinpoint_workload.Juliet.cases ())
 
 let suite =
   [
@@ -234,5 +247,6 @@ let suite =
     Alcotest.test_case "free(NULL) noop" `Quick test_free_null_noop;
     Alcotest.test_case "differential handwritten" `Quick test_differential_handwritten;
     differential_generated;
-    juliet_dynamic_confirmation;
+    Alcotest.test_case "juliet cases trigger dynamically and are reported"
+      `Quick juliet_dynamic_confirmation;
   ]

@@ -180,6 +180,150 @@ let test_alloc_sites_distinct () =
     (Pinpoint_seg.Seg.alloc_address "f" (List.nth sites 0)
     <> Pinpoint_seg.Seg.alloc_address "f" (List.nth sites 1))
 
+
+(* The patched call graph equals a from-scratch build after every body
+   edit: random small programs of one-parameter functions whose bodies
+   are literals and calls, edited by flipping a literal, adding a call or
+   removing one, so cycles are made and broken. *)
+type op = Lit of int | Call of int
+
+let emit_fn k body =
+  Printf.sprintf "void f%d(int a) { %s }" k
+    (String.concat " "
+       (List.mapi
+          (fun i -> function
+            | Lit v -> Printf.sprintf "int x%d = %d;" i v
+            | Call j -> Printf.sprintf "f%d(a);" j)
+          body))
+
+let edit_body n body (kind, arg) =
+  let lits = List.filter (function Lit _ -> true | Call _ -> false) body in
+  let calls = List.length body - List.length lits in
+  let flip () =
+    match lits with
+    | [] -> body @ [ Lit arg ]
+    | _ ->
+      let target = arg mod List.length lits in
+      let seen = ref (-1) in
+      List.map
+        (function
+          | Lit v ->
+            incr seen;
+            if !seen = target then Lit (v + 1) else Lit v
+          | op -> op)
+        body
+  in
+  match kind mod 3 with
+  | 0 -> flip ()
+  | 1 ->
+    let pos = arg / n mod (List.length body + 1) in
+    List.filteri (fun i _ -> i < pos) body
+    @ [ Call (arg mod n) ]
+    @ List.filteri (fun i _ -> i >= pos) body
+  | _ when calls = 0 -> flip ()
+  | _ ->
+    let target = arg mod calls in
+    let seen = ref (-1) in
+    List.filter
+      (function
+        | Call _ ->
+          incr seen;
+          !seen <> target
+        | Lit _ -> true)
+      body
+
+let patched_graph_is_from_scratch =
+  Helpers.qtest ~count:200 "callgraph replace = build (random body edits)"
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(1 -- 10)
+           (list_of_size Gen.(1 -- 2) (triple small_nat small_nat small_nat))))
+    (fun (seed, steps) ->
+      let rng = Random.State.make [| seed |] in
+      let n = 2 + Random.State.int rng 6 in
+      let bodies =
+        Array.init n (fun _ ->
+            List.init (Random.State.int rng 4) (fun _ ->
+                if Random.State.bool rng then Call (Random.State.int rng n)
+                else Lit (Random.State.int rng 10)))
+      in
+      let src () =
+        String.concat "\n" (List.init n (fun k -> emit_fn k bodies.(k)))
+      in
+      let program = Pinpoint_frontend.Parser.parse_string ~file:"g.mc" (src ()) in
+      let sigs = Pinpoint_frontend.Lower.func_sigs program in
+      let cur = Array.of_list (Prog.functions (Pinpoint_frontend.Lower.compile program)) in
+      let scratch () =
+        let p = Prog.create () in
+        Array.iter (Prog.add p) cur;
+        Callgraph.build p
+      in
+      let g = scratch () in
+      let scc_of g =
+        let tbl = Hashtbl.create 16 in
+        List.iter
+          (fun scc ->
+            let names = List.map (fun (f : Func.t) -> f.Func.fname) scc in
+            List.iter (fun name -> Hashtbl.replace tbl name names) names)
+          (Callgraph.sccs g);
+        tbl
+      in
+      let same_site (f, s) (f', s') = f == f' && s == s' in
+      List.for_all
+        (fun step ->
+          let prev = scc_of (scratch ()) in
+          let edited = Hashtbl.create 2 in
+          List.iter
+            (fun (k, kind, arg) ->
+              let k = k mod n in
+              bodies.(k) <- edit_body n bodies.(k) (kind, arg);
+              Hashtbl.replace edited k ())
+            step;
+          let fs =
+            Hashtbl.fold
+              (fun k () acc ->
+                let fd =
+                  List.hd
+                    (Pinpoint_frontend.Parser.parse_string ~file:"g.mc"
+                       (emit_fn k bodies.(k)))
+                      .Pinpoint_frontend.Ast.funcs
+                in
+                let f = Pinpoint_frontend.Lower.lower_fdecl sigs fd in
+                cur.(k) <- f;
+                f :: acc)
+              edited []
+          in
+          let moved = Callgraph.replace g fs in
+          let fresh = scratch () in
+          let now = scc_of fresh in
+          let expected_moved =
+            List.filter_map
+              (fun (f : Func.t) ->
+                let name = f.Func.fname in
+                if Hashtbl.find prev name <> Hashtbl.find now name then Some name
+                else None)
+              (Array.to_list cur)
+          in
+          let ok =
+            List.equal (List.equal ( == )) (Callgraph.sccs g) (Callgraph.sccs fresh)
+            && List.equal ( == ) (Callgraph.functions g) (Callgraph.functions fresh)
+            && Array.for_all
+                 (fun (f : Func.t) ->
+                   List.equal same_site
+                     (Callgraph.callers g f.Func.fname)
+                     (Callgraph.callers fresh f.Func.fname))
+                 cur
+            && moved = expected_moved
+          in
+          if not ok then
+            QCheck.Test.fail_reportf "after editing %s:@.%s@.moved [%s], expected [%s]"
+              (String.concat ", "
+                 (Hashtbl.fold (fun k () acc -> Printf.sprintf "f%d" k :: acc) edited []))
+              (src ()) (String.concat " " moved)
+              (String.concat " " expected_moved);
+          ok)
+        steps)
+
 let suite =
   [
     Alcotest.test_case "ssa single def" `Quick test_ssa_single_def;
@@ -191,6 +335,7 @@ let suite =
     Alcotest.test_case "call graph" `Quick test_call_graph;
     Alcotest.test_case "bottom-up order" `Quick test_bottom_up_order;
     Alcotest.test_case "recursion scc" `Quick test_recursion_scc;
+    patched_graph_is_from_scratch;
     Alcotest.test_case "validate catches bad targets" `Quick test_validate_catches;
     Alcotest.test_case "units" `Quick test_prog_units;
     Alcotest.test_case "loc estimate" `Quick test_loc_estimate;

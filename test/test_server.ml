@@ -213,6 +213,83 @@ let test_cone_is_partial () =
     true
     (stats.Incr.dirty_cone < total)
 
+(* An edit costs its dirty cone, not the program: the same one-literal
+   edit of a leaf allocates within 2x on a program with 10x the
+   functions.  Allocation, not wall time, so the test is deterministic.
+   Files of ten tiny functions, each calling the one before it in its
+   file; the edited literal feeds nothing, so the cone is the leaf. *)
+let tiny_file ~leaf file =
+  let fn k =
+    let i = (file * 10) + k in
+    if k = 0 then Printf.sprintf "void t%d(int a) { int x = %d; print(a); }" i leaf
+    else Printf.sprintf "void t%d(int a) { int x = %d; t%d(a); }" i k (i - 1)
+  in
+  (Printf.sprintf "tiny_%03d.mc" file, String.concat "\n" (List.init 10 fn))
+
+let leaf_edit_words n =
+  let st = Incr.load (List.init (n / 10) (tiny_file ~leaf:7)) in
+  let flip leaf =
+    let w = Gc.minor_words () in
+    let stats = Incr.update st [ tiny_file ~leaf 0 ] in
+    let words = Gc.minor_words () -. w in
+    Alcotest.(check (pair bool int))
+      (Printf.sprintf "%d functions: incremental, cone 1" n)
+      (false, 1)
+      (stats.Incr.full_rebuild, stats.Incr.dirty_cone);
+    words
+  in
+  ignore (flip 8);
+  flip 9
+
+let test_edit_cost_is_the_cone () =
+  let small = leaf_edit_words 100 and large = leaf_edit_words 1000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words at 1000 functions <= 2 x %.0f at 100" large
+       small)
+    true
+    (large <= 2.0 *. small)
+
+(* Per-edit memory: flip one literal back and forth 40 times, checking
+   with every checker after each edit.  The symbol registry never
+   shrinks (a re-lowered function mints fresh symbols, and each re-run
+   search its clones), but it grows by the same amount on every edit;
+   every resident table, each memo and its footprint index are the same
+   size after the soak as after the first cycle. *)
+let test_edit_soak () =
+  let chunks = split_subject 4 (subject ~seed:23 ~loc:600 ()) in
+  let st = Incr.load (contents_of chunks) in
+  let name, original = chunks.(1) in
+  let i =
+    Option.get
+      (List.find_opt
+         (fun i -> bump_nth_function (Array.copy chunks) ~chunk:1 ~i)
+         (List.init (List.length original) Fun.id))
+  in
+  ignore (bump_nth_function chunks ~chunk:1 ~i);
+  let bumped = snd chunks.(1) in
+  let check_all () =
+    List.iter (fun spec -> ignore (Incr.check st spec)) Pinpoint.Checkers.all
+  in
+  check_all ();
+  let growth = ref [] and after_cycle = ref [] in
+  for k = 1 to 40 do
+    let fds = if k mod 2 = 1 then bumped else original in
+    let before = Pinpoint_smt.Symbol.count () in
+    let stats = Incr.update st [ (name, emit_fdecls fds) ] in
+    Alcotest.(check bool) "incremental" false stats.Incr.full_rebuild;
+    check_all ();
+    growth := (Pinpoint_smt.Symbol.count () - before) :: !growth;
+    if k = 2 then after_cycle := Incr.table_sizes st
+  done;
+  let per_edit = List.hd !growth in
+  Alcotest.(check (list int))
+    (Printf.sprintf "registry grows by %d symbols on every edit" per_edit)
+    (List.init 40 (fun _ -> per_edit))
+    !growth;
+  Alcotest.(check (list (pair string int)))
+    "resident tables, memos and index after 40 edits = after the first cycle"
+    !after_cycle (Incr.table_sizes st)
+
 (* ---------- resident per-source results ---------- *)
 
 (* A hand-written subject for the memo's footprint rules.  [bound] is the
@@ -838,6 +915,11 @@ let test_request_isolation () =
         "bad request: deadline_s must be a number" );
       ({|{"op":"metrics","format":"xml"}|}, bad_format);
       ({|{"op":"metrics","format":42}|}, bad_format);
+      ({|{"op":"dump","what":5}|}, "bad request: what must be a string");
+      ({|{"op":"dump","path":7}|}, "bad request: path must be a string");
+      ( {|{"op":"dump","what":"trace","request_id":1}|},
+        "bad request: request_id must be a string" );
+      ({|{"op":"dump","inline":"yes"}|}, "bad request: inline must be a boolean");
     ];
   let metrics_json, _ =
     Server.handle_line t {|{"op":"metrics","format":"json"}|}
@@ -1278,6 +1360,14 @@ let test_dump_op () =
         | Some r -> r
         | None -> Alcotest.fail "check response missing request id"
       in
+      (* a field of the wrong type refuses the dump: nothing is written *)
+      let resp, _ =
+        Server.handle_line t (op_req "dump" ~fields:[ ("path", Json.Int 7) ])
+      in
+      Alcotest.(check bool) "non-string path refused" false
+        (response_ok (parse_response resp));
+      Alcotest.(check bool) "refused dump wrote nothing" false
+        (Sys.file_exists path);
       let resp, _ = Server.handle_line t (op_req "dump") in
       let j = parse_response resp in
       Alcotest.(check bool) "dump ok" true (response_ok j);
@@ -1454,6 +1544,8 @@ let suite =
     Alcotest.test_case "incremental identity (seq)" `Quick test_identity_seq;
     Alcotest.test_case "incremental identity (jobs 4)" `Quick test_identity_jobs4;
     Alcotest.test_case "dirty cone is partial" `Quick test_cone_is_partial;
+    Alcotest.test_case "edit cost is the cone" `Quick test_edit_cost_is_the_cone;
+    Alcotest.test_case "per-edit memory soak" `Quick test_edit_soak;
     Alcotest.test_case "memo follows the footprint (seq)" `Quick
       test_memo_footprint_seq;
     Alcotest.test_case "memo follows the footprint (jobs 4)" `Quick
