@@ -13,58 +13,88 @@ let edge_guard (f : Func.t) p b =
     else Expr.tru
   | Func.Jump _ | Func.Exit -> Expr.tru
 
-let reaching_conditions (f : Func.t) ~root =
+(* Every predecessor of a block that a root [r] strictly dominates is
+   itself dominated by [r], so the reaching conditions from [r] need only
+   [r]'s dominator subtree.  Numbered in preorder, with each node's
+   children in reverse-post-order, the dominator tree is a topological
+   order of the reachable blocks in which every subtree is one interval
+   [pre.(r) .. last.(r)]: the walk from [r] scans that interval up to
+   [r]'s last join, and a dominance test is two comparisons. *)
+let join_gates ?(only = fun _ -> true) (f : Func.t) =
   let g = Func.cfg f in
   let nb = Func.n_blocks f in
-  let rc = Array.make nb Expr.fls in
-  let order =
-    match D.topo_sort g with
-    | Some o -> o
-    | None -> invalid_arg "Gating.reaching_conditions: cyclic CFG"
+  let entry = f.Func.entry in
+  let dom = D.dominators g entry in
+  let idom = dom.D.idom and rpo = dom.D.dom_order in
+  let kids = Array.make nb [] in
+  for i = Array.length rpo - 1 downto 1 do
+    let v = rpo.(i) in
+    kids.(idom.(v)) <- v :: kids.(idom.(v))
+  done;
+  let pre = Array.make nb (-1) and last = Array.make nb (-1) in
+  let order = Array.make (Array.length rpo) entry in
+  let next = ref 0 in
+  let rec number v =
+    pre.(v) <- !next;
+    order.(!next) <- v;
+    incr next;
+    List.iter number kids.(v);
+    last.(v) <- !next - 1
   in
-  rc.(root) <- Expr.tru;
-  List.iter
-    (fun b ->
-      if b <> root then begin
-        let cond =
+  number entry;
+  (* Joins grouped by root: the immediate dominator, or the entry for an
+     unreachable join (whose gates are then all false). *)
+  let joins = Array.make nb [] in
+  for b = nb - 1 downto 0 do
+    if List.compare_length_with (D.preds g b) 2 >= 0 && only b then begin
+      let r = if idom.(b) = -1 then entry else idom.(b) in
+      joins.(r) <- b :: joins.(r)
+    end
+  done;
+  let gates = Array.make nb [] and rc = Array.make nb Expr.fls in
+  for r = 0 to nb - 1 do
+    if joins.(r) <> [] then begin
+      (* [rc.(p) ∧ guard(p -> b)] for a predecessor [p] of the block [b]
+         at preorder position [i]; a [p] outside the region is not
+         reachable from [r]. *)
+      let gated i b p =
+        if pre.(p) < pre.(r) || pre.(p) > last.(r) then Expr.fls
+        else if pre.(p) >= i then invalid_arg "Gating.join_gates: cyclic CFG"
+        else Expr.and_ rc.(p) (edge_guard f p b)
+      in
+      let stop = List.fold_left (fun m b -> max m pre.(b)) (-1) joins.(r) in
+      rc.(r) <- Expr.tru;
+      for i = pre.(r) + 1 to stop - 1 do
+        let x = order.(i) in
+        rc.(x) <-
           List.fold_left
-            (fun acc p -> Expr.or_ acc (Expr.and_ rc.(p) (edge_guard f p b)))
-            Expr.fls (D.preds g b)
-        in
-        rc.(b) <- cond
-      end)
-    order;
-  rc
+            (fun acc p -> Expr.or_ acc (gated i x p))
+            Expr.fls (D.preds g x)
+      done;
+      List.iter
+        (fun b ->
+          gates.(b) <- List.map (fun p -> (p, gated pre.(b) b p)) (D.preds g b))
+        joins.(r)
+    end
+  done;
+  gates
 
 let run (f : Func.t) =
-  let g = Func.cfg f in
-  let dom = D.dominators g f.Func.entry in
-  (* Cache reaching-condition arrays per root (φ blocks often share an
-     immediate dominator). *)
-  let cache : (int, Expr.t array) Hashtbl.t = Hashtbl.create 8 in
-  let rc_from root =
-    match Hashtbl.find_opt cache root with
-    | Some rc -> rc
-    | None ->
-      let rc = reaching_conditions f ~root in
-      Hashtbl.add cache root rc;
-      rc
+  (* φs sit at the head of their block. *)
+  let has_phi b =
+    match (Func.block f b).Func.stmts with
+    | { Stmt.kind = Stmt.Phi _; _ } :: _ -> true
+    | _ -> false
   in
+  let gates = join_gates ~only:has_phi f in
   Func.iter_blocks f (fun blk ->
       List.iter
         (fun s ->
           match s.Stmt.kind with
           | Stmt.Phi (_, args) ->
-            let b = blk.Func.bid in
-            let root =
-              if dom.D.idom.(b) = -1 then f.Func.entry else dom.D.idom.(b)
-            in
-            let rc = rc_from root in
             List.iter
               (fun (a : Stmt.phi_arg) ->
-                let p = a.Stmt.pred in
-                let gate = Expr.and_ rc.(p) (edge_guard f p b) in
-                a.Stmt.gate <- Some gate)
+                a.Stmt.gate <- List.assoc_opt a.Stmt.pred gates.(blk.Func.bid))
               args
           | _ -> ())
         blk.Func.stmts)

@@ -285,37 +285,20 @@ let run (f : Func.t) : t =
   let mat : (int * bool, Var.t) Hashtbl.t = Hashtbl.create 32 in
   let g = Func.cfg f in
   let nb = Func.n_blocks f in
-  let dom = D.dominators g f.Func.entry in
-  let rc_cache : (int, E.t array) Hashtbl.t = Hashtbl.create 8 in
-  let rc_from root =
-    match Hashtbl.find_opt rc_cache root with
-    | Some rc -> rc
-    | None ->
-      let rc = Gating.reaching_conditions f ~root in
-      Hashtbl.add rc_cache root rc;
-      rc
-  in
   let out_states : state array = Array.make nb Cell.Map.empty in
   let topo =
     match D.topo_sort g with
     | Some o -> List.filter (fun b -> b = f.Func.entry || D.preds g b <> []) o
     | None -> invalid_arg "Pta.run: cyclic CFG (unroll loops first)"
   in
+  let gates = Gating.join_gates f in
   let in_state b =
     match D.preds g b with
     | [] -> Cell.Map.empty
     | [ p ] -> out_states.(p)
-    | preds ->
-      let root = if dom.D.idom.(b) = -1 then f.Func.entry else dom.D.idom.(b) in
-      let rc = rc_from root in
+    | _ ->
       (* Gate every predecessor's entries like a φ argument. *)
-      let gated =
-        List.map
-          (fun p ->
-            let gate = E.and_ rc.(p) (Gating.edge_guard f p b) in
-            (p, gate))
-          preds
-      in
+      let gated = gates.(b) in
       let cells =
         List.fold_left
           (fun acc (p, _) ->
@@ -339,6 +322,7 @@ let run (f : Func.t) : t =
         cells Cell.Map.empty
   in
   let set_pts v p = Var.Tbl.replace ctx.pts v (dedup_pts p) in
+  let stored_cells = ref Cell.Set.empty in
   List.iter
     (fun bid ->
       let blk = Func.block f bid in
@@ -397,10 +381,12 @@ let run (f : Func.t) : t =
           | Stmt.Store (base, k, value) ->
             let tgts = resolve_cells ctx mat state base k in
             Hashtbl.replace ctx.store_tgts s.Stmt.sid tgts;
-            (* MOD logging (skip the conduit seeds themselves). *)
+            (* MOD logging and the stored-into cells (skip the conduit
+               seeds themselves: they are not program stores). *)
             if not (is_conduit_store value) then
               List.iter
                 (fun (cell, _) ->
+                  stored_cells := Cell.Set.add cell !stored_cells;
                   match cell with
                   | Cell.CDeref root -> (
                     match prov_of ctx root with
@@ -448,19 +434,6 @@ let run (f : Func.t) : t =
      parameter-rooted memory makes its own cell a [*(p, d)] path — walk the
      exit-state heap from each pointer parameter and from the return value,
      logging stored-into cells at their reached depth. *)
-  let stored_cells =
-    Hashtbl.fold
-      (fun sid tgts acc ->
-        (* conduit seeds are not program stores *)
-        let is_conduit =
-          match Func.find_stmt f sid with
-          | Some (_, { Stmt.kind = Stmt.Store (_, _, v); _ }) -> is_conduit_store v
-          | _ -> false
-        in
-        if is_conduit then acc
-        else List.fold_left (fun acc (c, _) -> Cell.Set.add c acc) acc tgts)
-      ctx.store_tgts Cell.Set.empty
-  in
   let exit_state = out_states.(f.Func.exit_) in
   let walk_from ~root_idx lvl1 =
     let rec bfs depth frontier visited =
@@ -469,7 +442,7 @@ let run (f : Func.t) : t =
         Cell.Set.iter
           (fun cell ->
             match cell with
-            | Cell.CAlloc _ when Cell.Set.mem cell stored_cells ->
+            | Cell.CAlloc _ when Cell.Set.mem cell !stored_cells ->
               add_mod ctx (root_idx, depth)
             | _ -> ())
           frontier;

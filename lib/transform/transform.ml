@@ -210,35 +210,45 @@ module R = Pinpoint_util.Resilience
    function without an interface (callers treat it as unknown, soundy)
    instead of killing the whole pipeline. *)
 let process_scc ?resilience ~iface_of ~put_iface ~put_pta (scc : Func.t list) =
-  List.iter
-    (fun (f : Func.t) ->
-      R.protect ?log:resilience ~phase:R.Transform ~subject:f.Func.fname
-        ~fallback_note:"function left untransformed (unknown interface)"
-        ~fallback:()
-        (fun () ->
-          rewrite_calls f iface_of;
-          let pta1 =
-            Pinpoint_obs.Obs.span "pta"
-              ~attrs:[ ("fn", f.Func.fname); ("stage", "discover") ]
-              (fun () -> Pta.run f)
-          in
-          let iface = expose_side_effects f pta1 in
-          put_iface f.Func.fname iface))
-    scc;
-  (* Second stage per SCC member: final PTA on the transformed body. *)
-  List.iter
-    (fun (f : Func.t) ->
+  let discovered =
+    List.map
+      (fun (f : Func.t) ->
+        R.protect ?log:resilience ~phase:R.Transform ~subject:f.Func.fname
+          ~fallback_note:"function left untransformed (unknown interface)"
+          ~fallback:None
+          (fun () ->
+            rewrite_calls f iface_of;
+            let pta1 =
+              Pinpoint_obs.Obs.span "pta"
+                ~attrs:[ ("fn", f.Func.fname); ("stage", "discover") ]
+                (fun () -> Pta.run f)
+            in
+            let iface = expose_side_effects f pta1 in
+            put_iface f.Func.fname iface;
+            (* No REF and no MOD path: no parameter, entry store or exit
+               load was added, so the body is the one [pta1] analysed. *)
+            if iface.ref_paths = [] && iface.mod_paths = [] then Some pta1
+            else None))
+      scc
+  in
+  (* Second stage per SCC member: final PTA on the transformed body, or
+     the discovery result where the body did not change. *)
+  List.iter2
+    (fun (f : Func.t) pta1 ->
       R.protect ?log:resilience ~phase:R.Transform ~subject:f.Func.fname
         ~fallback_note:"no points-to result (function gets no SEG)"
         ~fallback:()
         (fun () ->
           let pta2 =
-            Pinpoint_obs.Obs.span "pta"
-              ~attrs:[ ("fn", f.Func.fname); ("stage", "final") ]
-              (fun () -> Pta.run f)
+            match pta1 with
+            | Some pta -> pta
+            | None ->
+              Pinpoint_obs.Obs.span "pta"
+                ~attrs:[ ("fn", f.Func.fname); ("stage", "final") ]
+                (fun () -> Pta.run f)
           in
           put_pta f.Func.fname pta2))
-    scc
+    scc discovered
 
 let remove (t : result) name =
   Hashtbl.remove t.ifaces name;

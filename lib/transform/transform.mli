@@ -15,7 +15,10 @@
       path, and an {e Aux return value} [R_p] with an exit load
       [R_p <- *(v_q, r)] and an extended return per MOD path (Fig. 3a);
     + runs the points-to analysis once more on the transformed body — the
-      result is what the SEG builder consumes.
+      result is what the SEG builder consumes.  A function with no REF
+      and no MOD path gains no parameter, entry store or exit load, so its
+      body is the one the discovery run analysed, and that run's result
+      is published instead.
 
     Calls within one call-graph SCC are left un-rewritten (the paper
     unrolls recursion once, §4.2).  REF paths always include the
@@ -37,6 +40,13 @@ type result = {
   ptas : (string, Pinpoint_pta.Pta.t) Hashtbl.t;
       (** final (post-transformation) points-to results per function *)
 }
+
+val expose_side_effects : Pinpoint_ir.Func.t -> Pinpoint_pta.Pta.t -> iface
+(** [expose_side_effects f pta] exposes [f]'s own side effects, as [pta]
+    found them, on its interface (Fig. 3a), in place: an Aux formal
+    parameter and an entry store per REF path, an exit load and an
+    extended return per MOD path.  With no REF and no MOD path it changes
+    nothing in [f]. *)
 
 val max_conduits : int ref
 (** Cap on conduits per function (guards against side-effect-summary

@@ -3,6 +3,7 @@
 
 open Pinpoint_ir
 module E = Pinpoint_smt.Expr
+module D = Pinpoint_util.Digraph
 
 let test_ssa_single_def () =
   let prog =
@@ -62,15 +63,175 @@ let test_gating_exclusive () =
         Alcotest.(check bool) "complete" true (E.is_true (E.or_ g1 g2))
       | _ -> ())
 
+(* The oracle for [Gating.join_gates]: reaching conditions from [root]
+   over the whole function, [rc.(root) = true] and [rc.(b) = ∨ over preds
+   p (rc.(p) ∧ guard(p -> b))] in topological order, [false] for the
+   blocks [root] does not reach. *)
+let reaching_conditions (f : Func.t) ~root =
+  let g = Func.cfg f in
+  let rc = Array.make (Func.n_blocks f) E.fls in
+  let order =
+    match D.topo_sort g with Some o -> o | None -> invalid_arg "cyclic CFG"
+  in
+  rc.(root) <- E.tru;
+  List.iter
+    (fun b ->
+      if b <> root then
+        rc.(b) <-
+          List.fold_left
+            (fun acc p -> E.or_ acc (E.and_ rc.(p) (Gating.edge_guard f p b)))
+            E.fls (D.preds g b))
+    order;
+  rc
+
 let test_reaching_conditions () =
   let prog =
     Helpers.compile "int f(int a) { int r = 0; if (a > 0) { r = 1; } return r; }"
   in
   let f = Helpers.func prog "f" in
-  let rc = Gating.reaching_conditions f ~root:f.Func.entry in
+  let rc = reaching_conditions f ~root:f.Func.entry in
   Alcotest.(check bool) "entry true" true (E.is_true rc.(f.Func.entry));
   (* the exit is always reachable *)
   Alcotest.(check bool) "exit true" true (E.is_true rc.(f.Func.exit_))
+
+let same_gates = List.equal (fun (p, e) (p', e') -> p = p' && e == e')
+
+(* Every join's gate list, and every φ argument's gate, is the very
+   hash-consed node the oracle builds: [rc_{idom b}(p) ∧ guard(p -> b)],
+   in [preds] order.  Returns the first mismatch. *)
+let gate_mismatch (f : Func.t) =
+  let gates = Gating.join_gates f in
+  let g = Func.cfg f in
+  let dom = D.dominators g f.Func.entry in
+  let rcs = Hashtbl.create 8 in
+  let oracle b =
+    let root = if dom.D.idom.(b) = -1 then f.Func.entry else dom.D.idom.(b) in
+    let rc =
+      match Hashtbl.find_opt rcs root with
+      | Some rc -> rc
+      | None ->
+        let rc = reaching_conditions f ~root in
+        Hashtbl.add rcs root rc;
+        rc
+    in
+    List.map (fun p -> (p, E.and_ rc.(p) (Gating.edge_guard f p b))) (D.preds g b)
+  in
+  let bad = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt in
+  for b = 0 to Func.n_blocks f - 1 do
+    let expected = if List.length (D.preds g b) >= 2 then oracle b else [] in
+    if not (same_gates gates.(b) expected) then fail "%s: join b%d" f.Func.fname b
+  done;
+  Func.iter_stmts f (fun blk s ->
+      match s.Stmt.kind with
+      | Stmt.Phi (_, args) ->
+        let expected = oracle blk.Func.bid in
+        List.iter
+          (fun (a : Stmt.phi_arg) ->
+            match a.Stmt.gate with
+            | Some gate when gate == List.assoc a.Stmt.pred expected -> ()
+            | _ -> fail "%s: φ gate b%d <- b%d" f.Func.fname blk.Func.bid a.Stmt.pred)
+          args
+      | _ -> ());
+  !bad
+
+(* A random DAG CFG: block [i] of the topological numbering jumps or
+   branches (on one of a few shared conditions, so guards correlate) to
+   later blocks; the last is the exit.  Block ids are a permutation of the
+   numbering, and a block no earlier block targets is unreachable. *)
+type rterm = RJump of int | RBr of int * int * int
+
+let random_cfg =
+  let gen =
+    let open QCheck.Gen in
+    int_range 2 24 >>= fun n ->
+    shuffle_l (List.init n Fun.id) >|= Array.of_list >>= fun perm ->
+    let term i =
+      let later = int_range (i + 1) (n - 1) in
+      frequency
+        [
+          (1, map (fun j -> RJump j) later);
+          (3, map3 (fun c t e -> RBr (c, t, e)) (int_bound 5) later later);
+        ]
+    in
+    let rec terms i =
+      if i >= n - 1 then return []
+      else term i >>= fun t -> terms (i + 1) >|= fun ts -> t :: ts
+    in
+    terms 0 >|= fun ts -> (perm, ts)
+  in
+  let print (perm, ts) =
+    String.concat " "
+      (List.mapi
+         (fun i t ->
+           match t with
+           | RJump j -> Printf.sprintf "b%d->b%d" perm.(i) perm.(j)
+           | RBr (c, x, y) ->
+             Printf.sprintf "b%d:c%d?b%d:b%d" perm.(i) c perm.(x) perm.(y))
+         ts)
+  in
+  QCheck.make gen ~print
+
+let func_of_cfg (perm, ts) =
+  let n = Array.length perm in
+  let f = Func.create "rand" ~params:[] ~ret_ty:None in
+  for _ = 2 to n do
+    ignore (Func.add_block f)
+  done;
+  let conds =
+    Array.init 6 (fun i -> Var.make f.Func.vgen (Printf.sprintf "c%d" i) Ty.Bool)
+  in
+  List.iteri
+    (fun i t ->
+      Func.set_term f perm.(i)
+        (match t with
+        | RJump j -> Func.Jump perm.(j)
+        | RBr (c, x, y) -> Func.Br (Stmt.Ovar conds.(c), perm.(x), perm.(y))))
+    ts;
+  f.Func.entry <- perm.(0);
+  f.Func.exit_ <- perm.(n - 1);
+  f
+
+(* Also: selecting some joins (as lowering selects the φ blocks) cuts the
+   walks short but leaves the selected joins' gates as they are. *)
+let gates_vs_oracle_random =
+  Helpers.qtest ~count:500 "gates = whole-function oracle (random DAG CFGs)"
+    random_cfg (fun cfg ->
+      let f = func_of_cfg cfg in
+      match gate_mismatch f with
+      | Some m -> QCheck.Test.fail_report m
+      | None ->
+        let all = Gating.join_gates f in
+        let even = Gating.join_gates ~only:(fun b -> b mod 2 = 0) f in
+        List.for_all
+          (fun b -> same_gates even.(b) (if b mod 2 = 0 then all.(b) else []))
+          (List.init (Func.n_blocks f) Fun.id))
+
+let test_gates_vs_oracle_programs () =
+  let dir = Test_corpus.corpus_dir () in
+  let corpus =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".mc")
+    |> List.sort compare
+    |> List.map (fun n -> Helpers.compile (Test_store.read_file (Filename.concat dir n)))
+  in
+  let subject =
+    Pinpoint_workload.Gen.compile
+      (Pinpoint_workload.Gen.generate ~name:"gates.mc"
+         (Pinpoint_workload.Gen.scaled ~seed:3 ~mloc:0.01 ()))
+  in
+  let n = ref 0 in
+  List.iter
+    (fun prog ->
+      List.iter
+        (fun f ->
+          incr n;
+          match gate_mismatch f with
+          | None -> ()
+          | Some m -> Alcotest.fail m)
+        (Prog.functions prog))
+    (corpus @ [ subject ]);
+  Alcotest.(check bool) "functions checked" true (!n > 300)
 
 let test_cdg () =
   let prog =
@@ -330,6 +491,9 @@ let suite =
     Alcotest.test_case "ssa uses dominated" `Quick test_ssa_uses_dominated;
     Alcotest.test_case "gating exclusive+complete" `Quick test_gating_exclusive;
     Alcotest.test_case "reaching conditions" `Quick test_reaching_conditions;
+    gates_vs_oracle_random;
+    Alcotest.test_case "gates = whole-function oracle (corpus, 10 KLoC)" `Quick
+      test_gates_vs_oracle_programs;
     Alcotest.test_case "control dependence" `Quick test_cdg;
     Alcotest.test_case "reaches" `Quick test_reaches;
     Alcotest.test_case "call graph" `Quick test_call_graph;

@@ -172,6 +172,107 @@ let test_conduit_cap () =
   Alcotest.(check bool) "capped" true (List.length iface.T.ref_paths <= 1);
   T.max_conduits := old
 
+(* --- no final PTA pass where the transform changed nothing --- *)
+
+module Pta = Pinpoint_pta.Pta
+module Cell = Pinpoint_pta.Cell
+module Obs = Pinpoint_obs.Obs
+
+(* A fresh PTA run mints its incoming values ([in_*]) afresh, so those
+   are matched by name; every other variable by identity. *)
+let var_key (v : Var.t) =
+  if String.starts_with ~prefix:"in_" v.Var.name then v.Var.name
+  else Printf.sprintf "%s#%d" v.Var.name v.Var.vid
+
+let cell_key = function
+  | Cell.CAlloc sid -> Printf.sprintf "alloc@%d" sid
+  | Cell.CDeref v -> "*" ^ var_key v
+
+let fingerprint (t : Pta.t) =
+  let sorted tbl f =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [])
+  in
+  let id (e : Pinpoint_smt.Expr.t) = e.Pinpoint_smt.Expr.id in
+  let operand = function
+    | Stmt.Ovar v -> var_key v
+    | o -> Format.asprintf "%a" Stmt.pp_operand o
+  in
+  ( sorted t.Pta.load_res
+      (List.map (fun (e : Pta.entry) -> (operand e.Pta.value, id e.Pta.cond, e.Pta.store_sid))),
+    sorted t.Pta.store_tgts (List.map (fun (c, k) -> (cell_key c, id k))),
+    t.Pta.refs,
+    t.Pta.mods,
+    List.map (fun (c, k, sid) -> (cell_key c, id k, sid)) t.Pta.freed_cells )
+
+let pta_spans spans ~fn ~stage =
+  List.length
+    (List.filter
+       (fun (s : Obs.span) ->
+         s.Obs.name = "pta"
+         && List.assoc_opt "fn" s.Obs.attrs = Some fn
+         && List.assoc_opt "stage" s.Obs.attrs = Some stage)
+       spans)
+
+(* For every function whose discovered interface has no REF and no MOD
+   path: exposing it leaves the IR as it is, the published PTA is what a
+   final pass would compute, and no final pass ran.  Every other function
+   gets exactly one final pass. *)
+let test_final_pass_skip () =
+  let dir = Test_corpus.corpus_dir () in
+  let sources =
+    (Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".mc")
+    |> List.sort compare
+    |> List.map (fun n -> Test_store.read_file (Filename.concat dir n)))
+    @ [
+        (Pinpoint_workload.Gen.generate ~name:"skip.mc"
+           (Pinpoint_workload.Gen.scaled ~seed:5 ~mloc:0.005 ()))
+          .Pinpoint_workload.Gen.source;
+      ]
+  in
+  let skipped = ref 0 and run = ref 0 in
+  List.iter
+    (fun src ->
+      let prog = Helpers.compile src in
+      let level = Obs.level () in
+      Obs.reset ();
+      Obs.set_level Obs.Trace;
+      let res, spans =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.set_level level;
+            Obs.reset ())
+          (fun () ->
+            let res = T.run (Callgraph.build prog) in
+            (res, Obs.spans ()))
+      in
+      List.iter
+        (fun (f : Func.t) ->
+          let fn = f.Func.fname in
+          let iface = Hashtbl.find res.T.ifaces fn in
+          let empty = iface.T.ref_paths = [] && iface.T.mod_paths = [] in
+          Alcotest.(check int) (fn ^ ": one discover pass") 1
+            (pta_spans spans ~fn ~stage:"discover");
+          Alcotest.(check int) (fn ^ ": final passes")
+            (if empty then 0 else 1)
+            (pta_spans spans ~fn ~stage:"final");
+          if empty then begin
+            incr skipped;
+            let ir = Format.asprintf "%a" Func.pp f in
+            let fresh = Pta.run f in
+            let again = T.expose_side_effects f fresh in
+            Alcotest.(check bool) (fn ^ ": still no conduit") true
+              (again.T.ref_paths = [] && again.T.mod_paths = []);
+            Alcotest.(check string) (fn ^ ": IR unchanged") ir
+              (Format.asprintf "%a" Func.pp f);
+            Alcotest.(check bool) (fn ^ ": published PTA = a fresh run") true
+              (fingerprint (Hashtbl.find res.T.ptas fn) = fingerprint fresh)
+          end
+          else incr run)
+        (Prog.functions prog))
+    sources;
+  Alcotest.(check bool) "both kinds met" true (!skipped > 0 && !run > 0)
+
 let suite =
   [
     Alcotest.test_case "aux formal/return inserted" `Quick test_aux_formal_inserted;
@@ -181,4 +282,6 @@ let suite =
     Alcotest.test_case "recursion safe" `Quick test_recursion_no_explosion;
     Alcotest.test_case "return-rooted conduit" `Quick test_ret_rooted_conduit;
     Alcotest.test_case "conduit cap" `Quick test_conduit_cap;
+    Alcotest.test_case "no final pass over an unchanged body" `Quick
+      test_final_pass_skip;
   ]
