@@ -197,8 +197,14 @@ type search_ctx = {
   stats : stats;
   resilience : Resilience.log option;
   cond : Vpath.Cond.t option;
-      (** incremental path-condition builder, threaded through [dfs]
-          (present iff [check_feasibility]) *)
+      (** path-condition builder (present iff [check_feasibility]),
+          extended by the trail's oldest [applied] hops *)
+  mutable trail : Vpath.hop list;
+      (** the hops of the current DFS path, newest first *)
+  mutable trail_len : int;  (** length of [trail] *)
+  mutable applied : int;
+  mutable checkpoints : Vpath.Cond.checkpoint list;
+      (** the builder before each applied hop, newest first *)
   mutable reports : Report.t list;
   mutable found_for_source : int;
   mutable steps_this_source : int;
@@ -214,8 +220,32 @@ let loc_of_sid ctx fname sid =
     | Some (_, s) -> s.Stmt.loc
     | None -> Stmt.no_loc)
 
-let emit ctx (path : Vpath.t) =
+(* Path conditions are built on demand (DESIGN.md §4.10): a candidate
+   that passes the dedup extends the builder by the trail's hops it has
+   not seen yet, oldest first, with a checkpoint before each.  Sibling
+   candidates share the applied prefix, and a subtree that reaches no
+   sink applies nothing. *)
+let c_cond_hops = Obs.counter "engine.n_cond_hops"
+
+let apply_trail ctx b =
+  (* the trail's [n] newest hops, oldest first *)
+  let rec pending n hops acc =
+    match hops with
+    | hop :: rest when n > 0 -> pending (n - 1) rest (hop :: acc)
+    | _ -> acc
+  in
+  let n = ctx.trail_len - ctx.applied in
+  List.iter
+    (fun hop ->
+      ctx.checkpoints <- Vpath.Cond.checkpoint b :: ctx.checkpoints;
+      Vpath.Cond.extend b hop)
+    (pending n ctx.trail []);
+  ctx.applied <- ctx.trail_len;
+  Obs.add c_cond_hops n
+
+let emit ctx =
   ctx.stats.n_candidates <- ctx.stats.n_candidates + 1;
+  let path = List.rev ctx.trail in
   match Vpath.source_sink path with
   | Some (sf, ss), Some (kf, ks) ->
     let source_loc = loc_of_sid ctx sf ss and sink_loc = loc_of_sid ctx kf ks in
@@ -223,12 +253,10 @@ let emit ctx (path : Vpath.t) =
     if not (Hashtbl.mem ctx.dedup dk) then begin
       Hashtbl.add ctx.dedup dk ();
       let cond, verdict, hints, rung =
-        if ctx.cfg.check_feasibility then begin
-          let cond =
-            match ctx.cond with
-            | Some b -> Vpath.Cond.formula b
-            | None -> Vpath.condition ~seg_of:ctx.seg_of ~rv:ctx.rv path
-          in
+        match ctx.cond with
+        | Some b -> (
+          apply_trail ctx b;
+          let cond = Vpath.Cond.formula b in
           ctx.stats.n_solver_calls <- ctx.stats.n_solver_calls + 1;
           let subject =
             Printf.sprintf "%s:%d -> %s:%d" sf source_loc.Stmt.line kf
@@ -286,9 +314,8 @@ let emit ctx (path : Vpath.t) =
               | Solver.Sat | Solver.Unknown ->
                 (cond, Report.Feasible, model, Some rung)))
           | Solver.Unknown -> (cond, Report.Feasible_unknown, [], Some rung)
-          | Solver.Unsat -> (cond, Report.Infeasible, [], Some rung)
-        end
-        else (E.tru, Report.Feasible_unknown, [], None)
+          | Solver.Unsat -> (cond, Report.Infeasible, [], Some rung))
+        | None -> (E.tru, Report.Feasible_unknown, [], None)
       in
       let r =
         {
@@ -317,26 +344,33 @@ let ctx_hash (stack : (string * Stmt.t) list) (expansions : int) =
     (fun acc (_, (s : Stmt.t)) -> (acc * 8191) + s.Stmt.sid + 1)
     expansions stack
 
-(* Bracket one node's exploration with the condition builder: extend by
-   the hop that leads here, run the continuation, restore the checkpoint
-   on the way out (also on Stop_search/Timeout — the whole builder is
-   abandoned with the source anyway, restoring first is harmless). *)
-let extend_cond ctx hop k =
-  match ctx.cond with
-  | None -> k ()
-  | Some b ->
-    let cp = Vpath.Cond.checkpoint b in
-    Vpath.Cond.extend b hop;
-    Fun.protect ~finally:(fun () -> Vpath.Cond.restore b cp) k
+(* Bracket one node's exploration: push the hop that leads here on the
+   trail, run the continuation, and pop it on the way out, restoring the
+   builder first if [emit] extended it by this hop.  An exception
+   (Stop_search, Timeout, a crash) abandons the whole search context, so
+   it needs no unwinding. *)
+let with_hop ctx hop k =
+  let trail = ctx.trail and len = ctx.trail_len in
+  ctx.trail <- hop :: trail;
+  ctx.trail_len <- len + 1;
+  k ();
+  (match (ctx.cond, ctx.checkpoints) with
+  | Some b, cp :: rest when ctx.applied > len ->
+    Vpath.Cond.restore b cp;
+    ctx.checkpoints <- rest;
+    ctx.applied <- len
+  | _ -> ());
+  ctx.trail <- trail;
+  ctx.trail_len <- len
 
 (* DFS from (fname, var).  [stack] holds the call sites we descended
    through and [depth] its length (tracked, not recomputed); [expansions]
    counts bottom-up caller crossings; [anchor] is the statement (in the
    current function) after which the buggy value exists — uses that cannot
    execute after it are ignored; [hop] is the hop that leads to this node
-   and [rpath] the reversed hop list before it. *)
+   from the end of the trail. *)
 let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
-    ~src_fn ~src_sid ~hop rpath =
+    ~src_fn ~src_sid ~hop =
   Metrics.check ctx.cfg.deadline;
   ctx.stats.n_steps <- ctx.stats.n_steps + 1;
   ctx.steps_this_source <- ctx.steps_this_source + 1;
@@ -352,8 +386,7 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
     match ctx.seg_of fname with
     | None -> ()
     | Some seg ->
-      extend_cond ctx hop @@ fun () ->
-      let rpath = hop :: rpath in
+      with_hop ctx hop @@ fun () ->
       let f = Seg.func seg in
       let after_anchor sid =
         match anchor with
@@ -372,9 +405,8 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
               after_anchor u.Seg.sid
               && not (same_stmt && ctx.spec.Checker_spec.exclude_same_sid)
             then begin
-              let sink_hop = Vpath.Hsink { fname; var; sid = u.Seg.sid } in
-              extend_cond ctx sink_hop @@ fun () ->
-              emit ctx (List.rev (sink_hop :: rpath))
+              with_hop ctx (Vpath.Hsink { fname; var; sid = u.Seg.sid })
+                (fun () -> emit ctx)
             end
           end)
         uses;
@@ -397,8 +429,7 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                      dst = e.Seg.dst;
                      cond = e.Seg.cond;
                      kind = e.Seg.kind;
-                   })
-              rpath)
+                   }))
         (Seg.succs seg var);
       (* 3. descend into callees on demand (VF1 / VF4) *)
       if depth < ctx.cfg.max_call_depth then
@@ -442,7 +473,6 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                                param;
                                args = c.Stmt.args;
                              })
-                        rpath
                     | None -> ())
                   | _ -> ()
                 end
@@ -475,7 +505,6 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                            args = c.Stmt.args;
                            popped = true;
                          })
-                    rpath
                 | None -> ())
               | _ -> ())
             | [] ->
@@ -501,7 +530,6 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                                  args = c.Stmt.args;
                                  popped = false;
                                })
-                          rpath
                       | None -> ())
                     | _ -> ())
                   (ctx.callers fname))
@@ -538,7 +566,6 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                            actual;
                            args = c.Stmt.args;
                          })
-                    rpath
                 | _ -> ())
               | _ -> ())
             (ctx.callers fname)
@@ -668,6 +695,10 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
         stats = zero_stats ();
         resilience;
         cond;
+        trail = [];
+        trail_len = 0;
+        applied = 0;
+        checkpoints = [];
         reports = [];
         found_for_source = 0;
         steps_this_source = 0;
@@ -690,8 +721,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
               dfs ctx ~fname:f.Func.fname ~var:v ~stack:[] ~depth:0
                 ~expansions:0 ~anchor:(Some sid) ~src_fn:f.Func.fname
                 ~src_sid:sid
-                ~hop:(Vpath.Hsource { fname = f.Func.fname; var = v; sid })
-                [];
+                ~hop:(Vpath.Hsource { fname = f.Func.fname; var = v; sid });
               completed := true
             with
             | Stop_search -> completed := true

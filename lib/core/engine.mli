@@ -11,8 +11,9 @@
       a source discovered inside a callee — expands bottom-up into every
       caller (VF2's role);
     - each complete candidate path gets its condition from
-      {!Vpath.condition} (context-sensitive by cloning) and is kept only
-      if the SMT solver cannot refute it.
+      {!Vpath.Cond} (context-sensitive by cloning), built only over the
+      hops that lead to a candidate, and is kept only if the SMT solver
+      cannot refute it.
 
     Budgets: call-chain depth (the paper's "six levels"), caller
     expansions, total steps per source, and a per-source wall-clock

@@ -53,20 +53,17 @@ type hop =
 
 type t = hop list
 
-val condition :
-  seg_of:(string -> Pinpoint_seg.Seg.t option) ->
-  rv:Pinpoint_summary.Rv.t ->
-  t ->
-  Pinpoint_smt.Expr.t
-(** The path condition [PC(π)] of the path, rebuilt from scratch (the
-    one-shot reference implementation; the engine uses {!Cond}). *)
+(** Path-condition builder (DESIGN.md §4.10).
 
-(** Incremental path-condition builder (DESIGN.md §4.10).
-
-    Threads [PC(π)] through the engine's DFS: {!Cond.extend} adds one
-    hop's conjuncts, {!Cond.checkpoint}/{!Cond.restore} are O(1) and
-    bracket each subtree, so the condition is already assembled when a
-    sink is reached instead of being rebuilt per candidate. *)
+    {!Cond.extend} adds one hop's conjuncts, and {!Cond.checkpoint} and
+    {!Cond.restore} are O(1).  The engine keeps the hops of its current
+    DFS path on a trail and extends the builder only when it emits a
+    candidate, over the hops not yet applied, with a checkpoint before
+    each: sibling candidates share the applied prefix, and a subtree
+    that reaches no sink costs no conjunct.  A restored builder, frame
+    counter included, is the builder that was checkpointed, so the
+    engine's condition of a path is the hash-consed formula a fresh
+    builder extended by the whole path makes. *)
 module Cond : sig
   type t
 
@@ -84,16 +81,8 @@ module Cond : sig
   val restore : t -> checkpoint -> unit
 
   val formula : t -> Pinpoint_smt.Expr.t
-  (** The condition of the hops extended so far, assembled with
-      {!Pinpoint_smt.Expr.conj_balanced} — equisatisfiable with
-      {!condition} on the same path. *)
-
-  val of_path :
-    seg_of:(string -> Pinpoint_seg.Seg.t option) ->
-    rv:Pinpoint_summary.Rv.t ->
-    hop list ->
-    t
-  (** Fold a complete path into a fresh builder (test convenience). *)
+  (** [PC(π)] of the hops extended so far, assembled with
+      {!Pinpoint_smt.Expr.conj_balanced}. *)
 end
 
 val pp : Format.formatter -> t -> unit

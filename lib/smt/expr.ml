@@ -21,41 +21,6 @@ let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 let hash a = a.id
 
-(* Structural keys used for hash-consing: children are identified by id. *)
-type key =
-  | KTrue
-  | KFalse
-  | KInt of int
-  | KVar of int
-  | KNot of int
-  | KAnd of int * int
-  | KOr of int * int
-  | KEq of int * int
-  | KNe of int * int
-  | KLt of int * int
-  | KLe of int * int
-  | KAdd of int * int
-  | KSub of int * int
-  | KMul of int * int
-  | KNeg of int
-
-let key_of = function
-  | True -> KTrue
-  | False -> KFalse
-  | Int n -> KInt n
-  | Var v -> KVar v
-  | Not a -> KNot a.id
-  | And (a, b) -> KAnd (a.id, b.id)
-  | Or (a, b) -> KOr (a.id, b.id)
-  | Eq (a, b) -> KEq (a.id, b.id)
-  | Ne (a, b) -> KNe (a.id, b.id)
-  | Lt (a, b) -> KLt (a.id, b.id)
-  | Le (a, b) -> KLe (a.id, b.id)
-  | Add (a, b) -> KAdd (a.id, b.id)
-  | Sub (a, b) -> KSub (a.id, b.id)
-  | Mul (a, b) -> KMul (a.id, b.id)
-  | Neg a -> KNeg a.id
-
 (* Structural rank of a node: a hash over node kinds, constants, symbol
    names/sorts and children's ranks — everything {e except} allocation
    order.  Node ids are allocation-ordered and thus schedule-dependent once
@@ -80,37 +45,156 @@ let skey_of = function
   | Mul (a, b) -> Hashtbl.hash (13, a.skey, b.skey)
   | Neg a -> Hashtbl.hash (14, a.skey)
 
-(* The hash-cons table is global and shared by every domain, so interning
-   is serialised by a mutex.  Ids are used only for equality, hashing and
-   memo keys — never for structure (see [skey_of] above).
+(* The interning key of a node: its constructor and its children's ids
+   (a child is canonical, so its id names its structure).  Integer
+   mixing only — no tuple, no C call. *)
+let mix h x =
+  let h = (h lxor x) * 0x2127599bf4325c37 in
+  h lxor (h lsr 29)
 
-   The table holds its elements weakly: a formula nothing else references
-   — e.g. one whose owning artifacts were all evicted by the disk-resident
+let slot_hash node =
+  let h =
+    match node with
+    | True -> 1
+    | False -> 2
+    | Int n -> mix 3 n
+    | Var v -> mix 4 v
+    | Not a -> mix 5 a.id
+    | Neg a -> mix 6 a.id
+    | And (a, b) -> mix (mix 7 a.id) b.id
+    | Or (a, b) -> mix (mix 8 a.id) b.id
+    | Eq (a, b) -> mix (mix 9 a.id) b.id
+    | Ne (a, b) -> mix (mix 10 a.id) b.id
+    | Lt (a, b) -> mix (mix 11 a.id) b.id
+    | Le (a, b) -> mix (mix 12 a.id) b.id
+    | Add (a, b) -> mix (mix 13 a.id) b.id
+    | Sub (a, b) -> mix (mix 14 a.id) b.id
+    | Mul (a, b) -> mix (mix 15 a.id) b.id
+  in
+  let h = mix h 0 land max_int in
+  if h = 0 then 1 else h
+
+(* Same constructor, same constants, physically the same children. *)
+let same_node n m =
+  match (n, m) with
+  | True, True | False, False -> true
+  | Int x, Int y -> Int.equal x y
+  | Var x, Var y -> Int.equal x y
+  | Not a, Not b | Neg a, Neg b -> a == b
+  | And (a, b), And (c, d)
+  | Or (a, b), Or (c, d)
+  | Eq (a, b), Eq (c, d)
+  | Ne (a, b), Ne (c, d)
+  | Lt (a, b), Lt (c, d)
+  | Le (a, b), Le (c, d)
+  | Add (a, b), Add (c, d)
+  | Sub (a, b), Sub (c, d)
+  | Mul (a, b), Mul (c, d) ->
+    a == c && b == d
+  | _ -> false
+
+(* The hash-cons table: one open-addressed weak array, probed linearly,
+   beside an int array that holds each slot's key hash (0: never used).
+   It is global and shared by every domain, so interning is serialised by
+   a mutex.  Ids are used only for equality, hashing and memo keys —
+   never for structure (see [skey_of] above).
+
+   A probe compares stored hashes first and reads a node only on a hash
+   match, so a hit costs one hash, a short scan of ints and one
+   [same_node], and allocates nothing but the option [Weak.get] returns;
+   [skey] is computed only when a node is inserted.
+
+   The array holds its nodes weakly: a formula nothing else references —
+   e.g. one whose owning artifacts were all evicted by the disk-resident
    store — is collected, and a later re-intern of the same structure
-   builds a fresh, structurally identical node.  Equality and hashing go
-   through [key_of], which identifies children by id, so only candidates
-   whose children are already canonical can merge (the hash-consing
-   invariant), and both are stable for as long as an element is alive
-   (children are strongly referenced by their parent).  Ids are never
-   reused — the counter only advances on a real insertion — so stale
-   id-keyed memo entries can dangle but never alias. *)
-module Weak_tbl = Weak.Make (struct
-  type nonrec t = t
+   builds a fresh, structurally identical node.  Only candidates whose
+   children are already canonical can merge (the hash-consing
+   invariant), and a stored node's key stays valid while it is alive, its
+   children being strongly referenced by it.  A collected node's slot
+   keeps its hash as a tombstone, which probes step over, until the next
+   rehash.  The table rehashes when its used slots — live and tombstones
+   — pass 0.7 of its capacity, into the smallest power of two that is at
+   least twice the live nodes (and at least the initial capacity).  Ids
+   are never reused — the counter only advances on a real insertion — so
+   stale id-keyed memo entries can dangle but never alias. *)
+type table = {
+  mutable nodes : t Weak.t;
+  mutable hashes : int array;
+  mutable used : int;  (** slots whose hash is not 0 *)
+}
 
-  let equal a b = key_of a.node = key_of b.node
-  let hash e = Hashtbl.hash (key_of e.node)
-end)
+let initial_capacity = 4096
 
-let table = Weak_tbl.create 4096
+let table =
+  {
+    nodes = Weak.create initial_capacity;
+    hashes = Array.make initial_capacity 0;
+    used = 0;
+  }
+
 let counter = ref 0
 let lock = Mutex.create ()
 
+let rec free_slot hashes mask i =
+  if hashes.(i) = 0 then i else free_slot hashes mask ((i + 1) land mask)
+
+let rehash () =
+  let old_nodes = table.nodes and old_hashes = table.hashes in
+  let live = ref 0 in
+  for i = 0 to Weak.length old_nodes - 1 do
+    if Weak.check old_nodes i then incr live
+  done;
+  let cap = ref initial_capacity in
+  while !cap < 2 * !live do
+    cap := 2 * !cap
+  done;
+  let nodes = Weak.create !cap and hashes = Array.make !cap 0 in
+  let mask = !cap - 1 and used = ref 0 in
+  for i = 0 to Weak.length old_nodes - 1 do
+    match Weak.get old_nodes i with
+    | Some e ->
+      let h = old_hashes.(i) in
+      let j = free_slot hashes mask (h land mask) in
+      Weak.set nodes j (Some e);
+      hashes.(j) <- h;
+      incr used
+    | None -> ()
+  done;
+  table.nodes <- nodes;
+  table.hashes <- hashes;
+  table.used <- !used
+
+let insert node h i =
+  let e = { id = !counter; skey = skey_of node; node } in
+  incr counter;
+  Weak.set table.nodes i (Some e);
+  table.hashes.(i) <- h;
+  table.used <- table.used + 1;
+  if 10 * table.used > 7 * Array.length table.hashes then rehash ();
+  e
+
+let rec probe node h mask i =
+  let sh = table.hashes.(i) in
+  if sh = 0 then insert node h i
+  else if sh <> h then probe node h mask ((i + 1) land mask)
+  else
+    match Weak.get table.nodes i with
+    | Some e when same_node e.node node -> e
+    | _ -> probe node h mask ((i + 1) land mask)
+
 let make node =
-  Mutex.protect lock (fun () ->
-      let candidate = { id = !counter; skey = skey_of node; node } in
-      let e = Weak_tbl.merge table candidate in
-      if e == candidate then incr counter;
-      e)
+  let h = slot_hash node in
+  Mutex.lock lock;
+  match
+    let mask = Array.length table.hashes - 1 in
+    probe node h mask (h land mask)
+  with
+  | e ->
+    Mutex.unlock lock;
+    e
+  | exception ex ->
+    Mutex.unlock lock;
+    raise ex
 
 (* Raw interning entry for deserializers: a [node] whose children are
    already interned re-enters the hash-cons table and comes back as

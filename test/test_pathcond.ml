@@ -145,9 +145,171 @@ void top(int s) {
       (r.Pinpoint.Report.verdict = Pinpoint.Report.Feasible)
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
 
-(* --- the incremental builder vs the one-shot oracle --------------- *)
+(* --- the one-shot oracle and the lazy builder ---------------------- *)
 
-module Cond = Pinpoint.Vpath.Cond
+module Vpath = Pinpoint.Vpath
+module Cond = Vpath.Cond
+module Seg = Pinpoint_seg.Seg
+module Rv = Pinpoint_summary.Rv
+module Clone = Pinpoint_summary.Clone
+module Var = Pinpoint_ir.Var
+module Stmt = Pinpoint_ir.Stmt
+module Func = Pinpoint_ir.Func
+
+(* [condition] rebuilds PC(π) from scratch, hop by hop, folding the
+   conjuncts left to right: the reference the engine's builder is checked
+   against.  The frame counter is per call, so frame tags depend only on
+   the path being conditioned. *)
+type frame = { seg : Seg.t; clone : Clone.t }
+
+let new_frame counter seg_of fname =
+  incr counter;
+  match seg_of fname with
+  | Some seg ->
+    Some { seg; clone = Clone.create (Printf.sprintf "%s_f%d" fname !counter) }
+  | None -> None
+
+(* Close a constraint against the RV summaries, then clone it into the
+   frame. *)
+let closed_in rv fr (cres : Seg.cres) =
+  let f, _params = Rv.close rv fr.seg cres in
+  Clone.subst fr.clone f
+
+let add_cd rv fr acc sid = E.and_ acc (closed_in rv fr (Seg.cd_stmt fr.seg sid))
+
+let add_formula rv fr acc formula =
+  (* the formula itself plus the DD closure of its variables *)
+  let dd = closed_in rv fr (Seg.dd_expr fr.seg formula) in
+  E.and_ acc (E.and_ (Clone.subst fr.clone formula) dd)
+
+let condition ~seg_of ~rv (path : Vpath.t) : E.t =
+  let frame_counter = ref 0 in
+  let acc = ref E.tru in
+  let stack : frame list ref = ref [] in
+  let push fname =
+    match new_frame frame_counter seg_of fname with
+    | Some fr -> stack := fr :: !stack
+    | None -> ()
+  in
+  let pop () = stack := match !stack with _ :: rest -> rest | [] -> [] in
+  let cur () = match !stack with fr :: _ -> Some fr | [] -> None in
+  (* [callee]'s formals equal [caller]'s actuals *)
+  let relate_formals callee_fr caller_fr args =
+    List.iteri
+      (fun i (p : Var.t) ->
+        match List.nth_opt args i with
+        | Some a ->
+          acc :=
+            E.and_ !acc
+              (E.eq
+                 (Clone.subst callee_fr.clone (Var.term p))
+                 (Clone.subst caller_fr.clone (Stmt.operand_term a)))
+        | None -> ())
+      (Seg.func callee_fr.seg).Func.params
+  in
+  List.iter
+    (fun (hop : Vpath.hop) ->
+      match hop with
+      | Hsource { fname; sid; _ } -> (
+        push fname;
+        match cur () with
+        | Some fr -> acc := add_cd rv fr !acc sid
+        | None -> ())
+      | Hflow { src; dst; cond; kind; _ } -> (
+        match cur () with
+        | Some fr ->
+          acc := add_formula rv fr !acc cond;
+          (match kind with
+          | Seg.Copy ->
+            acc :=
+              E.and_ !acc
+                (Clone.subst fr.clone (E.eq (Var.term dst) (Var.term src)))
+          | Seg.Operand ->
+            (* the operator's defining constraint relates dst to src *)
+            acc := E.and_ !acc (closed_in rv fr (Seg.dd fr.seg dst)));
+          (match Seg.def_of fr.seg dst with
+          | Some s -> acc := add_cd rv fr !acc s.Stmt.sid
+          | None -> ())
+        | None -> ())
+      | Hcall { callee; call_sid; args; _ } -> (
+        let caller_fr = cur () in
+        push callee;
+        match (cur (), caller_fr) with
+        | Some callee_fr, Some caller_fr when callee_fr != caller_fr ->
+          (* the call statement itself must be reachable *)
+          acc := add_cd rv caller_fr !acc call_sid;
+          (* bind callee formals to (cloned) actual terms *)
+          List.iteri
+            (fun i (p : Var.t) ->
+              match List.nth_opt args i with
+              | Some actual -> (
+                Clone.bind callee_fr.clone (Var.symbol p)
+                  (Clone.subst caller_fr.clone (Stmt.operand_term actual));
+                (* the actual's own data dependence, in the caller frame *)
+                match actual with
+                | Stmt.Ovar av ->
+                  acc :=
+                    E.and_ !acc (closed_in rv caller_fr (Seg.dd caller_fr.seg av))
+                | _ -> ())
+              | None -> ())
+            (Seg.func callee_fr.seg).Func.params
+        | _ -> ())
+      | Hret { ret_var; caller; call_sid; recv; args; popped; _ } -> (
+        let callee_fr = cur () in
+        (match callee_fr with
+        | Some fr -> (
+          (* the return is reachable under the callee frame *)
+          match Seg.def_of fr.seg ret_var with
+          | Some s -> acc := add_cd rv fr !acc s.Stmt.sid
+          | None -> ())
+        | None -> ());
+        pop ();
+        if not popped then push caller;
+        match (cur (), callee_fr) with
+        | Some caller_fr, Some callee_fr ->
+          acc := add_cd rv caller_fr !acc call_sid;
+          acc :=
+            E.and_ !acc
+              (E.eq
+                 (Clone.subst caller_fr.clone (Var.term recv))
+                 (Clone.subst callee_fr.clone (Var.term ret_var)));
+          (* On bottom-up expansion, relate the callee's formals to the
+             actuals just discovered (the callee frame may already have
+             cloned them, so use equalities rather than bindings). *)
+          if not popped then relate_formals callee_fr caller_fr args
+        | _ -> ())
+      | Hparam_up { param; caller; call_sid; actual; args; _ } -> (
+        let callee_fr = cur () in
+        pop ();
+        push caller;
+        match (cur (), callee_fr) with
+        | Some caller_fr, Some callee_fr ->
+          (* the call statement is reachable in the caller *)
+          acc := add_cd rv caller_fr !acc call_sid;
+          (* the actual the value rode in on *)
+          acc :=
+            E.and_ !acc
+              (E.eq
+                 (Clone.subst callee_fr.clone (Var.term param))
+                 (Clone.subst caller_fr.clone (Var.term actual)));
+          relate_formals callee_fr caller_fr args
+        | _ -> ())
+      | Hsink { sid; var; _ } -> (
+        match cur () with
+        | Some fr ->
+          acc := add_cd rv fr !acc sid;
+          acc := E.and_ !acc (closed_in rv fr (Seg.dd fr.seg var))
+        | None -> ()))
+    path;
+  !acc
+
+(* The builder extended by every hop of a path in order: what the engine
+   built eagerly, one hop per DFS step, before it deferred hops to
+   [emit]. *)
+let of_path ~seg_of ~rv path =
+  let b = Cond.create ~seg_of ~rv () in
+  List.iter (Cond.extend b) path;
+  b
 
 let corpus_files () =
   let dir = Test_corpus.corpus_dir () in
@@ -156,33 +318,88 @@ let corpus_files () =
   |> List.sort compare
   |> List.map (Filename.concat dir)
 
+(* paths-16k's planted mix at a quarter of its size: most candidates are
+   traps the solver refutes. *)
+let trap_subject () =
+  let module Gen = Pinpoint_workload.Gen in
+  let s =
+    Gen.generate ~name:"traps.mc"
+      {
+        Gen.default_params with
+        seed = 5;
+        target_loc = 4_000;
+        n_units = 3;
+        n_real_uaf = 30;
+        n_real_df = 15;
+        n_uaf_traps = 90;
+        n_hard_traps = 30;
+        n_shared_core = 30;
+        n_use_before_free = 15;
+        n_taint_real = 15;
+        n_taint_traps = 30;
+      }
+  in
+  Pinpoint.Analysis.prepare_source ~file:s.Gen.name s.Gen.source
+
+(* Every report of every checker on [a], with the analysis' SEGs and RV
+   summaries. *)
+let iter_reports a f =
+  let seg_of = Pinpoint.Analysis.seg_of a in
+  let rv = a.Pinpoint.Analysis.rv in
+  List.iter
+    (fun spec ->
+      let reports, _ = Pinpoint.Analysis.check a spec in
+      List.iter (f ~seg_of ~rv spec) reports)
+    Pinpoint.Checkers.all
+
 (* For every path the engine ever conditioned (feasible AND infeasible
    candidates, over the whole corpus and every checker), the builder's
-   incrementally-assembled formula must get the same solver verdict as the
-   one-shot [Vpath.condition] oracle. *)
+   formula must get the same solver verdict as the one-shot oracle. *)
 let test_builder_matches_oracle () =
   let n_paths = ref 0 in
   List.iter
     (fun file ->
-      let a = Pinpoint.Analysis.prepare_file file in
-      let seg_of = Pinpoint.Analysis.seg_of a in
-      let rv = a.Pinpoint.Analysis.rv in
-      List.iter
-        (fun spec ->
-          let reports, _ = Pinpoint.Analysis.check a spec in
-          List.iter
-            (fun (r : Pinpoint.Report.t) ->
-              incr n_paths;
-              let path = r.Pinpoint.Report.path in
-              let oracle = Pinpoint.Vpath.condition ~seg_of ~rv path in
-              let built = Cond.formula (Cond.of_path ~seg_of ~rv path) in
-              if Solver.check built <> Solver.check oracle then
-                Alcotest.failf "%s/%s: builder verdict differs from oracle"
-                  file spec.Pinpoint.Checker_spec.name)
-            reports)
-        Pinpoint.Checkers.all)
+      iter_reports (Pinpoint.Analysis.prepare_file file)
+        (fun ~seg_of ~rv spec (r : Pinpoint.Report.t) ->
+          incr n_paths;
+          let path = r.Pinpoint.Report.path in
+          let oracle = condition ~seg_of ~rv path in
+          let built = Cond.formula (of_path ~seg_of ~rv path) in
+          if Solver.check built <> Solver.check oracle then
+            Alcotest.failf "%s/%s: builder verdict differs from oracle" file
+              spec.Pinpoint.Checker_spec.name))
     (corpus_files ());
   Alcotest.(check bool) "oracle saw paths" true (!n_paths > 0)
+
+(* The engine applies a hop only when a candidate below it is emitted,
+   and restores to shared prefixes in between; the formula it hands the
+   solver must be physically the one the eager builder makes from the
+   same path.  On the trap-heavy subject most hops lead to no candidate,
+   so the builder must apply fewer hops than the search takes. *)
+let test_lazy_equals_eager () =
+  let n_conds = ref 0 in
+  let check_same name =
+    fun ~seg_of ~rv spec (r : Pinpoint.Report.t) ->
+      incr n_conds;
+      let eager = Cond.formula (of_path ~seg_of ~rv r.Pinpoint.Report.path) in
+      if r.Pinpoint.Report.cond != eager then
+        Alcotest.failf "%s/%s %s:%d -> %s:%d: lazy condition is not the eager one"
+          name spec.Pinpoint.Checker_spec.name r.Pinpoint.Report.source_fn
+          r.Pinpoint.Report.source_loc.Stmt.line r.Pinpoint.Report.sink_fn
+          r.Pinpoint.Report.sink_loc.Stmt.line
+  in
+  List.iter
+    (fun file -> iter_reports (Pinpoint.Analysis.prepare_file file) (check_same file))
+    (corpus_files ());
+  let a = trap_subject () in
+  let n_corpus = !n_conds in
+  let (), delta = Helpers.with_counters (fun () -> iter_reports a (check_same "traps")) in
+  let hops = Helpers.counter delta "engine.n_cond_hops"
+  and steps = Helpers.counter delta "engine.n_steps" in
+  Alcotest.(check bool) "corpus conditions compared" true (n_corpus > 0);
+  Alcotest.(check bool) "subject conditions compared" true (!n_conds - n_corpus > 100);
+  if not (hops > 0 && hops < steps) then
+    Alcotest.failf "engine.n_cond_hops %d, engine.n_steps %d" hops steps
 
 let suite =
   [
@@ -193,4 +410,6 @@ let suite =
     Alcotest.test_case "context cloning" `Quick test_pc_context_cloning;
     Alcotest.test_case "builder matches one-shot oracle" `Quick
       test_builder_matches_oracle;
+    Alcotest.test_case "lazy condition = eager condition" `Quick
+      test_lazy_equals_eager;
   ]

@@ -50,6 +50,91 @@ let test_hash_consing () =
   Alcotest.(check bool) "commutative sharing" true (E.equal e1 e2);
   Alcotest.(check bool) "same id" true (e1.E.id = e2.E.id)
 
+(* The interning table.  Each test interns integer literals from its own
+   range, far from any the analyser or another test builds, so every node
+   it counts is new. *)
+
+(* Three node kinds per literal, 300,000 nodes in all: the table rehashes
+   several times on the way, and every node must still be found, as the
+   same node, and be created once. *)
+let test_intern_rehash () =
+  let n = 100_000 and base = 1 lsl 40 in
+  let x = ivar "intern_x" in
+  let build i =
+    let leaf = E.of_node (E.Int (base + i)) in
+    let lt = E.of_node (E.Lt (x, leaf)) in
+    (leaf, lt, E.of_node (E.Not lt))
+  in
+  let before = E.n_created () in
+  let nodes = Array.init n build in
+  Alcotest.(check int) "one node per distinct node" (3 * n) (E.n_created () - before);
+  Array.iteri
+    (fun i (leaf, lt, not_lt) ->
+      let leaf', lt', not_lt' = build i in
+      if not (leaf' == leaf && lt' == lt && not_lt' == not_lt) then
+        Alcotest.failf "literal %d re-interned as a new node" i;
+      if leaf'.E.id <> leaf.E.id || not_lt'.E.id <> not_lt.E.id then
+        Alcotest.failf "literal %d changed id" i)
+    nodes;
+  Alcotest.(check int) "re-interning creates nothing" (3 * n)
+    (E.n_created () - before)
+
+let[@inline never] intern_unreferenced n =
+  let w = Weak.create 1 in
+  let e = E.of_node (E.Int n) in
+  Weak.set w 0 (Some e);
+  (w, e.E.id)
+
+(* The table holds its nodes weakly: a node nothing references is
+   collected, and interning its structure again builds a new node with a
+   new id. *)
+let test_intern_weak () =
+  let n = (1 lsl 40) + (1 lsl 30) in
+  let w, id = intern_unreferenced n in
+  Gc.full_major ();
+  Alcotest.(check bool) "unreferenced node collected" false (Weak.check w 0);
+  let again = E.of_node (E.Int n) in
+  Alcotest.(check bool) "ids are not reused" true (again.E.id > id)
+
+(* A DAG of [2n - 1] nodes: [n] literals, reduced pairwise by [Sub] to
+   one root.  [rev] interns every level from its far end. *)
+let intern_dag ~base ~n ~rev =
+  let index m k = if rev then m - 1 - k else k in
+  let level = Array.make n E.tru in
+  for k = 0 to n - 1 do
+    let i = index n k in
+    level.(i) <- E.of_node (E.Int (base + i))
+  done;
+  let rec up level =
+    let m = Array.length level in
+    if m = 1 then level.(0)
+    else begin
+      let h = (m + 1) / 2 in
+      let next = Array.make h E.tru in
+      for k = 0 to h - 1 do
+        let j = index h k in
+        next.(j) <-
+          (if (2 * j) + 1 < m then
+             E.of_node (E.Sub (level.(2 * j), level.((2 * j) + 1)))
+           else level.(2 * j))
+      done;
+      up next
+    end
+  in
+  up level
+
+(* Two domains intern one 20,000-node DAG at once, in opposite orders:
+   each node is created once and both get the same root. *)
+let test_intern_domains () =
+  let n = 10_000 and base = (1 lsl 40) + (1 lsl 31) in
+  let before = E.n_created () in
+  let a = Domain.spawn (fun () -> intern_dag ~base ~n ~rev:false)
+  and b = Domain.spawn (fun () -> intern_dag ~base ~n ~rev:true) in
+  let ra = Domain.join a and rb = Domain.join b in
+  Alcotest.(check bool) "same root" true (ra == rb);
+  Alcotest.(check int) "each node created once" ((2 * n) - 1)
+    (E.n_created () - before)
+
 let test_bool_equality_iff () =
   let a = bvar "ia" and b = bvar "ib" in
   (* bool equality expands so the SAT core sees its structure *)
@@ -551,6 +636,10 @@ let suite =
     Alcotest.test_case "negation pushing" `Quick test_negation_pushing;
     Alcotest.test_case "or factoring/absorption" `Quick test_or_factoring;
     Alcotest.test_case "hash consing" `Quick test_hash_consing;
+    Alcotest.test_case "intern: 300k nodes across rehashes" `Quick
+      test_intern_rehash;
+    Alcotest.test_case "intern: nodes held weakly" `Quick test_intern_weak;
+    Alcotest.test_case "intern: two domains, one DAG" `Quick test_intern_domains;
     Alcotest.test_case "bool equality iff" `Quick test_bool_equality_iff;
     Alcotest.test_case "atoms and vars" `Quick test_atoms_vars;
     Alcotest.test_case "subst" `Quick test_subst;
