@@ -86,23 +86,6 @@ let build_seg log pta_of f =
     ~attrs:[ ("fn", f.Func.fname) ]
     (fun () -> build_seg log pta_of f)
 
-(* Force every variable's SMT symbol in program order.  [Var.symbol] is
-   lazy and the symbol registry assigns ids in creation order; forcing
-   them sequentially pins the id assignment to program order, so the
-   parallel phases that follow only ever read existing symbols.  Run
-   once before the transform (its points-to analysis reads branch
-   conditions, in SCC waves at [--jobs] > 1) and once after, for the
-   conduit variables it adds. *)
-let force_symbols (funcs : Func.t list) =
-  let force v = ignore (Pinpoint_ir.Var.symbol v) in
-  List.iter
-    (fun (f : Func.t) ->
-      List.iter force f.Func.params;
-      Func.iter_stmts f (fun _ s ->
-          List.iter force (Pinpoint_ir.Stmt.def s);
-          List.iter force (Pinpoint_ir.Stmt.uses s)))
-    funcs
-
 let empty_vfs () =
   let vfs = Hashtbl.create 8 in
   List.iter
@@ -128,7 +111,7 @@ type swept = { resummarised : int; summaries_changed : string list }
    — RV and VF from the members' retained SEGs, no SEG build — when a
    callee outside it changed its RV or VF entries earlier in this sweep,
    and skipped otherwise.  Each redone member's new entries are compared
-   with its old ones (RV modulo fresh ids, {!Rv.equal_entries}; VF
+   with its old ones (RV modulo renaming, {!Rv.equal_entries}; VF
    structurally) to mark what changed for its callers.  Decisions read
    only callee marks, and callees finish first, so they are the same at
    every [--jobs].
@@ -139,8 +122,9 @@ type swept = { resummarised : int; summaries_changed : string list }
    shared tables under the lock, and publishes its entries, marks and
    SEGs in one locked flush.  Store mode runs without the pool: one SCC's
    SEGs in flight keep the heap bounded by the store's LRU. *)
-let sweep_sccs ~resilience ?pool ?store graph (transform : Transform.result)
-    segs rv vfs ~retransformed sccs =
+let sweep ~resilience ?pool ?store graph (transform : Transform.result) ~segs
+    rv ~vfs ?retransformed sccs =
+  Obs.span "summary" @@ fun () ->
   let checkers = Array.of_list Checkers.all in
   let specs = Array.map Checker_spec.vf_spec checkers in
   let tables =
@@ -304,27 +288,6 @@ let sweep_sccs ~resilience ?pool ?store graph (transform : Transform.result)
     summaries_changed = Hashtbl.fold (fun name () acc -> name :: acc) changed [];
   }
 
-let sweep ~resilience ?pool ?store graph transform ~segs rv ~vfs
-    ?retransformed sccs =
-  Obs.span "seg.build.all" (fun () ->
-      (* Sequential prologue pinning allocation-ordered ids to program
-         order (the conduit variables' symbols, abstract heap addresses)
-         for the functions whose SEGs are rebuilt, and only those, in
-         definition order — after this, SEG builds are order-independent
-         and can run in any schedule. *)
-      let funcs =
-        Callgraph.in_order graph
-          (match retransformed with
-          | Some before -> Hashtbl.fold (fun name _ acc -> name :: acc) before []
-          | None ->
-            List.concat_map (List.map (fun (f : Func.t) -> f.Func.fname)) sccs)
-      in
-      force_symbols funcs;
-      Seg.reserve_addresses funcs);
-  Obs.span "summary" (fun () ->
-      sweep_sccs ~resilience ?pool ?store graph transform segs rv vfs
-        ~retransformed sccs)
-
 let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
   let resilience =
     match resilience with Some r -> r | None -> Resilience.create ()
@@ -344,7 +307,6 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
   let transform, tm =
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "transform" (fun () ->
-            force_symbols (Prog.functions prog);
             (* Store mode streams points-to results to the store per SCC,
                sequentially; [transform.ptas] stays empty. *)
             Transform.run ~resilience ?pool

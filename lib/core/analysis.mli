@@ -99,16 +99,13 @@ val sweep :
     [vfs]) of the functions in [sccs]: components of [graph] in bottom-up
     order.  An SCC's old entries are dropped just before it is
     redone; everything else is read as retained, so the result equals a
-    from-scratch sweep (DESIGN.md §4.5, §4.13).  A sequential prologue
-    ([seg.build.all]) pins the rebuilt functions' symbol ids and heap
-    addresses to [graph]'s definition order, visiting only those
-    functions; then, per SCC, the members' SEGs are
-    built from their PTAs ([seg.build] each), their RV entries computed
-    in member order, their VF entries in member order ([summary.vf]
-    each), and only then are the SEGs put in [segs] — or, with [store],
-    spilled, reading PTAs from the store too.  SEG, RV and VF work each
-    sit behind a per-function barrier.  With [pool] (no store) the SCCs
-    run as a batched bottom-up wave.
+    from-scratch sweep (DESIGN.md §4.5, §4.13).  Per SCC, the members'
+    SEGs are built from their PTAs ([seg.build] each), their RV entries
+    computed in member order, their VF entries in member order
+    ([summary.vf] each), and only then are the SEGs put in [segs] — or,
+    with [store], spilled, reading PTAs from the store too.  SEG, RV and
+    VF work each sit behind a per-function barrier.  With [pool] (no
+    store) the SCCs run as a batched bottom-up wave.
 
     Without [retransformed] every listed SCC is rebuilt and nothing is
     compared ({!prepare}).  With it (the analysis server) the sweep cuts
@@ -117,7 +114,7 @@ val sweep :
     one is rebuilt; an SCC with a callee outside it whose RV or VF
     entries changed earlier in the sweep is re-summarised from its
     retained SEGs; every other SCC is skipped.  Each redone member's
-    entries are compared with its old ones — RV modulo fresh ids
+    entries are compared with its old ones — RV modulo renaming
     ({!Pinpoint_summary.Rv.equal_entries}), VF structurally — and the
     result names those that changed. *)
 

@@ -702,7 +702,8 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
         reports = [];
         found_for_source = 0;
         steps_this_source = 0;
-        seen = Hashtbl.create 1024;
+        (* most sources take a handful of steps; the table grows *)
+        seen = Hashtbl.create 16;
         dedup = Hashtbl.create 16;
       }
     in

@@ -56,7 +56,7 @@ let terminate env term =
   end
 
 let temp env ty =
-  let name = Printf.sprintf "t%d" (Pinpoint_util.Id_gen.peek env.f.Func.vgen) in
+  let name = Printf.sprintf "t%d" (Var.count env.f.Func.vgen) in
   Var.make env.f.Func.vgen name ty
 
 let operand_ty_exn loc o =
@@ -358,9 +358,10 @@ let remove_unreachable (f : Func.t) =
     else f.Func.exit_ <- remap.(f.Func.exit_)
   end
 
-let lower_fdecl ?(groups = Hashtbl.create 0) sigs (fd : Ast.fdecl) : Func.t =
+let lower_fdecl ?(groups = Hashtbl.create 0) ~ordinal sigs (fd : Ast.fdecl) :
+    Func.t =
   (* Create the function and its parameter variables. *)
-  let f = Func.create fd.Ast.fname ~params:[] ~ret_ty:fd.Ast.ret in
+  let f = Func.create ~ordinal fd.Ast.fname ~params:[] ~ret_ty:fd.Ast.ret in
   let param_vars =
     List.map
       (fun (ty, name) -> Var.make f.Func.vgen ~kind:Var.Formal name ty)
@@ -438,9 +439,9 @@ let compile (p : Ast.program) : Prog.t =
   let sigs = func_sigs p in
   let groups = method_groups p in
   let prog = Prog.create () in
-  List.iter
-    (fun (fd : Ast.fdecl) ->
-      let f = lower_fdecl ~groups sigs fd in
+  List.iteri
+    (fun ordinal (fd : Ast.fdecl) ->
+      let f = lower_fdecl ~groups ~ordinal sigs fd in
       Prog.add prog ~unit_name:fd.Ast.unit_name f)
     p.Ast.funcs;
   prog
@@ -464,11 +465,12 @@ let compile_streams streams =
             Hashtbl.replace groups g (cur @ [ fd.Ast.fname ])
           | None -> ()))
     streams;
-  let prog = Prog.create () in
+  let prog = Prog.create () and ordinal = ref 0 in
   List.iter
     (fun stm ->
       Parser.iter_fdecls stm (fun (fd : Ast.fdecl) ->
-          let f = lower_fdecl ~groups sigs fd in
+          let f = lower_fdecl ~groups ~ordinal:!ordinal sigs fd in
+          incr ordinal;
           Prog.add prog ~unit_name:fd.Ast.unit_name f))
     streams;
   prog

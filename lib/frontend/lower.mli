@@ -25,15 +25,18 @@ val method_groups : Ast.program -> (string, string list) Hashtbl.t
 
 val lower_fdecl :
   ?groups:(string, string list) Hashtbl.t ->
+  ordinal:int ->
   (string, Ty_sig.t) Hashtbl.t ->
   Ast.fdecl ->
   Pinpoint_ir.Func.t
 (** Lower one function (the full per-function pipeline described above).
     [vcall] dispatch needs the [groups] table; it is lowered CHA-style
-    into a guarded chain of direct calls over an opaque selector. *)
+    into a guarded chain of direct calls over an opaque selector.
+    [ordinal] is its position in definition order, which names its
+    symbols and heap addresses: re-lowering passes the predecessor's. *)
 
 val compile : Ast.program -> Pinpoint_ir.Prog.t
-(** Lower a whole program. *)
+(** Lower a whole program, numbering its functions in definition order. *)
 
 val compile_string : ?file:string -> string -> Pinpoint_ir.Prog.t
 (** Parse and compile MC source text. *)

@@ -52,11 +52,6 @@ let build (prog : Prog.t) =
 
 let functions g = Array.to_list g.funcs
 
-let in_order g names =
-  List.filter_map (Hashtbl.find_opt g.index) names
-  |> List.sort_uniq Int.compare
-  |> List.map (Array.get g.funcs)
-
 let members g c = List.map (Array.get g.funcs) g.comps.(c)
 let sccs g = List.init (Array.length g.comps) (members g)
 

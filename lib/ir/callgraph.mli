@@ -20,10 +20,6 @@ val build : Prog.t -> t
 val functions : t -> Func.t list
 (** The nodes, in definition order. *)
 
-val in_order : t -> string list -> Func.t list
-(** The named functions in definition order, each once; unknown names are
-    skipped.  Costs the names given, not the program. *)
-
 val sccs : t -> Func.t list list
 (** The SCCs in bottom-up (callees-first) order, exactly
     {!Prog.bottom_up_sccs} of the program the graph describes. *)

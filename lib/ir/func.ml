@@ -4,22 +4,24 @@ type block = { bid : int; mutable stmts : Stmt.t list; mutable term : term }
 
 type t = {
   fname : string;
+  ordinal : int;
   mutable params : Var.t list;
   mutable ret_ty : Ty.t option;
-  vgen : Pinpoint_util.Id_gen.t;
+  vgen : Var.gen;
   sgen : Pinpoint_util.Id_gen.t;
   mutable blocks : block array;
   mutable entry : int;
   mutable exit_ : int;
 }
 
-let create fname ~params ~ret_ty =
+let create ~ordinal fname ~params ~ret_ty =
   let b0 = { bid = 0; stmts = []; term = Exit } in
   {
     fname;
+    ordinal;
     params;
     ret_ty;
-    vgen = Pinpoint_util.Id_gen.create ();
+    vgen = Var.gen ~ordinal;
     sgen = Pinpoint_util.Id_gen.create ();
     blocks = [| b0 |];
     entry = 0;
@@ -32,6 +34,7 @@ let add_block f =
   f.blocks <- Array.append f.blocks [| b |];
   b
 
+let generation f = Var.generation f.vgen
 let block f bid = f.blocks.(bid)
 let n_blocks f = Array.length f.blocks
 let set_term f bid t = f.blocks.(bid).term <- t
@@ -85,17 +88,6 @@ let return_stmt f =
 
 let n_stmts f = fold_stmts f ~init:0 ~f:(fun n _ _ -> n + 1)
 
-let def_site f v =
-  let found = ref None in
-  (try
-     iter_stmts f (fun _ s ->
-         if List.exists (Var.equal v) (Stmt.def s) then begin
-           found := Some s;
-           raise Found
-         end)
-   with Found -> ());
-  !found
-
 let def_table f =
   let tbl = Var.Tbl.create 64 in
   iter_stmts f (fun _ s -> List.iter (fun v -> Var.Tbl.replace tbl v s) (Stmt.def s));
@@ -105,27 +97,6 @@ let block_of_stmt f =
   let tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
   iter_stmts f (fun b s -> Hashtbl.replace tbl s.Stmt.sid b.bid);
   tbl
-
-let stmt_order f =
-  let g = cfg f in
-  let order = Array.make (max (Pinpoint_util.Id_gen.peek f.sgen) 1) 0 in
-  let topo =
-    match Pinpoint_util.Digraph.topo_sort g with
-    | Some o -> o
-    | None ->
-      (* Cyclic CFG (shouldn't happen after unrolling): fall back to RPO. *)
-      Array.to_list (Pinpoint_util.Digraph.reverse_post_order g f.entry)
-  in
-  let pos = ref 0 in
-  List.iter
-    (fun bid ->
-      List.iter
-        (fun s ->
-          order.(s.Stmt.sid) <- !pos;
-          incr pos)
-        f.blocks.(bid).stmts)
-    topo;
-  order
 
 let reaches f sid1 sid2 =
   let b_of = block_of_stmt f in

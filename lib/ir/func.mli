@@ -19,18 +19,25 @@ type block = {
 
 type t = {
   fname : string;
+  ordinal : int;
+      (** position in definition order; a re-lowered function keeps its
+          predecessor's *)
   mutable params : Var.t list;
   mutable ret_ty : Ty.t option;  (** [None] for void *)
-  vgen : Pinpoint_util.Id_gen.t;  (** variable id generator *)
+  vgen : Var.gen;  (** variable generator *)
   sgen : Pinpoint_util.Id_gen.t;  (** statement id generator *)
   mutable blocks : block array;
   mutable entry : int;
   mutable exit_ : int;
 }
 
-val create : string -> params:Var.t list -> ret_ty:Ty.t option -> t
+val create :
+  ordinal:int -> string -> params:Var.t list -> ret_ty:Ty.t option -> t
 (** A function with a fresh empty entry block (which is also the exit until
-    more blocks are added). *)
+    more blocks are added), the next generation at [ordinal]. *)
+
+val generation : t -> int
+(** How many functions this process created at its ordinal before. *)
 
 val add_block : t -> block
 val block : t -> int -> block
@@ -60,20 +67,11 @@ val return_stmt : t -> Stmt.t option
 
 val n_stmts : t -> int
 
-val def_site : t -> Var.t -> Stmt.t option
-(** The defining statement of an SSA variable ([None] for parameters).
-    Linear scan; use {!def_table} for bulk queries. *)
-
 val def_table : t -> Stmt.t Var.Tbl.t
 (** Map from SSA variable to its defining statement. *)
 
 val block_of_stmt : t -> (int, int) Hashtbl.t
 (** Map from sid to block id. *)
-
-val stmt_order : t -> int array
-(** [order.(sid)] gives a topological position for each statement such that
-    a statement that can execute before another (within the DAG CFG) has a
-    smaller position.  Used for intra-procedural ordering checks. *)
 
 val reaches : t -> int -> int -> bool
 (** [reaches f s1 s2]: can control flow from statement [s1] reach [s2]

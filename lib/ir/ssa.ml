@@ -88,7 +88,10 @@ let run (f : Func.t) =
     let n = Option.value (Var.Tbl.find_opt versions v) ~default:0 in
     Var.Tbl.replace versions v (n + 1);
     if n = 0 then v (* first definition keeps the original variable *)
-    else Var.with_version f.Func.vgen v n
+    else
+      Var.make f.Func.vgen ~kind:v.Var.kind
+        (Printf.sprintf "%s.%d" v.Var.name n)
+        v.Var.ty
   in
   let rename_operand o =
     match o with

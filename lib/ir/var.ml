@@ -11,49 +11,40 @@ and t = {
   name : string;
   ty : Ty.t;
   kind : kind;
-  mutable sym : Pinpoint_smt.Symbol.t option;
+  sym : Pinpoint_smt.Symbol.t;
 }
 
-let make gen ?(kind = Local) name ty =
-  { vid = Pinpoint_util.Id_gen.fresh gen; name; ty; kind; sym = None }
+type gen = {
+  ids : Pinpoint_util.Id_gen.t;
+  space : Pinpoint_smt.Symbol.space;
+  mutable vars : t array;  (** by vid *)
+}
 
-let with_version gen v version =
+let gen ~ordinal =
   {
-    vid = Pinpoint_util.Id_gen.fresh gen;
-    name = Printf.sprintf "%s.%d" v.name version;
-    ty = v.ty;
-    kind = v.kind;
-    sym = None;
+    ids = Pinpoint_util.Id_gen.create ();
+    space = Pinpoint_smt.Symbol.space ~ordinal;
+    vars = [||];
   }
 
-(* The lazy memoisation below is the one write to a [Var.t] after
-   construction, and segs of different functions can share vars (interface
-   clones), so two worker domains may race on it.  Double-checked locking
-   keeps the fast path allocation-free; [Analysis.prepare] additionally
-   pre-forces symbols in program order so ids stay deterministic. *)
-let sym_lock = Mutex.create ()
+let generation gen = Pinpoint_smt.Symbol.generation gen.space
+let count gen = Pinpoint_util.Id_gen.count gen.ids
+let of_vid gen vid = gen.vars.(vid)
 
-let symbol v =
-  match v.sym with
-  | Some s -> s
-  | None ->
-    Mutex.protect sym_lock (fun () ->
-        match v.sym with
-        | Some s -> s
-        | None ->
-          let s = Pinpoint_smt.Symbol.fresh v.name (Ty.sort v.ty) in
-          v.sym <- Some s;
-          s)
+let make gen ?(kind = Local) name ty =
+  let vid = Pinpoint_util.Id_gen.fresh gen.ids in
+  let sym = Pinpoint_smt.Symbol.make gen.space vid name (Ty.sort ty) in
+  let v = { vid; name; ty; kind; sym } in
+  if vid >= Array.length gen.vars then
+    gen.vars <- Array.append gen.vars (Array.make (vid + 1) v);
+  gen.vars.(vid) <- v;
+  v
 
+let symbol v = v.sym
 let term v = Pinpoint_smt.Expr.var (symbol v)
 let equal a b = a.vid = b.vid
 let compare a b = Int.compare a.vid b.vid
 let hash a = a.vid
-
-let is_aux v =
-  match v.kind with
-  | Aux_formal _ | Aux_return _ | Aux_actual _ | Aux_receiver _ -> true
-  | Local | Formal -> false
 
 let is_interface v =
   match v.kind with Formal | Aux_formal _ -> true | _ -> false

@@ -2,8 +2,9 @@
 
     Variables are per-function; ids are dense within one function.  After
     SSA construction each variable has exactly one defining statement.  A
-    variable lazily owns an SMT symbol of the matching sort, shared by all
-    formulas that mention it (this is what makes SEG conditions compact). *)
+    variable owns an SMT symbol of the matching sort, named by its place,
+    and shared by all formulas that mention it (this is what makes SEG
+    conditions compact). *)
 
 type kind =
   | Local       (** a source-level local or a lowering temporary *)
@@ -23,17 +24,28 @@ and t = private {
   name : string;
   ty : Ty.t;
   kind : kind;
-  mutable sym : Pinpoint_smt.Symbol.t option;
+  sym : Pinpoint_smt.Symbol.t;
 }
 
-val make : Pinpoint_util.Id_gen.t -> ?kind:kind -> string -> Ty.t -> t
-(** Allocate a fresh variable from the function's generator. *)
+type gen
+(** One lowered function's variables: their vid counter, symbol space
+    and table.  Single-owner, like {!Pinpoint_util.Id_gen}. *)
 
-val with_version : Pinpoint_util.Id_gen.t -> t -> int -> t
-(** SSA renaming: a copy of the variable named ["name.version"]. *)
+val gen : ordinal:int -> gen
+(** A new function's, the next generation at [ordinal]
+    ({!Pinpoint_smt.Symbol.space}). *)
+
+val generation : gen -> int
+val count : gen -> int
+(** Variables made so far: the next vid. *)
+
+val of_vid : gen -> int -> t
+
+val make : gen -> ?kind:kind -> string -> Ty.t -> t
+(** Allocate a fresh variable, with its symbol. *)
 
 val symbol : t -> Pinpoint_smt.Symbol.t
-(** The variable's SMT symbol (created on first use). *)
+(** The variable's SMT symbol. *)
 
 val term : t -> Pinpoint_smt.Expr.t
 (** [Expr.var (symbol v)]. *)
@@ -41,7 +53,6 @@ val term : t -> Pinpoint_smt.Expr.t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val is_aux : t -> bool
 val is_interface : t -> bool
 (** Formal or Aux_formal: a variable whose constraints are deferred to the
     caller (the "P" sets of §3.3.1). *)

@@ -34,7 +34,6 @@ type t = {
   use_tbl : use list Var.Tbl.t;
   def_tbl : Stmt.t Var.Tbl.t;
   block_of : (int, int) Hashtbl.t;
-  sym2var : (Sym.t, Var.t) Hashtbl.t;
   dd_memo : cres Var.Tbl.t;
   cd_block_memo : (int, cres) Hashtbl.t;
   mutable n_control_edges : int;
@@ -48,33 +47,16 @@ type t = {
 let func t = t.func
 let pta t = t.pta
 
-(* Globally distinct abstract addresses for allocation sites.  The table
-   is shared across functions (and thus across worker domains building
-   segs in parallel), so it is mutex-guarded; [reserve_addresses] lets the
-   driver assign the numbers in program order up front so they stay
-   deterministic under any schedule. *)
-let alloc_addrs : (string * int, int) Hashtbl.t = Hashtbl.create 256
-let alloc_next = ref 0
-let alloc_lock = Mutex.create ()
+(* An allocation site's abstract address, named by its place: distinct
+   per (function ordinal, sid) and far from zero. *)
+let sid_bits = 20
 
-let alloc_address fname sid =
-  Mutex.protect alloc_lock (fun () ->
-      match Hashtbl.find_opt alloc_addrs (fname, sid) with
-      | Some a -> a
-      | None ->
-        incr alloc_next;
-        let a = 1_000_000 + !alloc_next in
-        Hashtbl.add alloc_addrs (fname, sid) a;
-        a)
-
-let reserve_addresses (funcs : Func.t list) =
-  List.iter
-    (fun (f : Func.t) ->
-      Func.iter_stmts f (fun _blk s ->
-          match s.Stmt.kind with
-          | Stmt.Alloc _ -> ignore (alloc_address f.Func.fname s.Stmt.sid)
-          | _ -> ()))
-    funcs
+let alloc_address (f : Func.t) sid =
+  if sid >= 1 lsl sid_bits then
+    failwith
+      (Printf.sprintf "Seg: %s has more than 2^%d statements" f.Func.fname
+         sid_bits);
+  1_000_000 + (f.Func.ordinal lsl sid_bits) + sid
 
 let true_res = { f = E.tru; params = Var.Set.empty; recvs = [] }
 
@@ -100,8 +82,6 @@ let add_edge t src e =
   let cur = Option.value (Var.Tbl.find_opt t.pred e.dst) ~default:[] in
   Var.Tbl.replace t.pred e.dst ({ e with dst = src } :: cur)
 
-let register_sym t (v : Var.t) = Hashtbl.replace t.sym2var (Var.symbol v) v
-
 let build (f : Func.t) (pta : Pta.t) : t =
   let t =
     {
@@ -114,15 +94,12 @@ let build (f : Func.t) (pta : Pta.t) : t =
       use_tbl = Var.Tbl.create 64;
       def_tbl = Func.def_table f;
       block_of = Func.block_of_stmt f;
-      sym2var = Hashtbl.create 64;
       dd_memo = Var.Tbl.create 64;
       cd_block_memo = Hashtbl.create 16;
       n_control_edges = 0;
       lock = Mutex.create ();
     }
   in
-  List.iter (register_sym t) f.Func.params;
-  List.iter (fun (i : Pta.incoming) -> register_sym t i.Pta.ivar) pta.Pta.incomings;
   let uses = ref [] in
   let add_use u = uses := u :: !uses in
   let copy_of_operand dstv cond = function
@@ -134,8 +111,6 @@ let build (f : Func.t) (pta : Pta.t) : t =
     | _ -> ()
   in
   Func.iter_stmts f (fun _blk s ->
-      List.iter (register_sym t) (Stmt.def s);
-      List.iter (register_sym t) (Stmt.uses s);
       match s.Stmt.kind with
       | Stmt.Assign (v, o) -> copy_of_operand v E.tru o
       | Stmt.Phi (v, args) ->
@@ -274,18 +249,12 @@ let of_parts ~func:(f : Func.t) ~(pta : Pta.t) ~succs ~preds ~uses
       use_tbl = Var.Tbl.create 64;
       def_tbl = Func.def_table f;
       block_of = Func.block_of_stmt f;
-      sym2var = Hashtbl.create 64;
       dd_memo = Var.Tbl.create 64;
       cd_block_memo = Hashtbl.create 16;
       n_control_edges;
       lock = Mutex.create ();
     }
   in
-  List.iter (register_sym t) f.Func.params;
-  List.iter (fun (i : Pta.incoming) -> register_sym t i.Pta.ivar) pta.Pta.incomings;
-  Func.iter_stmts f (fun _blk s ->
-      List.iter (register_sym t) (Stmt.def s);
-      List.iter (register_sym t) (Stmt.uses s));
   List.iter (fun (src, es) -> Var.Tbl.replace t.succ src es) succs;
   List.iter (fun (dst, es) -> Var.Tbl.replace t.pred dst es) preds;
   List.iter
@@ -304,7 +273,13 @@ let preds t v = Option.value (Var.Tbl.find_opt t.pred v) ~default:[]
 let uses t = t.all_uses
 let uses_of t v = Option.value (Var.Tbl.find_opt t.use_tbl v) ~default:[]
 let def_of t v = Var.Tbl.find_opt t.def_tbl v
-let var_of_symbol t s = Hashtbl.find_opt t.sym2var s
+(* A symbol of this function's variables names one by its vid. *)
+let var_of_symbol t s =
+  match Sym.origin s with
+  | Sym.Place { ordinal; generation; vid }
+    when ordinal = t.func.Func.ordinal && generation = Func.generation t.func ->
+    Some (Var.of_vid t.func.Func.vgen vid)
+  | _ -> None
 
 (* --- DD and CD queries (§3.2.2) --- *)
 
@@ -366,7 +341,7 @@ and dd_uncached t (v : Var.t) : cres =
       | Stmt.Alloc _ ->
         {
           true_res with
-          f = E.eq vterm (E.int (alloc_address t.func.Func.fname s.Stmt.sid));
+          f = E.eq vterm (E.int (alloc_address t.func s.Stmt.sid));
         }
       | Stmt.Call c ->
         let ret_index =

@@ -122,18 +122,11 @@ val cd_stmt_split : t -> int -> Pinpoint_smt.Expr.t * cres
 
 val var_of_symbol : t -> Pinpoint_smt.Symbol.t -> Pinpoint_ir.Var.t option
 
-val alloc_address : string -> int -> int
-(** Distinct non-zero abstract address per allocation site
-    (function name, sid); lets the solver prove [malloc() != null] and
-    distinguish allocations.  Thread-safe (the table is shared across
-    functions); numbers are first-come, so parallel drivers should call
-    {!reserve_addresses} first to pin them in program order. *)
-
-val reserve_addresses : Pinpoint_ir.Func.t list -> unit
-(** Assign an abstract address to every allocation site of the given
-    functions, in program order.  Called once (sequentially) before segs
-    are built in parallel so addresses — which appear inside formulas —
-    are identical under any schedule and job count. *)
+val alloc_address : Pinpoint_ir.Func.t -> int -> int
+(** The abstract address of the allocation site at a statement id: a
+    non-zero constant derived from the function's ordinal and the sid, so
+    distinct per site and the same under any schedule.  It lets the solver
+    prove [malloc() != null] and distinguish allocations. *)
 
 val n_vertices : t -> int
 val n_edges : t -> int

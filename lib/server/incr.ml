@@ -20,7 +20,7 @@
 
    Both walks decide from callee marks only, and callees finish first, so
    the frontier is the same at every [--jobs], store on or off.  A kept
-   entry equals what a from-scratch run computes modulo fresh ids, which
+   entry equals what a from-scratch run computes modulo renaming, which
    is all the engine can observe.
 
    Structural changes — a function added, removed, re-ordered, moved to
@@ -262,7 +262,7 @@ let propagate st ~lower (edited : Func.t list) =
     Mutex.protect lock (fun () ->
         if Hashtbl.mem before f.Func.fname then f
         else begin
-          let f' = lower (Hashtbl.find st.fdecl_of f.Func.fname) in
+          let f' = lower f (Hashtbl.find st.fdecl_of f.Func.fname) in
           install f';
           later := f' :: !later;
           f'
@@ -398,9 +398,13 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
     end
     else begin
       (* Equal headers leave the resident signatures and method groups
-         as they are. *)
-      let lower fd = Lower.lower_fdecl ~groups:st.groups st.sigs fd in
-      let edited_fns = List.map lower seed in
+         as they are, and the functions at their ordinals: a re-lowered
+         function keeps the ordinal of the one it replaces. *)
+      let lower (was : Func.t) =
+        Lower.lower_fdecl ~groups:st.groups ~ordinal:was.Func.ordinal st.sigs
+      in
+      let was (fd : Ast.fdecl) = Option.get (Prog.find st.prog fd.Ast.fname) in
+      let edited_fns = List.map (fun fd -> lower (was fd) fd) seed in
       (* Mutation phase. *)
       record ();
       let retransformed, resummarised = propagate st ~lower edited_fns in

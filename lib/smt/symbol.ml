@@ -1,65 +1,140 @@
 type t = int
 type sort = Bool | Int
 
-(* The registry is global and written from every domain (SEG build forces
-   variable symbols, the engine's clone frames mint fresh ones), so
-   allocation is serialised by a mutex.  Readers don't take it: the arrays
-   are published through Atomic references, and a slot is written before
-   [next] admits its id — a reader holding a valid id always sees a fully
-   initialised slot through the same release/acquire pair. *)
-type registry = {
-  names : string array;
-  sorts : sort array;
-  bases : t array;  (** a clone's base symbol; [-1] for a plain symbol *)
+(* Bit 0 of an id is its sort.  A plain symbol (bit 60 clear) packs its
+   function's ordinal, that function's generation and the variable's vid,
+   most significant first; a registered one (bit 60 set: a clone or a
+   fresh symbol) packs its registration index. *)
+let vid_bits = 20
+let gen_bits = 19
+let registered = 1 lsl 60
+let bound = 1 lsl 61
+let sort s = if s land 1 = 0 then Bool else Int
+let sort_bit so = if so = Bool then 0 else 1
+
+let fits what bits v =
+  if v < 0 || v lsr bits <> 0 then
+    failwith (Printf.sprintf "Symbol: %s %d overflows %d bits" what v bits)
+
+(* A function's variable names by vid.  Only the domain that owns the
+   function writes them (the Id_gen rule); others read them after the
+   function is handed over. *)
+type space = {
+  ordinal : int;
+  generation : int;
+  mutable names : string array;
+  mutable n : int;
 }
 
-let registry cap =
-  { names = Array.make cap ""; sorts = Array.make cap Bool; bases = Array.make cap (-1) }
-
-let reg = Atomic.make (registry 1024)
-let next = ref 0
+(* [spaces.(o)]: ordinal [o]'s spaces, newest first.  Registration here
+   and below is serialised by [lock]; readers take no lock: arrays are
+   published through Atomics, and a slot is written before its symbol. *)
+let spaces : space list array Atomic.t = Atomic.make [||]
 let lock = Mutex.create ()
 
-let grow n =
-  let r = Atomic.get reg in
-  if n > Array.length r.names then begin
-    let r' = registry (max n (2 * Array.length r.names)) in
-    Array.blit r.names 0 r'.names 0 !next;
-    Array.blit r.sorts 0 r'.sorts 0 !next;
-    Array.blit r.bases 0 r'.bases 0 !next;
-    Atomic.set reg r'
-  end
-
-let alloc nm so ~base =
+let space ~ordinal =
+  fits "ordinal" 20 ordinal;
   Mutex.protect lock (fun () ->
-      grow (!next + 1);
-      let r = Atomic.get reg in
-      let id = !next in
-      r.names.(id) <- nm;
-      r.sorts.(id) <- so;
-      r.bases.(id) <- base;
-      incr next;
-      id)
+      let d = Atomic.get spaces in
+      let d =
+        if ordinal < Array.length d then d
+        else Array.append d (Array.make (ordinal + 1) [])
+      in
+      let generation =
+        match d.(ordinal) with [] -> 0 | sp :: _ -> sp.generation + 1
+      in
+      fits "generation" gen_bits generation;
+      let sp = { ordinal; generation; names = [||]; n = 0 } in
+      d.(ordinal) <- sp :: d.(ordinal);
+      Atomic.set spaces d;
+      sp)
 
-let fresh nm so = alloc nm so ~base:(-1)
-let name id = (Atomic.get reg).names.(id)
-let sort id = (Atomic.get reg).sorts.(id)
-let clone base tag = alloc (name base ^ "@" ^ tag) (sort base) ~base
-let count () = !next
+let generation sp = sp.generation
 
-(* A clone's id is minted in whatever order the engine's frames reach it,
-   which depends on the schedule at [--jobs] > 1; its printed form is its
-   interning key instead — its base's printed form, then ["@tag"], the
-   part of its name after its base's name — so output does not depend on
-   the schedule. *)
-let rec pp ppf id =
-  let r = Atomic.get reg in
-  let base = r.bases.(id) in
-  if base < 0 then Format.fprintf ppf "%s#%d" r.names.(id) id
+let of_place ~ordinal ~generation ~vid so =
+  (((((ordinal lsl gen_bits) lor generation) lsl vid_bits) lor vid) lsl 1)
+  lor sort_bit so
+
+let make sp vid nm so =
+  fits "vid" vid_bits vid;
+  if vid >= Array.length sp.names then
+    sp.names <- Array.append sp.names (Array.make (vid + 1) "");
+  sp.names.(vid) <- nm;
+  sp.n <- max sp.n (vid + 1);
+  of_place ~ordinal:sp.ordinal ~generation:sp.generation ~vid so
+
+(* Clones and fresh symbols: a fresh symbol's name or a clone's tag, and
+   a clone's base ([-1]: fresh).  The clone table never shrinks. *)
+type registry = { labels : string array; bases : t array }
+
+let reg = Atomic.make { labels = [||]; bases = [||] }
+let next = ref 0
+let clones : (t * string, t) Hashtbl.t = Hashtbl.create 256
+
+let register label so ~base =
+  let r = Atomic.get reg and i = !next in
+  let r =
+    if i < Array.length r.labels then r
+    else
+      {
+        labels = Array.append r.labels (Array.make (i + 1) "");
+        bases = Array.append r.bases (Array.make (i + 1) (-1));
+      }
+  in
+  r.labels.(i) <- label;
+  r.bases.(i) <- base;
+  Atomic.set reg r;
+  next := i + 1;
+  registered lor (i lsl 1) lor sort_bit so
+
+let fresh nm so = Mutex.protect lock (fun () -> register nm so ~base:(-1))
+
+let clone base tag =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt clones (base, tag) with
+      | Some c -> c
+      | None ->
+        let c = register tag (sort base) ~base in
+        Hashtbl.add clones (base, tag) c;
+        c)
+
+type origin =
+  | Place of { ordinal : int; generation : int; vid : int }
+  | Clone of t * string
+  | Fresh
+
+let index s = (s lxor registered) lsr 1
+
+let origin s =
+  if s < registered then
+    let place = s lsr (1 + vid_bits) in
+    Place
+      {
+        ordinal = place lsr gen_bits;
+        generation = place land ((1 lsl gen_bits) - 1);
+        vid = (s lsr 1) land ((1 lsl vid_bits) - 1);
+      }
   else
-    let nm = r.names.(id) and skip = String.length r.names.(base) in
-    Format.fprintf ppf "%a%s" pp base (String.sub nm skip (String.length nm - skip))
+    let r = Atomic.get reg and i = index s in
+    if r.bases.(i) < 0 then Fresh else Clone (r.bases.(i), r.labels.(i))
 
-let pp_sort ppf = function
-  | Bool -> Format.pp_print_string ppf "bool"
-  | Int -> Format.pp_print_string ppf "int"
+let rec name s =
+  match origin s with
+  | Place { ordinal; generation; vid } ->
+    let sp =
+      List.find (fun sp -> sp.generation = generation) (Atomic.get spaces).(ordinal)
+    in
+    sp.names.(vid)
+  | Clone (base, tag) -> name base ^ "@" ^ tag
+  | Fresh -> (Atomic.get reg).labels.(index s)
+
+let count () =
+  Array.fold_left (List.fold_left (fun n sp -> n + sp.n)) !next (Atomic.get spaces)
+
+(* A clone has no number of its own: its registration index depends on
+   the order frames are reached in, which depends on the schedule. *)
+let rec pp ppf s =
+  match origin s with
+  | Place { vid; _ } -> Format.fprintf ppf "%s#%d" (name s) vid
+  | Clone (base, tag) -> Format.fprintf ppf "%a@@%s" pp base tag
+  | Fresh -> Format.fprintf ppf "%s#%d" (name s) (index s)

@@ -10,8 +10,8 @@ let dropped_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let n_dropped () = !(Domain.DLS.get dropped_key)
 
 (* A linear expression: map from variable key to rational coefficient, plus
-   a constant.  Variable keys are Symbol ids for integer variables, and
-   synthetic keys for uninterpreted (non-linear / boolean-valued) terms. *)
+   a constant.  Variable keys are symbol ids, and synthetic keys for
+   uninterpreted (non-linear / boolean-valued) terms. *)
 module IMap = Map.Make (Int)
 
 type lin = { coeffs : Rat.t IMap.t; const : Rat.t }
@@ -38,14 +38,14 @@ let lsub a b = ladd a (lneg b)
 let lvar key = { coeffs = IMap.singleton key Rat.one; const = Rat.zero }
 let is_const l = IMap.is_empty l.coeffs
 
-(* Uninterpreted-term keys live above the symbol id space.  The intern
-   table is global (shared by concurrent solver queries), so it is guarded
-   by a mutex.  Key values are first-come and thus schedule-dependent; they
-   only order map traversals (pivot selection), which cannot change a
-   decided verdict — elimination is complete on the linear fragment. *)
+(* Uninterpreted-term keys live from [Symbol.bound] up, clear of every
+   symbol id.  The intern table is global (shared by concurrent solver
+   queries), so it is guarded by a mutex.  Key values are first-come and
+   thus schedule-dependent; they only order map traversals (pivot
+   selection), which cannot change a decided verdict — elimination is
+   complete on the linear fragment. *)
 let ut_table : (int * int, int) Hashtbl.t = Hashtbl.create 64
 let ut_next = ref 0
-let ut_base = 1 lsl 40
 let ut_lock = Mutex.create ()
 
 let ut_key a b =
@@ -54,21 +54,16 @@ let ut_key a b =
       match Hashtbl.find_opt ut_table k with
       | Some id -> id
       | None ->
-        let id = ut_base + !ut_next in
+        let id = Symbol.bound + !ut_next in
         incr ut_next;
         Hashtbl.add ut_table k id;
         id)
-
-(* Boolean variables appearing in arithmetic position get their own key
-   space (cannot happen with well-sorted input, but be safe). *)
-let bool_key v = (1 lsl 41) + v
 
 (* Convert an integer-sorted expression to a linear form. *)
 let rec lin_of (e : Expr.t) : lin =
   match e.node with
   | Expr.Int n -> lconst (Rat.of_int n)
-  | Expr.Var v ->
-    if Symbol.sort v = Symbol.Int then lvar v else lvar (bool_key v)
+  | Expr.Var v -> lvar v (* an id carries its sort: bools key apart *)
   | Expr.Add (a, b) -> ladd (lin_of a) (lin_of b)
   | Expr.Sub (a, b) -> lsub (lin_of a) (lin_of b)
   | Expr.Neg a -> lneg (lin_of a)

@@ -1,5 +1,6 @@
 open Pinpoint_ir
 module E = Pinpoint_smt.Expr
+module Sym = Pinpoint_smt.Symbol
 module Cell = Pinpoint_pta.Cell
 module Pta = Pinpoint_pta.Pta
 module Seg = Pinpoint_seg.Seg
@@ -8,9 +9,9 @@ module Vf = Pinpoint_summary.Vf
 
 type env = {
   funcs : (string, Func.t) Hashtbl.t;
-  vars : (string, (int, Var.t) Hashtbl.t) Hashtbl.t;
-      (* the (fname, vid) -> resident Var.t catalog; filled by the
-         register walkers at encode time, consulted at decode time *)
+  first_gen : (int, int) Hashtbl.t;
+      (* ordinal -> the generation of the first function registered there;
+         symbols store their generation relative to it *)
   expr_bank : (int, int * int) Hashtbl.t; (* expr id -> blob extent *)
   expr_cache : (int, E.t) Hashtbl.t;      (* blob offset -> decoded expr *)
   rows : Intern.t;
@@ -25,7 +26,7 @@ type stats = { row : Intern.stats; expr_hits : int; expr_misses : int }
 let create_env ~append ~fetch =
   {
     funcs = Hashtbl.create 256;
-    vars = Hashtbl.create 256;
+    first_gen = Hashtbl.create 256;
     expr_bank = Hashtbl.create 4096;
     expr_cache = Hashtbl.create 4096;
     rows = Intern.create ();
@@ -35,7 +36,10 @@ let create_env ~append ~fetch =
     fetch;
   }
 
-let register_func env (f : Func.t) = Hashtbl.replace env.funcs f.Func.fname f
+let register_func env (f : Func.t) =
+  Hashtbl.replace env.funcs f.Func.fname f;
+  if not (Hashtbl.mem env.first_gen f.Func.ordinal) then
+    Hashtbl.add env.first_gen f.Func.ordinal (Func.generation f)
 
 let stats env =
   { row = Intern.stats env.rows; expr_hits = env.expr_hits; expr_misses = env.expr_misses }
@@ -45,31 +49,46 @@ let func_of env fname =
   | Some f -> f
   | None -> invalid_arg ("Codec: unregistered function " ^ fname)
 
-let var_catalog env fname =
-  match Hashtbl.find_opt env.vars fname with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.replace env.vars fname tbl;
-    tbl
-
-let register_var env fname (v : Var.t) =
-  Hashtbl.replace (var_catalog env fname) v.Var.vid v
-
-let var_of env fname vid =
-  match Hashtbl.find_opt (var_catalog env fname) vid with
-  | Some v -> v
-  | None ->
-    invalid_arg (Printf.sprintf "Codec: unknown variable %s/#%d" fname vid)
+(* A variable is stored as its vid and decodes to the resident [Var.t]
+   of the function registered under its name. *)
+let var_of env fname vid = Var.of_vid (func_of env fname).Func.vgen vid
 
 (* --- formulas ------------------------------------------------------ *)
+
+(* A symbol is stored by its place, never by its id: a program variable
+   as its function's ordinal, its generation relative to the first one
+   registered there, and its vid with its sort; a clone as its base and
+   its tag.  So the bytes depend on the program alone. *)
+let rec enc_sym env a (s : Sym.t) =
+  match Sym.origin s with
+  | Sym.Place { ordinal; generation; vid } ->
+    let sort = if Sym.sort s = Sym.Int then 1 else 0 in
+    let generation = generation - Hashtbl.find env.first_gen ordinal in
+    List.iter (Arena.push a) [ 0; ordinal; generation; (vid lsl 1) lor sort ]
+  | Sym.Clone (base, tag) ->
+    Arena.push a 1;
+    enc_sym env a base;
+    Arena.push_str a tag
+  | Sym.Fresh -> invalid_arg "Codec: a fresh symbol has no place"
+
+let rec dec_sym env c : Sym.t =
+  match Arena.read c with
+  | 0 ->
+    let ordinal = Arena.read c in
+    let generation = Hashtbl.find env.first_gen ordinal + Arena.read c in
+    let v = Arena.read c in
+    Sym.of_place ~ordinal ~generation ~vid:(v lsr 1)
+      (if v land 1 = 1 then Sym.Int else Sym.Bool)
+  | _ ->
+    let base = dec_sym env c in
+    Sym.clone base (Arena.read_str c)
 
 (* A banked formula is one record: its node DAG in dependency order,
    children as local indices.  Bottom-up re-interning through
    [E.of_node] returns the canonical hash-consed nodes, so decode(encode
    e) == e (physical equality). *)
 
-let enc_expr_record (e : E.t) : bytes =
+let enc_expr_record env (e : E.t) : bytes =
   let a = Arena.create () in
   let memo = Hashtbl.create 16 in
   let count = ref 0 in
@@ -83,7 +102,7 @@ let enc_expr_record (e : E.t) : bytes =
         | E.True -> `T 0
         | E.False -> `T 1
         | E.Int v -> `I (2, v)
-        | E.Var s -> `I (3, (s :> int))
+        | E.Var s -> `S s
         | E.Not c -> `U (4, node_of c)
         | E.And (x, y) -> `B (5, node_of x, node_of y)
         | E.Or (x, y) -> `B (6, node_of x, node_of y)
@@ -101,6 +120,9 @@ let enc_expr_record (e : E.t) : bytes =
       | `I (tag, v) ->
         Arena.push a tag;
         Arena.push a v
+      | `S s ->
+        Arena.push a 3;
+        enc_sym env a s
       | `U (tag, c) ->
         Arena.push a tag;
         Arena.push a c
@@ -116,7 +138,7 @@ let enc_expr_record (e : E.t) : bytes =
   ignore (node_of e);
   Arena.to_bytes a
 
-let dec_expr_record (b : bytes) : E.t =
+let dec_expr_record env (b : bytes) : E.t =
   let c = Arena.of_bytes b in
   let nodes = ref [] in
   let n = ref 0 in
@@ -140,7 +162,7 @@ let dec_expr_record (b : bytes) : E.t =
       | 0 -> E.tru
       | 1 -> E.fls
       | 2 -> E.of_node (E.Int (Arena.read c))
-      | 3 -> E.of_node (E.Var (Arena.read c))
+      | 3 -> E.of_node (E.Var (dec_sym env c))
       | 4 -> E.of_node (E.Not (get (Arena.read c)))
       | 5 ->
         let x = get (Arena.read c) in
@@ -177,8 +199,9 @@ let dec_expr_record (b : bytes) : E.t =
   if !n = 0 then invalid_arg "Codec: empty expr record";
   get (!n - 1)
 
-(* Inline form inside arenas: trivial formulas are stored in place,
-   anything else as a banked extent (memoized per hash-cons id). *)
+(* Inline form inside arenas: trivial formulas — constants and program
+   variables — are stored in place, anything else (a clone too, whose tag
+   is a string) as a banked extent (memoized per hash-cons id). *)
 let enc_expr env a (e : E.t) =
   match e.E.node with
   | E.True -> Arena.push a 0
@@ -186,9 +209,9 @@ let enc_expr env a (e : E.t) =
   | E.Int v ->
     Arena.push a 2;
     Arena.push a v
-  | E.Var s ->
+  | E.Var s when (match Sym.origin s with Sym.Place _ -> true | _ -> false) ->
     Arena.push a 3;
-    Arena.push a (s :> int)
+    enc_sym env a s
   | _ ->
     let off, len =
       match Hashtbl.find_opt env.expr_bank e.E.id with
@@ -196,7 +219,7 @@ let enc_expr env a (e : E.t) =
         env.expr_hits <- env.expr_hits + 1;
         extent
       | None ->
-        let b = enc_expr_record e in
+        let b = enc_expr_record env e in
         let off = env.append b in
         let extent = (off, Bytes.length b) in
         env.expr_misses <- env.expr_misses + 1;
@@ -212,14 +235,14 @@ let dec_expr env c =
   | 0 -> E.tru
   | 1 -> E.fls
   | 2 -> E.of_node (E.Int (Arena.read c))
-  | 3 -> E.of_node (E.Var (Arena.read c))
+  | 3 -> E.of_node (E.Var (dec_sym env c))
   | 4 -> (
     let off = Arena.read c in
     let len = Arena.read c in
     match Hashtbl.find_opt env.expr_cache off with
     | Some e -> e
     | None ->
-      let e = dec_expr_record (env.fetch ~off ~len) in
+      let e = dec_expr_record env (env.fetch ~off ~len) in
       Hashtbl.replace env.expr_cache off e;
       e)
   | t -> invalid_arg (Printf.sprintf "Codec: bad inline expr tag %d" t)
@@ -263,46 +286,14 @@ let dec_operand env fname c : Stmt.operand =
   | t -> invalid_arg (Printf.sprintf "Codec: bad operand tag %d" t)
 
 (* A row: a standalone arena serialised and interned by content.  Rows
-   never contain strings (extents, vids, sids, tags only), so identical
-   structure means identical bytes even across functions. *)
+   never contain strings (extents, vids, sids, tags and program-variable
+   symbols only), so identical structure means identical bytes. *)
 let put_row env (a : Arena.t) : int * int =
   Intern.put env.rows ~append:env.append (Arena.to_bytes a)
 
 let fetch_row env ~off ~len = Arena.of_bytes (env.fetch ~off ~len)
 
 (* --- PTA artifacts -------------------------------------------------- *)
-
-let register_operand env fname (o : Stmt.operand) =
-  match o with Stmt.Ovar v -> register_var env fname v | _ -> ()
-
-let register_cell env fname (cell : Cell.t) =
-  match cell with
-  | Cell.CDeref v -> register_var env fname v
-  | Cell.CAlloc _ -> ()
-
-let register_pta env (pta : Pta.t) =
-  let fname = (pta.Pta.func).Func.fname in
-  Var.Tbl.iter
-    (fun owner entries ->
-      register_var env fname owner;
-      List.iter (fun (cell, _) -> register_cell env fname cell) entries)
-    pta.Pta.pts;
-  Hashtbl.iter
-    (fun _sid entries ->
-      List.iter
-        (fun (e : Pta.entry) -> register_operand env fname e.Pta.value)
-        entries)
-    pta.Pta.load_res;
-  Hashtbl.iter
-    (fun _sid cells ->
-      List.iter (fun (cell, _) -> register_cell env fname cell) cells)
-    pta.Pta.store_tgts;
-  List.iter
-    (fun (i : Pta.incoming) ->
-      register_var env fname i.Pta.ivar;
-      register_var env fname i.Pta.root)
-    pta.Pta.incomings;
-  List.iter (fun (cell, _, _) -> register_cell env fname cell) pta.Pta.freed_cells
 
 let enc_cond_cells env (a : Arena.t) cells =
   Arena.push_list a
@@ -318,7 +309,6 @@ let dec_cond_cells env fname c =
       (cell, cond))
 
 let enc_pta env (pta : Pta.t) : bytes =
-  register_pta env pta;
   let fname = (pta.Pta.func).Func.fname in
   let a = Arena.create ~cap:256 () in
   Arena.push_str a fname;
@@ -441,18 +431,7 @@ let dec_pta env (b : bytes) : Pta.t =
 
 (* --- SEG artifacts -------------------------------------------------- *)
 
-let register_seg env (seg : Seg.t) =
-  let fname = (Seg.func seg).Func.fname in
-  let reg_adj () v (es : Seg.edge list) =
-    register_var env fname v;
-    List.iter (fun (e : Seg.edge) -> register_var env fname e.Seg.dst) es
-  in
-  Seg.fold_succs seg ~init:() ~f:reg_adj;
-  Seg.fold_preds seg ~init:() ~f:reg_adj;
-  List.iter (fun (u : Seg.use) -> register_var env fname u.Seg.uvar) (Seg.uses seg)
-
 let enc_seg env (seg : Seg.t) : bytes =
-  register_seg env seg;
   let fname = (Seg.func seg).Func.fname in
   let a = Arena.create ~cap:256 () in
   Arena.push_str a fname;
@@ -542,17 +521,7 @@ let dec_seg env ~(pta : Pta.t) (b : bytes) : Seg.t =
 
 (* --- RV artifacts --------------------------------------------------- *)
 
-let register_rv env fname (entries : Rv.entry option array) =
-  Array.iter
-    (function
-      | Some (e : Rv.entry) ->
-        register_var env fname e.Rv.var;
-        Var.Set.iter (register_var env fname) e.Rv.params
-      | None -> ())
-    entries
-
 let enc_rv env fname (entries : Rv.entry option array) : bytes =
-  register_rv env fname entries;
   let a = Arena.create () in
   Arena.push_str a fname;
   Arena.push a (Array.length entries);

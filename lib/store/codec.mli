@@ -6,13 +6,14 @@
 
     - variables are per-function with dense [vid]s, so [(fname, vid)]
       names a variable stably; decode returns the {e original resident}
-      [Var.t] from a catalog filled at encode time, preserving the
-      lazily-allocated SMT symbol identity;
+      [Var.t] of the function registered under [fname];
     - statements have dense per-function [sid]s;
     - formulas are hash-consed, so a stored node DAG re-interned
       bottom-up via {!Pinpoint_smt.Expr.of_node} yields physically
       identical expressions — reports stay byte-identical;
-    - SMT symbols are process-global ints and are stored directly.
+    - SMT symbols are stored by place, never by id (a clone as its base
+      and tag), so blob bytes depend on the program alone, and a symbol
+      decodes to the same id after an edit re-lowers its function.
 
     Repetition is exploited twice: whole formulas are banked once per
     hash-cons id, and serialised rows (points-to rows, SEG adjacency
@@ -28,6 +29,8 @@ val create_env :
     back.  Both are called re-entrantly from encode/decode. *)
 
 val register_func : env -> Pinpoint_ir.Func.t -> unit
+(** Make a function decodable by name.  Symbols store their generation
+    relative to the first function registered at their ordinal. *)
 
 type stats = {
   row : Intern.stats;          (** row-level dedup *)

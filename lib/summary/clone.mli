@@ -8,15 +8,16 @@
     consistent.
 
     Unbound-fallback clones are additionally interned process-wide by
-    (base symbol, frame tag): frames created with the same tag mint the
-    same clone symbols, making closed summaries and path conditions
-    deterministic functions of path structure.  So a condition or summary
-    is structurally the same formula on every run, at every [--jobs]
-    level, and in a served run as in a batch one.  Tags must therefore
-    uniquely identify a substitution context (the engine embeds call-site
-    ids / per-condition counters in them); explicit {!bind}ings remain
-    per-frame and are never interned.  The intern table never shrinks:
-    it holds one entry per (base symbol, tag) pair ever cloned. *)
+    (base symbol, frame tag) ({!Pinpoint_smt.Symbol.clone}): frames
+    created with the same tag mint the same clone symbols, making closed
+    summaries and path conditions deterministic functions of path
+    structure.  So a condition or summary is structurally the same
+    formula on every run, at every [--jobs] level, and in a served run as
+    in a batch one.  Tags must therefore uniquely identify a substitution
+    context (the engine embeds call-site ids / per-condition counters in
+    them); explicit {!bind}ings remain per-frame and are never interned.
+    A re-lowered function's symbols are a new generation, so their
+    clones are new too. *)
 
 type t
 

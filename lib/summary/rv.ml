@@ -118,12 +118,12 @@ let summarise t ~lookup seg =
          ops)
   | _ -> [||]
 
-(* Equality modulo fresh ids (DESIGN.md §4.13).  A re-lowered function
-   has fresh symbols, and distinct symbols may share a name, so entries
-   compare under one symbol bijection for the whole array: seeded with the
-   formals by position and with each entry's [var], extended at every
-   symbol pair the walk meets, and requiring equal names and sorts.  The
-   walk goes over both formulas in lockstep, memoised on node pairs:
+(* Equality modulo renaming (DESIGN.md §4.13).  A re-lowered function is
+   a new generation of symbols, and distinct symbols may share a name, so
+   entries compare under one symbol bijection for the whole array: seeded
+   with the formals by position and with each entry's [var], extended at
+   every symbol pair the walk meets, and requiring equal names and sorts.
+   The walk goes over both formulas in lockstep, memoised on node pairs:
    formulas are hash-consed DAGs, and a tree walk could blow up. *)
 let equal_entries ((f : Func.t), (a : entry option array))
     ((g : Func.t), (b : entry option array)) =

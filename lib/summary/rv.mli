@@ -85,7 +85,7 @@ val equal_entries :
   Pinpoint_ir.Func.t * entry option array ->
   bool
 (** [equal_entries (f, a) (g, b)]: the entries [a] of [f] and [b] of [g]
-    (one function before and after an edit) are equal modulo fresh ids.
+    (one function before and after an edit) are equal modulo renaming.
     One bijection between their symbols covers the whole array: seeded
     with [f]'s and [g]'s formals by position and with each entry's [var],
     extended wherever the formulas meet, and admitting only pairs with the

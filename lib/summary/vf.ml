@@ -36,7 +36,7 @@ let fctx seg =
       match s.Stmt.kind with
       | Stmt.Call c -> Hashtbl.replace calls s.Stmt.sid c
       | _ -> ());
-  let n_vars = Pinpoint_util.Id_gen.peek f.Func.vgen in
+  let n_vars = Var.count f.Func.vgen in
   { seg; calls; seen = Array.make n_vars 0; stamp = 0 }
 
 (* Mark [v] visited; false if it already was. *)

@@ -174,7 +174,7 @@ let random_cfg =
 
 let func_of_cfg (perm, ts) =
   let n = Array.length perm in
-  let f = Func.create "rand" ~params:[] ~ret_ty:None in
+  let f = Func.create ~ordinal:0 "rand" ~params:[] ~ret_ty:None in
   for _ = 2 to n do
     ignore (Func.add_block f)
   done;
@@ -310,7 +310,7 @@ let test_recursion_scc () =
   Alcotest.(check int) "two members" 2 (List.length (List.hd sccs))
 
 let test_validate_catches () =
-  let f = Func.create "bad" ~params:[] ~ret_ty:None in
+  let f = Func.create ~ordinal:0 "bad" ~params:[] ~ret_ty:None in
   Func.set_term f 0 (Func.Jump 99);
   (match Func.validate f with
   | Error _ -> ()
@@ -338,8 +338,8 @@ let test_alloc_sites_distinct () =
   in
   Alcotest.(check int) "two sites" 2 (List.length sites);
   Alcotest.(check bool) "distinct addresses" true
-    (Pinpoint_seg.Seg.alloc_address "f" (List.nth sites 0)
-    <> Pinpoint_seg.Seg.alloc_address "f" (List.nth sites 1))
+    (Pinpoint_seg.Seg.alloc_address f (List.nth sites 0)
+    <> Pinpoint_seg.Seg.alloc_address f (List.nth sites 1))
 
 
 (* The patched call graph equals a from-scratch build after every body
@@ -449,7 +449,7 @@ let patched_graph_is_from_scratch =
                        (emit_fn k bodies.(k)))
                       .Pinpoint_frontend.Ast.funcs
                 in
-                let f = Pinpoint_frontend.Lower.lower_fdecl sigs fd in
+                let f = Pinpoint_frontend.Lower.lower_fdecl ~ordinal:k sigs fd in
                 cur.(k) <- f;
                 f :: acc)
               edited []

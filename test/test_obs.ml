@@ -672,29 +672,10 @@ let test_query_profile () =
 (* Observability cannot change the analysis *)
 
 let test_report_identity () =
-  (* SMT symbol ids ([#99]) are a process-global counter, so two separate
-     compilations of the same source never share them; strip them before
-     comparing — everything else must match byte for byte. *)
-  let strip_ids s =
-    let b = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    while !i < n do
-      if s.[!i] = '#' then begin
-        incr i;
-        while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do incr i done
-      end
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents b
-  in
+  (* Two separate compilations of the same source print the same symbols
+     (name and vid), so the renders must match byte for byte. *)
   let fmt_reports rs =
-    strip_ids
-      (String.concat "\n"
-         (List.map (Pinpoint_util.Pp.to_string Pinpoint.Report.pp) rs))
+    String.concat "\n" (List.map (Pinpoint_util.Pp.to_string Pinpoint.Report.pp) rs)
   in
   Obs.reset ();
   Obs.set_level Obs.Off;

@@ -358,42 +358,17 @@ let check_ragged_determinism ~jobs () =
 
 (* The verbose render — value-flow path and trigger hint, with its
    symbols — is schedule-independent too: clone symbols print by their
-   interning key, program symbols by ids pinned in program order.  Symbol
-   ids are process-wide, so each run's ids are rebased on the registry
-   size before it. *)
+   interning key, program symbols by name and vid. *)
 let verbose_render pool src =
-  let base = Pinpoint_smt.Symbol.count () in
   let a = Pinpoint.Analysis.prepare_source ?pool ~file:"taint.mc" src in
-  let render =
-    String.concat ""
-      (List.concat_map
-         (fun spec ->
-           let reports, _ = Pinpoint.Analysis.check a spec in
-           List.map
-             (Format.asprintf "%a" Pinpoint.Report.pp)
-             (List.filter Pinpoint.Report.is_reported reports))
-         Pinpoint.Checkers.all)
-  in
-  let buf = Buffer.create (String.length render) in
-  let n = String.length render in
-  let rec go i =
-    if i < n then
-      if render.[i] = '#' then begin
-        let j = ref (i + 1) in
-        while !j < n && render.[!j] >= '0' && render.[!j] <= '9' do incr j done;
-        Buffer.add_char buf '#';
-        if !j > i + 1 then
-          Buffer.add_string buf
-            (string_of_int (int_of_string (String.sub render (i + 1) (!j - i - 1)) - base));
-        go !j
-      end
-      else begin
-        Buffer.add_char buf render.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents buf
+  String.concat ""
+    (List.concat_map
+       (fun spec ->
+         let reports, _ = Pinpoint.Analysis.check a spec in
+         List.map
+           (Format.asprintf "%a" Pinpoint.Report.pp)
+           (List.filter Pinpoint.Report.is_reported reports))
+       Pinpoint.Checkers.all)
 
 let test_verbose_determinism () =
   List.iter

@@ -128,11 +128,10 @@ let add_function chunks ~chunk =
 
 (* ---------- batch vs server ---------- *)
 
-let render_reports reports =
-  List.map Pinpoint.Report.one_line
-    (List.filter Pinpoint.Report.is_reported reports)
+let render_reports ?(render = Pinpoint.Report.one_line) reports =
+  List.map render (List.filter Pinpoint.Report.is_reported reports)
 
-let batch_renders ?pool files (spec : Pinpoint.Checker_spec.t) =
+let batch_reports ?pool files (spec : Pinpoint.Checker_spec.t) =
   let fds =
     List.concat_map
       (fun (n, c) -> (Parser.parse_string ~file:n c).Ast.funcs)
@@ -140,12 +139,10 @@ let batch_renders ?pool files (spec : Pinpoint.Checker_spec.t) =
   in
   let prog = Lower.compile { Ast.funcs = fds } in
   let a = Pinpoint.Analysis.prepare ?pool prog in
-  let reports, _ = Pinpoint.Analysis.check a spec in
-  render_reports reports
+  fst (Pinpoint.Analysis.check a spec)
 
-let server_renders st spec =
-  let reports, _ = Incr.check st spec in
-  render_reports reports
+let batch_renders ?pool files spec = render_reports (batch_reports ?pool files spec)
+let server_renders st spec = render_reports (fst (Incr.check st spec))
 
 let checkers_under_test =
   [ Pinpoint.Checkers.use_after_free; Pinpoint.Checkers.double_free ]
@@ -250,11 +247,12 @@ let test_edit_cost_is_the_cone () =
     (large <= 2.0 *. small)
 
 (* Per-edit memory: flip one literal back and forth 40 times, checking
-   with every checker after each edit.  The symbol registry never
-   shrinks (a re-lowered function mints fresh symbols, and each re-run
-   search its clones), but it grows by the same amount on every edit;
-   every resident table, each memo and its footprint index are the same
-   size after the soak as after the first cycle. *)
+   with every checker after each edit.  Symbols are never freed (a
+   re-lowered function is a new generation with new symbols, and each
+   re-run search mints its clones), but their number grows by the same
+   amount on every edit; every resident table, each memo and its
+   footprint index are the same size after the soak as after the first
+   cycle. *)
 let test_edit_soak () =
   let chunks = split_subject 4 (subject ~seed:23 ~loc:600 ()) in
   let st = Incr.load (contents_of chunks) in
@@ -289,6 +287,68 @@ let test_edit_soak () =
   Alcotest.(check (list (pair string int)))
     "resident tables, memos and index after 40 edits = after the first cycle"
     !after_cycle (Incr.table_sizes st)
+
+(* Do not alias: an edit re-lowers [f] at its ordinal as a new
+   generation, so the edited body's variables are new symbols, and so are
+   their clones.  Two things would go wrong if it reused the old ids:
+   - a summary the cutoff keeps mentions a callee's variables through
+     clones tagged by the call site (an RV frame tag such as [f_s1]); the
+     old and the new clone of [x] would be one variable, and the query
+     below — the retained clone at one value, the edited body's at
+     another — unsatisfiable;
+   - the edited body's variables and clones would share the formula
+     nodes interned for the old body's, whose structural ranks hash the
+     old names, so the path condition would come out in another
+     canonical order, one where the refinement (DESIGN.md §4.17) no
+     longer removes the nonlinear trap that a fresh analysis removes. *)
+let test_edit_never_aliases () =
+  let module E = Pinpoint_smt.Expr in
+  let module Func = Pinpoint_ir.Func in
+  let before =
+    {|void f(int *p, int x) {
+  int *q = malloc();
+  *q = x;
+  free(q);
+  print(*q);
+}
+|}
+  and trap =
+    {|void f(int *p, int x) {
+  int y = x * x;
+  bool neg = y < 0;
+  if (neg) { free(p); }
+  print(*p);
+}
+|}
+  in
+  let uaf = Pinpoint.Checkers.use_after_free in
+  let st = Incr.load [ ("a.mc", before) ] in
+  Alcotest.(check int) "before: one use-after-free" 1
+    (List.length (server_renders st uaf));
+  let f () = Option.get (Prog.find (Incr.program st) "f") in
+  let clone_of_x (f : Func.t) =
+    Pinpoint_summary.Clone.subst_var
+      (Pinpoint_summary.Clone.create "f_s1")
+      (List.nth f.Func.params 1)
+  in
+  let was = f () in
+  let retained = E.eq (clone_of_x was) (E.int 1) in
+  let stats = Incr.update st [ ("a.mc", trap) ] in
+  Alcotest.(check (pair bool int))
+    "f re-lowered, incrementally" (false, 1)
+    (stats.Incr.full_rebuild, stats.Incr.retransformed);
+  let now = f () in
+  Alcotest.(check (pair int int))
+    "same ordinal, next generation"
+    (was.Func.ordinal, Func.generation was + 1)
+    (now.Func.ordinal, Func.generation now);
+  Alcotest.(check bool)
+    "a retained clone and the edited body's are distinct variables" true
+    (Pinpoint_smt.Solver.check
+       (E.and_ retained (E.eq (clone_of_x now) (E.int 2)))
+    = Pinpoint_smt.Solver.Sat);
+  Alcotest.(check int) "after: the refinement removes the trap" 0
+    (List.length (server_renders st uaf))
 
 (* ---------- resident per-source results ---------- *)
 
@@ -453,13 +513,22 @@ let check_graph what st files =
            (Callgraph.callers g name)))
     (Prog.functions prog)
 
+(* Served reports equal batch ones, one-line and in full ([-v]: the
+   value-flow trace and trigger hints, symbols and all). *)
 let same_as_batch ?pool what st files =
+  let verbose = Format.asprintf "%a" Pinpoint.Report.pp in
   List.iter
     (fun (spec : Pinpoint.Checker_spec.t) ->
+      let batch = batch_reports ?pool files spec
+      and served = fst (Incr.check st spec) in
+      let name = spec.Pinpoint.Checker_spec.name in
       Alcotest.(check (list string))
-        (Printf.sprintf "%s: %s server = batch" what spec.Pinpoint.Checker_spec.name)
-        (batch_renders ?pool files spec)
-        (server_renders st spec))
+        (Printf.sprintf "%s: %s server = batch" what name)
+        (render_reports batch) (render_reports served);
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: %s server = batch (-v)" what name)
+        (render_reports ~render:verbose batch)
+        (render_reports ~render:verbose served))
     checkers_under_test
 
 (* Edit shapes the cutoff must get right, each followed by served =
@@ -547,7 +616,7 @@ let test_edit_shapes_store () = with_store (fun store -> run_edit_shapes ~store 
      parameter to the return and g's VF entries stay empty;
    - [swap]: g's last two parameters then swap names — printed, g's RV
      entry is the same, but its guard now reads the other position: only
-     equality modulo fresh ids, formals seeded by position, sees the
+     equality modulo renaming, formals seeded by position, sees the
      change.
    A check runs after every edit, so a search stored then — h's guarded
    use-after-free, which read f's RV entry — must be re-run after the
@@ -1546,6 +1615,7 @@ let suite =
     Alcotest.test_case "dirty cone is partial" `Quick test_cone_is_partial;
     Alcotest.test_case "edit cost is the cone" `Quick test_edit_cost_is_the_cone;
     Alcotest.test_case "per-edit memory soak" `Quick test_edit_soak;
+    Alcotest.test_case "an edit never aliases ids" `Quick test_edit_never_aliases;
     Alcotest.test_case "memo follows the footprint (seq)" `Quick
       test_memo_footprint_seq;
     Alcotest.test_case "memo follows the footprint (jobs 4)" `Quick

@@ -246,25 +246,9 @@ let test_blob_reopen () =
 
 (* ---------- report identity under eviction ---------- *)
 
-(* [s] with every symbol id ("p#130" in a trigger hint) masked: symbol
-   ids are process-global, so two preparations in one process number the
-   same variables differently. *)
-let mask_symbol_ids s =
-  let b = Buffer.create (String.length s) in
-  let skipping = ref false in
-  String.iter
-    (fun c ->
-      if !skipping && c >= '0' && c <= '9' then ()
-      else begin
-        skipping := c = '#';
-        Buffer.add_char b c
-      end)
-    s;
-  Buffer.contents b
-
 (* Each checker's reported findings, rendered both ways: the one-line
    form and the [-v] form ({!Pinpoint.Report.pp}: value-flow trace and
-   trigger hints), symbol ids masked. *)
+   trigger hints). *)
 let reports_of a =
   List.map
     (fun (spec : Pinpoint.Checker_spec.t) ->
@@ -272,9 +256,7 @@ let reports_of a =
       let reported = List.filter Pinpoint.Report.is_reported reports in
       ( spec.Pinpoint.Checker_spec.name,
         List.map Pinpoint.Report.one_line reported,
-        List.map
-          (fun r -> mask_symbol_ids (Format.asprintf "%a" Pinpoint.Report.pp r))
-          reported ))
+        List.map (Format.asprintf "%a" Pinpoint.Report.pp) reported ))
     Pinpoint.Checkers.all
 
 let gen_source ~seed ~loc =
