@@ -739,20 +739,17 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel runtime: --jobs sweep over the domain pool (DESIGN.md §4.9).
-   Measures prepare (transform + SEG + RV on SCC waves) and the UAF check
-   (per-source fan-out) at 1/2/4/8 domains, verifies the report keys are
-   identical at every level, and dumps machine-readable results to
-   BENCH_par.json.  Speedups are only expected when the host has spare
-   cores — on a 1-core container the sweep honestly measures the
-   oversubscription overhead instead. *)
+   Measures prepare (one bottom-up walk: PTA, transform, SEG, RV and VF
+   on SCC waves) and the UAF check (per-source fan-out) at 1/2/4/8
+   domains, verifies the report keys are identical at every level, and
+   dumps machine-readable results to BENCH_par.json.  Speedups are only
+   expected when the host has spare cores — on a 1-core container the
+   sweep honestly measures the oversubscription overhead instead. *)
 
 type par_run = {
   pr_jobs : int;
   pr_chunk : int;  (* representative prepare-fan-out chunk size; 0 = n/a *)
   pr_prep_s : float;
-  pr_transform_s : float;  (* transform + PTA phase wall time *)
-  pr_pta_busy_s : float;  (* busy seconds inside Pta.run, summed over domains *)
-  pr_summary_s : float;  (* the sweep: SEG builds + RV/VF summaries *)
   pr_check_s : float;
 }
 
@@ -804,12 +801,9 @@ let par () =
               (n_funcs + List.length plan - 1) / max 1 (List.length plan)
           in
           let run pool =
-            Pinpoint_pta.Pta.reset_cumulative_wall ();
             let analysis, prep_m =
               Metrics.measure (fun () -> Pinpoint.Analysis.prepare ?pool prog)
             in
-            let pta_busy = Pinpoint_pta.Pta.cumulative_wall_s () in
-            let m = analysis.Pinpoint.Analysis.metrics in
             let reports, check_m =
               Metrics.measure (fun () ->
                   fst
@@ -820,9 +814,6 @@ let par () =
                 pr_jobs = jobs;
                 pr_chunk = chunk;
                 pr_prep_s = prep_m.Metrics.wall_s;
-                pr_transform_s = m.Pinpoint.Analysis.transform.Metrics.wall_s;
-                pr_pta_busy_s = pta_busy;
-                pr_summary_s = m.Pinpoint.Analysis.summaries.Metrics.wall_s;
                 pr_check_s = check_m.Metrics.wall_s;
               },
               List.sort_uniq compare
@@ -861,9 +852,6 @@ let par () =
               string_of_int r.pr_jobs;
               (if r.pr_chunk = 0 then "-" else string_of_int r.pr_chunk);
               str "%a" pp_dur r.pr_prep_s;
-              str "%a" pp_dur r.pr_transform_s;
-              str "%a" pp_dur r.pr_pta_busy_s;
-              str "%a" pp_dur r.pr_summary_s;
               str "%a" pp_dur r.pr_check_s;
               str "%a" pp_dur (total r);
               str "%.2fx" (if total r > 0.0 then base /. total r else 1.0);
@@ -872,14 +860,9 @@ let par () =
       in
       Pp.table
         ~header:
-          [
-            "jobs"; "chunk"; "prepare"; "transform"; "pta busy";
-            "seg+summary"; "check"; "total"; "speedup";
-          ]
+          [ "jobs"; "chunk"; "prepare"; "check"; "total"; "speedup" ]
         ~rows Format.std_formatter ();
-      Format.printf
-        "  (transform includes PTA; pta busy sums across domains, so it can \
-         exceed the phase wall time at jobs > 1)@.@.")
+      Format.printf "@.")
     results;
   (* machine-readable dump; hand-rolled JSON (no JSON dependency) *)
   let oc = open_out "BENCH_par.json" in
@@ -895,11 +878,8 @@ let par () =
         (fun j r ->
           out
             "      {\"jobs\": %d, \"chunk_size\": %d, \"prepare_s\": %.6f, \
-             \"transform_s\": %.6f, \"pta_busy_s\": %.6f, \
-             \"summary_s\": %.6f, \"check_s\": %.6f, \"total_s\": %.6f, \
-             \"speedup\": %.3f}%s\n"
-            r.pr_jobs r.pr_chunk r.pr_prep_s r.pr_transform_s r.pr_pta_busy_s
-            r.pr_summary_s r.pr_check_s (total r)
+             \"check_s\": %.6f, \"total_s\": %.6f, \"speedup\": %.3f}%s\n"
+            r.pr_jobs r.pr_chunk r.pr_prep_s r.pr_check_s (total r)
             (if total r > 0.0 then base /. total r else 1.0)
             (if j = List.length runs - 1 then "" else ","))
         runs;

@@ -368,7 +368,7 @@ let dump_cmd =
         | `Iface -> (
           match
             Hashtbl.find_opt
-              a.Pinpoint.Analysis.transform.Pinpoint_transform.Transform.ifaces
+              a.Pinpoint.Analysis.ifaces
               f.Pinpoint_ir.Func.fname
           with
           | Some iface ->
@@ -453,10 +453,9 @@ let stats_cmd =
       (Pinpoint_ir.Prog.n_stmts prog)
       v e;
     let m = a.Pinpoint.Analysis.metrics in
-    Format.printf "phases: frontend %a | transform+PTA %a | SEG+summaries %a@."
+    Format.printf "phases: frontend %a | PTA+transform+SEG+summaries %a@."
       Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.frontend.wall_s
-      Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.transform.wall_s
-      Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.summaries.wall_s;
+      Pinpoint_util.Metrics.pp_duration m.Pinpoint.Analysis.prepare.wall_s;
     Format.printf "@.%-24s %6s %6s %8s %8s  %s@." "function" "stmts" "blocks"
       "SEG |V|" "SEG |E|" "interface";
     List.iter
@@ -465,7 +464,7 @@ let stats_cmd =
         let iface =
           match
             Hashtbl.find_opt
-              a.Pinpoint.Analysis.transform.Pinpoint_transform.Transform.ifaces
+              a.Pinpoint.Analysis.ifaces
               name
           with
           | Some i ->

@@ -51,9 +51,8 @@ let () =
     (fun (f : Pinpoint_ir.Func.t) ->
       Format.printf "%a@." Pinpoint_ir.Func.pp f;
       match
-        Hashtbl.find_opt
-          analysis.Pinpoint.Analysis.transform
-            .Pinpoint_transform.Transform.ifaces f.Pinpoint_ir.Func.fname
+        Hashtbl.find_opt analysis.Pinpoint.Analysis.ifaces
+          f.Pinpoint_ir.Func.fname
       with
       | Some iface ->
         Format.printf "interface: %a@.@." Pinpoint_transform.Transform.pp_iface

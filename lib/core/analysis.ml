@@ -12,14 +12,13 @@ module Store = Pinpoint_store.Store
 
 type phase_metrics = {
   frontend : Metrics.measurement;
-  transform : Metrics.measurement;
-  summaries : Metrics.measurement;
+  prepare : Metrics.measurement;
 }
 
 type t = {
   prog : Prog.t;
   graph : Callgraph.t;
-  transform : Transform.result;
+  ifaces : (string, Transform.iface) Hashtbl.t;
   segs : (string, Seg.t) Hashtbl.t;
   rv : Rv.t;
   metrics : phase_metrics;
@@ -44,47 +43,42 @@ let incidents t = Resilience.incidents t.resilience
    consulting the fault injector: a dropped SEG is skipped outright, a
    truncated one keeps only half of each vertex's out-edges, a crash is
    raised inside the barrier so it lands in the incident log like any
-   organic crash.  [pta_of] runs inside the barrier too: in store mode it
-   decodes. *)
-let build_seg log pta_of (f : Func.t) : Seg.t option =
+   organic crash. *)
+let build_seg log (f : Func.t) pta : Seg.t option =
   let fname = f.Func.fname in
   Resilience.protect ~log ~phase:Resilience.Seg_build ~subject:fname
     ~fallback_note:"function gets no SEG" ~fallback:None
   @@ fun () ->
-  match pta_of fname with
-  | None -> None
-  | Some pta -> (
-    let incident detail fallback =
-      Resilience.record log
-        {
-          Resilience.phase = Resilience.Seg_build;
-          subject = fname;
-          detail;
-          fallback;
-          elapsed_s = 0.0;
-        }
-    in
-    match
-      if Resilience.Inject.enabled () then Resilience.Inject.seg_fault fname
-      else None
-    with
-    | Some Resilience.Inject.Seg_drop ->
-      incident "injected: seg-drop" "function gets no SEG";
-      None
-    | Some Resilience.Inject.Seg_crash -> raise Resilience.Injected_crash
-    | fault -> (
-      let seg = Seg.build f pta in
-      match fault with
-      | Some Resilience.Inject.Seg_truncate ->
-        incident "injected: seg-truncate"
-          "SEG truncated to half of its out-edges";
-        Some (Seg.truncate seg ~keep:0.5)
-      | _ -> Some seg))
+  let incident detail fallback =
+    Resilience.record log
+      {
+        Resilience.phase = Resilience.Seg_build;
+        subject = fname;
+        detail;
+        fallback;
+        elapsed_s = 0.0;
+      }
+  in
+  match
+    if Resilience.Inject.enabled () then Resilience.Inject.seg_fault fname
+    else None
+  with
+  | Some Resilience.Inject.Seg_drop ->
+    incident "injected: seg-drop" "function gets no SEG";
+    None
+  | Some Resilience.Inject.Seg_crash -> raise Resilience.Injected_crash
+  | fault -> (
+    let seg = Seg.build f pta in
+    match fault with
+    | Some Resilience.Inject.Seg_truncate ->
+      incident "injected: seg-truncate" "SEG truncated to half of its out-edges";
+      Some (Seg.truncate seg ~keep:0.5)
+    | _ -> Some seg)
 
-let build_seg log pta_of f =
+let build_seg log f pta =
   Obs.span "seg.build"
     ~attrs:[ ("fn", f.Func.fname) ]
-    (fun () -> build_seg log pta_of f)
+    (fun () -> build_seg log f pta)
 
 let empty_vfs () =
   let vfs = Hashtbl.create 8 in
@@ -94,36 +88,48 @@ let empty_vfs () =
     Checkers.all;
   vfs
 
-type swept = { resummarised : int; summaries_changed : string list }
+type swept = {
+  redone : Func.t list;
+  resummarised : int;
+  summaries_changed : string list;
+}
 
-(* The bottom-up sweep (DESIGN.md §4.5, §4.13).  Per SCC: build the
-   members' SEGs from their PTAs, then their RV entries in member order,
-   then their VF entries for every registered checker in member order —
-   each member publishing before the next runs — and only then hand the
-   SEGs over ([put_seg]; in store mode, a spill).  A function's summaries
-   need only its own SEG, just built, and its callees' summaries, so
-   summarising reads no SEG back.  An SCC's old entries are dropped just
-   before it is redone, so a same-SCC member not yet swept looks unknown,
-   as in a from-scratch run.
+(* The one bottom-up walk (DESIGN.md §4.5, §4.13).  Per SCC: transform
+   the members ([Transform.process_scc]: rewrite calls, discover PTA,
+   expose side effects, final PTA), build each member's SEG from the PTA
+   it was just handed — the PTA is garbage from then on — then compute
+   their RV entries in member order, then their VF entries for every
+   registered checker in member order, each member publishing before the
+   next runs, and only then hand the SEGs over ([put_seg]; in store mode,
+   a spill).  A function's summaries need only its own SEG, just built,
+   and its callees' summaries, so summarising reads no SEG back.  An
+   SCC's old entries are dropped just before it is redone, so a same-SCC
+   member not yet done looks unknown, as in a from-scratch run.
 
-   With [retransformed] (the server's incremental update) an SCC is
-   rebuilt that way only when the transform redid it; it is re-summarised
-   — RV and VF from the members' retained SEGs, no SEG build — when a
-   callee outside it changed its RV or VF entries earlier in this sweep,
-   and skipped otherwise.  Each redone member's new entries are compared
-   with its old ones (RV modulo renaming, {!Rv.equal_entries}; VF
-   structurally) to mark what changed for its callers.  Decisions read
-   only callee marks, and callees finish first, so they are the same at
-   every [--jobs].
+   An SCC is re-transformed, and its SEGs rebuilt, when [stale] says so
+   or when a callee outside it changed its interface shape
+   ({!Transform.same_shape}) earlier in this walk; [relower] then gives
+   each member fresh, untransformed IR.  It is re-summarised — RV and VF
+   from the members' retained SEGs — when a callee outside it changed its
+   RV or VF entries earlier in this walk, or when [before] lists one of
+   its members; it is skipped otherwise.  [before] (the server's
+   incremental update) maps a function replaced before the walk to the
+   function it replaced and that one's RV entries.  With it, each redone
+   member's new entries are compared with its old ones — those [before]
+   gives, or else what the member was when the walk reached it — RV
+   modulo renaming ({!Rv.equal_entries}), VF structurally, to mark what
+   changed for its callers.  Decisions read only callee marks, and
+   callees finish first, so they are the same at every [--jobs].
 
    Each batch of SCCs ({!Pinpoint_par.Sched.run_sccs}; one SCC without a
    pool) plans its SCCs and drops their old entries under one lock, keeps
-   its RV and VF entries in overlays, reads everything else from the
-   shared tables under the lock, and publishes its entries, marks and
-   SEGs in one locked flush.  Store mode runs without the pool: one SCC's
-   SEGs in flight keep the heap bounded by the store's LRU. *)
-let sweep ~resilience ?pool ?store graph (transform : Transform.result) ~segs
-    rv ~vfs ?retransformed sccs =
+   its interfaces, RV and VF entries in overlays, reads everything else
+   from the shared tables under the lock, and publishes its entries,
+   marks and SEGs in one locked flush.  Store mode runs without the pool:
+   one SCC's PTAs and SEGs in flight keep the heap bounded by the store's
+   LRU. *)
+let sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
+    ?(stale = fun _ -> true) ?(relower = Fun.id) ?before sccs =
   Obs.span "summary" @@ fun () ->
   let checkers = Array.of_list Checkers.all in
   let specs = Array.map Checker_spec.vf_spec checkers in
@@ -132,28 +138,38 @@ let sweep ~resilience ?pool ?store graph (transform : Transform.result) ~segs
       (fun (c : Checker_spec.t) -> snd (Hashtbl.find vfs c.Checker_spec.name))
       checkers
   in
-  let pool, pta_of, put_seg, seg_of =
+  let pool, put_seg, seg_of =
     match store with
-    | Some st -> (None, Store.pta_of st, Store.put_seg st, Store.seg_of st)
-    | None ->
-      ( pool,
-        Hashtbl.find_opt transform.Transform.ptas,
-        Hashtbl.replace segs,
-        Hashtbl.find_opt segs )
+    | Some st -> (None, Store.put_seg st, Store.seg_of st)
+    | None -> (pool, Hashtbl.replace segs, Hashtbl.find_opt segs)
   in
-  let rebuilt (f : Func.t) =
-    match retransformed with
-    | None -> true
-    | Some before -> Hashtbl.mem before f.Func.fname
+  let callees = Callgraph.callees graph in
+  let listed (scc : Func.t list) =
+    match before with
+    | None -> false
+    | Some b -> List.exists (fun (f : Func.t) -> Hashtbl.mem b f.Func.fname) scc
   in
   let lock = Mutex.create () in
-  let changed = Hashtbl.create 16 and resummarised = ref 0 in
+  let reshaped = Hashtbl.create 16 and changed = Hashtbl.create 16 in
+  let redone = ref [] and resummarised = ref 0 in
   Pinpoint_par.Sched.run_sccs ?pool ~weight:Func.n_stmts
     ~name:(fun (f : Func.t) -> f.Func.fname)
-    ~callees:(Callgraph.callees graph) sccs
+    ~callees sccs
     (fun batch ->
+      let iface_overlay = Hashtbl.create 16 and iface_cache = Hashtbl.create 64 in
       let rv_overlay = Hashtbl.create 16 and vf_overlay = Hashtbl.create 16 in
       let shared find name = Mutex.protect lock (fun () -> find name) in
+      (* A callee is in the same SCC (overlay), in a completed component
+         (prefetched), or unknown: simultaneously ready components are
+         independent, so the locked fallback never hits. *)
+      let iface_of name =
+        match Hashtbl.find_opt iface_overlay name with
+        | Some _ as r -> r
+        | None -> (
+          match Hashtbl.find_opt iface_cache name with
+          | Some _ as r -> r
+          | None -> shared (Hashtbl.find_opt ifaces) name)
+      in
       let rv_lookup name =
         match Hashtbl.find_opt rv_overlay name with
         | Some _ as r -> r
@@ -164,57 +180,105 @@ let sweep ~resilience ?pool ?store graph (transform : Transform.result) ~segs
         | Some sums -> Some sums.(k)
         | None -> shared (Vf.find tables.(k)) name
       in
-      (* In the incremental sweep: a member's function, RV entries and VF
-         entries from before the edit. *)
-      let before_of (f : Func.t) =
-        Option.map
-          (fun before ->
-            let name = f.Func.fname in
-            let was_f, was_rv =
-              match Hashtbl.find_opt before name with
-              | Some was -> was
-              | None -> (f, Rv.find rv name)
-            in
-            (was_f, was_rv, Array.map (fun vf -> Vf.find vf name) tables))
-          retransformed
+      (* A member's interface from before it is redone and, with
+         [before], its function, RV entries and VF entries too. *)
+      let was (f : Func.t) =
+        let name = f.Func.fname in
+        ( Hashtbl.find_opt ifaces name,
+          Option.map
+            (fun b ->
+              let was_f, was_rv =
+                match Hashtbl.find_opt b name with
+                | Some was -> was
+                | None -> (f, Rv.find rv name)
+              in
+              (was_f, was_rv, Array.map (fun vf -> Vf.find vf name) tables))
+            before )
       in
-      (* Plan: each SCC to redo, whether it is rebuilt, and its members
-         with their entries from before — read, then dropped. *)
+      (* Plan: each SCC to redo, whether it is re-transformed, and its
+         members with what they were — read, then dropped. *)
       let plans =
         Mutex.protect lock (fun () ->
-            List.filter_map
-              (fun (scc : Func.t list) ->
-                let inside name =
-                  List.exists (fun (f : Func.t) -> f.Func.fname = name) scc
-                in
-                let rebuild = List.exists rebuilt scc in
-                if
-                  rebuild
-                  || List.exists
-                       (fun c -> (not (inside c)) && Hashtbl.mem changed c)
-                       (Callgraph.callees graph scc)
-                then
-                  Some
-                    ( rebuild,
-                      List.map
-                        (fun (f : Func.t) ->
-                          let name = f.Func.fname and was = before_of f in
-                          if rebuild then Hashtbl.remove segs name;
-                          Rv.remove rv name;
-                          Array.iter (fun vf -> Vf.remove vf name) tables;
-                          (f, was))
-                        scc )
-                else None)
-              batch)
+            let plans =
+              List.filter_map
+                (fun (scc : Func.t list) ->
+                  let outside =
+                    List.filter
+                      (fun c ->
+                        not
+                          (List.exists
+                             (fun (f : Func.t) -> f.Func.fname = c)
+                             scc))
+                      (callees scc)
+                  in
+                  let retransform =
+                    stale scc || List.exists (Hashtbl.mem reshaped) outside
+                  in
+                  if
+                    retransform
+                    || List.exists (Hashtbl.mem changed) outside
+                    || listed scc
+                  then
+                    Some
+                      ( retransform,
+                        List.map
+                          (fun (f : Func.t) ->
+                            let name = f.Func.fname and w = was f in
+                            if retransform then begin
+                              Hashtbl.remove ifaces name;
+                              Hashtbl.remove segs name
+                            end;
+                            Rv.remove rv name;
+                            Array.iter (fun vf -> Vf.remove vf name) tables;
+                            (f, w))
+                          scc )
+                  else None)
+                batch
+            in
+            List.iter
+              (fun name ->
+                Option.iter (Hashtbl.replace iface_cache name)
+                  (Hashtbl.find_opt ifaces name))
+              (callees
+                 (List.concat_map
+                    (fun (retransform, members) ->
+                      if retransform then List.map fst members else [])
+                    plans));
+            plans)
+      in
+      (* Transform stage: each re-transformed SCC's members, relowered,
+         with their final PTAs kept only until their SEGs are built. *)
+      let ptas = Hashtbl.create 16 in
+      let plans =
+        if List.exists fst plans then
+          Obs.span "transform" (fun () ->
+              List.map
+                (fun (retransform, members) ->
+                  if not retransform then (false, members)
+                  else begin
+                    let members =
+                      List.map (fun ((f : Func.t), w) -> (relower f, w)) members
+                    in
+                    Transform.process_scc ~resilience ~iface_of
+                      ~put_iface:(Hashtbl.replace iface_overlay)
+                      ~put_pta:(Hashtbl.replace ptas) (List.map fst members);
+                    (true, members)
+                  end)
+                plans)
+        else plans
       in
       let redo (rebuild, members) =
         let built =
           List.filter_map
             (fun ((f : Func.t), _) ->
+              let name = f.Func.fname in
               Option.map
                 (fun seg -> (f, seg))
-                (if rebuild then build_seg resilience pta_of f
-                 else shared seg_of f.Func.fname))
+                (if rebuild then
+                   Option.bind (Hashtbl.find_opt ptas name) (fun pta ->
+                       Hashtbl.remove ptas name;
+                       build_seg resilience f pta)
+                 else shared seg_of name))
             members
         in
         (* Per-function barriers: a crash leaves that one function without
@@ -241,7 +305,13 @@ let sweep ~resilience ?pool ?store graph (transform : Transform.result) ~segs
         if rebuild then built else []
       in
       let built = List.concat_map redo plans in
-      let differs ((f : Func.t), was) =
+      let reshapes ((f : Func.t), (was_iface, _)) =
+        match (was_iface, Hashtbl.find_opt iface_overlay f.Func.fname) with
+        | Some a, Some b -> not (Transform.same_shape a b)
+        | None, None -> false
+        | _ -> true
+      in
+      let differs ((f : Func.t), (_, was)) =
         match was with
         | None -> false
         | Some (was_f, was_rv, was_vf) ->
@@ -258,32 +328,44 @@ let sweep ~resilience ?pool ?store graph (transform : Transform.result) ~segs
                 (Hashtbl.find_opt rv_overlay name)))
           || vf <> was_vf
       in
-      let marks =
+      let marks pick =
         List.concat_map
-          (fun (_, members) ->
+          (fun (retransform, members) ->
             List.filter_map
               (fun (((f : Func.t), _) as m) ->
-                if differs m then Some f.Func.fname else None)
+                if pick retransform m then Some f.Func.fname else None)
               members)
           plans
       in
+      let reshaped_now = marks (fun retransform m -> retransform && reshapes m) in
+      let changed_now = marks (fun _ m -> differs m) in
       Mutex.protect lock (fun () ->
+          redone :=
+            List.concat_map
+              (fun (retransform, members) ->
+                if retransform then List.map fst members else [])
+              plans
+            @ !redone;
           List.iter
-            (fun (rebuild, members) ->
-              if not rebuild then
+            (fun (retransform, members) ->
+              if not retransform then
                 resummarised := !resummarised + List.length members;
               List.iter
                 (fun ((f : Func.t), _) ->
                   let name = f.Func.fname in
+                  Option.iter (Hashtbl.replace ifaces name)
+                    (Hashtbl.find_opt iface_overlay name);
                   Option.iter (Rv.publish rv name) (Hashtbl.find_opt rv_overlay name);
                   Option.iter
                     (Array.iteri (fun k s -> Vf.add tables.(k) name s))
                     (Hashtbl.find_opt vf_overlay name))
                 members)
             plans;
-          List.iter (fun name -> Hashtbl.replace changed name ()) marks;
+          List.iter (fun name -> Hashtbl.replace reshaped name ()) reshaped_now;
+          List.iter (fun name -> Hashtbl.replace changed name ()) changed_now;
           List.iter (fun ((f : Func.t), seg) -> put_seg f.Func.fname seg) built));
   {
+    redone = !redone;
     resummarised = !resummarised;
     summaries_changed = Hashtbl.fold (fun name () acc -> name :: acc) changed [];
   }
@@ -304,22 +386,13 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
     | None -> fun () -> 0.0
   in
   let graph = Callgraph.build prog in
-  let transform, tm =
-    Metrics.measure ~extra_alloc (fun () ->
-        Obs.span "transform" (fun () ->
-            (* Store mode streams points-to results to the store per SCC,
-               sequentially; [transform.ptas] stays empty. *)
-            Transform.run ~resilience ?pool
-              ?pta_sink:(Option.map Store.put_pta store)
-              graph))
-  in
-  let segs = Hashtbl.create 64 in
+  let ifaces = Hashtbl.create 64 and segs = Hashtbl.create 64 in
   let rv = Rv.create ?backend:(Option.map Store.rv_backend store) prog in
   let vfs = empty_vfs () in
-  let (), sm =
+  let (), pm =
     Metrics.measure ~extra_alloc (fun () ->
         ignore
-          (sweep ~resilience ?pool ?store graph transform ~segs rv ~vfs
+          (sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
              (Callgraph.sccs graph)))
   in
   if Obs.metrics_on () then begin
@@ -330,16 +403,15 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
         m.Metrics.alloc_bytes
     in
     publish "frontend" frontend_m;
-    publish "transform" tm;
-    publish "summaries" sm
+    publish "prepare" pm
   end;
   {
     prog;
     graph;
-    transform;
+    ifaces;
     segs;
     rv;
-    metrics = { frontend = frontend_m; transform = tm; summaries = sm };
+    metrics = { frontend = frontend_m; prepare = pm };
     resilience;
     pool;
     store;

@@ -1,26 +1,28 @@
 (** The end-to-end Pinpoint pipeline (paper Figure 6):
 
-    MC source → IR (SSA, gated) → call-site rewriting + Mod/Ref → connector
-    transformation → one bottom-up sweep building each function's SEG, RV
-    summary and VF summaries → demand-driven checking with SMT
-    feasibility.
+    MC source → IR (SSA, gated) → one bottom-up walk that, per call-graph
+    SCC, rewrites call sites, runs the points-to analysis (Mod/Ref),
+    applies the connector transformation, builds each function's SEG from
+    its points-to result and then its RV and VF summaries →
+    demand-driven checking with SMT feasibility.
 
     Phase timings and allocation are captured for the benchmark harness
     (Figures 7–10). *)
 
 type phase_metrics = {
   frontend : Pinpoint_util.Metrics.measurement;
-  transform : Pinpoint_util.Metrics.measurement;  (** PTA + connectors *)
-  summaries : Pinpoint_util.Metrics.measurement;
-      (** the sweep: SEG builds and RV/VF summaries, interleaved *)
+  prepare : Pinpoint_util.Metrics.measurement;
+      (** the bottom-up walk: PTA, transform, SEG builds and RV/VF
+          summaries, interleaved per SCC *)
 }
 
 type t = {
   prog : Pinpoint_ir.Prog.t;
   graph : Pinpoint_ir.Callgraph.t;
-      (** [prog]'s call graph, built once: the transform and the sweep
-          walk its SCCs and {!check} reads its caller lists *)
-  transform : Pinpoint_transform.Transform.result;
+      (** [prog]'s call graph, built once: the bottom-up walk visits its
+          SCCs and {!check} reads its caller lists *)
+  ifaces : (string, Pinpoint_transform.Transform.iface) Hashtbl.t;
+      (** each function's connector interface *)
   segs : (string, Pinpoint_seg.Seg.t) Hashtbl.t;
   rv : Pinpoint_summary.Rv.t;
   metrics : phase_metrics;
@@ -38,7 +40,7 @@ type t = {
           the store's LRU *)
   vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
       (** VF-summary tables by checker name, one per registered checker
-          ({!Checkers.all}), filled by the sweep *)
+          ({!Checkers.all}), filled by the bottom-up walk *)
 }
 
 val seg_of : t -> string -> Pinpoint_seg.Seg.t option
@@ -55,23 +57,27 @@ val prepare :
   Pinpoint_ir.Prog.t ->
   t
 (** Run every phase up to (and including) summary generation on an
-    already-compiled program: the transform, then one bottom-up sweep
-    ({!sweep}) that builds every SEG and every RV and VF summary.  With
-    [pool] (and more than one job) both run as bottom-up SCC waves; the
-    result — SEGs, summaries, reports — is identical to a sequential run
-    (DESIGN.md §4.9).  The pool's incident log is pointed at this
-    analysis's {!t.resilience}.  With [resilience] the given log is used
-    instead of a fresh one — the analysis server passes its long-lived
-    capacity-capped log so incidents from successive (re)builds
-    accumulate in one place.
+    already-compiled program: one bottom-up walk ({!sweep}) that
+    transforms every function and builds every SEG and every RV and VF
+    summary.  With [pool] (and more than one job) it runs as bottom-up
+    SCC waves; the result — interfaces, SEGs, summaries, reports — is
+    identical to a sequential run (DESIGN.md §4.9).  The pool's incident
+    log is pointed at this analysis's {!t.resilience}.  With [resilience]
+    the given log is used instead of a fresh one — the analysis server
+    passes its long-lived capacity-capped log so incidents from
+    successive (re)builds accumulate in one place.
 
-    With [store] the preparation phases spill every per-function artifact
-    (PTA, SEG, RV summary) to the store as it is produced instead of
-    keeping it resident, bounding peak heap to the store's LRU plus the
-    IR; preparation is sequential ([pool] still accelerates {!check}) and
-    decodes no SEG.  Reports are byte-identical to a store-off run. *)
+    With [store] the walk spills every SEG and RV summary to the store as
+    it is produced instead of keeping it resident, bounding peak heap to
+    the store's LRU plus the IR; no points-to result outlives the SEG
+    built from it, in memory or on disk.  Preparation is then sequential
+    ([pool] still accelerates {!check}) and decodes no SEG.  Reports are
+    byte-identical to a store-off run. *)
 
 type swept = {
+  redone : Pinpoint_ir.Func.t list;
+      (** functions re-transformed, with their SEGs rebuilt, as [relower]
+          produced them *)
   resummarised : int;
       (** functions whose RV and VF entries were recomputed from their
           retained SEGs, with no SEG build *)
@@ -84,39 +90,55 @@ val sweep :
   ?pool:Pinpoint_par.Pool.t ->
   ?store:Pinpoint_store.Store.t ->
   Pinpoint_ir.Callgraph.t ->
-  Pinpoint_transform.Transform.result ->
+  (string, Pinpoint_transform.Transform.iface) Hashtbl.t ->
   segs:(string, Pinpoint_seg.Seg.t) Hashtbl.t ->
   Pinpoint_summary.Rv.t ->
   vfs:(string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t ->
-  ?retransformed:
+  ?stale:(Pinpoint_ir.Func.t list -> bool) ->
+  ?relower:(Pinpoint_ir.Func.t -> Pinpoint_ir.Func.t) ->
+  ?before:
     ( string,
       Pinpoint_ir.Func.t * Pinpoint_summary.Rv.entry option array option )
     Hashtbl.t ->
   Pinpoint_ir.Func.t list list ->
   swept
-(** [sweep ~resilience graph transform ~segs rv ~vfs sccs] (re)builds the
-    SEGs, RV entries and VF entries (every registered checker's table in
-    [vfs]) of the functions in [sccs]: components of [graph] in bottom-up
-    order.  An SCC's old entries are dropped just before it is
-    redone; everything else is read as retained, so the result equals a
-    from-scratch sweep (DESIGN.md §4.5, §4.13).  Per SCC, the members'
-    SEGs are built from their PTAs ([seg.build] each), their RV entries
-    computed in member order, their VF entries in member order
-    ([summary.vf] each), and only then are the SEGs put in [segs] — or,
-    with [store], spilled, reading PTAs from the store too.  SEG, RV and
-    VF work each sit behind a per-function barrier.  With [pool] (no
-    store) the SCCs run as a batched bottom-up wave.
+(** [sweep ~resilience graph ifaces ~segs rv ~vfs sccs] is the one
+    bottom-up walk from points-to to VF (DESIGN.md §4.5, §4.13) over
+    [sccs]: components of [graph] in bottom-up order, with members in
+    {!Pinpoint_ir.Callgraph.sccs} order.  An SCC's old entries are
+    dropped just before it is redone; everything else is read as
+    retained, so the result equals a from-scratch walk.
 
-    Without [retransformed] every listed SCC is rebuilt and nothing is
-    compared ({!prepare}).  With it (the analysis server) the sweep cuts
-    off early: [retransformed] maps each function the transform re-lowered
-    to its function and RV entries from before the edit.  An SCC holding
-    one is rebuilt; an SCC with a callee outside it whose RV or VF
-    entries changed earlier in the sweep is re-summarised from its
-    retained SEGs; every other SCC is skipped.  Each redone member's
-    entries are compared with its old ones — RV modulo renaming
+    A redone SCC is re-transformed or re-summarised.  Re-transformed:
+    [relower] gives each member fresh, untransformed IR (called once per
+    member, from a worker domain with a pool),
+    {!Pinpoint_transform.Transform.process_scc} transforms the members and
+    publishes their interfaces to [ifaces] ([transform], one span per
+    batch; [pta] per points-to run), then each member's SEG is built from
+    the points-to result it was just handed ([seg.build] each), which is
+    then garbage.  Re-summarised: the
+    members' retained SEGs are read back.  Either way their RV entries
+    are computed in member order, then their VF entries (every registered
+    checker's table in [vfs]) in member order ([summary.vf] each), and
+    only then are new SEGs put in [segs] — or, with [store], spilled.
+    Transform, SEG, RV and VF work each sit behind a per-function
+    barrier: a member whose final points-to stage crashed gets no SEG.
+    With [pool] (no store) the SCCs run as a batched bottom-up wave.
+
+    An SCC is re-transformed when [stale] holds for it (the default: every
+    SCC, with [relower] the identity — {!prepare}) or when a callee
+    outside it changed its interface shape
+    ({!Pinpoint_transform.Transform.same_shape}) earlier in the walk.  It
+    is re-summarised when a callee outside it changed its RV or VF entries
+    earlier in the walk, or when [before] lists one of its members, and
+    skipped otherwise.  [before] (the analysis server) maps each function
+    replaced before the walk to the function it replaced and that one's
+    RV entries; with it, each redone member's entries are compared with
+    its old ones — RV modulo renaming
     ({!Pinpoint_summary.Rv.equal_entries}), VF structurally — and the
-    result names those that changed. *)
+    result names those that changed.  Without [before] nothing is
+    compared.  Decisions read only callee marks, so they are the same at
+    every [--jobs]. *)
 
 val prepare_source :
   ?pool:Pinpoint_par.Pool.t ->

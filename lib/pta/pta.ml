@@ -500,22 +500,6 @@ let run (f : Func.t) : t =
     freed_cells = ctx.freed;
   }
 
-(* Cumulative PTA busy time, summed across domains (so at jobs > 1 it can
-   exceed the wall clock of the transform phase that hosts it).  Feeds the
-   per-stage columns of [bench par]; never read by the analysis. *)
-let cum_lock = Mutex.create ()
-let cum_wall_s = ref 0.0
-let cumulative_wall_s () = Mutex.protect cum_lock (fun () -> !cum_wall_s)
-let reset_cumulative_wall () = Mutex.protect cum_lock (fun () -> cum_wall_s := 0.0)
-
-let run f =
-  let t0 = Pinpoint_util.Metrics.now () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Pinpoint_util.Metrics.now () -. t0 in
-      Mutex.protect cum_lock (fun () -> cum_wall_s := !cum_wall_s +. dt))
-    (fun () -> run f)
-
 let pts_of (t : t) v =
   match Var.Tbl.find_opt t.pts v with Some p -> p | None -> []
 

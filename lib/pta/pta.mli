@@ -82,13 +82,6 @@ val stats_rows : unit -> int * int
     identically on hits, so a hit changes no analysis output — only
     time. *)
 
-val cumulative_wall_s : unit -> float
-(** Busy seconds spent inside {!run} since the last
-    {!reset_cumulative_wall}, summed across domains (can exceed phase wall
-    time at [--jobs > 1]).  Feeds the per-stage columns of [bench par]. *)
-
-val reset_cumulative_wall : unit -> unit
-
 val reset_stats : unit -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -26,7 +26,9 @@ type cres = { f : E.t; params : Var.Set.t; recvs : recv_dep list }
 
 type t = {
   func : Func.t;
-  pta : Pta.t;
+  loads : (int, Pta.entry list) Hashtbl.t;
+      (* per-[Load] sid: the points-to entries its value may come from,
+         the one part of the PTA that [dd] reads *)
   cdg : Cdg.t;
   succ : edge list Var.Tbl.t;
   pred : edge list Var.Tbl.t;
@@ -45,7 +47,6 @@ type t = {
 }
 
 let func t = t.func
-let pta t = t.pta
 
 (* An allocation site's abstract address, named by its place: distinct
    per (function ordinal, sid) and far from zero. *)
@@ -86,7 +87,7 @@ let build (f : Func.t) (pta : Pta.t) : t =
   let t =
     {
       func = f;
-      pta;
+      loads = pta.Pta.load_res;
       cdg = Cdg.compute f;
       succ = Var.Tbl.create 64;
       pred = Var.Tbl.create 64;
@@ -136,7 +137,7 @@ let build (f : Func.t) (pta : Pta.t) : t =
           add_use { uvar = p; sid = s.Stmt.sid; ukind = Deref k }
         | _ -> ());
         let entries =
-          Option.value (Hashtbl.find_opt pta.Pta.load_res s.Stmt.sid) ~default:[]
+          Option.value (Hashtbl.find_opt t.loads s.Stmt.sid) ~default:[]
         in
         List.iter (fun (e : Pta.entry) -> copy_of_operand v e.Pta.cond e.Pta.value) entries
       | Stmt.Store (base, k, value) -> (
@@ -232,16 +233,16 @@ let truncate t ~keep =
 (* Reassemble a SEG from stored parts (the artifact store's decode
    path).  Adjacency lists and the use list carry the graph identity
    and are taken verbatim — per-variable edge order is exactly what
-   [build] produced, which the DFS traversal order depends on.  The
-   purely derived members (CDG, def table, block map, symbol
-   registry, memo tables) are recomputed from the resident IR the same
-   way [build] computes them. *)
-let of_parts ~func:(f : Func.t) ~(pta : Pta.t) ~succs ~preds ~uses
-    ~n_control_edges : t =
+   [build] produced, which the DFS traversal order depends on — and so
+   are the load rows.  The purely derived members (CDG, def table, block
+   map, memo tables) are recomputed from the resident IR the same way
+   [build] computes them. *)
+let of_parts ~func:(f : Func.t) ~loads ~succs ~preds ~uses ~n_control_edges
+    : t =
   let t =
     {
       func = f;
-      pta;
+      loads = Hashtbl.create (List.length loads);
       cdg = Cdg.compute f;
       succ = Var.Tbl.create 64;
       pred = Var.Tbl.create 64;
@@ -255,6 +256,7 @@ let of_parts ~func:(f : Func.t) ~(pta : Pta.t) ~succs ~preds ~uses
       lock = Mutex.create ();
     }
   in
+  List.iter (fun (sid, es) -> Hashtbl.replace t.loads sid es) loads;
   List.iter (fun (src, es) -> Var.Tbl.replace t.succ src es) succs;
   List.iter (fun (dst, es) -> Var.Tbl.replace t.pred dst es) preds;
   List.iter
@@ -266,6 +268,11 @@ let of_parts ~func:(f : Func.t) ~(pta : Pta.t) ~succs ~preds ~uses
 
 let fold_succs t ~init ~f = Var.Tbl.fold (fun v es acc -> f acc v es) t.succ init
 let fold_preds t ~init ~f = Var.Tbl.fold (fun v es acc -> f acc v es) t.pred init
+
+let loads t =
+  Hashtbl.fold (fun sid es acc -> (sid, es) :: acc) t.loads []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 let n_control_edges t = t.n_control_edges
 
 let succs t v = Option.value (Var.Tbl.find_opt t.succ v) ~default:[]
@@ -327,7 +334,7 @@ and dd_uncached t (v : Var.t) : cres =
           true_res args
       | Stmt.Load (_, _, _) ->
         let entries =
-          Option.value (Hashtbl.find_opt t.pta.Pta.load_res s.Stmt.sid) ~default:[]
+          Option.value (Hashtbl.find_opt t.loads s.Stmt.sid) ~default:[]
         in
         List.fold_left
           (fun acc (e : Pta.entry) ->

@@ -56,10 +56,12 @@ type cres = {
 type t
 
 val build : Pinpoint_ir.Func.t -> Pinpoint_pta.Pta.t -> t
-(** Build the SEG of a transformed, SSA, gated function. *)
+(** Build the SEG of a transformed, SSA, gated function from its
+    points-to result.  The SEG keeps only the result's load table (the
+    entries each load's value may come from, which {!dd} reads), so the
+    rest of the PTA is garbage once the SEG is built. *)
 
 val func : t -> Pinpoint_ir.Func.t
-val pta : t -> Pinpoint_pta.Pta.t
 
 val truncate : t -> keep:float -> t
 (** Deterministically keep only a [keep] fraction (clamped to [0,1]) of
@@ -70,19 +72,25 @@ val truncate : t -> keep:float -> t
 
 val of_parts :
   func:Pinpoint_ir.Func.t ->
-  pta:Pinpoint_pta.Pta.t ->
+  loads:(int * Pinpoint_pta.Pta.entry list) list ->
   succs:(Pinpoint_ir.Var.t * edge list) list ->
   preds:(Pinpoint_ir.Var.t * edge list) list ->
   uses:use list ->
   n_control_edges:int ->
   t
 (** Reassemble a SEG from stored parts (the artifact store's decode
-    path).  Adjacency lists and uses are taken verbatim — per-variable
-    edge order must be exactly what {!build} produced, since traversal
-    order follows it — while derived state (CDG, def table, symbol
-    registry, memos) is recomputed from the resident IR exactly as
-    {!build} computes it.  Feeding back {!fold_succs}/{!fold_preds}/
-    {!uses} of a built SEG yields an observably identical graph. *)
+    path).  Load rows, adjacency lists and uses are taken verbatim —
+    per-variable edge order must be exactly what {!build} produced, since
+    traversal order follows it — while derived state (CDG, def table,
+    block map, memos) is recomputed from the resident IR exactly as
+    {!build} computes it.  Feeding back {!loads}/{!fold_succs}/
+    {!fold_preds}/{!uses} of a built SEG yields an observably identical
+    graph. *)
+
+val loads : t -> (int * Pinpoint_pta.Pta.entry list) list
+(** The load table, sorted by sid: per [Load] statement, the points-to
+    entries (stored value, condition, storing sid) its value may come
+    from. *)
 
 val fold_succs :
   t -> init:'a -> f:('a -> Pinpoint_ir.Var.t -> edge list -> 'a) -> 'a

@@ -9,16 +9,17 @@
    interface and its RV and VF entries, so a caller is redone only when
    one of those came out different.
 
-   - The transform walk re-transforms an SCC (re-lowering every member)
-     when a member's body changed, when its SCC differs from the one in
-     the graph before the edit, or when a callee outside it changed its
-     interface shape.  Every other SCC keeps its transformed IR, PTA and
-     SEG.
-   - The sweep rebuilds the re-transformed SCCs' SEGs and summaries,
-     re-summarises an SCC from its retained SEGs when a callee outside it
-     changed its RV or VF entries, and skips the rest.
+   One bottom-up walk ({!Pinpoint.Analysis.sweep}) decides per SCC:
+   - it re-transforms the SCC (re-lowering every member) and rebuilds its
+     SEGs and summaries when a member's body changed, when its SCC
+     differs from the one in the graph before the edit, or when a callee
+     outside it changed its interface shape;
+   - it re-summarises the SCC from its retained SEGs when a callee outside
+     it changed its RV or VF entries;
+   - it skips the SCC otherwise: it keeps its transformed IR, SEGs and
+     summaries.
 
-   Both walks decide from callee marks only, and callees finish first, so
+   The walk decides from callee marks only, and callees finish first, so
    the frontier is the same at every [--jobs], store on or off.  A kept
    entry equals what a from-scratch run computes modulo renaming, which
    is all the engine can observe.
@@ -53,7 +54,7 @@ type state = {
   resilience : Resilience.log;
   pool : Pinpoint_par.Pool.t option;
   store : Store.t option;
-      (** disk-resident artifact store: per-function PTAs, SEGs and RV
+      (** disk-resident artifact store: per-function SEGs and RV
           summaries live here instead of the resident tables; never
           sealed while serving, so incremental updates keep appending *)
   mutable files : (string * string) list;  (** (name, contents), load order *)
@@ -68,7 +69,7 @@ type state = {
       (** its [by_name] table holds the current functions; its function
           list is refreshed from [graph] only when {!program} is read *)
   mutable graph : Callgraph.t;  (** [prog]'s, patched by each update *)
-  mutable transform : Transform.result;
+  mutable ifaces : (string, Transform.iface) Hashtbl.t;
   mutable segs : (string, Seg.t) Hashtbl.t;
   mutable rv : Rv.t;
   mutable vfs : (string, Pinpoint.Checker_spec.t * Vf.t) Hashtbl.t;
@@ -106,8 +107,7 @@ let table_sizes st =
     ("fdecls", Hashtbl.length st.fdecl_of);
     ("sigs", Hashtbl.length st.sigs);
     ("groups", Hashtbl.length st.groups);
-    ("ifaces", Hashtbl.length st.transform.Transform.ifaces);
-    ("ptas", Hashtbl.length st.transform.Transform.ptas);
+    ("ifaces", Hashtbl.length st.ifaces);
     ("segs", Hashtbl.length st.segs);
     ("rv", Rv.n_resident st.rv);
   ]
@@ -182,7 +182,7 @@ let full_build st ~files ~file_fdecls =
   in
   st.prog <- a.Pinpoint.Analysis.prog;
   st.graph <- a.Pinpoint.Analysis.graph;
-  st.transform <- a.Pinpoint.Analysis.transform;
+  st.ifaces <- a.Pinpoint.Analysis.ifaces;
   st.segs <- a.Pinpoint.Analysis.segs;
   st.rv <- a.Pinpoint.Analysis.rv;
   st.vfs <- a.Pinpoint.Analysis.vfs;
@@ -207,7 +207,7 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
       fdecl_of = Hashtbl.create 0;
       prog = Prog.create ();
       graph = Callgraph.build (Prog.create ());
-      transform = { Transform.ifaces = Hashtbl.create 0; ptas = Hashtbl.create 0 };
+      ifaces = Hashtbl.create 0;
       segs = Hashtbl.create 0;
       rv = Rv.create (Prog.create ());
       vfs = Hashtbl.create 0;
@@ -224,15 +224,11 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
    [edited] are the freshly lowered functions whose AST changed.
    Returns the number of functions re-transformed and re-summarised. *)
 let propagate st ~lower (edited : Func.t list) =
-  (* Install a re-lowered function: remember the function it replaces
-     and that one's RV entries (read before the store re-registers the
-     name, so they decode against the old variables), drop its stored
-     artifacts and splice it into the program. *)
-  let before = Hashtbl.create 16 in
+  (* Install a re-lowered function: drop its stored artifacts and splice
+     it into the program, where the walk's RV summaries read its
+     formals. *)
   let install (f : Func.t) =
     let name = f.Func.fname in
-    Hashtbl.replace before name
-      (Option.get (Prog.find st.prog name), Rv.find st.rv name);
     Option.iter
       (fun store ->
         Store.remove_fn store name;
@@ -240,13 +236,23 @@ let propagate st ~lower (edited : Func.t list) =
       st.store;
     Hashtbl.replace st.prog.Prog.by_name name f
   in
+  (* Each edited function's predecessor and that one's RV entries, read
+     before the store re-registers the name, so they decode against the
+     old variables. *)
+  let before = Hashtbl.create 16 in
   let old_callees =
     Callgraph.callees st.graph
       (List.map
          (fun (f : Func.t) -> Option.get (Prog.find st.prog f.Func.fname))
          edited)
   in
-  List.iter install edited;
+  List.iter
+    (fun (f : Func.t) ->
+      let name = f.Func.fname in
+      Hashtbl.replace before name
+        (Option.get (Prog.find st.prog name), Rv.find st.rv name);
+      install f)
+    edited;
   (* An edited function's SCC, and every SCC the edit made or broke a
      cycle in, is re-transformed whatever its callees do. *)
   let stale = Hashtbl.create 16 in
@@ -255,48 +261,44 @@ let propagate st ~lower (edited : Func.t list) =
     (List.map (fun (f : Func.t) -> f.Func.fname) edited
     @ Callgraph.replace st.graph edited);
   let roots = Hashtbl.fold (fun name () acc -> name :: acc) stale [] in
-  (* Callers re-transformed because a callee's interface changed are
-     lowered mid-walk, possibly on a worker domain. *)
+  (* Callers re-transformed because a callee's interface changed, and an
+     edited function's SCC-mates, are lowered mid-walk, possibly on a
+     worker domain.  [install] only rebinds a name [by_name] already
+     holds, and the walk reads that name only from the function's own
+     SCC and from its callers, which run after it. *)
   let lock = Mutex.create () and later = ref [] in
   let relower (f : Func.t) =
-    Mutex.protect lock (fun () ->
-        if Hashtbl.mem before f.Func.fname then f
-        else begin
+    if Hashtbl.mem before f.Func.fname then f
+    else
+      Mutex.protect lock (fun () ->
           let f' = lower f (Hashtbl.find st.fdecl_of f.Func.fname) in
           install f';
           later := f' :: !later;
-          f'
-        end)
+          f')
   in
-  (* The transform walk, then the sweep, both over the SCCs the edit can
-     reach: those holding an edited or moved function or a transitive
-     caller of one, marked once.  Each walk reads the members when it
-     starts, so the sweep sees the callers lowered mid-walk.  Store mode:
-     fresh PTAs, SEGs and RV entries go back to the store, just like
-     batch prepare. *)
-  let cone = Callgraph.upward st.graph roots in
-  let sccs () = List.map (Callgraph.members st.graph) cone in
-  let redone =
-    Transform.update ~resilience:st.resilience ?pool:st.pool
-      ?pta_sink:(Option.map Store.put_pta st.store)
-      st.transform st.graph
-      ~stale:(List.exists (fun (f : Func.t) -> Hashtbl.mem stale f.Func.fname))
-      ~relower (sccs ())
-  in
-  (* A function lowered again from the same AST and header facts makes
-     the same calls, so this leaves the SCCs, and [cone], as they were. *)
-  if !later <> [] then ignore (Callgraph.replace st.graph !later);
+  (* One walk over the SCCs the edit can reach: those holding an edited
+     or moved function or a transitive caller of one, marked once.  The
+     walk reads each SCC's members when it starts and builds a
+     re-transformed member's SEG from the function [relower] returned.
+     Store mode: fresh SEGs and RV entries go back to the store, just
+     like batch prepare. *)
   let swept =
     Pinpoint.Analysis.sweep ~resilience:st.resilience ?pool:st.pool
-      ?store:st.store st.graph st.transform ~segs:st.segs st.rv
-      ~vfs:st.vfs ~retransformed:before (sccs ())
+      ?store:st.store st.graph st.ifaces ~segs:st.segs st.rv ~vfs:st.vfs
+      ~stale:(List.exists (fun (f : Func.t) -> Hashtbl.mem stale f.Func.fname))
+      ~relower ~before
+      (List.map (Callgraph.members st.graph) (Callgraph.upward st.graph roots))
   in
+  (* A function lowered again from the same AST and header facts makes
+     the same calls, so this leaves the SCCs as they were. *)
+  if !later <> [] then ignore (Callgraph.replace st.graph !later);
+  let redone = swept.Pinpoint.Analysis.redone in
   (* Drop the stored searches the edit may have changed: those that
      visited the SEG of a re-lowered function or of a caller of a
      function whose RV or VF entries changed — a search reads summaries
      only of the callees of the SEGs it visits — and those that read the
      caller list of a re-lowered function's callee, old body or new. *)
-  let relowered = Hashtbl.fold (fun name _ acc -> name :: acc) before [] in
+  let relowered = List.map (fun (f : Func.t) -> f.Func.fname) redone in
   let segs =
     relowered
     @ List.concat_map

@@ -3,14 +3,15 @@
 
     A {!state} holds one subject: the source files, their ASTs, the
     compiled program, its call graph and every derived table
-    (interfaces, points-to, SEGs, RV summaries, per-checker VF
-    summaries).  {!update} applies a request's changed files by
-    re-lowering the functions whose AST changed (locations included) and
-    propagating the edit bottom-up with an early cutoff: a caller is
-    re-transformed only when its SCC changed or a callee changed its
-    interface shape, and re-summarised from its retained SEG only when a
-    callee changed its RV or VF entries.  Everything else stays resident,
-    and the call graph is patched, not rebuilt.
+    (interfaces, SEGs, RV summaries, per-checker VF summaries).
+    {!update} applies a request's changed files by re-lowering the
+    functions whose AST changed (locations included) and propagating the
+    edit bottom-up with an early cutoff, in one walk
+    ({!Pinpoint.Analysis.sweep}): a caller is re-transformed only when
+    its SCC changed or a callee changed its interface shape, and
+    re-summarised from its retained SEG only when a callee changed its
+    RV or VF entries.  Everything else stays resident, and the call graph
+    is patched, not rebuilt.
 
     A body edit — every edited file's headers (names, parameter and
     return types, method groups and units, in order) equal to that file's
@@ -54,11 +55,10 @@ val load :
     pairs as one program (the batch pipeline, {!Pinpoint.Analysis.prepare}).
     [incident_cap] bounds the retained incident log
     ({!Pinpoint_util.Resilience.create}).  With [store] per-function
-    artifacts (PTAs, SEGs, RV summaries) live in the disk-resident
-    artifact store instead of the resident tables; updates drop the
-    re-lowered functions' artifacts and re-spill them, re-summarised
-    functions' RV entries too, and the store is never sealed while
-    serving.  Raises
+    artifacts (SEGs, RV summaries) live in the disk-resident artifact
+    store instead of the resident tables; updates drop the re-lowered
+    functions' artifacts and re-spill them, re-summarised functions' RV
+    entries too, and the store is never sealed while serving.  Raises
     {!Pinpoint_frontend.Parser.Error} / {!Pinpoint_frontend.Lower.Error}
     on malformed input. *)
 
@@ -77,7 +77,7 @@ val check :
   Pinpoint.Checker_spec.t ->
   Pinpoint.Report.t list * Pinpoint.Engine.stats
 (** Run one checker against the resident state, with the VF table the
-    load's sweep built and each update's sweep refreshed. *)
+    load's walk built and each update's walk refreshed. *)
 
 val epoch : state -> int
 (** Number of updates applied since load. *)
@@ -95,8 +95,8 @@ val graph : state -> Pinpoint_ir.Callgraph.t
 
 val table_sizes : state -> (string * int) list
 (** Entry counts of the resident tables, sorted by name: files, ASTs,
-    signatures and method groups; interfaces, points-to results, SEGs,
-    RV entries and each checker's VF entries; and each checker's memo
+    signatures and method groups; interfaces, SEGs, RV entries and each
+    checker's VF entries; and each checker's memo
     ({!Pinpoint.Engine.memo_sizes}).  In store mode the artifacts live
     in the store and are not counted. *)
 

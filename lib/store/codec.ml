@@ -1,7 +1,6 @@
 open Pinpoint_ir
 module E = Pinpoint_smt.Expr
 module Sym = Pinpoint_smt.Symbol
-module Cell = Pinpoint_pta.Cell
 module Pta = Pinpoint_pta.Pta
 module Seg = Pinpoint_seg.Seg
 module Rv = Pinpoint_summary.Rv
@@ -249,21 +248,6 @@ let dec_expr env c =
 
 (* --- small pieces --------------------------------------------------- *)
 
-let enc_cell a (cell : Cell.t) =
-  match cell with
-  | Cell.CAlloc sid ->
-    Arena.push a 0;
-    Arena.push a sid
-  | Cell.CDeref v ->
-    Arena.push a 1;
-    Arena.push a v.Var.vid
-
-let dec_cell env fname c : Cell.t =
-  match Arena.read c with
-  | 0 -> Cell.CAlloc (Arena.read c)
-  | 1 -> Cell.CDeref (var_of env fname (Arena.read c))
-  | t -> invalid_arg (Printf.sprintf "Codec: bad cell tag %d" t)
-
 let enc_operand a (o : Stmt.operand) =
   match o with
   | Stmt.Ovar v ->
@@ -293,157 +277,44 @@ let put_row env (a : Arena.t) : int * int =
 
 let fetch_row env ~off ~len = Arena.of_bytes (env.fetch ~off ~len)
 
-(* --- PTA artifacts -------------------------------------------------- *)
-
-let enc_cond_cells env (a : Arena.t) cells =
-  Arena.push_list a
-    (fun (cell, cond) ->
-      enc_cell a cell;
-      enc_expr env a cond)
-    cells
-
-let dec_cond_cells env fname c =
-  Arena.read_list c (fun c ->
-      let cell = dec_cell env fname c in
-      let cond = dec_expr env c in
-      (cell, cond))
-
-let enc_pta env (pta : Pta.t) : bytes =
-  let fname = (pta.Pta.func).Func.fname in
-  let a = Arena.create ~cap:256 () in
-  Arena.push_str a fname;
-  Arena.push_list a
-    (fun (i : Pta.incoming) ->
-      Arena.push a i.Pta.ivar.Var.vid;
-      Arena.push a i.Pta.root.Var.vid;
-      Arena.push a i.Pta.depth)
-    pta.Pta.incomings;
-  let push_pairs =
-    Arena.push_list a (fun (i, k) ->
-        Arena.push a i;
-        Arena.push a k)
-  in
-  push_pairs pta.Pta.refs;
-  push_pairs pta.Pta.mods;
-  Arena.push_list a
-    (fun (cell, cond, sid) ->
-      enc_cell a cell;
-      enc_expr env a cond;
-      Arena.push a sid)
-    pta.Pta.freed_cells;
-  (* pts: one interned row per owner *)
-  let pts_rows =
-    Var.Tbl.fold
-      (fun owner entries acc ->
-        let row = Arena.create () in
-        enc_cond_cells env row entries;
-        (owner.Var.vid, put_row env row) :: acc)
-      pta.Pta.pts []
-  in
-  Arena.push_list a
-    (fun (vid, (off, len)) ->
-      Arena.push a vid;
-      Arena.push a off;
-      Arena.push a len)
-    pts_rows;
-  let push_sid_rows tbl enc_row =
-    let rows =
-      Hashtbl.fold
-        (fun sid entries acc ->
-          let row = Arena.create () in
-          enc_row row entries;
-          (sid, put_row env row) :: acc)
-        tbl []
-    in
-    Arena.push_list a
-      (fun (sid, (off, len)) ->
-        Arena.push a sid;
-        Arena.push a off;
-        Arena.push a len)
-      rows
-  in
-  push_sid_rows pta.Pta.load_res (fun row entries ->
-      Arena.push_list row
-        (fun (e : Pta.entry) ->
-          enc_operand row e.Pta.value;
-          enc_expr env row e.Pta.cond;
-          Arena.push row e.Pta.store_sid)
-        entries);
-  push_sid_rows pta.Pta.store_tgts (fun row cells ->
-      enc_cond_cells env row cells);
-  Arena.to_bytes a
-
-let dec_pta env (b : bytes) : Pta.t =
-  let c = Arena.of_bytes b in
-  let fname = Arena.read_str c in
-  let func = func_of env fname in
-  let incomings =
-    Arena.read_list c (fun c ->
-        let ivar = var_of env fname (Arena.read c) in
-        let root = var_of env fname (Arena.read c) in
-        let depth = Arena.read c in
-        { Pta.ivar; root; depth })
-  in
-  let read_pairs () =
-    Arena.read_list c (fun c ->
-        let i = Arena.read c in
-        let k = Arena.read c in
-        (i, k))
-  in
-  let refs = read_pairs () in
-  let mods = read_pairs () in
-  let freed_cells =
-    Arena.read_list c (fun c ->
-        let cell = dec_cell env fname c in
-        let cond = dec_expr env c in
-        let sid = Arena.read c in
-        (cell, cond, sid))
-  in
-  let pts = Var.Tbl.create 64 in
-  List.iter
-    (fun (owner, entries) -> Var.Tbl.replace pts owner entries)
-    (Arena.read_list c (fun c ->
-         let owner = var_of env fname (Arena.read c) in
-         let off = Arena.read c in
-         let len = Arena.read c in
-         (owner, dec_cond_cells env fname (fetch_row env ~off ~len))));
-  let read_sid_rows dec_row =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (sid, entries) -> Hashtbl.replace tbl sid entries)
-      (Arena.read_list c (fun c ->
-           let sid = Arena.read c in
-           let off = Arena.read c in
-           let len = Arena.read c in
-           (sid, dec_row (fetch_row env ~off ~len))));
-    tbl
-  in
-  let load_res =
-    read_sid_rows (fun row ->
-        Arena.read_list row (fun row ->
-            let value = dec_operand env fname row in
-            let cond = dec_expr env row in
-            let store_sid = Arena.read row in
-            { Pta.value; cond; store_sid }))
-  in
-  let store_tgts = read_sid_rows (fun row -> dec_cond_cells env fname row) in
-  { Pta.func; pts; load_res; store_tgts; incomings; refs; mods; freed_cells }
-
 (* --- SEG artifacts -------------------------------------------------- *)
 
+(* Each keyed row as its key and extent, in the order given. *)
+let push_rows a rows =
+  Arena.push_list a
+    (fun (key, (off, len)) ->
+      Arena.push a key;
+      Arena.push a off;
+      Arena.push a len)
+    rows
+
+let read_rows env c dec_row =
+  Arena.read_list c (fun c ->
+      let key = Arena.read c in
+      let off = Arena.read c in
+      let len = Arena.read c in
+      (key, dec_row (fetch_row env ~off ~len)))
+
+(* A SEG is stored as its load rows (one per load sid: each points-to
+   entry's stored value, condition and storing sid), its adjacency rows
+   (one per variable) and its use list. *)
 let enc_seg env (seg : Seg.t) : bytes =
   let fname = (Seg.func seg).Func.fname in
   let a = Arena.create ~cap:256 () in
   Arena.push_str a fname;
   Arena.push a (Seg.n_control_edges seg);
-  let enc_adj rows =
-    Arena.push_list a
-      (fun (vid, (off, len)) ->
-        Arena.push a vid;
-        Arena.push a off;
-        Arena.push a len)
-      rows
-  in
+  push_rows a
+    (List.map
+       (fun (sid, entries) ->
+         let row = Arena.create () in
+         Arena.push_list row
+           (fun (e : Pta.entry) ->
+             enc_operand row e.Pta.value;
+             enc_expr env row e.Pta.cond;
+             Arena.push row e.Pta.store_sid)
+           entries;
+         (sid, put_row env row))
+       (Seg.loads seg));
   let adj_rows fold =
     fold ~init:[] ~f:(fun acc (v : Var.t) (es : Seg.edge list) ->
         let row = Arena.create () in
@@ -455,8 +326,8 @@ let enc_seg env (seg : Seg.t) : bytes =
           es;
         (v.Var.vid, put_row env row) :: acc)
   in
-  enc_adj (adj_rows (Seg.fold_succs seg));
-  enc_adj (adj_rows (Seg.fold_preds seg));
+  push_rows a (adj_rows (Seg.fold_succs seg));
+  push_rows a (adj_rows (Seg.fold_preds seg));
   Arena.push_list a
     (fun (u : Seg.use) ->
       Arena.push a u.Seg.uvar.Var.vid;
@@ -475,29 +346,28 @@ let enc_seg env (seg : Seg.t) : bytes =
     (Seg.uses seg);
   Arena.to_bytes a
 
-let dec_seg env ~(pta : Pta.t) (b : bytes) : Seg.t =
+let dec_seg env (b : bytes) : Seg.t =
   let c = Arena.of_bytes b in
   let fname = Arena.read_str c in
-  if fname <> (pta.Pta.func).Func.fname then
-    invalid_arg
-      (Printf.sprintf "Codec: SEG artifact %s decoded against PTA of %s" fname
-         (pta.Pta.func).Func.fname);
   let func = func_of env fname in
   let n_control_edges = Arena.read c in
+  let loads =
+    read_rows env c (fun row ->
+        Arena.read_list row (fun row ->
+            let value = dec_operand env fname row in
+            let cond = dec_expr env row in
+            let store_sid = Arena.read row in
+            { Pta.value; cond; store_sid }))
+  in
   let dec_adj () =
-    Arena.read_list c (fun c ->
-        let v = var_of env fname (Arena.read c) in
-        let off = Arena.read c in
-        let len = Arena.read c in
-        let row = fetch_row env ~off ~len in
-        let es =
-          Arena.read_list row (fun row ->
-              let dst = var_of env fname (Arena.read row) in
-              let kind = if Arena.read row = 0 then Seg.Copy else Seg.Operand in
-              let cond = dec_expr env row in
-              { Seg.dst; cond; kind })
-        in
-        (v, es))
+    List.map
+      (fun (vid, es) -> (var_of env fname vid, es))
+      (read_rows env c (fun row ->
+           Arena.read_list row (fun row ->
+               let dst = var_of env fname (Arena.read row) in
+               let kind = if Arena.read row = 0 then Seg.Copy else Seg.Operand in
+               let cond = dec_expr env row in
+               { Seg.dst; cond; kind })))
   in
   let succs = dec_adj () in
   let preds = dec_adj () in
@@ -517,7 +387,7 @@ let dec_seg env ~(pta : Pta.t) (b : bytes) : Seg.t =
         in
         { Seg.uvar; sid; ukind })
   in
-  Seg.of_parts ~func ~pta ~succs ~preds ~uses ~n_control_edges
+  Seg.of_parts ~func ~loads ~succs ~preds ~uses ~n_control_edges
 
 (* --- RV artifacts --------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
-(** Artifact codec: flatten PTA results, SEGs and RV/VF summaries into
-    arenas and rebuild them losslessly in the same process.
+(** Artifact codec: flatten SEGs and RV/VF summaries into arenas and
+    rebuild them losslessly in the same process.
 
     The stable node-id scheme rides on ids the pipeline already makes
     deterministic:
@@ -16,8 +16,8 @@
       decodes to the same id after an edit re-lowers its function.
 
     Repetition is exploited twice: whole formulas are banked once per
-    hash-cons id, and serialised rows (points-to rows, SEG adjacency
-    rows) are interned by content — per-function ids are dense from
+    hash-cons id, and serialised rows (SEG load and adjacency rows) are
+    interned by content — per-function ids are dense from
     zero, so structurally identical functions produce byte-identical
     rows that dedup across the whole program. *)
 
@@ -40,12 +40,9 @@ type stats = {
 
 val stats : env -> stats
 
-val enc_pta : env -> Pinpoint_pta.Pta.t -> bytes
-val dec_pta : env -> bytes -> Pinpoint_pta.Pta.t
-
 val enc_seg : env -> Pinpoint_seg.Seg.t -> bytes
-val dec_seg : env -> pta:Pinpoint_pta.Pta.t -> bytes -> Pinpoint_seg.Seg.t
-(** The function name stored in the artifact must match [pta]'s. *)
+val dec_seg : env -> bytes -> Pinpoint_seg.Seg.t
+(** A SEG carries its load rows, so it decodes on its own. *)
 
 val enc_rv : env -> string -> Pinpoint_summary.Rv.entry option array -> bytes
 val dec_rv : env -> bytes -> Pinpoint_summary.Rv.entry option array

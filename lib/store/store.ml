@@ -1,5 +1,4 @@
 module Obs = Pinpoint_obs.Obs
-module Pta = Pinpoint_pta.Pta
 module Seg = Pinpoint_seg.Seg
 module Rv = Pinpoint_summary.Rv
 module Vf = Pinpoint_summary.Vf
@@ -22,7 +21,6 @@ type t = {
   env : Codec.env;
   index : (string, int * int) Hashtbl.t;
   seg_lru : Seg.t Resident.t;
-  pta_lru : Pta.t Resident.t;
   rv_lru : Rv.entry option array Resident.t;
   vfs : (string, Vf.t) Hashtbl.t;
       (* per-checker tables: tiny (ints only), kept resident *)
@@ -52,7 +50,6 @@ let create ~dir ?(max_resident = 64) () =
     env;
     index = Hashtbl.create 1024;
     seg_lru = Resident.create ~cap:max_resident;
-    pta_lru = Resident.create ~cap:max_resident;
     rv_lru = Resident.create ~cap:max_resident;
     vfs = Hashtbl.create 4;
     sizes = Hashtbl.create 1024;
@@ -92,21 +89,6 @@ let artifact t name =
 
 let evicted t l = t.evictions <- t.evictions + List.length l
 
-let put_pta_ t fname pta =
-  put_artifact t ("p/" ^ fname) (Codec.enc_pta t.env pta);
-  evicted t (Resident.put t.pta_lru fname pta)
-
-let pta_of_ t fname =
-  match Resident.find t.pta_lru fname with
-  | Some _ as r -> r
-  | None -> (
-    match artifact t ("p/" ^ fname) with
-    | None -> None
-    | Some b ->
-      let pta = Codec.dec_pta t.env b in
-      evicted t (Resident.put t.pta_lru fname pta);
-      Some pta)
-
 let put_seg_ t fname seg =
   put_artifact t ("s/" ^ fname) (Codec.enc_seg t.env seg);
   Hashtbl.replace t.sizes fname (Seg.n_vertices seg, Seg.n_edges seg);
@@ -118,14 +100,11 @@ let seg_of_ t fname =
   | None -> (
     match artifact t ("s/" ^ fname) with
     | None -> None
-    | Some b -> (
+    | Some b ->
       t.seg_faults <- t.seg_faults + 1;
-      match pta_of_ t fname with
-      | None -> None (* a SEG without its PTA: treat as absent *)
-      | Some pta ->
-        let seg = Codec.dec_seg t.env ~pta b in
-        evicted t (Resident.put t.seg_lru fname seg);
-        Some seg))
+      let seg = Codec.dec_seg t.env b in
+      evicted t (Resident.put t.seg_lru fname seg);
+      Some seg)
 
 let put_rv_ t fname entries =
   put_artifact t ("r/" ^ fname) (Codec.enc_rv t.env fname entries);
@@ -144,8 +123,6 @@ let rv_of_ t fname =
 
 (* --- public (locked) ------------------------------------------------ *)
 
-let put_pta t fname pta = locked t (fun () -> put_pta_ t fname pta)
-let pta_of t fname = locked t (fun () -> pta_of_ t fname)
 let put_seg t fname seg = locked t (fun () -> put_seg_ t fname seg)
 let seg_of t fname = locked t (fun () -> seg_of_ t fname)
 let put_rv t fname entries = locked t (fun () -> put_rv_ t fname entries)
@@ -183,8 +160,7 @@ let remove_fn t fname =
   locked t (fun () ->
       List.iter
         (fun prefix -> Hashtbl.remove t.index (prefix ^ fname))
-        [ "p/"; "s/"; "r/" ];
-      Resident.remove t.pta_lru fname;
+        [ "s/"; "r/" ];
       Resident.remove t.seg_lru fname;
       Resident.remove t.rv_lru fname;
       Hashtbl.remove t.sizes fname)
@@ -219,13 +195,11 @@ let seg_sizes t =
 let drop_resident t =
   locked t (fun () ->
       Resident.clear t.seg_lru;
-      Resident.clear t.pta_lru;
       Resident.clear t.rv_lru;
       Hashtbl.reset t.vfs)
 
 let resident_ t =
-  Resident.length t.seg_lru + Resident.length t.pta_lru
-  + Resident.length t.rv_lru
+  Resident.length t.seg_lru + Resident.length t.rv_lru
 
 let stats t =
   locked t (fun () ->

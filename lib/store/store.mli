@@ -1,22 +1,25 @@
 (** The disk-resident artifact store (facade).
 
     One blob file per analysis run holds every spilled artifact:
-    per-function PTA results ([p/<fn>]), SEGs ([s/<fn>]), RV summaries
-    ([r/<fn>]) and per-checker VF summaries ([v/<checker>]).  Artifacts
-    are flat-arena records ({!Codec}) with formula and row extents
-    deduplicated ({!Intern}); a bounded LRU ({!Resident}) keeps the
-    most recently touched functions decoded, so peak heap is governed
-    by [max_resident] plus the resident IR, not by program size.  The
-    engine faults artifacts back in through {!seg_of} on demand.
+    per-function SEGs ([s/<fn>], load table included) and RV summaries
+    ([r/<fn>]), and per-checker VF summaries ([v/<checker>]).  No
+    points-to result is ever stored: a SEG carries the load rows its
+    data-dependence queries read.  Artifacts are flat-arena records
+    ({!Codec}) with formula and row extents deduplicated ({!Intern}); a
+    bounded LRU ({!Resident}) keeps the most recently touched functions
+    decoded, so peak heap is governed by [max_resident] plus the resident
+    IR, not by program size.  The engine faults artifacts back in through
+    {!seg_of} on demand.
 
     All operations are thread-safe behind one store mutex (decode
     faults can arrive from several worker domains).
 
-    Decoding relies on the process-local variable catalog filled at
-    encode time, so a store is readable by the process that wrote it
-    (paging within one run — the DFI-style use).  Across processes,
-    {!reopen} gives integrity checking and artifact enumeration of the
-    newest valid epoch, falling back past torn writes. *)
+    A variable decodes through the [Var.gen] of the function registered
+    under its function's name ({!register_program}, {!register_fn}), so a
+    store is readable by the process that wrote it (paging within one
+    run — the DFI-style use).  Across processes, {!reopen} gives
+    integrity checking and artifact enumeration of the newest valid
+    epoch, falling back past torn writes. *)
 
 type t
 
@@ -28,11 +31,10 @@ val register_program : t -> Pinpoint_ir.Prog.t -> unit
 (** Make every function decodable.  Call once after lowering. *)
 
 val register_fn : t -> Pinpoint_ir.Func.t -> unit
-(** Re-register one function's variable catalog (server incremental
-    update: a re-lowered function has fresh variable objects). *)
+(** Register one function under its name again, so its variables decode
+    through its own [Var.gen] (server incremental update: a re-lowered
+    function has fresh variable objects). *)
 
-val put_pta : t -> string -> Pinpoint_pta.Pta.t -> unit
-val pta_of : t -> string -> Pinpoint_pta.Pta.t option
 val put_seg : t -> string -> Pinpoint_seg.Seg.t -> unit
 val seg_of : t -> string -> Pinpoint_seg.Seg.t option
 val put_rv : t -> string -> Pinpoint_summary.Rv.entry option array -> unit
@@ -47,7 +49,7 @@ val put_vf : t -> string -> Pinpoint_summary.Vf.t -> unit
 val vf_of : t -> string -> Pinpoint_summary.Vf.t option
 
 val remove_fn : t -> string -> unit
-(** Drop a function's PTA/SEG/RV artifacts and resident copies (server
+(** Drop a function's SEG and RV artifacts and resident copies (server
     incremental update; the dead blob bytes are not reclaimed). *)
 
 val seal : t -> unit

@@ -15,10 +15,11 @@
       path, and an {e Aux return value} [R_p] with an exit load
       [R_p <- *(v_q, r)] and an extended return per MOD path (Fig. 3a);
     + runs the points-to analysis once more on the transformed body — the
-      result is what the SEG builder consumes.  A function with no REF
-      and no MOD path gains no parameter, entry store or exit load, so its
-      body is the one the discovery run analysed, and that run's result
-      is published instead.
+      result is what the SEG builder consumes, straight after the SCC is
+      transformed ([Analysis.sweep]).  A function with no REF and no MOD
+      path gains no parameter, entry store or exit load, so its body is
+      the one the discovery run analysed, and that run's result is
+      published instead.
 
     Calls within one call-graph SCC are left un-rewritten (the paper
     unrolls recursion once, §4.2).  REF paths always include the
@@ -35,12 +36,6 @@ type iface = {
   has_orig_ret : bool;
 }
 
-type result = {
-  ifaces : (string, iface) Hashtbl.t;
-  ptas : (string, Pinpoint_pta.Pta.t) Hashtbl.t;
-      (** final (post-transformation) points-to results per function *)
-}
-
 val expose_side_effects : Pinpoint_ir.Func.t -> Pinpoint_pta.Pta.t -> iface
 (** [expose_side_effects f pta] exposes [f]'s own side effects, as [pta]
     found them, on its interface (Fig. 3a), in place: an Aux formal
@@ -52,58 +47,30 @@ val max_conduits : int ref
 (** Cap on conduits per function (guards against side-effect-summary
     explosion, §3.1.2; default 64). *)
 
-val run :
+val process_scc :
   ?resilience:Pinpoint_util.Resilience.log ->
-  ?pool:Pinpoint_par.Pool.t ->
-  ?pta_sink:(string -> Pinpoint_pta.Pta.t -> unit) ->
-  Pinpoint_ir.Callgraph.t ->
-  result
-(** Transform the whole program the call graph describes, in place, and
-    return the interface and points-to tables.  Each per-function unit of
-    work runs inside an exception barrier: a crash in one function
-    records an incident on [resilience] (when given) and leaves that
-    function without an interface / points-to result, instead of aborting
-    the pipeline.
+  iface_of:(string -> iface option) ->
+  put_iface:(string -> iface -> unit) ->
+  put_pta:(string -> Pinpoint_pta.Pta.t -> unit) ->
+  Pinpoint_ir.Func.t list ->
+  unit
+(** Transform the members of one call-graph SCC, in place and in member
+    order, against the callee interfaces [iface_of] returns: rewrite each
+    member's calls, run the discovery PTA, expose its side effects and
+    publish its interface ([put_iface]), so a member processed later sees
+    it.  Then, for every member, publish the final points-to result
+    ([put_pta]): a PTA of the transformed body, or the discovery result
+    where the body did not change.  A callee [iface_of] does not know
+    (one later in the same SCC, or one that crashed) keeps its calls
+    un-rewritten.  Each stage of each member runs inside an exception
+    barrier: a crash records an incident on [resilience] (when given) and
+    leaves that member without an interface, or without a points-to
+    result (and so without a SEG). *)
 
-    With [pool] (and more than one job) call-graph SCCs are processed as a
-    bottom-up wave on the pool — a component starts once its callee
-    components are done, so the result is identical to the sequential
-    order.
-
-    With [pta_sink] (the artifact store's spill mode) points-to results
-    stream to the sink as each SCC finishes and [result.ptas] stays
-    empty, bounding resident memory to one SCC; the run is sequential
-    and [pool] is ignored.  Everything else — ids, symbols, formulas —
-    is produced in the same order as the sequential path. *)
-
-val update :
-  ?resilience:Pinpoint_util.Resilience.log ->
-  ?pool:Pinpoint_par.Pool.t ->
-  ?pta_sink:(string -> Pinpoint_pta.Pta.t -> unit) ->
-  result ->
-  Pinpoint_ir.Callgraph.t ->
-  stale:(Pinpoint_ir.Func.t list -> bool) ->
-  relower:(Pinpoint_ir.Func.t -> Pinpoint_ir.Func.t) ->
-  Pinpoint_ir.Func.t list list ->
-  Pinpoint_ir.Func.t list
-(** The bottom-up transform walk with early cutoff (DESIGN.md §4.13),
-    shared by {!run} and the analysis server.  [update t graph ~stale
-    ~relower sccs] walks [sccs], components of [graph] in bottom-up order
-    with members in {!Pinpoint_ir.Callgraph.sccs} order, reading each
-    SCC's callees from [graph].  An SCC is transformed when [stale scc]
-    holds or a callee outside it changed its interface shape — the
-    [(j,k)] REF paths, the [(q,r,ty)] MOD paths and [has_orig_ret] —
-    earlier in the walk.  Its members are then replaced by [relower]
-    (fresh, untransformed IR for the same function; called once per
-    member, from a worker domain with a pool), their table entries are
-    dropped and the component is reprocessed against the retained
-    interfaces, producing interfaces and points-to results identical to
-    a from-scratch {!run} on the same program.  Every other SCC is left
-    as it is.  Returns the functions [relower] produced.  Sequential by
-    default; with [pool] (and more than one job) the components run as
-    the same batched bottom-up wave as {!run}, with the same decisions.
-    With [pta_sink] fresh points-to results go to the sink instead of
-    [result.ptas] (store mode, as in {!run}; the run is then sequential
-    and [pool] is ignored). *)
+val same_shape : iface -> iface -> bool
+(** Whether two interfaces rewrite a caller's calls the same way: the
+    same [(j,k)] REF paths, the same [(q,r,ty)] MOD paths and the same
+    [has_orig_ret].  A caller's transformed IR depends on its callees'
+    interfaces only through this shape. *)
 
 val pp_iface : Format.formatter -> iface -> unit

@@ -92,7 +92,7 @@ let test_lru () =
 
 (* ---------- codec round-trips over the corpus ---------- *)
 
-(* Spill every function's PTA / SEG / RV into a fresh store, drop the
+(* Spill every function's SEG / RV into a fresh store, drop the
    resident copies, fault everything back and compare against the
    original objects.  Variables and formulas must come back physically
    identical (the decode path re-interns through the same hash-cons
@@ -101,6 +101,20 @@ let check_seg_equal name (orig : Seg.t) (dec : Seg.t) =
   let adj fold seg =
     fold seg ~init:[] ~f:(fun acc v es -> (v, es) :: acc)
   in
+  (* The load table: the same sids in order, each entry's value the same
+     variable or constant and its condition the same formula node. *)
+  let same_entry (a : Pinpoint_pta.Pta.entry) (b : Pinpoint_pta.Pta.entry) =
+    (match (a.Pinpoint_pta.Pta.value, b.Pinpoint_pta.Pta.value) with
+    | Pinpoint_ir.Stmt.Ovar u, Pinpoint_ir.Stmt.Ovar v -> u == v
+    | x, y -> x = y)
+    && a.Pinpoint_pta.Pta.cond == b.Pinpoint_pta.Pta.cond
+    && a.Pinpoint_pta.Pta.store_sid = b.Pinpoint_pta.Pta.store_sid
+  in
+  Alcotest.(check bool)
+    (name ^ ": load table identical") true
+    (List.equal
+       (fun (s, es) (s', es') -> s = s' && List.equal same_entry es es')
+       (Seg.loads orig) (Seg.loads dec));
   Alcotest.(check bool)
     (name ^ ": succs identical") true
     (adj Seg.fold_succs orig = adj Seg.fold_succs dec);
@@ -115,13 +129,12 @@ let check_seg_equal name (orig : Seg.t) (dec : Seg.t) =
   Alcotest.(check int) (name ^ ": edges") (Seg.n_edges orig) (Seg.n_edges dec)
 
 let test_artifact_roundtrip () =
+  let with_loads = ref 0 in
   List.iter
     (fun path ->
       let a = Pinpoint.Analysis.prepare_source ~file:path (read_file path) in
       let st = Store.create ~dir:(tmp_dir ()) ~max_resident:4 () in
       Store.register_program st a.Pinpoint.Analysis.prog;
-      let ptas = a.Pinpoint.Analysis.transform.Pinpoint_transform.Transform.ptas in
-      Hashtbl.iter (Store.put_pta st) ptas;
       Hashtbl.iter (Store.put_seg st) a.Pinpoint.Analysis.segs;
       List.iter
         (fun (f : Pinpoint_ir.Func.t) ->
@@ -132,41 +145,14 @@ let test_artifact_roundtrip () =
         (Pinpoint_ir.Prog.functions a.Pinpoint.Analysis.prog);
       Store.drop_resident st;
       let base = Filename.basename path in
-      (* PTA: compare a canonical dump — the record embeds hashtables,
-         and structural [=] on those is layout- (insertion-order-)
-         sensitive.  Vars and formulas decode physically identical, so
-         polymorphic compare on the dumped contents is exact. *)
-      let dump_pta (p : Pinpoint_pta.Pta.t) =
-        let sorted_tbl fold tbl =
-          fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-        in
-        ( Pinpoint_ir.Var.Tbl.fold
-            (fun v rows acc -> (v, rows) :: acc)
-            p.Pinpoint_pta.Pta.pts []
-          |> List.sort (fun (a, _) (b, _) -> Pinpoint_ir.Var.compare a b),
-          sorted_tbl Hashtbl.fold p.Pinpoint_pta.Pta.load_res,
-          sorted_tbl Hashtbl.fold p.Pinpoint_pta.Pta.store_tgts,
-          p.Pinpoint_pta.Pta.incomings,
-          p.Pinpoint_pta.Pta.refs,
-          p.Pinpoint_pta.Pta.mods,
-          p.Pinpoint_pta.Pta.freed_cells )
-      in
-      Hashtbl.iter
-        (fun fname (orig : Pinpoint_pta.Pta.t) ->
-          match Store.pta_of st fname with
-          | None -> Alcotest.failf "%s: %s PTA missing" base fname
-          | Some dec ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: %s PTA identical" base fname)
-              true
-              (dump_pta orig = dump_pta dec))
-        ptas;
-      Store.drop_resident st;
       Hashtbl.iter
         (fun fname orig ->
           match Store.seg_of st fname with
           | None -> Alcotest.failf "%s: %s SEG missing" base fname
           | Some dec -> check_seg_equal (base ^ ": " ^ fname) orig dec)
+        a.Pinpoint.Analysis.segs;
+      Hashtbl.iter
+        (fun _ seg -> if Seg.loads seg <> [] then incr with_loads)
         a.Pinpoint.Analysis.segs;
       Store.drop_resident st;
       List.iter
@@ -185,7 +171,8 @@ let test_artifact_roundtrip () =
               true (entries = dec))
         (Pinpoint_ir.Prog.functions a.Pinpoint.Analysis.prog);
       Store.close st)
-    (corpus_files ())
+    (corpus_files ());
+  Alcotest.(check bool) "some SEG has a load row" true (!with_loads > 0)
 
 let test_vf_roundtrip () =
   let path = List.hd (corpus_files ()) in
@@ -292,10 +279,23 @@ let test_eviction_identity jobs () =
       Alcotest.(check bool)
         "store actually spilled" true
         (stats.Store.spills > 0);
-      if max_resident = 1 then
+      if max_resident = 1 then begin
         Alcotest.(check bool)
           "tiny LRU actually evicted" true
           (stats.Store.evictions > 0);
+        (* The sealed epoch lists SEGs, RV entries and VF tables only:
+           no points-to result was ever stored. *)
+        match Store.reopen ~dir:(Store.dir st) with
+        | None -> Alcotest.fail "reopen failed on a sealed store"
+        | Some r ->
+          let kinds =
+            List.sort_uniq compare
+              (List.map (fun (name, _) -> String.sub name 0 2) r.Store.artifacts)
+          in
+          r.Store.finish ();
+          Alcotest.(check (list string))
+            "artifact kinds" [ "r/"; "s/"; "v/" ] kinds
+      end;
       Store.close st)
     [ 1; 4 ]
 

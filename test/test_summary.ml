@@ -405,7 +405,7 @@ let same_rv x y =
    incremental sweep over the dirty SCCs of the edited program, equal the
    oracle over each edited program: the sweep drops the dirty entries and
    recomputes them against the retained clean ones.  The RV entries the
-   sweep rebuilds equal the from-scratch ones it replaced. *)
+   sweep recomputes equal the from-scratch ones it replaced. *)
 let test_sweep_update () =
   List.iter
     (fun (name, src) ->
@@ -420,11 +420,21 @@ let test_sweep_update () =
         let prog = a.Pinpoint.Analysis.prog in
         let what = Printf.sprintf "%s edit %d (%s)" name k edited in
         let rv = rv_entries a in
+        let sccs = dirty_sccs prog edited in
+        (* Every dirty function is listed as replaced, so each dirty SCC is
+           re-summarised from its retained SEGs; none is stale, so none is
+           transformed again. *)
+        let before = Hashtbl.create 16 in
+        List.iter
+          (List.iter (fun (f : Func.t) ->
+               Hashtbl.replace before f.Func.fname
+                 (f, Rv.find a.Pinpoint.Analysis.rv f.Func.fname)))
+          sccs;
         ignore
           (Pinpoint.Analysis.sweep ~resilience:a.Pinpoint.Analysis.resilience
-             a.Pinpoint.Analysis.graph a.Pinpoint.Analysis.transform
+             a.Pinpoint.Analysis.graph a.Pinpoint.Analysis.ifaces
              ~segs:a.Pinpoint.Analysis.segs a.Pinpoint.Analysis.rv ~vfs
-             (dirty_sccs prog edited));
+             ~stale:(fun _ -> false) ~before sccs);
         check_against_oracle what a vfs;
         List.iter2
           (fun (fn, before) (_, after) ->

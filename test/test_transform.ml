@@ -3,6 +3,21 @@
 open Pinpoint_ir
 module T = Pinpoint_transform.Transform
 
+(* The transform alone: each SCC, bottom-up, through [T.process_scc],
+   keeping every interface and every final points-to result. *)
+type result = {
+  ifaces : (string, T.iface) Hashtbl.t;
+  ptas : (string, Pinpoint_pta.Pta.t) Hashtbl.t;
+}
+
+let transform graph =
+  let ifaces = Hashtbl.create 16 and ptas = Hashtbl.create 16 in
+  List.iter
+    (T.process_scc ~iface_of:(Hashtbl.find_opt ifaces)
+       ~put_iface:(Hashtbl.replace ifaces) ~put_pta:(Hashtbl.replace ptas))
+    (Callgraph.sccs graph);
+  { ifaces; ptas }
+
 let fig2_src =
   {|
 void bar(int **q) {
@@ -21,9 +36,9 @@ void foo(int *a) {
 
 let test_aux_formal_inserted () =
   let prog = Helpers.compile fig2_src in
-  let res = T.run (Callgraph.build prog) in
+  let res = transform (Callgraph.build prog) in
   let bar = Helpers.func prog "bar" in
-  let iface = Hashtbl.find res.T.ifaces "bar" in
+  let iface = Hashtbl.find res.ifaces "bar" in
   (* bar reads and writes *(q,1): one F, one R *)
   Alcotest.(check int) "one ref path" 1 (List.length iface.T.ref_paths);
   Alcotest.(check int) "one mod path" 1 (List.length iface.T.mod_paths);
@@ -45,7 +60,7 @@ let test_aux_formal_inserted () =
 
 let test_call_site_rewritten () =
   let prog = Helpers.compile fig2_src in
-  let _ = T.run (Callgraph.build prog) in
+  let _ = transform (Callgraph.build prog) in
   let foo = Helpers.func prog "foo" in
   (* the call to bar now passes an extra actual (loaded before) and
      receives an extra value (stored after) *)
@@ -71,7 +86,7 @@ let test_call_site_rewritten () =
 
 let test_ssa_preserved () =
   let prog = Helpers.compile fig2_src in
-  let _ = T.run (Callgraph.build prog) in
+  let _ = transform (Callgraph.build prog) in
   List.iter
     (fun f ->
       Alcotest.(check bool) ("ssa " ^ f.Func.fname) true (Ssa.is_ssa f);
@@ -90,13 +105,13 @@ void h(int **p, int *v) { g(p, v); }
 void top(int *v) { int **h0 = malloc(); h(h0, v); int *r = *h0; print(*r); }
 |}
   in
-  let res = T.run (Callgraph.build prog) in
-  let g_iface = Hashtbl.find res.T.ifaces "g" in
-  let h_iface = Hashtbl.find res.T.ifaces "h" in
+  let res = transform (Callgraph.build prog) in
+  let g_iface = Hashtbl.find res.ifaces "g" in
+  let h_iface = Hashtbl.find res.ifaces "h" in
   Alcotest.(check int) "g mods" 1 (List.length g_iface.T.mod_paths);
   Alcotest.(check int) "h inherits the mod" 1 (List.length h_iface.T.mod_paths);
   (* and top's load of *h0 resolves to the receiver conduit *)
-  let pta = Hashtbl.find res.T.ptas "top" in
+  let pta = Hashtbl.find res.ptas "top" in
   let top = Helpers.func prog "top" in
   let resolved = ref false in
   Func.iter_stmts top (fun _ s ->
@@ -125,11 +140,11 @@ void rec1(int **p, int n) { if (n > 0) { rec2(p, n - 1); } *p = malloc(); }
 void rec2(int **p, int n) { if (n > 0) { rec1(p, n - 1); } }
 |}
   in
-  let res = T.run (Callgraph.build prog) in
+  let res = transform (Callgraph.build prog) in
   (* both get interfaces; intra-SCC calls stay unrewired but nothing
      crashes and SSA holds *)
-  Alcotest.(check bool) "rec1 iface" true (Hashtbl.mem res.T.ifaces "rec1");
-  Alcotest.(check bool) "rec2 iface" true (Hashtbl.mem res.T.ifaces "rec2");
+  Alcotest.(check bool) "rec1 iface" true (Hashtbl.mem res.ifaces "rec1");
+  Alcotest.(check bool) "rec2 iface" true (Hashtbl.mem res.ifaces "rec2");
   List.iter
     (fun f -> Alcotest.(check bool) "ssa" true (Ssa.is_ssa f))
     (Prog.functions prog)
@@ -143,12 +158,12 @@ int* mk(int x) { int *p = malloc(); *p = x; return p; }
 void use(int x) { int *p = mk(x); int y = *p; print(y); }
 |}
   in
-  let res = T.run (Callgraph.build prog) in
-  let mk_iface = Hashtbl.find res.T.ifaces "mk" in
+  let res = transform (Callgraph.build prog) in
+  let mk_iface = Hashtbl.find res.ifaces "mk" in
   Alcotest.(check bool) "ret-rooted mod" true
     (List.exists (fun (q, r, _) -> q = 0 && r = 1) mk_iface.T.mod_paths);
   (* the caller's load of *p resolves to the conduit receiver *)
-  let pta = Hashtbl.find res.T.ptas "use" in
+  let pta = Hashtbl.find res.ptas "use" in
   let use = Helpers.func prog "use" in
   let resolved = ref false in
   Func.iter_stmts use (fun _ s ->
@@ -167,8 +182,8 @@ let test_conduit_cap () =
     Helpers.compile
       "void f(int **a, int **b) { int *x = *a; int *y = *b; print(*x); print(*y); }"
   in
-  let res = T.run (Callgraph.build prog) in
-  let iface = Hashtbl.find res.T.ifaces "f" in
+  let res = transform (Callgraph.build prog) in
+  let iface = Hashtbl.find res.ifaces "f" in
   Alcotest.(check bool) "capped" true (List.length iface.T.ref_paths <= 1);
   T.max_conduits := old
 
@@ -243,13 +258,13 @@ let test_final_pass_skip () =
             Obs.set_level level;
             Obs.reset ())
           (fun () ->
-            let res = T.run (Callgraph.build prog) in
+            let res = transform (Callgraph.build prog) in
             (res, Obs.spans ()))
       in
       List.iter
         (fun (f : Func.t) ->
           let fn = f.Func.fname in
-          let iface = Hashtbl.find res.T.ifaces fn in
+          let iface = Hashtbl.find res.ifaces fn in
           let empty = iface.T.ref_paths = [] && iface.T.mod_paths = [] in
           Alcotest.(check int) (fn ^ ": one discover pass") 1
             (pta_spans spans ~fn ~stage:"discover");
@@ -266,7 +281,7 @@ let test_final_pass_skip () =
             Alcotest.(check string) (fn ^ ": IR unchanged") ir
               (Format.asprintf "%a" Func.pp f);
             Alcotest.(check bool) (fn ^ ": published PTA = a fresh run") true
-              (fingerprint (Hashtbl.find res.T.ptas fn) = fingerprint fresh)
+              (fingerprint (Hashtbl.find res.ptas fn) = fingerprint fresh)
           end
           else incr run)
         (Prog.functions prog))
