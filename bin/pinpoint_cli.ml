@@ -129,10 +129,10 @@ let store_dir_arg =
     value & opt (some string) None
     & info [ "store-dir" ] ~docv:"DIR"
         ~doc:
-          "Spill per-function analysis artifacts (points-to results, SEGs, \
-           value-flow summaries) to a disk-resident store under $(docv), \
-           bounding peak memory for MLoC subjects.  Reports are identical \
-           to an in-memory run.")
+          "Spill per-function analysis artifacts (SEGs and value-flow \
+           summaries) to a disk-resident store under $(docv), bounding peak \
+           memory for MLoC subjects.  Reports are identical to an in-memory \
+           run.")
 
 let max_resident_arg =
   Arg.(
@@ -275,10 +275,10 @@ let check_cmd =
         loc.Pinpoint_ir.Stmt.line msg;
       exit 1
     | a ->
-      (* Store mode: persist the VF summaries the checkers will need, then
-         seal — the blob gets its index and checksummed trailer, and the
+      (* Persist the VF summaries the checkers will need, then seal: a
+         disk store's blob gets its index and checksummed trailer, and the
          checks that follow read artifacts through the mmap path. *)
-      if store <> None then Pinpoint.Analysis.seal_store a checkers;
+      Pinpoint.Analysis.seal_store a checkers;
       let any = ref false in
       List.iter
         (fun (spec : Pinpoint.Checker_spec.t) ->

@@ -71,17 +71,9 @@ let node_of_var t fname v =
   Hashtbl.find_opt t.var_node (fname, v.Var.vid)
 
 let pts t n = if n < t.n_nodes then t.pts.(n) else ISet.empty
-let mem_node t o = t.obj_mem.(o)
 let universal t = t.u_obj
 let n_nodes t = t.n_nodes
 let n_iterations t = t.iterations
-
-let total_pts_size t =
-  let s = ref 0 in
-  for n = 0 to t.n_nodes - 1 do
-    s := !s + ISet.cardinal t.pts.(n)
-  done;
-  !s
 
 let run ?(deadline = Metrics.no_deadline) (prog : Prog.t) : t =
   let t =

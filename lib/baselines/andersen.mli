@@ -29,15 +29,10 @@ val node_of_var : t -> string -> Pinpoint_ir.Var.t -> int option
 val pts : t -> int -> ISet.t
 (** Points-to set (object ids) of a node. *)
 
-val mem_node : t -> int -> int
-(** The content node of an object id. *)
-
 val universal : t -> int
 (** The universal unknown object. *)
 
 val n_nodes : t -> int
-val total_pts_size : t -> int
-(** Sum of all points-to set sizes (a cost/imprecision metric). *)
 
 val n_iterations : t -> int
 

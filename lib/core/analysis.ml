@@ -19,24 +19,16 @@ type t = {
   prog : Prog.t;
   graph : Callgraph.t;
   ifaces : (string, Transform.iface) Hashtbl.t;
-  segs : (string, Seg.t) Hashtbl.t;
   rv : Rv.t;
   metrics : phase_metrics;
   resilience : Resilience.log;
   pool : Pinpoint_par.Pool.t option;
       (* carried so [check] fans its per-source searches out too *)
-  store : Store.t option;
-      (* disk-resident artifact store; when present [segs] stays empty
-         and lookups fault artifacts back in through the LRU *)
+  store : Store.t;  (* every SEG and RV entry *)
   vfs : (string, Checker_spec.t * Vf.t) Hashtbl.t;
 }
 
-let seg_of t name =
-  match t.store with
-  | Some st -> Store.seg_of st name
-  | None -> Hashtbl.find_opt t.segs name
-
-let store t = t.store
+let seg_of t = Store.seg_of t.store
 let incidents t = Resilience.incidents t.resilience
 
 (* Build one function's SEG from its PTA behind an exception barrier,
@@ -100,8 +92,8 @@ type swept = {
    it was just handed — the PTA is garbage from then on — then compute
    their RV entries in member order, then their VF entries for every
    registered checker in member order, each member publishing before the
-   next runs, and only then hand the SEGs over ([put_seg]; in store mode,
-   a spill).  A function's summaries need only its own SEG, just built,
+   next runs, and only then put the SEGs in the store.  A function's
+   summaries need only its own SEG, just built,
    and its callees' summaries, so summarising reads no SEG back.  An
    SCC's old entries are dropped just before it is redone, so a same-SCC
    member not yet done looks unknown, as in a from-scratch run.
@@ -125,12 +117,12 @@ type swept = {
    pool) plans its SCCs and drops their old entries under one lock, keeps
    its interfaces, RV and VF entries in overlays, reads everything else
    from the shared tables under the lock, and publishes its entries,
-   marks and SEGs in one locked flush.  Store mode runs without the pool:
-   one SCC's PTAs and SEGs in flight keep the heap bounded by the store's
-   LRU. *)
-let sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
-    ?(stale = fun _ -> true) ?(relower = Fun.id) ?before sccs =
+   marks and SEGs in one locked flush.  A store that bounds residency
+   walks without the pool: one SCC's PTAs and SEGs in flight keep the
+   heap bounded by its LRU. *)
+let sweep ?(stale = fun _ -> true) ?(relower = Fun.id) ?before t sccs =
   Obs.span "summary" @@ fun () ->
+  let { graph; ifaces; rv; resilience; store; vfs; _ } = t in
   let checkers = Array.of_list Checkers.all in
   let specs = Array.map Checker_spec.vf_spec checkers in
   let tables =
@@ -138,11 +130,7 @@ let sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
       (fun (c : Checker_spec.t) -> snd (Hashtbl.find vfs c.Checker_spec.name))
       checkers
   in
-  let pool, put_seg, seg_of =
-    match store with
-    | Some st -> (None, Store.put_seg st, Store.seg_of st)
-    | None -> (pool, Hashtbl.replace segs, Hashtbl.find_opt segs)
-  in
+  let pool = if Store.bounded store then None else t.pool in
   let callees = Callgraph.callees graph in
   let listed (scc : Func.t list) =
     match before with
@@ -226,9 +214,9 @@ let sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
                             let name = f.Func.fname and w = was f in
                             if retransform then begin
                               Hashtbl.remove ifaces name;
-                              Hashtbl.remove segs name
-                            end;
-                            Rv.remove rv name;
+                              Store.remove_fn store name
+                            end
+                            else Store.remove_rv store name;
                             Array.iter (fun vf -> Vf.remove vf name) tables;
                             (f, w))
                           scc )
@@ -278,7 +266,7 @@ let sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
                    Option.bind (Hashtbl.find_opt ptas name) (fun pta ->
                        Hashtbl.remove ptas name;
                        build_seg resilience f pta)
-                 else shared seg_of name))
+                 else shared (Store.seg_of store) name))
             members
         in
         (* Per-function barriers: a crash leaves that one function without
@@ -355,7 +343,8 @@ let sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
                   let name = f.Func.fname in
                   Option.iter (Hashtbl.replace ifaces name)
                     (Hashtbl.find_opt iface_overlay name);
-                  Option.iter (Rv.publish rv name) (Hashtbl.find_opt rv_overlay name);
+                  Option.iter (Store.put_rv store name)
+                    (Hashtbl.find_opt rv_overlay name);
                   Option.iter
                     (Array.iteri (fun k s -> Vf.add tables.(k) name s))
                     (Hashtbl.find_opt vf_overlay name))
@@ -363,18 +352,26 @@ let sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
             plans;
           List.iter (fun name -> Hashtbl.replace reshaped name ()) reshaped_now;
           List.iter (fun name -> Hashtbl.replace changed name ()) changed_now;
-          List.iter (fun ((f : Func.t), seg) -> put_seg f.Func.fname seg) built));
+          List.iter
+            (fun ((f : Func.t), seg) -> Store.put_seg store f.Func.fname seg)
+            built));
   {
     redone = !redone;
     resummarised = !resummarised;
     summaries_changed = Hashtbl.fold (fun name () acc -> name :: acc) changed [];
   }
 
-let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
-  let resilience =
-    match resilience with Some r -> r | None -> Resilience.create ()
-  in
-  Option.iter (fun st -> Store.register_program st prog) store;
+let zero_m =
+  {
+    Metrics.wall_s = 0.0;
+    alloc_bytes = 0.0;
+    major_words = 0.0;
+    promoted_words = 0.0;
+  }
+
+let prepare_with ?(resilience = Resilience.create ()) ?pool
+    ?(store = Store.memory ()) frontend_m (prog : Prog.t) : t =
+  Store.register_program store prog;
   Option.iter
     (fun p -> Pinpoint_par.Pool.set_log p (Some resilience))
     pool;
@@ -385,15 +382,22 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
     | Some p -> fun () -> Pinpoint_par.Pool.allocated_bytes p
     | None -> fun () -> 0.0
   in
-  let graph = Callgraph.build prog in
-  let ifaces = Hashtbl.create 64 and segs = Hashtbl.create 64 in
-  let rv = Rv.create ?backend:(Option.map Store.rv_backend store) prog in
-  let vfs = empty_vfs () in
+  let t =
+    {
+      prog;
+      graph = Callgraph.build prog;
+      ifaces = Hashtbl.create 64;
+      rv = Rv.create ~find:(Store.rv_of store) prog;
+      metrics = { frontend = frontend_m; prepare = zero_m };
+      resilience;
+      pool;
+      store;
+      vfs = empty_vfs ();
+    }
+  in
   let (), pm =
     Metrics.measure ~extra_alloc (fun () ->
-        ignore
-          (sweep ~resilience ?pool ?store graph ifaces ~segs rv ~vfs
-             (Callgraph.sccs graph)))
+        ignore (sweep t (Callgraph.sccs t.graph)))
   in
   if Obs.metrics_on () then begin
     let publish name (m : Metrics.measurement) =
@@ -405,26 +409,7 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Prog.t) : t =
     publish "frontend" frontend_m;
     publish "prepare" pm
   end;
-  {
-    prog;
-    graph;
-    ifaces;
-    segs;
-    rv;
-    metrics = { frontend = frontend_m; prepare = pm };
-    resilience;
-    pool;
-    store;
-    vfs;
-  }
-
-let zero_m =
-  {
-    Metrics.wall_s = 0.0;
-    alloc_bytes = 0.0;
-    major_words = 0.0;
-    promoted_words = 0.0;
-  }
+  { t with metrics = { t.metrics with prepare = pm } }
 
 let prepare ?resilience ?pool ?store prog =
   prepare_with ?resilience ?pool ?store zero_m prog
@@ -456,29 +441,22 @@ let prepare_files ?pool ?store paths =
   in
   prepare_with ?pool ?store fm prog
 
-let seg_size t =
-  match t.store with
-  | Some st -> Store.seg_sizes st
-  | None ->
-    Hashtbl.fold
-      (fun _ seg (v, e) -> (v + Seg.n_vertices seg, e + Seg.n_edges seg))
-      t.segs (0, 0)
+let seg_size t = Store.seg_sizes t.store
 
 let seal_store t specs =
-  match t.store with
-  | Some st when not (Store.is_sealed st) ->
+  if not (Store.is_sealed t.store) then begin
     List.iter
       (fun (spec : Checker_spec.t) ->
         let name = spec.Checker_spec.name in
         Option.iter
-          (fun (_, vf) -> Store.put_vf st name vf)
+          (fun (_, vf) -> Store.put_vf t.store name vf)
           (Hashtbl.find_opt t.vfs name))
       specs;
-    Store.seal st
-  | _ -> ()
+    Store.seal t.store
+  end
 
-let check ?config t (spec : Checker_spec.t) =
-  Engine.run ?config ~resilience:t.resilience ?pool:t.pool ~graph:t.graph
+let check ?config ?memo t (spec : Checker_spec.t) =
+  Engine.run ?config ~resilience:t.resilience ?pool:t.pool ?memo ~graph:t.graph
     ~seg_of:(seg_of t) ~rv:t.rv
     ~vf:(Option.map snd (Hashtbl.find_opt t.vfs spec.Checker_spec.name))
     spec

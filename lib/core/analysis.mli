@@ -23,8 +23,8 @@ type t = {
           SCCs and {!check} reads its caller lists *)
   ifaces : (string, Pinpoint_transform.Transform.iface) Hashtbl.t;
       (** each function's connector interface *)
-  segs : (string, Pinpoint_seg.Seg.t) Hashtbl.t;
   rv : Pinpoint_summary.Rv.t;
+      (** the program with the store's RV lookup *)
   metrics : phase_metrics;
   resilience : Pinpoint_util.Resilience.log;
       (** incident log shared by every phase and checker run of this
@@ -34,18 +34,17 @@ type t = {
   pool : Pinpoint_par.Pool.t option;
       (** the worker pool the preparation phases ran on, if any; [check]
           reuses it for its per-source fan-out *)
-  store : Pinpoint_store.Store.t option;
-      (** disk-resident artifact store (DESIGN.md §4.14); when present
-          [segs] stays empty and {!seg_of} faults SEGs back in through
-          the store's LRU *)
+  store : Pinpoint_store.Store.t;
+      (** every function's SEG and RV entries (DESIGN.md §4.14): a memory
+          store, or a disk store that faults them back in through its
+          LRU *)
   vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
       (** VF-summary tables by checker name, one per registered checker
           ({!Checkers.all}), filled by the bottom-up walk *)
 }
 
 val seg_of : t -> string -> Pinpoint_seg.Seg.t option
-
-val store : t -> Pinpoint_store.Store.t option
+(** A function's SEG, read from {!t.store}. *)
 
 val incidents : t -> Pinpoint_util.Resilience.incident list
 (** Incidents accumulated so far, oldest first. *)
@@ -67,12 +66,13 @@ val prepare :
     passes its long-lived capacity-capped log so incidents from
     successive (re)builds accumulate in one place.
 
-    With [store] the walk spills every SEG and RV summary to the store as
-    it is produced instead of keeping it resident, bounding peak heap to
-    the store's LRU plus the IR; no points-to result outlives the SEG
-    built from it, in memory or on disk.  Preparation is then sequential
-    ([pool] still accelerates {!check}) and decodes no SEG.  Reports are
-    byte-identical to a store-off run. *)
+    The walk puts every SEG and RV summary in [store] as it is produced
+    (default: a fresh {!Pinpoint_store.Store.memory} store); no points-to
+    result outlives the SEG built from it.  A disk store spills them,
+    bounding peak heap to its LRU plus the IR; a store that bounds
+    residency makes preparation sequential ([pool] still accelerates
+    {!check}), and preparation decodes no SEG.  Reports are byte-identical
+    whichever store holds the artifacts. *)
 
 type swept = {
   redone : Pinpoint_ir.Func.t list;
@@ -86,28 +86,22 @@ type swept = {
 }
 
 val sweep :
-  resilience:Pinpoint_util.Resilience.log ->
-  ?pool:Pinpoint_par.Pool.t ->
-  ?store:Pinpoint_store.Store.t ->
-  Pinpoint_ir.Callgraph.t ->
-  (string, Pinpoint_transform.Transform.iface) Hashtbl.t ->
-  segs:(string, Pinpoint_seg.Seg.t) Hashtbl.t ->
-  Pinpoint_summary.Rv.t ->
-  vfs:(string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t ->
   ?stale:(Pinpoint_ir.Func.t list -> bool) ->
   ?relower:(Pinpoint_ir.Func.t -> Pinpoint_ir.Func.t) ->
   ?before:
     ( string,
       Pinpoint_ir.Func.t * Pinpoint_summary.Rv.entry option array option )
     Hashtbl.t ->
+  t ->
   Pinpoint_ir.Func.t list list ->
   swept
-(** [sweep ~resilience graph ifaces ~segs rv ~vfs sccs] is the one
-    bottom-up walk from points-to to VF (DESIGN.md §4.5, §4.13) over
-    [sccs]: components of [graph] in bottom-up order, with members in
-    {!Pinpoint_ir.Callgraph.sccs} order.  An SCC's old entries are
-    dropped just before it is redone; everything else is read as
-    retained, so the result equals a from-scratch walk.
+(** [sweep t sccs] is the one bottom-up walk from points-to to VF
+    (DESIGN.md §4.5, §4.13) over [sccs]: components of [t.graph] in
+    bottom-up order, with members in {!Pinpoint_ir.Callgraph.sccs} order.
+    It reads and writes [t]'s interfaces, store and VF tables, and logs
+    to [t.resilience].  An SCC's old entries are dropped just before it
+    is redone; everything else is read as retained, so the result equals
+    a from-scratch walk.
 
     A redone SCC is re-transformed or re-summarised.  Re-transformed:
     [relower] gives each member fresh, untransformed IR (called once per
@@ -119,11 +113,12 @@ val sweep :
     then garbage.  Re-summarised: the
     members' retained SEGs are read back.  Either way their RV entries
     are computed in member order, then their VF entries (every registered
-    checker's table in [vfs]) in member order ([summary.vf] each), and
-    only then are new SEGs put in [segs] — or, with [store], spilled.
-    Transform, SEG, RV and VF work each sit behind a per-function
-    barrier: a member whose final points-to stage crashed gets no SEG.
-    With [pool] (no store) the SCCs run as a batched bottom-up wave.
+    checker's table in [t.vfs]) in member order ([summary.vf] each), and
+    only then are new SEGs put in the store.  Transform, SEG, RV and VF
+    work each sit behind a per-function barrier: a member whose final
+    points-to stage crashed gets no SEG.  With [t.pool], unless the
+    store bounds residency ({!Pinpoint_store.Store.bounded}), the SCCs
+    run as a batched bottom-up wave.
 
     An SCC is re-transformed when [stale] holds for it (the default: every
     SCC, with [relower] the identity — {!prepare}) or when a callee
@@ -164,17 +159,22 @@ val seg_size : t -> int * int
 (** Total (vertices, edges) over all SEGs — the Figure 7/8 size metric. *)
 
 val seal_store : t -> Checker_spec.t list -> unit
-(** Store mode only (no-op otherwise, or once sealed): persist the given
-    checkers' VF tables, then seal the store — index, checksummed
-    trailer, rename to the epoch file — switching reads to the mmap
-    path. *)
+(** Persist the given checkers' VF tables, then seal the store — a disk
+    store writes its index and checksummed trailer, renames the blob to
+    the epoch file and switches reads to the mmap path.  A no-op once
+    sealed. *)
 
 val check :
-  ?config:Engine.config -> t -> Checker_spec.t -> Report.t list * Engine.stats
+  ?config:Engine.config ->
+  ?memo:Engine.memo ->
+  t ->
+  Checker_spec.t ->
+  Report.t list * Engine.stats
 (** Run one checker with its VF table from {!t.vfs}.  A checker with no
     table there (not registered in {!Checkers.all}) runs without VF
     pruning, as does the search inside a function whose VF summary
-    crashed. *)
+    crashed.  [memo] keeps per-source results across runs
+    ({!Engine.run}); the analysis server passes one per checker. *)
 
 val check_all :
   ?config:Engine.config ->

@@ -15,7 +15,6 @@ type report = {
 type config = { max_call_depth : int; max_steps : int }
 
 let default_config = { max_call_depth = 4; max_steps = 4_000 }
-let checker_name = "memory-leak"
 
 (* The closure of an allocation's value over Copy edges, across calls.
    Results:

@@ -47,7 +47,4 @@ val check :
     ({!Pinpoint_smt.Solver.check_degrading}); degradations and injected
     faults are recorded on [resilience] when given. *)
 
-val checker_name : string
-(** ["memory-leak"] — used by ground-truth classification. *)
-
 val pp : Format.formatter -> report -> unit

@@ -26,7 +26,6 @@ let intrinsics =
     "memcpy"; "input"; "output"; "use";
   ]
 
-let is_intrinsic name = List.mem name intrinsics
 let is_defined t name = Hashtbl.mem t.by_name name
 
 let call_graph t =

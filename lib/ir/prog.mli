@@ -25,8 +25,6 @@ val intrinsics : string list
     [fopen], [sendto]), the generic observer [print], and the C library
     functions the paper models manually ([memset], [memcpy]). *)
 
-val is_intrinsic : string -> bool
-
 val is_defined : t -> string -> bool
 (** Defined in this program (as opposed to external/intrinsic). *)
 

@@ -26,7 +26,6 @@ let tracing_on () = Atomic.get level_cell > 1
    and serialises naturally as an absent attribute. *)
 let req_key : string Domain.DLS.key = Domain.DLS.new_key (fun () -> "")
 
-let set_request id = Domain.DLS.set req_key id
 let request_id () = Domain.DLS.get req_key
 let request () = match Domain.DLS.get req_key with "" -> None | s -> Some s
 

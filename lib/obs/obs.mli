@@ -44,9 +44,6 @@ val tracing_on : unit -> bool
     isolated in a Perfetto trace or a post-mortem flight dump.  The
     empty string means "no request" (batch CLI runs never set one). *)
 
-val set_request : string -> unit
-(** Install [id] as this domain's current request id ([""] clears). *)
-
 val request_id : unit -> string
 (** This domain's current request id; [""] when none. *)
 

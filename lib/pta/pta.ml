@@ -503,10 +503,6 @@ let run (f : Func.t) : t =
 let pts_of (t : t) v =
   match Var.Tbl.find_opt t.pts v with Some p -> p | None -> []
 
-let pts_of_operand t = function
-  | Stmt.Ovar v -> pts_of t v
-  | _ -> []
-
 let pp ppf t =
   Format.fprintf ppf "points-to for %s:@." t.func.Func.fname;
   Var.Tbl.iter

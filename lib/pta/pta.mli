@@ -59,8 +59,6 @@ val quasi_pruning : bool ref
     [bench/main.exe ablation]; default true). *)
 
 val pts_of : t -> Pinpoint_ir.Var.t -> (Cell.t * Pinpoint_smt.Expr.t) list
-val pts_of_operand :
-  t -> Pinpoint_ir.Stmt.operand -> (Cell.t * Pinpoint_smt.Expr.t) list
 
 val run : Pinpoint_ir.Func.t -> t
 (** Analyse one function.  The same analysis serves the Mod/Ref pass and

@@ -1,8 +1,9 @@
 (* Resident analysis state with incremental re-analysis (DESIGN.md §4.13).
 
-   The server keeps one subject loaded: source files, their parsed ASTs,
-   the compiled (and transformed, in-place) program, its call graph, the
-   per-function SEG / RV tables and per-checker VF tables.  A request
+   The server keeps one subject loaded: source files, their parsed ASTs
+   and the analysis of their program (Analysis.t: the program,
+   transformed in place, its call graph, the store of per-function SEGs
+   and RV entries and the per-checker VF tables).  A request
    replaces some files; the functions whose bodies actually changed are
    re-lowered, and the edit propagates bottom-up by artifact kind with an
    early cutoff: a caller sees a callee only through its connector
@@ -20,7 +21,8 @@
      summaries.
 
    The walk decides from callee marks only, and callees finish first, so
-   the frontier is the same at every [--jobs], store on or off.  A kept
+   the frontier is the same at every [--jobs], whichever store holds the
+   artifacts.  A kept
    entry equals what a from-scratch run computes modulo renaming, which
    is all the engine can observe.
 
@@ -44,19 +46,18 @@ module Resilience = Pinpoint_util.Resilience
 module Prog = Pinpoint_ir.Prog
 module Callgraph = Pinpoint_ir.Callgraph
 module Func = Pinpoint_ir.Func
-module Seg = Pinpoint_seg.Seg
-module Transform = Pinpoint_transform.Transform
 module Rv = Pinpoint_summary.Rv
 module Vf = Pinpoint_summary.Vf
 module Store = Pinpoint_store.Store
+module Analysis = Pinpoint.Analysis
 
 type state = {
-  resilience : Resilience.log;
-  pool : Pinpoint_par.Pool.t option;
-  store : Store.t option;
-      (** disk-resident artifact store: per-function SEGs and RV
-          summaries live here instead of the resident tables; never
-          sealed while serving, so incremental updates keep appending *)
+  mutable analysis : Analysis.t;
+      (** the resident analysis: its program's [by_name] table holds the
+          current functions, its function list is refreshed from its
+          call graph only when {!program} is read, and its graph is
+          patched by each update.  Its store is never sealed while
+          serving, so incremental updates keep appending. *)
   mutable files : (string * string) list;  (** (name, contents), load order *)
   mutable file_fdecls : (string * Ast.fdecl list) list;  (** same order *)
   mutable sigs : (string, Ty_sig.t) Hashtbl.t;
@@ -65,16 +66,6 @@ type state = {
           built by a full build and kept while headers stay equal *)
   mutable fdecl_of : (string, Ast.fdecl) Hashtbl.t;
       (** each function's current AST *)
-  mutable prog : Prog.t;
-      (** its [by_name] table holds the current functions; its function
-          list is refreshed from [graph] only when {!program} is read *)
-  mutable graph : Callgraph.t;  (** [prog]'s, patched by each update *)
-  mutable ifaces : (string, Transform.iface) Hashtbl.t;
-  mutable segs : (string, Seg.t) Hashtbl.t;
-  mutable rv : Rv.t;
-  mutable vfs : (string, Pinpoint.Checker_spec.t * Vf.t) Hashtbl.t;
-      (** resident VF tables by checker name, one per registered checker:
-          built by the load's sweep and refreshed by each update's *)
   memos : (string, Pinpoint.Engine.memo) Hashtbl.t;
       (** resident per-checker search results, filled by {!check} and
           invalidated by footprint on each update *)
@@ -92,29 +83,31 @@ type update_stats = {
 
 let epoch st = st.epoch
 let files st = st.files
+let analysis st = st.analysis
 
 let program st =
-  st.prog.Prog.funcs <- Callgraph.functions st.graph;
-  st.prog
+  let a = st.analysis in
+  a.Analysis.prog.Prog.funcs <- Callgraph.functions a.Analysis.graph;
+  a.Analysis.prog
 
-let graph st = st.graph
-let resilience st = st.resilience
-let n_functions st = List.length (Prog.functions st.prog)
+let graph st = st.analysis.Analysis.graph
+let resilience st = st.analysis.Analysis.resilience
+let n_functions st = List.length (Prog.functions st.analysis.Analysis.prog)
 
 let table_sizes st =
+  let a = st.analysis in
   [
     ("files", List.length st.files);
     ("fdecls", Hashtbl.length st.fdecl_of);
     ("sigs", Hashtbl.length st.sigs);
     ("groups", Hashtbl.length st.groups);
-    ("ifaces", Hashtbl.length st.ifaces);
-    ("segs", Hashtbl.length st.segs);
-    ("rv", Rv.n_resident st.rv);
+    ("ifaces", Hashtbl.length a.Analysis.ifaces);
+    ("store", (Store.stats a.Analysis.store).Store.resident);
   ]
   @ Hashtbl.fold
       (fun name (_, vf) acc ->
         ("vf." ^ name, Vf.fold vf ~init:0 ~f:(fun n _ _ -> n + 1)) :: acc)
-      st.vfs []
+      a.Analysis.vfs []
   @ Hashtbl.fold
       (fun name memo acc ->
         List.map
@@ -123,11 +116,6 @@ let table_sizes st =
         @ acc)
       st.memos []
   |> List.sort compare
-
-let seg_of st =
-  match st.store with
-  | Some store -> Store.seg_of store
-  | None -> Hashtbl.find_opt st.segs
 
 (* ---------- change detection ---------- *)
 
@@ -149,74 +137,64 @@ let parse_file (name, contents) =
 
 (* ---------- full (re)build ---------- *)
 
-(* Shares the batch pipeline verbatim (Analysis.prepare), with the
-   server's long-lived incident log threaded through, so a freshly
-   rebuilt state is the batch analysis of the current files by
-   construction.  The new file set is lowered before any resident field
-   changes: a front-end error leaves the state as it was. *)
-let full_build st ~files ~file_fdecls =
+(* A file set's functions as one program, and that program lowered.
+   Lowering raises on malformed input, so callers lower before they
+   change anything. *)
+let lower_all file_fdecls =
   let program = { Ast.funcs = List.concat_map snd file_fdecls } in
-  let prog = Lower.compile program in
+  (program, Lower.compile program)
+
+let fdecl_index (program : Ast.program) =
+  let fdecl_of = Hashtbl.create 64 in
+  List.iter
+    (fun (fd : Ast.fdecl) -> Hashtbl.replace fdecl_of fd.Ast.fname fd)
+    program.Ast.funcs;
+  fdecl_of
+
+(* Both builds share the batch pipeline verbatim (Analysis.prepare), with
+   the server's long-lived incident log, pool and store threaded through,
+   so a freshly built analysis is the batch analysis of the current files
+   by construction. *)
+let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
+  let file_fdecls = List.map parse_file files in
+  let program, prog = lower_all file_fdecls in
+  let analysis =
+    Analysis.prepare
+      ~resilience:(Resilience.create ?capacity:incident_cap ())
+      ?pool ?store prog
+  in
+  {
+    analysis;
+    files;
+    file_fdecls;
+    sigs = Lower.func_sigs program;
+    groups = Lower.method_groups program;
+    fdecl_of = fdecl_index program;
+    memos = Hashtbl.create 8;
+    epoch = 0;
+  }
+
+(* The new file set is lowered before any resident field changes: a
+   front-end error leaves the state as it was.  The previous program's
+   artifacts are stale (its functions are re-lowered, so their variables
+   are fresh objects) and leave the store before the rebuild puts every
+   function's again; dead blob bytes are not reclaimed, since RSS
+   shedding, not disk, is the server's bound. *)
+let full_build st ~files ~file_fdecls =
+  let program, prog = lower_all file_fdecls in
   st.files <- files;
   st.file_fdecls <- file_fdecls;
   st.sigs <- Lower.func_sigs program;
   st.groups <- Lower.method_groups program;
-  st.fdecl_of <- Hashtbl.create 64;
+  st.fdecl_of <- fdecl_index program;
+  let a = st.analysis in
   List.iter
-    (fun (fd : Ast.fdecl) -> Hashtbl.replace st.fdecl_of fd.Ast.fname fd)
-    program.Ast.funcs;
-  (* Store mode: the previous program's artifacts are stale (functions
-     were re-lowered, so their variables are fresh objects) — drop them
-     before the rebuild re-spills everything.  Dead blob bytes are not
-     reclaimed; RSS shedding, not disk, is the server's bound. *)
-  Option.iter
-    (fun store ->
-      List.iter
-        (fun (f : Func.t) -> Store.remove_fn store f.Func.fname)
-        (Prog.functions st.prog);
-      Store.drop_resident store)
-    st.store;
-  let a =
-    Pinpoint.Analysis.prepare ~resilience:st.resilience ?pool:st.pool
-      ?store:st.store prog
-  in
-  st.prog <- a.Pinpoint.Analysis.prog;
-  st.graph <- a.Pinpoint.Analysis.graph;
-  st.ifaces <- a.Pinpoint.Analysis.ifaces;
-  st.segs <- a.Pinpoint.Analysis.segs;
-  st.rv <- a.Pinpoint.Analysis.rv;
-  st.vfs <- a.Pinpoint.Analysis.vfs;
+    (fun (f : Func.t) -> Store.remove_fn a.Analysis.store f.Func.fname)
+    (Prog.functions a.Analysis.prog);
+  st.analysis <-
+    Analysis.prepare ~resilience:a.Analysis.resilience ?pool:a.Analysis.pool
+      ~store:a.Analysis.store prog;
   Hashtbl.reset st.memos
-
-let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
-  let resilience =
-    match incident_cap with
-    | Some c -> Resilience.create ~capacity:c ()
-    | None -> Resilience.create ()
-  in
-  let file_fdecls = List.map parse_file files in
-  let st =
-    {
-      resilience;
-      pool;
-      store;
-      files;
-      file_fdecls;
-      sigs = Hashtbl.create 0;
-      groups = Hashtbl.create 0;
-      fdecl_of = Hashtbl.create 0;
-      prog = Prog.create ();
-      graph = Callgraph.build (Prog.create ());
-      ifaces = Hashtbl.create 0;
-      segs = Hashtbl.create 0;
-      rv = Rv.create (Prog.create ());
-      vfs = Hashtbl.create 0;
-      memos = Hashtbl.create 8;
-      epoch = 0;
-    }
-  in
-  full_build st ~files ~file_fdecls;
-  st
 
 (* ---------- incremental update ---------- *)
 
@@ -224,33 +202,31 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
    [edited] are the freshly lowered functions whose AST changed.
    Returns the number of functions re-transformed and re-summarised. *)
 let propagate st ~lower (edited : Func.t list) =
-  (* Install a re-lowered function: drop its stored artifacts and splice
-     it into the program, where the walk's RV summaries read its
-     formals. *)
+  let a = st.analysis in
+  let prog = a.Analysis.prog and graph = a.Analysis.graph in
+  (* Install a re-lowered function: register its variables with the
+     store and splice it into the program, where the walk's RV summaries
+     read its formals.  The walk drops its old artifacts when it reaches
+     its SCC, and nothing reads them before. *)
   let install (f : Func.t) =
-    let name = f.Func.fname in
-    Option.iter
-      (fun store ->
-        Store.remove_fn store name;
-        Store.register_fn store f)
-      st.store;
-    Hashtbl.replace st.prog.Prog.by_name name f
+    Store.register_fn a.Analysis.store f;
+    Hashtbl.replace prog.Prog.by_name f.Func.fname f
   in
   (* Each edited function's predecessor and that one's RV entries, read
      before the store re-registers the name, so they decode against the
      old variables. *)
   let before = Hashtbl.create 16 in
   let old_callees =
-    Callgraph.callees st.graph
+    Callgraph.callees graph
       (List.map
-         (fun (f : Func.t) -> Option.get (Prog.find st.prog f.Func.fname))
+         (fun (f : Func.t) -> Option.get (Prog.find prog f.Func.fname))
          edited)
   in
   List.iter
     (fun (f : Func.t) ->
       let name = f.Func.fname in
       Hashtbl.replace before name
-        (Option.get (Prog.find st.prog name), Rv.find st.rv name);
+        (Option.get (Prog.find prog name), Rv.find a.Analysis.rv name);
       install f)
     edited;
   (* An edited function's SCC, and every SCC the edit made or broke a
@@ -259,7 +235,7 @@ let propagate st ~lower (edited : Func.t list) =
   List.iter
     (fun name -> Hashtbl.replace stale name ())
     (List.map (fun (f : Func.t) -> f.Func.fname) edited
-    @ Callgraph.replace st.graph edited);
+    @ Callgraph.replace graph edited);
   let roots = Hashtbl.fold (fun name () acc -> name :: acc) stale [] in
   (* Callers re-transformed because a callee's interface changed, and an
      edited function's SCC-mates, are lowered mid-walk, possibly on a
@@ -279,20 +255,18 @@ let propagate st ~lower (edited : Func.t list) =
   (* One walk over the SCCs the edit can reach: those holding an edited
      or moved function or a transitive caller of one, marked once.  The
      walk reads each SCC's members when it starts and builds a
-     re-transformed member's SEG from the function [relower] returned.
-     Store mode: fresh SEGs and RV entries go back to the store, just
-     like batch prepare. *)
+     re-transformed member's SEG from the function [relower] returned;
+     fresh SEGs and RV entries go to the store, as in batch prepare. *)
   let swept =
-    Pinpoint.Analysis.sweep ~resilience:st.resilience ?pool:st.pool
-      ?store:st.store st.graph st.ifaces ~segs:st.segs st.rv ~vfs:st.vfs
+    Analysis.sweep
       ~stale:(List.exists (fun (f : Func.t) -> Hashtbl.mem stale f.Func.fname))
-      ~relower ~before
-      (List.map (Callgraph.members st.graph) (Callgraph.upward st.graph roots))
+      ~relower ~before a
+      (List.map (Callgraph.members graph) (Callgraph.upward graph roots))
   in
   (* A function lowered again from the same AST and header facts makes
      the same calls, so this leaves the SCCs as they were. *)
-  if !later <> [] then ignore (Callgraph.replace st.graph !later);
-  let redone = swept.Pinpoint.Analysis.redone in
+  if !later <> [] then ignore (Callgraph.replace graph !later);
+  let redone = swept.Analysis.redone in
   (* Drop the stored searches the edit may have changed: those that
      visited the SEG of a re-lowered function or of a caller of a
      function whose RV or VF entries changed — a search reads summaries
@@ -305,15 +279,15 @@ let propagate st ~lower (edited : Func.t list) =
         (fun name ->
           List.map
             (fun ((caller : Func.t), _) -> caller.Func.fname)
-            (Callgraph.callers st.graph name))
-        swept.Pinpoint.Analysis.summaries_changed
+            (Callgraph.callers graph name))
+        swept.Analysis.summaries_changed
   in
-  let callers = old_callees @ Callgraph.callees st.graph redone in
+  let callers = old_callees @ Callgraph.callees graph redone in
   Hashtbl.iter
     (fun _ memo ->
       Pinpoint.Engine.invalidate_memo memo ~relowered ~segs ~callers)
     st.memos;
-  (List.length redone, swept.Pinpoint.Analysis.resummarised)
+  (List.length redone, swept.Analysis.resummarised)
 
 (* Apply one request's file set.  Parsing and lowering the edited
    functions happen before any state is mutated, so a front-end error
@@ -405,7 +379,9 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
       let lower (was : Func.t) =
         Lower.lower_fdecl ~groups:st.groups ~ordinal:was.Func.ordinal st.sigs
       in
-      let was (fd : Ast.fdecl) = Option.get (Prog.find st.prog fd.Ast.fname) in
+      let was (fd : Ast.fdecl) =
+        Option.get (Prog.find st.analysis.Analysis.prog fd.Ast.fname)
+      in
       let edited_fns = List.map (fun fd -> lower (was fd) fd) seed in
       (* Mutation phase. *)
       record ();
@@ -429,9 +405,6 @@ let update (st : state) (changed : (string * string) list) : update_stats =
 
 let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =
-  let vf =
-    Option.map snd (Hashtbl.find_opt st.vfs spec.Pinpoint.Checker_spec.name)
-  in
   let memo =
     match Hashtbl.find_opt st.memos spec.Pinpoint.Checker_spec.name with
     | Some m -> m
@@ -440,8 +413,7 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
       Hashtbl.replace st.memos spec.Pinpoint.Checker_spec.name m;
       m
   in
-  Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ~memo
-    ~graph:st.graph ~seg_of:(seg_of st) ~rv:st.rv ~vf spec
+  Analysis.check ?config ~memo st.analysis spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

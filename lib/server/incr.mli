@@ -1,9 +1,9 @@
 (** Resident analysis state with incremental re-analysis — the analysis
     server's core (DESIGN.md §4.13).
 
-    A {!state} holds one subject: the source files, their ASTs, the
-    compiled program, its call graph and every derived table
-    (interfaces, SEGs, RV summaries, per-checker VF summaries).
+    A {!state} holds one subject: the source files, their ASTs, and the
+    {!Pinpoint.Analysis.t} of their program — its call graph, interfaces,
+    artifact store (SEGs, RV summaries) and per-checker VF summaries.
     {!update} applies a request's changed files by re-lowering the
     functions whose AST changed (locations included) and propagating the
     edit bottom-up with an early cutoff, in one walk
@@ -23,10 +23,11 @@
     another file, signature, unit or method-group changes — fall back to
     a transparent full rebuild of the resident state.
 
-    Reports from {!check} after any sequence of updates match a batch
-    [pinpoint check] over the same file contents at the rendered-line
-    level ({!Pinpoint.Report.one_line}); internal ids (symbols, abstract
-    heap addresses) may differ because they depend on process history. *)
+    Reports from {!check} after any sequence of updates equal a batch
+    [pinpoint check] over the same file contents, one line
+    ({!Pinpoint.Report.one_line}) and in full ({!Pinpoint.Report.pp}, the
+    [-v] render): symbols and heap addresses are named by their place in
+    the program, not by process history. *)
 
 type state
 
@@ -54,11 +55,10 @@ val load :
 (** [load files] parses, compiles and fully prepares [(name, contents)]
     pairs as one program (the batch pipeline, {!Pinpoint.Analysis.prepare}).
     [incident_cap] bounds the retained incident log
-    ({!Pinpoint_util.Resilience.create}).  With [store] per-function
-    artifacts (SEGs, RV summaries) live in the disk-resident artifact
-    store instead of the resident tables; updates drop the re-lowered
-    functions' artifacts and re-spill them, re-summarised functions' RV
-    entries too, and the store is never sealed while serving.  Raises
+    ({!Pinpoint_util.Resilience.create}).  Per-function artifacts (SEGs,
+    RV summaries) live in [store] (default: a memory store); updates
+    replace the redone functions' artifacts there, and the store is
+    never sealed while serving.  Raises
     {!Pinpoint_frontend.Parser.Error} / {!Pinpoint_frontend.Lower.Error}
     on malformed input. *)
 
@@ -76,8 +76,14 @@ val check :
   state ->
   Pinpoint.Checker_spec.t ->
   Pinpoint.Report.t list * Pinpoint.Engine.stats
-(** Run one checker against the resident state, with the VF table the
-    load's walk built and each update's walk refreshed. *)
+(** Run one checker against the resident analysis
+    ({!Pinpoint.Analysis.check}), with the VF table the load's walk built
+    and each update's walk refreshed, and this checker's memo of
+    per-source results. *)
+
+val analysis : state -> Pinpoint.Analysis.t
+(** The resident analysis, current after every update: its store holds
+    every function's SEG and RV entries. *)
 
 val epoch : state -> int
 (** Number of updates applied since load. *)
@@ -95,10 +101,10 @@ val graph : state -> Pinpoint_ir.Callgraph.t
 
 val table_sizes : state -> (string * int) list
 (** Entry counts of the resident tables, sorted by name: files, ASTs,
-    signatures and method groups; interfaces, SEGs, RV entries and each
-    checker's VF entries; and each checker's memo
-    ({!Pinpoint.Engine.memo_sizes}).  In store mode the artifacts live
-    in the store and are not counted. *)
+    signatures and method groups; interfaces, the store's resident SEG
+    and RV entries ([store], every function's in a memory store, those
+    in its LRUs in a disk store) and each checker's VF entries; and
+    each checker's memo ({!Pinpoint.Engine.memo_sizes}). *)
 
 val resilience : state -> Pinpoint_util.Resilience.log
 val n_functions : state -> int

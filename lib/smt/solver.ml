@@ -39,8 +39,6 @@ let c_restarts = Obs.counter "solver.n_restarts"
 let c_ne_dropped = Obs.counter "solver.n_ne_dropped"
 let h_latency = Obs.histogram "smt.query.latency_s"
 
-let sat_or_unknown = function Sat | Unknown -> true | Unsat -> false
-
 (* Tseitin encoding: returns the literal representing the expression and
    populates [sat] with defining clauses.  Atom expressions map to dedicated
    variables recorded in [atom_vars]. *)

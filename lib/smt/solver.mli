@@ -53,10 +53,6 @@ val check_with_model :
     outcomes that make a bug path feasible, used as trigger hints in
     reports.  The list is empty for [Unsat]/[Unknown]. *)
 
-val sat_or_unknown : verdict -> bool
-(** The soundy reading used by checkers: keep the report unless the path
-    condition is definitely unsatisfiable. *)
-
 (** {1 Degradation ladder}
 
     On budget exhaustion (or injected faults) a query steps down:

@@ -2,7 +2,7 @@
 
     A doubly-linked recency list over a hashtable: [find] and [put]
     are O(1), eviction pops the least recently used entry.  Capacity
-    [<= 0] means unbounded (store-off semantics for tests). *)
+    [<= 0] means unbounded (a memory store's residency). *)
 
 type 'a t
 

@@ -4,43 +4,15 @@ module Seg = Pinpoint_seg.Seg
 
 type entry = { var : Var.t; closed : E.t; params : Var.Set.t }
 
-(* A disk-resident home for summaries (the artifact store): [persist]
-   replaces the in-heap table as the put target and [fetch] as the read
-   path (the backend does its own caching/LRU).  Entries round-trip
-   through the store codec, which reproduces hash-consed formulas and
-   resident [Var.t]s exactly, so a backend-served summary closes
-   constraints identically to a resident one. *)
-type backend = {
-  persist : string -> entry option array -> unit;
-  fetch : string -> entry option array option;
-  forget : string -> unit;
-}
-
 type t = {
-  tbl : (string, entry option array) Hashtbl.t;
   prog : Prog.t;  (* callee formals are read off its IR *)
-  backend : backend option;
+  find : string -> entry option array option;
 }
 
 let max_close_depth = 6
 let max_summary_size = 4000
-let create ?backend prog = { tbl = Hashtbl.create 64; prog; backend }
-
-let find t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some _ as r -> r
-  | None -> ( match t.backend with Some b -> b.fetch name | None -> None)
-
-let publish t name entries =
-  match t.backend with
-  | Some b -> b.persist name entries
-  | None -> Hashtbl.replace t.tbl name entries
-
-let n_resident t = Hashtbl.length t.tbl
-
-let remove t name =
-  Hashtbl.remove t.tbl name;
-  match t.backend with Some b -> b.forget name | None -> ()
+let create ~find prog = { prog; find }
+let find t name = t.find name
 
 (* Close a constraint: resolve its receiver dependences with callee RV
    summaries, cloning callee symbols and binding callee formals to actual
@@ -179,19 +151,3 @@ let equal_entries ((f : Func.t), (a : entry option array))
   && List.compare_lengths f.Func.params g.Func.params = 0
   && List.for_all2 var f.Func.params g.Func.params
   && Array.for_all2 (Option.equal entry) a b
-
-let pp ppf t =
-  Hashtbl.iter
-    (fun name entries ->
-      Format.fprintf ppf "RV %s:@." name;
-      Array.iteri
-        (fun i e ->
-          match e with
-          | Some e ->
-            Format.fprintf ppf "  [%d] %s: %a  (P={%a})@." i e.var.Var.name E.pp
-              e.closed
-              (Pinpoint_util.Pp.list Var.pp)
-              (Var.Set.elements e.params)
-          | None -> Format.fprintf ppf "  [%d] -@." i)
-        entries)
-    t.tbl

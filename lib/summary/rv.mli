@@ -20,17 +20,7 @@ type entry = {
 }
 
 type t
-
-(** A disk-resident home for summaries (the artifact store).  With a
-    backend installed, published entries go to [persist] instead of the
-    in-heap table and reads fall back to [fetch] (the backend does its
-    own decode caching), so resident memory stays bounded by the
-    backend's LRU rather than the program's function count. *)
-type backend = {
-  persist : string -> entry option array -> unit;
-  fetch : string -> entry option array option;
-  forget : string -> unit;
-}
+(** A program and a read-only lookup of its functions' entries. *)
 
 val max_close_depth : int
 (** Call-chain depth budget when closing constraints: 6, the paper's "six
@@ -40,10 +30,11 @@ val max_summary_size : int
 (** Constraint size cap (4000); larger summaries degrade to [true]
     (soundy: under-constraining keeps reports). *)
 
-val create : ?backend:backend -> Pinpoint_ir.Prog.t -> t
-(** An empty table for [prog].  Closing reads callee formals off [prog]'s
-    IR, never a callee's SEG.  With [backend] published entries spill to
-    it instead of the in-heap table. *)
+val create :
+  find:(string -> entry option array option) -> Pinpoint_ir.Prog.t -> t
+(** [create ~find prog] reads each function's entries with [find] (the
+    artifact store's, which the bottom-up walk fills) and callee formals
+    off [prog]'s IR, never a callee's SEG. *)
 
 val summarise :
   t ->
@@ -56,15 +47,6 @@ val summarise :
     calls it once per function, callees first, and publishes each result
     before the next member of the SCC runs; a same-SCC callee not yet
     summarised is unknown to [lookup], so its receivers stay free. *)
-
-val publish : t -> string -> entry option array -> unit
-(** Store one function's entries (in the backend, if any). *)
-
-val remove : t -> string -> unit
-(** Drop one function's entries (server incremental update). *)
-
-val n_resident : t -> int
-(** Entries held in memory; a backend's are not counted. *)
 
 val find : t -> string -> entry option array option
 (** Per return position; [None] entries are non-variable returns. *)
@@ -91,5 +73,3 @@ val equal_entries :
     extended wherever the formulas meet, and admitting only pairs with the
     same name and sort.  [params] compare as formal positions.  The
     formulas are walked as DAGs, memoised on node pairs. *)
-
-val pp : Format.formatter -> t -> unit

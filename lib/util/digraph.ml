@@ -19,12 +19,6 @@ let grow g cap =
     g.preds <- p
   end
 
-let add_node g =
-  grow g (g.n + 1);
-  let id = g.n in
-  g.n <- id + 1;
-  id
-
 let ensure_node g id =
   if id >= g.n then begin
     grow g (id + 1);
@@ -44,7 +38,6 @@ let add_edge g u v =
 let has_edge g u v = u < g.n && List.mem v g.succs.(u)
 let succs g u = if u < g.n then g.succs.(u) else []
 let preds g v = if v < g.n then g.preds.(v) else []
-let out_degree g u = List.length (succs g u)
 let in_degree g v = List.length (preds g v)
 
 let iter_edges g f =

@@ -9,9 +9,6 @@
 type t
 
 val create : ?initial_capacity:int -> unit -> t
-val add_node : t -> int
-(** Allocate the next node id. *)
-
 val ensure_node : t -> int -> unit
 (** Make sure the node id exists (allocating all smaller ids too). *)
 
@@ -25,7 +22,6 @@ val add_edge : t -> int -> int -> unit
 val has_edge : t -> int -> int -> bool
 val succs : t -> int -> int list
 val preds : t -> int -> int list
-val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
 val iter_edges : t -> (int -> int -> unit) -> unit

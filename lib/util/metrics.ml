@@ -54,10 +54,6 @@ let wait_until d =
       ignore (Unix.select [] [] [] 0.0005)
     done
 
-let with_timeout budget f =
-  let _ = budget in
-  try Some (f ()) with Timeout -> None
-
 let pp_bytes ppf b =
   let abs = Float.abs b in
   if abs >= 1.0e9 then Format.fprintf ppf "%.2fGB" (b /. 1.0e9)

@@ -24,11 +24,6 @@ val measure : ?extra_alloc:(unit -> float) -> (unit -> 'a) -> 'a * measurement
     [extra_alloc] returning their cumulative allocated bytes (e.g.
     {e Pool.allocated_bytes}) and its delta is added to [alloc_bytes]. *)
 
-val with_timeout : float -> (unit -> 'a) -> 'a option
-(** [with_timeout budget f] runs [f]; returns [None] if a cooperative
-    timeout was signalled via {!Timeout} *escaping* from [f].  The analyses
-    poll {!check} themselves; this is cooperative, not preemptive. *)
-
 exception Timeout
 
 type deadline

@@ -259,7 +259,7 @@ let test_deadline_cooperative () =
   let a = Helpers.prepare src in
   let cfg =
     { Pinpoint.Engine.default_config with
-      deadline = Pinpoint_util.Metrics.deadline_after 1e-9 }
+      deadline = Pinpoint_util.Metrics.immediate }
   in
   (* an already-expired deadline terminates the search quietly *)
   let reports, _ = Pinpoint.Analysis.check ~config:cfg a Helpers.uaf in

@@ -159,7 +159,7 @@ let differential_generated =
       in
       let events = I.run_all ~seeds:[ 1; 2; 3 ] (Pinpoint_workload.Gen.compile s) in
       let a = Pinpoint.Analysis.prepare (Pinpoint_workload.Gen.compile s) in
-      let reported_lines spec_name =
+      let reported_sinks spec_name =
         match Pinpoint.Checkers.by_name spec_name with
         | None -> []
         | Some spec ->
@@ -167,28 +167,25 @@ let differential_generated =
           List.filter_map
             (fun (r : Pinpoint.Report.t) ->
               if Pinpoint.Report.is_reported r then
-                Some (r.source_fn, r.sink_fn)
+                Some (r.sink_fn, r.sink_loc.Pinpoint_ir.Stmt.line)
               else None)
             reports
       in
       let tables = Hashtbl.create 4 in
       List.for_all
         (fun (e : I.event) ->
-          match e.I.kind with
-          | I.Null_deref -> true (* undefined-variable noise in filler; skip *)
-          | _ ->
-            let checker = I.checker_of_event e.I.kind in
-            let lines =
-              match Hashtbl.find_opt tables checker with
-              | Some l -> l
-              | None ->
-                let l = reported_lines checker in
-                Hashtbl.add tables checker l;
-                l
-            in
-            (* the event's function must appear in some report (as source
-               or sink scope) *)
-            List.exists (fun (sf, kf) -> sf = e.I.fname || kf = e.I.fname) lines)
+          let checker = I.checker_of_event e.I.kind in
+          let sinks =
+            match Hashtbl.find_opt tables checker with
+            | Some l -> l
+            | None ->
+              let l = reported_sinks checker in
+              Hashtbl.add tables checker l;
+              l
+          in
+          (* as in the Juliet test: a reported path whose sink is the
+             event's, same function and same line *)
+          List.mem (e.I.fname, e.I.loc.Pinpoint_ir.Stmt.line) sinks)
         events)
 
 (* Every Juliet case triggers its event at run time within 12 seeds

@@ -135,7 +135,14 @@ let test_artifact_roundtrip () =
       let a = Pinpoint.Analysis.prepare_source ~file:path (read_file path) in
       let st = Store.create ~dir:(tmp_dir ()) ~max_resident:4 () in
       Store.register_program st a.Pinpoint.Analysis.prog;
-      Hashtbl.iter (Store.put_seg st) a.Pinpoint.Analysis.segs;
+      let segs =
+        List.filter_map
+          (fun (f : Pinpoint_ir.Func.t) ->
+            let fname = f.Pinpoint_ir.Func.fname in
+            Option.map (fun seg -> (fname, seg)) (Pinpoint.Analysis.seg_of a fname))
+          (Pinpoint_ir.Prog.functions a.Pinpoint.Analysis.prog)
+      in
+      List.iter (fun (fname, seg) -> Store.put_seg st fname seg) segs;
       List.iter
         (fun (f : Pinpoint_ir.Func.t) ->
           let fname = f.Pinpoint_ir.Func.fname in
@@ -145,15 +152,15 @@ let test_artifact_roundtrip () =
         (Pinpoint_ir.Prog.functions a.Pinpoint.Analysis.prog);
       Store.drop_resident st;
       let base = Filename.basename path in
-      Hashtbl.iter
-        (fun fname orig ->
+      List.iter
+        (fun (fname, orig) ->
           match Store.seg_of st fname with
           | None -> Alcotest.failf "%s: %s SEG missing" base fname
           | Some dec -> check_seg_equal (base ^ ": " ^ fname) orig dec)
-        a.Pinpoint.Analysis.segs;
-      Hashtbl.iter
-        (fun _ seg -> if Seg.loads seg <> [] then incr with_loads)
-        a.Pinpoint.Analysis.segs;
+        segs;
+      List.iter
+        (fun (_, seg) -> if Seg.loads seg <> [] then incr with_loads)
+        segs;
       Store.drop_resident st;
       List.iter
         (fun (f : Pinpoint_ir.Func.t) ->
@@ -267,7 +274,8 @@ let test_eviction_identity jobs () =
     (baseline = reports_of (Pinpoint.Analysis.prepare_source ?pool src));
   List.iter
     (fun max_resident ->
-      let st = Store.create ~dir:(tmp_dir ()) ~max_resident () in
+      let dir = tmp_dir () in
+      let st = Store.create ~dir ~max_resident () in
       let a = Pinpoint.Analysis.prepare_source ?pool ~store:st src in
       Pinpoint.Analysis.seal_store a Pinpoint.Checkers.all;
       let got = reports_of a in
@@ -285,7 +293,7 @@ let test_eviction_identity jobs () =
           (stats.Store.evictions > 0);
         (* The sealed epoch lists SEGs, RV entries and VF tables only:
            no points-to result was ever stored. *)
-        match Store.reopen ~dir:(Store.dir st) with
+        match Store.reopen ~dir with
         | None -> Alcotest.fail "reopen failed on a sealed store"
         | Some r ->
           let kinds =
@@ -308,9 +316,8 @@ let test_dedup_determinism () =
     let a = Pinpoint.Analysis.prepare_source ~store:st src in
     ignore (Pinpoint.Analysis.seg_size a);
     let s = Store.stats st in
-    let bytes = Store.file_bytes st in
     Store.close st;
-    (s.Store.spills, s.Store.row, s.Store.expr_hits, s.Store.expr_misses, bytes)
+    (s.Store.spills, s.Store.row, s.Store.expr_hits, s.Store.expr_misses, s.Store.file_bytes)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "two runs, same stats and bytes" true (a = b);
@@ -403,6 +410,47 @@ let test_server_store_incremental () =
     ((Store.stats store).Store.spills > 0);
   Store.close store
 
+(* ---------- the memory store ---------- *)
+
+(* Every function's SEG and RV entries live in a store.  With none
+   given, it is a memory store: after preparing and checking, in batch
+   and served after an edit, nothing was encoded, faulted back, evicted
+   or written.  [seg_size] sums the SEGs [seg_of] returns. *)
+let test_memory_store () =
+  let memory what check (a : Pinpoint.Analysis.t) =
+    List.iter (fun spec -> ignore (check spec)) Pinpoint.Checkers.all;
+    let s = Store.stats a.Pinpoint.Analysis.store in
+    Alcotest.(check (list int))
+      (what ^ ": spills, faults, evictions, file bytes")
+      [ 0; 0; 0; 0 ]
+      [ s.Store.spills; s.Store.faults; s.Store.evictions; s.Store.file_bytes ];
+    let sum =
+      List.fold_left
+        (fun (v, e) (f : Pinpoint_ir.Func.t) ->
+          match Pinpoint.Analysis.seg_of a f.Pinpoint_ir.Func.fname with
+          | Some seg -> (v + Seg.n_vertices seg, e + Seg.n_edges seg)
+          | None -> (v, e))
+        (0, 0)
+        (Pinpoint_ir.Prog.functions a.Pinpoint.Analysis.prog)
+    in
+    Alcotest.(check bool) (what ^ ": some SEG") true (fst sum > 0);
+    Alcotest.(check (pair int int))
+      (what ^ ": seg_size = sum over seg_of")
+      sum
+      (Pinpoint.Analysis.seg_size a)
+  in
+  let chunks = Test_server.split_subject 1 (gen_source ~seed:26 ~loc:400) in
+  let a = Pinpoint.Analysis.prepare_source (snd (List.hd (Test_server.contents_of chunks))) in
+  memory "batch" (Pinpoint.Analysis.check a) a;
+  let st = Incr.load (Test_server.contents_of chunks) in
+  List.iter (fun spec -> ignore (Incr.check st spec)) Pinpoint.Checkers.all;
+  Alcotest.(check bool) "an edit" true
+    (Test_server.bump_nth_function chunks ~chunk:0 ~i:3);
+  let stats = Incr.update st (Test_server.contents_of chunks) in
+  Alcotest.(check bool) "incremental" false stats.Incr.full_rebuild;
+  Alcotest.(check bool) "something redone" true (stats.Incr.dirty_cone > 0);
+  memory "served" (Incr.check st) (Incr.analysis st)
+
 let suite =
   [
     Alcotest.test_case "arena round-trip" `Quick test_arena_roundtrip;
@@ -423,4 +471,5 @@ let suite =
     Alcotest.test_case "sweep decodes no SEG" `Quick test_sweep_faults;
     Alcotest.test_case "server incremental on store" `Quick
       test_server_store_incremental;
+    Alcotest.test_case "memory store" `Quick test_memory_store;
   ]

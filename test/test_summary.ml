@@ -431,10 +431,8 @@ let test_sweep_update () =
                  (f, Rv.find a.Pinpoint.Analysis.rv f.Func.fname)))
           sccs;
         ignore
-          (Pinpoint.Analysis.sweep ~resilience:a.Pinpoint.Analysis.resilience
-             a.Pinpoint.Analysis.graph a.Pinpoint.Analysis.ifaces
-             ~segs:a.Pinpoint.Analysis.segs a.Pinpoint.Analysis.rv ~vfs
-             ~stale:(fun _ -> false) ~before sccs);
+          (Pinpoint.Analysis.sweep ~stale:(fun _ -> false) ~before
+             { a with Pinpoint.Analysis.vfs } sccs);
         check_against_oracle what a vfs;
         List.iter2
           (fun (fn, before) (_, after) ->
