@@ -2,12 +2,12 @@
    evaluation (see DESIGN.md §3 for the experiment index).
 
    Usage:
-     dune exec bench/main.exe                 # run everything
+     dune exec bench/main.exe                 # run everything but scale
      dune exec bench/main.exe -- fig7         # one experiment
-     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
 
    Experiments: fig7 fig8 fig9 fig10 table1 table2 table3 juliet
-   solverstats ablation leaks resilience par smt obs serve micro. *)
+   solverstats ablation leaks scale.  The paper's precision claims are
+   also asserted, with deterministic counts, by test/test_paper.ml. *)
 
 module Metrics = Pinpoint_util.Metrics
 module Subjects = Pinpoint_workload.Subjects
@@ -558,1051 +558,6 @@ let ablation () =
     " infeasible conditions alive; shallow contexts lose deep-call bugs)@."
 
 (* ------------------------------------------------------------------ *)
-(* Resilience: seeded solver-fault injection on the 2MLoC-class subject.
-   Sweeps the sabotage rate to show that every run completes, that the
-   degradation ladder absorbs the faults (rung counters), and that the
-   incident log accounts for them.  Reports can only be lost to degraded
-   Unsat verdicts, which are real refutations on every rung. *)
-
-let resilience () =
-  Format.printf "@.== Resilience: seeded solver-fault injection ==@.@.";
-  let info =
-    match Subjects.find "mysql" with Some i -> i | None -> assert false
-  in
-  let subject = Subjects.generate info in
-  let cfg = { Pinpoint.Engine.default_config with solver_budget_s = 0.05 } in
-  let run rate =
-    if rate > 0.0 then
-      Pinpoint_util.Resilience.Inject.(
-        install { default with seed = 11; solver_fault_rate = rate })
-    else Pinpoint_util.Resilience.Inject.clear ();
-    let prog = Gen.compile subject in
-    let analysis = Pinpoint.Analysis.prepare prog in
-    let (reports, stats), m =
-      Metrics.measure (fun () ->
-          Pinpoint.Analysis.check ~config:cfg analysis
-            Pinpoint.Checkers.use_after_free)
-    in
-    Pinpoint_util.Resilience.Inject.clear ();
-    ( reports,
-      stats,
-      Pinpoint_util.Resilience.count analysis.Pinpoint.Analysis.resilience,
-      m )
-  in
-  let baseline = ref [] in
-  let rows =
-    List.map
-      (fun rate ->
-        let reports, stats, n_inc, m = run rate in
-        let reported = List.filter Pinpoint.Report.is_reported reports in
-        let keys =
-          List.sort_uniq compare (List.map Pinpoint.Report.key reported)
-        in
-        if rate = 0.0 then baseline := keys;
-        let lost =
-          List.filter (fun k -> not (List.mem k keys)) !baseline
-        in
-        [
-          str "%.0f%%" (rate *. 100.0);
-          string_of_int (List.length reported);
-          string_of_int (List.length lost);
-          string_of_int stats.Pinpoint.Engine.n_rung_full;
-          string_of_int stats.Pinpoint.Engine.n_rung_halved;
-          string_of_int stats.Pinpoint.Engine.n_rung_linear;
-          string_of_int stats.Pinpoint.Engine.n_rung_gave_up;
-          string_of_int n_inc;
-          str "%a" pp_dur m.Metrics.wall_s;
-        ])
-      [ 0.0; 0.1; 0.2; 0.5 ]
-  in
-  Pp.table
-    ~header:
-      [
-        "fault rate"; "#Rep"; "lost"; "full"; "halved"; "linear"; "gave-up";
-        "incidents"; "check time";
-      ]
-    ~rows Format.std_formatter ();
-  Format.printf
-    "(use-after-free on the 2MLoC-class subject; seed 11, 50ms query budget.@.";
-  Format.printf
-    " Unsat is correct on every rung, so lost reports can only come from@.";
-  Format.printf
-    " degraded refutations — the report count never collapses.)@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure family. *)
-
-let micro () =
-  Format.printf "@.== Bechamel micro-benchmarks ==@.@.";
-  let open Bechamel in
-  let open Toolkit in
-  let subject =
-    Gen.generate ~name:"micro.mc"
-      { Gen.default_params with seed = 5; target_loc = 800 }
-  in
-  let test_seg =
-    Test.make ~name:"fig7_seg_build"
-      (Staged.stage (fun () ->
-           let prog = Gen.compile subject in
-           ignore (Pinpoint.Analysis.prepare prog)))
-  in
-  let test_fsvfg =
-    Test.make ~name:"fig7_fsvfg_build"
-      (Staged.stage (fun () ->
-           let prog = Gen.compile subject in
-           ignore (Pinpoint_baselines.Svf.build prog)))
-  in
-  let analysis = Pinpoint.Analysis.prepare (Gen.compile subject) in
-  let test_check =
-    Test.make ~name:"table1_uaf_check"
-      (Staged.stage (fun () ->
-           ignore (Pinpoint.Analysis.check analysis Pinpoint.Checkers.use_after_free)))
-  in
-  let test_taint =
-    Test.make ~name:"table2_taint_check"
-      (Staged.stage (fun () ->
-           ignore (Pinpoint.Analysis.check analysis Pinpoint.Checkers.path_traversal)))
-  in
-  let prog3 = Gen.compile subject in
-  let test_infer =
-    Test.make ~name:"table3_infer_like"
-      (Staged.stage (fun () -> ignore (Pinpoint_baselines.Infer_like.check_uaf prog3)))
-  in
-  let test_csa =
-    Test.make ~name:"table3_csa_like"
-      (Staged.stage (fun () -> ignore (Pinpoint_baselines.Csa_like.check_uaf prog3)))
-  in
-  let seg_bar =
-    match Pinpoint.Analysis.seg_of analysis "shared_get" with
-    | Some seg -> seg
-    | None -> invalid_arg "micro: missing shared_get"
-  in
-  let ret_var =
-    match Pinpoint_ir.Func.return_stmt (Pinpoint_seg.Seg.func seg_bar) with
-    | Some { Pinpoint_ir.Stmt.kind = Pinpoint_ir.Stmt.Return (Pinpoint_ir.Stmt.Ovar v :: _); _ } -> v
-    | _ -> invalid_arg "micro: no return"
-  in
-  let test_pc_query =
-    Test.make ~name:"fig10_pc_query"
-      (Staged.stage (fun () -> ignore (Pinpoint_seg.Seg.dd seg_bar ret_var)))
-  in
-  let pc_formula =
-    (Pinpoint_seg.Seg.dd seg_bar ret_var).Pinpoint_seg.Seg.f
-  in
-  let test_smt =
-    Test.make ~name:"fig10_smt_solve"
-      (Staged.stage (fun () -> ignore (Pinpoint_smt.Solver.check pc_formula)))
-  in
-  let case = List.hd (Pinpoint_workload.Juliet.cases ()) in
-  let test_juliet =
-    Test.make ~name:"juliet_one_case"
-      (Staged.stage (fun () ->
-           let prog = Pinpoint_workload.Juliet.compile case in
-           let a = Pinpoint.Analysis.prepare prog in
-           ignore (Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free)))
-  in
-  let tests =
-    Test.make_grouped ~name:"pinpoint"
-      [
-        test_seg; test_fsvfg; test_check; test_taint; test_infer; test_csa;
-        test_juliet; test_pc_query; test_smt;
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    let results = Analyze.merge ols instances results in
-    results
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun _metric tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Format.printf "%-28s %a/run@." name pp_dur (est *. 1e-9)
-          | _ -> Format.printf "%-28s (no estimate)@." name)
-        tbl)
-    results
-
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel runtime: --jobs sweep over the domain pool (DESIGN.md §4.9).
-   Measures prepare (one bottom-up walk: PTA, transform, SEG, RV and VF
-   on SCC waves) and the UAF check (per-source fan-out) at 1/2/4/8
-   domains, verifies the report keys are identical at every level, and
-   dumps machine-readable results to BENCH_par.json.  Speedups are only
-   expected when the host has spare cores — on a 1-core container the
-   sweep honestly measures the oversubscription overhead instead. *)
-
-type par_run = {
-  pr_jobs : int;
-  pr_chunk : int;  (* representative prepare-fan-out chunk size; 0 = n/a *)
-  pr_prep_s : float;
-  pr_check_s : float;
-}
-
-let par () =
-  Format.printf "@.== Parallel runtime: domain pool + SCC waves ==@.@.";
-  let n_cores = Domain.recommended_domain_count () in
-  Format.printf "host: %d recommended domain(s)%s@.@." n_cores
-    (if n_cores = 1 then
-       " — 1-core container; --jobs is capped at the core count, so every \
-        level runs the same capped pool and the sweep verifies determinism \
-        and flat overhead rather than speedup"
-     else "");
-  (* Keep the previous file's numbers (sans their own "previous") so the
-     regenerated BENCH_par.json shows the before/after trajectory. *)
-  let previous =
-    match
-      let ic = open_in "BENCH_par.json" in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception _ -> None
-    | s -> (
-      match Pinpoint_server.Json.parse s with
-      | Ok (Pinpoint_server.Json.Obj fields) ->
-        Some
-          (Pinpoint_server.Json.to_string
-             (Pinpoint_server.Json.Obj
-                (List.filter (fun (k, _) -> k <> "previous") fields)))
-      | _ -> None)
-  in
-  let jobs_levels = [ 1; 2; 4; 8 ] in
-  let measure_one name =
-    let info =
-      match Subjects.find name with Some i -> i | None -> assert false
-    in
-    let subject = Subjects.generate info in
-    let runs =
-      List.map
-        (fun jobs ->
-          (* the transform rewrites the program in place: recompile per run *)
-          let prog = Gen.compile subject in
-          let n_funcs = List.length (Pinpoint_ir.Prog.functions prog) in
-          let eff = Pinpoint_par.Pool.effective_jobs jobs in
-          let chunk =
-            if eff <= 1 then 0
-            else
-              let plan = Pinpoint_par.Chunk.plan ~jobs:eff n_funcs in
-              (n_funcs + List.length plan - 1) / max 1 (List.length plan)
-          in
-          let run pool =
-            let analysis, prep_m =
-              Metrics.measure (fun () -> Pinpoint.Analysis.prepare ?pool prog)
-            in
-            let reports, check_m =
-              Metrics.measure (fun () ->
-                  fst
-                    (Pinpoint.Analysis.check analysis
-                       Pinpoint.Checkers.use_after_free))
-            in
-            ( {
-                pr_jobs = jobs;
-                pr_chunk = chunk;
-                pr_prep_s = prep_m.Metrics.wall_s;
-                pr_check_s = check_m.Metrics.wall_s;
-              },
-              List.sort_uniq compare
-                (List.map Pinpoint.Report.key
-                   (List.filter Pinpoint.Report.is_reported reports)) )
-          in
-          if eff <= 1 then run None
-          else Pinpoint_par.Pool.with_pool ~jobs:eff (fun p -> run (Some p)))
-        jobs_levels
-    in
-    let identical =
-      match runs with
-      | (_, k1) :: rest ->
-        List.for_all
-          (fun (r, k) ->
-            if k <> k1 then
-              Format.printf "  !! %s: reports at jobs=%d differ from jobs=1@."
-                name r.pr_jobs;
-            k = k1)
-          rest
-      | [] -> true
-    in
-    (name, subject.Gen.loc, List.map fst runs, identical)
-  in
-  let results = List.map measure_one [ "vortex"; "mysql" ] in
-  let total r = r.pr_prep_s +. r.pr_check_s in
-  List.iter
-    (fun (name, loc, runs, identical) ->
-      Format.printf "%s (%d LoC): reports %s across jobs levels@." name loc
-        (if identical then "identical" else "DIFFER");
-      let base = match runs with r :: _ -> total r | [] -> 0.0 in
-      let rows =
-        List.map
-          (fun r ->
-            [
-              string_of_int r.pr_jobs;
-              (if r.pr_chunk = 0 then "-" else string_of_int r.pr_chunk);
-              str "%a" pp_dur r.pr_prep_s;
-              str "%a" pp_dur r.pr_check_s;
-              str "%a" pp_dur (total r);
-              str "%.2fx" (if total r > 0.0 then base /. total r else 1.0);
-            ])
-          runs
-      in
-      Pp.table
-        ~header:
-          [ "jobs"; "chunk"; "prepare"; "check"; "total"; "speedup" ]
-        ~rows Format.std_formatter ();
-      Format.printf "@.")
-    results;
-  (* machine-readable dump; hand-rolled JSON (no JSON dependency) *)
-  let oc = open_out "BENCH_par.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"experiment\": \"par\",\n  \"cores\": %d,\n  \"subjects\": [\n"
-    n_cores;
-  List.iteri
-    (fun i (name, loc, runs, identical) ->
-      let base = match runs with r :: _ -> total r | [] -> 0.0 in
-      out "    {\"name\": %S, \"loc\": %d, \"reports_identical\": %b, \"runs\": [\n"
-        name loc identical;
-      List.iteri
-        (fun j r ->
-          out
-            "      {\"jobs\": %d, \"chunk_size\": %d, \"prepare_s\": %.6f, \
-             \"check_s\": %.6f, \"total_s\": %.6f, \"speedup\": %.3f}%s\n"
-            r.pr_jobs r.pr_chunk r.pr_prep_s r.pr_check_s (total r)
-            (if total r > 0.0 then base /. total r else 1.0)
-            (if j = List.length runs - 1 then "" else ","))
-        runs;
-      out "    ]}%s\n" (if i = List.length results - 1 then "" else ","))
-    results;
-  out "  ]%s\n"
-    (match previous with
-    | Some _ -> ","
-    | None -> "");
-  (match previous with
-  | Some p -> out "  \"previous\": %s\n" p
-  | None -> ());
-  out "}\n";
-  close_out oc;
-  Format.printf "(wrote BENCH_par.json)@."
-
-(* ------------------------------------------------------------------ *)
-(* SAT core ablation (DESIGN.md §4.12): CDCL vs the reference
-   chronological DPLL (Sat_ref), on generated hard random 3-CNF near the
-   satisfiability phase transition, where a non-learning solver's search
-   tree blows up.  Dumps BENCH_smt.json. *)
-
-type smt_core_run = {
-  sc_verdict : string;
-  sc_wall : float;
-  sc_counts : Pinpoint_smt.Sat.counts;
-}
-
-let smt () =
-  Format.printf "@.== SAT core ablation: CDCL vs reference DPLL ==@.@.";
-  let module Sat = Pinpoint_smt.Sat in
-  let module Sat_ref = Pinpoint_smt.Sat_ref in
-  let module Prng = Pinpoint_util.Prng in
-  (* --- hard random 3-CNF at clause/variable ratio 4.26 --- *)
-  let gen_cnf ~seed ~n_vars =
-    let rng = Prng.create seed in
-    let n_clauses = int_of_float (4.26 *. float_of_int n_vars) in
-    List.init n_clauses (fun _ ->
-        let rec draw acc n =
-          if n = 0 then acc
-          else begin
-            let v = Prng.in_range rng 1 n_vars in
-            if List.exists (fun l -> abs l = v) acc then draw acc n
-            else draw ((if Prng.bool rng then v else -v) :: acc) (n - 1)
-          end
-        in
-        draw [] 3)
-  in
-  (* generous conflict cap so the reference core terminates even when its
-     chronological search degenerates *)
-  let budget = 2_000_000 in
-  let timed solve counts =
-    let verdict, m = Metrics.measure solve in
-    { sc_verdict = verdict; sc_wall = m.Metrics.wall_s; sc_counts = counts () }
-  in
-  let solve_cdcl clauses =
-    let s = Sat.create () in
-    List.iter (Sat.add_clause s) clauses;
-    timed
-      (fun () ->
-        match Sat.solve ~budget s with
-        | Some (Sat.Sat _) -> "sat"
-        | Some Sat.Unsat -> "unsat"
-        | None -> "budget")
-      (fun () -> Sat.counts s)
-  in
-  let solve_ref clauses =
-    let s = Sat_ref.create () in
-    List.iter (Sat_ref.add_clause s) clauses;
-    timed
-      (fun () ->
-        match Sat_ref.solve ~budget s with
-        | Some (Sat_ref.Sat _) -> "sat"
-        | Some Sat_ref.Unsat -> "unsat"
-        | None -> "budget")
-      (fun () -> Sat_ref.counts s)
-  in
-  let hard_instances =
-    List.map
-      (fun (seed, n_vars) -> (seed, n_vars, gen_cnf ~seed ~n_vars))
-      [ (11, 34); (12, 38); (13, 40); (14, 42); (15, 44); (16, 46) ]
-  in
-  let hard_results =
-    List.map
-      (fun (seed, n_vars, clauses) ->
-        let cdcl = solve_cdcl clauses in
-        let ref_ = solve_ref clauses in
-        if cdcl.sc_verdict <> ref_.sc_verdict then
-          Format.printf "  !! seed %d: verdicts differ (%s vs %s)@." seed
-            cdcl.sc_verdict ref_.sc_verdict;
-        (seed, n_vars, List.length clauses, cdcl, ref_))
-      hard_instances
-  in
-  Pp.table
-    ~header:
-      [
-        "instance"; "verdict"; "cdcl time"; "ref time"; "cdcl props";
-        "ref props"; "cdcl confl"; "ref confl"; "learned"; "restarts";
-      ]
-    ~rows:
-      (List.map
-         (fun (seed, n_vars, n_clauses, c, r) ->
-           [
-             str "seed %d (%dv/%dc)" seed n_vars n_clauses;
-             c.sc_verdict;
-             str "%a" pp_dur c.sc_wall;
-             str "%a" pp_dur r.sc_wall;
-             string_of_int c.sc_counts.Sat.propagations;
-             string_of_int r.sc_counts.Sat.propagations;
-             string_of_int c.sc_counts.Sat.conflicts;
-             string_of_int r.sc_counts.Sat.conflicts;
-             string_of_int c.sc_counts.Sat.learned;
-             string_of_int c.sc_counts.Sat.restarts;
-           ])
-         hard_results)
-    Format.std_formatter ();
-  let total f =
-    List.fold_left (fun acc (_, _, _, c, r) -> acc + f c r) 0 hard_results
-  in
-  let cdcl_props = total (fun c _ -> c.sc_counts.Sat.propagations) in
-  let ref_props = total (fun _ r -> r.sc_counts.Sat.propagations) in
-  Format.printf
-    "hard-CNF propagations: CDCL %d vs reference %d (%s)@.@." cdcl_props
-    ref_props
-    (if cdcl_props < ref_props then "strictly fewer, as required"
-     else "NOT strictly fewer");
-  let oc = open_out "BENCH_smt.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"experiment\": \"smt\",\n  \"hard_cnf\": {\n    \"instances\": [\n";
-  List.iteri
-    (fun i (seed, n_vars, n_clauses, c, r) ->
-      let run label (x : smt_core_run) last =
-        out
-          "        {\"core\": %S, \"verdict\": %S, \"wall_s\": %.6f, \
-           \"propagations\": %d, \"conflicts\": %d, \"learned\": %d, \
-           \"restarts\": %d}%s\n"
-          label x.sc_verdict x.sc_wall x.sc_counts.Sat.propagations
-          x.sc_counts.Sat.conflicts x.sc_counts.Sat.learned
-          x.sc_counts.Sat.restarts
-          (if last then "" else ",")
-      in
-      out "      {\"seed\": %d, \"n_vars\": %d, \"n_clauses\": %d, \"runs\": [\n"
-        seed n_vars n_clauses;
-      run "cdcl" c false;
-      run "ref" r true;
-      out "      ]}%s\n" (if i = List.length hard_results - 1 then "" else ","))
-    hard_results;
-  out "    ],\n";
-  out
-    "    \"totals\": {\"cdcl_propagations\": %d, \"ref_propagations\": %d, \
-     \"cdcl_strictly_fewer\": %b}\n"
-    cdcl_props ref_props
-    (cdcl_props < ref_props);
-  out "  }\n}\n";
-  close_out oc;
-  Format.printf "(wrote BENCH_smt.json)@."
-
-(* ------------------------------------------------------------------ *)
-(* Editable serve-subject model shared by the obs and serve benches: a
-   subject split into per-file fdecl lists, with a deterministic
-   constant-flip edit and re-emission to source per request. *)
-
-module Edit = struct
-  module Ast = Pinpoint_frontend.Ast
-  module Parser = Pinpoint_frontend.Parser
-
-  let emit fds =
-    let buf = Buffer.create 4096 in
-    let ppf = Format.formatter_of_buffer buf in
-    let current = ref "" in
-    List.iter
-      (fun (fd : Ast.fdecl) ->
-        if fd.Ast.unit_name <> !current then begin
-          Format.fprintf ppf "unit %S;@.@." fd.Ast.unit_name;
-          current := fd.Ast.unit_name
-        end;
-        Format.fprintf ppf "%a@." Ast.pp_fdecl fd)
-      fds;
-    Format.pp_print_flush ppf ();
-    Buffer.contents buf
-
-  (* Split a source into [n_files] chunks of consecutive functions;
-     returns the editable chunk array and the function count. *)
-  let split ~n_files ~prefix src =
-    let fds = (Parser.parse_string ~file:"<gen>" src).Ast.funcs in
-    let n_funcs = List.length fds in
-    let per = max 1 ((n_funcs + n_files - 1) / n_files) in
-    let chunks = Array.make n_files [] in
-    List.iteri
-      (fun i fd ->
-        let c = min (n_files - 1) (i / per) in
-        chunks.(c) <- fd :: chunks.(c))
-      fds;
-    ( Array.mapi
-        (fun i fds -> (Printf.sprintf "%s_%d.mc" prefix i, List.rev fds))
-        chunks,
-      n_funcs )
-
-  let contents chunks =
-    Array.to_list (Array.map (fun (n, fds) -> (n, emit fds)) chunks)
-
-  let rec bump_expr found (e : Ast.expr) =
-    let node =
-      match e.Ast.enode with
-      | Ast.Eint n when not !found ->
-        found := true;
-        Ast.Eint (n + 1)
-      | (Ast.Eint _ | Ast.Ebool _ | Ast.Enull | Ast.Evar _ | Ast.Emalloc) as n
-        ->
-        n
-      | Ast.Ederef (a, k) -> Ast.Ederef (bump_expr found a, k)
-      | Ast.Ebin (op, a, b) ->
-        let a = bump_expr found a in
-        Ast.Ebin (op, a, bump_expr found b)
-      | Ast.Eun (op, a) -> Ast.Eun (op, bump_expr found a)
-      | Ast.Ecall (f, args) -> Ast.Ecall (f, List.map (bump_expr found) args)
-      | Ast.Evcall (f, args) -> Ast.Evcall (f, List.map (bump_expr found) args)
-    in
-    { e with Ast.enode = node }
-
-  let rec bump_stmt found (s : Ast.stmt) =
-    let node =
-      match s.Ast.snode with
-      | Ast.Sdecl (t, x, e) -> Ast.Sdecl (t, x, Option.map (bump_expr found) e)
-      | Ast.Sassign (x, e) -> Ast.Sassign (x, bump_expr found e)
-      | Ast.Sstore (k, x, e) -> Ast.Sstore (k, x, bump_expr found e)
-      | Ast.Sif (c, a, b) ->
-        let c = bump_expr found c in
-        let a = bump_stmt found a in
-        Ast.Sif (c, a, Option.map (bump_stmt found) b)
-      | Ast.Swhile (c, b) ->
-        let c = bump_expr found c in
-        Ast.Swhile (c, bump_stmt found b)
-      | Ast.Sreturn e -> Ast.Sreturn (Option.map (bump_expr found) e)
-      | Ast.Sexpr e -> Ast.Sexpr (bump_expr found e)
-      | Ast.Sblock ss -> Ast.Sblock (List.map (bump_stmt found) ss)
-    in
-    { s with Ast.snode = node }
-
-  (* Flip the first integer literal of the [idx]-th function (cyclically)
-     of the chunk; returns false when that function has none. *)
-  let bump_function chunks ~chunk ~idx =
-    let name, cfds = chunks.(chunk) in
-    let n = List.length cfds in
-    if n = 0 then false
-    else begin
-      let target = idx mod n in
-      let found = ref false in
-      let cfds =
-        List.mapi
-          (fun j (fd : Ast.fdecl) ->
-            if j = target then
-              { fd with Ast.body = bump_stmt found fd.Ast.body }
-            else fd)
-          cfds
-      in
-      chunks.(chunk) <- (name, cfds);
-      !found
-    end
-end
-
-(* Latency percentile over a sample list (nearest-rank interpolation). *)
-let pct p l =
-  match List.sort compare l with
-  | [] -> 0.0
-  | sorted ->
-    List.nth sorted
-      (min
-         (List.length sorted - 1)
-         (int_of_float (p *. float_of_int (List.length sorted - 1) +. 0.5)))
-
-(* ------------------------------------------------------------------ *)
-(* Observability ablation (DESIGN.md §4.11): the same workload at the
-   three levels — off / metrics-only / full tracing — measuring the wall
-   time of prepare + UAF check, verifying the report keys are identical
-   at every level, and dumping BENCH_obs.json.  The contract under test:
-   the disabled path costs a flag check per hook (target < 2% overhead,
-   i.e. within run-to-run noise), and no level changes the analysis.
-
-   A second, serve-mode leg (DESIGN.md §4.16) drives the same 25-request
-   edit stream through Server.handle_line at Off (flight recorder off)
-   vs Metrics_only + flight, on a ~200 KLoC resident subject (override
-   with PINPOINT_BENCH_OBS_SERVE_LOC): live request telemetry must cost
-   <= 3% on request p50 and leave every response byte-identical modulo
-   the wall-clock latency stamp. *)
-
-let obs () =
-  let module Obs = Pinpoint_obs.Obs in
-  Format.printf "@.== Observability ablation: off / metrics / trace ==@.@.";
-  let info =
-    match Subjects.find "vortex" with Some i -> i | None -> assert false
-  in
-  let subject = Subjects.generate info in
-  let reps = 5 in
-  let run_once () =
-    (* the transform rewrites the program in place: recompile per run *)
-    let prog = Gen.compile subject in
-    let (reports, spans, queries), m =
-      Metrics.measure (fun () ->
-          let analysis = Pinpoint.Analysis.prepare prog in
-          let reports =
-            fst
-              (Pinpoint.Analysis.check analysis
-                 Pinpoint.Checkers.use_after_free)
-          in
-          (reports, List.length (Obs.spans ()), List.length (Obs.queries ())))
-    in
-    let keys =
-      List.sort_uniq compare
-        (List.map Pinpoint.Report.key
-           (List.filter Pinpoint.Report.is_reported reports))
-    in
-    (m.Metrics.wall_s, keys, spans, queries)
-  in
-  let median l =
-    match List.sort compare l with
-    | [] -> 0.0
-    | sorted -> List.nth sorted (List.length sorted / 2)
-  in
-  let measure_level (label, level) =
-    Obs.reset ();
-    Obs.set_level level;
-    ignore (run_once ()) (* warm-up *);
-    let runs = List.init reps (fun _ -> run_once ()) in
-    let walls = List.map (fun (w, _, _, _) -> w) runs in
-    let _, keys, spans, queries = List.hd runs in
-    Obs.set_level Obs.Off;
-    Obs.reset ();
-    (label, median walls, keys, spans, queries)
-  in
-  let results =
-    List.map measure_level
-      [ ("off", Obs.Off); ("metrics", Obs.Metrics_only); ("trace", Obs.Trace) ]
-  in
-  let base =
-    match results with (_, w, _, _, _) :: _ -> w | [] -> 0.0
-  in
-  let keys_off =
-    match results with (_, _, k, _, _) :: _ -> k | [] -> []
-  in
-  let identical =
-    List.for_all (fun (_, _, k, _, _) -> k = keys_off) results
-  in
-  let overhead w = if base > 0.0 then ((w /. base) -. 1.0) *. 100.0 else 0.0 in
-  Pp.table
-    ~header:[ "level"; "median wall"; "overhead"; "spans"; "queries" ]
-    ~rows:
-      (List.map
-         (fun (label, w, _, spans, queries) ->
-           [
-             label;
-             str "%a" pp_dur w;
-             str "%+.2f%%" (overhead w);
-             string_of_int spans;
-             string_of_int queries;
-           ])
-         results)
-    Format.std_formatter ();
-  Format.printf "reports %s across levels@."
-    (if identical then "identical" else "DIFFER");
-  (* Disabled-path micro: the same closure driven bare vs through the
-     span hook with observability off.  The hook's off path is one atomic
-     load + branch, so the per-call delta should be a few ns and the
-     relative overhead on real work far under the 2% target. *)
-  Obs.set_level Obs.Off;
-  let n = 5_000_000 in
-  let tick = ref 0 in
-  let work () = tick := !tick + 1 in
-  let micro f =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let _, m = Metrics.measure (fun () -> for _ = 1 to n do f () done) in
-      if m.Metrics.wall_s < !best then best := m.Metrics.wall_s
-    done;
-    !best
-  in
-  let bare_s = micro work in
-  let hooked_s = micro (fun () -> Obs.span "bench.noop" work) in
-  let per_call_ns = (hooked_s -. bare_s) /. float_of_int n *. 1e9 in
-  Format.printf
-    "disabled hook: %.1fns/call over a bare call (%d calls: bare %a, hooked %a)@."
-    per_call_ns n pp_dur bare_s pp_dur hooked_s;
-  (* ---- serve-mode leg: request telemetry ablation (DESIGN.md §4.16) ---- *)
-  let module Json = Pinpoint_server.Json in
-  let module Server = Pinpoint_server.Server in
-  let module Flight = Pinpoint_obs.Flight in
-  let serve_loc =
-    match Sys.getenv_opt "PINPOINT_BENCH_OBS_SERVE_LOC" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-                  | Some n when n > 0 -> n
-                  | _ -> 200_000)
-    | None -> 200_000
-  in
-  Format.printf
-    "@.-- serve-mode: Off vs Metrics_only+flight on a %d LoC resident \
-     subject --@."
-    serve_loc;
-  let serve_subject =
-    Gen.generate ~name:"obs-serve"
-      { Gen.default_params with Gen.seed = 101; target_loc = serve_loc }
-  in
-  let n_files = 8 in
-  let n_requests = 25 in
-  (* Responses carry a wall-clock latency stamp; strip it (and nothing
-     else) before comparing across levels. *)
-  let rec strip_latency j =
-    match j with
-    | Json.Obj kvs ->
-      Json.Obj
-        (List.filter (fun (k, _) -> k <> "latency_s") kvs
-        |> List.map (fun (k, v) -> (k, strip_latency v)))
-    | Json.List l -> Json.List (List.map strip_latency l)
-    | j -> j
-  in
-  let member_path path j =
-    List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
-  in
-  let run_serve_level (label, level, flight) =
-    Obs.reset ();
-    Obs.set_level level;
-    Flight.clear ();
-    Flight.set_enabled flight;
-    let chunks, _ =
-      Edit.split ~n_files ~prefix:"obs_serve" serve_subject.Gen.source
-    in
-    let t =
-      Server.create ~config:{ Server.default_config with Server.flight } ()
-    in
-    Server.load_files t (Edit.contents chunks);
-    let lat = ref [] in
-    let responses = ref [] in
-    for r = 1 to n_requests do
-      let chunk = r mod n_files in
-      ignore (Edit.bump_function chunks ~chunk ~idx:(r / n_files));
-      let name, cfds = chunks.(chunk) in
-      let req =
-        Json.to_string
-          (Json.Obj
-             [
-               ("id", Json.Int r);
-               ("op", Json.String "check");
-               ( "files",
-                 Json.List
-                   [
-                     Json.Obj
-                       [
-                         ("name", Json.String name);
-                         ("contents", Json.String (Edit.emit cfds));
-                       ];
-                   ] );
-               ("checkers", Json.List [ Json.String "use-after-free" ]);
-             ])
-      in
-      let (resp, _), m = Metrics.measure (fun () -> Server.handle_line t req) in
-      lat := m.Metrics.wall_s :: !lat;
-      let stripped =
-        match Json.parse resp with
-        | Ok j -> Json.to_string (strip_latency j)
-        | Error _ -> resp
-      in
-      responses := stripped :: !responses
-    done;
-    (* after the stream, the metrics op must report non-trivial ordered
-       latency quantiles at Metrics_only *)
-    let quantiles =
-      if level = Obs.Metrics_only then begin
-        let resp, _ =
-          Server.handle_line t
-            (Json.to_string (Json.Obj [ ("op", Json.String "metrics") ]))
-        in
-        match Json.parse resp with
-        | Error _ -> None
-        | Ok j ->
-          let q field =
-            Option.bind
-              (member_path
-                 [ "totals"; "histograms"; "server.request_latency_s"; field ]
-                 j)
-              Json.number_opt
-          in
-          (match (q "p50", q "p95", q "p99") with
-          | Some p50, Some p95, Some p99 -> Some (p50, p95, p99)
-          | _ -> None)
-      end
-      else None
-    in
-    Obs.set_level Obs.Off;
-    Obs.reset ();
-    Flight.set_enabled false;
-    Flight.clear ();
-    (label, pct 0.5 !lat, pct 0.95 !lat, List.rev !responses, quantiles)
-  in
-  let serve_results =
-    List.map run_serve_level
-      [
-        ("off", Obs.Off, false); ("metrics+flight", Obs.Metrics_only, true);
-      ]
-  in
-  let serve_p50_off, serve_responses_off =
-    match serve_results with
-    | (_, p50, _, rs, _) :: _ -> (p50, rs)
-    | [] -> (0.0, [])
-  in
-  let serve_identical =
-    List.for_all (fun (_, _, _, rs, _) -> rs = serve_responses_off)
-      serve_results
-  in
-  let serve_overhead w =
-    if serve_p50_off > 0.0 then ((w /. serve_p50_off) -. 1.0) *. 100.0 else 0.0
-  in
-  Pp.table
-    ~header:[ "level"; "request p50"; "request p95"; "p50 overhead" ]
-    ~rows:
-      (List.map
-         (fun (label, p50, p95, _, _) ->
-           [
-             label; str "%a" pp_dur p50; str "%a" pp_dur p95;
-             str "%+.2f%%" (serve_overhead p50);
-           ])
-         serve_results)
-    Format.std_formatter ();
-  Format.printf "responses %s across levels (latency stamp stripped)@."
-    (if serve_identical then "identical" else "DIFFER");
-  let serve_quantiles =
-    List.fold_left (fun acc (_, _, _, _, q) -> if q <> None then q else acc)
-      None serve_results
-  in
-  (match serve_quantiles with
-  | Some (p50, p95, p99) ->
-    Format.printf
-      "metrics op after %d requests: request_latency p50=%a p95=%a p99=%a@."
-      n_requests pp_dur p50 pp_dur p95 pp_dur p99;
-    if not (p50 > 0.0 && p50 <= p95 && p95 <= p99) then
-      failwith "obs serve: metrics op quantiles trivial or unordered"
-  | None -> failwith "obs serve: metrics op returned no latency quantiles");
-  if not serve_identical then
-    failwith "obs serve: responses differ across obs levels";
-  (* Keep the previous file's numbers (sans their own "previous") so the
-     regenerated BENCH_obs.json shows the before/after trajectory. *)
-  let previous =
-    match
-      let ic = open_in "BENCH_obs.json" in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception _ -> None
-    | s -> (
-      match Json.parse s with
-      | Ok (Json.Obj fields) ->
-        Some
-          (Json.to_string
-             (Json.Obj (List.filter (fun (k, _) -> k <> "previous") fields)))
-      | _ -> None)
-  in
-  let oc = open_out "BENCH_obs.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out
-    "{\n  \"experiment\": \"obs\",\n  \"subject\": %S,\n  \"loc\": %d,\n\
-    \  \"reps\": %d,\n  \"reports_identical\": %b,\n  \"levels\": [\n"
-    "vortex" subject.Gen.loc reps identical;
-  List.iteri
-    (fun i (label, w, _, spans, queries) ->
-      out
-        "    {\"level\": %S, \"median_wall_s\": %.6f, \"overhead_pct\": \
-         %.3f, \"spans\": %d, \"queries\": %d}%s\n"
-        label w (overhead w) spans queries
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  out
-    "  ],\n  \"disabled_hook\": {\"calls\": %d, \"bare_s\": %.6f, \
-     \"hooked_s\": %.6f, \"per_call_ns\": %.3f},\n"
-    n bare_s hooked_s per_call_ns;
-  out
-    "  \"serve\": {\n    \"loc\": %d,\n    \"requests\": %d,\n\
-    \    \"responses_identical\": %b,\n    \"levels\": [\n"
-    serve_loc n_requests serve_identical;
-  List.iteri
-    (fun i (label, p50, p95, _, _) ->
-      out
-        "      {\"level\": %S, \"request_p50_s\": %.6f, \"request_p95_s\": \
-         %.6f, \"p50_overhead_pct\": %.3f}%s\n"
-        label p50 p95 (serve_overhead p50)
-        (if i = List.length serve_results - 1 then "" else ","))
-    serve_results;
-  (match serve_quantiles with
-  | Some (p50, p95, p99) ->
-    out
-      "    ],\n    \"metrics_op\": {\"p50_s\": %.6f, \"p95_s\": %.6f, \
-       \"p99_s\": %.6f}\n  }"
-      p50 p95 p99
-  | None -> out "    ]\n  }");
-  (match previous with
-  | Some prev -> out ",\n  \"previous\": %s\n" prev
-  | None -> out "\n");
-  out "}\n";
-  close_out oc;
-  Format.printf "(wrote BENCH_obs.json)@."
-
-(* ------------------------------------------------------------------ *)
-(* Server mode (DESIGN.md §4.13): resident incremental re-analysis vs a
-   full batch re-run, over a stream of small edits.  Each request edits
-   ~1% of the subject's functions (a constant flip, re-emitted to source)
-   and re-checks UAF; the incremental side applies Incr.update + check on
-   the resident state, the batch side recompiles and re-prepares from the
-   same file contents.  Per request we assert the rendered reports are
-   byte-identical, then dump latency percentiles and reuse rates to
-   BENCH_serve.json.  The contract: incremental p50 strictly below batch
-   p50, with identical reports throughout. *)
-
-let serve () =
-  let module Ast = Pinpoint_frontend.Ast in
-  let module Parser = Pinpoint_frontend.Parser in
-  let module Lower = Pinpoint_frontend.Lower in
-  let module Incr = Pinpoint_server.Incr in
-  Format.printf "@.== Server mode: incremental re-analysis vs batch re-run ==@.@.";
-  let subject =
-    Gen.generate ~name:"serve"
-      { Gen.default_params with Gen.seed = 77; target_loc = 1500 }
-  in
-  let n_files = 8 in
-  let n_requests = 25 in
-  (* Editable model: per-file fdecl lists; contents re-emitted per edit. *)
-  let chunks, n_funcs =
-    Edit.split ~n_files ~prefix:"serve" subject.Gen.source
-  in
-  let contents () = Edit.contents chunks in
-  let bump_function ~chunk ~idx = Edit.bump_function chunks ~chunk ~idx in
-  let spec = Pinpoint.Checkers.use_after_free in
-  let renders reports =
-    List.map Pinpoint.Report.one_line
-      (List.filter Pinpoint.Report.is_reported reports)
-  in
-  let st = Incr.load (contents ()) in
-  let edits_per_request = max 1 (n_funcs / 100) in
-  Format.printf
-    "subject %d funcs in %d files, %d requests x %d edited funcs (~1%%)@."
-    n_funcs n_files n_requests edits_per_request;
-  let incr_lat = ref [] in
-  let batch_lat = ref [] in
-  let cones = ref [] in
-  let mismatches = ref 0 in
-  for r = 1 to n_requests do
-    (* Edit ~1% of the functions, spread over chunks. *)
-    let touched = Hashtbl.create 4 in
-    for e = 0 to edits_per_request - 1 do
-      let k = (r * edits_per_request) + e in
-      let chunk = k mod n_files in
-      ignore (bump_function ~chunk ~idx:(k / n_files));
-      Hashtbl.replace touched chunk ()
-    done;
-    let changed =
-      Hashtbl.fold
-        (fun c () acc ->
-          let name, cfds = chunks.(c) in
-          (name, Edit.emit cfds) :: acc)
-        touched []
-    in
-    let (stats, incr_renders), m_incr =
-      Metrics.measure (fun () ->
-          let stats = Incr.update st changed in
-          (stats, renders (fst (Incr.check st spec))))
-    in
-    let batch_renders, m_batch =
-      Metrics.measure (fun () ->
-          let fds =
-            List.concat_map
-              (fun (n, c) -> (Parser.parse_string ~file:n c).Ast.funcs)
-              (contents ())
-          in
-          let prog = Lower.compile { Ast.funcs = fds } in
-          let a = Pinpoint.Analysis.prepare prog in
-          renders (fst (Pinpoint.Analysis.check a spec)))
-    in
-    if incr_renders <> batch_renders then incr mismatches;
-    incr_lat := m_incr.Metrics.wall_s :: !incr_lat;
-    batch_lat := m_batch.Metrics.wall_s :: !batch_lat;
-    cones := stats.Incr.dirty_cone :: !cones
-  done;
-  let p50i = pct 0.5 !incr_lat and p99i = pct 0.99 !incr_lat in
-  let p50b = pct 0.5 !batch_lat and p99b = pct 0.99 !batch_lat in
-  let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
-  let mean_cone = mean (List.map float_of_int !cones) in
-  let reuse_pct = 100.0 *. (1.0 -. (mean_cone /. float_of_int n_funcs)) in
-  Pp.table
-    ~header:[ "side"; "p50"; "p99"; "mean" ]
-    ~rows:
-      [
-        [
-          "incremental"; str "%a" pp_dur p50i; str "%a" pp_dur p99i;
-          str "%a" pp_dur (mean !incr_lat);
-        ];
-        [
-          "batch"; str "%a" pp_dur p50b; str "%a" pp_dur p99b;
-          str "%a" pp_dur (mean !batch_lat);
-        ];
-      ]
-    Format.std_formatter ();
-  Format.printf
-    "reports %s across %d requests; mean dirty cone %.1f/%d funcs (%.1f%% reused); p50 speedup %.1fx@."
-    (if !mismatches = 0 then "identical" else "DIFFER")
-    n_requests mean_cone n_funcs reuse_pct
-    (if p50i > 0.0 then p50b /. p50i else 0.0);
-  let oc = open_out "BENCH_serve.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out
-    "{\n  \"experiment\": \"serve\",\n  \"subject\": %S,\n  \"loc\": %d,\n\
-    \  \"functions\": %d,\n  \"files\": %d,\n  \"requests\": %d,\n\
-    \  \"edited_funcs_per_request\": %d,\n  \"reports_identical\": %b,\n\
-    \  \"incremental\": {\"p50_s\": %.6f, \"p99_s\": %.6f, \"mean_s\": %.6f},\n\
-    \  \"batch\": {\"p50_s\": %.6f, \"p99_s\": %.6f, \"mean_s\": %.6f},\n\
-    \  \"p50_speedup\": %.3f,\n  \"mean_dirty_cone\": %.2f,\n\
-    \  \"reuse_pct\": %.2f\n}\n"
-    "serve" subject.Gen.loc n_funcs n_files n_requests edits_per_request
-    (!mismatches = 0) p50i p99i (mean !incr_lat) p50b p99b (mean !batch_lat)
-    (if p50i > 0.0 then p50b /. p50i else 0.0)
-    mean_cone reuse_pct;
-  close_out oc;
-  if !mismatches > 0 then
-    failwith "serve: incremental reports diverged from batch";
-  Format.printf "(wrote BENCH_serve.json)@."
-
-(* ------------------------------------------------------------------ *)
 (* scale: MLoC scaling with the disk-resident artifact store
    (DESIGN.md §4.14).  Subjects of 0.02-4 MLoC (override with
    PINPOINT_BENCH_SCALE_MLOCS="0.02,0.5") run through the CLI as
@@ -1610,8 +565,8 @@ let serve () =
    watermark (read back from --metrics-json) is isolated per run — store
    off vs on.  The contract: identical reports, and at MLoC scale the
    store holds peak RSS and artifact bytes/LoC below the all-resident
-   run.  Dumps BENCH_scale.json.  Opt-in (like micro): subprocess runs at
-   4 MLoC take minutes. *)
+   run.  Dumps BENCH_scale.json.  Opt-in: subprocess runs at 4 MLoC take
+   minutes. *)
 
 let scale () =
   Format.printf "@.=== scale: MLoC subjects, store on vs off ===@.";
@@ -1777,13 +732,7 @@ let experiments =
     ("solverstats", solverstats);
     ("ablation", ablation);
     ("leaks", leaks);
-    ("resilience", resilience);
-    ("par", par);
-    ("smt", smt);
-    ("obs", obs);
-    ("serve", serve);
     ("scale", scale);
-    ("micro", micro);
   ]
 
 let () =
@@ -1791,9 +740,8 @@ let () =
   let to_run =
     match args with
     | [] | [ "all" ] ->
-      (* everything except the opt-in slow ones: micro (statistically
-         sound but slow) and scale (multi-minute MLoC subprocess runs) *)
-      List.filter (fun (n, _) -> n <> "micro" && n <> "scale") experiments
+      (* everything except scale: its MLoC subprocess runs take minutes *)
+      List.filter (fun (n, _) -> n <> "scale") experiments
     | names ->
       List.filter_map
         (fun n ->

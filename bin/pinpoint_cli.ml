@@ -151,6 +151,39 @@ let rss_cap_arg =
            by the end of the run (0 = no cap).  Used by CI to pin the \
            store's memory bound.")
 
+(* A path on the command line that cannot be used is a usage error,
+   found before any analysis runs: one line on stderr and exit 1, as for
+   a parse error. *)
+let guard_path flag path f =
+  try f ()
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "pinpoint: %s %s: %s\n%!" flag path (Unix.error_message e);
+    exit 1
+
+(* [dir] exists and takes new entries. *)
+let writable_dir dir =
+  match (Unix.stat dir).Unix.st_kind with
+  | Unix.S_DIR -> Unix.access dir [ Unix.W_OK; Unix.X_OK ]
+  | _ -> raise (Unix.Unix_error (Unix.ENOTDIR, "stat", dir))
+
+(* A file written at the end of the run ([--trace], [--metrics-json]):
+   open it for writing now, and leave the file system as it was. *)
+let check_output flag =
+  Option.iter (fun path ->
+      guard_path flag path (fun () ->
+          let existed = Sys.file_exists path in
+          Unix.close (Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644);
+          if not existed then Sys.remove path))
+
+(* A directory made on first use ([--snapshot-dir]): its nearest existing
+   ancestor must take new entries. *)
+let check_dir flag =
+  let rec nearest dir =
+    if Sys.file_exists dir then writable_dir dir
+    else nearest (Filename.dirname dir)
+  in
+  Option.iter (fun dir -> guard_path flag dir (fun () -> nearest dir))
+
 let with_store ~store_dir ~max_resident f =
   match store_dir with
   | None -> f None
@@ -161,7 +194,10 @@ let with_store ~store_dir ~max_resident f =
        explicit OCAMLRUNPARAM o=... below 40 still wins. *)
     let g = Gc.get () in
     if g.Gc.space_overhead > 40 then Gc.set { g with Gc.space_overhead = 40 };
-    let st = Pinpoint_store.Store.create ~dir ~max_resident () in
+    let st =
+      guard_path "--store-dir" dir (fun () ->
+          Pinpoint_store.Store.create ~dir ~max_resident ())
+    in
     f (Some st)
 
 let check_rss_cap ~rss_cap_mb =
@@ -210,7 +246,10 @@ let obs_arg =
         ~doc:"Print the observability summary (metrics tables and the SMT \
               query profile) after the run.")
 
-let set_obs_level ~trace ~metrics_json ~obs =
+(* Check the export paths, then set the level the flags ask for. *)
+let init_obs ~trace ~metrics_json ~obs =
+  check_output "--trace" trace;
+  check_output "--metrics-json" metrics_json;
   Pinpoint_obs.Obs.set_level
     (if trace <> None then Pinpoint_obs.Obs.Trace
      else if metrics_json <> None || obs then Pinpoint_obs.Obs.Metrics_only
@@ -257,12 +296,22 @@ let print_incidents ~verbose (a : Pinpoint.Analysis.t) =
         (Pinpoint_util.Resilience.incidents res)
   end
 
+(* A command's EXIT STATUS section: its own codes, then cmdliner's. *)
+let exits codes =
+  List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) codes
+  @ List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok) Cmd.Exit.defaults
+
+let bad_input_exit =
+  ( 1,
+    "on a parse error in the input, or when a path given on the command \
+     line cannot be used." )
+
 let check_cmd =
   let run files checkers verbose confirm deadline_s budget_s solver_conflicts
       seed rate seg_rate no_refine jobs store_dir
       max_resident rss_cap_mb trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
-    set_obs_level ~trace ~metrics_json ~obs;
+    init_obs ~trace ~metrics_json ~obs;
     with_jobs jobs @@ fun pool ->
     with_store ~store_dir ~max_resident @@ fun store ->
     match Pinpoint.Analysis.prepare_files ?pool ?store files with
@@ -345,7 +394,17 @@ let check_cmd =
       $ inject_seg_rate_arg $ no_refine_arg $ jobs_arg $ store_dir_arg $ max_resident_arg
       $ rss_cap_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in
-  Cmd.v (Cmd.info "check" ~doc:"Run checkers on MC source file(s)") term
+  Cmd.v
+    (Cmd.info "check" ~doc:"Run checkers on MC source file(s)"
+       ~exits:
+         (exits
+            [
+              (0, "when no checker reports.");
+              bad_input_exit;
+              (2, "when a checker reports.");
+              (3, "when the peak RSS exceeded $(b,--rss-cap-mb).");
+            ]))
+    term
 
 let what_arg =
   Arg.(
@@ -439,11 +498,15 @@ let leaks_cmd =
       const run $ file_arg $ inject_seed_arg $ inject_rate_arg
       $ inject_seg_rate_arg $ jobs_arg)
   in
-  Cmd.v (Cmd.info "leaks" ~doc:"Run the memory-leak checker") term
+  Cmd.v
+    (Cmd.info "leaks" ~doc:"Run the memory-leak checker"
+       ~exits:
+         (exits [ (0, "when nothing leaks."); (2, "when a leak is reported.") ]))
+    term
 
 let stats_cmd =
   let run file jobs trace metrics_json obs =
-    set_obs_level ~trace ~metrics_json ~obs;
+    init_obs ~trace ~metrics_json ~obs;
     with_jobs jobs @@ fun pool ->
     let a = Pinpoint.Analysis.prepare_file ?pool file in
     let v, e = Pinpoint.Analysis.seg_size a in
@@ -489,7 +552,15 @@ let stats_cmd =
       const run $ file_arg $ jobs_arg $ trace_arg
       $ metrics_json_arg $ obs_arg)
   in
-  Cmd.v (Cmd.info "stats" ~doc:"Per-function analysis statistics") term
+  Cmd.v
+    (Cmd.info "stats" ~doc:"Per-function analysis statistics"
+       ~exits:
+         (exits
+            [
+              (0, "on success.");
+              (1, "when a path given on the command line cannot be used.");
+            ]))
+    term
 
 (* ---------- the analysis server (DESIGN.md §4.13) ---------- *)
 
@@ -584,7 +655,13 @@ let serve_cmd =
       seg_rate jobs store_dir max_resident prom_file prom_every
       flight_file no_flight trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
-    set_obs_level ~trace ~metrics_json ~obs;
+    init_obs ~trace ~metrics_json ~obs;
+    check_dir "--snapshot-dir" snapshot_dir;
+    Option.iter
+      (fun path ->
+        guard_path "--socket" path (fun () ->
+            writable_dir (Filename.dirname path)))
+      socket;
     with_jobs jobs @@ fun pool ->
     with_store ~store_dir ~max_resident @@ fun store ->
     let config =
@@ -648,7 +725,10 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the persistent analysis server (newline-delimited JSON \
-          requests; incremental re-analysis of changed files)")
+          requests; incremental re-analysis of changed files)"
+       ~exits:
+         (exits
+            [ (0, "after a shutdown request or end of input."); bad_input_exit ]))
     term
 
 let list_cmd =

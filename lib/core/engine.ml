@@ -51,50 +51,39 @@ type stats = {
   mutable n_reused_sources : int;
 }
 
-(* The summed fields of the cross-source merge, as an {!Obs.Agg} fields
-   spec: one list drives the merge fold and the registry view
-   ([engine.*] counters).  [n_sources]/[n_incidents]/[n_reused_sources]
-   are not deltas — they are set once per run — so they join only the
-   published view. *)
-let merge_fields =
-  Obs.Agg.
-    [
-      field "n_candidates" (fun s -> s.n_candidates)
-        (fun s v -> s.n_candidates <- v);
-      field "n_steps" (fun s -> s.n_steps) (fun s v -> s.n_steps <- v);
-      field "n_solver_calls"
-        (fun s -> s.n_solver_calls)
-        (fun s v -> s.n_solver_calls <- v);
-      field "n_rung_full" (fun s -> s.n_rung_full)
-        (fun s v -> s.n_rung_full <- v);
-      field "n_rung_halved"
-        (fun s -> s.n_rung_halved)
-        (fun s v -> s.n_rung_halved <- v);
-      field "n_rung_linear"
-        (fun s -> s.n_rung_linear)
-        (fun s v -> s.n_rung_linear <- v);
-      field "n_rung_gave_up"
-        (fun s -> s.n_rung_gave_up)
-        (fun s v -> s.n_rung_gave_up <- v);
-      field "n_refine_checks"
-        (fun s -> s.n_refine_checks)
-        (fun s v -> s.n_refine_checks <- v);
-      field "n_refine_removed"
-        (fun s -> s.n_refine_removed)
-        (fun s v -> s.n_refine_removed <- v);
-    ]
+(* Field-wise [into += s] over the per-source counts.  [n_sources],
+   [n_incidents] and [n_reused_sources] are not per-source: they are set
+   once per run. *)
+let merge_into into s =
+  into.n_candidates <- into.n_candidates + s.n_candidates;
+  into.n_steps <- into.n_steps + s.n_steps;
+  into.n_solver_calls <- into.n_solver_calls + s.n_solver_calls;
+  into.n_rung_full <- into.n_rung_full + s.n_rung_full;
+  into.n_rung_halved <- into.n_rung_halved + s.n_rung_halved;
+  into.n_rung_linear <- into.n_rung_linear + s.n_rung_linear;
+  into.n_rung_gave_up <- into.n_rung_gave_up + s.n_rung_gave_up;
+  into.n_refine_checks <- into.n_refine_checks + s.n_refine_checks;
+  into.n_refine_removed <- into.n_refine_removed + s.n_refine_removed
 
-let all_fields =
-  merge_fields
-  @ Obs.Agg.
+(* The run's result record, added to the [engine.*] registry counters so
+   [--metrics-json] and the server's rolling window see it. *)
+let publish s =
+  if Obs.metrics_on () then
+    List.iter
+      (fun (name, n) -> Obs.add (Obs.counter ("engine." ^ name)) n)
       [
-        field "n_sources" (fun s -> s.n_sources) (fun s v -> s.n_sources <- v);
-        field "n_incidents"
-          (fun s -> s.n_incidents)
-          (fun s v -> s.n_incidents <- v);
-        field "n_reused_sources"
-          (fun s -> s.n_reused_sources)
-          (fun s v -> s.n_reused_sources <- v);
+        ("n_candidates", s.n_candidates);
+        ("n_steps", s.n_steps);
+        ("n_solver_calls", s.n_solver_calls);
+        ("n_rung_full", s.n_rung_full);
+        ("n_rung_halved", s.n_rung_halved);
+        ("n_rung_linear", s.n_rung_linear);
+        ("n_rung_gave_up", s.n_rung_gave_up);
+        ("n_refine_checks", s.n_refine_checks);
+        ("n_refine_removed", s.n_refine_removed);
+        ("n_sources", s.n_sources);
+        ("n_incidents", s.n_incidents);
+        ("n_reused_sources", s.n_reused_sources);
       ]
 
 (* ---------- resident per-source results (DESIGN.md §4.13) ---------- *)
@@ -796,7 +785,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
         match r with
         | None -> () (* task lost to a pool-level fault; incident logged *)
         | Some (rs, (st : stats), entry) ->
-          Obs.Agg.add_into merge_fields ~into:stats st;
+          merge_into stats st;
           (match (memo, entry) with
           | Some m, Some e -> remember m (memo_key src_arr.(i)) e
           | _ -> ());
@@ -807,7 +796,5 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
     (match resilience with
     | Some l -> Resilience.count l - incidents_before
     | None -> 0);
-  (* The run's result record, published as [engine.*] registry counters
-     so [--metrics-json] and the server's rolling window see it. *)
-  Obs.Agg.publish ~prefix:"engine." all_fields stats;
+  publish stats;
   (List.rev !reports, stats)

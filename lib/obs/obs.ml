@@ -384,32 +384,6 @@ let snapshot () : Snapshot.t =
                    }) ))
 
 (* ------------------------------------------------------------------ *)
-(* Fieldwise aggregation *)
-
-module Agg = struct
-  type 'r field = {
-    af_name : string;
-    af_get : 'r -> int;
-    af_set : 'r -> int -> unit;
-  }
-
-  let field af_name af_get af_set = { af_name; af_get; af_set }
-
-  let add_into fields ~into src =
-    List.iter
-      (fun f -> f.af_set into (f.af_get into + f.af_get src))
-      fields
-
-  let publish ~prefix fields r =
-    if metrics_on () then
-      List.iter
-        (fun f -> add (counter (prefix ^ f.af_name)) (f.af_get r))
-        fields
-
-  let sum_f = Array.fold_left ( +. ) 0.0
-end
-
-(* ------------------------------------------------------------------ *)
 
 (* Zero every metric in place rather than empty the table: modules
    create their handles once, when they load (the solver's and the

@@ -11,12 +11,11 @@
     loadable in Perfetto) and a flat metrics JSON / human summary.
 
     Everything is {b off by default}: each hook is a load of one atomic
-    int and a branch, so an uninstrumented run pays nothing measurable
-    (the [bench obs] ablation verifies < 2%).  Span records are buffered
-    in per-domain buffers — no locks or shared writes on the hot path;
-    the global registry of buffers is only locked when a domain touches
-    the subsystem for the first time and when the merged data is drained
-    at export time. *)
+    int and a branch, so an uninstrumented run pays nothing measurable.
+    Span records are buffered in per-domain buffers — no locks or shared
+    writes on the hot path; the global registry of buffers is only locked
+    when a domain touches the subsystem for the first time and when the
+    merged data is drained at export time. *)
 
 (** {1 Level} *)
 
@@ -187,29 +186,6 @@ val record_query :
 
 val queries : unit -> query list
 (** All recorded queries, ordered by [(dom, record order)]. *)
-
-(** {1 Fieldwise aggregation}
-
-    The record-fold machinery behind [Engine.stats], the per-run result
-    record, and the pool's allocation accounting: describe a mutable
-    record's int fields once as lenses and derive the merge — and the
-    registry view ({!Agg.publish}) — from that single description. *)
-
-module Agg : sig
-  type 'r field
-
-  val field : string -> ('r -> int) -> ('r -> int -> unit) -> 'r field
-
-  val add_into : 'r field list -> into:'r -> 'r -> unit
-  (** Field-wise [into += src]. *)
-
-  val publish : prefix:string -> 'r field list -> 'r -> unit
-  (** Bump registry counter [prefix ^ field name] by each field's value,
-      so the exporters see the record.  No-op when the level is [Off]. *)
-
-  val sum_f : float array -> float
-  (** Pointwise float-array sum (per-worker accounting slots). *)
-end
 
 val reset : unit -> unit
 (** Clear spans and queries and zero every registered metric in place

@@ -214,7 +214,8 @@ let publish_obs t =
         let tasks = Array.fold_left ( + ) 0 t.ran in
         Obs.add (Obs.counter "par.tasks") (tasks - t.pub_tasks);
         t.pub_tasks <- tasks;
-        Obs.set_gauge (Obs.gauge "par.busy_s") (Obs.Agg.sum_f t.busy))
+        Obs.set_gauge (Obs.gauge "par.busy_s")
+          (Array.fold_left ( +. ) 0.0 t.busy))
 
 let shutdown t =
   if t.jobs > 1 then begin
@@ -234,4 +235,4 @@ let with_pool ?log ~jobs f =
   let t = create ?log ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let allocated_bytes t = Obs.Agg.sum_f t.alloc
+let allocated_bytes t = Array.fold_left ( +. ) 0.0 t.alloc

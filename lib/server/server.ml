@@ -657,7 +657,7 @@ let cone_buckets = [| 0.; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000. |]
 
 let handle_check t ?id req =
   (* Seeded crash injection for the flight-recorder crash path: only
-     honoured while fault injection is installed (tests, bench), so an
+     honoured while fault injection is installed (tests), so an
      ordinary client cannot trip it. *)
   if
     Resilience.Inject.enabled ()

@@ -130,5 +130,5 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val n_created : unit -> int
-(** Number of distinct hash-consed nodes ever created (a stats counter for
-    the bench harness). *)
+(** Number of distinct hash-consed nodes ever created (a stats counter the
+    tests read). *)

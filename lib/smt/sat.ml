@@ -25,8 +25,8 @@
    propagation loop at points where the watch lists are consistent, so a
    Timeout escape leaves the instance reusable.
 
-   The pre-CDCL chronological DPLL survives as {!Sat_ref}, the oracle the
-   tests cross-check this core against. *)
+   The pre-CDCL chronological DPLL survives as test/sat_ref.ml, the oracle
+   the tests cross-check this core against. *)
 
 module Metrics = Pinpoint_util.Metrics
 

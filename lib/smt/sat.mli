@@ -12,8 +12,8 @@
     assumption literals, which the lazy DPLL(T) loop uses to re-run the
     degradation ladder's rungs on the same solver state.
 
-    The pre-CDCL chronological DPLL is kept as {!Sat_ref}, the oracle
-    the tests cross-check this core against. *)
+    The pre-CDCL chronological DPLL is kept as [test/sat_ref.ml], the
+    oracle the tests cross-check this core against. *)
 
 type t
 

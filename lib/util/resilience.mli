@@ -11,7 +11,7 @@
     - {b seeded fault injection} ({!Inject}), a deterministic PRNG-driven
       saboteur that makes the solver crash / hang until its deadline /
       return [Unknown], and drops or truncates individual SEGs, so tests
-      and the bench harness can prove the engine degrades gracefully.
+      can prove the engine degrades gracefully.
 
     Everything is deterministic: the same injection seed yields the same
     faults, the same incidents and the same reports. *)

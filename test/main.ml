@@ -24,4 +24,5 @@ let () =
       ("obs", Test_obs.suite);
       ("server", Test_server.suite);
       ("store", Test_store.suite);
+      ("paper", Test_paper.suite);
     ]

@@ -392,6 +392,59 @@ let cdcl_vs_ref =
       | Some Sat.Unsat, Some Sat_ref.Unsat -> true
       | _ -> false)
 
+(* Hard random 3-CNF at the satisfiability phase transition (clause /
+   variable ratio 4.26, fixed seeds, 34-46 variables), where a
+   non-learning search tree blows up: on each instance both cores reach
+   the same verdict, and summed over the six CDCL makes strictly fewer
+   unit propagations than the reference core. *)
+let phase_transition_cnf ~seed ~n_vars =
+  let module Prng = Pinpoint_util.Prng in
+  let rng = Prng.create seed in
+  let n_clauses = int_of_float (4.26 *. float_of_int n_vars) in
+  List.init n_clauses (fun _ ->
+      let rec draw acc n =
+        if n = 0 then acc
+        else
+          let v = Prng.in_range rng 1 n_vars in
+          if List.exists (fun l -> abs l = v) acc then draw acc n
+          else draw ((if Prng.bool rng then v else -v) :: acc) (n - 1)
+      in
+      draw [] 3)
+
+let test_cdcl_vs_ref_hard_cnf () =
+  let budget = 2_000_000 in
+  let cdcl_props, ref_props =
+    List.fold_left
+      (fun (cdcl_props, ref_props) (seed, n_vars) ->
+        let clauses = phase_transition_cnf ~seed ~n_vars in
+        let s = Sat.create () in
+        List.iter (Sat.add_clause s) clauses;
+        let r = Sat_ref.create () in
+        List.iter (Sat_ref.add_clause r) clauses;
+        let cdcl =
+          match Sat.solve ~budget s with
+          | Some (Sat.Sat m) when eval_clauses clauses m -> "sat"
+          | Some Sat.Unsat -> "unsat"
+          | _ -> "no verdict"
+        in
+        let reference =
+          match Sat_ref.solve ~budget r with
+          | Some (Sat_ref.Sat m) when eval_clauses clauses m -> "sat"
+          | Some Sat_ref.Unsat -> "unsat"
+          | _ -> "no verdict"
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: same verdict" seed)
+          reference cdcl;
+        ( cdcl_props + (Sat.counts s).Sat.propagations,
+          ref_props + (Sat_ref.counts r).Sat.propagations ))
+      (0, 0)
+      [ (11, 34); (12, 38); (13, 40); (14, 42); (15, 44); (16, 46) ]
+  in
+  if cdcl_props >= ref_props then
+    Alcotest.failf "CDCL made %d propagations, the reference core %d"
+      cdcl_props ref_props
+
 let cdcl_assumptions_vs_units =
   Helpers.qtest ~count:300 "sat: assumptions equivalent to unit clauses"
     kcnf_gen (fun (n_vars, clauses) ->
@@ -662,6 +715,8 @@ let suite =
     Alcotest.test_case "sat: conflict budget + counters" `Quick
       test_sat_conflict_budget;
     cdcl_vs_ref;
+    Alcotest.test_case "sat: CDCL vs reference on hard 3-CNF" `Quick
+      test_cdcl_vs_ref_hard_cnf;
     cdcl_assumptions_vs_units;
     Alcotest.test_case "theory: ne drops counted" `Quick
       test_theory_ne_dropped_counted;
