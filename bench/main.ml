@@ -507,26 +507,23 @@ let ablation () =
   let info = match Subjects.find "mysql" with Some i -> i | None -> assert false in
   let subject = Subjects.generate info in
   let uaf_score analysis cfg =
-    let reports, m =
-      Metrics.measure (fun () ->
-          fst (Pinpoint.Analysis.check ~config:cfg analysis Pinpoint.Checkers.use_after_free))
+    let reports =
+      fst (Pinpoint.Analysis.check ~config:cfg analysis Pinpoint.Checkers.use_after_free)
     in
     let keys = dedup_sources (pinpoint_keys reports) in
-    (Truth.classify ~kind:"use-after-free" subject.truth keys, m)
+    Truth.classify ~kind:"use-after-free" subject.truth keys
   in
   let base_cfg = Pinpoint.Engine.default_config in
   let row name (cfg : Pinpoint.Engine.config) ~quasi =
     Pinpoint_pta.Pta.quasi_pruning := quasi;
     Pinpoint_pta.Pta.reset_stats ();
     let prog = Gen.compile subject in
-    let analysis, prep_m = Metrics.measure (fun () -> Pinpoint.Analysis.prepare prog) in
-    let score, check_m = uaf_score analysis cfg in
+    let analysis = Pinpoint.Analysis.prepare prog in
+    let score = uaf_score analysis cfg in
     let kept, pruned = Pinpoint_pta.Pta.stats_sat_conditions () in
     Pinpoint_pta.Pta.quasi_pruning := true;
     [
       name;
-      str "%a" pp_dur (prep_m.Metrics.wall_s +. check_m.Metrics.wall_s);
-      str "%a" pp_bytes (prep_m.Metrics.alloc_bytes +. check_m.Metrics.alloc_bytes);
       string_of_int score.Truth.n_reports;
       string_of_int score.Truth.n_fp;
       str "%d/%d" score.Truth.n_found score.Truth.n_real_planted;
@@ -550,7 +547,7 @@ let ablation () =
   in
   Pp.table
     ~header:
-      [ "configuration"; "time"; "alloc"; "#Rep"; "#FP"; "recall"; "pruned conds" ]
+      [ "configuration"; "#Rep"; "#FP"; "recall"; "pruned conds" ]
     ~rows Format.std_formatter ();
   Format.printf
     "(expected: disabling the SMT stage floods FPs; disabling quasi pruning keeps@.";

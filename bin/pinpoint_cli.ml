@@ -184,6 +184,18 @@ let check_dir flag =
   in
   Option.iter (fun dir -> guard_path flag dir (fun () -> nearest dir))
 
+(* An input program that does not parse or lower is the user's error:
+   one [FILE:LINE: ...] line on stderr and exit 1. *)
+let or_bad_input files f =
+  try f () with
+  | Pinpoint_frontend.Parser.Error (msg, line) ->
+    Printf.eprintf "%s:%d: parse error: %s\n" (String.concat "," files) line msg;
+    exit 1
+  | Pinpoint_frontend.Lower.Error (msg, loc) ->
+    Printf.eprintf "%s:%d: error: %s\n" loc.Pinpoint_ir.Stmt.file
+      loc.Pinpoint_ir.Stmt.line msg;
+    exit 1
+
 let with_store ~store_dir ~max_resident f =
   match store_dir with
   | None -> f None
@@ -301,10 +313,12 @@ let exits codes =
   List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) codes
   @ List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok) Cmd.Exit.defaults
 
+let bad_program_exit = (1, "when the input program does not parse or lower.")
+
 let bad_input_exit =
   ( 1,
-    "on a parse error in the input, or when a path given on the command \
-     line cannot be used." )
+    "when the input program does not parse or lower, or when a path given \
+     on the command line cannot be used." )
 
 let check_cmd =
   let run files checkers verbose confirm deadline_s budget_s solver_conflicts
@@ -314,77 +328,71 @@ let check_cmd =
     init_obs ~trace ~metrics_json ~obs;
     with_jobs jobs @@ fun pool ->
     with_store ~store_dir ~max_resident @@ fun store ->
-    match Pinpoint.Analysis.prepare_files ?pool ?store files with
-    | exception Pinpoint_frontend.Parser.Error (msg, line) ->
-      Printf.eprintf "%s:%d: parse error: %s\n" (String.concat "," files) line
-        msg;
-      exit 1
-    | exception Pinpoint_frontend.Lower.Error (msg, loc) ->
-      Printf.eprintf "%s:%d: error: %s\n" loc.Pinpoint_ir.Stmt.file
-        loc.Pinpoint_ir.Stmt.line msg;
-      exit 1
-    | a ->
-      (* Persist the VF summaries the checkers will need, then seal: a
-         disk store's blob gets its index and checksummed trailer, and the
-         checks that follow read artifacts through the mmap path. *)
-      Pinpoint.Analysis.seal_store a checkers;
-      let any = ref false in
-      List.iter
-        (fun (spec : Pinpoint.Checker_spec.t) ->
-          (* A fresh per-checker deadline: one slow checker cannot starve
-             the next one of its whole budget. *)
-          let config =
-            {
-              Pinpoint.Engine.default_config with
-              deadline = Pinpoint_util.Metrics.deadline_after deadline_s;
-              solver_budget_s = budget_s;
-              solver_conflict_budget = solver_conflicts;
-              use_refine = not no_refine;
-            }
-          in
-          let reports, stats = Pinpoint.Analysis.check ~config a spec in
-          let reported = List.filter Pinpoint.Report.is_reported reports in
-          let degraded =
-            stats.Pinpoint.Engine.n_rung_halved
-            + stats.Pinpoint.Engine.n_rung_linear
-            + stats.Pinpoint.Engine.n_rung_gave_up
-          in
-          Format.printf "== %s: %d report(s) (%d sources, %d candidates)%t@."
-            spec.Pinpoint.Checker_spec.name (List.length reported)
-            stats.Pinpoint.Engine.n_sources stats.Pinpoint.Engine.n_candidates
-            (fun ppf ->
-              if degraded > 0 then
-                Format.fprintf ppf " [degraded queries: %d halved, %d linear, %d gave-up]"
-                  stats.Pinpoint.Engine.n_rung_halved
-                  stats.Pinpoint.Engine.n_rung_linear
-                  stats.Pinpoint.Engine.n_rung_gave_up);
-          let statuses =
-            if confirm then
-              Pinpoint.Confirm.confirm_all a.Pinpoint.Analysis.prog reported
-            else List.map (fun r -> (r, `Unconfirmed)) reported
-          in
-          List.iter
-            (fun ((r : Pinpoint.Report.t), status) ->
-              any := true;
-              let suffix =
-                if confirm then
-                  Pinpoint_util.Pp.to_string
-                    (fun ppf () ->
-                      Format.fprintf ppf " [%a]" Pinpoint.Confirm.pp_status status)
-                    ()
-                else ""
-              in
-              if verbose then Format.printf "%a%s@." Pinpoint.Report.pp r suffix
-              else
-                Format.printf "%s%s@." (Pinpoint.Report.one_line r) suffix)
-            statuses)
-        checkers;
-      print_incidents ~verbose a;
-      publish_process_obs store;
-      export_obs ?pool ~trace ~metrics_json ~obs ();
-      Option.iter Pinpoint_store.Store.close store;
-      check_rss_cap ~rss_cap_mb;
-      if !any then exit 2
+    let a =
+      or_bad_input files (fun () ->
+          Pinpoint.Analysis.prepare_files ?pool ?store files)
+    in
+    (* Persist the VF summaries the checkers will need, then seal: a
+       disk store's blob gets its index and checksummed trailer, and the
+       checks that follow read artifacts through the mmap path. *)
+    Pinpoint.Analysis.seal_store a checkers;
+    let any = ref false in
+    List.iter
+      (fun (spec : Pinpoint.Checker_spec.t) ->
+        (* A fresh per-checker deadline: one slow checker cannot starve
+           the next one of its whole budget. *)
+        let config =
+          {
+            Pinpoint.Engine.default_config with
+            deadline = Pinpoint_util.Metrics.deadline_after deadline_s;
+            solver_budget_s = budget_s;
+            solver_conflict_budget = solver_conflicts;
+            use_refine = not no_refine;
+          }
+        in
+        let reports, stats = Pinpoint.Analysis.check ~config a spec in
+        let reported = List.filter Pinpoint.Report.is_reported reports in
+        let degraded =
+          stats.Pinpoint.Engine.n_rung_halved
+          + stats.Pinpoint.Engine.n_rung_linear
+          + stats.Pinpoint.Engine.n_rung_gave_up
+        in
+        Format.printf "== %s: %d report(s) (%d sources, %d candidates)%t@."
+          spec.Pinpoint.Checker_spec.name (List.length reported)
+          stats.Pinpoint.Engine.n_sources stats.Pinpoint.Engine.n_candidates
+          (fun ppf ->
+            if degraded > 0 then
+              Format.fprintf ppf " [degraded queries: %d halved, %d linear, %d gave-up]"
+                stats.Pinpoint.Engine.n_rung_halved
+                stats.Pinpoint.Engine.n_rung_linear
+                stats.Pinpoint.Engine.n_rung_gave_up);
+        let statuses =
+          if confirm then
+            Pinpoint.Confirm.confirm_all a.Pinpoint.Analysis.prog reported
+          else List.map (fun r -> (r, `Unconfirmed)) reported
+        in
+        List.iter
+          (fun ((r : Pinpoint.Report.t), status) ->
+            any := true;
+            let suffix =
+              if confirm then
+                Pinpoint_util.Pp.to_string
+                  (fun ppf () ->
+                    Format.fprintf ppf " [%a]" Pinpoint.Confirm.pp_status status)
+                  ()
+              else ""
+            in
+            if verbose then Format.printf "%a%s@." Pinpoint.Report.pp r suffix
+            else
+              Format.printf "%s%s@." (Pinpoint.Report.one_line r) suffix)
+          statuses)
+      checkers;
+    print_incidents ~verbose a;
+    publish_process_obs store;
+    export_obs ?pool ~trace ~metrics_json ~obs ();
+    Option.iter Pinpoint_store.Store.close store;
+    check_rss_cap ~rss_cap_mb;
+    if !any then exit 2
   in
   let term =
     Term.(
@@ -414,7 +422,7 @@ let what_arg =
 
 let dump_cmd =
   let run file what =
-    let a = Pinpoint.Analysis.prepare_file file in
+    let a = or_bad_input [ file ] (fun () -> Pinpoint.Analysis.prepare_file file) in
     List.iter
       (fun (f : Pinpoint_ir.Func.t) ->
         match what with
@@ -437,7 +445,10 @@ let dump_cmd =
       (Pinpoint_ir.Prog.functions a.Pinpoint.Analysis.prog)
   in
   let term = Term.(const run $ file_arg $ what_arg) in
-  Cmd.v (Cmd.info "dump" ~doc:"Dump IR / CFG / SEG / interfaces") term
+  Cmd.v
+    (Cmd.info "dump" ~doc:"Dump IR / CFG / SEG / interfaces"
+       ~exits:(exits [ (0, "on success."); bad_program_exit ]))
+    term
 
 let tool_arg =
   Arg.(
@@ -447,7 +458,9 @@ let tool_arg =
 
 let baseline_cmd =
   let run file tool =
-    let prog = Pinpoint_frontend.Lower.compile_file file in
+    let prog =
+      or_bad_input [ file ] (fun () -> Pinpoint_frontend.Lower.compile_file file)
+    in
     let print_report source_fn source_loc sink_loc =
       Format.printf "use-after-free: %a -> %a (%s)@." Pinpoint_ir.Stmt.pp_loc
         source_loc Pinpoint_ir.Stmt.pp_loc sink_loc source_fn
@@ -476,13 +489,18 @@ let baseline_cmd =
         (Pinpoint_baselines.Csa_like.check_uaf prog)
   in
   let term = Term.(const run $ file_arg $ tool_arg) in
-  Cmd.v (Cmd.info "baseline" ~doc:"Run a baseline tool on an MC source file") term
+  Cmd.v
+    (Cmd.info "baseline" ~doc:"Run a baseline tool on an MC source file"
+       ~exits:(exits [ (0, "on success."); bad_program_exit ]))
+    term
 
 let leaks_cmd =
   let run file seed rate seg_rate jobs =
     install_injection ~seed ~rate ~seg_rate;
     with_jobs jobs @@ fun pool ->
-    let a = Pinpoint.Analysis.prepare_file ?pool file in
+    let a =
+      or_bad_input [ file ] (fun () -> Pinpoint.Analysis.prepare_file ?pool file)
+    in
     let reports =
       Pinpoint.Leak.check ~resilience:a.Pinpoint.Analysis.resilience
         a.Pinpoint.Analysis.prog ~seg_of:(Pinpoint.Analysis.seg_of a)
@@ -501,14 +519,21 @@ let leaks_cmd =
   Cmd.v
     (Cmd.info "leaks" ~doc:"Run the memory-leak checker"
        ~exits:
-         (exits [ (0, "when nothing leaks."); (2, "when a leak is reported.") ]))
+         (exits
+            [
+              (0, "when nothing leaks.");
+              bad_program_exit;
+              (2, "when a leak is reported.");
+            ]))
     term
 
 let stats_cmd =
   let run file jobs trace metrics_json obs =
     init_obs ~trace ~metrics_json ~obs;
     with_jobs jobs @@ fun pool ->
-    let a = Pinpoint.Analysis.prepare_file ?pool file in
+    let a =
+      or_bad_input [ file ] (fun () -> Pinpoint.Analysis.prepare_file ?pool file)
+    in
     let v, e = Pinpoint.Analysis.seg_size a in
     let prog = a.Pinpoint.Analysis.prog in
     Format.printf "functions: %d   statements: %d   SEG: %d vertices, %d edges@."
@@ -555,11 +580,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"Per-function analysis statistics"
        ~exits:
-         (exits
-            [
-              (0, "on success.");
-              (1, "when a path given on the command line cannot be used.");
-            ]))
+         (exits [ (0, "on success."); bad_input_exit ]))
     term
 
 (* ---------- the analysis server (DESIGN.md §4.13) ---------- *)
@@ -571,14 +592,6 @@ let socket_arg =
         ~doc:
           "Serve newline-delimited JSON requests over a Unix-domain socket \
            at $(docv) (default: stdin/stdout).")
-
-let queue_depth_arg =
-  Arg.(
-    value & opt int Pinpoint_server.Server.default_config.queue_depth
-    & info [ "queue-depth" ] ~docv:"N"
-        ~doc:
-          "Admission control: requests queued beyond $(docv) are refused \
-           with an explicit overloaded response instead of buffering.")
 
 let max_rss_arg =
   Arg.(
@@ -650,7 +663,7 @@ let no_flight_arg =
            obs level off; its per-event cost is a few dozen nanoseconds).")
 
 let serve_cmd =
-  let run files socket queue_depth max_rss_mb snapshot_dir snapshot_every
+  let run files socket max_rss_mb snapshot_dir snapshot_every
       incident_cap deadline_s budget_s solver_conflicts seed rate
       seg_rate jobs store_dir max_resident prom_file prom_every
       flight_file no_flight trace metrics_json obs =
@@ -660,14 +673,17 @@ let serve_cmd =
     Option.iter
       (fun path ->
         guard_path "--socket" path (fun () ->
+            (* a Unix socket address holds at most 107 bytes of path on
+               Linux; [bind] would fail only after the files load *)
+            if String.length path > 107 then
+              raise (Unix.Unix_error (Unix.ENAMETOOLONG, "bind", path));
             writable_dir (Filename.dirname path)))
       socket;
     with_jobs jobs @@ fun pool ->
     with_store ~store_dir ~max_resident @@ fun store ->
     let config =
       {
-        Pinpoint_server.Server.queue_depth;
-        max_rss_mb;
+        Pinpoint_server.Server.max_rss_mb;
         snapshot_dir;
         snapshot_every;
         incident_cap;
@@ -680,9 +696,6 @@ let serve_cmd =
         prom_every_s = prom_every;
         flight_file;
         flight = not no_flight;
-        window_width_s =
-          Pinpoint_server.Server.default_config.window_width_s;
-        window_slots = Pinpoint_server.Server.default_config.window_slots;
       }
     in
     let t = Pinpoint_server.Server.create ~config () in
@@ -694,16 +707,8 @@ let serve_cmd =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> (path, really_input_string ic (in_channel_length ic)))
       in
-      match Pinpoint_server.Server.load_files t (List.map read files) with
-      | () -> ()
-      | exception Pinpoint_frontend.Parser.Error (msg, line) ->
-        Printf.eprintf "%s:%d: parse error: %s\n" (String.concat "," files)
-          line msg;
-        exit 1
-      | exception Pinpoint_frontend.Lower.Error (msg, loc) ->
-        Printf.eprintf "%s:%d: error: %s\n" loc.Pinpoint_ir.Stmt.file
-          loc.Pinpoint_ir.Stmt.line msg;
-        exit 1
+      or_bad_input files (fun () ->
+          Pinpoint_server.Server.load_files t (List.map read files))
     end;
     (match socket with
     | Some path -> Pinpoint_server.Server.serve_socket t path
@@ -714,7 +719,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ serve_files_arg $ socket_arg $ queue_depth_arg $ max_rss_arg
+      const run $ serve_files_arg $ socket_arg $ max_rss_arg
       $ snapshot_dir_arg $ snapshot_every_arg $ incident_cap_arg $ deadline_arg $ solver_budget_arg
       $ solver_conflicts_arg $ inject_seed_arg $ inject_rate_arg
       $ inject_seg_rate_arg $ jobs_arg $ store_dir_arg

@@ -10,10 +10,12 @@
    - a per-request deadline is threaded into the engine config, where it
      feeds the solver degradation ladder — a blown deadline degrades
      verdicts, it never kills the server;
-   - admission control: the transport reader sheds requests beyond the
-     queue depth, and a check is refused (after one forced major GC) when
-     the resident set exceeds the RSS watermark — both as explicit
-     "overloaded" responses, so clients can back off;
+   - one loop on the calling domain reads a request, answers it and
+     flushes the answer before it reads the next, so a client that writes
+     ahead waits on the pipe's or socket's buffer; a check is refused
+     (after one forced major GC) when the resident set exceeds the RSS
+     watermark, with an explicit "overloaded" response so clients can
+     back off;
    - crash-safe warm restart: file contents are snapshotted to disk
      (write-to-temp + rename) every N updates, with the in-between
      updates appended to a journal; recovery loads the snapshot and
@@ -27,7 +29,6 @@ module Flight = Pinpoint_obs.Flight
 module Export = Pinpoint_obs.Export
 
 type config = {
-  queue_depth : int;        (** max queued requests before shedding *)
   max_rss_mb : float;       (** RSS watermark; 0 = unlimited *)
   snapshot_dir : string option;
   snapshot_every : int;     (** updates between epoch snapshots *)
@@ -47,13 +48,10 @@ type config = {
       (** where crash / RSS-shed flight dumps land (and the default for
           the [dump] op) *)
   flight : bool;  (** enable the flight recorder at [create] *)
-  window_width_s : float;  (** rolling-window slot width *)
-  window_slots : int;  (** rolling-window slot count *)
 }
 
 let default_config =
   {
-    queue_depth = 16;
     max_rss_mb = 0.0;
     snapshot_dir = None;
     snapshot_every = 32;
@@ -67,8 +65,6 @@ let default_config =
     prom_every_s = 5.0;
     flight_file = "flight.json";
     flight = true;
-    window_width_s = 10.0;
-    window_slots = 18;
   }
 
 type rungs = {
@@ -100,8 +96,7 @@ type t = {
   mutable n_requests : int;
   mutable n_checks : int;
   mutable n_errors : int;
-  mutable n_overloaded : int;  (** shed at the queue *)
-  mutable n_shed_rss : int;    (** refused at the RSS watermark *)
+  mutable n_shed_rss : int;  (** refused at the RSS watermark *)
   mutable journal : out_channel option;
 }
 
@@ -236,15 +231,12 @@ let create ?(config = default_config) () =
         op_shutdown = 0;
         op_unknown = 0;
       };
-    window =
-      Window.create ~slots:config.window_slots ~width_s:config.window_width_s
-        ~now:(Metrics.now_mono ()) ();
+    window = Window.create ~now:(Metrics.now_mono ()) ();
     last_prom = neg_infinity;
     last_snapshot_epoch = -1;
     n_requests = 0;
     n_checks = 0;
     n_errors = 0;
-    n_overloaded = 0;
     n_shed_rss = 0;
     journal = None;
   }
@@ -308,16 +300,11 @@ let recover t =
 
 (* ---------- responses ---------- *)
 
-let error_response ?id ?(extra = []) msg =
-  let base = [ ("ok", Json.Bool false); ("error", Json.String msg) ] in
-  let base = match id with Some id -> ("id", id) :: base | None -> base in
-  Json.to_string (Json.Obj (base @ extra))
-
-let overloaded_response ?id t =
-  t.n_overloaded <- t.n_overloaded + 1;
-  error_response ?id
-    ~extra:[ ("overloaded", Json.Bool true) ]
-    "overloaded: request queue full"
+(* Each op answers with its response's fields; [handle_line] puts the
+   request's id before them, stamps the request id and latency after
+   them, and serialises the object once. *)
+let error_fields ?(extra = []) msg =
+  [ ("ok", Json.Bool false); ("error", Json.String msg) ] @ extra
 
 let report_json (r : Pinpoint.Report.t) =
   let loc (l : Pinpoint_ir.Stmt.loc) =
@@ -381,9 +368,7 @@ let refresh_obs t =
     Option.iter Pinpoint_store.Store.publish_obs t.cfg.store;
     Obs.set_gauge (Obs.gauge "server.uptime_s") (Metrics.now () -. t.started_at);
     Obs.set_gauge (Obs.gauge "server.rss_mb") (rss_mb ());
-    Obs.set_gauge (Obs.gauge "server.requests") (float_of_int t.n_requests);
-    Obs.set_gauge (Obs.gauge "server.overloaded")
-      (float_of_int (t.n_overloaded + t.n_shed_rss))
+    Obs.set_gauge (Obs.gauge "server.requests") (float_of_int t.n_requests)
   end
 
 let ops_json t =
@@ -397,16 +382,15 @@ let ops_json t =
       ("unknown", Json.Int t.ops.op_unknown);
     ]
 
-let window_info_json t =
-  Json.Obj
-    [
-      ("width_s", Json.Float (Window.width_s t.window));
-      ("slots", Json.Int (Window.slots t.window));
-      ("filled", Json.Int (Window.filled t.window));
-      ("rolls", Json.Int (Window.rolls t.window));
-    ]
+let window_info t =
+  [
+    ("width_s", Json.Float (Window.width_s t.window));
+    ("slots", Json.Int (Window.slots t.window));
+    ("filled", Json.Int (Window.filled t.window));
+    ("rolls", Json.Int (Window.rolls t.window));
+  ]
 
-let status_json t =
+let status_fields t =
   refresh_obs t;
   let incidents =
     match t.st with
@@ -439,30 +423,28 @@ let status_json t =
         ("functions", Json.Int (Incr.n_functions st));
       ]
   in
-  Json.Obj
-    ([
-       ("ok", Json.Bool true);
-       ("uptime_s", Json.Float (Metrics.now () -. t.started_at));
-       ("requests", Json.Int t.n_requests);
-       ("ops", ops_json t);
-       ("last_snapshot_epoch", Json.Int t.last_snapshot_epoch);
-       ("window", window_info_json t);
-       ("flight", Json.Bool (Flight.enabled ()));
-       ("checks", Json.Int t.n_checks);
-       ("errors", Json.Int t.n_errors);
-       ("overloaded", Json.Int t.n_overloaded);
-       ("shed_rss", Json.Int t.n_shed_rss);
-       ("rss_mb", Json.Float (rss_mb ()));
-       ( "rungs",
-         Json.Obj
-           [
-             ("full", Json.Int t.rungs.full);
-             ("halved", Json.Int t.rungs.halved);
-             ("linear", Json.Int t.rungs.linear);
-             ("gave_up", Json.Int t.rungs.gave_up);
-           ] );
-     ]
-    @ state @ incidents)
+  [
+    ("ok", Json.Bool true);
+    ("uptime_s", Json.Float (Metrics.now () -. t.started_at));
+    ("requests", Json.Int t.n_requests);
+    ("ops", ops_json t);
+    ("last_snapshot_epoch", Json.Int t.last_snapshot_epoch);
+    ("window", Json.Obj (window_info t));
+    ("flight", Json.Bool (Flight.enabled ()));
+    ("checks", Json.Int t.n_checks);
+    ("errors", Json.Int t.n_errors);
+    ("shed_rss", Json.Int t.n_shed_rss);
+    ("rss_mb", Json.Float (rss_mb ()));
+    ( "rungs",
+      Json.Obj
+        [
+          ("full", Json.Int t.rungs.full);
+          ("halved", Json.Int t.rungs.halved);
+          ("linear", Json.Int t.rungs.linear);
+          ("gave_up", Json.Int t.rungs.gave_up);
+        ] );
+  ]
+  @ state @ incidents
 
 (* ---------- the metrics view ---------- *)
 
@@ -507,38 +489,27 @@ let snapshot_fields (snap : Obs.Snapshot.t) =
     ("histograms", Json.Obj (List.rev histograms));
   ]
 
-let metrics_response t ?id req =
-  let base = match id with Some id -> [ ("id", id) ] | None -> [] in
+let metrics_fields t req =
   match Json.member "format" req with
   | Some (Json.String "prometheus") ->
     refresh_obs t;
-    Json.to_string
-      (Json.Obj
-         (base
-         @ [
-             ("ok", Json.Bool true);
-             ("format", Json.String "prometheus");
-             ("prometheus", Json.String (Export.prometheus ()));
-           ]))
+    [
+      ("ok", Json.Bool true);
+      ("format", Json.String "prometheus");
+      ("prometheus", Json.String (Export.prometheus ()));
+    ]
   | None | Some (Json.String "json") ->
     refresh_obs t;
     let current = Obs.snapshot () in
     let windowed = Window.view t.window ~current in
-    let info =
-      match window_info_json t with Json.Obj kvs -> kvs | _ -> []
-    in
-    Json.to_string
-      (Json.Obj
-         (base
-         @ [
-             ("ok", Json.Bool true);
-             ("level", Json.String (level_name ()));
-             ("window", Json.Obj (info @ snapshot_fields windowed));
-             ("totals", Json.Obj (snapshot_fields current));
-             ("ops", ops_json t);
-           ]))
-  | Some _ ->
-    error_response ?id {|bad request: format must be "json" or "prometheus"|}
+    [
+      ("ok", Json.Bool true);
+      ("level", Json.String (level_name ()));
+      ("window", Json.Obj (window_info t @ snapshot_fields windowed));
+      ("totals", Json.Obj (snapshot_fields current));
+      ("ops", ops_json t);
+    ]
+  | Some _ -> error_fields {|bad request: format must be "json" or "prometheus"|}
 
 (* The request's optional fields: an absent one keeps its default, a
    present one of the wrong type refuses the request before any state
@@ -553,8 +524,7 @@ let field req key conv ~expected ~default =
 
 (* ---------- the dump view (flight recorder / per-request traces) ---------- *)
 
-let dump_response t ?id req =
-  let base = match id with Some id -> [ ("id", id) ] | None -> [] in
+let dump_fields t req =
   let fields =
     let ( let* ) = Result.bind in
     let string key default =
@@ -573,19 +543,16 @@ let dump_response t ?id req =
     Ok (what, request_id, path, inline)
   in
   match fields with
-  | Error msg -> error_response ?id msg
+  | Error msg -> error_fields msg
   | Ok ("trace", request_id, _, _) ->
     (* Per-request Chrome trace slice: every span recorded under the
        given request id, loadable in Perfetto as-is.  Needs --trace. *)
-    Json.to_string
-      (Json.Obj
-         (base
-         @ [
-             ("ok", Json.Bool true);
-             ("what", Json.String "trace");
-             ("level", Json.String (level_name ()));
-             ("trace", Json.String (Export.trace_json ?request_id ()));
-           ]))
+    [
+      ("ok", Json.Bool true);
+      ("what", Json.String "trace");
+      ("level", Json.String (level_name ()));
+      ("trace", Json.String (Export.trace_json ?request_id ()));
+    ]
   | Ok ("flight", _, path, inline) ->
     let n_events = List.length (Flight.events ()) in
     let written = Flight.dump ~reason:"dump op" path in
@@ -594,20 +561,16 @@ let dump_response t ?id req =
         [ ("flight", Json.String (Flight.to_json ~reason:"dump op" ())) ]
       else []
     in
-    Json.to_string
-      (Json.Obj
-         (base
-         @ [
-             ("ok", Json.Bool true);
-             ("what", Json.String "flight");
-             ("enabled", Json.Bool (Flight.enabled ()));
-             ("path", Json.String path);
-             ("written", Json.Bool written);
-             ("events", Json.Int n_events);
-           ]
-         @ inline))
-  | Ok (what, _, _, _) ->
-    error_response ?id (Printf.sprintf "unknown dump target %S" what)
+    [
+      ("ok", Json.Bool true);
+      ("what", Json.String "flight");
+      ("enabled", Json.Bool (Flight.enabled ()));
+      ("path", Json.String path);
+      ("written", Json.Bool written);
+      ("events", Json.Int n_events);
+    ]
+    @ inline
+  | Ok (what, _, _, _) -> error_fields (Printf.sprintf "unknown dump target %S" what)
 
 (* ---------- request handling ---------- *)
 
@@ -655,7 +618,7 @@ let checkers_of req =
 (* Dirty-cone sizes are function counts, not latencies — own edges. *)
 let cone_buckets = [| 0.; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000. |]
 
-let handle_check t ?id req =
+let check_fields t req =
   (* Seeded crash injection for the flight-recorder crash path: only
      honoured while fault injection is installed (tests), so an
      ordinary client cannot trip it. *)
@@ -678,7 +641,7 @@ let handle_check t ?id req =
     Ok (changed, checkers, mk_config)
   in
   match request with
-  | Error msg -> error_response ?id msg
+  | Error msg -> error_fields msg
   | Ok (changed, checkers, mk_config) -> (
     let update_result =
       match (t.st, changed) with
@@ -717,8 +680,8 @@ let handle_check t ?id req =
         Ok stats
     in
     match update_result with
-    | Error msg -> error_response ?id msg
-    | Ok ustats -> (
+    | Error msg -> error_fields msg
+    | Ok ustats ->
       if Obs.metrics_on () then begin
         Obs.observe
           (Obs.histogram ~buckets:cone_buckets "server.dirty_cone")
@@ -745,33 +708,28 @@ let handle_check t ?id req =
           checkers
       in
       let log = Incr.resilience st in
-      let base = match id with Some id -> [ ("id", id) ] | None -> [] in
-      Json.to_string
-        (Json.Obj
-           (base
-           @ [
-               ("ok", Json.Bool true);
-               ("epoch", Json.Int (abs_epoch t));
-               ( "incremental",
-                 Json.Obj
-                   [
-                     ("changed_files", Json.Int ustats.Incr.changed_files);
-                     ("changed_funcs", Json.Int ustats.Incr.changed_funcs);
-                     ("retransformed", Json.Int ustats.Incr.retransformed);
-                     ("resummarised", Json.Int ustats.Incr.resummarised);
-                     ("dirty_cone", Json.Int ustats.Incr.dirty_cone);
-                     ("full_rebuild", Json.Bool ustats.Incr.full_rebuild);
-                   ] );
-               ("checkers", Json.List checker_results);
-               ( "incidents",
-                 Json.Obj
-                   [
-                     ( "new",
-                       Json.Int (Resilience.count log - incidents_before) );
-                     ("total", Json.Int (Resilience.count log));
-                     ("dropped", Json.Int (Resilience.dropped log));
-                   ] );
-             ]))))
+      [
+        ("ok", Json.Bool true);
+        ("epoch", Json.Int (abs_epoch t));
+        ( "incremental",
+          Json.Obj
+            [
+              ("changed_files", Json.Int ustats.Incr.changed_files);
+              ("changed_funcs", Json.Int ustats.Incr.changed_funcs);
+              ("retransformed", Json.Int ustats.Incr.retransformed);
+              ("resummarised", Json.Int ustats.Incr.resummarised);
+              ("dirty_cone", Json.Int ustats.Incr.dirty_cone);
+              ("full_rebuild", Json.Bool ustats.Incr.full_rebuild);
+            ] );
+        ("checkers", Json.List checker_results);
+        ( "incidents",
+          Json.Obj
+            [
+              ("new", Json.Int (Resilience.count log - incidents_before));
+              ("total", Json.Int (Resilience.count log));
+              ("dropped", Json.Int (Resilience.dropped log));
+            ] );
+      ])
 
 (* Request-time maintenance: roll the metrics window and refresh the
    Prometheus file.  Both are cheap on the common path — the window tick
@@ -820,7 +778,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
   t.n_requests <- t.n_requests + 1;
   let rid = Printf.sprintf "r%06d" t.n_requests in
   let t0 = Metrics.now_mono () in
-  let finish ~op (resp, action) =
+  let finish ?id ~op (fields, action) =
     let latency_s = Metrics.now_mono () -. t0 in
     Obs.observe (Obs.histogram "server.request_latency_s") latency_s;
     if Flight.enabled () then
@@ -828,26 +786,21 @@ let handle_line t line : string * [ `Continue | `Stop ] =
         ~detail:(Printf.sprintf "%.6fs" latency_s)
         op;
     maintain t;
-    let resp =
-      (* Stamp the request id and latency into top-level objects. *)
-      match Json.parse resp with
-      | Ok (Json.Obj kvs) when not (List.mem_assoc "latency_s" kvs) ->
-        Json.to_string
-          (Json.Obj
-             (kvs
-             @ [
-                 ("request", Json.String rid);
-                 ("latency_s", Json.Float latency_s);
-               ]))
-      | _ -> resp
-    in
-    (resp, action)
+    let id = match id with Some id -> [ ("id", id) ] | None -> [] in
+    ( Json.to_string
+        (Json.Obj
+           (id @ fields
+           @ [
+               ("request", Json.String rid);
+               ("latency_s", Json.Float latency_s);
+             ])),
+      action )
   in
   let bad_request ?id ~detail msg =
     t.n_errors <- t.n_errors + 1;
     if Flight.enabled () then Flight.record ~req:rid ~kind:"request" ~detail "?";
-    finish ~op:"?"
-      (error_response ?id (Printf.sprintf "bad request: %s" msg), `Continue)
+    finish ?id ~op:"?"
+      (error_fields (Printf.sprintf "bad request: %s" msg), `Continue)
   in
   Obs.with_request rid (fun () ->
       match Result.map (fun req -> (req, request_op req)) (Json.parse line) with
@@ -855,7 +808,6 @@ let handle_line t line : string * [ `Continue | `Stop ] =
       | Ok (req, Error msg) ->
         bad_request ?id:(Json.member "id" req) ~detail:"malformed" msg
       | Ok (req, Ok op) ->
-        let id = Json.member "id" req in
         if Flight.enabled () then Flight.record ~req:rid ~kind:"request" op;
         let known =
           List.mem op [ "check"; "status"; "metrics"; "dump"; "shutdown" ]
@@ -865,65 +817,45 @@ let handle_line t line : string * [ `Continue | `Stop ] =
             (Obs.counter
                ("server.op." ^ if known then op else "unknown"))
             1;
-        let finish r = finish ~op r in
         Obs.span "server.request"
           ~attrs:[ ("op", op); ("request", rid) ]
           (fun () ->
-            match op with
-            | "status" ->
-              t.ops.op_status <- t.ops.op_status + 1;
-              let base =
-                match id with Some id -> [ ("id", id) ] | None -> []
-              in
-              let body =
-                match status_json t with
-                | Json.Obj kvs -> Json.Obj (base @ kvs)
-                | j -> j
-              in
-              finish (Json.to_string body, `Continue)
-            | "metrics" ->
-              t.ops.op_metrics <- t.ops.op_metrics + 1;
-              finish (metrics_response t ?id req, `Continue)
-            | "dump" ->
-              t.ops.op_dump <- t.ops.op_dump + 1;
-              finish (dump_response t ?id req, `Continue)
-            | "shutdown" ->
-              t.ops.op_shutdown <- t.ops.op_shutdown + 1;
-              let base =
-                match id with Some id -> [ ("id", id) ] | None -> []
-              in
-              finish
-                ( Json.to_string
-                    (Json.Obj
-                       (base
-                       @ [
-                           ("ok", Json.Bool true);
-                           ("shutdown", Json.Bool true);
-                         ])),
-                  `Stop )
-            | "check" -> (
-              t.ops.op_check <- t.ops.op_check + 1;
-              (* RSS watermark: one forced major GC gets a second opinion
-                 before shedding — transient garbage from the previous
-                 request must not count against this one. *)
-              let over_watermark () =
-                t.cfg.max_rss_mb > 0.0
-                && rss_mb () > t.cfg.max_rss_mb
-                && begin
-                     Gc.full_major ();
-                     rss_mb () > t.cfg.max_rss_mb
-                   end
-              in
-              if over_watermark () then begin
-                t.n_shed_rss <- t.n_shed_rss + 1;
-                if Flight.enabled () then begin
-                  Flight.record ~req:rid ~kind:"shed"
-                    ~detail:(Printf.sprintf "rss_mb=%.1f" (rss_mb ()))
-                    "rss-watermark";
-                  ignore (Flight.dump ~reason:"rss-shed" t.cfg.flight_file)
-                end;
-                finish
-                  ( error_response ?id
+            finish ?id:(Json.member "id" req) ~op
+              (match op with
+              | "status" ->
+                t.ops.op_status <- t.ops.op_status + 1;
+                (status_fields t, `Continue)
+              | "metrics" ->
+                t.ops.op_metrics <- t.ops.op_metrics + 1;
+                (metrics_fields t req, `Continue)
+              | "dump" ->
+                t.ops.op_dump <- t.ops.op_dump + 1;
+                (dump_fields t req, `Continue)
+              | "shutdown" ->
+                t.ops.op_shutdown <- t.ops.op_shutdown + 1;
+                ([ ("ok", Json.Bool true); ("shutdown", Json.Bool true) ], `Stop)
+              | "check" ->
+                t.ops.op_check <- t.ops.op_check + 1;
+                (* RSS watermark: one forced major GC gets a second opinion
+                   before shedding — transient garbage from the previous
+                   request must not count against this one. *)
+                let over_watermark () =
+                  t.cfg.max_rss_mb > 0.0
+                  && rss_mb () > t.cfg.max_rss_mb
+                  && begin
+                       Gc.full_major ();
+                       rss_mb () > t.cfg.max_rss_mb
+                     end
+                in
+                if over_watermark () then begin
+                  t.n_shed_rss <- t.n_shed_rss + 1;
+                  if Flight.enabled () then begin
+                    Flight.record ~req:rid ~kind:"shed"
+                      ~detail:(Printf.sprintf "rss_mb=%.1f" (rss_mb ()))
+                      "rss-watermark";
+                    ignore (Flight.dump ~reason:"rss-shed" t.cfg.flight_file)
+                  end;
+                  ( error_fields
                       ~extra:
                         [
                           ("overloaded", Json.Bool true);
@@ -931,118 +863,58 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                         ]
                       "overloaded: resident set above watermark",
                     `Continue )
-              end
-              else
-                let resp =
-                  try handle_check t ?id req with
-                  | Pinpoint_frontend.Parser.Error (msg, line) ->
-                    t.n_errors <- t.n_errors + 1;
-                    error_response ?id
-                      (Printf.sprintf "parse error at line %d: %s" line msg)
-                  | Pinpoint_frontend.Lower.Error (msg, loc) ->
-                    t.n_errors <- t.n_errors + 1;
-                    error_response ?id
-                      (Printf.sprintf "%s:%d: %s" loc.Pinpoint_ir.Stmt.file
-                         loc.Pinpoint_ir.Stmt.line msg)
-                  | exn ->
-                    (* A crash that reached the top barrier is exactly
-                       what the flight recorder exists for: dump the ring
-                       before answering. *)
-                    t.n_errors <- t.n_errors + 1;
-                    if Flight.enabled () then begin
-                      Flight.record ~req:rid ~kind:"crash"
-                        ~detail:(Printexc.to_string exn) "server.check";
-                      ignore
-                        (Flight.dump
-                           ~reason:("crash: " ^ Printexc.to_string exn)
-                           t.cfg.flight_file)
-                    end;
-                    error_response ?id
-                      (Printf.sprintf "internal error: %s"
-                         (Printexc.to_string exn))
-                in
-                finish (resp, `Continue))
-            | op ->
-              t.ops.op_unknown <- t.ops.op_unknown + 1;
-              t.n_errors <- t.n_errors + 1;
-              finish
-                ( error_response ?id (Printf.sprintf "unknown op %S" op),
-                  `Continue )))
+                end
+                else
+                  ( (try check_fields t req with
+                    | Pinpoint_frontend.Parser.Error (msg, line) ->
+                      t.n_errors <- t.n_errors + 1;
+                      error_fields
+                        (Printf.sprintf "parse error at line %d: %s" line msg)
+                    | Pinpoint_frontend.Lower.Error (msg, loc) ->
+                      t.n_errors <- t.n_errors + 1;
+                      error_fields
+                        (Printf.sprintf "%s:%d: %s" loc.Pinpoint_ir.Stmt.file
+                           loc.Pinpoint_ir.Stmt.line msg)
+                    | exn ->
+                      (* A crash that reached the top barrier is exactly
+                         what the flight recorder exists for: dump the ring
+                         before answering. *)
+                      t.n_errors <- t.n_errors + 1;
+                      if Flight.enabled () then begin
+                        Flight.record ~req:rid ~kind:"crash"
+                          ~detail:(Printexc.to_string exn) "server.check";
+                        ignore
+                          (Flight.dump
+                             ~reason:("crash: " ^ Printexc.to_string exn)
+                             t.cfg.flight_file)
+                      end;
+                      error_fields
+                        (Printf.sprintf "internal error: %s"
+                           (Printexc.to_string exn))),
+                    `Continue )
+              | op ->
+                t.ops.op_unknown <- t.ops.op_unknown + 1;
+                t.n_errors <- t.n_errors + 1;
+                (error_fields (Printf.sprintf "unknown op %S" op), `Continue))))
 
 (* ---------- transports ---------- *)
 
-(* A dedicated reader domain feeds a bounded queue; the main domain
-   drains it.  Admission control happens at the queue: when it is full
-   the reader answers "overloaded" immediately — without analysing
-   anything — so a flooding client gets backpressure instead of
-   unbounded buffering. *)
-let serve_channels t ic oc : [ `Stop | `Eof ] =
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let out_m = Mutex.create () in
-  let q = Queue.create () in
-  let eof = ref false in
-  let with_lock m f =
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-  in
-  let write_line resp =
-    with_lock out_m (fun () ->
-        output_string oc resp;
-        output_char oc '\n';
-        flush oc)
-  in
-  let reader =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          match input_line ic with
-          | exception (End_of_file | Sys_error _) ->
-            with_lock m (fun () ->
-                eof := true;
-                Condition.signal cv)
-          | line ->
-            let admitted =
-              with_lock m (fun () ->
-                  if Queue.length q >= t.cfg.queue_depth then false
-                  else begin
-                    Queue.add line q;
-                    Condition.signal cv;
-                    true
-                  end)
-            in
-            if not admitted then begin
-              let id =
-                match Json.parse line with
-                | Ok req -> Json.member "id" req
-                | Error _ -> None
-              in
-              write_line (overloaded_response ?id t)
-            end;
-            loop ()
-        in
-        loop ())
-  in
-  let rec drain () =
-    let next =
-      with_lock m (fun () ->
-          while Queue.is_empty q && not !eof do
-            Condition.wait cv m
-          done;
-          if Queue.is_empty q then None else Some (Queue.pop q))
-    in
-    match next with
-    | None -> `Eof
-    | Some line -> (
+(* One loop on the calling domain: each response is written and flushed
+   before the next line is read, so a client that writes ahead waits on
+   the pipe's or socket's buffer, and the lines after a shutdown stay
+   unread. *)
+let serve_channels t ic oc =
+  let rec loop () =
+    match input_line ic with
+    | exception (End_of_file | Sys_error _) -> `Eof
+    | line -> (
       let resp, action = handle_line t line in
-      write_line resp;
-      match action with `Continue -> drain () | `Stop -> `Stop)
+      output_string oc resp;
+      output_char oc '\n';
+      flush oc;
+      match action with `Continue -> loop () | `Stop -> `Stop)
   in
-  let result = drain () in
-  (* Unblock the reader: closing the input channel makes its pending
-     input_line fail, which it treats as EOF. *)
-  if result = `Stop then close_in_noerr ic;
-  Domain.join reader;
-  result
+  loop ()
 
 let serve_stdio t = ignore (serve_channels t stdin stdout)
 

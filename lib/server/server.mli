@@ -5,12 +5,13 @@
     socket.  Request/response schema: README "Server mode".
 
     Robustness: per-request exception barriers, per-request deadlines
-    feeding the solver degradation ladder, queue-depth and RSS-watermark
-    load shedding (explicit "overloaded" responses), and crash-safe epoch
-    snapshots + journal for warm restart. *)
+    feeding the solver degradation ladder, one request answered at a time
+    on the calling domain (a client that writes ahead waits on the pipe's
+    or socket's buffer), checks refused above the RSS watermark (an
+    explicit "overloaded" response), and crash-safe epoch snapshots +
+    journal for warm restart. *)
 
 type config = {
-  queue_depth : int;  (** requests queued before the reader sheds *)
   max_rss_mb : float;  (** RSS watermark for checks; 0 = unlimited *)
   snapshot_dir : string option;  (** where snapshot.json / journal.jsonl live *)
   snapshot_every : int;  (** updates between full snapshots *)
@@ -32,8 +33,6 @@ type config = {
   flight : bool;
       (** enable the always-on flight recorder at {!create}; independent
           of the obs level (default [true]) *)
-  window_width_s : float;  (** rolling metrics window: slot width *)
-  window_slots : int;  (** … and slot count (default 18 × 10 s) *)
 }
 
 val default_config : config
@@ -76,12 +75,17 @@ val rss_mb : unit -> float
 (** Resident set size via /proc/self/statm (major-heap size as the
     fallback on non-procfs systems). *)
 
+val serve_channels : t -> in_channel -> out_channel -> [ `Stop | `Eof ]
+(** Answer request lines from the input channel on the output channel,
+    one at a time on the calling domain: each response is written and
+    flushed before the next line is read.  Returns [`Stop] after a
+    [shutdown] request, leaving the lines after it unread, and [`Eof] at
+    the end of input (a read error counts as the end). *)
+
 val serve_stdio : t -> unit
-(** Serve requests from stdin, responses to stdout, until EOF or
-    [shutdown]. *)
+(** {!serve_channels} over stdin and stdout. *)
 
 val serve_socket : t -> string -> unit
 (** Bind a Unix-domain socket at the given path and serve one connection
-    at a time until a [shutdown] request; the socket file is removed on
-    exit.  Within a connection a reader domain feeds the bounded request
-    queue, so overload shedding works mid-stream. *)
+    at a time with {!serve_channels} until a [shutdown] request; the
+    socket file is removed on exit. *)

@@ -1552,6 +1552,65 @@ let test_flight_shed_dump () =
             (Pinpoint_util.Pp.contains flight needle))
         [ "\"shed\""; "rss-watermark" ])
 
+(* The transport answers each line before it reads the next: a script
+   written up front is answered in full and in order, each response
+   stamped; a shutdown stops the loop with the lines after it unread, and
+   the end of input ends it. *)
+let test_serve_channels () =
+  with_obs Obs.Off @@ fun () ->
+  let chunks = split_subject 1 (subject ~seed:97 ~loc:150 ()) in
+  let t = Server.create () in
+  Server.load_files t (contents_of chunks);
+  let input = Filename.temp_file "pinpoint_serve" ".ndjson" in
+  let output = Filename.temp_file "pinpoint_serve" ".out" in
+  let serve lines =
+    Out_channel.with_open_text input (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let ic = open_in input and oc = open_out output in
+    let result = Server.serve_channels t ic oc in
+    let unread = In_channel.input_all ic in
+    close_in ic;
+    close_out oc;
+    let responses =
+      List.filter (( <> ) "") (String.split_on_char '\n' (read_file output))
+      |> List.map parse_response
+    in
+    (result, unread, responses)
+  in
+  let ids responses =
+    List.map (fun j -> Option.bind (Json.member "id" j) Json.int_opt) responses
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove input; Sys.remove output)
+    (fun () ->
+      let checks =
+        List.init 20 (fun i ->
+            req_of_files ~id:(i + 1) ~checkers:[ "use-after-free" ] [])
+      in
+      let after = req_of_files ~id:100 [] in
+      let result, unread, responses =
+        serve
+          (checks
+          @ [ op_req ~fields:[ ("id", Json.Int 99) ] "shutdown"; after ])
+      in
+      Alcotest.(check bool) "stopped at shutdown" true (result = `Stop);
+      Alcotest.(check string) "line after shutdown unread" (after ^ "\n") unread;
+      Alcotest.(check (list (option int)))
+        "answered in order"
+        (List.init 20 (fun i -> Some (i + 1)) @ [ Some 99 ])
+        (ids responses);
+      List.iter
+        (fun j ->
+          Alcotest.(check bool) "ok" true (response_ok j);
+          Alcotest.(check bool) "stamped" true
+            (Json.member "request" j <> None && Json.member "latency_s" j <> None))
+        responses;
+      let result, unread, responses = serve [ req_of_files ~id:1 []; op_req "status" ] in
+      Alcotest.(check bool) "ended at EOF" true (result = `Eof);
+      Alcotest.(check string) "nothing left" "" unread;
+      Alcotest.(check (list (option int))) "both answered" [ Some 1; None ]
+        (ids responses))
+
 (* The standing invariant: a serve session produces byte-identical
    responses (modulo the wall-clock latency stamp) at every obs level,
    flight recorder on or off. *)
@@ -1641,6 +1700,7 @@ let suite =
     Alcotest.test_case "dump op (flight + trace slice)" `Quick test_dump_op;
     Alcotest.test_case "flight dump on crash" `Quick test_flight_crash_dump;
     Alcotest.test_case "flight dump on rss shed" `Quick test_flight_shed_dump;
+    Alcotest.test_case "transport answers in order" `Quick test_serve_channels;
     Alcotest.test_case "serve report identity across obs levels" `Quick
       test_serve_report_identity;
     Alcotest.test_case "fault-injected soak (200 req)" `Slow
