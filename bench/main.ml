@@ -14,6 +14,7 @@ module Subjects = Pinpoint_workload.Subjects
 module Gen = Pinpoint_workload.Gen
 module Truth = Pinpoint_workload.Truth
 module Pp = Pinpoint_util.Pp
+module Obs = Pinpoint_obs.Obs
 
 let fsvfg_budget = 5.0 (* seconds; stands in for the paper's 12h timeout *)
 let check_budget = 30.0
@@ -21,6 +22,13 @@ let check_budget = 30.0
 let str fmt = Format.asprintf fmt
 let pp_dur = Metrics.pp_duration
 let pp_bytes = Metrics.pp_bytes
+
+(* Run [f]; return its result and a lookup of each counter's change over
+   the call (the registry counts at every obs level). *)
+let counting f =
+  let before = Obs.snapshot () in
+  let r = f () in
+  (r, Obs.Snapshot.counter (Obs.Snapshot.diff (Obs.snapshot ()) before))
 
 (* ------------------------------------------------------------------ *)
 (* Per-subject measurements, computed once and shared by the figures. *)
@@ -428,34 +436,21 @@ let juliet () =
 (* Solver statistics (§3.1.1 claims) *)
 
 let solverstats () =
-  let module Obs = Pinpoint_obs.Obs in
   Format.printf "@.== Solver statistics (paper §3.1.1) ==@.@.";
-  Pinpoint_smt.Linear_solver.reset_stats ();
-  Pinpoint_pta.Pta.reset_stats ();
   let info = match Subjects.find "mysql" with Some i -> i | None -> assert false in
   let subject = Subjects.generate info in
   let prog = Gen.compile subject in
-  (* The full solver counts its work in the metrics registry: measure the
-     run as a snapshot difference with metrics on. *)
-  let before = Obs.snapshot () in
-  Obs.set_level Obs.Metrics_only;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_level Obs.Off)
-    (fun () ->
-      let analysis = Pinpoint.Analysis.prepare prog in
-      List.iter
-        (fun spec -> ignore (Pinpoint.Analysis.check analysis spec))
-        Pinpoint.Checkers.all);
-  let delta = Obs.Snapshot.diff (Obs.snapshot ()) before in
-  let solver name =
-    match List.assoc_opt ("solver." ^ name) delta with
-    | Some (Obs.Snapshot.Counter n) -> n
-    | _ -> 0
+  let (), count =
+    counting (fun () ->
+        let analysis = Pinpoint.Analysis.prepare prog in
+        List.iter
+          (fun spec -> ignore (Pinpoint.Analysis.check analysis spec))
+          Pinpoint.Checkers.all)
   in
-  let checks, easy_unsat = Pinpoint_smt.Linear_solver.stats () in
-  let kept, pruned = Pinpoint_pta.Pta.stats_sat_conditions () in
+  let solver name = count ("solver." ^ name) in
+  let kept = count "pta.n_kept" and pruned = count "pta.n_pruned" in
   Format.printf "linear-time solver: %d checks, %d found trivially UNSAT@."
-    checks easy_unsat;
+    (count "linear.n_checks") (count "linear.n_unsat");
   Format.printf
     "points-to stage:    %d conditions kept (apparently satisfiable), %d pruned => %.0f%% satisfiable (paper: ~70%%)@."
     kept pruned
@@ -516,11 +511,11 @@ let ablation () =
   let base_cfg = Pinpoint.Engine.default_config in
   let row name (cfg : Pinpoint.Engine.config) ~quasi =
     Pinpoint_pta.Pta.quasi_pruning := quasi;
-    Pinpoint_pta.Pta.reset_stats ();
-    let prog = Gen.compile subject in
-    let analysis = Pinpoint.Analysis.prepare prog in
-    let score = uaf_score analysis cfg in
-    let kept, pruned = Pinpoint_pta.Pta.stats_sat_conditions () in
+    let score, count =
+      counting (fun () ->
+          uaf_score (Pinpoint.Analysis.prepare (Gen.compile subject)) cfg)
+    in
+    let kept = count "pta.n_kept" and pruned = count "pta.n_pruned" in
     Pinpoint_pta.Pta.quasi_pruning := true;
     [
       name;

@@ -222,12 +222,10 @@ let check_rss_cap ~rss_cap_mb =
   end
 
 let publish_process_obs store =
-  if Pinpoint_obs.Obs.metrics_on () then begin
-    Option.iter Pinpoint_store.Store.publish_obs store;
-    Pinpoint_obs.Obs.set_gauge
-      (Pinpoint_obs.Obs.gauge "process.maxrss_kb")
-      (float_of_int (Pinpoint_util.Metrics.peak_rss_kb ()))
-  end
+  Option.iter Pinpoint_store.Store.publish_obs store;
+  Pinpoint_obs.Obs.set_gauge
+    (Pinpoint_obs.Obs.gauge "process.maxrss_kb")
+    (float_of_int (Pinpoint_util.Metrics.peak_rss_kb ()))
 
 (* Observability flags (DESIGN.md §4.11), shared by check and stats.
    Observability never changes the analysis: reports and stats are
@@ -352,20 +350,17 @@ let check_cmd =
         in
         let reports, stats = Pinpoint.Analysis.check ~config a spec in
         let reported = List.filter Pinpoint.Report.is_reported reports in
-        let degraded =
-          stats.Pinpoint.Engine.n_rung_halved
-          + stats.Pinpoint.Engine.n_rung_linear
-          + stats.Pinpoint.Engine.n_rung_gave_up
-        in
+        let n name = Pinpoint_obs.Obs.Snapshot.counter stats ("engine.n_" ^ name) in
+        let halved = n "rung_halved"
+        and linear = n "rung_linear"
+        and gave_up = n "rung_gave_up" in
         Format.printf "== %s: %d report(s) (%d sources, %d candidates)%t@."
           spec.Pinpoint.Checker_spec.name (List.length reported)
-          stats.Pinpoint.Engine.n_sources stats.Pinpoint.Engine.n_candidates
+          (n "sources") (n "candidates")
           (fun ppf ->
-            if degraded > 0 then
+            if halved + linear + gave_up > 0 then
               Format.fprintf ppf " [degraded queries: %d halved, %d linear, %d gave-up]"
-                stats.Pinpoint.Engine.n_rung_halved
-                stats.Pinpoint.Engine.n_rung_linear
-                stats.Pinpoint.Engine.n_rung_gave_up);
+                halved linear gave_up);
         let statuses =
           if confirm then
             Pinpoint.Confirm.confirm_all a.Pinpoint.Analysis.prog reported
@@ -669,6 +664,9 @@ let serve_cmd =
       flight_file no_flight trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
     init_obs ~trace ~metrics_json ~obs;
+    (* a client that hangs up makes a write fail instead of killing the
+       server; [Server.serve_channels] then ends that connection *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     check_dir "--snapshot-dir" snapshot_dir;
     Option.iter
       (fun path ->

@@ -40,8 +40,10 @@ let () =
     Pinpoint.Analysis.check analysis Pinpoint.Checkers.use_after_free
   in
 
+  (* [stats] is the run's change in the engine's registry counters. *)
+  let count name = Pinpoint_obs.Obs.Snapshot.counter stats name in
   Format.printf "examined %d source(s), %d candidate path(s)@."
-    stats.Pinpoint.Engine.n_sources stats.Pinpoint.Engine.n_candidates;
+    (count "engine.n_sources") (count "engine.n_candidates");
 
   (* 3. Inspect the reports.  Candidates whose path condition the solver
         refuted are marked infeasible and are not reported. *)

@@ -399,16 +399,14 @@ let prepare_with ?(resilience = Resilience.create ()) ?pool
     Metrics.measure ~extra_alloc (fun () ->
         ignore (sweep t (Callgraph.sccs t.graph)))
   in
-  if Obs.metrics_on () then begin
-    let publish name (m : Metrics.measurement) =
-      Obs.set_gauge (Obs.gauge ("phase." ^ name ^ ".wall_s")) m.Metrics.wall_s;
-      Obs.set_gauge
-        (Obs.gauge ("phase." ^ name ^ ".alloc_bytes"))
-        m.Metrics.alloc_bytes
-    in
-    publish "frontend" frontend_m;
-    publish "prepare" pm
-  end;
+  let publish name (m : Metrics.measurement) =
+    Obs.set_gauge (Obs.gauge ("phase." ^ name ^ ".wall_s")) m.Metrics.wall_s;
+    Obs.set_gauge
+      (Obs.gauge ("phase." ^ name ^ ".alloc_bytes"))
+      m.Metrics.alloc_bytes
+  in
+  publish "frontend" frontend_m;
+  publish "prepare" pm;
   { t with metrics = { t.metrics with prepare = pm } }
 
 let prepare ?resilience ?pool ?store prog =

@@ -169,15 +169,17 @@ val check :
   ?memo:Engine.memo ->
   t ->
   Checker_spec.t ->
-  Report.t list * Engine.stats
+  Report.t list * Pinpoint_obs.Obs.Snapshot.t
 (** Run one checker with its VF table from {!t.vfs}.  A checker with no
     table there (not registered in {!Checkers.all}) runs without VF
     pruning, as does the search inside a function whose VF summary
     crashed.  [memo] keeps per-source results across runs
-    ({!Engine.run}); the analysis server passes one per checker. *)
+    ({!Engine.run}); the analysis server passes one per checker.  The
+    second half is the run's change in the [engine.*] counters
+    ({!Engine.run}). *)
 
 val check_all :
   ?config:Engine.config ->
   t ->
   Checker_spec.t list ->
-  (string * Report.t list * Engine.stats) list
+  (string * Report.t list * Pinpoint_obs.Obs.Snapshot.t) list

@@ -36,55 +36,29 @@ let default_config =
     solver_conflict_budget = Pinpoint_smt.Sat.default_budget;
   }
 
-type stats = {
-  mutable n_sources : int;
-  mutable n_candidates : int;
-  mutable n_steps : int;
-  mutable n_solver_calls : int;
-  mutable n_rung_full : int;
-  mutable n_rung_halved : int;
-  mutable n_rung_linear : int;
-  mutable n_rung_gave_up : int;
-  mutable n_refine_checks : int;
-  mutable n_refine_removed : int;
-  mutable n_incidents : int;
-  mutable n_reused_sources : int;
-}
+(* The engine's counts (DESIGN.md §4.11), created once when the module
+   loads and added to where the work happens; [run] returns its change
+   in them. *)
+let c_sources = Obs.counter "engine.n_sources"
+let c_reused_sources = Obs.counter "engine.n_reused_sources"
+let c_candidates = Obs.counter "engine.n_candidates"
+let c_steps = Obs.counter "engine.n_steps"
+let c_solver_calls = Obs.counter "engine.n_solver_calls"
+let c_rung_full = Obs.counter "engine.n_rung_full"
+let c_rung_halved = Obs.counter "engine.n_rung_halved"
+let c_rung_linear = Obs.counter "engine.n_rung_linear"
+let c_rung_gave_up = Obs.counter "engine.n_rung_gave_up"
+let c_refine_checks = Obs.counter "engine.n_refine_checks"
+let c_refine_removed = Obs.counter "engine.n_refine_removed"
+let c_incidents = Obs.counter "engine.n_incidents"
+let c_cond_hops = Obs.counter "engine.n_cond_hops"
 
-(* Field-wise [into += s] over the per-source counts.  [n_sources],
-   [n_incidents] and [n_reused_sources] are not per-source: they are set
-   once per run. *)
-let merge_into into s =
-  into.n_candidates <- into.n_candidates + s.n_candidates;
-  into.n_steps <- into.n_steps + s.n_steps;
-  into.n_solver_calls <- into.n_solver_calls + s.n_solver_calls;
-  into.n_rung_full <- into.n_rung_full + s.n_rung_full;
-  into.n_rung_halved <- into.n_rung_halved + s.n_rung_halved;
-  into.n_rung_linear <- into.n_rung_linear + s.n_rung_linear;
-  into.n_rung_gave_up <- into.n_rung_gave_up + s.n_rung_gave_up;
-  into.n_refine_checks <- into.n_refine_checks + s.n_refine_checks;
-  into.n_refine_removed <- into.n_refine_removed + s.n_refine_removed
-
-(* The run's result record, added to the [engine.*] registry counters so
-   [--metrics-json] and the server's rolling window see it. *)
-let publish s =
-  if Obs.metrics_on () then
-    List.iter
-      (fun (name, n) -> Obs.add (Obs.counter ("engine." ^ name)) n)
-      [
-        ("n_candidates", s.n_candidates);
-        ("n_steps", s.n_steps);
-        ("n_solver_calls", s.n_solver_calls);
-        ("n_rung_full", s.n_rung_full);
-        ("n_rung_halved", s.n_rung_halved);
-        ("n_rung_linear", s.n_rung_linear);
-        ("n_rung_gave_up", s.n_rung_gave_up);
-        ("n_refine_checks", s.n_refine_checks);
-        ("n_refine_removed", s.n_refine_removed);
-        ("n_sources", s.n_sources);
-        ("n_incidents", s.n_incidents);
-        ("n_reused_sources", s.n_reused_sources);
-      ]
+let counters =
+  [
+    c_sources; c_reused_sources; c_candidates; c_steps; c_solver_calls;
+    c_rung_full; c_rung_halved; c_rung_linear; c_rung_gave_up;
+    c_refine_checks; c_refine_removed; c_incidents; c_cond_hops;
+  ]
 
 (* ---------- resident per-source results (DESIGN.md §4.13) ---------- *)
 
@@ -183,7 +157,6 @@ type search_ctx = {
   spec : Checker_spec.t;
   callers : string -> (Func.t * Stmt.t) list;
   cfg : config;
-  stats : stats;
   resilience : Resilience.log option;
   cond : Vpath.Cond.t option;
       (** path-condition builder (present iff [check_feasibility]),
@@ -197,6 +170,8 @@ type search_ctx = {
   mutable reports : Report.t list;
   mutable found_for_source : int;
   mutable steps_this_source : int;
+  mutable degraded : bool;
+      (** some feasibility query was decided below the full rung *)
   seen : (string * int * int, unit) Hashtbl.t;  (** (fname, vid, ctx hash) *)
   dedup : (string * int * string * int, unit) Hashtbl.t;
 }
@@ -214,8 +189,6 @@ let loc_of_sid ctx fname sid =
    not seen yet, oldest first, with a checkpoint before each.  Sibling
    candidates share the applied prefix, and a subtree that reaches no
    sink applies nothing. *)
-let c_cond_hops = Obs.counter "engine.n_cond_hops"
-
 let apply_trail ctx b =
   (* the trail's [n] newest hops, oldest first *)
   let rec pending n hops acc =
@@ -232,8 +205,18 @@ let apply_trail ctx b =
   ctx.applied <- ctx.trail_len;
   Obs.add c_cond_hops n
 
+let count_rung ctx rung =
+  Obs.add
+    (match rung with
+    | Solver.Rung_full -> c_rung_full
+    | Solver.Rung_halved -> c_rung_halved
+    | Solver.Rung_linear -> c_rung_linear
+    | Solver.Rung_gave_up -> c_rung_gave_up)
+    1;
+  if rung <> Solver.Rung_full then ctx.degraded <- true
+
 let emit ctx =
-  ctx.stats.n_candidates <- ctx.stats.n_candidates + 1;
+  Obs.add c_candidates 1;
   let path = List.rev ctx.trail in
   match Vpath.source_sink path with
   | Some (sf, ss), Some (kf, ks) ->
@@ -246,7 +229,7 @@ let emit ctx =
         | Some b -> (
           apply_trail ctx b;
           let cond = Vpath.Cond.formula b in
-          ctx.stats.n_solver_calls <- ctx.stats.n_solver_calls + 1;
+          Obs.add c_solver_calls 1;
           let subject =
             Printf.sprintf "%s:%d -> %s:%d" sf source_loc.Stmt.line kf
               sink_loc.Stmt.line
@@ -254,23 +237,12 @@ let emit ctx =
           (* The ladder never raises: a crashed/timed-out query steps down
              until a rung answers, so one pathological path condition
              cannot take the checker run down with it. *)
-          let count_rung rung =
-            match rung with
-            | Solver.Rung_full ->
-              ctx.stats.n_rung_full <- ctx.stats.n_rung_full + 1
-            | Solver.Rung_halved ->
-              ctx.stats.n_rung_halved <- ctx.stats.n_rung_halved + 1
-            | Solver.Rung_linear ->
-              ctx.stats.n_rung_linear <- ctx.stats.n_rung_linear + 1
-            | Solver.Rung_gave_up ->
-              ctx.stats.n_rung_gave_up <- ctx.stats.n_rung_gave_up + 1
-          in
           let v, model, rung =
             Solver.check_degrading ~budget_s:ctx.cfg.solver_budget_s
               ~conflict_budget:ctx.cfg.solver_conflict_budget
               ~deadline:ctx.cfg.deadline ?log:ctx.resilience ~subject cond
           in
-          count_rung rung;
+          count_rung ctx rung;
           match v with
           | Solver.Sat -> (
             (* Demand-driven refinement (DESIGN.md §4.17): the Sat
@@ -285,8 +257,8 @@ let emit ctx =
             match facts with
             | [] -> (cond, Report.Feasible, model, Some rung)
             | _ -> (
-              ctx.stats.n_refine_checks <- ctx.stats.n_refine_checks + 1;
-              ctx.stats.n_solver_calls <- ctx.stats.n_solver_calls + 1;
+              Obs.add c_refine_checks 1;
+              Obs.add c_solver_calls 1;
               let v2, _, rung2 =
                 Solver.check_degrading ~budget_s:ctx.cfg.solver_budget_s
                   ~conflict_budget:ctx.cfg.solver_conflict_budget
@@ -294,11 +266,10 @@ let emit ctx =
                   ~subject:(subject ^ " [refine]")
                   (E.conj_balanced (cond :: facts))
               in
-              count_rung rung2;
+              count_rung ctx rung2;
               match v2 with
               | Solver.Unsat ->
-                ctx.stats.n_refine_removed <-
-                  ctx.stats.n_refine_removed + 1;
+                Obs.add c_refine_removed 1;
                 (cond, Report.Infeasible, [], Some rung2)
               | Solver.Sat | Solver.Unknown ->
                 (cond, Report.Feasible, model, Some rung)))
@@ -361,7 +332,6 @@ let with_hop ctx hop k =
 let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
     ~src_fn ~src_sid ~hop =
   Metrics.check ctx.cfg.deadline;
-  ctx.stats.n_steps <- ctx.stats.n_steps + 1;
   ctx.steps_this_source <- ctx.steps_this_source + 1;
   if ctx.steps_this_source > ctx.cfg.max_steps then raise Stop_search;
   if ctx.found_for_source >= ctx.cfg.max_reports_per_source then raise Stop_search;
@@ -561,24 +531,9 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
       end
   end
 
-let zero_stats () =
-  {
-    n_sources = 0;
-    n_candidates = 0;
-    n_steps = 0;
-    n_solver_calls = 0;
-    n_rung_full = 0;
-    n_rung_halved = 0;
-    n_rung_linear = 0;
-    n_rung_gave_up = 0;
-    n_refine_checks = 0;
-    n_refine_removed = 0;
-    n_incidents = 0;
-    n_reused_sources = 0;
-  }
-
 let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
-    ~vf (spec : Checker_spec.t) : Report.t list * stats =
+    ~vf (spec : Checker_spec.t) : Report.t list * Obs.Snapshot.t =
+  let before = Obs.snapshot_of counters in
   let incidents_before =
     match resilience with Some l -> Resilience.count l | None -> 0
   in
@@ -605,9 +560,8 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
       end)
     memo;
   (* Enumerate sources up front, in program order — this order, not task
-     completion order, decides the final report list, cross-source
-     deduplication and stats totals, so the output is identical at every
-     [--jobs] level. *)
+     completion order, decides the final report list and cross-source
+     deduplication, so the output is identical at every [--jobs] level. *)
   let sources_of (f : Func.t) =
     (* Sources are read off the IR; only a function that has some is
        asked for its SEG, and one without a SEG contributes none. *)
@@ -681,7 +635,6 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
         spec;
         callers;
         cfg = config;
-        stats = zero_stats ();
         resilience;
         cond;
         trail = [];
@@ -691,6 +644,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
         reports = [];
         found_for_source = 0;
         steps_this_source = 0;
+        degraded = false;
         (* most sources take a handful of steps; the table grows *)
         seen = Hashtbl.create 16;
         dedup = Hashtbl.create 16;
@@ -716,17 +670,13 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
             with
             | Stop_search -> completed := true
             | Metrics.Timeout -> ()));
+    Obs.add c_steps ctx.steps_this_source;
     let reports = List.rev ctx.reports in
     (* Only a search that ran to its own end on full-strength verdicts is
        worth replaying: a timed-out, crashed or degraded one reflects this
        request's conditions, not the program. *)
     let entry =
-      if
-        Option.is_some memo && !completed
-        && ctx.stats.n_rung_halved + ctx.stats.n_rung_linear
-           + ctx.stats.n_rung_gave_up
-           = 0
-      then
+      if Option.is_some memo && !completed && not ctx.degraded then
         let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
         Some
           {
@@ -736,7 +686,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
           }
       else None
     in
-    (reports, ctx.stats, entry)
+    (reports, entry)
   in
   let results =
     match pool with
@@ -744,7 +694,7 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
       (* Chunked fan-out (DESIGN.md §4.15): sources from one chunk share a
          pool task.  Each source still gets its own context, barrier and
          injection stream, and the merge below is positional, so chunking
-         is invisible to reports and stats. *)
+         is invisible to reports and counts. *)
       Pinpoint_par.Chunk.parallel_map pool run_source misses
     | _ -> Array.map (fun s -> Some (run_source s)) misses
   in
@@ -754,7 +704,6 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
      (source line, sink line) key keeps its report, later ones are dropped
      — the order sequential search would have kept them in.  A replayed
      search adds its reports and nothing to the work counters. *)
-  let stats = zero_stats () in
   let dedup = Hashtbl.create 64 in
   let reports = ref [] in
   let add_reports rs =
@@ -776,25 +725,21 @@ let run ?(config = default_config) ?resilience ?pool ?memo ~graph ~seg_of ~rv
   Array.iteri
     (fun i hit ->
       match hit with
-      | Some e ->
-        stats.n_reused_sources <- stats.n_reused_sources + 1;
-        add_reports e.stored
+      | Some e -> add_reports e.stored
       | None -> (
         let r = results.(!next_miss) in
         incr next_miss;
         match r with
         | None -> () (* task lost to a pool-level fault; incident logged *)
-        | Some (rs, (st : stats), entry) ->
-          merge_into stats st;
+        | Some (rs, entry) ->
           (match (memo, entry) with
           | Some m, Some e -> remember m (memo_key src_arr.(i)) e
           | _ -> ());
           add_reports rs))
     hits;
-  stats.n_sources <- Array.length src_arr;
-  stats.n_incidents <-
-    (match resilience with
-    | Some l -> Resilience.count l - incidents_before
-    | None -> 0);
-  publish stats;
-  (List.rev !reports, stats)
+  Obs.add c_sources (Array.length src_arr);
+  Obs.add c_reused_sources (Array.length src_arr - Array.length misses);
+  Option.iter
+    (fun l -> Obs.add c_incidents (Resilience.count l - incidents_before))
+    resilience;
+  (List.rev !reports, Obs.Snapshot.diff (Obs.snapshot_of counters) before)

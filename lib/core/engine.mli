@@ -51,30 +51,24 @@ type config = {
 
 val default_config : config
 
-type stats = {
-  mutable n_sources : int;
-  mutable n_candidates : int;   (** complete source→sink paths found *)
-  mutable n_steps : int;
-  mutable n_solver_calls : int;
-  mutable n_rung_full : int;    (** queries decided by the full solver *)
-  mutable n_rung_halved : int;  (** … by the halved-budget retry *)
-  mutable n_rung_linear : int;  (** … by the linear contradiction solver *)
-  mutable n_rung_gave_up : int; (** … kept as [Unknown] (ladder exhausted) *)
-  mutable n_refine_checks : int;
-      (** Sat verdicts that produced refinement facts and were re-checked *)
-  mutable n_refine_removed : int;
-      (** refinement re-checks that came back Unsat — false positives of
-          the weak nonlinear theory, downgraded to [Infeasible] *)
-  mutable n_incidents : int;    (** incidents recorded during this run *)
-  mutable n_reused_sources : int;
-      (** sources answered from a resident {!memo} without searching; they
-          count in [n_sources] but add nothing to any work counter *)
-}
-(** One run's result, printed by the CLI's per-checker header and every
-    server check response at every obs level.  When metrics are on, each
-    field is also added to the registry counter [engine.<field>]; the
-    solver's work is counted only there, in the [solver.*] counters
-    ({!Pinpoint_smt.Solver}). *)
+(** {1 Counts}
+
+    The engine counts its work in {!Pinpoint_obs.Obs} registry counters,
+    at every obs level, created when this module loads:
+    [engine.n_sources] (sources enumerated), [n_reused_sources] (sources
+    answered from a resident {!memo} without searching; they count in
+    [n_sources] but add nothing to any work counter), [n_candidates]
+    (complete source→sink paths found), [n_steps] (search nodes),
+    [n_solver_calls], [n_rung_full], [n_rung_halved], [n_rung_linear] and
+    [n_rung_gave_up] (the rung that decided each feasibility query:
+    the full solver, the halved-budget retry, the linear contradiction
+    solver, or none, kept as [Unknown]), [n_refine_checks] (Sat verdicts
+    that produced refinement facts and were re-checked),
+    [n_refine_removed] (re-checks that came back Unsat — false positives
+    of the weak nonlinear theory, downgraded to [Infeasible]),
+    [n_incidents] (incidents recorded during a run) and [n_cond_hops]
+    (hops applied to path conditions).  The solver counts its own work
+    in the [solver.*] counters ({!Pinpoint_smt.Solver}). *)
 
 (** Resident per-source results for one checker (the analysis server's
     path, DESIGN.md §4.13).  A memo keeps each function's enumerated
@@ -123,11 +117,16 @@ val run :
   rv:Pinpoint_summary.Rv.t ->
   vf:Pinpoint_summary.Vf.t option ->
   Checker_spec.t ->
-  Report.t list * stats
+  Report.t list * Pinpoint_obs.Obs.Snapshot.t
 (** Run one checker over the whole program.  Reports are deduplicated by
     source/sink location; infeasible candidates are included in the list
     (marked [Infeasible]) so precision can be measured, but
     [Report.is_reported] is false for them.
+
+    The second half is the run's change in the [engine.*] counters, read
+    from the engine's own handles: what the CLI's per-checker header and
+    every server check response print.  It is the run's own count unless
+    another run overlaps it in the process.
 
     [graph] is the program's call graph: sources are enumerated from
     its functions in definition order, and bottom-up caller expansion
@@ -149,7 +148,8 @@ val run :
     With [pool] (and more than one job) the per-source searches fan out
     over the pool.  Searches are independent (task-local contexts, keyed
     injection streams) and the merge is in source-enumeration order, so
-    the report list and stats are identical at every [--jobs] level.
+    the report list and the counts are identical at every [--jobs]
+    level.
 
     With [memo] a source whose stored search is still valid is not
     searched again: its stored reports join the deterministic merge in

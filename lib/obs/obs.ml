@@ -5,8 +5,9 @@ module Metrics = Pinpoint_util.Metrics
 
 type level = Off | Metrics_only | Trace
 
-(* One atomic int, read by every hook: 0 = off, 1 = metrics, 2 = trace.
-   The hooks' disabled path is load + compare + branch — no allocation. *)
+(* One atomic int: 0 = off, 1 = metrics, 2 = trace.  The span hooks and
+   the SMT profiler read it; the registry counts at every level.  A
+   disabled hook is load + compare + branch — no allocation. *)
 let level_cell = Atomic.make 0
 
 let set_level l =
@@ -210,7 +211,7 @@ let counter name =
         Hashtbl.replace registry name (C c);
         c)
 
-let add c n = if metrics_on () then ignore (Atomic.fetch_and_add c.c n)
+let add c n = ignore (Atomic.fetch_and_add c.c n)
 
 let gauge name =
   Mutex.protect reg_lock (fun () ->
@@ -222,7 +223,7 @@ let gauge name =
         Hashtbl.replace registry name (G g);
         g)
 
-let set_gauge g v = if metrics_on () then g.g <- v
+let set_gauge g v = g.g <- v
 
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
@@ -252,12 +253,11 @@ let bucket_index edges v =
   go 0
 
 let observe h v =
-  if metrics_on () then
-    Mutex.protect h.h_lock (fun () ->
-        let i = bucket_index h.h_edges v in
-        h.h_counts.(i) <- h.h_counts.(i) + 1;
-        h.h_sum <- h.h_sum +. v;
-        h.h_n <- h.h_n + 1)
+  Mutex.protect h.h_lock (fun () ->
+      let i = bucket_index h.h_edges v in
+      h.h_counts.(i) <- h.h_counts.(i) + 1;
+      h.h_sum <- h.h_sum +. v;
+      h.h_n <- h.h_n + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
@@ -333,6 +333,9 @@ module Snapshot = struct
       else if nb < na then diff newer tb
       else (na, diff_value na va vb) :: diff ta tb
 
+  let counter snap name =
+    match List.assoc_opt name snap with Some (Counter n) -> n | _ -> 0
+
   (* Prometheus-style quantile estimation over histogram buckets: find
      the bucket holding the q-th observation and interpolate linearly
      inside it.  The first bucket's lower edge is 0.0 (latencies and
@@ -382,6 +385,11 @@ let snapshot () : Snapshot.t =
                      sum = h.h_sum;
                      n = h.h_n;
                    }) ))
+
+let snapshot_of counters : Snapshot.t =
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (List.map (fun c -> (c.c_name, Snapshot.Counter (Atomic.get c.c))) counters)
 
 (* ------------------------------------------------------------------ *)
 

@@ -10,26 +10,29 @@
     the collected data into Chrome [trace_event] JSON (per-domain tracks,
     loadable in Perfetto) and a flat metrics JSON / human summary.
 
-    Everything is {b off by default}: each hook is a load of one atomic
-    int and a branch, so an uninstrumented run pays nothing measurable.
-    Span records are buffered in per-domain buffers — no locks or shared
-    writes on the hot path; the global registry of buffers is only locked
-    when a domain touches the subsystem for the first time and when the
-    merged data is drained at export time. *)
+    The registry counts at every level: it is the one place a count
+    lives, so the CLI header, the server's responses and the exporters
+    all read it.  Spans and SMT query rows are {b off by default}: each
+    of those hooks is a load of one atomic int and a branch, so an
+    untraced run pays nothing measurable for them.  Span records are
+    buffered in per-domain buffers — no locks or shared writes on the hot
+    path; the global registry of buffers is only locked when a domain
+    touches the subsystem for the first time and when the merged data is
+    drained at export time. *)
 
 (** {1 Level} *)
 
 type level =
-  | Off  (** every hook is a branch-and-return; nothing is recorded *)
-  | Metrics_only
-      (** counters, gauges, histograms and SMT query records; no spans *)
+  | Off  (** the registry only; span and query hooks branch and return *)
+  | Metrics_only  (** the registry and SMT query records; no spans *)
   | Trace  (** everything, including span buffering *)
 
 val set_level : level -> unit
 val level : unit -> level
 
 val metrics_on : unit -> bool
-(** [level () <> Off]. *)
+(** [level () <> Off]: whether the SMT profiler records per-query rows
+    ({!record_query}).  The registry does not read it. *)
 
 val tracing_on : unit -> bool
 (** [level () = Trace]. *)
@@ -103,6 +106,9 @@ val counter : string -> counter
     kind raises [Invalid_argument]. *)
 
 val add : counter -> int -> unit
+(** An atomic add, at every level: concurrent adds from several domains
+    sum exactly, so a run's totals do not depend on [--jobs]. *)
+
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
 
@@ -147,6 +153,10 @@ module Snapshot : sig
       [merge (diff b a) (diff c b) = diff c a] — the identity the
       rolling window ({!Window}) is built on. *)
 
+  val counter : t -> string -> int
+  (** The named counter's value; 0 when the snapshot has no such
+      counter. *)
+
   val quantile : value -> float -> float option
   (** [quantile v q] estimates the [q]-th quantile ([0..1]) of a
       [Histogram] by linear interpolation within the bucket holding the
@@ -156,6 +166,11 @@ module Snapshot : sig
 end
 
 val snapshot : unit -> Snapshot.t
+
+val snapshot_of : counter list -> Snapshot.t
+(** A name-sorted snapshot of just these counters, for a caller that owns
+    the handles: the difference of two measures one run without walking
+    the registry. *)
 
 (** {1 SMT query profiler} *)
 
@@ -183,6 +198,7 @@ val record_query :
   latency_s:float ->
   unit ->
   unit
+(** Append one row; a no-op unless {!metrics_on}. *)
 
 val queries : unit -> query list
 (** All recorded queries, ordered by [(dom, record order)]. *)

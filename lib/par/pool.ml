@@ -209,13 +209,11 @@ let wait_idle t =
    and a second publish with no new work adds exactly 0 (idempotence).
    Purely observational — never read by the analysis. *)
 let publish_obs t =
-  if Obs.metrics_on () then
-    Mutex.protect t.m (fun () ->
-        let tasks = Array.fold_left ( + ) 0 t.ran in
-        Obs.add (Obs.counter "par.tasks") (tasks - t.pub_tasks);
-        t.pub_tasks <- tasks;
-        Obs.set_gauge (Obs.gauge "par.busy_s")
-          (Array.fold_left ( +. ) 0.0 t.busy))
+  Mutex.protect t.m (fun () ->
+      let tasks = Array.fold_left ( + ) 0 t.ran in
+      Obs.add (Obs.counter "par.tasks") (tasks - t.pub_tasks);
+      t.pub_tasks <- tasks;
+      Obs.set_gauge (Obs.gauge "par.busy_s") (Array.fold_left ( +. ) 0.0 t.busy))
 
 let shutdown t =
   if t.jobs > 1 then begin

@@ -86,7 +86,7 @@ val allocated_bytes : t -> float
 
 val publish_obs : t -> unit
 (** Fold the [par.tasks] counter and [par.busy_s] gauge into the Obs
-    registry now (no-op when metrics are off).  Delta-republishing: each
+    registry now, at every obs level.  Delta-republishing: each
     call adds only what accumulated since the previous one, so the
     registry always equals the pool's lifetime totals however often it
     is called — a long-lived server refreshes on every [status] /

@@ -2,6 +2,7 @@ open Pinpoint_ir
 module E = Pinpoint_smt.Expr
 module Lin = Pinpoint_smt.Linear_solver
 module D = Pinpoint_util.Digraph
+module Obs = Pinpoint_obs.Obs
 
 type entry = { value : Stmt.operand; cond : E.t; store_sid : int }
 type incoming = { ivar : Var.t; root : Var.t; depth : int }
@@ -20,10 +21,12 @@ type t = {
 let max_depth = ref 3
 let quasi_pruning = ref true
 
-(* RV generation runs one task per SCC across worker domains; atomics keep
-   the pruning counters exact without a lock. *)
-let n_kept = Atomic.make 0
-let n_pruned = Atomic.make 0
+(* The linear-time filter's counts (§3.1.1), registry counters created
+   when the module loads: conditional points-to entries kept and pruned
+   as infeasible.  Preparation runs one task per SCC across worker
+   domains; registry counters are atomic sums, exact without a lock. *)
+let c_kept = Obs.counter "pta.n_kept"
+let c_pruned = Obs.counter "pta.n_pruned"
 
 (* Row-level difference propagation (DESIGN.md §4.15).  The dominant PTA
    cost is re-classifying conditional points-to rows whose condition was
@@ -35,25 +38,16 @@ let n_pruned = Atomic.make 0
    reprocessed.  The memo is sharded so parallel transform tasks don't
    contend; hash-cons ids are never reused (even under the weak table's
    eviction) so a cached verdict can never be wrong, and the kept/pruned
-   counters are bumped on hits exactly as on misses — stats stay
-   byte-identical whether a row hits or misses, at any [--jobs]. *)
+   counters are bumped on hits exactly as on misses, so they read the
+   same whether a row hits or misses, at any [--jobs]. *)
 let memo_shards = 16
 
 let memo : (int, bool) Hashtbl.t array =
   Array.init memo_shards (fun _ -> Hashtbl.create 512)
 
 let memo_locks = Array.init memo_shards (fun _ -> Mutex.create ())
-let n_row_hits = Atomic.make 0
-let n_row_misses = Atomic.make 0
-
-let stats_sat_conditions () = (Atomic.get n_kept, Atomic.get n_pruned)
-let stats_rows () = (Atomic.get n_row_hits, Atomic.get n_row_misses)
-
-let reset_stats () =
-  Atomic.set n_kept 0;
-  Atomic.set n_pruned 0;
-  Atomic.set n_row_hits 0;
-  Atomic.set n_row_misses 0
+let c_row_hits = Obs.counter "pta.n_row_hits"
+let c_row_misses = Obs.counter "pta.n_row_misses"
 
 (* [Lin.check cond = Maybe], through the verdict memo. *)
 let lin_feasible cond =
@@ -64,32 +58,23 @@ let lin_feasible cond =
   in
   match cached with
   | Some b ->
-    Atomic.incr n_row_hits;
+    Obs.add c_row_hits 1;
     b
   | None ->
-    Atomic.incr n_row_misses;
+    Obs.add c_row_misses 1;
     let b = match Lin.check cond with Lin.Unsat -> false | Lin.Maybe -> true in
     Mutex.protect memo_locks.(s) (fun () -> Hashtbl.replace memo.(s) id b);
     b
 
 let feasible cond =
-  if E.is_false cond then begin
-    Atomic.incr n_pruned;
-    false
-  end
-  else if not !quasi_pruning then begin
-    (* ablation mode: skip the linear-time filter entirely *)
-    Atomic.incr n_kept;
-    true
-  end
-  else if lin_feasible cond then begin
-    Atomic.incr n_kept;
-    true
-  end
-  else begin
-    Atomic.incr n_pruned;
-    false
-  end
+  let kept =
+    if E.is_false cond then false
+    else if not !quasi_pruning then
+      true (* ablation mode: skip the linear-time filter entirely *)
+    else lin_feasible cond
+  in
+  Obs.add (if kept then c_kept else c_pruned) 1;
+  kept
 
 let operand_equal a b =
   match (a, b) with

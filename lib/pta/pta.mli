@@ -66,20 +66,18 @@ val run : Pinpoint_ir.Func.t -> t
     outside-rooted cell and logs REF/MOD paths, and on a transformed body
     the cells seeded by conduit statements resolve naturally. *)
 
-val stats_sat_conditions : unit -> int * int
-(** [(kept, pruned)] — how many conditional points-to entries were kept vs
-    pruned as infeasible by the linear solver (the paper reports ~70% of
-    PTA-stage conditions satisfiable). *)
+(** {1 Counts}
 
-val stats_rows : unit -> int * int
-(** [(hits, misses)] of the row-verdict memo (row-level difference
-    propagation, DESIGN.md §4.15): the linear-solver verdict for a row's
-    condition is memoized by hash-cons id, so only rows whose condition
-    was never classified before pay a linear solve.  Verdicts are pure
-    functions of the formula and the kept/pruned counters are bumped
-    identically on hits, so a hit changes no analysis output — only
-    time. *)
-
-val reset_stats : unit -> unit
+    Registry counters ({!Pinpoint_obs.Obs}), created when this module
+    loads: [pta.n_kept] and [pta.n_pruned] count the conditional
+    points-to entries the linear-time solver kept and pruned as
+    infeasible (the paper reports ~70% of PTA-stage conditions
+    satisfiable); [pta.n_row_hits] and [pta.n_row_misses] count the
+    row-verdict memo's probes (row-level difference propagation,
+    DESIGN.md §4.15): a row whose condition's hash-cons id was
+    classified before pays no linear solve.  Verdicts are pure functions
+    of the formula and [n_kept]/[n_pruned] are bumped alike on hits and
+    misses, so those two do not depend on the schedule; which domain
+    misses a formula first does. *)
 
 val pp : Format.formatter -> t -> unit

@@ -404,7 +404,7 @@ let update (st : state) (changed : (string * string) list) : update_stats =
 (* ---------- checking ---------- *)
 
 let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
-    Pinpoint.Report.t list * Pinpoint.Engine.stats =
+    Pinpoint.Report.t list * Obs.Snapshot.t =
   let memo =
     match Hashtbl.find_opt st.memos spec.Pinpoint.Checker_spec.name with
     | Some m -> m
@@ -416,7 +416,7 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
   Analysis.check ?config ~memo st.analysis spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
-    Pinpoint.Report.t list * Pinpoint.Engine.stats =
+    Pinpoint.Report.t list * Obs.Snapshot.t =
   Obs.span "incr.check"
     ~attrs:[ ("checker", spec.Pinpoint.Checker_spec.name) ]
     (fun () -> check_impl ?config st spec)

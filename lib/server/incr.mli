@@ -75,11 +75,12 @@ val check :
   ?config:Pinpoint.Engine.config ->
   state ->
   Pinpoint.Checker_spec.t ->
-  Pinpoint.Report.t list * Pinpoint.Engine.stats
+  Pinpoint.Report.t list * Pinpoint_obs.Obs.Snapshot.t
 (** Run one checker against the resident analysis
     ({!Pinpoint.Analysis.check}), with the VF table the load's walk built
     and each update's walk refreshed, and this checker's memo of
-    per-source results. *)
+    per-source results.  The second half is the run's change in the
+    [engine.*] counters ({!Pinpoint.Engine.run}). *)
 
 val analysis : state -> Pinpoint.Analysis.t
 (** The resident analysis, current after every update: its store holds

@@ -67,38 +67,26 @@ let default_config =
     flight = true;
   }
 
-type rungs = {
-  mutable full : int;
-  mutable halved : int;
-  mutable linear : int;
-  mutable gave_up : int;
-}
-
-type ops = {
-  mutable op_check : int;
-  mutable op_status : int;
-  mutable op_metrics : int;
-  mutable op_dump : int;
-  mutable op_shutdown : int;
-  mutable op_unknown : int;
-}
-
 type t = {
   cfg : config;
   mutable st : Incr.state option;
   mutable epoch_base : int;  (** epoch of the snapshot we recovered from *)
   started_at : float;
-  rungs : rungs;  (** accumulated over every check served *)
-  ops : ops;  (** per-op request counters, independent of the obs level *)
   window : Window.t;  (** rolling metrics window, ticked per request *)
   mutable last_prom : float;  (** monotonic time of the last prom-file write *)
   mutable last_snapshot_epoch : int;  (** abs epoch at last snapshot; -1 never *)
   mutable n_requests : int;
-  mutable n_checks : int;
-  mutable n_errors : int;
-  mutable n_shed_rss : int;  (** refused at the RSS watermark *)
   mutable journal : out_channel option;
 }
+
+(* The server's counts live in the registry, which counts at every obs
+   level: the status and metrics ops read them back from a snapshot.
+   [server.op.<op>] counts requests by op, created on an op's first
+   request. *)
+let c_checks = Obs.counter "server.checks"
+let c_errors = Obs.counter "server.errors"
+let c_shed_rss = Obs.counter "server.shed_rss"  (* refused at the RSS watermark *)
+let ops = [ "check"; "status"; "metrics"; "dump"; "shutdown" ]
 
 (* ---------- RSS ---------- *)
 
@@ -221,23 +209,10 @@ let create ?(config = default_config) () =
     st = None;
     epoch_base = 0;
     started_at = Metrics.now ();
-    rungs = { full = 0; halved = 0; linear = 0; gave_up = 0 };
-    ops =
-      {
-        op_check = 0;
-        op_status = 0;
-        op_metrics = 0;
-        op_dump = 0;
-        op_shutdown = 0;
-        op_unknown = 0;
-      };
     window = Window.create ~now:(Metrics.now_mono ()) ();
     last_prom = neg_infinity;
     last_snapshot_epoch = -1;
     n_requests = 0;
-    n_checks = 0;
-    n_errors = 0;
-    n_shed_rss = 0;
     journal = None;
   }
 
@@ -331,29 +306,16 @@ let report_json (r : Pinpoint.Report.t) =
       ("degraded", Json.Bool (Pinpoint.Report.is_degraded r));
     ]
 
-let stats_json (s : Pinpoint.Engine.stats) =
+(* A check's counts: its run's change in the [engine.*] counters. *)
+let stats_json stats =
+  let n name = Json.Int (Obs.Snapshot.counter stats ("engine.n_" ^ name)) in
   Json.Obj
-    [
-      ("sources", Json.Int s.Pinpoint.Engine.n_sources);
-      ("reused_sources", Json.Int s.Pinpoint.Engine.n_reused_sources);
-      ("candidates", Json.Int s.Pinpoint.Engine.n_candidates);
-      ("solver_calls", Json.Int s.Pinpoint.Engine.n_solver_calls);
-      ("rung_full", Json.Int s.Pinpoint.Engine.n_rung_full);
-      ("rung_halved", Json.Int s.Pinpoint.Engine.n_rung_halved);
-      ("rung_linear", Json.Int s.Pinpoint.Engine.n_rung_linear);
-      ("rung_gave_up", Json.Int s.Pinpoint.Engine.n_rung_gave_up);
-      ("incidents", Json.Int s.Pinpoint.Engine.n_incidents);
-    ]
-
-(* Lifetime rung totals for the status op, which answers at every obs
-   level.  The registry already has them when metrics are on: every
-   [Engine.run] publishes its [engine.n_rung_*] counters, and the rolling
-   window diffs those. *)
-let accumulate_rungs t (s : Pinpoint.Engine.stats) =
-  t.rungs.full <- t.rungs.full + s.Pinpoint.Engine.n_rung_full;
-  t.rungs.halved <- t.rungs.halved + s.Pinpoint.Engine.n_rung_halved;
-  t.rungs.linear <- t.rungs.linear + s.Pinpoint.Engine.n_rung_linear;
-  t.rungs.gave_up <- t.rungs.gave_up + s.Pinpoint.Engine.n_rung_gave_up
+    (List.map
+       (fun name -> (name, n name))
+       [
+         "sources"; "reused_sources"; "candidates"; "solver_calls"; "rung_full";
+         "rung_halved"; "rung_linear"; "rung_gave_up"; "incidents";
+       ])
 
 (* ---------- the status view ---------- *)
 
@@ -363,24 +325,17 @@ let accumulate_rungs t (s : Pinpoint.Engine.stats) =
    deltas, so repeated refreshes keep the registry equal to lifetime
    totals. *)
 let refresh_obs t =
-  if Obs.metrics_on () then begin
-    Option.iter Pinpoint_par.Pool.publish_obs t.cfg.pool;
-    Option.iter Pinpoint_store.Store.publish_obs t.cfg.store;
-    Obs.set_gauge (Obs.gauge "server.uptime_s") (Metrics.now () -. t.started_at);
-    Obs.set_gauge (Obs.gauge "server.rss_mb") (rss_mb ());
-    Obs.set_gauge (Obs.gauge "server.requests") (float_of_int t.n_requests)
-  end
+  Option.iter Pinpoint_par.Pool.publish_obs t.cfg.pool;
+  Option.iter Pinpoint_store.Store.publish_obs t.cfg.store;
+  Obs.set_gauge (Obs.gauge "server.uptime_s") (Metrics.now () -. t.started_at);
+  Obs.set_gauge (Obs.gauge "server.rss_mb") (rss_mb ());
+  Obs.set_gauge (Obs.gauge "server.requests") (float_of_int t.n_requests)
 
-let ops_json t =
+let ops_json snap =
   Json.Obj
-    [
-      ("check", Json.Int t.ops.op_check);
-      ("status", Json.Int t.ops.op_status);
-      ("metrics", Json.Int t.ops.op_metrics);
-      ("dump", Json.Int t.ops.op_dump);
-      ("shutdown", Json.Int t.ops.op_shutdown);
-      ("unknown", Json.Int t.ops.op_unknown);
-    ]
+    (List.map
+       (fun op -> (op, Json.Int (Obs.Snapshot.counter snap ("server.op." ^ op))))
+       (ops @ [ "unknown" ]))
 
 let window_info t =
   [
@@ -392,6 +347,8 @@ let window_info t =
 
 let status_fields t =
   refresh_obs t;
+  let snap = Obs.snapshot () in
+  let count name = Json.Int (Obs.Snapshot.counter snap name) in
   let incidents =
     match t.st with
     | None -> []
@@ -427,22 +384,19 @@ let status_fields t =
     ("ok", Json.Bool true);
     ("uptime_s", Json.Float (Metrics.now () -. t.started_at));
     ("requests", Json.Int t.n_requests);
-    ("ops", ops_json t);
+    ("ops", ops_json snap);
     ("last_snapshot_epoch", Json.Int t.last_snapshot_epoch);
     ("window", Json.Obj (window_info t));
     ("flight", Json.Bool (Flight.enabled ()));
-    ("checks", Json.Int t.n_checks);
-    ("errors", Json.Int t.n_errors);
-    ("shed_rss", Json.Int t.n_shed_rss);
+    ("checks", count "server.checks");
+    ("errors", count "server.errors");
+    ("shed_rss", count "server.shed_rss");
     ("rss_mb", Json.Float (rss_mb ()));
     ( "rungs",
       Json.Obj
-        [
-          ("full", Json.Int t.rungs.full);
-          ("halved", Json.Int t.rungs.halved);
-          ("linear", Json.Int t.rungs.linear);
-          ("gave_up", Json.Int t.rungs.gave_up);
-        ] );
+        (List.map
+           (fun rung -> (rung, count ("engine.n_rung_" ^ rung)))
+           [ "full"; "halved"; "linear"; "gave_up" ]) );
   ]
   @ state @ incidents
 
@@ -507,7 +461,7 @@ let metrics_fields t req =
       ("level", Json.String (level_name ()));
       ("window", Json.Obj (window_info t @ snapshot_fields windowed));
       ("totals", Json.Obj (snapshot_fields current));
-      ("ops", ops_json t);
+      ("ops", ops_json current);
     ]
   | Some _ -> error_fields {|bad request: format must be "json" or "prometheus"|}
 
@@ -682,20 +636,17 @@ let check_fields t req =
     match update_result with
     | Error msg -> error_fields msg
     | Ok ustats ->
-      if Obs.metrics_on () then begin
-        Obs.observe
-          (Obs.histogram ~buckets:cone_buckets "server.dirty_cone")
-          (float_of_int ustats.Incr.dirty_cone);
-        Obs.add (Obs.counter "incr.retransformed") ustats.Incr.retransformed;
-        Obs.add (Obs.counter "incr.resummarised") ustats.Incr.resummarised
-      end;
+      Obs.observe
+        (Obs.histogram ~buckets:cone_buckets "server.dirty_cone")
+        (float_of_int ustats.Incr.dirty_cone);
+      Obs.add (Obs.counter "incr.retransformed") ustats.Incr.retransformed;
+      Obs.add (Obs.counter "incr.resummarised") ustats.Incr.resummarised;
       let st = Option.get t.st in
       let checker_results =
         List.map
           (fun (spec : Pinpoint.Checker_spec.t) ->
-            t.n_checks <- t.n_checks + 1;
+            Obs.add c_checks 1;
             let reports, stats = Incr.check ~config:(mk_config ()) st spec in
-            accumulate_rungs t stats;
             let reported = List.filter Pinpoint.Report.is_reported reports in
             Json.Obj
               [
@@ -797,7 +748,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
       action )
   in
   let bad_request ?id ~detail msg =
-    t.n_errors <- t.n_errors + 1;
+    Obs.add c_errors 1;
     if Flight.enabled () then Flight.record ~req:rid ~kind:"request" ~detail "?";
     finish ?id ~op:"?"
       (error_fields (Printf.sprintf "bad request: %s" msg), `Continue)
@@ -809,33 +760,21 @@ let handle_line t line : string * [ `Continue | `Stop ] =
         bad_request ?id:(Json.member "id" req) ~detail:"malformed" msg
       | Ok (req, Ok op) ->
         if Flight.enabled () then Flight.record ~req:rid ~kind:"request" op;
-        let known =
-          List.mem op [ "check"; "status"; "metrics"; "dump"; "shutdown" ]
-        in
-        if Obs.metrics_on () then
-          Obs.add
-            (Obs.counter
-               ("server.op." ^ if known then op else "unknown"))
-            1;
+        Obs.add
+          (Obs.counter
+             ("server.op." ^ if List.mem op ops then op else "unknown"))
+          1;
         Obs.span "server.request"
           ~attrs:[ ("op", op); ("request", rid) ]
           (fun () ->
             finish ?id:(Json.member "id" req) ~op
               (match op with
-              | "status" ->
-                t.ops.op_status <- t.ops.op_status + 1;
-                (status_fields t, `Continue)
-              | "metrics" ->
-                t.ops.op_metrics <- t.ops.op_metrics + 1;
-                (metrics_fields t req, `Continue)
-              | "dump" ->
-                t.ops.op_dump <- t.ops.op_dump + 1;
-                (dump_fields t req, `Continue)
+              | "status" -> (status_fields t, `Continue)
+              | "metrics" -> (metrics_fields t req, `Continue)
+              | "dump" -> (dump_fields t req, `Continue)
               | "shutdown" ->
-                t.ops.op_shutdown <- t.ops.op_shutdown + 1;
                 ([ ("ok", Json.Bool true); ("shutdown", Json.Bool true) ], `Stop)
               | "check" ->
-                t.ops.op_check <- t.ops.op_check + 1;
                 (* RSS watermark: one forced major GC gets a second opinion
                    before shedding — transient garbage from the previous
                    request must not count against this one. *)
@@ -848,7 +787,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                      end
                 in
                 if over_watermark () then begin
-                  t.n_shed_rss <- t.n_shed_rss + 1;
+                  Obs.add c_shed_rss 1;
                   if Flight.enabled () then begin
                     Flight.record ~req:rid ~kind:"shed"
                       ~detail:(Printf.sprintf "rss_mb=%.1f" (rss_mb ()))
@@ -867,11 +806,11 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                 else
                   ( (try check_fields t req with
                     | Pinpoint_frontend.Parser.Error (msg, line) ->
-                      t.n_errors <- t.n_errors + 1;
+                      Obs.add c_errors 1;
                       error_fields
                         (Printf.sprintf "parse error at line %d: %s" line msg)
                     | Pinpoint_frontend.Lower.Error (msg, loc) ->
-                      t.n_errors <- t.n_errors + 1;
+                      Obs.add c_errors 1;
                       error_fields
                         (Printf.sprintf "%s:%d: %s" loc.Pinpoint_ir.Stmt.file
                            loc.Pinpoint_ir.Stmt.line msg)
@@ -879,7 +818,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                       (* A crash that reached the top barrier is exactly
                          what the flight recorder exists for: dump the ring
                          before answering. *)
-                      t.n_errors <- t.n_errors + 1;
+                      Obs.add c_errors 1;
                       if Flight.enabled () then begin
                         Flight.record ~req:rid ~kind:"crash"
                           ~detail:(Printexc.to_string exn) "server.check";
@@ -893,8 +832,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                            (Printexc.to_string exn))),
                     `Continue )
               | op ->
-                t.ops.op_unknown <- t.ops.op_unknown + 1;
-                t.n_errors <- t.n_errors + 1;
+                Obs.add c_errors 1;
                 (error_fields (Printf.sprintf "unknown op %S" op), `Continue))))
 
 (* ---------- transports ---------- *)
@@ -902,17 +840,25 @@ let handle_line t line : string * [ `Continue | `Stop ] =
 (* One loop on the calling domain: each response is written and flushed
    before the next line is read, so a client that writes ahead waits on
    the pipe's or socket's buffer, and the lines after a shutdown stay
-   unread. *)
+   unread.  A client that hung up makes the write fail ([Sys_error], with
+   SIGPIPE ignored): that ends its connection, not the server. *)
 let serve_channels t ic oc =
   let rec loop () =
     match input_line ic with
     | exception (End_of_file | Sys_error _) -> `Eof
     | line -> (
       let resp, action = handle_line t line in
-      output_string oc resp;
-      output_char oc '\n';
-      flush oc;
-      match action with `Continue -> loop () | `Stop -> `Stop)
+      let written =
+        try
+          output_string oc resp;
+          output_char oc '\n';
+          flush oc;
+          true
+        with Sys_error _ -> false
+      in
+      match action with
+      | `Stop -> `Stop
+      | `Continue -> if written then loop () else `Eof)
   in
   loop ()
 
@@ -933,7 +879,8 @@ let serve_socket t path =
         let ic = Unix.in_channel_of_descr conn in
         let oc = Unix.out_channel_of_descr conn in
         let result = serve_channels t ic oc in
-        (try Unix.close conn with Unix.Unix_error _ -> ());
+        (* closes [conn], dropping what a hung-up client left unflushed *)
+        close_out_noerr oc;
         match result with `Eof -> accept_loop () | `Stop -> ()
       in
       accept_loop ())

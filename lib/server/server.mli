@@ -61,9 +61,10 @@ val handle_line : t -> string -> string * [ `Continue | `Stop ]
     ambient {!Pinpoint_obs.Obs} request context for the whole dispatch
     and stamped into the response (["request"] field); the id sequence
     depends only on request order, so responses are byte-identical at
-    every obs level.  Ops: [check] (default), [status], [metrics]
-    (live rolling-window + lifetime snapshot; ["format":"prometheus"]
-    for text exposition), [dump] (flight-recorder dump, or
+    every obs level.  Ops: [check] (default), [status] (with the
+    process's per-op, check, error, RSS-shed and rung counts, read from
+    the registry), [metrics] (live rolling-window + lifetime snapshot;
+    ["format":"prometheus"] for text exposition), [dump] (flight-recorder dump, or
     ["what":"trace"] + ["request_id"] for a per-request Chrome trace
     slice), [shutdown].  An optional request field of the wrong type
     (a [check]'s [checkers], [deadline_s], [solver_budget_s] or
@@ -80,7 +81,9 @@ val serve_channels : t -> in_channel -> out_channel -> [ `Stop | `Eof ]
     one at a time on the calling domain: each response is written and
     flushed before the next line is read.  Returns [`Stop] after a
     [shutdown] request, leaving the lines after it unread, and [`Eof] at
-    the end of input (a read error counts as the end). *)
+    the end of input (a read error counts as the end) or when a response
+    cannot be written (the client hung up; with SIGPIPE ignored, the
+    write raises [Sys_error]). *)
 
 val serve_stdio : t -> unit
 (** {!serve_channels} over stdin and stdout. *)

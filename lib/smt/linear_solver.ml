@@ -1,11 +1,13 @@
 type verdict = Unsat | Maybe
 
 module ISet = Set.Make (Int)
+module Obs = Pinpoint_obs.Obs
 
-(* Counters are shared across domains (the PTA phase and engine feasibility
-   checks both run in workers); atomics keep them exact without a lock. *)
-let n_checks = Atomic.make 0
-let n_unsat = Atomic.make 0
+(* Registry counters, shared across domains (the PTA phase and engine
+   feasibility checks both run in workers): atomic sums, exact without a
+   lock. *)
+let c_checks = Obs.counter "linear.n_checks"
+let c_unsat = Obs.counter "linear.n_unsat"
 
 (* Canonical atom id and polarity of an atomic boolean expression.
    Complement pairs map to the same canonical id with opposite polarity:
@@ -46,22 +48,15 @@ let rec pn polarity (e : Expr.t) : ISet.t * ISet.t =
     (ISet.empty, ISet.empty)
 
 let check e =
-  Atomic.incr n_checks;
-  if Expr.is_false e then begin
-    Atomic.incr n_unsat;
+  Obs.add c_checks 1;
+  let unsat =
+    Expr.is_false e
+    ||
+    let p, n = pn true e in
+    not (ISet.is_empty (ISet.inter p n))
+  in
+  if unsat then begin
+    Obs.add c_unsat 1;
     Unsat
   end
-  else begin
-    let p, n = pn true e in
-    if ISet.is_empty (ISet.inter p n) then Maybe
-    else begin
-      Atomic.incr n_unsat;
-      Unsat
-    end
-  end
-
-let stats () = (Atomic.get n_checks, Atomic.get n_unsat)
-
-let reset_stats () =
-  Atomic.set n_checks 0;
-  Atomic.set n_unsat 0
+  else Maybe

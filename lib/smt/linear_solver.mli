@@ -29,9 +29,6 @@ type verdict =
   | Maybe  (** no apparent contradiction; a full solver would be needed *)
 
 val check : Expr.t -> verdict
-
-val stats : unit -> int * int
-(** [(checks, easy_unsat)] counters since startup (or the last {!reset});
-    reported by the bench harness's [solverstats] experiment. *)
-
-val reset_stats : unit -> unit
+(** Counts each call in the registry counter [linear.n_checks] and each
+    [Unsat] in [linear.n_unsat] ({!Pinpoint_obs.Obs}); the bench
+    harness's [solverstats] experiment reports them. *)

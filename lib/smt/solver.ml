@@ -21,9 +21,9 @@ let rung_name = function
 let pp_rung ppf r = Format.pp_print_string ppf (rung_name r)
 
 (* The solver's work counters (DESIGN.md §4.11), created once when the
-   module loads and added to where the work happens.  Registry counters
-   are atomic sums, so a run's totals are the same at every [--jobs];
-   like every registry counter they count only while metrics are on. *)
+   module loads and added to where the work happens, at every obs level.
+   Registry counters are atomic sums, so a run's totals are the same at
+   every [--jobs]. *)
 let c_queries = Obs.counter "solver.n_queries"
 let c_sat = Obs.counter "solver.n_sat"
 let c_unsat = Obs.counter "solver.n_unsat"
@@ -129,17 +129,15 @@ let make_query (e : Expr.t) : query =
    make the work it burned disappear from the profile. *)
 
 let solve_counted ~budget ~deadline q =
-  let solve () = Sat.solve ~budget ~assumptions:[ q.q_root ] ~deadline q.q_sat in
-  if not (Obs.metrics_on ()) then solve ()
-  else begin
-    let c0 = Sat.counts q.q_sat in
-    Fun.protect solve ~finally:(fun () ->
-        let c1 = Sat.counts q.q_sat in
-        Obs.add c_propagations (c1.Sat.propagations - c0.Sat.propagations);
-        Obs.add c_conflicts (c1.Sat.conflicts - c0.Sat.conflicts);
-        Obs.add c_learned (c1.Sat.learned - c0.Sat.learned);
-        Obs.add c_restarts (c1.Sat.restarts - c0.Sat.restarts))
-  end
+  let c0 = Sat.counts q.q_sat in
+  Fun.protect
+    (fun () -> Sat.solve ~budget ~assumptions:[ q.q_root ] ~deadline q.q_sat)
+    ~finally:(fun () ->
+      let c1 = Sat.counts q.q_sat in
+      Obs.add c_propagations (c1.Sat.propagations - c0.Sat.propagations);
+      Obs.add c_conflicts (c1.Sat.conflicts - c0.Sat.conflicts);
+      Obs.add c_learned (c1.Sat.learned - c0.Sat.learned);
+      Obs.add c_restarts (c1.Sat.restarts - c0.Sat.restarts))
 
 let theory_check ~deadline literals =
   let d0 = Theory.n_dropped () in
@@ -265,13 +263,16 @@ let check ?max_iters ?conflict_budget ?deadline e =
    can never lose a definitely-feasible report — at worst a query decides
    [Unknown] and the report survives. *)
 
-(* Per-query observability: latency histogram + a profiler record tagging
-   the query with its source/sink subject, rung and atom count, and (when
-   tracing) an "smt.query" span on the running domain's track.  When obs
-   is off this is two monotonic-clock reads and three branches.  The
-   row's conflicts and shrinks are the query's own: those of its encoded
-   instance, if a rung built one. *)
+(* Per-query observability: the latency histogram, at every level; with
+   metrics on, a profiler row tagging the query with its source/sink
+   subject, rung and atom count, and (when tracing) an "smt.query" span on
+   the running domain's track.  When obs is off this is two
+   monotonic-clock reads, one histogram observation and two branches.
+   The row's conflicts and shrinks are the query's own: those of its
+   encoded instance, if a rung built one. *)
 let profile_query ~subject ~qt0 ~query e ((v, _, rung) as result) =
+  let latency_s = Metrics.now_mono () -. qt0 in
+  Obs.observe h_latency latency_s;
   let flight = Flight.enabled () in
   if Obs.metrics_on () || flight then begin
     let rung_s = rung_name rung and verdict_s = verdict_name v in
@@ -281,7 +282,6 @@ let profile_query ~subject ~qt0 ~query e ((v, _, rung) as result) =
     if flight then
       Flight.record ~kind:"rung" ~detail:(subject ^ " " ^ verdict_s) rung_s;
     if Obs.metrics_on () then begin
-      let latency_s = Metrics.now_mono () -. qt0 in
       let atoms = List.length (Expr.atoms e) in
       let conflicts, shrinks =
         match query with
@@ -290,7 +290,6 @@ let profile_query ~subject ~qt0 ~query e ((v, _, rung) as result) =
       in
       Obs.record_query ~subject ~rung:rung_s ~verdict:verdict_s ~atoms
         ~conflicts ~shrinks ~latency_s ();
-      Obs.observe h_latency latency_s;
       if Obs.tracing_on () then
         Obs.end_span
           ~attrs:

@@ -108,5 +108,8 @@ val check_degrading :
     {!Theory.max_ne_splits}, each an explicit over-approximation of
     satisfiability).  The counters are atomic sums, so a run's totals are
     the same at every [--jobs].  Like every registry counter they count
-    only while metrics are on; a client measures a run by the difference
-    of two {!Pinpoint_obs.Obs.snapshot}s (DESIGN.md §4.11). *)
+    at every obs level; a client measures a run by the difference of two
+    {!Pinpoint_obs.Obs.snapshot}s (DESIGN.md §4.11).  The
+    [smt.query.latency_s] histogram observes every ladder query; the
+    per-query profiler rows ({!Pinpoint_obs.Obs.record_query}) are
+    recorded only while metrics are on. *)

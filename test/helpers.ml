@@ -28,18 +28,27 @@ let taint_trans = Pinpoint.Checkers.data_transmission
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-(* Run [f] with metrics on and return its result together with the
-   registry's change over the call: the solver and the engine count their
-   work only in the registry, and only while metrics are on. *)
+(* Run [f] and return its result together with the registry's change
+   over the call: the solver, the engine and the points-to filter count
+   their work only in the registry, at every obs level.  Read a count
+   with [Obs.Snapshot.counter]. *)
 let with_counters f =
   let module Obs = Pinpoint_obs.Obs in
-  let level = Obs.level () and before = Obs.snapshot () in
-  Obs.set_level Obs.Metrics_only;
-  let r = Fun.protect ~finally:(fun () -> Obs.set_level level) f in
+  let before = Obs.snapshot () in
+  let r = f () in
   (r, Obs.Snapshot.diff (Obs.snapshot ()) before)
 
-(* A counter's value in a snapshot; 0 when absent. *)
-let counter snap name =
-  match List.assoc_opt name snap with
-  | Some (Pinpoint_obs.Obs.Snapshot.Counter n) -> n
-  | _ -> 0
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun name -> remove_tree (Filename.concat path name))
+      (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Run [f] on a fresh directory under the temp dir, named [prefix] plus a
+   unique suffix, and remove its tree afterwards, also when [f] raises. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)

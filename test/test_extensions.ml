@@ -90,8 +90,8 @@ void rare(int *p, int x) {
 
 let test_ablation_quasi_flag () =
   Pinpoint_pta.Pta.quasi_pruning := false;
-  Pinpoint_pta.Pta.reset_stats ();
-  let _ =
+  let _, delta =
+    Helpers.with_counters @@ fun () ->
     Helpers.prepare
       {|
 void f(int x) {
@@ -108,9 +108,9 @@ void f(int x) {
 }
 |}
   in
-  let _, pruned_off = Pinpoint_pta.Pta.stats_sat_conditions () in
   Pinpoint_pta.Pta.quasi_pruning := true;
-  Alcotest.(check int) "nothing pruned when disabled" 0 pruned_off
+  Alcotest.(check int) "nothing pruned when disabled" 0
+    (Pinpoint_obs.Obs.Snapshot.counter delta "pta.n_pruned")
 
 let test_ablation_vf_flag () =
   (* without VF pruning the search still finds the bug, just with more

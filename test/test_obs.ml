@@ -195,13 +195,15 @@ let test_registry_counters () =
     Alcotest.(check (float 0.0)) "gauge" 2.5 v
   | _ -> Alcotest.fail "metrics missing from snapshot"
 
-let test_counters_off_by_default () =
+(* The registry counts at every level; spans are recorded only when
+   tracing. *)
+let test_counters_count_when_off () =
   Obs.reset ();
   Obs.set_level Obs.Off;
   let c = Obs.counter "test.off" in
   Obs.add c 5;
   (match List.assoc_opt "test.off" (Obs.snapshot ()) with
-  | Some (Obs.Snapshot.Counter n) -> Alcotest.(check int) "no-op when off" 0 n
+  | Some (Obs.Snapshot.Counter n) -> Alcotest.(check int) "counts when off" 5 n
   | _ -> Alcotest.fail "counter not registered");
   Alcotest.(check int) "no spans when off" 0
     (List.length (Obs.span "x" (fun () -> Obs.spans ())));
@@ -212,13 +214,8 @@ let test_counters_off_by_default () =
    feeds the metric a later snapshot reads. *)
 let test_reset_keeps_handles () =
   with_level Obs.Metrics_only @@ fun () ->
+  Helpers.with_temp_dir "pinpoint_obs_reset_" @@ fun dir ->
   let module Store = Pinpoint_store.Store in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pinpoint_obs_reset_%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let store = Store.create ~dir ~max_resident:2 () in
   let chain =
     {|
@@ -234,7 +231,7 @@ void c3(int s) { int *q = malloc(); *q = s; c2(q); print(*q); }
   Store.close store;
   Alcotest.(check bool) "the store spilled" true (spills > 0);
   Alcotest.(check int) "store.spills = Store.stats spills" spills
-    (Helpers.counter (Obs.snapshot ()) "store.spills")
+    (Obs.Snapshot.counter (Obs.snapshot ()) "store.spills")
 
 (* Snapshot.diff: the window algebra.  merge (diff b a) (diff c b) must
    equal diff c a on monotone snapshot chains — that identity is what
@@ -715,8 +712,8 @@ let suite =
     Alcotest.test_case "rolling window" `Quick test_rolling_window;
     Alcotest.test_case "registry counters and gauges" `Quick
       test_registry_counters;
-    Alcotest.test_case "hooks are no-ops when off" `Quick
-      test_counters_off_by_default;
+    Alcotest.test_case "counters count when off, spans do not" `Quick
+      test_counters_count_when_off;
     Alcotest.test_case "reset keeps load-time handles" `Quick
       test_reset_keeps_handles;
     Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;

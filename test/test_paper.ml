@@ -96,7 +96,8 @@ let test_table1 () =
     Alcotest.failf "SVF: %d FP of %d reports, under 90%%" svf_fp svf_reports
 
 (* The 2 MLoC-class subject, prepared once for Table 2, the solver split
-   and the ablation.  [solver.n_queries] counts full-solver queries. *)
+   and the ablation, with a lookup of each counter's change over the
+   preparation. *)
 let mysql =
   lazy
     (let s = subject "mysql" in
@@ -104,7 +105,7 @@ let mysql =
        Helpers.with_counters (fun () ->
            Pinpoint.Analysis.prepare (Gen.compile s))
      in
-     (s, a, Helpers.counter delta "solver.n_queries"))
+     (s, a, Pinpoint_obs.Obs.Snapshot.counter delta))
 
 let score ?config (s : Gen.subject) a (spec : Pinpoint.Checker_spec.t) =
   let reports, _ = Pinpoint.Analysis.check ?config a spec in
@@ -181,11 +182,15 @@ let test_table3 () =
           key r.source_loc r.sink_loc)
         (Pinpoint_baselines.Csa_like.check_uaf prog))
 
-(* §3.1.1: only the linear-time solver runs before bug detection. *)
+(* §3.1.1: only the linear-time solver runs before bug detection, and it
+   prunes points-to conditions there.  [solver.n_queries] counts
+   full-solver queries. *)
 let test_solver_split () =
-  let _, _, prepare_queries = Lazy.force mysql in
+  let _, _, prepared = Lazy.force mysql in
   Alcotest.(check int) "full-solver queries while preparing mysql" 0
-    prepare_queries
+    (prepared "solver.n_queries");
+  Alcotest.(check bool) "conditions pruned while preparing mysql" true
+    (prepared "pta.n_pruned" > 0)
 
 (* The ablation's feasibility cliff: without the SMT stage, the
    branch-correlated traps all come back as false positives. *)

@@ -82,7 +82,7 @@ let test_nested_submit () =
       Pool.publish_obs p;
       Pool.publish_obs p);
   Alcotest.(check int) "par.tasks published once" (k + 1)
-    (Helpers.counter (Obs.snapshot ()) "par.tasks")
+    (Obs.Snapshot.counter (Obs.snapshot ()) "par.tasks")
 
 (* --- chunk planning --- *)
 
@@ -299,7 +299,10 @@ let test_registry_counters_jobs () =
     let a = Pinpoint.Analysis.prepare_source ?pool ~file:"<det>" src in
     let module Obs = Pinpoint_obs.Obs in
     Obs.reset ();
+    (* the counters count at every level; the profiler rows need metrics *)
+    Obs.set_level Obs.Metrics_only;
     let (), delta =
+      Fun.protect ~finally:(fun () -> Obs.set_level Obs.Off) @@ fun () ->
       Helpers.with_counters (fun () ->
           List.iter
             (fun spec -> ignore (Pinpoint.Analysis.check a spec))
@@ -317,14 +320,14 @@ let test_registry_counters_jobs () =
     let row_conflicts =
       List.fold_left (fun acc (q : Obs.query) -> acc + q.Obs.q_conflicts) 0 rows
     in
-    (layer, row_conflicts, Helpers.counter delta "solver.n_conflicts")
+    (layer, row_conflicts, Obs.Snapshot.counter delta "solver.n_conflicts")
   in
   let seq, seq_rows, seq_conflicts = counted None in
   let par, par_rows, par_conflicts =
     Pool.with_pool ~jobs:4 (fun p -> counted (Some p))
   in
   Alcotest.(check bool) "queries counted" true
-    (Helpers.counter seq "solver.n_queries" > 0);
+    (Pinpoint_obs.Obs.Snapshot.counter seq "solver.n_queries" > 0);
   Alcotest.(check bool) "solver.* and engine.*: jobs 1 = jobs 4" true (seq = par);
   Alcotest.(check int) "jobs 1: rows' conflicts = solver.n_conflicts"
     seq_conflicts seq_rows;

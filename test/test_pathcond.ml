@@ -394,8 +394,8 @@ let test_lazy_equals_eager () =
   let a = trap_subject () in
   let n_corpus = !n_conds in
   let (), delta = Helpers.with_counters (fun () -> iter_reports a (check_same "traps")) in
-  let hops = Helpers.counter delta "engine.n_cond_hops"
-  and steps = Helpers.counter delta "engine.n_steps" in
+  let hops = Pinpoint_obs.Obs.Snapshot.counter delta "engine.n_cond_hops"
+  and steps = Pinpoint_obs.Obs.Snapshot.counter delta "engine.n_steps" in
   Alcotest.(check bool) "corpus conditions compared" true (n_corpus > 0);
   Alcotest.(check bool) "subject conditions compared" true (!n_conds - n_corpus > 100);
   if not (hops > 0 && hops < steps) then

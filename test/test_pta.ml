@@ -200,7 +200,6 @@ void f(int x) {
 |}
   in
   let f = Helpers.func prog "f" in
-  Pta.reset_stats ();
   let pta = Pta.run f in
   let m2 =
     (* the merged m2 phi variable: find a phi defined in the final merge *)
@@ -394,32 +393,33 @@ let wavefront_vs_oracle =
    first's. *)
 let test_row_memo_identity () =
   let dir = Test_corpus.corpus_dir () in
+  (* the pass's results, its kept/pruned counts and its memo hits *)
   let fingerprint prog =
-    Pta.reset_stats ();
-    let per_fn =
-      List.map
-        (fun (f : Func.t) ->
-          let t = Pta.run f in
-          ( f.Func.fname,
-            List.length t.Pta.incomings,
-            t.Pta.refs,
-            t.Pta.mods,
-            List.length t.Pta.freed_cells ))
-        (Prog.functions prog)
+    let per_fn, delta =
+      Helpers.with_counters (fun () ->
+          List.map
+            (fun (f : Func.t) ->
+              let t = Pta.run f in
+              ( f.Func.fname,
+                List.length t.Pta.incomings,
+                t.Pta.refs,
+                t.Pta.mods,
+                List.length t.Pta.freed_cells ))
+            (Prog.functions prog))
     in
-    (per_fn, Pta.stats_sat_conditions ())
+    let n = Pinpoint_obs.Obs.Snapshot.counter delta in
+    ((per_fn, n "pta.n_kept", n "pta.n_pruned"), n "pta.n_row_hits")
   in
   List.iter
     (fun file ->
       let prog = Helpers.compile (read_file (Filename.concat dir file)) in
-      let first = fingerprint prog in
-      let _, (kept, pruned) = first in
+      let first, _ = fingerprint prog in
+      let _, kept, pruned = first in
       Alcotest.(check bool)
         (file ^ ": conditions were classified")
         true
         (kept + pruned > 0);
-      let second = fingerprint prog in
-      let hits, _ = Pta.stats_rows () in
+      let second, hits = fingerprint prog in
       Alcotest.(check bool) (file ^ ": second pass hits the memo") true (hits > 0);
       Alcotest.(check bool)
         (file ^ ": both passes identical (incl. kept/pruned stats)")

@@ -144,7 +144,7 @@ let test_conflict_budget_ladder () =
   Alcotest.check rung "still the full rung" Solver.Rung_full r;
   Alcotest.(check bool) "no model" true (m = []);
   Alcotest.(check int) "not counted as degraded" 0
-    (Helpers.counter delta "solver.n_degraded");
+    (Pinpoint_obs.Obs.Snapshot.counter delta "solver.n_degraded");
   (* with the default budget the same pigeonhole is refuted outright *)
   let v2, _, r2 = Solver.check_degrading (php_formula ()) in
   Alcotest.check verdict "unsat" Solver.Unsat v2;
@@ -162,7 +162,7 @@ let test_deadline_linear_rung () =
   Alcotest.check verdict "linear refutation" Solver.Unsat v;
   Alcotest.check rung "linear rung" Solver.Rung_linear r;
   Alcotest.(check int) "two deadline aborts" 2
-    (Helpers.counter delta "solver.n_deadline_abort");
+    (Pinpoint_obs.Obs.Snapshot.counter delta "solver.n_deadline_abort");
   Alcotest.(check int) "two incidents" 2 (R.count log)
 
 let test_deadline_gave_up () =
@@ -260,14 +260,11 @@ let test_engine_per_run_stats () =
   let (_, stats), delta =
     Helpers.with_counters (fun () -> Pinpoint.Analysis.check a Helpers.uaf)
   in
-  Alcotest.(check int) "one solver query per solver call"
-    stats.Pinpoint.Engine.n_solver_calls
-    (Helpers.counter delta "solver.n_queries");
-  Alcotest.(check int) "every query decided at some rung"
-    stats.Pinpoint.Engine.n_solver_calls
-    (stats.Pinpoint.Engine.n_rung_full + stats.Pinpoint.Engine.n_rung_halved
-   + stats.Pinpoint.Engine.n_rung_linear
-    + stats.Pinpoint.Engine.n_rung_gave_up)
+  let n name = Pinpoint_obs.Obs.Snapshot.counter stats ("engine.n_" ^ name) in
+  Alcotest.(check int) "one solver query per solver call" (n "solver_calls")
+    (Pinpoint_obs.Obs.Snapshot.counter delta "solver.n_queries");
+  Alcotest.(check int) "every query decided at some rung" (n "solver_calls")
+    (n "rung_full" + n "rung_halved" + n "rung_linear" + n "rung_gave_up")
 
 (* --- SEG fault isolation --- *)
 

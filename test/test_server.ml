@@ -414,9 +414,10 @@ let run_memo_footprint ?pool ?store () =
   List.iter
     (fun (spec : Pinpoint.Checker_spec.t) ->
       let _, stats = Incr.check st spec in
+      let n = Pinpoint_obs.Obs.Snapshot.counter stats in
       Alcotest.(check int)
         (spec.Pinpoint.Checker_spec.name ^ ": re-check reuses every source")
-        stats.Pinpoint.Engine.n_sources stats.Pinpoint.Engine.n_reused_sources)
+        (n "engine.n_sources") (n "engine.n_reused_sources"))
     checkers_under_test;
   let edit step src =
     let stats = Incr.update st [ ("memo.mc", src) ] in
@@ -433,12 +434,7 @@ let test_memo_footprint_jobs4 () =
   Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_memo_footprint ~pool ())
 
 let with_store f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pinpoint_memo_%d_%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir dir 0o755;
+  Helpers.with_temp_dir "pinpoint_memo_" @@ fun dir ->
   let store = Store.create ~dir ~max_resident:2 () in
   Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
 
@@ -1022,11 +1018,7 @@ let test_request_isolation () =
 (* (d) warm restart: a fresh server recovering from the epoch snapshot +
    journal answers exactly like the one that wrote them. *)
 let test_warm_restart () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pinpoint_srv_%d_%d" (Unix.getpid ()) (Random.bits ()))
-  in
+  Helpers.with_temp_dir "pinpoint_srv_" @@ fun dir ->
   let config =
     {
       Server.default_config with
@@ -1611,6 +1603,84 @@ let test_serve_channels () =
       Alcotest.(check (list (option int))) "both answered" [ Some 1; None ]
         (ids responses))
 
+(* A client that hangs up ends its connection, not the server: the
+   failed write of its answer ends the loop with [`Eof], and the lines
+   after that request stay unread. *)
+let test_serve_hung_up_client () =
+  with_obs Obs.Off @@ fun () ->
+  let t = Server.create ~config:{ Server.default_config with Server.flight = false } () in
+  let ir, iw = Unix.pipe () and r, w = Unix.pipe () in
+  Unix.close r;
+  let ic = Unix.in_channel_of_descr ir and oc = Unix.out_channel_of_descr w in
+  let requests = Unix.out_channel_of_descr iw in
+  output_string requests (op_req "status" ^ "\n" ^ op_req "status" ^ "\n");
+  close_out requests;
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      close_in ic;
+      Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () ->
+      Alcotest.(check bool) "connection ended" true
+        (Server.serve_channels t ic oc = `Eof);
+      Alcotest.(check string) "next request unread" (op_req "status" ^ "\n")
+        (In_channel.input_all ic))
+
+(* The registry counts at every obs level.  At Off, a check's returned
+   counts are the registry's change in [engine.*]; a served session's
+   status counts read the same at Off as at Metrics_only. *)
+let test_counts_every_level () =
+  let src = subject ~seed:79 ~loc:150 () in
+  (with_obs Obs.Off @@ fun () ->
+   let a = Pinpoint.Analysis.prepare_source src in
+   let (_, stats), delta =
+     Helpers.with_counters (fun () ->
+         Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free)
+   in
+   let counts snap =
+     List.filter_map
+       (fun (name, v) ->
+         match v with
+         | Obs.Snapshot.Counter n when String.starts_with ~prefix:"engine." name
+           ->
+           Some (name, n)
+         | _ -> None)
+       snap
+   in
+   Alcotest.(check bool) "sources counted at Off" true
+     (Obs.Snapshot.counter stats "engine.n_sources" > 0);
+   Alcotest.(check (list (pair string int)))
+     "returned counts = registry's engine.* change" (counts delta)
+     (counts stats));
+  let status level =
+    with_obs level @@ fun () ->
+    let t =
+      Server.create ~config:{ Server.default_config with Server.flight = false } ()
+    in
+    Server.load_files t (contents_of (split_subject 1 src));
+    List.iter
+      (fun line -> ignore (Server.handle_line t line))
+      [
+        req_of_files ~checkers:[ "use-after-free"; "double-free" ] [];
+        op_req "metrics";
+        "[1,2,3]";
+        op_req "bogus";
+        req_of_files ~checkers:[ "use-after-free" ] [];
+      ];
+    let j = parse_response (fst (Server.handle_line t (op_req "status"))) in
+    List.map
+      (fun key -> (key, Option.map Json.to_string (Json.member key j)))
+      [ "ops"; "rungs"; "checks"; "errors"; "shed_rss" ]
+  in
+  let off = status Obs.Off in
+  Alcotest.(check (option string)) "checks at Off" (Some "3")
+    (List.assoc "checks" off);
+  Alcotest.(check (option string)) "errors at Off" (Some "2")
+    (List.assoc "errors" off);
+  Alcotest.(check (list (pair string (option string))))
+    "status counts: Off = Metrics_only" off (status Obs.Metrics_only)
+
 (* The standing invariant: a serve session produces byte-identical
    responses (modulo the wall-clock latency stamp) at every obs level,
    flight recorder on or off. *)
@@ -1701,6 +1771,10 @@ let suite =
     Alcotest.test_case "flight dump on crash" `Quick test_flight_crash_dump;
     Alcotest.test_case "flight dump on rss shed" `Quick test_flight_shed_dump;
     Alcotest.test_case "transport answers in order" `Quick test_serve_channels;
+    Alcotest.test_case "transport survives a hung-up client" `Quick
+      test_serve_hung_up_client;
+    Alcotest.test_case "counts at every obs level" `Quick
+      test_counts_every_level;
     Alcotest.test_case "serve report identity across obs levels" `Quick
       test_serve_report_identity;
     Alcotest.test_case "fault-injected soak (200 req)" `Slow

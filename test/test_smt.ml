@@ -665,7 +665,7 @@ let test_solver_ne_dropped_stat () =
   let v, delta = Helpers.with_counters (fun () -> Solver.check e) in
   Alcotest.(check bool) "sat by over-approximation" true (v = Solver.Sat);
   Alcotest.(check bool) "solver.n_ne_dropped counted" true
-    (Helpers.counter delta "solver.n_ne_dropped" >= Theory.max_ne_splits + 2)
+    (Pinpoint_obs.Obs.Snapshot.counter delta "solver.n_ne_dropped" >= Theory.max_ne_splits + 2)
 
 (* --- solver: CDCL effort counters flow into the registry --- *)
 
@@ -678,9 +678,9 @@ let test_solver_effort_counters () =
   in
   let v, delta = Helpers.with_counters (fun () -> Solver.check e) in
   Alcotest.(check bool) "query decided" true (v <> Solver.Unsat);
-  Alcotest.(check int) "one query" 1 (Helpers.counter delta "solver.n_queries");
+  Alcotest.(check int) "one query" 1 (Pinpoint_obs.Obs.Snapshot.counter delta "solver.n_queries");
   Alcotest.(check bool) "propagations recorded" true
-    (Helpers.counter delta "solver.n_propagations" > 0)
+    (Pinpoint_obs.Obs.Snapshot.counter delta "solver.n_propagations" > 0)
 
 let suite =
   [

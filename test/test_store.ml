@@ -14,17 +14,7 @@ module E = Pinpoint_smt.Expr
 module Gen = Pinpoint_workload.Gen
 module Incr = Pinpoint_server.Incr
 
-let tmp_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "pinpoint_store_test_%d_%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
+let with_tmp_dir f = Helpers.with_temp_dir "pinpoint_store_test_" f
 
 let read_file path =
   let ic = open_in_bin path in
@@ -133,7 +123,8 @@ let test_artifact_roundtrip () =
   List.iter
     (fun path ->
       let a = Pinpoint.Analysis.prepare_source ~file:path (read_file path) in
-      let st = Store.create ~dir:(tmp_dir ()) ~max_resident:4 () in
+      with_tmp_dir @@ fun dir ->
+      let st = Store.create ~dir ~max_resident:4 () in
       Store.register_program st a.Pinpoint.Analysis.prog;
       let segs =
         List.filter_map
@@ -188,7 +179,8 @@ let test_vf_roundtrip () =
   let _, vf =
     Hashtbl.find a.Pinpoint.Analysis.vfs spec.Pinpoint.Checker_spec.name
   in
-  let st = Store.create ~dir:(tmp_dir ()) () in
+  with_tmp_dir @@ fun dir ->
+  let st = Store.create ~dir () in
   Store.register_program st a.Pinpoint.Analysis.prog;
   Store.put_vf st "c" vf;
   Store.drop_resident st;
@@ -207,7 +199,7 @@ let test_vf_roundtrip () =
 (* ---------- blob seal / reopen / torn-write recovery ---------- *)
 
 let test_blob_reopen () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let st = Store.create ~dir () in
   Store.put_vf st "t" (Vf.empty ());
   Store.seal st;
@@ -235,7 +227,7 @@ let test_blob_reopen () =
     Alcotest.(check int) "fell back to epoch 1" 1 r.Store.epoch;
     r.Store.finish ());
   (* Nothing valid at all -> None. *)
-  let empty = tmp_dir () in
+  with_tmp_dir @@ fun empty ->
   Alcotest.(check bool) "no epochs" true (Store.reopen ~dir:empty = None)
 
 (* ---------- report identity under eviction ---------- *)
@@ -274,7 +266,7 @@ let test_eviction_identity jobs () =
     (baseline = reports_of (Pinpoint.Analysis.prepare_source ?pool src));
   List.iter
     (fun max_resident ->
-      let dir = tmp_dir () in
+      with_tmp_dir @@ fun dir ->
       let st = Store.create ~dir ~max_resident () in
       let a = Pinpoint.Analysis.prepare_source ?pool ~store:st src in
       Pinpoint.Analysis.seal_store a Pinpoint.Checkers.all;
@@ -312,7 +304,8 @@ let test_eviction_identity jobs () =
 let test_dedup_determinism () =
   let src = gen_source ~seed:22 ~loc:400 in
   let run () =
-    let st = Store.create ~dir:(tmp_dir ()) () in
+    with_tmp_dir @@ fun dir ->
+    let st = Store.create ~dir () in
     let a = Pinpoint.Analysis.prepare_source ~store:st src in
     ignore (Pinpoint.Analysis.seg_size a);
     let s = Store.stats st in
@@ -329,7 +322,8 @@ let test_dedup_determinism () =
 let test_seg_size_store_mode () =
   let src = gen_source ~seed:23 ~loc:300 in
   let off = Pinpoint.Analysis.seg_size (Pinpoint.Analysis.prepare_source src) in
-  let st = Store.create ~dir:(tmp_dir ()) () in
+  with_tmp_dir @@ fun dir ->
+  let st = Store.create ~dir () in
   let a = Pinpoint.Analysis.prepare_source ~store:st src in
   Alcotest.(check (pair int int)) "seg_size identical" off
     (Pinpoint.Analysis.seg_size a);
@@ -357,7 +351,8 @@ let test_sweep_faults () =
   Alcotest.(check bool)
     "subject has no data-transmission source" false
     (Test_resilience.contains src "getpass");
-  let st = Store.create ~dir:(tmp_dir ()) ~max_resident:1 () in
+  with_tmp_dir @@ fun dir ->
+  let st = Store.create ~dir ~max_resident:1 () in
   let a = Pinpoint.Analysis.prepare_source ~store:st src in
   Alcotest.(check int) "preparation decodes no SEG" 0
     (Store.stats st).Store.seg_faults;
@@ -367,7 +362,8 @@ let test_sweep_faults () =
   Alcotest.(check int) "sealing faults nothing" 0 (faults () - f0);
   let f1 = faults () in
   let _, stats = Pinpoint.Analysis.check a Pinpoint.Checkers.data_transmission in
-  Alcotest.(check int) "no sources" 0 stats.Pinpoint.Engine.n_sources;
+  Alcotest.(check int) "no sources" 0
+    (Pinpoint_obs.Obs.Snapshot.counter stats "engine.n_sources");
   Alcotest.(check int) "no-source check faults nothing" 0 (faults () - f1);
   Store.close st
 
@@ -401,7 +397,8 @@ let test_server_store_incremental () =
     (r0, r1, stats.Incr.full_rebuild)
   in
   let r0_off, r1_off, _ = run None in
-  let store = Store.create ~dir:(tmp_dir ()) ~max_resident:4 () in
+  with_tmp_dir @@ fun dir ->
+  let store = Store.create ~dir ~max_resident:4 () in
   let r0_on, r1_on, _ = run (Some store) in
   Alcotest.(check bool) "initial reports identical" true (r0_off = r0_on);
   Alcotest.(check bool) "post-update reports identical" true (r1_off = r1_on);
