@@ -53,7 +53,7 @@ let confirm_arg =
         ~doc:"Fuzz the program with the concrete interpreter and mark reports \
               whose sink was observed at run time")
 
-(* Resilience / fault-injection flags (shared by check and leaks). *)
+(* Resilience flags (shared by check and serve). *)
 
 let deadline_arg =
   Arg.(
@@ -81,28 +81,6 @@ let solver_conflicts_arg =
            halved retry gets half).  Exhaustion yields an Unknown verdict \
            (report kept), not a ladder step-down.")
 
-let inject_seed_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "inject-seed" ] ~docv:"N"
-        ~doc:"Fault-injection PRNG seed (same seed, same faults).")
-
-let inject_rate_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "inject-rate" ] ~docv:"R"
-        ~doc:
-          "Probability that a solver query is sabotaged (crash, hang until \
-           deadline, or forced unknown — drawn uniformly).")
-
-let inject_seg_rate_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "inject-seg-rate" ] ~docv:"R"
-        ~doc:
-          "Probability that a function's SEG is sabotaged, split evenly over \
-           drop / truncate / crash-during-build.")
-
 let no_refine_arg =
   Arg.(
     value & flag
@@ -119,8 +97,8 @@ let jobs_arg =
         ~doc:
           "Run the analysis on $(docv) domains (default 1 = sequential, \
            capped at the host's core count — extra domains beyond that \
-           only add GC-barrier overhead).  Reports, stats and injected \
-           faults are identical at every level.")
+           only add GC-barrier overhead).  Reports and stats are \
+           identical at every level.")
 
 (* Artifact-store flags (DESIGN.md §4.14), shared by check and serve. *)
 
@@ -282,19 +260,6 @@ let with_jobs jobs f =
   if jobs <= 1 then f None
   else Pinpoint_par.Pool.with_pool ~jobs (fun p -> f (Some p))
 
-let install_injection ~seed ~rate ~seg_rate =
-  if rate > 0.0 || seg_rate > 0.0 then
-    Pinpoint_util.Resilience.Inject.(
-      install
-        {
-          default with
-          seed;
-          solver_fault_rate = rate;
-          seg_drop_rate = seg_rate /. 3.0;
-          seg_truncate_rate = seg_rate /. 3.0;
-          seg_crash_rate = seg_rate /. 3.0;
-        })
-
 let print_incidents ~verbose (a : Pinpoint.Analysis.t) =
   let res = a.Pinpoint.Analysis.resilience in
   if Pinpoint_util.Resilience.count res > 0 then begin
@@ -320,9 +285,7 @@ let bad_input_exit =
 
 let check_cmd =
   let run files checkers verbose confirm deadline_s budget_s solver_conflicts
-      seed rate seg_rate no_refine jobs store_dir
-      max_resident rss_cap_mb trace metrics_json obs =
-    install_injection ~seed ~rate ~seg_rate;
+      no_refine jobs store_dir max_resident rss_cap_mb trace metrics_json obs =
     init_obs ~trace ~metrics_json ~obs;
     with_jobs jobs @@ fun pool ->
     with_store ~store_dir ~max_resident @@ fun store ->
@@ -393,8 +356,7 @@ let check_cmd =
     Term.(
       const run $ files_arg $ checkers_arg $ verbose_arg $ confirm_arg
       $ deadline_arg $ solver_budget_arg $ solver_conflicts_arg
-      $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ no_refine_arg $ jobs_arg $ store_dir_arg $ max_resident_arg
+      $ no_refine_arg $ jobs_arg $ store_dir_arg $ max_resident_arg
       $ rss_cap_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in
   Cmd.v
@@ -490,8 +452,7 @@ let baseline_cmd =
     term
 
 let leaks_cmd =
-  let run file seed rate seg_rate jobs =
-    install_injection ~seed ~rate ~seg_rate;
+  let run file jobs =
     with_jobs jobs @@ fun pool ->
     let a =
       or_bad_input [ file ] (fun () -> Pinpoint.Analysis.prepare_file ?pool file)
@@ -506,11 +467,7 @@ let leaks_cmd =
     print_incidents ~verbose:false a;
     if reports <> [] then exit 2
   in
-  let term =
-    Term.(
-      const run $ file_arg $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ jobs_arg)
-  in
+  let term = Term.(const run $ file_arg $ jobs_arg) in
   Cmd.v
     (Cmd.info "leaks" ~doc:"Run the memory-leak checker"
        ~exits:
@@ -647,7 +604,7 @@ let flight_file_arg =
     & info [ "flight-file" ] ~docv:"PATH"
         ~doc:
           "Flight-recorder dump target for crashes, RSS sheds and the \
-           $(b,dump) op's default.")
+           $(b,dump) op, which writes no other file.")
 
 let no_flight_arg =
   Arg.(
@@ -659,10 +616,9 @@ let no_flight_arg =
 
 let serve_cmd =
   let run files socket max_rss_mb snapshot_dir snapshot_every
-      incident_cap deadline_s budget_s solver_conflicts seed rate
-      seg_rate jobs store_dir max_resident prom_file prom_every
-      flight_file no_flight trace metrics_json obs =
-    install_injection ~seed ~rate ~seg_rate;
+      incident_cap deadline_s budget_s solver_conflicts jobs store_dir
+      max_resident prom_file prom_every flight_file no_flight trace
+      metrics_json obs =
     init_obs ~trace ~metrics_json ~obs;
     (* a client that hangs up makes a write fail instead of killing the
        server; [Server.serve_channels] then ends that connection *)
@@ -719,8 +675,7 @@ let serve_cmd =
     Term.(
       const run $ serve_files_arg $ socket_arg $ max_rss_arg
       $ snapshot_dir_arg $ snapshot_every_arg $ incident_cap_arg $ deadline_arg $ solver_budget_arg
-      $ solver_conflicts_arg $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ jobs_arg $ store_dir_arg
+      $ solver_conflicts_arg $ jobs_arg $ store_dir_arg
       $ max_resident_arg $ prom_file_arg $ prom_every_arg $ flight_file_arg
       $ no_flight_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in

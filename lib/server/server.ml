@@ -45,8 +45,7 @@ type config = {
           timer (at most every [prom_every_s]) *)
   prom_every_s : float;
   flight_file : string;
-      (** where crash / RSS-shed flight dumps land (and the default for
-          the [dump] op) *)
+      (** where crash, RSS-shed and [dump]-op flight dumps land *)
   flight : bool;  (** enable the flight recorder at [create] *)
 }
 
@@ -478,27 +477,29 @@ let field req key conv ~expected ~default =
 
 (* ---------- the dump view (flight recorder / per-request traces) ---------- *)
 
+(* A flight dump writes only to [--flight-file]: a client names no path
+   on the server's file system. *)
 let dump_fields t req =
   let fields =
     let ( let* ) = Result.bind in
-    let string key default =
-      field req key Json.string_opt ~expected:"a string" ~default
+    let* () =
+      if Json.member "path" req = None then Ok ()
+      else Error "bad request: path is not accepted (a dump goes to --flight-file)"
     in
-    let* what = string "what" "flight" in
+    let* what = field req "what" Json.string_opt ~expected:"a string" ~default:"flight" in
     let* request_id =
       field req "request_id"
         (fun j -> Option.map Option.some (Json.string_opt j))
         ~expected:"a string" ~default:None
     in
-    let* path = string "path" t.cfg.flight_file in
     let* inline =
       field req "inline" Json.bool_opt ~expected:"a boolean" ~default:false
     in
-    Ok (what, request_id, path, inline)
+    Ok (what, request_id, inline)
   in
   match fields with
   | Error msg -> error_fields msg
-  | Ok ("trace", request_id, _, _) ->
+  | Ok ("trace", request_id, _) ->
     (* Per-request Chrome trace slice: every span recorded under the
        given request id, loadable in Perfetto as-is.  Needs --trace. *)
     [
@@ -507,7 +508,8 @@ let dump_fields t req =
       ("level", Json.String (level_name ()));
       ("trace", Json.String (Export.trace_json ?request_id ()));
     ]
-  | Ok ("flight", _, path, inline) ->
+  | Ok ("flight", _, inline) ->
+    let path = t.cfg.flight_file in
     let n_events = List.length (Flight.events ()) in
     let written = Flight.dump ~reason:"dump op" path in
     let inline =
@@ -524,7 +526,7 @@ let dump_fields t req =
       ("events", Json.Int n_events);
     ]
     @ inline
-  | Ok (what, _, _, _) -> error_fields (Printf.sprintf "unknown dump target %S" what)
+  | Ok (what, _, _) -> error_fields (Printf.sprintf "unknown dump target %S" what)
 
 (* ---------- request handling ---------- *)
 

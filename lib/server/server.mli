@@ -29,7 +29,7 @@ type config = {
   prom_every_s : float;  (** min seconds between prom-file refreshes *)
   flight_file : string;
       (** flight-recorder dump target for crashes, RSS sheds and the
-          [dump] op's default (default ["flight.json"]) *)
+          [dump] op, the only file it writes (default ["flight.json"]) *)
   flight : bool;
       (** enable the always-on flight recorder at {!create}; independent
           of the obs level (default [true]) *)
@@ -64,7 +64,9 @@ val handle_line : t -> string -> string * [ `Continue | `Stop ]
     every obs level.  Ops: [check] (default), [status] (with the
     process's per-op, check, error, RSS-shed and rung counts, read from
     the registry), [metrics] (live rolling-window + lifetime snapshot;
-    ["format":"prometheus"] for text exposition), [dump] (flight-recorder dump, or
+    ["format":"prometheus"] for text exposition), [dump] (flight-recorder
+    dump to [flight_file], also returned with ["inline":true]; a request
+    that names a ["path"] is refused and writes nothing; or
     ["what":"trace"] + ["request_id"] for a per-request Chrome trace
     slice), [shutdown].  An optional request field of the wrong type
     (a [check]'s [checkers], [deadline_s], [solver_budget_s] or

@@ -26,7 +26,6 @@ type t = {
 }
 
 let epoch_file dir ep = Filename.concat dir (Printf.sprintf "store.ep%06d.bin" ep)
-let tmp_file dir = Filename.concat dir "store.tmp"
 
 let sealed_epochs dir =
   match Sys.readdir dir with
@@ -44,12 +43,20 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* Each blob writes its own file, [store.PID.N.tmp], created exclusively:
+   two stores on one directory, in one process or two, never share it. *)
 let create ~dir =
   mkdir_p dir;
-  let next_epoch = match sealed_epochs dir with [] -> 1 | ep :: _ -> ep + 1 in
-  let path = tmp_file dir in
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  { dir; state = Writing { fd; size = 0 }; epoch = next_epoch; path }
+  let rec open_fresh n =
+    let path =
+      Filename.concat dir (Printf.sprintf "store.%d.%d.tmp" (Unix.getpid ()) n)
+    in
+    match Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
+    | fd -> (path, fd)
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> open_fresh (n + 1)
+  in
+  let path, fd = open_fresh 0 in
+  { dir; state = Writing { fd; size = 0 }; epoch = 0; path }
 
 let really_write fd b =
   let n = Bytes.length b in
@@ -107,19 +114,22 @@ let le64_of_int n =
   Bytes.set_int64_le b 0 (Int64.of_int n);
   b
 
+let map fd size =
+  Bigarray.array1_of_genarray
+    (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
+
 let mmap_readonly path size =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |]))
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> map fd size)
 
 let seal t ~index =
   match t.state with
   | Sealed _ -> ()
   | Closed -> invalid_arg "Blob.seal: blob is closed"
   | Writing w ->
+    (* the epoch after the newest sealed now: another store sharing the
+       directory may have sealed since [create] *)
+    t.epoch <- (match sealed_epochs t.dir with [] -> 1 | ep :: _ -> ep + 1);
     let index_off = append t index in
     let index_len = Bytes.length index in
     ignore (Unix.lseek w.fd 0 Unix.SEEK_END);
@@ -132,10 +142,14 @@ let seal t ~index =
     really_write w.fd (Bytes.of_string magic);
     let size = w.size + trailer_len in
     Unix.fsync w.fd;
-    Unix.close w.fd;
+    (* map the file through its own descriptor before the rename, so the
+       reads that follow see this blob's bytes whatever else lands on the
+       epoch's name *)
+    let map =
+      Fun.protect ~finally:(fun () -> Unix.close w.fd) (fun () -> map w.fd size)
+    in
     let final = epoch_file t.dir t.epoch in
-    Sys.rename (tmp_file t.dir) final;
-    let map = mmap_readonly final size in
+    Sys.rename t.path final;
     t.path <- final;
     t.state <- Sealed { map; size; index_off; index_len }
 
@@ -207,8 +221,11 @@ let open_latest ~dir =
   in
   first (sealed_epochs dir)
 
+(* An unsealed blob has no trailer and cannot be reopened: its file goes. *)
 let close t =
   (match t.state with
-  | Writing w -> ( try Unix.close w.fd with Unix.Unix_error _ -> ())
+  | Writing w -> (
+    (try Unix.close w.fd with Unix.Unix_error _ -> ());
+    try Sys.remove t.path with Sys_error _ -> ())
   | Sealed _ | Closed -> ());
   t.state <- Closed

@@ -24,5 +24,6 @@ let () =
       ("obs", Test_obs.suite);
       ("server", Test_server.suite);
       ("store", Test_store.suite);
+      ("lattice", Test_lattice.suite);
       ("paper", Test_paper.suite);
     ]

@@ -48,28 +48,13 @@ let corpus_dir () =
   | Some d -> d
   | None -> Alcotest.fail "corpus directory not found"
 
-(* CI leg: PINPOINT_TEST_JOBS=N reruns the whole corpus acceptance on an
-   N-domain pool — the EXPECT annotations double as a determinism check,
-   since they were written against sequential runs. *)
-let test_jobs () =
-  match Sys.getenv_opt "PINPOINT_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-  | None -> 1
-
-let with_test_pool f =
-  match test_jobs () with
-  | jobs when jobs > 1 ->
-    Pinpoint_par.Pool.with_pool ~jobs (fun p -> f (Some p))
-  | _ -> f None
-
 let run_file path () =
   let ic = open_in_bin path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let expectations = parse_expectations src in
   Alcotest.(check bool) "file has expectations" true (expectations <> []);
-  with_test_pool @@ fun pool ->
-  let analysis = Pinpoint.Analysis.prepare_source ?pool ~file:path src in
+  let analysis = Pinpoint.Analysis.prepare_source ~file:path src in
   let results : (string, Pinpoint.Report.t list) Hashtbl.t = Hashtbl.create 8 in
   let reports_for checker =
     match Hashtbl.find_opt results checker with

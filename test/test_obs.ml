@@ -1,7 +1,7 @@
 (* Tests for the observability layer (lib/obs): span nesting under a
    multi-domain pool, snapshot merge algebra, histogram bucketing, the
-   exporters, the SMT query profiler, and report identity with
-   observability on vs off. *)
+   exporters and the SMT query profiler.  That observability never
+   changes a report is the lattice's (test_lattice.ml). *)
 
 module Obs = Pinpoint_obs.Obs
 module Export = Pinpoint_obs.Export
@@ -27,18 +27,13 @@ void top(int s) { int *q = malloc(); *q = s; rel(q); print(*q); }
 void other(int t) { int *r = malloc(); *r = t; free(r); print(*r); }
 |}
 
-let traced_run ~jobs () =
+(* A traced use-after-free run of [uaf_src] on a 4-lane pool. *)
+let traced_run () =
   with_level Obs.Trace @@ fun () ->
   let reports =
-    if jobs > 1 then
-      Pinpoint_par.Pool.with_pool ~jobs (fun pool ->
-          let a =
-            Pinpoint.Analysis.prepare_source ~pool ~file:"<obs-test>" uaf_src
-          in
-          fst (Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free))
-    else
-      let a = Pinpoint.Analysis.prepare_source ~file:"<obs-test>" uaf_src in
-      fst (Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free)
+    Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool ->
+        let a = Pinpoint.Analysis.prepare_source ~pool ~file:"<obs-test>" uaf_src in
+        fst (Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free))
   in
   (reports, Obs.spans (), Obs.queries (), Export.trace_json ())
 
@@ -83,7 +78,7 @@ let check_domain_wellformed dom (spans : Obs.span list) =
     0 (List.length stack)
 
 let test_span_nesting_jobs4 () =
-  let reports, spans, _, _ = traced_run ~jobs:4 () in
+  let reports, spans, _, _ = traced_run () in
   Alcotest.(check bool) "found reports" true (reports <> []);
   Alcotest.(check bool) "recorded spans" true (spans <> []);
   let doms =
@@ -132,7 +127,7 @@ let test_span_tracks_disjoint () =
           spans))
 
 let test_span_names_present () =
-  let _, spans, queries, _ = traced_run ~jobs:4 () in
+  let _, spans, queries, _ = traced_run () in
   let names = List.map (fun (s : Obs.span) -> s.Obs.name) spans in
   List.iter
     (fun expected ->
@@ -464,7 +459,7 @@ let parse_json (s : string) =
   if !pos <> n then raise (Bad_json (Printf.sprintf "trailing data at %d" !pos))
 
 let test_trace_json_golden () =
-  let _, spans, _, json = traced_run ~jobs:4 () in
+  let _, spans, _, json = traced_run () in
   (match parse_json (String.trim json) with
   | () -> ()
   | exception Bad_json msg -> Alcotest.failf "trace JSON does not parse: %s" msg);
@@ -639,9 +634,25 @@ let test_flight_recorder () =
 (* --------------------------------------------------------------- *)
 (* SMT query profiler *)
 
+(* Every checker on motivating.mc: the rows' conflicts add up to the
+   registry's [solver.n_conflicts], so every query has its row. *)
 let test_query_profile () =
-  let _, _, queries, _ = traced_run ~jobs:1 () in
+  let src =
+    Test_store.read_file (Filename.concat (Test_corpus.corpus_dir ()) "motivating.mc")
+  in
+  with_level Obs.Metrics_only @@ fun () ->
+  let (), delta =
+    Helpers.with_counters (fun () ->
+        let a = Pinpoint.Analysis.prepare_source ~file:"motivating.mc" src in
+        List.iter
+          (fun spec -> ignore (Pinpoint.Analysis.check a spec))
+          Pinpoint.Checkers.all)
+  in
+  let queries = Obs.queries () in
   Alcotest.(check bool) "has queries" true (queries <> []);
+  Alcotest.(check int) "rows' conflicts = solver.n_conflicts"
+    (Obs.Snapshot.counter delta "solver.n_conflicts")
+    (List.fold_left (fun n (q : Obs.query) -> n + q.Obs.q_conflicts) 0 queries);
   List.iter
     (fun (q : Obs.query) ->
       Alcotest.(check bool) "subject is source -> sink" true
@@ -664,25 +675,6 @@ let test_query_profile () =
       Alcotest.(check bool) "top-1 is max latency" true
         (q.Obs.q_latency_s <= slowest.Obs.q_latency_s))
     queries
-
-(* --------------------------------------------------------------- *)
-(* Observability cannot change the analysis *)
-
-let test_report_identity () =
-  (* Two separate compilations of the same source print the same symbols
-     (name and vid), so the renders must match byte for byte. *)
-  let fmt_reports rs =
-    String.concat "\n" (List.map (Pinpoint_util.Pp.to_string Pinpoint.Report.pp) rs)
-  in
-  Obs.reset ();
-  Obs.set_level Obs.Off;
-  let base =
-    let a = Pinpoint.Analysis.prepare_source ~file:"<obs-test>" uaf_src in
-    fst (Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free)
-  in
-  let traced, _, _, _ = traced_run ~jobs:4 () in
-  Alcotest.(check string) "report set identical with tracing on"
-    (fmt_reports base) (fmt_reports traced)
 
 (* --------------------------------------------------------------- *)
 (* Metrics.now_mono / measure *)
@@ -723,7 +715,5 @@ let suite =
       test_prometheus_golden;
     Alcotest.test_case "flight recorder" `Quick test_flight_recorder;
     Alcotest.test_case "SMT query profile" `Quick test_query_profile;
-    Alcotest.test_case "report identity obs on/off" `Quick
-      test_report_identity;
     Alcotest.test_case "now_mono and measure" `Quick test_now_mono;
   ]

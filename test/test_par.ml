@@ -1,13 +1,14 @@
-(* The parallel runtime: worker pool, SCC-wave scheduler, and the
-   end-to-end guarantee that [--jobs N] changes wall-clock only — never
-   reports, stats or incidents (DESIGN.md §4.9). *)
+(* The parallel runtime: worker pool, chunk planning and the SCC-wave
+   scheduler (DESIGN.md §4.9).  That [--jobs N] changes wall-clock only,
+   never reports or counts, is the lattice's (test_lattice.ml); here it is
+   checked under fault injection, whose incidents must not depend on the
+   schedule either. *)
 
 module Pool = Pinpoint_par.Pool
 module Sched = Pinpoint_par.Sched
 module Chunk = Pinpoint_par.Chunk
 module Digraph = Pinpoint_util.Digraph
 module R = Pinpoint_util.Resilience
-module Gen = Pinpoint_workload.Gen
 
 (* --- pool --- *)
 
@@ -209,18 +210,21 @@ let test_sched_sequential_is_sccs () =
         "jobs=1 is exactly Digraph.sccs order" (Digraph.sccs g)
         (List.rev !seen))
 
+(* The CLI builds its pool at [effective_jobs], which never asks for
+   more domains than the host recommends and never for fewer than one;
+   tests that need two domains anywhere build their pool directly. *)
+let test_effective_jobs () =
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check (list int)) "0, 1, cores, cores + 7"
+    [ 1; 1; cores; cores ]
+    (List.map Pool.effective_jobs [ 0; 1; cores; cores + 7 ])
+
 (* --- end-to-end determinism: --jobs must not change the analysis --- *)
 
 (* Small corpus subjects; the solver budget stays infinite so the
    degradation ladder cannot be triggered by wall-clock contention — the
    remaining behaviour must be schedule-independent. *)
 let det_files = [ "motivating.mc"; "double_free.mc"; "null_deref.mc" ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  src
 
 (* (reports with their verdicts and the whole stats record per checker,
    incident kinds).  Incidents are compared as a sorted multiset of
@@ -247,20 +251,6 @@ let analysis_fingerprint pool src =
   in
   (per_checker, incident_kinds)
 
-let check_jobs_determinism ~jobs () =
-  let dir = Test_corpus.corpus_dir () in
-  List.iter
-    (fun f ->
-      let src = read_file (Filename.concat dir f) in
-      let seq = analysis_fingerprint None src in
-      let par =
-        Pool.with_pool ~jobs (fun p -> analysis_fingerprint (Some p) src)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs 1 = jobs %d" f jobs)
-        true (seq = par))
-    det_files
-
 let with_injection cfg f =
   R.Inject.install cfg;
   Fun.protect ~finally:R.Inject.clear f
@@ -269,7 +259,7 @@ let check_jobs_determinism_injected ~jobs () =
   let dir = Test_corpus.corpus_dir () in
   List.iter
     (fun f ->
-      let src = read_file (Filename.concat dir f) in
+      let src = Test_store.read_file (Filename.concat dir f) in
       let cfg =
         {
           R.Inject.default with
@@ -289,103 +279,6 @@ let check_jobs_determinism_injected ~jobs () =
         true (seq = par))
     det_files
 
-(* The solver and the engine count their work in registry counters,
-   which are atomic sums: a check's [solver.*] and [engine.*] deltas are
-   the same at every [--jobs], and the profiler rows' conflicts add up to
-   [solver.n_conflicts]. *)
-let test_registry_counters_jobs () =
-  let src = read_file (Filename.concat (Test_corpus.corpus_dir ()) "motivating.mc") in
-  let counted pool =
-    let a = Pinpoint.Analysis.prepare_source ?pool ~file:"<det>" src in
-    let module Obs = Pinpoint_obs.Obs in
-    Obs.reset ();
-    (* the counters count at every level; the profiler rows need metrics *)
-    Obs.set_level Obs.Metrics_only;
-    let (), delta =
-      Fun.protect ~finally:(fun () -> Obs.set_level Obs.Off) @@ fun () ->
-      Helpers.with_counters (fun () ->
-          List.iter
-            (fun spec -> ignore (Pinpoint.Analysis.check a spec))
-            Pinpoint.Checkers.all)
-    in
-    let rows = Obs.queries () in
-    Obs.reset ();
-    let layer =
-      List.filter
-        (fun (name, _) ->
-          String.starts_with ~prefix:"solver." name
-          || String.starts_with ~prefix:"engine." name)
-        delta
-    in
-    let row_conflicts =
-      List.fold_left (fun acc (q : Obs.query) -> acc + q.Obs.q_conflicts) 0 rows
-    in
-    (layer, row_conflicts, Obs.Snapshot.counter delta "solver.n_conflicts")
-  in
-  let seq, seq_rows, seq_conflicts = counted None in
-  let par, par_rows, par_conflicts =
-    Pool.with_pool ~jobs:4 (fun p -> counted (Some p))
-  in
-  Alcotest.(check bool) "queries counted" true
-    (Pinpoint_obs.Obs.Snapshot.counter seq "solver.n_queries" > 0);
-  Alcotest.(check bool) "solver.* and engine.*: jobs 1 = jobs 4" true (seq = par);
-  Alcotest.(check int) "jobs 1: rows' conflicts = solver.n_conflicts"
-    seq_conflicts seq_rows;
-  Alcotest.(check int) "jobs 4: rows' conflicts = solver.n_conflicts"
-    par_conflicts par_rows
-
-(* --- ragged waves: a workload subject with skewed function sizes --- *)
-
-(* A multi-unit generated subject has call-graph waves mixing heavy and
-   trivial functions, so some lanes finish their chunks early and pick up
-   whatever is left on the queue.  The guarantee under test is identity:
-   the schedule must never leak into reports, stats or incidents. *)
-let ragged_subject =
-  lazy
-    (Gen.generate ~name:"ragged"
-       {
-         Gen.default_params with
-         Gen.seed = 97;
-         target_loc = 6_000;
-         n_units = 6;
-         cross_unit = true;
-       })
-
-let check_ragged_determinism ~jobs () =
-  let src = (Lazy.force ragged_subject).Gen.source in
-  let seq = analysis_fingerprint None src in
-  let par = Pool.with_pool ~jobs (fun p -> analysis_fingerprint (Some p) src) in
-  Alcotest.(check bool)
-    (Printf.sprintf "ragged subject: jobs 1 = jobs %d" jobs)
-    true (seq = par)
-
-(* The verbose render — value-flow path and trigger hint, with its
-   symbols — is schedule-independent too: clone symbols print by their
-   interning key, program symbols by name and vid. *)
-let verbose_render pool src =
-  let a = Pinpoint.Analysis.prepare_source ?pool ~file:"taint.mc" src in
-  String.concat ""
-    (List.concat_map
-       (fun spec ->
-         let reports, _ = Pinpoint.Analysis.check a spec in
-         List.map
-           (Format.asprintf "%a" Pinpoint.Report.pp)
-           (List.filter Pinpoint.Report.is_reported reports))
-       Pinpoint.Checkers.all)
-
-let test_verbose_determinism () =
-  List.iter
-    (fun (name, src) ->
-      let seq = verbose_render None src in
-      let par = Pool.with_pool ~jobs:4 (fun p -> verbose_render (Some p) src) in
-      Alcotest.(check bool) (name ^ ": trigger hints rendered") true
-        (Test_resilience.contains seq "trigger when");
-      Alcotest.(check string) (name ^ " -v: jobs 1 = jobs 4") seq par)
-    [
-      ("taint.mc", read_file (Filename.concat (Test_corpus.corpus_dir ()) "taint.mc"));
-      ("ragged", (Lazy.force ragged_subject).Gen.source);
-    ]
-
 (* --- domain-safety debug assertions (satellite: global-state audit) --- *)
 
 let test_owner_checks_clean () =
@@ -400,7 +293,7 @@ let test_owner_checks_clean () =
       Pinpoint_util.Prng.debug_owner_check := false)
     (fun () ->
       let dir = Test_corpus.corpus_dir () in
-      let src = read_file (Filename.concat dir "motivating.mc") in
+      let src = Test_store.read_file (Filename.concat dir "motivating.mc") in
       let seq = analysis_fingerprint None src in
       let par =
         Pool.with_pool ~jobs:4 (fun p -> analysis_fingerprint (Some p) src)
@@ -446,26 +339,14 @@ let suite =
       test_sched_exactly_once;
     Alcotest.test_case "sched: jobs=1 is sccs order" `Quick
       test_sched_sequential_is_sccs;
-    Alcotest.test_case "determinism: jobs 2" `Quick
-      (check_jobs_determinism ~jobs:2);
-    Alcotest.test_case "determinism: jobs 4" `Quick
-      (check_jobs_determinism ~jobs:4);
-    Alcotest.test_case "determinism: jobs 8" `Quick
-      (check_jobs_determinism ~jobs:8);
-    Alcotest.test_case "determinism: jobs 4 + injection" `Quick
-      (check_jobs_determinism_injected ~jobs:4);
-    Alcotest.test_case "determinism: jobs 8 + injection" `Quick
-      (check_jobs_determinism_injected ~jobs:8);
-    Alcotest.test_case "determinism: ragged waves jobs 4" `Quick
-      (check_ragged_determinism ~jobs:4);
-    Alcotest.test_case "determinism: ragged waves jobs 8" `Quick
-      (check_ragged_determinism ~jobs:8);
-    Alcotest.test_case "determinism: -v render jobs 4" `Quick
-      test_verbose_determinism;
-    Alcotest.test_case "determinism: registry counters jobs 4" `Quick
-      test_registry_counters_jobs;
+    Alcotest.test_case "pool: effective_jobs caps at the cores" `Quick
+      test_effective_jobs;
     Alcotest.test_case "owner checks stay silent" `Quick
       test_owner_checks_clean;
     Alcotest.test_case "metrics: clamped + pooled alloc" `Quick
       test_measure_clamped_and_pooled;
+    Alcotest.test_case "determinism: jobs 4 + injection" `Quick
+      (check_jobs_determinism_injected ~jobs:4);
+    Alcotest.test_case "determinism: jobs 8 + injection" `Quick
+      (check_jobs_determinism_injected ~jobs:8);
   ]

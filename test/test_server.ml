@@ -4,206 +4,29 @@
    incident-log cap the server relies on. *)
 
 module Ast = Pinpoint_frontend.Ast
-module Parser = Pinpoint_frontend.Parser
-module Lower = Pinpoint_frontend.Lower
-module Gen = Pinpoint_workload.Gen
 module Resilience = Pinpoint_util.Resilience
 module Json = Pinpoint_server.Json
 module Incr = Pinpoint_server.Incr
 module Server = Pinpoint_server.Server
-module Store = Pinpoint_store.Store
 module Prog = Pinpoint_ir.Prog
 module Callgraph = Pinpoint_ir.Callgraph
 
-(* ---------- subject plumbing ---------- *)
-
-let subject ?(seed = 11) ?(loc = 400) () =
-  (Gen.generate ~name:"srv"
-     { Gen.default_params with Gen.seed; target_loc = loc })
-    .Gen.source
-
-(* Emit a run of fdecls as MC source, with unit headers where the unit
-   changes (mirrors Ast.pp_program, which round-trips by construction). *)
-let emit_fdecls (fds : Ast.fdecl list) =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  let current = ref "" in
-  List.iter
-    (fun (fd : Ast.fdecl) ->
-      if fd.Ast.unit_name <> !current then begin
-        Format.fprintf ppf "unit %S;@.@." fd.Ast.unit_name;
-        current := fd.Ast.unit_name
-      end;
-      Format.fprintf ppf "%a@." Ast.pp_fdecl fd)
-    fds;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
-
-(* Split a subject into [k] files of consecutive functions.  The mutable
-   array of per-file fdecl lists is the test's editable model; file
-   contents are re-emitted from it after each edit. *)
-let split_subject k src =
-  let fds = (Parser.parse_string ~file:"<gen>" src).Ast.funcs in
-  let n = List.length fds in
-  let per = max 1 ((n + k - 1) / k) in
-  let chunks = Array.make k [] in
-  List.iteri
-    (fun i fd -> chunks.(min (k - 1) (i / per)) <- fd :: chunks.(min (k - 1) (i / per)))
-    fds;
-  Array.mapi (fun i fds -> (Printf.sprintf "srv_%d.mc" i, List.rev fds)) chunks
-
-let contents_of (chunks : (string * Ast.fdecl list) array) =
-  Array.to_list (Array.map (fun (n, fds) -> (n, emit_fdecls fds)) chunks)
-
-(* ---------- AST edits ---------- *)
-
-let rec bump_expr found (e : Ast.expr) =
-  let node =
-    match e.Ast.enode with
-    | Ast.Eint n when not !found ->
-      found := true;
-      Ast.Eint (n + 1)
-    | (Ast.Eint _ | Ast.Ebool _ | Ast.Enull | Ast.Evar _ | Ast.Emalloc) as n ->
-      n
-    | Ast.Ederef (a, k) -> Ast.Ederef (bump_expr found a, k)
-    | Ast.Ebin (op, a, b) ->
-      let a = bump_expr found a in
-      Ast.Ebin (op, a, bump_expr found b)
-    | Ast.Eun (op, a) -> Ast.Eun (op, bump_expr found a)
-    | Ast.Ecall (f, args) -> Ast.Ecall (f, List.map (bump_expr found) args)
-    | Ast.Evcall (f, args) -> Ast.Evcall (f, List.map (bump_expr found) args)
-  in
-  { e with Ast.enode = node }
-
-let rec bump_stmt found (s : Ast.stmt) =
-  let node =
-    match s.Ast.snode with
-    | Ast.Sdecl (t, x, e) -> Ast.Sdecl (t, x, Option.map (bump_expr found) e)
-    | Ast.Sassign (x, e) -> Ast.Sassign (x, bump_expr found e)
-    | Ast.Sstore (k, x, e) -> Ast.Sstore (k, x, bump_expr found e)
-    | Ast.Sif (c, a, b) ->
-      let c = bump_expr found c in
-      let a = bump_stmt found a in
-      Ast.Sif (c, a, Option.map (bump_stmt found) b)
-    | Ast.Swhile (c, b) ->
-      let c = bump_expr found c in
-      Ast.Swhile (c, bump_stmt found b)
-    | Ast.Sreturn e -> Ast.Sreturn (Option.map (bump_expr found) e)
-    | Ast.Sexpr e -> Ast.Sexpr (bump_expr found e)
-    | Ast.Sblock ss -> Ast.Sblock (List.map (bump_stmt found) ss)
-  in
-  { s with Ast.snode = node }
-
-(* Flip the first integer literal of the [i]-th function (cyclically) of
-   the chunk; returns false when that function has no integer literal. *)
-let bump_nth_function chunks ~chunk ~i =
-  let name, fds = chunks.(chunk) in
-  let n = List.length fds in
-  if n = 0 then false
-  else begin
-    let target = i mod n in
-    let found = ref false in
-    let fds =
-      List.mapi
-        (fun j (fd : Ast.fdecl) ->
-          if j = target then { fd with Ast.body = bump_stmt found fd.Ast.body }
-          else fd)
-        fds
-    in
-    chunks.(chunk) <- (name, fds);
-    !found
-  end
-
-let added_counter = ref 0
-
-let add_function chunks ~chunk =
-  incr added_counter;
-  let fname = Printf.sprintf "__srv_added_%d" !added_counter in
-  let src = Printf.sprintf "void %s() { int t = 1; print(t); }" fname in
-  let fd = List.hd (Parser.parse_string ~file:"<add>" src).Ast.funcs in
-  let name, fds = chunks.(chunk) in
-  (* Keep the chunk's trailing unit: re-emission will re-open "main" for
-     the added function if needed, which is itself a structural change. *)
-  chunks.(chunk) <- (name, fds @ [ fd ])
-
 (* ---------- batch vs server ---------- *)
 
-let render_reports ?(render = Pinpoint.Report.one_line) reports =
-  List.map render (List.filter Pinpoint.Report.is_reported reports)
-
-let batch_reports ?pool files (spec : Pinpoint.Checker_spec.t) =
-  let fds =
-    List.concat_map
-      (fun (n, c) -> (Parser.parse_string ~file:n c).Ast.funcs)
-      files
-  in
-  let prog = Lower.compile { Ast.funcs = fds } in
-  let a = Pinpoint.Analysis.prepare ?pool prog in
-  fst (Pinpoint.Analysis.check a spec)
-
-let batch_renders ?pool files spec = render_reports (batch_reports ?pool files spec)
-let server_renders st spec = render_reports (fst (Incr.check st spec))
+let server_renders st spec = Helpers.render_reports (fst (Incr.check st spec))
 
 let checkers_under_test =
   [ Pinpoint.Checkers.use_after_free; Pinpoint.Checkers.double_free ]
 
-(* Scripted edit sequence; after every update the resident state must
-   report exactly what a from-scratch batch run over the same file
-   contents reports. *)
-let run_identity ?pool () =
-  let chunks = split_subject 3 (subject ~seed:23 ~loc:450 ()) in
-  let st = Incr.load ?pool (contents_of chunks) in
-  let compare_all step =
-    List.iter
-      (fun (spec : Pinpoint.Checker_spec.t) ->
-        Alcotest.(check (list string))
-          (Printf.sprintf "step %d: %s server = batch" step
-             spec.Pinpoint.Checker_spec.name)
-          (batch_renders ?pool (contents_of chunks) spec)
-          (server_renders st spec))
-      checkers_under_test
-  in
-  compare_all 0;
-  (* Constant flips walking across chunks and functions. *)
-  let step = ref 0 in
-  for i = 1 to 5 do
-    let chunk = i mod 3 in
-    ignore (bump_nth_function chunks ~chunk ~i:(2 * i));
-    let name, fds = chunks.(chunk) in
-    let stats = Incr.update st [ (name, emit_fdecls fds) ] in
-    Alcotest.(check bool)
-      (Printf.sprintf "edit %d incremental" i)
-      false stats.Incr.full_rebuild;
-    incr step;
-    compare_all !step
-  done;
-  (* No-op update: same contents, nothing dirty. *)
-  let name0, fds0 = chunks.(0) in
-  let stats = Incr.update st [ (name0, emit_fdecls fds0) ] in
-  Alcotest.(check int) "no-op dirty cone" 0 stats.Incr.dirty_cone;
-  (* Structural edit: adding a function forces a transparent full
-     rebuild, and identity must still hold. *)
-  add_function chunks ~chunk:1;
-  let name1, fds1 = chunks.(1) in
-  let stats = Incr.update st [ (name1, emit_fdecls fds1) ] in
-  Alcotest.(check bool) "add-function rebuilds" true stats.Incr.full_rebuild;
-  incr step;
-  compare_all !step
-
-let test_identity_seq () = run_identity ()
-
-let test_identity_jobs4 () =
-  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_identity ~pool ())
-
 (* The dirty cone stays a cone: editing a leaf function must not rebuild
    the whole program. *)
 let test_cone_is_partial () =
-  let chunks = split_subject 2 (subject ~seed:31 ~loc:400 ()) in
-  let st = Incr.load (contents_of chunks) in
+  let chunks = Helpers.split_subject 2 (Helpers.subject ~seed:31 ~loc:400 ()) in
+  let st = Incr.load (Helpers.contents_of chunks) in
   let total = Incr.n_functions st in
-  ignore (bump_nth_function chunks ~chunk:0 ~i:1);
+  ignore (Helpers.bump_nth_function chunks ~chunk:0 ~i:1);
   let name, fds = chunks.(0) in
-  let stats = Incr.update st [ (name, emit_fdecls fds) ] in
+  let stats = Incr.update st [ (name, Helpers.emit_fdecls fds) ] in
   Alcotest.(check bool) "not a full rebuild" false stats.Incr.full_rebuild;
   Alcotest.(check bool)
     (Printf.sprintf "cone %d < total %d" stats.Incr.dirty_cone total)
@@ -254,16 +77,16 @@ let test_edit_cost_is_the_cone () =
    footprint index are the same size after the soak as after the first
    cycle. *)
 let test_edit_soak () =
-  let chunks = split_subject 4 (subject ~seed:23 ~loc:600 ()) in
-  let st = Incr.load (contents_of chunks) in
+  let chunks = Helpers.split_subject 4 (Helpers.subject ~seed:23 ~loc:600 ()) in
+  let st = Incr.load (Helpers.contents_of chunks) in
   let name, original = chunks.(1) in
   let i =
     Option.get
       (List.find_opt
-         (fun i -> bump_nth_function (Array.copy chunks) ~chunk:1 ~i)
+         (fun i -> Helpers.bump_nth_function (Array.copy chunks) ~chunk:1 ~i)
          (List.init (List.length original) Fun.id))
   in
-  ignore (bump_nth_function chunks ~chunk:1 ~i);
+  ignore (Helpers.bump_nth_function chunks ~chunk:1 ~i);
   let bumped = snd chunks.(1) in
   let check_all () =
     List.iter (fun spec -> ignore (Incr.check st spec)) Pinpoint.Checkers.all
@@ -273,7 +96,7 @@ let test_edit_soak () =
   for k = 1 to 40 do
     let fds = if k mod 2 = 1 then bumped else original in
     let before = Pinpoint_smt.Symbol.count () in
-    let stats = Incr.update st [ (name, emit_fdecls fds) ] in
+    let stats = Incr.update st [ (name, Helpers.emit_fdecls fds) ] in
     Alcotest.(check bool) "incremental" false stats.Incr.full_rebuild;
     check_all ();
     growth := (Pinpoint_smt.Symbol.count () - before) :: !growth;
@@ -391,18 +214,18 @@ void h(int s) { %s }
        it.
    After each edit the server must report what batch reports; a plain
    re-check replays every source. *)
-let run_memo_footprint ?pool ?store () =
+let test_memo_footprint () =
   let v0 = memo_subject ~bound:3 ~h_body:"print(s);" in
   let v1 = memo_subject ~bound:30 ~h_body:"print(s);" in
   let v2 = memo_subject ~bound:30 ~h_body:"int *r = mk(s); print(*r);" in
-  let st = Incr.load ?pool ?store [ ("memo.mc", v0) ] in
+  let st = Incr.load [ ("memo.mc", v0) ] in
   let same step src n_uaf =
     List.iter
       (fun (spec : Pinpoint.Checker_spec.t) ->
         Alcotest.(check (list string))
           (Printf.sprintf "%s: %s server = batch" step
              spec.Pinpoint.Checker_spec.name)
-          (batch_renders ?pool [ ("memo.mc", src) ] spec)
+          (Helpers.batch_renders [ ("memo.mc", src) ] spec)
           (server_renders st spec))
       checkers_under_test;
     Alcotest.(check int)
@@ -428,19 +251,6 @@ let run_memo_footprint ?pool ?store () =
   edit "edit (b)" v2;
   same "edit (b)" v2 3
 
-let test_memo_footprint_seq () = run_memo_footprint ()
-
-let test_memo_footprint_jobs4 () =
-  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_memo_footprint ~pool ())
-
-let with_store f =
-  Helpers.with_temp_dir "pinpoint_memo_" @@ fun dir ->
-  let store = Store.create ~dir ~max_resident:2 () in
-  Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
-
-let test_memo_footprint_store () =
-  with_store (fun store -> run_memo_footprint ~store ())
-
 (* ---------- early cutoff ---------- *)
 
 (* The resident call graph after an update equals a from-scratch build on
@@ -450,15 +260,7 @@ let test_memo_footprint_store () =
    statement order.  Call statements keep their sids through the
    connector transform, so (caller, sid) pairs identify them. *)
 let check_graph what st files =
-  let prog =
-    Lower.compile
-      {
-        Ast.funcs =
-          List.concat_map
-            (fun (n, c) -> (Parser.parse_string ~file:n c).Ast.funcs)
-            files;
-      }
-  in
+  let prog = Helpers.compile_files files in
   let names =
     List.map (List.map (fun (f : Pinpoint_ir.Func.t) -> f.Pinpoint_ir.Func.fname))
   in
@@ -511,20 +313,20 @@ let check_graph what st files =
 
 (* Served reports equal batch ones, one-line and in full ([-v]: the
    value-flow trace and trigger hints, symbols and all). *)
-let same_as_batch ?pool what st files =
+let same_as_batch what st files =
   let verbose = Format.asprintf "%a" Pinpoint.Report.pp in
   List.iter
     (fun (spec : Pinpoint.Checker_spec.t) ->
-      let batch = batch_reports ?pool files spec
+      let batch = Helpers.batch_reports files spec
       and served = fst (Incr.check st spec) in
       let name = spec.Pinpoint.Checker_spec.name in
       Alcotest.(check (list string))
         (Printf.sprintf "%s: %s server = batch" what name)
-        (render_reports batch) (render_reports served);
+        (Helpers.render_reports batch) (Helpers.render_reports served);
       Alcotest.(check (list string))
         (Printf.sprintf "%s: %s server = batch (-v)" what name)
-        (render_reports ~render:verbose batch)
-        (render_reports ~render:verbose served))
+        (Helpers.render_reports ~render:verbose batch)
+        (Helpers.render_reports ~render:verbose served))
     checkers_under_test
 
 (* Edit shapes the cutoff must get right, each followed by served =
@@ -558,11 +360,11 @@ void g(int **q, int n) {
 |}
     (if cycle then "if (n > 0) { f(n - 1); }" else "print(n);")
 
-let run_edit_shapes ?pool ?store () =
-  let chunks = split_subject 3 (subject ~seed:23 ~loc:450 ()) in
-  let st = Incr.load ?pool ?store (contents_of chunks) in
-  let files () = contents_of chunks in
-  same_as_batch ?pool "load" st (files ());
+let test_edit_shapes () =
+  let chunks = Helpers.split_subject 3 (Helpers.subject ~seed:23 ~loc:450 ()) in
+  let st = Incr.load (Helpers.contents_of chunks) in
+  let files () = Helpers.contents_of chunks in
+  same_as_batch "load" st (files ());
   let name, _ = chunks.(1) in
   let shifted = "\n" ^ List.assoc name (files ()) in
   let stats = Incr.update st [ (name, shifted) ] in
@@ -573,29 +375,22 @@ let run_edit_shapes ?pool ?store () =
   let files_now =
     List.map (fun (n, c) -> if n = name then (n, shifted) else (n, c)) (files ())
   in
-  same_as_batch ?pool "line on top" st files_now;
+  same_as_batch "line on top" st files_now;
   check_graph "line on top" st files_now;
-  let cyc = Incr.load ?pool ?store [ ("cyc.mc", cycle_subject ~cycle:false) ] in
-  same_as_batch ?pool "acyclic" cyc [ ("cyc.mc", cycle_subject ~cycle:false) ];
+  let cyc = Incr.load [ ("cyc.mc", cycle_subject ~cycle:false) ] in
+  same_as_batch "acyclic" cyc [ ("cyc.mc", cycle_subject ~cycle:false) ];
   List.iter
     (fun (what, cycle, n_uaf) ->
       let files = [ ("cyc.mc", cycle_subject ~cycle) ] in
       let stats = Incr.update cyc files in
       Alcotest.(check bool) (what ^ " is incremental") false stats.Incr.full_rebuild;
-      same_as_batch ?pool what cyc files;
+      same_as_batch what cyc files;
       Alcotest.(check int)
         (what ^ ": use-after-free reports")
         n_uaf
         (List.length (server_renders cyc Pinpoint.Checkers.use_after_free));
       check_graph what cyc files)
     [ ("cycle made", true, 0); ("cycle broken", false, 1) ]
-
-let test_edit_shapes_seq () = run_edit_shapes ()
-
-let test_edit_shapes_jobs4 () =
-  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_edit_shapes ~pool ())
-
-let test_edit_shapes_store () = with_store (fun store -> run_edit_shapes ~store ())
 
 (* h -> f -> g, with one knob per propagation rule, each edit to [g]
    alone:
@@ -650,19 +445,19 @@ void h(int n) {
     (if free then "free(p);" else "")
     ret
 
-let run_cutoff_rules ?pool ?store () =
+let test_cutoff_rules () =
   let file ~store ~ret ~free ~swap =
     [ ("rules.mc", rules_subject ~store ~ret ~free ~swap) ]
   in
   let const n = Printf.sprintf "int r = %d;" n in
   let guarded = "int r = 0; if (a > 5) { r = 10; }" in
   let v0 = file ~store:false ~ret:(const 3) ~free:false ~swap:false in
-  let st = Incr.load ?pool ?store v0 in
-  same_as_batch ?pool "load" st v0;
+  let st = Incr.load v0 in
+  same_as_batch "load" st v0;
   List.iter
     (fun (what, files, (retransformed, resummarised), (n_uaf, n_df)) ->
       let stats = Incr.update st files in
-      same_as_batch ?pool what st files;
+      same_as_batch what st files;
       Alcotest.(check (pair int int))
         (what ^ ": (use-after-free, double-free) reports")
         (n_uaf, n_df)
@@ -688,13 +483,6 @@ let run_cutoff_rules ?pool ?store () =
         (1, 2),
         (2, 1) );
     ]
-
-let test_cutoff_rules_seq () = run_cutoff_rules ()
-
-let test_cutoff_rules_jobs4 () =
-  Pinpoint_par.Pool.with_pool ~jobs:4 (fun pool -> run_cutoff_rules ~pool ())
-
-let test_cutoff_rules_store () = with_store (fun store -> run_cutoff_rules ~store ())
 
 (* ---------- server protocol ---------- *)
 
@@ -752,10 +540,10 @@ let response_renders j =
    Also run with a jobs-4 pool so the chunked dirty-cone rebuild path
    soaks under the same fault rates. *)
 let test_soak ?pool () =
-  let chunks = split_subject 1 (subject ~seed:47 ~loc:250 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:47 ~loc:250 ()) in
   let config = { Server.default_config with Server.incident_cap = 100; pool } in
   let t = Server.create ~config () in
-  Server.load_files t (contents_of chunks);
+  Server.load_files t (Helpers.contents_of chunks);
   Fun.protect ~finally:Resilience.Inject.clear (fun () ->
       Resilience.Inject.(
         install
@@ -768,12 +556,12 @@ let test_soak ?pool () =
             seg_crash_rate = 0.2 /. 3.0;
           });
       for i = 1 to 200 do
-        ignore (bump_nth_function chunks ~chunk:0 ~i);
+        ignore (Helpers.bump_nth_function chunks ~chunk:0 ~i);
         let name, fds = chunks.(0) in
         let req =
           req_of_files ~id:i
             ~checkers:[ "use-after-free" ]
-            [ (name, emit_fdecls fds) ]
+            [ (name, Helpers.emit_fdecls fds) ]
         in
         let resp, action = Server.handle_line t req in
         let j = parse_response resp in
@@ -807,9 +595,9 @@ let test_soak ?pool () =
 (* (c) a deadline-blown request degrades its own verdicts and leaves the
    next request untouched. *)
 let test_deadline_isolation () =
-  let chunks = split_subject 1 (subject ~seed:53 ~loc:300 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:53 ~loc:300 ()) in
   let t = Server.create () in
-  Server.load_files t (contents_of chunks);
+  Server.load_files t (Helpers.contents_of chunks);
   let blown, action =
     Server.handle_line t
       (req_of_files ~id:1 ~checkers:[ "use-after-free" ] ~deadline_s:1e-9 [])
@@ -824,19 +612,19 @@ let test_deadline_isolation () =
   Alcotest.(check bool) "next request ok" true (response_ok j);
   Alcotest.(check (list string))
     "next request matches batch"
-    (batch_renders (contents_of chunks) Pinpoint.Checkers.use_after_free)
+    (Helpers.batch_renders (Helpers.contents_of chunks) Pinpoint.Checkers.use_after_free)
     (response_renders j)
 
 (* RSS watermark shedding: an absurdly low watermark refuses the check
    with an explicit overloaded response and keeps the server alive. *)
 let test_rss_shedding () =
-  let chunks = split_subject 1 (subject ~seed:59 ~loc:150 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:59 ~loc:150 ()) in
   let t =
     Server.create
       ~config:{ Server.default_config with Server.max_rss_mb = 0.001 }
       ()
   in
-  Server.load_files t (contents_of chunks);
+  Server.load_files t (Helpers.contents_of chunks);
   let resp, action = Server.handle_line t (req_of_files ~id:1 []) in
   let j = parse_response resp in
   Alcotest.(check bool) "request refused" false (response_ok j);
@@ -849,10 +637,10 @@ let test_rss_shedding () =
    crash, and the resident state survives — also when the request would
    have changed the function set, which takes the full-rebuild path. *)
 let test_request_isolation () =
-  let chunks = split_subject 1 (subject ~seed:61 ~loc:150 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:61 ~loc:150 ()) in
   let t = Server.create () in
-  Server.load_files t (contents_of chunks);
-  let before = batch_renders (contents_of chunks) Pinpoint.Checkers.use_after_free in
+  Server.load_files t (Helpers.contents_of chunks);
+  let before = Helpers.batch_renders (Helpers.contents_of chunks) Pinpoint.Checkers.use_after_free in
   let defined = (List.hd (snd chunks.(0))).Ast.fname in
   let new_file name contents =
     req_of_files ~checkers:[ "use-after-free" ] [ (name, contents) ]
@@ -897,8 +685,8 @@ let test_request_isolation () =
      before any state changes *)
   let edited i =
     let copy = Array.copy chunks in
-    ignore (bump_nth_function copy ~chunk:0 ~i);
-    emit_fdecls (snd copy.(0))
+    ignore (Helpers.bump_nth_function copy ~chunk:0 ~i);
+    Helpers.emit_fdecls (snd copy.(0))
   in
   Alcotest.(check string)
     "duplicate file" "bad request: duplicate file srv_0.mc"
@@ -908,7 +696,7 @@ let test_request_isolation () =
   (* a body that fails to lower behind unchanged headers: refused after
      the header check, still before any state changes *)
   let undeclared =
-    let src = emit_fdecls (snd chunks.(0)) in
+    let src = Helpers.emit_fdecls (snd chunks.(0)) in
     let i = String.index src '{' + 1 in
     String.sub src 0 i ^ " print(srv_undeclared);"
     ^ String.sub src i (String.length src - i)
@@ -981,7 +769,8 @@ let test_request_isolation () =
       ({|{"op":"metrics","format":"xml"}|}, bad_format);
       ({|{"op":"metrics","format":42}|}, bad_format);
       ({|{"op":"dump","what":5}|}, "bad request: what must be a string");
-      ({|{"op":"dump","path":7}|}, "bad request: path must be a string");
+      ( {|{"op":"dump","path":"flight-elsewhere.json"}|},
+        "bad request: path is not accepted (a dump goes to --flight-file)" );
       ( {|{"op":"dump","what":"trace","request_id":1}|},
         "bad request: request_id must be a string" );
       ({|{"op":"dump","inline":"yes"}|}, "bad request: inline must be a boolean");
@@ -999,11 +788,11 @@ let test_request_isolation () =
     (response_renders (parse_response resp));
   Alcotest.(check (option int)) "rejected files not resident" (Some 1) (status [ "files" ]);
   Alcotest.(check (option int)) "epoch unchanged" epoch_before (status [ "epoch" ]);
-  ignore (bump_nth_function chunks ~chunk:0 ~i:0);
+  ignore (Helpers.bump_nth_function chunks ~chunk:0 ~i:0);
   let name, fds = chunks.(0) in
   let resp, _ =
     Server.handle_line t
-      (req_of_files ~checkers:[ "use-after-free" ] [ (name, emit_fdecls fds) ])
+      (req_of_files ~checkers:[ "use-after-free" ] [ (name, Helpers.emit_fdecls fds) ])
   in
   let j = parse_response resp in
   Alcotest.(check bool) "next edit ok" true (response_ok j);
@@ -1012,7 +801,7 @@ let test_request_isolation () =
     (Option.map succ epoch_before) (status [ "epoch" ]);
   Alcotest.(check (list string))
     "next edit matches batch"
-    (batch_renders (contents_of chunks) Pinpoint.Checkers.use_after_free)
+    (Helpers.batch_renders (Helpers.contents_of chunks) Pinpoint.Checkers.use_after_free)
     (response_renders j)
 
 (* (d) warm restart: a fresh server recovering from the epoch snapshot +
@@ -1026,16 +815,16 @@ let test_warm_restart () =
       snapshot_every = 1000 (* force journal replay, not snapshot reload *);
     }
   in
-  let chunks = split_subject 2 (subject ~seed:67 ~loc:300 ()) in
+  let chunks = Helpers.split_subject 2 (Helpers.subject ~seed:67 ~loc:300 ()) in
   let t1 = Server.create ~config () in
-  Server.load_files t1 (contents_of chunks);
+  Server.load_files t1 (Helpers.contents_of chunks);
   for i = 1 to 3 do
-    ignore (bump_nth_function chunks ~chunk:(i mod 2) ~i);
+    ignore (Helpers.bump_nth_function chunks ~chunk:(i mod 2) ~i);
     let name, fds = chunks.(i mod 2) in
     let resp, _ =
       Server.handle_line t1
         (req_of_files ~id:i ~checkers:[ "use-after-free" ]
-           [ (name, emit_fdecls fds) ])
+           [ (name, Helpers.emit_fdecls fds) ])
     in
     Alcotest.(check bool) "update ok" true (response_ok (parse_response resp))
   done;
@@ -1156,12 +945,6 @@ let with_obs level f =
 let member_path path j =
   List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let tmp_flight_file tag =
   Filename.concat
     (Filename.get_temp_dir_name ())
@@ -1173,21 +956,21 @@ let tmp_flight_file tag =
 let test_request_spans_jobs4 () =
   with_obs Obs.Trace @@ fun () ->
   Pinpoint_par.Pool.with_pool ~jobs:4 @@ fun pool ->
-  let chunks = split_subject 2 (subject ~seed:71 ~loc:300 ()) in
+  let chunks = Helpers.split_subject 2 (Helpers.subject ~seed:71 ~loc:300 ()) in
   let t =
     Server.create
       ~config:{ Server.default_config with Server.pool = Some pool }
       ()
   in
-  Server.load_files t (contents_of chunks);
+  Server.load_files t (Helpers.contents_of chunks);
   let rids = ref [] in
   for i = 1 to 4 do
-    ignore (bump_nth_function chunks ~chunk:(i mod 2) ~i);
+    ignore (Helpers.bump_nth_function chunks ~chunk:(i mod 2) ~i);
     let name, fds = chunks.(i mod 2) in
     let resp, _ =
       Server.handle_line t
         (req_of_files ~id:i ~checkers:[ "use-after-free" ]
-           [ (name, emit_fdecls fds) ])
+           [ (name, Helpers.emit_fdecls fds) ])
     in
     let j = parse_response resp in
     Alcotest.(check bool) "check ok" true (response_ok j);
@@ -1255,9 +1038,9 @@ let test_request_spans_jobs4 () =
    request/latency stamp on the response itself. *)
 let test_status_telemetry () =
   with_obs Obs.Off @@ fun () ->
-  let chunks = split_subject 1 (subject ~seed:79 ~loc:150 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:79 ~loc:150 ()) in
   let t = Server.create () in
-  Server.load_files t (contents_of chunks);
+  Server.load_files t (Helpers.contents_of chunks);
   let resp, _ =
     Server.handle_line t (req_of_files ~id:1 ~checkers:[ "use-after-free" ] [])
   in
@@ -1291,16 +1074,16 @@ let test_status_telemetry () =
    counters, and the Prometheus rendering of the same registry. *)
 let test_metrics_op_quantiles () =
   with_obs Obs.Metrics_only @@ fun () ->
-  let chunks = split_subject 1 (subject ~seed:73 ~loc:250 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:73 ~loc:250 ()) in
   let t = Server.create () in
-  Server.load_files t (contents_of chunks);
+  Server.load_files t (Helpers.contents_of chunks);
   for i = 1 to 25 do
-    ignore (bump_nth_function chunks ~chunk:0 ~i);
+    ignore (Helpers.bump_nth_function chunks ~chunk:0 ~i);
     let name, fds = chunks.(0) in
     let resp, _ =
       Server.handle_line t
         (req_of_files ~id:i ~checkers:[ "use-after-free" ]
-           [ (name, emit_fdecls fds) ])
+           [ (name, Helpers.emit_fdecls fds) ])
     in
     Alcotest.(check bool)
       (Printf.sprintf "request %d ok" i)
@@ -1358,14 +1141,14 @@ let test_metrics_op_quantiles () =
    response, the first request's load included. *)
 let test_incr_counters () =
   with_obs Obs.Metrics_only @@ fun () ->
-  let chunks = split_subject 1 (subject ~seed:73 ~loc:250 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:73 ~loc:250 ()) in
   let t = Server.create () in
   let fields = [ "retransformed"; "resummarised" ] in
   let sums = Hashtbl.create 2 in
   let send () =
     let resp, _ =
       Server.handle_line t
-        (req_of_files ~checkers:[ "use-after-free" ] (contents_of chunks))
+        (req_of_files ~checkers:[ "use-after-free" ] (Helpers.contents_of chunks))
     in
     let j = parse_response resp in
     Alcotest.(check bool) "request ok" true (response_ok j);
@@ -1380,7 +1163,7 @@ let test_incr_counters () =
   in
   send ();
   for i = 1 to 4 do
-    ignore (bump_nth_function chunks ~chunk:0 ~i);
+    ignore (Helpers.bump_nth_function chunks ~chunk:0 ~i);
     send ()
   done;
   let resp, _ = Server.handle_line t (op_req "metrics") in
@@ -1394,8 +1177,8 @@ let test_incr_counters () =
            Json.int_opt))
     fields
 
-(* dump op: flight-recorder dump to the configured path, and a
-   per-request Chrome trace slice. *)
+(* dump op: flight-recorder dump to the configured path only, inline on
+   request, and a per-request Chrome trace slice. *)
 let test_dump_op () =
   with_obs Obs.Trace @@ fun () ->
   let path = tmp_flight_file "dump" in
@@ -1405,8 +1188,8 @@ let test_dump_op () =
       ~config:{ Server.default_config with Server.flight_file = path }
       ()
   in
-  let chunks = split_subject 1 (subject ~seed:97 ~loc:150 ()) in
-  Server.load_files t (contents_of chunks);
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:97 ~loc:150 ()) in
+  Server.load_files t (Helpers.contents_of chunks);
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
@@ -1421,14 +1204,25 @@ let test_dump_op () =
         | Some r -> r
         | None -> Alcotest.fail "check response missing request id"
       in
-      (* a field of the wrong type refuses the dump: nothing is written *)
+      (* a request that names a path is refused: it writes neither that
+         file nor the configured one *)
+      let elsewhere = tmp_flight_file "elsewhere" in
       let resp, _ =
-        Server.handle_line t (op_req "dump" ~fields:[ ("path", Json.Int 7) ])
+        Server.handle_line t
+          (op_req "dump" ~fields:[ ("path", Json.String elsewhere) ])
       in
-      Alcotest.(check bool) "non-string path refused" false
+      Alcotest.(check bool) "a client's path refused" false
         (response_ok (parse_response resp));
-      Alcotest.(check bool) "refused dump wrote nothing" false
-        (Sys.file_exists path);
+      Alcotest.(check (pair bool bool)) "refused dump wrote nothing" (false, false)
+        (Sys.file_exists elsewhere, Sys.file_exists path);
+      (* inline, the recording comes back in the response too *)
+      let resp, _ =
+        Server.handle_line t (op_req "dump" ~fields:[ ("inline", Json.Bool true) ])
+      in
+      Alcotest.(check bool) "inline recording" true
+        (match Option.bind (Json.member "flight" (parse_response resp)) Json.string_opt with
+        | Some flight -> Pinpoint_util.Pp.contains flight rid
+        | None -> false);
       let resp, _ = Server.handle_line t (op_req "dump") in
       let j = parse_response resp in
       Alcotest.(check bool) "dump ok" true (response_ok j);
@@ -1440,7 +1234,7 @@ let test_dump_op () =
         (match Option.bind (Json.member "events" j) Json.int_opt with
         | Some n -> n > 0
         | None -> false);
-      let flight = read_file path in
+      let flight = Test_store.read_file path in
       (match Json.parse flight with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "flight dump is not JSON: %s" e);
@@ -1477,8 +1271,8 @@ let test_flight_crash_dump () =
       ~config:{ Server.default_config with Server.flight_file = path }
       ()
   in
-  let chunks = split_subject 1 (subject ~seed:83 ~loc:150 ()) in
-  Server.load_files t (contents_of chunks);
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:83 ~loc:150 ()) in
+  Server.load_files t (Helpers.contents_of chunks);
   Fun.protect
     ~finally:(fun () ->
       Resilience.Inject.clear ();
@@ -1497,7 +1291,7 @@ let test_flight_crash_dump () =
         (response_ok (parse_response resp));
       Alcotest.(check bool) "flight file written on crash" true
         (Sys.file_exists path);
-      let flight = read_file path in
+      let flight = Test_store.read_file path in
       List.iter
         (fun needle ->
           Alcotest.(check bool) ("flight has " ^ needle) true
@@ -1526,8 +1320,8 @@ let test_flight_shed_dump () =
         }
       ()
   in
-  let chunks = split_subject 1 (subject ~seed:59 ~loc:150 ()) in
-  Server.load_files t (contents_of chunks);
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:59 ~loc:150 ()) in
+  Server.load_files t (Helpers.contents_of chunks);
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
@@ -1537,7 +1331,7 @@ let test_flight_shed_dump () =
         (Option.bind (Json.member "overloaded" j) Json.bool_opt);
       Alcotest.(check bool) "flight file written on shed" true
         (Sys.file_exists path);
-      let flight = read_file path in
+      let flight = Test_store.read_file path in
       List.iter
         (fun needle ->
           Alcotest.(check bool) ("flight has " ^ needle) true
@@ -1550,9 +1344,9 @@ let test_flight_shed_dump () =
    the end of input ends it. *)
 let test_serve_channels () =
   with_obs Obs.Off @@ fun () ->
-  let chunks = split_subject 1 (subject ~seed:97 ~loc:150 ()) in
+  let chunks = Helpers.split_subject 1 (Helpers.subject ~seed:97 ~loc:150 ()) in
   let t = Server.create () in
-  Server.load_files t (contents_of chunks);
+  Server.load_files t (Helpers.contents_of chunks);
   let input = Filename.temp_file "pinpoint_serve" ".ndjson" in
   let output = Filename.temp_file "pinpoint_serve" ".out" in
   let serve lines =
@@ -1564,7 +1358,7 @@ let test_serve_channels () =
     close_in ic;
     close_out oc;
     let responses =
-      List.filter (( <> ) "") (String.split_on_char '\n' (read_file output))
+      List.filter (( <> ) "") (String.split_on_char '\n' (Test_store.read_file output))
       |> List.map parse_response
     in
     (result, unread, responses)
@@ -1631,7 +1425,7 @@ let test_serve_hung_up_client () =
    counts are the registry's change in [engine.*]; a served session's
    status counts read the same at Off as at Metrics_only. *)
 let test_counts_every_level () =
-  let src = subject ~seed:79 ~loc:150 () in
+  let src = Helpers.subject ~seed:79 ~loc:150 () in
   (with_obs Obs.Off @@ fun () ->
    let a = Pinpoint.Analysis.prepare_source src in
    let (_, stats), delta =
@@ -1658,7 +1452,7 @@ let test_counts_every_level () =
     let t =
       Server.create ~config:{ Server.default_config with Server.flight = false } ()
     in
-    Server.load_files t (contents_of (split_subject 1 src));
+    Server.load_files t (Helpers.contents_of (Helpers.split_subject 1 src));
     List.iter
       (fun line -> ignore (Server.handle_line t line))
       [
@@ -1681,82 +1475,17 @@ let test_counts_every_level () =
   Alcotest.(check (list (pair string (option string))))
     "status counts: Off = Metrics_only" off (status Obs.Metrics_only)
 
-(* The standing invariant: a serve session produces byte-identical
-   responses (modulo the wall-clock latency stamp) at every obs level,
-   flight recorder on or off. *)
-let rec strip_latency j =
-  match j with
-  | Json.Obj kvs ->
-    Json.Obj
-      (List.filter (fun (k, _) -> k <> "latency_s") kvs
-      |> List.map (fun (k, v) -> (k, strip_latency v)))
-  | Json.List l -> Json.List (List.map strip_latency l)
-  | j -> j
-
-let serve_session level ~flight () =
-  Obs.reset ();
-  Obs.set_level level;
-  Flight.clear ();
-  Flight.set_enabled flight;
-  let chunks = split_subject 2 (subject ~seed:89 ~loc:300 ()) in
-  let t =
-    Server.create ~config:{ Server.default_config with Server.flight } ()
-  in
-  Server.load_files t (contents_of chunks);
-  let out = ref [] in
-  for i = 1 to 6 do
-    ignore (bump_nth_function chunks ~chunk:(i mod 2) ~i);
-    let name, fds = chunks.(i mod 2) in
-    let resp, _ =
-      Server.handle_line t
-        (req_of_files ~id:i ~checkers:[ "use-after-free" ]
-           [ (name, emit_fdecls fds) ])
-    in
-    out := Json.to_string (strip_latency (parse_response resp)) :: !out
-  done;
-  let resp, _ =
-    Server.handle_line t
-      (req_of_files ~id:99 ~checkers:[ "use-after-free"; "double-free" ] [])
-  in
-  out := Json.to_string (strip_latency (parse_response resp)) :: !out;
-  List.rev !out
-
-let test_serve_report_identity () =
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_level Obs.Off;
-      Obs.reset ();
-      Flight.set_enabled false;
-      Flight.clear ())
-    (fun () ->
-      let off = serve_session Obs.Off ~flight:false () in
-      let metrics = serve_session Obs.Metrics_only ~flight:true () in
-      let trace = serve_session Obs.Trace ~flight:true () in
-      Alcotest.(check (list string))
-        "Off = Metrics_only + flight" off metrics;
-      Alcotest.(check (list string)) "Off = Trace + flight" off trace)
-
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-    Alcotest.test_case "incremental identity (seq)" `Quick test_identity_seq;
-    Alcotest.test_case "incremental identity (jobs 4)" `Quick test_identity_jobs4;
     Alcotest.test_case "dirty cone is partial" `Quick test_cone_is_partial;
     Alcotest.test_case "edit cost is the cone" `Quick test_edit_cost_is_the_cone;
     Alcotest.test_case "per-edit memory soak" `Quick test_edit_soak;
     Alcotest.test_case "an edit never aliases ids" `Quick test_edit_never_aliases;
     Alcotest.test_case "memo follows the footprint (seq)" `Quick
-      test_memo_footprint_seq;
-    Alcotest.test_case "memo follows the footprint (jobs 4)" `Quick
-      test_memo_footprint_jobs4;
-    Alcotest.test_case "memo follows the footprint (store)" `Quick
-      test_memo_footprint_store;
-    Alcotest.test_case "edit shapes (seq)" `Quick test_edit_shapes_seq;
-    Alcotest.test_case "edit shapes (jobs 4)" `Quick test_edit_shapes_jobs4;
-    Alcotest.test_case "edit shapes (store)" `Quick test_edit_shapes_store;
-    Alcotest.test_case "each cutoff rule (seq)" `Quick test_cutoff_rules_seq;
-    Alcotest.test_case "each cutoff rule (jobs 4)" `Quick test_cutoff_rules_jobs4;
-    Alcotest.test_case "each cutoff rule (store)" `Quick test_cutoff_rules_store;
+      test_memo_footprint;
+    Alcotest.test_case "edit shapes (seq)" `Quick test_edit_shapes;
+    Alcotest.test_case "each cutoff rule (seq)" `Quick test_cutoff_rules;
     Alcotest.test_case "request isolation" `Quick test_request_isolation;
     Alcotest.test_case "deadline isolation" `Quick test_deadline_isolation;
     Alcotest.test_case "rss shedding" `Quick test_rss_shedding;
@@ -1775,8 +1504,6 @@ let suite =
       test_serve_hung_up_client;
     Alcotest.test_case "counts at every obs level" `Quick
       test_counts_every_level;
-    Alcotest.test_case "serve report identity across obs levels" `Quick
-      test_serve_report_identity;
     Alcotest.test_case "fault-injected soak (200 req)" `Slow
       (fun () -> test_soak ());
     Alcotest.test_case "fault-injected soak (jobs 4)" `Slow

@@ -1,7 +1,7 @@
 (* Tests for the disk-resident artifact store (DESIGN.md §4.14): flat
    arena round-trips, formula/row interning, blob seal + torn-write
-   recovery, LRU-eviction report identity against store-off runs, dedup
-   determinism, and the server's store-backed incremental mode. *)
+   recovery, spills and LRU eviction, dedup determinism, and the server's
+   store-backed incremental mode. *)
 
 module Arena = Pinpoint_store.Arena
 module Blob = Pinpoint_store.Blob
@@ -22,14 +22,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let corpus_dir () =
-  let candidates = [ "../corpus"; "corpus"; "../../corpus"; "../../../corpus" ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some d -> d
-  | None -> Alcotest.fail "corpus directory not found"
-
 let corpus_files () =
-  let dir = corpus_dir () in
+  let dir = Test_corpus.corpus_dir () in
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".mc")
   |> List.sort compare
@@ -230,51 +224,25 @@ let test_blob_reopen () =
   with_tmp_dir @@ fun empty ->
   Alcotest.(check bool) "no epochs" true (Store.reopen ~dir:empty = None)
 
-(* ---------- report identity under eviction ---------- *)
-
-(* Each checker's reported findings, rendered both ways: the one-line
-   form and the [-v] form ({!Pinpoint.Report.pp}: value-flow trace and
-   trigger hints). *)
-let reports_of a =
-  List.map
-    (fun (spec : Pinpoint.Checker_spec.t) ->
-      let reports, _ = Pinpoint.Analysis.check a spec in
-      let reported = List.filter Pinpoint.Report.is_reported reports in
-      ( spec.Pinpoint.Checker_spec.name,
-        List.map Pinpoint.Report.one_line reported,
-        List.map (Format.asprintf "%a" Pinpoint.Report.pp) reported ))
-    Pinpoint.Checkers.all
+(* ---------- spills and eviction ---------- *)
 
 let gen_source ~seed ~loc =
   (Gen.generate ~name:"store-sub"
      { Gen.default_params with Gen.seed; target_loc = loc; cross_unit = true })
     .Gen.source
 
-(* Store on and off, at [jobs] and at one job, render the same reports
-   as the sequential store-off run. *)
-let test_eviction_identity jobs () =
+(* Preparing and sealing spills at every residency, a one-function LRU
+   evicts, and the sealed epoch lists SEGs, RV entries and VF tables only:
+   no points-to result was ever stored.  That reports do not depend on the
+   store is the lattice's (test_lattice.ml). *)
+let test_eviction () =
   let src = gen_source ~seed:21 ~loc:500 in
-  let baseline = reports_of (Pinpoint.Analysis.prepare_source src) in
-  let with_pool f =
-    if jobs > 1 then Pinpoint_par.Pool.with_pool ~jobs (fun p -> f (Some p))
-    else f None
-  in
-  with_pool @@ fun pool ->
-  Alcotest.(check bool)
-    (Printf.sprintf "store off: reports identical (jobs=%d)" jobs)
-    true
-    (baseline = reports_of (Pinpoint.Analysis.prepare_source ?pool src));
   List.iter
     (fun max_resident ->
       with_tmp_dir @@ fun dir ->
       let st = Store.create ~dir ~max_resident () in
-      let a = Pinpoint.Analysis.prepare_source ?pool ~store:st src in
+      let a = Pinpoint.Analysis.prepare_source ~store:st src in
       Pinpoint.Analysis.seal_store a Pinpoint.Checkers.all;
-      let got = reports_of a in
-      Alcotest.(check bool)
-        (Printf.sprintf "reports identical (max_resident=%d, jobs=%d)"
-           max_resident jobs)
-        true (baseline = got);
       let stats = Store.stats st in
       Alcotest.(check bool)
         "store actually spilled" true
@@ -283,8 +251,6 @@ let test_eviction_identity jobs () =
         Alcotest.(check bool)
           "tiny LRU actually evicted" true
           (stats.Store.evictions > 0);
-        (* The sealed epoch lists SEGs, RV entries and VF tables only:
-           no points-to result was ever stored. *)
         match Store.reopen ~dir with
         | None -> Alcotest.fail "reopen failed on a sealed store"
         | Some r ->
@@ -298,6 +264,48 @@ let test_eviction_identity jobs () =
       end;
       Store.close st)
     [ 1; 4 ]
+
+(* ---------- stores sharing a directory ---------- *)
+
+(* Two stores on one directory, the second made after the first has
+   spilled: each writes a file of its own, so each reads back its own
+   artifacts, before sealing and after, and the two seals make two
+   epochs. *)
+let test_shared_dir () =
+  let renders a =
+    List.concat_map
+      (fun spec -> Helpers.render_reports (fst (Pinpoint.Analysis.check a spec)))
+      Pinpoint.Checkers.all
+  in
+  let sources =
+    List.map
+      (fun f -> read_file (Filename.concat (Test_corpus.corpus_dir ()) f))
+      [ "motivating.mc"; "double_free.mc" ]
+  in
+  let expected =
+    List.map (fun src -> renders (Pinpoint.Analysis.prepare_source src)) sources
+  in
+  with_tmp_dir @@ fun dir ->
+  let stored =
+    List.map
+      (fun src ->
+        let st = Store.create ~dir ~max_resident:1 () in
+        (st, Pinpoint.Analysis.prepare_source ~store:st src))
+      sources
+  in
+  let check what =
+    Alcotest.(check (list (list string)))
+      (what ^ ": each store's reports") expected
+      (List.map (fun (_, a) -> renders a) stored)
+  in
+  check "unsealed";
+  List.iter (fun (_, a) -> Pinpoint.Analysis.seal_store a Pinpoint.Checkers.all) stored;
+  check "sealed";
+  List.iter (fun (st, _) -> Store.close st) stored;
+  Alcotest.(check (list string))
+    "two epochs, no temp file"
+    [ "store.ep000001.bin"; "store.ep000002.bin" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
 
 (* ---------- dedup determinism ---------- *)
 
@@ -436,14 +444,14 @@ let test_memory_store () =
       sum
       (Pinpoint.Analysis.seg_size a)
   in
-  let chunks = Test_server.split_subject 1 (gen_source ~seed:26 ~loc:400) in
-  let a = Pinpoint.Analysis.prepare_source (snd (List.hd (Test_server.contents_of chunks))) in
+  let chunks = Helpers.split_subject 1 (gen_source ~seed:26 ~loc:400) in
+  let a = Pinpoint.Analysis.prepare_source (snd (List.hd (Helpers.contents_of chunks))) in
   memory "batch" (Pinpoint.Analysis.check a) a;
-  let st = Incr.load (Test_server.contents_of chunks) in
+  let st = Incr.load (Helpers.contents_of chunks) in
   List.iter (fun spec -> ignore (Incr.check st spec)) Pinpoint.Checkers.all;
   Alcotest.(check bool) "an edit" true
-    (Test_server.bump_nth_function chunks ~chunk:0 ~i:3);
-  let stats = Incr.update st (Test_server.contents_of chunks) in
+    (Helpers.bump_nth_function chunks ~chunk:0 ~i:3);
+  let stats = Incr.update st (Helpers.contents_of chunks) in
   Alcotest.(check bool) "incremental" false stats.Incr.full_rebuild;
   Alcotest.(check bool) "something redone" true (stats.Incr.dirty_cone > 0);
   memory "served" (Incr.check st) (Incr.analysis st)
@@ -458,10 +466,8 @@ let suite =
     Alcotest.test_case "VF round-trip" `Quick test_vf_roundtrip;
     Alcotest.test_case "blob seal / reopen / torn write" `Quick
       test_blob_reopen;
-    Alcotest.test_case "eviction report identity (seq)" `Quick
-      (test_eviction_identity 1);
-    Alcotest.test_case "eviction report identity (jobs 4)" `Quick
-      (test_eviction_identity 4);
+    Alcotest.test_case "spills and eviction" `Quick test_eviction;
+    Alcotest.test_case "two stores share a directory" `Quick test_shared_dir;
     Alcotest.test_case "dedup determinism" `Quick test_dedup_determinism;
     Alcotest.test_case "seg_size in store mode" `Quick
       test_seg_size_store_mode;
