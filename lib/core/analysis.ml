@@ -86,16 +86,16 @@ type swept = {
   summaries_changed : string list;
 }
 
-(* The one bottom-up walk (DESIGN.md §4.5, §4.13).  Per SCC: transform
-   the members ([Transform.process_scc]: rewrite calls, discover PTA,
-   expose side effects, final PTA), build each member's SEG from the PTA
-   it was just handed — the PTA is garbage from then on — then compute
-   their RV entries in member order, then their VF entries for every
-   registered checker in member order, each member publishing before the
-   next runs, and only then put the SEGs in the store.  A function's
-   summaries need only its own SEG, just built,
-   and its callees' summaries, so summarising reads no SEG back.  An
-   SCC's old entries are dropped just before it is redone, so a same-SCC
+(* The one bottom-up walk (DESIGN.md §4.5, §4.9, §4.13).  Per SCC:
+   transform the members ([Transform.process_scc]: rewrite calls,
+   discover PTA, expose side effects, final PTA), build each member's SEG
+   from the PTA it was just handed — the PTA is garbage from then on —
+   then compute their RV entries in member order, then their VF entries
+   for every registered checker in member order, each member seeing the
+   entries of the members before it, and only then put the SEGs in the
+   store.  A function's summaries need only its own SEG, just built, and
+   its callees' summaries, so summarising reads no SEG back.  An SCC's
+   old entries are dropped just before it is redone, so a same-SCC
    member not yet done looks unknown, as in a from-scratch run.
 
    An SCC is re-transformed, and its SEGs rebuilt, when [stale] says so
@@ -110,16 +110,20 @@ type swept = {
    member's new entries are compared with its old ones — those [before]
    gives, or else what the member was when the walk reached it — RV
    modulo renaming ({!Rv.equal_entries}), VF structurally, to mark what
-   changed for its callers.  Decisions read only callee marks, and
-   callees finish first, so they are the same at every [--jobs].
+   changed for its callers.
 
-   Each batch of SCCs ({!Pinpoint_par.Sched.run_sccs}; one SCC without a
-   pool) plans its SCCs and drops their old entries under one lock, keeps
-   its interfaces, RV and VF entries in overlays, reads everything else
-   from the shared tables under the lock, and publishes its entries,
-   marks and SEGs in one locked flush.  A store that bounds residency
-   walks without the pool: one SCC's PTAs and SEGs in flight keep the
-   heap bounded by its LRU. *)
+   The walk goes one wave at a time ({!Callgraph.waves}): the SCCs of a
+   wave call only into earlier waves, so they are independent.  Per wave,
+   the calling domain plans every SCC (reads its callee marks and what
+   its members were, drops their old entries, relowers them), the pool
+   runs each planned SCC as one item with SCC-local overlays, reading the
+   shared tables unlocked — nothing writes them during a wave — and the
+   calling domain publishes the interfaces, RV and VF entries, marks and
+   SEGs in wave order.  Decisions read only marks of earlier waves, so
+   they are the same at every [--jobs].  Without a pool, or with a store
+   that bounds residency, every SCC is its own wave in [sccs] order: one
+   SCC's PTAs and SEGs in flight keep the heap bounded by the store's
+   LRU. *)
 let sweep ?(stale = fun _ -> true) ?(relower = Fun.id) ?before t sccs =
   Obs.span "summary" @@ fun () ->
   let { graph; ifaces; rv; resilience; store; vfs; _ } = t in
@@ -130,231 +134,189 @@ let sweep ?(stale = fun _ -> true) ?(relower = Fun.id) ?before t sccs =
       (fun (c : Checker_spec.t) -> snd (Hashtbl.find vfs c.Checker_spec.name))
       checkers
   in
-  let pool = if Store.bounded store then None else t.pool in
-  let callees = Callgraph.callees graph in
+  let pool =
+    match t.pool with
+    | Some p when Pinpoint_par.Pool.jobs p > 1 && not (Store.bounded store) ->
+      Some p
+    | _ -> None
+  in
   let listed (scc : Func.t list) =
     match before with
     | None -> false
     | Some b -> List.exists (fun (f : Func.t) -> Hashtbl.mem b f.Func.fname) scc
   in
-  let lock = Mutex.create () in
   let reshaped = Hashtbl.create 16 and changed = Hashtbl.create 16 in
   let redone = ref [] and resummarised = ref 0 in
-  Pinpoint_par.Sched.run_sccs ?pool ~weight:Func.n_stmts
-    ~name:(fun (f : Func.t) -> f.Func.fname)
-    ~callees sccs
-    (fun batch ->
-      let iface_overlay = Hashtbl.create 16 and iface_cache = Hashtbl.create 64 in
-      let rv_overlay = Hashtbl.create 16 and vf_overlay = Hashtbl.create 16 in
-      let shared find name = Mutex.protect lock (fun () -> find name) in
-      (* A callee is in the same SCC (overlay), in a completed component
-         (prefetched), or unknown: simultaneously ready components are
-         independent, so the locked fallback never hits. *)
-      let iface_of name =
-        match Hashtbl.find_opt iface_overlay name with
-        | Some _ as r -> r
-        | None -> (
-          match Hashtbl.find_opt iface_cache name with
-          | Some _ as r -> r
-          | None -> shared (Hashtbl.find_opt ifaces) name)
-      in
-      let rv_lookup name =
-        match Hashtbl.find_opt rv_overlay name with
-        | Some _ as r -> r
-        | None -> shared (Rv.find rv) name
-      in
-      let vf_find k name =
-        match Hashtbl.find_opt vf_overlay name with
-        | Some sums -> Some sums.(k)
-        | None -> shared (Vf.find tables.(k)) name
-      in
-      (* A member's interface from before it is redone and, with
-         [before], its function, RV entries and VF entries too. *)
-      let was (f : Func.t) =
-        let name = f.Func.fname in
-        ( Hashtbl.find_opt ifaces name,
-          Option.map
-            (fun b ->
-              let was_f, was_rv =
-                match Hashtbl.find_opt b name with
-                | Some was -> was
-                | None -> (f, Rv.find rv name)
-              in
-              (was_f, was_rv, Array.map (fun vf -> Vf.find vf name) tables))
-            before )
-      in
-      (* Plan: each SCC to redo, whether it is re-transformed, and its
-         members with what they were — read, then dropped. *)
-      let plans =
-        Mutex.protect lock (fun () ->
-            let plans =
-              List.filter_map
-                (fun (scc : Func.t list) ->
-                  let outside =
-                    List.filter
-                      (fun c ->
-                        not
-                          (List.exists
-                             (fun (f : Func.t) -> f.Func.fname = c)
-                             scc))
-                      (callees scc)
-                  in
-                  let retransform =
-                    stale scc || List.exists (Hashtbl.mem reshaped) outside
-                  in
-                  if
-                    retransform
-                    || List.exists (Hashtbl.mem changed) outside
-                    || listed scc
-                  then
-                    Some
-                      ( retransform,
-                        List.map
-                          (fun (f : Func.t) ->
-                            let name = f.Func.fname and w = was f in
-                            if retransform then begin
-                              Hashtbl.remove ifaces name;
-                              Store.remove_fn store name
-                            end
-                            else Store.remove_rv store name;
-                            Array.iter (fun vf -> Vf.remove vf name) tables;
-                            (f, w))
-                          scc )
-                  else None)
-                batch
-            in
-            List.iter
-              (fun name ->
-                Option.iter (Hashtbl.replace iface_cache name)
-                  (Hashtbl.find_opt ifaces name))
-              (callees
-                 (List.concat_map
-                    (fun (retransform, members) ->
-                      if retransform then List.map fst members else [])
-                    plans));
-            plans)
-      in
-      (* Transform stage: each re-transformed SCC's members, relowered,
-         with their final PTAs kept only until their SEGs are built. *)
-      let ptas = Hashtbl.create 16 in
-      let plans =
-        if List.exists fst plans then
-          Obs.span "transform" (fun () ->
-              List.map
-                (fun (retransform, members) ->
-                  if not retransform then (false, members)
-                  else begin
-                    let members =
-                      List.map (fun ((f : Func.t), w) -> (relower f, w)) members
-                    in
-                    Transform.process_scc ~resilience ~iface_of
-                      ~put_iface:(Hashtbl.replace iface_overlay)
-                      ~put_pta:(Hashtbl.replace ptas) (List.map fst members);
-                    (true, members)
-                  end)
-                plans)
-        else plans
-      in
-      let redo (rebuild, members) =
-        let built =
-          List.filter_map
-            (fun ((f : Func.t), _) ->
-              let name = f.Func.fname in
-              Option.map
-                (fun seg -> (f, seg))
-                (if rebuild then
-                   Option.bind (Hashtbl.find_opt ptas name) (fun pta ->
-                       Hashtbl.remove ptas name;
-                       build_seg resilience f pta)
-                 else shared (Store.seg_of store) name))
-            members
-        in
-        (* Per-function barriers: a crash leaves that one function without
-           an entry — its receivers stay free (RV), and the engine descends
-           into it unpruned (VF). *)
-        let each phase fallback_note step =
-          List.iter
-            (fun ((f : Func.t), seg) ->
-              Resilience.protect ~log:resilience ~phase ~subject:f.Func.fname
-                ~fallback_note ~fallback:()
-                (fun () -> step f.Func.fname seg))
-            built
-        in
-        each Resilience.Rv_summary "no RV summary (receivers stay free)"
-          (fun name seg ->
-            Hashtbl.replace rv_overlay name (Rv.summarise rv ~lookup:rv_lookup seg));
-        each Resilience.Vf_summary "no VF summary (searched unpruned)"
-          (fun name seg ->
-            Obs.span "summary.vf"
-              ~attrs:[ ("fn", name) ]
-              (fun () ->
-                Hashtbl.replace vf_overlay name
-                  (Vf.summarise specs ~find:vf_find seg)));
-        if rebuild then built else []
-      in
-      let built = List.concat_map redo plans in
-      let reshapes ((f : Func.t), (was_iface, _)) =
-        match (was_iface, Hashtbl.find_opt iface_overlay f.Func.fname) with
-        | Some a, Some b -> not (Transform.same_shape a b)
-        | None, None -> false
-        | _ -> true
-      in
-      let differs ((f : Func.t), (_, was)) =
-        match was with
-        | None -> false
-        | Some (was_f, was_rv, was_vf) ->
-          let name = f.Func.fname in
-          let vf =
-            match Hashtbl.find_opt vf_overlay name with
-            | Some sums -> Array.map Option.some sums
-            | None -> Array.map (fun _ -> None) tables
+  (* A member's interface from before it is redone and, with [before],
+     its function, RV entries and VF entries too. *)
+  let was (f : Func.t) =
+    let name = f.Func.fname in
+    ( Hashtbl.find_opt ifaces name,
+      Option.map
+        (fun b ->
+          let was_f, was_rv =
+            match Hashtbl.find_opt b name with
+            | Some was -> was
+            | None -> (f, Rv.find rv name)
           in
-          (not
-             (Option.equal
-                (fun a b -> Rv.equal_entries (was_f, a) (f, b))
-                was_rv
-                (Hashtbl.find_opt rv_overlay name)))
-          || vf <> was_vf
+          (was_f, was_rv, Array.map (fun vf -> Vf.find vf name) tables))
+        before )
+  in
+  (* Plan one SCC: [None] to skip it, or whether it is re-transformed and
+     its members with what they were — read, then dropped, then
+     relowered when re-transformed. *)
+  let plan (scc : Func.t list) =
+    let outside =
+      List.filter
+        (fun c -> not (List.exists (fun (f : Func.t) -> f.Func.fname = c) scc))
+        (Callgraph.callees graph scc)
+    in
+    let retransform = stale scc || List.exists (Hashtbl.mem reshaped) outside in
+    if retransform || List.exists (Hashtbl.mem changed) outside || listed scc
+    then begin
+      let members =
+        List.map
+          (fun (f : Func.t) ->
+            let name = f.Func.fname and w = was f in
+            if retransform then begin
+              Hashtbl.remove ifaces name;
+              Store.remove_fn store name
+            end
+            else Store.remove_rv store name;
+            Array.iter (fun vf -> Vf.remove vf name) tables;
+            (f, w))
+          scc
       in
-      let marks pick =
-        List.concat_map
-          (fun (retransform, members) ->
-            List.filter_map
-              (fun (((f : Func.t), _) as m) ->
-                if pick retransform m then Some f.Func.fname else None)
-              members)
-          plans
-      in
-      let reshaped_now = marks (fun retransform m -> retransform && reshapes m) in
-      let changed_now = marks (fun _ m -> differs m) in
-      Mutex.protect lock (fun () ->
-          redone :=
-            List.concat_map
-              (fun (retransform, members) ->
-                if retransform then List.map fst members else [])
-              plans
-            @ !redone;
-          List.iter
-            (fun (retransform, members) ->
-              if not retransform then
-                resummarised := !resummarised + List.length members;
-              List.iter
-                (fun ((f : Func.t), _) ->
-                  let name = f.Func.fname in
-                  Option.iter (Hashtbl.replace ifaces name)
-                    (Hashtbl.find_opt iface_overlay name);
-                  Option.iter (Store.put_rv store name)
-                    (Hashtbl.find_opt rv_overlay name);
-                  Option.iter
-                    (Array.iteri (fun k s -> Vf.add tables.(k) name s))
-                    (Hashtbl.find_opt vf_overlay name))
-                members)
-            plans;
-          List.iter (fun name -> Hashtbl.replace reshaped name ()) reshaped_now;
-          List.iter (fun name -> Hashtbl.replace changed name ()) changed_now;
-          List.iter
-            (fun ((f : Func.t), seg) -> Store.put_seg store f.Func.fname seg)
-            built));
+      Some
+        ( retransform,
+          if retransform then List.map (fun (f, w) -> (relower f, w)) members
+          else members )
+    end
+    else None
+  in
+  (* Run one planned SCC against overlays of its own entries, and return
+     what publishes them, its marks and its SEGs. *)
+  let run (retransform, members) =
+    let iface_overlay = Hashtbl.create 8 in
+    let rv_overlay = Hashtbl.create 8 and vf_overlay = Hashtbl.create 8 in
+    let iface_of name =
+      match Hashtbl.find_opt iface_overlay name with
+      | Some _ as r -> r
+      | None -> Hashtbl.find_opt ifaces name
+    in
+    let rv_lookup name =
+      match Hashtbl.find_opt rv_overlay name with
+      | Some _ as r -> r
+      | None -> Rv.find rv name
+    in
+    let vf_find k name =
+      match Hashtbl.find_opt vf_overlay name with
+      | Some sums -> Some sums.(k)
+      | None -> Vf.find tables.(k) name
+    in
+    (* The final PTAs, kept only until their SEGs are built. *)
+    let ptas = Hashtbl.create 8 in
+    if retransform then
+      Obs.span "transform" (fun () ->
+          Transform.process_scc ~resilience ~iface_of
+            ~put_iface:(Hashtbl.replace iface_overlay)
+            ~put_pta:(Hashtbl.replace ptas) (List.map fst members));
+    let built =
+      List.filter_map
+        (fun ((f : Func.t), _) ->
+          let name = f.Func.fname in
+          Option.map
+            (fun seg -> (f, seg))
+            (if retransform then
+               Option.bind (Hashtbl.find_opt ptas name) (fun pta ->
+                   Hashtbl.remove ptas name;
+                   build_seg resilience f pta)
+             else Store.seg_of store name))
+        members
+    in
+    (* Per-function barriers: a crash leaves that one function without
+       an entry — its receivers stay free (RV), and the engine descends
+       into it unpruned (VF). *)
+    let each phase fallback_note step =
+      List.iter
+        (fun ((f : Func.t), seg) ->
+          Resilience.protect ~log:resilience ~phase ~subject:f.Func.fname
+            ~fallback_note ~fallback:()
+            (fun () -> step f.Func.fname seg))
+        built
+    in
+    each Resilience.Rv_summary "no RV summary (receivers stay free)"
+      (fun name seg ->
+        Hashtbl.replace rv_overlay name (Rv.summarise rv ~lookup:rv_lookup seg));
+    each Resilience.Vf_summary "no VF summary (searched unpruned)"
+      (fun name seg ->
+        Obs.span "summary.vf"
+          ~attrs:[ ("fn", name) ]
+          (fun () ->
+            Hashtbl.replace vf_overlay name (Vf.summarise specs ~find:vf_find seg)));
+    let reshapes ((f : Func.t), (was_iface, _)) =
+      match (was_iface, Hashtbl.find_opt iface_overlay f.Func.fname) with
+      | Some a, Some b -> not (Transform.same_shape a b)
+      | None, None -> false
+      | _ -> true
+    in
+    let differs ((f : Func.t), (_, was)) =
+      match was with
+      | None -> false
+      | Some (was_f, was_rv, was_vf) ->
+        let name = f.Func.fname in
+        let vf =
+          match Hashtbl.find_opt vf_overlay name with
+          | Some sums -> Array.map Option.some sums
+          | None -> Array.map (fun _ -> None) tables
+        in
+        (not
+           (Option.equal
+              (fun a b -> Rv.equal_entries (was_f, a) (f, b))
+              was_rv
+              (Hashtbl.find_opt rv_overlay name)))
+        || vf <> was_vf
+    in
+    let marks pick =
+      List.filter_map
+        (fun (((f : Func.t), _) as m) -> if pick m then Some f.Func.fname else None)
+        members
+    in
+    let reshaped_now = marks (fun m -> retransform && reshapes m)
+    and changed_now = marks differs in
+    fun () ->
+      if retransform then redone := List.map fst members @ !redone
+      else resummarised := !resummarised + List.length members;
+      List.iter
+        (fun ((f : Func.t), _) ->
+          let name = f.Func.fname in
+          Option.iter (Hashtbl.replace ifaces name) (Hashtbl.find_opt iface_overlay name);
+          Option.iter (Store.put_rv store name) (Hashtbl.find_opt rv_overlay name);
+          Option.iter
+            (Array.iteri (fun k s -> Vf.add tables.(k) name s))
+            (Hashtbl.find_opt vf_overlay name))
+        members;
+      List.iter (fun name -> Hashtbl.replace reshaped name ()) reshaped_now;
+      List.iter (fun name -> Hashtbl.replace changed name ()) changed_now;
+      if retransform then
+        List.iter (fun ((f : Func.t), seg) -> Store.put_seg store f.Func.fname seg) built
+  in
+  (match pool with
+  | None -> List.iter (fun scc -> Option.iter (fun p -> run p ()) (plan scc)) sccs
+  | Some pool ->
+    List.iter
+      (fun wave ->
+        let planned = Array.of_list (List.filter_map plan wave) in
+        let weights =
+          Array.map
+            (fun (_, members) ->
+              List.fold_left (fun n (f, _) -> n + Func.n_stmts f) 0 members)
+            planned
+        in
+        Array.iter
+          (Option.iter (fun publish -> publish ()))
+          (Pinpoint_par.Chunk.parallel_map ~weights pool run planned))
+      (Callgraph.waves graph sccs));
   {
     redone = !redone;
     resummarised = !resummarised;

@@ -58,10 +58,11 @@ val prepare :
 (** Run every phase up to (and including) summary generation on an
     already-compiled program: one bottom-up walk ({!sweep}) that
     transforms every function and builds every SEG and every RV and VF
-    summary.  With [pool] (and more than one job) it runs as bottom-up
-    SCC waves; the result — interfaces, SEGs, summaries, reports — is
-    identical to a sequential run (DESIGN.md §4.9).  The pool's incident
-    log is pointed at this analysis's {!t.resilience}.  With [resilience]
+    summary.  With [pool] (and more than one job) it maps each wave of
+    independent SCCs on the pool; the result — interfaces, SEGs,
+    summaries, reports — is identical to a sequential run (DESIGN.md
+    §4.9).  The pool's incident log is pointed at this analysis's
+    {!t.resilience}.  With [resilience]
     the given log is used instead of a fresh one — the analysis server
     passes its long-lived capacity-capped log so incidents from
     successive (re)builds accumulate in one place.
@@ -105,20 +106,23 @@ val sweep :
 
     A redone SCC is re-transformed or re-summarised.  Re-transformed:
     [relower] gives each member fresh, untransformed IR (called once per
-    member, from a worker domain with a pool),
-    {!Pinpoint_transform.Transform.process_scc} transforms the members and
-    publishes their interfaces to [ifaces] ([transform], one span per
-    batch; [pta] per points-to run), then each member's SEG is built from
-    the points-to result it was just handed ([seg.build] each), which is
-    then garbage.  Re-summarised: the
+    member, on the calling domain while it plans the SCC's wave),
+    {!Pinpoint_transform.Transform.process_scc} transforms the members,
+    whose interfaces go to [t.ifaces] when the SCC is published
+    ([transform], one span per SCC; [pta] per points-to run), then each
+    member's SEG is built from the points-to result it was just handed
+    ([seg.build] each), which is then garbage.  Re-summarised: the
     members' retained SEGs are read back.  Either way their RV entries
     are computed in member order, then their VF entries (every registered
     checker's table in [t.vfs]) in member order ([summary.vf] each), and
     only then are new SEGs put in the store.  Transform, SEG, RV and VF
     work each sit behind a per-function barrier: a member whose final
     points-to stage crashed gets no SEG.  With [t.pool], unless the
-    store bounds residency ({!Pinpoint_store.Store.bounded}), the SCCs
-    run as a batched bottom-up wave.
+    store bounds residency ({!Pinpoint_store.Store.bounded}), the walk
+    goes one {!Pinpoint_ir.Callgraph.waves} wave at a time: it plans the
+    wave's SCCs, runs each as one pool item against SCC-local overlays,
+    and publishes their entries, marks and SEGs in wave order before the
+    next wave; otherwise every SCC is its own wave, in [sccs] order.
 
     An SCC is re-transformed when [stale] holds for it (the default: every
     SCC, with [relower] the identity — {!prepare}) or when a callee

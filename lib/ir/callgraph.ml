@@ -55,6 +55,38 @@ let functions g = Array.to_list g.funcs
 let members g c = List.map (Array.get g.funcs) g.comps.(c)
 let sccs g = List.init (Array.length g.comps) (members g)
 
+let waves g sccs =
+  let wave_of = Hashtbl.create 64 in
+  let placed =
+    List.map
+      (fun scc ->
+        let nodes =
+          List.filter_map
+            (fun (f : Func.t) -> Hashtbl.find_opt g.index f.Func.fname)
+            scc
+        in
+        (* the SCC's own nodes are not placed yet, so a call within it
+           does not count *)
+        let w =
+          List.fold_left
+            (fun w i ->
+              List.fold_left
+                (fun w (j, _) ->
+                  match Hashtbl.find_opt wave_of j with
+                  | Some d -> max w (d + 1)
+                  | None -> w)
+                w g.calls.(i))
+            0 nodes
+        in
+        List.iter (fun i -> Hashtbl.replace wave_of i w) nodes;
+        (w, scc))
+      sccs
+  in
+  let n = List.fold_left (fun n (w, _) -> max n (w + 1)) 0 placed in
+  let waves = Array.make n [] in
+  List.iter (fun (w, scc) -> waves.(w) <- scc :: waves.(w)) (List.rev placed);
+  Array.to_list waves
+
 let callers g name =
   match Hashtbl.find_opt g.index name with Some j -> g.callers.(j) | None -> []
 

@@ -42,6 +42,14 @@ val members : t -> int -> Func.t list
 (** The current members of the SCC at a position in {!sccs}: a function
     {!replace}d since the position was read shows as its replacement. *)
 
+val waves : t -> Func.t list list -> Func.t list list list
+(** [waves g sccs] splits SCCs listed in bottom-up order (all of {!sccs},
+    or the {!members} of an {!upward} set) by depth: an SCC goes one wave
+    after the latest wave that holds one of its listed callees, so the
+    SCCs of a wave call into no listed SCC of their own wave or a later
+    one.  A callee outside the list counts as done.  Each wave keeps the
+    order of [sccs]. *)
+
 val replace : t -> Func.t list -> string list
 (** [replace g fs] installs re-lowered functions, each replacing the
     function of the same name (names distinct), and returns the functions

@@ -4,11 +4,9 @@ module Obs = Pinpoint_obs.Obs
 
 (* One shared FIFO queue under the pool mutex (DESIGN.md §4.15).
 
-   Workers and helping callers pop from the same queue.  A task is
-   counted in [active] from the moment it is popped (under [m], in the
-   same critical section) until it finishes, so the idle predicate
-   [Queue.is_empty q && active = 0] never observes a task in flight as
-   already finished. *)
+   Only {!parallel_map} enqueues, and it returns once every task it
+   enqueued has finished, so the queue is empty whenever no map is
+   running.  Workers and the mapping caller pop from it. *)
 
 type t = {
   jobs : int;
@@ -16,13 +14,11 @@ type t = {
   q : (unit -> unit) Queue.t;
   m : Mutex.t;
   nonempty : Condition.t;  (* a task was enqueued, or [stop] was set *)
-  idle : Condition.t;      (* the queue is empty and no task is running *)
-  mutable active : int;    (* tasks popped and still running *)
   mutable stop : bool;
   mutable domains : unit Domain.t array;
   alloc : float array;
       (* Per-worker allocated bytes ([Gc.allocated_bytes] is domain-local
-         in OCaml 5, so the submitting domain's own measurement misses
+         in OCaml 5, so the calling domain's own measurement misses
          everything the workers allocate).  Each slot is written only by
          its own worker; [allocated_bytes] sums a racy but monotone
          snapshot, which is all the metrics layer needs. *)
@@ -47,40 +43,6 @@ let note t ~t0 exn =
         elapsed_s = Metrics.now () -. t0;
       }
 
-(* Every queued closure is pre-wrapped with this barrier, so a task can
-   never kill the domain that happens to execute it (worker or helping
-   caller).  [Out_of_memory] is swallowed too, deliberately: a dead worker
-   would deadlock the waiters, which is strictly worse than degrading to a
-   dropped task + incident.
-
-   The submitter's ambient request id is captured here (wrap time) and
-   re-installed on whichever domain ends up running the task, so spans
-   and profiler rows recorded inside pooled work still attribute to the
-   originating server request. *)
-let guard t task =
-  let req = Obs.request_id () in
-  let run () = Obs.span "par.task" task in
-  let run = if req = "" then run else fun () -> Obs.with_request req run in
-  fun () ->
-    let t0 = Metrics.now () in
-    try run () with exn -> note t ~t0 exn
-
-let enqueue t task =
-  Mutex.lock t.m;
-  if t.stop then begin
-    Mutex.unlock t.m;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.push task t.q;
-  Condition.signal t.nonempty;
-  Mutex.unlock t.m
-
-(* Pop one task and count it [active]; the caller holds [t.m]. *)
-let pop_locked t =
-  let task = Queue.pop t.q in
-  t.active <- t.active + 1;
-  task
-
 let run_task t lane task =
   let t0 = Metrics.now () in
   task ();
@@ -88,8 +50,6 @@ let run_task t lane task =
   Mutex.lock t.m;
   t.busy.(lane) <- t.busy.(lane) +. dt;
   t.ran.(lane) <- t.ran.(lane) + 1;
-  t.active <- t.active - 1;
-  if t.active = 0 && Queue.is_empty t.q then Condition.broadcast t.idle;
   Mutex.unlock t.m
 
 let rec worker t wid =
@@ -99,7 +59,7 @@ let rec worker t wid =
   done;
   if Queue.is_empty t.q then Mutex.unlock t.m (* stopped and drained *)
   else begin
-    let task = pop_locked t in
+    let task = Queue.pop t.q in
     Mutex.unlock t.m;
     let a0 = Gc.allocated_bytes () in
     run_task t wid task;
@@ -120,8 +80,6 @@ let create ?log ~jobs () =
       q = Queue.create ();
       m = Mutex.create ();
       nonempty = Condition.create ();
-      idle = Condition.create ();
-      active = 0;
       stop = false;
       domains = [||];
       alloc = Array.make (max 1 n_workers) 0.0;
@@ -133,20 +91,16 @@ let create ?log ~jobs () =
   t.domains <- Array.init n_workers (fun wid -> Domain.spawn (fun () -> worker t wid));
   t
 
-let submit t task =
-  let task = guard t task in
-  if t.jobs <= 1 then task () else enqueue t task
-
-(* The helper lane (a domain outside the pool lending itself), used by
-   {!parallel_map} and by the {!Sched} drive loop. *)
-let try_run_one t =
+(* Pop one task and run it on the calling domain, counted on the helper
+   lane; [false] if the queue was empty. *)
+let help t =
   Mutex.lock t.m;
   if Queue.is_empty t.q then begin
     Mutex.unlock t.m;
     false
   end
   else begin
-    let task = pop_locked t in
+    let task = Queue.pop t.q in
     Mutex.unlock t.m;
     run_task t (t.jobs - 1) task;
     true
@@ -166,10 +120,14 @@ let parallel_map (type a b) t (f : a -> b) (arr : a array) : b option array =
     let m = Mutex.create () in
     let fin = Condition.create () in
     let remaining = ref n in
-    (* Same request re-attribution as [guard]: the closures run on
-       arbitrary worker domains. *)
+    (* The caller's request id, re-installed on whichever domain runs a
+       task, so spans and profiler rows recorded inside pooled work still
+       attribute to the originating server request. *)
     let req = Obs.request_id () in
     let with_req g = if req = "" then g () else Obs.with_request req g in
+    (* A task never kills the domain that runs it: [Out_of_memory] is
+       caught too, since a dead worker would deadlock the waiters, which
+       is worse than a dropped slot and an incident. *)
     let run i () =
       let t0 = Metrics.now () in
       (try
@@ -181,24 +139,18 @@ let parallel_map (type a b) t (f : a -> b) (arr : a array) : b option array =
       if !remaining = 0 then Condition.broadcast fin;
       Mutex.unlock m
     in
-    for i = 0 to n - 1 do enqueue t (run i) done;
+    Mutex.lock t.m;
+    for i = 0 to n - 1 do Queue.push (run i) t.q done;
+    Condition.broadcast t.nonempty;
+    Mutex.unlock t.m;
     (* The caller is one of the [jobs] lanes: help drain the queue, then
        wait for stragglers still running on workers. *)
-    while try_run_one t do () done;
+    while help t do () done;
     Mutex.lock m;
     while !remaining > 0 do Condition.wait fin m done;
     Mutex.unlock m
   end;
   res
-
-let wait_idle t =
-  if t.jobs > 1 then begin
-    Mutex.lock t.m;
-    while not (Queue.is_empty t.q && t.active = 0) do
-      Condition.wait t.idle t.m
-    done;
-    Mutex.unlock t.m
-  end
 
 (* Scheduling observability (DESIGN.md §4.15): lifetime counters, folded
    into the registry so [--metrics-json] and the server's live window
@@ -217,7 +169,6 @@ let publish_obs t =
 
 let shutdown t =
   if t.jobs > 1 then begin
-    wait_idle t;
     Mutex.lock t.m;
     let already = t.stop in
     t.stop <- true;

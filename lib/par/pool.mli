@@ -1,36 +1,37 @@
 (** A fixed-size pool of worker domains sharing one task queue.
 
-    The parallel runtime of the analysis (DESIGN.md §4.9, §4.15):
-    [Analysis], [Transform], [Rv] and [Engine] hand their per-chunk /
-    per-SCC-batch / per-source task units to a pool instead of running
-    them inline.
+    The parallel runtime of the analysis (DESIGN.md §4.9, §4.15): the
+    bottom-up walk ({!Pinpoint.Analysis.sweep}) maps each wave of
+    call-graph SCCs, and the engine its per-source searches, through
+    {!parallel_map} (chunked by {!Chunk}).  A map is the only way work
+    reaches the pool, and it returns when all of its items have run.
 
     Design points:
 
-    - {b jobs <= 1 means inline}: no domains are spawned and [submit] runs
-      the task on the calling domain immediately.  The sequential pipeline
-      is therefore exactly the code path exercised by a 1-core run, and
-      [--jobs 1] is byte-for-byte the historical behaviour.
-    - {b one FIFO queue}: every submission, from any domain, goes to one
-      queue under the pool mutex; workers and helping callers pop from
-      it.  The schedule only changes {e which lane} runs a task, never the
-      result: all stages that use the pool merge in deterministic
-      (positional or program) order, so reports and stats are
+    - {b jobs <= 1 means inline}: no domains are spawned and
+      {!parallel_map} runs every item on the calling domain.  The
+      sequential pipeline is therefore exactly the code path exercised by
+      a 1-core run, and [--jobs 1] is byte-for-byte the historical
+      behaviour.
+    - {b one FIFO queue}: a map's items, from any domain, go to one queue
+      under the pool mutex; workers and the mapping caller pop from it.
+      The schedule only changes {e which lane} runs an item, never the
+      result: result slots are positional, so reports and stats are
       byte-identical at every [--jobs] level.
-    - {b exception capture}: a task that escapes its own barriers never
+    - {b exception capture}: an item that escapes its own barriers never
       kills a worker.  The exception is recorded as a [Par_task] incident
       on the pool's {!Pinpoint_util.Resilience.log} (when one is attached
-      with {!set_log}) and, for {!parallel_map}, the slot yields [None].
+      with {!set_log}) and the item's slot yields [None].
     - {b allocation accounting}: each worker tracks the bytes it allocates
       (domain-local [Gc.allocated_bytes] deltas); {!allocated_bytes} sums
       them so {!Pinpoint_util.Metrics.measure} can report whole-run
-      allocation, not just the submitting domain's. *)
+      allocation, not just the calling domain's. *)
 
 type t
 
 val create : ?log:Pinpoint_util.Resilience.log -> jobs:int -> unit -> t
 (** Spawn a pool of [max 0 (jobs - 1)] worker domains ([jobs] counts the
-    submitting domain: [jobs = 4] means at most 4 tasks run concurrently,
+    calling domain: [jobs = 4] means at most 4 tasks run concurrently,
     one of them on the caller inside {!parallel_map}).  [jobs <= 1] spawns
     nothing and every task runs inline. *)
 
@@ -53,28 +54,17 @@ val note : t -> t0:float -> exn -> unit
     attached log (if any), timed from [t0] ({!Pinpoint_util.Metrics.now}).
     {!Chunk} records its per-item failures through it. *)
 
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue a fire-and-forget task.  Exceptions it raises are captured and
-    logged, never re-raised.  Runs inline when [jobs <= 1]. *)
-
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b option array
 (** Apply [f] to every element, slot [i] of the result holding [Some (f
     a.(i))] — or [None] if that application raised (the exception is
     recorded as an incident).  The caller participates: with [jobs = n],
     [n] applications run concurrently.  Result slots are positional, so
-    output order is independent of completion order. *)
-
-val try_run_one : t -> bool
-(** Pop one queued task and run it on the calling domain; [false] if the
-    queue was empty.  Lets a blocked coordinator (see {!Sched}) lend its
-    domain instead of idling. *)
-
-val wait_idle : t -> unit
-(** Block until every submitted task has finished and the queue is empty. *)
+    output order is independent of completion order.  An item may map
+    again on the same pool. *)
 
 val shutdown : t -> unit
-(** {!wait_idle}, then stop and join the workers.  The pool must not be
-    used afterwards.  Idempotent. *)
+(** Stop and join the workers.  The pool must not be used afterwards.
+    Idempotent. *)
 
 val with_pool :
   ?log:Pinpoint_util.Resilience.log -> jobs:int -> (t -> 'a) -> 'a
@@ -82,7 +72,7 @@ val with_pool :
 
 val allocated_bytes : t -> float
 (** Total bytes allocated by the worker domains so far (excluding the
-    submitting domain, which [Gc.allocated_bytes] already covers). *)
+    calling domain, which [Gc.allocated_bytes] already covers). *)
 
 val publish_obs : t -> unit
 (** Fold the [par.tasks] counter and [par.busy_s] gauge into the Obs

@@ -238,23 +238,23 @@ let propagate st ~lower (edited : Func.t list) =
     @ Callgraph.replace graph edited);
   let roots = Hashtbl.fold (fun name () acc -> name :: acc) stale [] in
   (* Callers re-transformed because a callee's interface changed, and an
-     edited function's SCC-mates, are lowered mid-walk, possibly on a
-     worker domain.  [install] only rebinds a name [by_name] already
-     holds, and the walk reads that name only from the function's own
-     SCC and from its callers, which run after it. *)
-  let lock = Mutex.create () and later = ref [] in
+     edited function's SCC-mates, are lowered mid-walk, on the calling
+     domain while it plans their wave: no SCC runs then, and the walk
+     reads a name only from the function's own SCC and from its callers,
+     which are in later waves. *)
+  let later = ref [] in
   let relower (f : Func.t) =
     if Hashtbl.mem before f.Func.fname then f
-    else
-      Mutex.protect lock (fun () ->
-          let f' = lower f (Hashtbl.find st.fdecl_of f.Func.fname) in
-          install f';
-          later := f' :: !later;
-          f')
+    else begin
+      let f' = lower f (Hashtbl.find st.fdecl_of f.Func.fname) in
+      install f';
+      later := f' :: !later;
+      f'
+    end
   in
   (* One walk over the SCCs the edit can reach: those holding an edited
      or moved function or a transitive caller of one, marked once.  The
-     walk reads each SCC's members when it starts and builds a
+     walk reads each SCC's members when it plans it and builds a
      re-transformed member's SEG from the function [relower] returned;
      fresh SEGs and RV entries go to the store, as in batch prepare. *)
   let swept =

@@ -723,7 +723,7 @@ let request_op req =
    Every request gets a fresh id ("r000001", …) installed as the ambient
    Obs request context for the whole dispatch — spans, SMT profiler rows
    and flight events recorded anywhere below (including on pool workers,
-   which re-install the submitter's id) carry it, and the response is
+   which re-install the caller's id) carry it, and the response is
    stamped with it so a client can correlate.  The id sequence depends
    only on the request order, never on the obs level, so responses stay
    byte-identical across levels. *)
@@ -732,6 +732,12 @@ let handle_line t line : string * [ `Continue | `Stop ] =
   let rid = Printf.sprintf "r%06d" t.n_requests in
   let t0 = Metrics.now_mono () in
   let finish ?id ~op (fields, action) =
+    (* Every refusal counts here, once; an RSS shed counts only in
+       [server.shed_rss]. *)
+    if
+      List.assoc_opt "ok" fields = Some (Json.Bool false)
+      && not (List.mem_assoc "overloaded" fields)
+    then Obs.add c_errors 1;
     let latency_s = Metrics.now_mono () -. t0 in
     Obs.observe (Obs.histogram "server.request_latency_s") latency_s;
     if Flight.enabled () then
@@ -750,7 +756,6 @@ let handle_line t line : string * [ `Continue | `Stop ] =
       action )
   in
   let bad_request ?id ~detail msg =
-    Obs.add c_errors 1;
     if Flight.enabled () then Flight.record ~req:rid ~kind:"request" ~detail "?";
     finish ?id ~op:"?"
       (error_fields (Printf.sprintf "bad request: %s" msg), `Continue)
@@ -808,11 +813,9 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                 else
                   ( (try check_fields t req with
                     | Pinpoint_frontend.Parser.Error (msg, line) ->
-                      Obs.add c_errors 1;
                       error_fields
                         (Printf.sprintf "parse error at line %d: %s" line msg)
                     | Pinpoint_frontend.Lower.Error (msg, loc) ->
-                      Obs.add c_errors 1;
                       error_fields
                         (Printf.sprintf "%s:%d: %s" loc.Pinpoint_ir.Stmt.file
                            loc.Pinpoint_ir.Stmt.line msg)
@@ -820,7 +823,6 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                       (* A crash that reached the top barrier is exactly
                          what the flight recorder exists for: dump the ring
                          before answering. *)
-                      Obs.add c_errors 1;
                       if Flight.enabled () then begin
                         Flight.record ~req:rid ~kind:"crash"
                           ~detail:(Printexc.to_string exn) "server.check";
@@ -833,9 +835,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
                         (Printf.sprintf "internal error: %s"
                            (Printexc.to_string exn))),
                     `Continue )
-              | op ->
-                Obs.add c_errors 1;
-                (error_fields (Printf.sprintf "unknown op %S" op), `Continue))))
+              | op -> (error_fields (Printf.sprintf "unknown op %S" op), `Continue))))
 
 (* ---------- transports ---------- *)
 

@@ -109,11 +109,6 @@ let read t ~off ~len =
     b
   | Closed -> invalid_arg "Blob.read: blob is closed"
 
-let le64_of_int n =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  b
-
 let map fd size =
   Bigarray.array1_of_genarray
     (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
@@ -127,31 +122,36 @@ let seal t ~index =
   | Sealed _ -> ()
   | Closed -> invalid_arg "Blob.seal: blob is closed"
   | Writing w ->
+    let newest () = match sealed_epochs t.dir with [] -> 0 | ep :: _ -> ep in
+    let index_off = append t index in
+    let trailer = Bytes.create trailer_len in
+    Bytes.set_int64_le trailer 0 (Int64.of_int index_off);
+    Bytes.set_int64_le trailer 8 (Int64.of_int (Bytes.length index));
+    Bytes.set_int64_le trailer 16 (fnv64 index);
+    Bytes.blit_string magic 0 trailer 32 8;
+    (* Write the trailer naming epoch [ep], then claim [ep]'s file name
+       with [link], which fails rather than replace an epoch another store
+       sealed meanwhile: this file then takes the next number. *)
+    let rec claim ep =
+      Bytes.set_int64_le trailer 24 (Int64.of_int ep);
+      ignore (Unix.lseek w.fd w.size Unix.SEEK_SET);
+      really_write w.fd trailer;
+      Unix.fsync w.fd;
+      match Unix.link t.path (epoch_file t.dir ep) with
+      | () -> ep
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
+        claim (max (ep + 1) (newest () + 1))
+    in
     (* the epoch after the newest sealed now: another store sharing the
        directory may have sealed since [create] *)
-    t.epoch <- (match sealed_epochs t.dir with [] -> 1 | ep :: _ -> ep + 1);
-    let index_off = append t index in
-    let index_len = Bytes.length index in
-    ignore (Unix.lseek w.fd 0 Unix.SEEK_END);
-    really_write w.fd (le64_of_int index_off);
-    really_write w.fd (le64_of_int index_len);
-    let cksum = Bytes.create 8 in
-    Bytes.set_int64_le cksum 0 (fnv64 index);
-    really_write w.fd cksum;
-    really_write w.fd (le64_of_int t.epoch);
-    really_write w.fd (Bytes.of_string magic);
+    t.epoch <- claim (newest () + 1);
     let size = w.size + trailer_len in
-    Unix.fsync w.fd;
-    (* map the file through its own descriptor before the rename, so the
-       reads that follow see this blob's bytes whatever else lands on the
-       epoch's name *)
     let map =
       Fun.protect ~finally:(fun () -> Unix.close w.fd) (fun () -> map w.fd size)
     in
-    let final = epoch_file t.dir t.epoch in
-    Sys.rename t.path final;
-    t.path <- final;
-    t.state <- Sealed { map; size; index_off; index_len }
+    Sys.remove t.path;
+    t.path <- epoch_file t.dir t.epoch;
+    t.state <- Sealed { map; size; index_off; index_len = Bytes.length index }
 
 let is_sealed t = match t.state with Sealed _ -> true | _ -> false
 let epoch t = t.epoch

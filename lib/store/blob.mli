@@ -4,9 +4,9 @@
     own, [dir]/store.PID.N.tmp (plain [write]/[lseek] I/O — the OS page
     cache keeps warm reads cheap while the file is still growing), then
     {!seal} writes the caller's index, a fixed-size checksummed trailer,
-    fsyncs, maps the file and renames it to [dir]/store.epNNNNNN.bin —
-    the same temp+rename epoch discipline as the server snapshot, so a
-    crash mid-seal leaves the previous epoch intact.  Sealed files are
+    fsyncs, links the file to [dir]/store.epNNNNNN.bin and removes the
+    temporary name, so a crash mid-seal leaves the previous epoch intact
+    and two stores sealing at once take two epochs.  Sealed files are
     memory-mapped (Bigarray), so resident cost is page-cache pressure,
     not heap.  Stores sharing a directory never share a file: each reads
     its own bytes back. 
@@ -30,9 +30,11 @@ val read : t -> off:int -> len:int -> bytes
 val size : t -> int
 
 val seal : t -> index:bytes -> unit
-(** Append [index], write the trailer, fsync, map the file, rename it to
-    the epoch file — one past the highest sealed epoch present — and
-    switch to the mmap read path.  Idempotent. *)
+(** Append [index], write the trailer, fsync, and link the file to the
+    epoch file one past the highest sealed epoch present; when another
+    store claimed that name first, take the next one, with the trailer's
+    epoch rewritten to match.  Then map the file, remove the temporary
+    name and switch to the mmap read path.  Idempotent. *)
 
 val is_sealed : t -> bool
 val epoch : t -> int

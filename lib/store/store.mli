@@ -67,8 +67,8 @@ val remove_fn : t -> string -> unit
     a rebuild; dead blob bytes are not reclaimed). *)
 
 val seal : t -> unit
-(** Seal the blob (index + checksummed trailer, rename to the epoch
-    file) and switch reads to the mmap path.  No further puts.  A memory
+(** Seal the blob (index + checksummed trailer, linked to the next free
+    epoch file) and switch reads to the mmap path.  No further puts.  A memory
     store has nothing to seal. *)
 
 val is_sealed : t -> bool

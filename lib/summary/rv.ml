@@ -18,7 +18,7 @@ let find t name = t.find name
    summaries, cloning callee symbols and binding callee formals to actual
    terms; recursively pull in the data dependence of those actuals.
    [lookup] abstracts the summary table: during the bottom-up sweep it
-   routes through a per-batch overlay + locked shared table, at engine
+   reads the SCC's own overlay, then the shared table, at engine
    time it is {!find}.  Callee formals come from the IR, so closing never
    needs a callee's SEG. *)
 let rec close_cres t ~lookup (seg : Seg.t) depth (cres : Seg.cres) :

@@ -213,7 +213,8 @@ let test_gates_vs_oracle_programs () =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun n -> Filename.check_suffix n ".mc")
     |> List.sort compare
-    |> List.map (fun n -> Helpers.compile (Test_store.read_file (Filename.concat dir n)))
+    |> List.map (fun n ->
+           Helpers.compile (Test_store.read_file (Filename.concat dir n)))
   in
   let subject =
     Pinpoint_workload.Gen.compile
@@ -485,6 +486,88 @@ let patched_graph_is_from_scratch =
           ok)
         steps)
 
+(* [Callgraph.waves] over a listed set of SCCs: every SCC in exactly one
+   wave, every listed callee in a strictly earlier wave, and an SCC one
+   wave after its latest listed callee; each wave in the listing's order.
+   Over the whole program and over an upward-closed subset, on the
+   corpus and a generated subject. *)
+let test_waves () =
+  let dir = Test_corpus.corpus_dir () in
+  let corpus =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".mc")
+    |> List.sort compare
+    |> List.map (fun n ->
+           Helpers.compile (Test_store.read_file (Filename.concat dir n)))
+  in
+  let subject =
+    Pinpoint_workload.Gen.compile
+      (Pinpoint_workload.Gen.generate ~name:"waves.mc"
+         (Pinpoint_workload.Gen.scaled ~seed:3 ~mloc:0.01 ()))
+  in
+  let names scc = List.map (fun (f : Func.t) -> f.Func.fname) scc in
+  let check_listing g what sccs =
+    let waves = Callgraph.waves g sccs in
+    let position = Hashtbl.create 64 and wave_of = Hashtbl.create 64 in
+    List.iteri
+      (fun i scc -> List.iter (fun n -> Hashtbl.replace position n i) (names scc))
+      sccs;
+    List.iteri
+      (fun w wave ->
+        List.iter
+          (fun scc -> List.iter (fun n -> Hashtbl.replace wave_of n w) (names scc))
+          wave)
+      waves;
+    Alcotest.(check (list (list string)))
+      (what ^ ": every SCC in one wave")
+      (List.sort compare (List.map names sccs))
+      (List.sort compare (List.concat_map (List.map names) waves));
+    List.iteri
+      (fun w wave ->
+        let first scc = Hashtbl.find position (List.hd (names scc)) in
+        let order = List.map first wave in
+        Alcotest.(check (list int)) (what ^ ": a wave keeps the listing's order")
+          (List.sort compare order) order;
+        List.iter
+          (fun scc ->
+            let callee_waves =
+              List.filter_map
+                (fun c ->
+                  if List.mem c (names scc) then None else Hashtbl.find_opt wave_of c)
+                (Callgraph.callees g scc)
+            in
+            List.iter
+              (fun cw ->
+                if cw >= w then
+                  Alcotest.failf "%s: %s in wave %d calls into wave %d" what
+                    (List.hd (names scc)) w cw)
+              callee_waves;
+            Alcotest.(check int)
+              (what ^ ": one wave after the latest callee")
+              (List.fold_left (fun acc cw -> max acc (cw + 1)) 0 callee_waves)
+              w)
+          wave)
+      waves;
+    waves
+  in
+  let deepest = ref 0 and widest = ref 0 in
+  List.iter
+    (fun prog ->
+      let g = Callgraph.build prog in
+      let waves = check_listing g "whole program" (Callgraph.sccs g) in
+      deepest := max !deepest (List.length waves);
+      List.iter (fun w -> widest := max !widest (List.length w)) waves;
+      let roots =
+        List.filteri (fun i _ -> i mod 4 = 0)
+          (List.map (fun (f : Func.t) -> f.Func.fname) (Callgraph.functions g))
+      in
+      ignore
+        (check_listing g "upward subset"
+           (List.map (Callgraph.members g) (Callgraph.upward g roots))))
+    (corpus @ [ subject ]);
+  Alcotest.(check bool) "some wave holds several SCCs" true (!widest > 1);
+  Alcotest.(check bool) "some program is several waves deep" true (!deepest > 2)
+
 let suite =
   [
     Alcotest.test_case "ssa single def" `Quick test_ssa_single_def;
@@ -504,4 +587,5 @@ let suite =
     Alcotest.test_case "units" `Quick test_prog_units;
     Alcotest.test_case "loc estimate" `Quick test_loc_estimate;
     Alcotest.test_case "alloc sites distinct" `Quick test_alloc_sites_distinct;
+    Alcotest.test_case "waves: callees in earlier waves" `Quick test_waves;
   ]

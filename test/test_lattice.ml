@@ -13,8 +13,9 @@
        each check response's renders are the reference's over the same
        file contents, and the closing status counts agree;
    (d) every axis took effect: the store spilled, evicted and faulted, the
-       pool ran tasks, tracing recorded [engine.source] spans, and only the
-       structural edit was answered with a full rebuild. *)
+       pool ran tasks, as many at [Off] as at [Trace], tracing recorded
+       [engine.source] spans, and only the structural edit was answered
+       with a full rebuild. *)
 
 module Obs = Pinpoint_obs.Obs
 module Flight = Pinpoint_obs.Flight
@@ -351,6 +352,11 @@ let check_axes c r =
   Alcotest.(check bool)
     (Printf.sprintf "par.tasks %d with jobs %d" r.par_tasks c.jobs)
     (c.jobs > 1) (r.par_tasks > 0);
+  (* the tasks follow from the waves and their weights, not the schedule *)
+  if c.jobs > 1 then
+    Alcotest.(check int) "par.tasks at Off = at Trace"
+      (run { c with trace = false }).par_tasks
+      (run { c with trace = true }).par_tasks;
   Alcotest.(check bool) "engine.source spans" c.trace
     (List.mem "engine.source" r.spans);
   if not c.trace then Alcotest.(check (list string)) "no spans at Off" [] r.spans;

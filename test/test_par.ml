@@ -1,14 +1,24 @@
-(* The parallel runtime: worker pool, chunk planning and the SCC-wave
-   scheduler (DESIGN.md §4.9).  That [--jobs N] changes wall-clock only,
-   never reports or counts, is the lattice's (test_lattice.ml); here it is
-   checked under fault injection, whose incidents must not depend on the
-   schedule either. *)
+(* The parallel runtime: worker pool, chunk planning and the wave walk
+   over call-graph SCCs (DESIGN.md §4.9).  That [--jobs N] changes
+   wall-clock only, never reports or counts, is the lattice's
+   (test_lattice.ml); here it is checked for the walk's tables and under
+   fault injection, whose incidents must not depend on the schedule
+   either. *)
 
 module Pool = Pinpoint_par.Pool
-module Sched = Pinpoint_par.Sched
 module Chunk = Pinpoint_par.Chunk
-module Digraph = Pinpoint_util.Digraph
+module Obs = Pinpoint_obs.Obs
 module R = Pinpoint_util.Resilience
+
+(* Run [f] from a zeroed registry at [Metrics_only], and put it back. *)
+let with_registry f =
+  Obs.reset ();
+  Obs.set_level Obs.Metrics_only;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_level Obs.Off;
+      Obs.reset ())
+    f
 
 (* --- pool --- *)
 
@@ -48,42 +58,41 @@ let test_pool_exception_capture () =
       Alcotest.(check bool) "phase is par-task" true (i.R.phase = R.Par_task))
     (R.incidents log)
 
-let test_pool_submit_wait () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      let hits = Atomic.make 0 in
-      for _ = 1 to 50 do
-        Pool.submit p (fun () -> Atomic.incr hits)
-      done;
-      Pool.wait_idle p;
-      Alcotest.(check int) "all tasks ran" 50 (Atomic.get hits))
-
-(* A task that submits [k] subtasks from a worker: [wait_idle] must
-   cover the nested submissions too, and [par.tasks] must count the outer
-   task and every subtask exactly once however often it is published. *)
-let test_nested_submit () =
-  let module Obs = Pinpoint_obs.Obs in
-  Obs.reset ();
-  Obs.set_level Obs.Metrics_only;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_level Obs.Off;
-      Obs.reset ())
-  @@ fun () ->
+(* Two tasks that each map [k] items from a worker: the outer map
+   returns only when the inner ones have, and [par.tasks] counts the
+   outer tasks and every inner one exactly once however often it is
+   published. *)
+let test_nested_map () =
+  with_registry @@ fun () ->
   let k = 8 in
   let ran = Atomic.make 0 in
   Pool.with_pool ~jobs:3 (fun p ->
-      Pool.submit p (fun () ->
-          for _ = 1 to k do
-            Pool.submit p (fun () -> Atomic.incr ran)
-          done);
-      Pool.wait_idle p;
-      Alcotest.(check int) "all subtasks ran" k (Atomic.get ran);
+      let (_ : unit option array option array) =
+        Pool.parallel_map p
+          (fun _ -> Pool.parallel_map p (fun _ -> Atomic.incr ran) (Array.make k ()))
+          [| 0; 1 |]
+      in
+      Alcotest.(check int) "all inner items ran" (2 * k) (Atomic.get ran);
       (* publish before shutdown (the CLI's --metrics-json path); the
          shutdown call must then be a no-op, not a double count *)
       Pool.publish_obs p;
       Pool.publish_obs p);
-  Alcotest.(check int) "par.tasks published once" (k + 1)
+  Alcotest.(check int) "par.tasks published once" (2 + (2 * k))
     (Obs.Snapshot.counter (Obs.snapshot ()) "par.tasks")
+
+(* An item runs under the caller's server request, whichever domain runs
+   it, so its spans and incidents attribute to that request. *)
+let test_map_request () =
+  Pool.with_pool ~jobs:4 (fun p ->
+      let ids =
+        Obs.with_request "r000042" (fun () ->
+            Pool.parallel_map p (fun _ -> Obs.request_id ()) (Array.make 32 ()))
+      in
+      Array.iter
+        (fun id -> Alcotest.(check (option string)) "request id" (Some "r000042") id)
+        ids;
+      Alcotest.(check string) "none outside" ""
+        (Option.get (Pool.parallel_map p (fun () -> Obs.request_id ()) [| () |]).(0)))
 
 (* --- chunk planning --- *)
 
@@ -124,91 +133,78 @@ let test_chunk_plan_weighted () =
   | [] -> Alcotest.fail "empty plan");
   Alcotest.(check bool) "several chunks" true (List.length plan >= 2)
 
-(* --- scheduler --- *)
+(* The walk's map: a weighted chunked map keeps every slot positional,
+   and an item that raises drops only its own slot, with one incident. *)
+let test_chunk_map_weighted () =
+  let log = R.create () in
+  let n = 60 in
+  let weights = Array.init n (fun i -> if i mod 10 = 0 then 500 else 1 + (i mod 3)) in
+  let out =
+    Pool.with_pool ~log ~jobs:4 (fun p ->
+        Chunk.parallel_map ~weights p
+          (fun i -> if i mod 7 = 3 then failwith "item" else i * 2)
+          (Array.init n Fun.id))
+  in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "slot %d" i)
+        (if i mod 7 = 3 then None else Some (i * 2))
+        r)
+    out;
+  Alcotest.(check int) "one incident per failed item"
+    (List.length (List.filter (fun i -> i mod 7 = 3) (List.init n Fun.id)))
+    (R.count log)
 
-(* Call graph: 0 -> {1,2} cycle -> 3; 0 -> 4; 5 isolated.  Edges are
-   caller -> callee, so {1,2}, 3, 4, 5 must all finish before 0 starts
-   (3 before the cycle too). *)
-let little_call_graph () =
-  let g = Digraph.create () in
-  Digraph.ensure_node g 5;
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 2;
-  Digraph.add_edge g 2 1;
-  Digraph.add_edge g 1 3;
-  Digraph.add_edge g 0 4;
-  g
+(* A chunked map runs one pool task per chunk of its plan, so
+   [par.tasks] depends on the items and their weights, not on the
+   schedule. *)
+let test_chunk_tasks () =
+  with_registry @@ fun () ->
+  let weights = Array.init 50 (fun i -> 1 + (i * 7 mod 13)) in
+  Pool.with_pool ~jobs:3 (fun p ->
+      ignore (Chunk.parallel_map ~weights p Fun.id (Array.init 50 Fun.id)));
+  Alcotest.(check int) "par.tasks = chunks"
+    (List.length (Chunk.plan ~jobs:3 ~weights 50))
+    (Obs.Snapshot.counter (Obs.snapshot ()) "par.tasks")
 
-let test_sched_order () =
-  let g = little_call_graph () in
-  let expected = Digraph.sccs g in
-  let comp_of = Array.make (Digraph.n_nodes g) (-1) in
-  List.iteri
-    (fun ci members -> List.iter (fun v -> comp_of.(v) <- ci) members)
-    expected;
-  Pool.with_pool ~jobs:4 (fun p ->
-      let m = Mutex.create () in
-      let finished = Hashtbl.create 8 in
-      let violations = ref 0 in
-      Sched.run_bottom_up p g @@ List.iter (fun members ->
-          let ci = comp_of.(List.hd members) in
-          (* every cross-component callee must already be done *)
-          List.iter
-            (fun u ->
-              List.iter
-                (fun v ->
-                  if comp_of.(v) <> ci then
-                    Mutex.protect m (fun () ->
-                        if not (Hashtbl.mem finished comp_of.(v)) then
-                          incr violations))
-                (Digraph.succs g u))
-            members;
-          Mutex.protect m (fun () -> Hashtbl.replace finished ci ()));
-      Alcotest.(check int) "callees always finished first" 0 !violations;
-      Alcotest.(check int)
-        "every component ran once"
-        (List.length expected)
-        (Hashtbl.length finished))
-
-(* Regression: the initial leaf-launch loop must not race with the
-   completion cascade.  Many trivially-fast leaf components followed by
-   dependents reproduces the shape where a worker finishes leaf [i] and
-   releases its dependent while the driver is still scanning — the
-   dependent must still run exactly once. *)
-let test_sched_exactly_once () =
-  let n = 40 in
-  let g = Digraph.create () in
-  Digraph.ensure_node g ((2 * n) - 1);
-  for i = 0 to n - 1 do
-    Digraph.add_edge g (n + i) i
-  done;
-  let comps = Array.of_list (Digraph.sccs g) in
-  for _round = 1 to 5 do
-    let runs = Array.make (Array.length comps) 0 in
-    let m = Mutex.create () in
-    Pool.with_pool ~jobs:4 (fun p ->
-        Sched.run_bottom_up p g @@ List.iter (fun members ->
-            let node = List.hd members in
-            let ci = ref (-1) in
-            Array.iteri
-              (fun i ms -> if List.mem node ms then ci := i)
-              comps;
-            Mutex.protect m (fun () -> runs.(!ci) <- runs.(!ci) + 1)));
-    Array.iteri
-      (fun i c ->
-        if c <> 1 then
-          Alcotest.failf "component %d ran %d times (want exactly 1)" i c)
-      runs
-  done
-
-let test_sched_sequential_is_sccs () =
-  let g = little_call_graph () in
-  Pool.with_pool ~jobs:1 (fun p ->
-      let seen = ref [] in
-      Sched.run_bottom_up p g (List.iter (fun members -> seen := members :: !seen));
-      Alcotest.(check (list (list int)))
-        "jobs=1 is exactly Digraph.sccs order" (Digraph.sccs g)
-        (List.rev !seen))
+(* The pooled walk, wave by wave, leaves the same interfaces (by shape),
+   RV entries (modulo renaming), VF entries and SEG sizes as the
+   sequential walk, function by function. *)
+let test_sweep_waves () =
+  let module A = Pinpoint.Analysis in
+  let module Callgraph = Pinpoint_ir.Callgraph in
+  let src = Helpers.subject ~seed:31 ~loc:600 () in
+  let seq = A.prepare_source src in
+  let par = Pool.with_pool ~jobs:4 (fun p -> A.prepare_source ~pool:p src) in
+  let functions a = Pinpoint_ir.Prog.functions a.A.prog in
+  Alcotest.(check bool) "several calls deep" true
+    (List.length (Callgraph.waves seq.A.graph (Callgraph.sccs seq.A.graph)) > 2);
+  List.iter2
+    (fun (f : Pinpoint_ir.Func.t) (g : Pinpoint_ir.Func.t) ->
+      let name = f.Pinpoint_ir.Func.fname in
+      let iface a = Hashtbl.find_opt a.A.ifaces name in
+      Alcotest.(check bool) (name ^ ": interface") true
+        (Option.equal Pinpoint_transform.Transform.same_shape (iface seq) (iface par));
+      Alcotest.(check bool) (name ^ ": RV entries") true
+        (Option.equal
+           (fun a b -> Pinpoint_summary.Rv.equal_entries (f, a) (g, b))
+           (Pinpoint_summary.Rv.find seq.A.rv name)
+           (Pinpoint_summary.Rv.find par.A.rv name));
+      Hashtbl.iter
+        (fun checker (_, vf) ->
+          let _, vf' = Hashtbl.find par.A.vfs checker in
+          Alcotest.(check bool) (name ^ ": VF entries, " ^ checker) true
+            (Pinpoint_summary.Vf.find vf name = Pinpoint_summary.Vf.find vf' name))
+        seq.A.vfs;
+      let size a =
+        Option.map
+          (fun s -> (Pinpoint_seg.Seg.n_vertices s, Pinpoint_seg.Seg.n_edges s))
+          (A.seg_of a name)
+      in
+      Alcotest.(check (option (pair int int)))
+        (name ^ ": SEG size") (size seq) (size par))
+    (functions seq) (functions par)
 
 (* The CLI builds its pool at [effective_jobs], which never asks for
    more domains than the host recommends and never for fewer than one;
@@ -330,15 +326,15 @@ let suite =
     Alcotest.test_case "pool: jobs=1 inline" `Quick test_pool_map_inline;
     Alcotest.test_case "pool: exception capture" `Quick
       test_pool_exception_capture;
-    Alcotest.test_case "pool: submit + wait_idle" `Quick test_pool_submit_wait;
-    Alcotest.test_case "pool: nested submit" `Quick test_nested_submit;
+    Alcotest.test_case "pool: nested submit" `Quick test_nested_map;
+    Alcotest.test_case "pool: map keeps the request id" `Quick test_map_request;
     Alcotest.test_case "chunk: plan partitions" `Quick test_chunk_plan;
     Alcotest.test_case "chunk: weighted plan" `Quick test_chunk_plan_weighted;
-    Alcotest.test_case "sched: callees first" `Quick test_sched_order;
-    Alcotest.test_case "sched: exactly-once launch" `Quick
-      test_sched_exactly_once;
-    Alcotest.test_case "sched: jobs=1 is sccs order" `Quick
-      test_sched_sequential_is_sccs;
+    Alcotest.test_case "chunk: weighted map keeps slots" `Quick
+      test_chunk_map_weighted;
+    Alcotest.test_case "chunk: one task per chunk" `Quick test_chunk_tasks;
+    Alcotest.test_case "sweep: pooled waves = sequential walk" `Quick
+      test_sweep_waves;
     Alcotest.test_case "pool: effective_jobs caps at the cores" `Quick
       test_effective_jobs;
     Alcotest.test_case "owner checks stay silent" `Quick

@@ -1423,7 +1423,8 @@ let test_serve_hung_up_client () =
 
 (* The registry counts at every obs level.  At Off, a check's returned
    counts are the registry's change in [engine.*]; a served session's
-   status counts read the same at Off as at Metrics_only. *)
+   status counts read the same at Off as at Metrics_only, and every
+   refused request counts as an error, a field of the wrong type too. *)
 let test_counts_every_level () =
   let src = Helpers.subject ~seed:79 ~loc:150 () in
   (with_obs Obs.Off @@ fun () ->
@@ -1460,6 +1461,9 @@ let test_counts_every_level () =
         op_req "metrics";
         "[1,2,3]";
         op_req "bogus";
+        {|{"op":"check","files":7}|};
+        {|{"op":"metrics","format":"xml"}|};
+        {|{"op":"dump","what":5}|};
         req_of_files ~checkers:[ "use-after-free" ] [];
       ];
     let j = parse_response (fst (Server.handle_line t (op_req "status"))) in
@@ -1470,7 +1474,7 @@ let test_counts_every_level () =
   let off = status Obs.Off in
   Alcotest.(check (option string)) "checks at Off" (Some "3")
     (List.assoc "checks" off);
-  Alcotest.(check (option string)) "errors at Off" (Some "2")
+  Alcotest.(check (option string)) "errors at Off" (Some "5")
     (List.assoc "errors" off);
   Alcotest.(check (list (pair string (option string))))
     "status counts: Off = Metrics_only" off (status Obs.Metrics_only)

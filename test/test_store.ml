@@ -270,7 +270,8 @@ let test_eviction () =
 (* Two stores on one directory, the second made after the first has
    spilled: each writes a file of its own, so each reads back its own
    artifacts, before sealing and after, and the two seals make two
-   epochs. *)
+   epochs.  Two stores sealing from two domains at once, round after
+   round, also make two epochs, and both validate. *)
 let test_shared_dir () =
   let renders a =
     List.concat_map
@@ -302,10 +303,47 @@ let test_shared_dir () =
   List.iter (fun (_, a) -> Pinpoint.Analysis.seal_store a Pinpoint.Checkers.all) stored;
   check "sealed";
   List.iter (fun (st, _) -> Store.close st) stored;
+  let epochs dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
   Alcotest.(check (list string))
     "two epochs, no temp file"
     [ "store.ep000001.bin"; "store.ep000002.bin" ]
-    (List.sort compare (Array.to_list (Sys.readdir dir)))
+    (epochs dir);
+  for round = 1 to 6 do
+    with_tmp_dir @@ fun dir ->
+    let stored =
+      List.map
+        (fun src ->
+          let st = Store.create ~dir ~max_resident:1 () in
+          (st, Pinpoint.Analysis.prepare_source ~store:st src))
+        sources
+    in
+    let ready = Atomic.make 0 in
+    let seal (_, a) =
+      Domain.spawn (fun () ->
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do Domain.cpu_relax () done;
+          Pinpoint.Analysis.seal_store a Pinpoint.Checkers.all)
+    in
+    List.iter Domain.join (List.map seal stored);
+    List.iter (fun (st, _) -> Store.close st) stored;
+    let what = Printf.sprintf "round %d" round in
+    Alcotest.(check (list string))
+      (what ^ ": concurrent seals keep two epochs")
+      [ "store.ep000001.bin"; "store.ep000002.bin" ]
+      (epochs dir);
+    (* the newest validates, and the older one once the newest is gone *)
+    List.iter
+      (fun ep ->
+        match Store.reopen ~dir with
+        | None -> Alcotest.failf "%s: epoch %d does not validate" what ep
+        | Some r ->
+          r.Store.finish ();
+          Alcotest.(check int) (what ^ ": reopened epoch") ep r.Store.epoch;
+          Alcotest.(check bool)
+            (what ^ ": artifacts listed") true (r.Store.artifacts <> []);
+          Sys.remove (Filename.concat dir (Printf.sprintf "store.ep%06d.bin" ep)))
+      [ 2; 1 ]
+  done
 
 (* ---------- dedup determinism ---------- *)
 
